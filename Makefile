@@ -13,21 +13,26 @@ build:
 
 # -shuffle=on randomizes test order within each package so tests that
 # secretly depend on a predecessor (easy to introduce around the measure
-# worker pool's package-level state) fail loudly instead of by luck.
+# worker pool's package-level state) fail loudly instead of by luck. The
+# concurrent packages then run again at -cpu 1,2: an assertion that only
+# holds on a single-core box (or only on a multi-core one) is a bug in the
+# assertion, and this is where it shows.
 test: build
 	$(GO) test -shuffle=on ./...
+	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve
+	$(GO) test -cpu 1,2 -short ./internal/fabric
 
 vet:
 	$(GO) vet ./...
 
-# Race tier: the packages with new concurrent code (metrics registry,
-# Runner worker pool, artifact cache, fault injector, HTTP job service,
-# sweep fabric) must stay race-clean. The fabric package runs -short:
-# its full 11×3 conformance matrices are covered race-free by `make
-# test`, while the journal, lease, resume, and store-economy tests all
-# still run under the race detector.
+# Race tier: the packages with concurrent code (metrics registry, Runner
+# worker pool, artifact cache, fault injector, shared journal, HTTP job
+# service, sweep fabric) must stay race-clean. The fabric package runs
+# -short: its full 11×3 conformance matrices are covered race-free by
+# `make test`, while the journal, lease, resume, and store-economy tests
+# all still run under the race detector.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/serve
+	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve
 	$(GO) test -race -short ./internal/fabric
 
 # Fuzz smoke: a few seconds per target on top of the committed seed
@@ -36,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseBBV -fuzztime 5s ./internal/bbv
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz FuzzJournalRead -fuzztime 5s ./internal/journal
 
 # Cache round-trip: cold run populates the cache, warm run must reproduce
 # the report byte for byte (cmp) straight from the artifacts.

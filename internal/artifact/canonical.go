@@ -40,7 +40,12 @@ type hashWriter struct {
 	b [8]byte
 }
 
-func (w *hashWriter) byte(b byte) { w.h.Write([]byte{b}) }
+// byte goes through the scratch buffer: a fresh one-byte slice per tag
+// would escape into the hash.Hash interface and allocate.
+func (w *hashWriter) byte(b byte) {
+	w.b[0] = b
+	w.h.Write(w.b[:1])
+}
 
 func (w *hashWriter) u64(v uint64) {
 	binary.LittleEndian.PutUint64(w.b[:], v)

@@ -28,9 +28,10 @@ import (
 // keys:
 //
 //	bbv        ← workload identity (name, suite, scale, generator output:
-//	             source text, data segments, checksum) + interval size
-//	select     ← bbv key + simpoint.Config
-//	checkpoint ← bbv key + select key + warm-up length
+//	             source text, data segments, checksum) + resolved interval
+//	             size + sampling spec
+//	select     ← bbv key + resolved simpoint.Config + sampling spec
+//	checkpoint ← bbv key + select key + resolved warm-up length
 //	measure    ← checkpoint key + boom.Config + asap7.Library
 //	full       ← workload identity + boom.Config + asap7.Library
 //
@@ -39,22 +40,17 @@ import (
 // name embeds the version). Payload integrity is the cache's job
 // (internal/artifact); payload meaning is versioned here.
 
-// Per-stage payload schema versions. The profile stages carry two
-// parallel schema generations: the legacy versions, reserved for the
-// zero sampling spec (their keys and payloads are pinned byte-for-byte
-// by the equivalence goldens), and the spec-bearing versions, whose key
-// structs append the sampling spec so every distinct spec owns a
-// distinct cold/warm cache identity.
+// Per-stage schema versions, covering both a stage's key shape and its
+// payload format. The profile stages' and the fingerprint's latest bump
+// changed key shapes only (one shape for every sampling spec, the zero
+// spec included).
 const (
-	bbvSchema     = 1
-	selectSchema  = 1
-	ckptSchema    = 2 // v2: flate-compressed body
+	bbvSchema     = 3 // sampling spec in key; MAV section in payload under a bbv+mav spec
+	selectSchema  = 3 // sampling spec in key
+	ckptSchema    = 4 // resolved warm-up in key; flate-compressed body
 	measureSchema = 1
 	fullSchema    = 1
-
-	bbvSpecSchema    = 2 // v2: sampling spec in key; optional MAV section in payload
-	selectSpecSchema = 2 // v2: sampling spec in key
-	ckptSpecSchema   = 3 // v3: sampling spec (resolved warm-up) in key
+	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
 )
 
 // maxCachedLen bounds decoded slice lengths (corrupt-payload defense).
@@ -96,44 +92,26 @@ type profileKeys struct {
 	ckpt artifact.Key
 }
 
+// profileKeys derives the chain under a sampling spec: the resolved
+// interval replaces the workload's implicit one in the identity (it sets
+// the committed-stream split), the spec rides in the bbv and select keys
+// (features change the BBV payload and the clustering), the select key
+// hashes the resolved simpoint.Config so Dims/MaxK overrides count, and the
+// checkpoint key hashes the resolved warm-up (policy changes checkpoints).
 func (r *Runner) profileKeys(w *workloads.Workload, spec sampling.Spec) profileKeys {
-	if spec.IsZero() {
-		// Legacy shape, pinned byte-for-byte: pre-spec cache entries and
-		// fingerprints must keep resolving. Do not touch these structs.
-		var k profileKeys
-		k.bbv = artifact.NewKey("bbv", bbvSchema, struct {
-			Workload workloadIdent
-		}{identOf(w)})
-		k.sel = artifact.NewKey("select", selectSchema, struct {
-			BBV    string
-			Config simpoint.Config
-		}{k.bbv.Hex(), r.fc.SimPoint})
-		k.ckpt = artifact.NewKey("checkpoint", ckptSchema, struct {
-			BBV         string
-			Select      string
-			WarmupInsts int64
-		}{k.bbv.Hex(), k.sel.Hex(), r.fc.WarmupInsts})
-		return k
-	}
-	// Spec-bearing shape: the resolved interval replaces the workload's
-	// implicit one in the identity (it determines the committed-stream
-	// split), the spec rides in every stage key (features change the BBV
-	// payload and the clustering; warm-up policy changes the checkpoints),
-	// and the clustering key hashes the resolved simpoint.Config so
-	// Dims/MaxK overrides are part of the chain.
 	ident := identOf(w)
 	ident.IntervalSize = spec.ResolveInterval(w.IntervalSize)
 	var k profileKeys
-	k.bbv = artifact.NewKey("bbv", bbvSpecSchema, struct {
+	k.bbv = artifact.NewKey("bbv", bbvSchema, struct {
 		Workload workloadIdent
 		Sampling sampling.Spec
 	}{ident, spec})
-	k.sel = artifact.NewKey("select", selectSpecSchema, struct {
+	k.sel = artifact.NewKey("select", selectSchema, struct {
 		BBV      string
 		Config   simpoint.Config
 		Sampling sampling.Spec
 	}{k.bbv.Hex(), r.simpointConfig(spec), spec})
-	k.ckpt = artifact.NewKey("checkpoint", ckptSpecSchema, struct {
+	k.ckpt = artifact.NewKey("checkpoint", ckptSchema, struct {
 		BBV         string
 		Select      string
 		WarmupInsts int64
@@ -234,7 +212,12 @@ func wrapStage(stage, workload, config string, err error) error {
 // stream. The BBV payload reuses the SimPoint 3.0 .bb text format (it is
 // already deterministic and interoperable); the rest are binary.
 
-func encodeBBVPayload(vectors []bbv.Vector, totalInsts uint64, numBlocks int) ([]byte, error) {
+// encodeBBVPayloadSpec encodes the profile stage's payload under a
+// sampling spec: instruction and block counts and the .bb-format vectors,
+// followed — only under a bbv+mav spec — by a .mav-format section holding
+// the per-interval memory-access vectors. The spec is in the key, so the
+// section's presence is fully determined by the key.
+func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, spec sampling.Spec) ([]byte, error) {
 	var body bytes.Buffer
 	if err := bbv.WriteBB(&body, vectors); err != nil {
 		return nil, err
@@ -244,50 +227,14 @@ func encodeBBVPayload(vectors []bbv.Vector, totalInsts uint64, numBlocks int) ([
 	bw.U64(totalInsts)
 	bw.Int(numBlocks)
 	bw.Bytes(body.Bytes())
+	if spec.UseMAV() {
+		body.Reset()
+		if err := mav.WriteMAV(&body, mavs); err != nil {
+			return nil, err
+		}
+		bw.Bytes(body.Bytes())
+	}
 	return buf.Bytes(), bw.Err()
-}
-
-func decodeBBVPayload(payload []byte) (vectors []bbv.Vector, totalInsts uint64, numBlocks int, err error) {
-	br := binio.NewReader(bytes.NewReader(payload))
-	totalInsts = br.U64()
-	numBlocks = br.Int()
-	body := br.Bytes(maxCachedLen)
-	if err := br.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	vectors, err = bbv.ReadBB(bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return vectors, totalInsts, numBlocks, nil
-}
-
-// encodeBBVPayloadSpec encodes the profile stage's payload under a
-// sampling spec: the legacy layout, followed — only under a bbv+mav spec
-// — by a .mav-format section holding the per-interval memory-access
-// vectors. Zero-spec payloads are byte-identical to pre-spec ones (the
-// spec-bearing key schema keeps the two generations from ever sharing an
-// entry, so the section's presence is fully determined by the key).
-func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, spec sampling.Spec) ([]byte, error) {
-	payload, err := encodeBBVPayload(vectors, totalInsts, numBlocks)
-	if err != nil {
-		return nil, err
-	}
-	if !spec.UseMAV() {
-		return payload, nil
-	}
-	var body bytes.Buffer
-	if err := mav.WriteMAV(&body, mavs); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.Write(payload)
-	bw := binio.NewWriter(&buf)
-	bw.Bytes(body.Bytes())
-	if err := bw.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, err error) {

@@ -40,7 +40,10 @@ func corruptAllCacheFiles(t *testing.T, dir string) {
 // sweep over every registered workload skips straight to report
 // generation, at least 5× faster than the cold run, with exactly equal
 // results (timing fields included — hit costs are restored from the
-// cache, so even the speedup table reproduces byte-for-byte).
+// cache, so even the speedup table reproduces byte-for-byte). Both runs
+// are -j 1: the claim is about the work the cache saves, and on a
+// multi-core host a parallel cold run hides most of that work while the
+// warm run, bound by reading artifacts, gains nothing.
 func TestWarmCacheSweepSpeedup(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -49,14 +52,14 @@ func TestWarmCacheSweepSpeedup(t *testing.T) {
 	cfgs := []boom.Config{boom.MediumBOOM()}
 
 	t0 := time.Now()
-	coldSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir)).Sweep(ctx, tcamp(names, cfgs))
+	coldSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithParallelism(1)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldDur := time.Since(t0)
 
 	t1 := time.Now()
-	warmSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir)).Sweep(ctx, tcamp(names, cfgs))
+	warmSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithParallelism(1)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}

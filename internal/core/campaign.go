@@ -33,8 +33,10 @@ type Campaign struct {
 	Scale workloads.Scale
 	// Sampling parameterizes how every cell is sampled: interval length,
 	// clustering feature set, projection dims, k ceiling, warm-up policy.
-	// The zero value reproduces the legacy implicit defaults — and the
-	// legacy campaign fingerprint, byte-for-byte (see sweepID).
+	// The zero value means the implicit defaults (per-workload interval,
+	// BBV-only features, the flow's clustering and warm-up), and defers to
+	// the Runner's spec (WithSampling). It is part of the campaign
+	// fingerprint like any other spec (see Runner.CampaignID).
 	Sampling sampling.Spec
 }
 

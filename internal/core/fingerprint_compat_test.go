@@ -8,25 +8,26 @@ import (
 	"testing"
 
 	"repro/internal/boom"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
-// This file is the campaign-fingerprint compatibility suite. The Campaign
-// redesign replaced the (names, configs) pair throughout the sweep API,
-// but the fingerprint — the identity that keys journals, boomd jobs and
-// dedupe — must stay byte-compatible with the pre-redesign encoding, or
-// every existing journal and cache directory silently stops resuming.
-// The hex values below were captured from the pre-Campaign code and are
-// load-bearing: if one of these tests fails, the fix is to restore the
-// encoding, never to update the constant.
+// This file is the campaign-fingerprint compatibility suite. The
+// fingerprint is the identity that keys journals, boomd jobs and dedupe,
+// so it must not drift by accident: a changed hex silently stops every
+// existing journal from resuming and re-keys every boomd job. The values
+// below pin the current encoding (sweep schema 3: one shape for every
+// campaign, the effective sampling spec always hashed). If one of these
+// tests fails, the fix is to restore the encoding; the constants move only
+// with a deliberate sweepSchema bump, documented in DESIGN §7c.
 const (
 	// All 11 workloads x the three named BOOM corners, ScaleTiny flow.
-	fpTrioTinyAll = "7ca397f61868bc0960a03e5b548fc38298df2a7d186269a7b0b4c6eb20f5de40"
+	fpTrioTinyAll = "a028fa37fe00135e3f359a25b54b3851abf11bade9552b9c07f949cde4884542"
 	// [sha qsort] x [MediumBOOM], ScaleTiny flow.
-	fpShaQsortMedium = "19b9181fede44501869b1c4d01e5c4e0e48474bbc1391f8d9eaca5e9b3b5743f"
+	fpShaQsortMedium = "8497ac840446fbc7b8971c55e0534a5db30422acec1f0e5b64cdd88382754ab2"
 	// All 11 workloads x the three corners at default scale/flow.
-	fpTrioDefaultAll = "1e5403d4ad2c0f3a40822d1f221269c6a014afada5d92abd80f6e927869c9d26"
+	fpTrioDefaultAll = "24c55e964aa563d1a3323c723e1bb14c4ad82a32d12ba544c43f42e1af7a6542"
 )
 
 func pinnedRunner(t *testing.T, scale workloads.Scale, opts ...Option) *Runner {
@@ -34,9 +35,9 @@ func pinnedRunner(t *testing.T, scale workloads.Scale, opts ...Option) *Runner {
 	return New(FlowConfigFor(scale), append([]Option{WithScale(scale)}, opts...)...)
 }
 
-// TestPinnedCampaignFingerprints replays three campaigns that existed
-// before the Campaign redesign and checks their fingerprints against the
-// hexes the old (names, configs) API produced.
+// TestPinnedCampaignFingerprints checks three zero-spec campaigns — the
+// shapes every CLI default and v1 request body resolves to — against their
+// pinned fingerprints.
 func TestPinnedCampaignFingerprints(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -68,19 +69,20 @@ func TestPinnedCampaignFingerprints(t *testing.T) {
 			got := pinnedRunner(t, tc.scale).CampaignID(tc.camp)
 			if got != tc.want {
 				t.Fatalf("fingerprint drifted: got %s, want %s\n"+
-					"A pre-redesign journal or cache keyed by the old ID would no longer resume.", got, tc.want)
+					"A journal keyed by the pinned ID would no longer resume.", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestLegacyJournalResumes writes a journal in the exact on-disk format
-// the pre-redesign code produced — header keyed by the pinned fingerprint,
-// then "done" records with the old task labels — and checks that a sweep
-// through the new Campaign API treats those tasks as resumed.
-func TestLegacyJournalResumes(t *testing.T) {
+// TestPinnedJournalResumes writes a journal in the exact on-disk format —
+// header keyed by the pinned fingerprint, then "done" records with the
+// pinned task labels — and checks that a sweep of that campaign treats
+// those tasks as resumed: the fingerprint, the record dialect and the task
+// labels are one compatibility surface.
+func TestPinnedJournalResumes(t *testing.T) {
 	dir := t.TempDir()
-	legacy := []journalRecord{
+	pinned := []journal.Record{
 		{Ev: "sweep", ID: fpShaQsortMedium},
 		{Ev: "done", Task: "profile/sha", NS: 12345},
 		{Ev: "done", Task: "profile/qsort", NS: 23456},
@@ -90,7 +92,7 @@ func TestLegacyJournalResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range legacy {
+	for _, rec := range pinned {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -112,10 +114,10 @@ func TestLegacyJournalResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sw.Results) != 1 || len(sw.Results["MediumBOOM"]) != 2 {
-		t.Fatalf("sweep incomplete after legacy resume: %+v", sw.Results)
+		t.Fatalf("sweep incomplete after resume: %+v", sw.Results)
 	}
-	if got := reg.Counter("core.sweep.tasks_resumed").Value(); got != int64(len(legacy)-1) {
-		t.Fatalf("tasks_resumed = %d, want %d: the legacy journal's done-set was not honored", got, len(legacy)-1)
+	if got := reg.Counter("core.sweep.tasks_resumed").Value(); got != int64(len(pinned)-1) {
+		t.Fatalf("tasks_resumed = %d, want %d: the journal's done-set was not honored", got, len(pinned)-1)
 	}
 }
 

@@ -1,171 +1,64 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/boom"
-	"repro/internal/metrics"
+	"repro/internal/journal"
 	"repro/internal/sampling"
 )
 
-// This file implements the sweep's crash-resume journal: an append-only
-// JSONL write-ahead log living next to the artifact cache. Every sweep task
-// (one workload profile, one (workload, config) measurement) writes a
-// "start" record before it runs and a "done" or "fail" record after, one
-// JSON object per line, flushed per record, so a killed process loses at
-// most the record being written.
+// This file is the sweep's crash-resume policy over the shared WAL
+// (internal/journal, which owns the file mechanics). Every sweep task (one
+// workload profile, one (workload, config) measurement) writes a "start"
+// record before it runs and a "done" or "fail" record after.
 //
 // The journal is the bookkeeping layer over the content-addressed cache:
 // the cache holds the results, the journal holds the campaign's progress.
 // On -resume, tasks with a "done" record are replayed straight through
 // their cache artifacts (no recomputation); tasks that were in flight or
-// failed run again. A header record pins the sweep's identity — workload
-// set, configurations, flow parameters, scale — so a journal is never
-// replayed against a different campaign.
+// failed run again. The header record pins the sweep's identity — workload
+// set, configurations, flow parameters, scale, sampling spec — so a journal
+// is never replayed against a different campaign.
 
-// journalName is the journal's file name under the cache directory.
-const journalName = "sweep.journal"
-
-// journalRecord is one JSONL line.
-type journalRecord struct {
-	Ev   string `json:"ev"`             // "sweep" (header), "start", "done", "fail"
-	ID   string `json:"id,omitempty"`   // sweep fingerprint (header only)
-	Task string `json:"task,omitempty"` // e.g. "profile/sha", "measure/MegaBOOM/sha"
-	NS   int64  `json:"ns,omitempty"`   // task wall-clock (done only)
-	Err  string `json:"err,omitempty"`  // failure message (fail only)
-}
-
-// journal is an open, append-only WAL. All methods are safe for concurrent
-// use; a nil *journal is inert so the sweep path needs no guards.
+// CampaignID fingerprints a campaign under this Runner's flow parameters:
+// the exact workload list, configuration list, flow parameters, scale and
+// effective sampling spec. It is the one identity of a run: the sweep
+// journal's header, and — in the serving layer (internal/serve) — the job
+// and dedupe ID, so duplicate submissions of one campaign collapse onto one
+// job. Reuses the artifact cache's canonical encoding, so any drift in any
+// input — including any single field of any design point, which is how
+// parametric axes (internal/dse) become part of the identity — yields a
+// different ID and a stale journal is ignored rather than replayed.
 //
-// Write errors are never swallowed: a WAL that silently drops a "done"
-// record would make a later -resume rerun — or worse, half-trust — work
-// that actually finished. The first failed write increments
-// core.sweep.journal_write_errors, warns once through the progress sink,
-// and disables the journal for the rest of the sweep, so the failure mode
-// degrades to "no journal" (resume reruns everything), never to a
-// plausible-but-wrong journal.
-type journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	reg      *metrics.Registry // nil-safe counter sink
-	warn     func(format string, args ...interface{})
-	disabled bool
-}
-
-func (j *journal) append(rec journalRecord) { j.write(rec, false) }
-
-// appendSync appends like append, then fsyncs — used for the header
-// record, so a crash shortly after open can never leave a journal whose
-// campaign identity is not durable on disk.
-func (j *journal) appendSync(rec journalRecord) { j.write(rec, true) }
-
-func (j *journal) write(rec journalRecord, sync bool) {
-	if j == nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return // journalRecord always marshals; stay inert regardless
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.disabled {
-		return
-	}
-	n, err := j.f.Write(line) // one write syscall per record: crash loses ≤1 line
-	if err == nil && n < len(line) {
-		err = io.ErrShortWrite
-	}
-	if err == nil && sync {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		j.disabled = true
-		j.reg.Counter("core.sweep.journal_write_errors").Inc()
-		if j.warn != nil {
-			j.warn("sweep journal disabled after write error (a later -resume will rerun unjournaled tasks): %v", err)
-		}
-	}
-}
-
-func (j *journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.f.Close()
-}
-
-// sweepID fingerprints a campaign: the exact workload list, configuration
-// list, flow parameters and scale. Reuses the artifact cache's canonical
-// encoding, so any drift in any input — including any single field of any
-// design point, which is how parametric axes (internal/dse) become part
-// of the identity — yields a different ID and a stale journal is ignored
-// rather than replayed.
-//
-// Compatibility: the encoded shapes below (anonymous structs, these
-// field names and types, the schema versions) are pinned by the
-// fingerprint compatibility suite. The zero sampling spec MUST keep
-// producing the schema-1 shape — a pre-Campaign-redesign journal or
-// cache entry for the named-trio campaign must keep resolving to the
-// same ID. A non-zero spec versions into a schema-2 shape that appends
-// the spec, so sampling parameters are part of campaign identity the
-// same way design-point fields are. Do not rename fields, reorder them,
-// or name the structs (the canonical encoding hashes the type name, and
-// an anonymous struct encodes as "").
-func (r *Runner) sweepID(c Campaign) string {
-	spec := r.effectiveSpec(c)
-	if spec.IsZero() {
-		return artifact.NewKey("sweep", 1, struct {
-			Names   []string
-			Configs []boom.Config
-			Flow    FlowConfig
-			Scale   int
-		}{c.Workloads, c.Configs, r.fc, int(c.Scale)}).Hex()
-	}
-	return artifact.NewKey("sweep", 2, struct {
+// The encoded shape below (an anonymous struct, these field names and
+// types, the schema version) is pinned by the fingerprint compatibility
+// suite. Do not rename fields, reorder them, or name the struct (the
+// canonical encoding hashes the type name, and an anonymous struct encodes
+// as ""); a deliberate change bumps sweepSchema, which orphans journals
+// and boomd job IDs but — like every cache key — moves no result byte.
+func (r *Runner) CampaignID(c Campaign) string {
+	return artifact.NewKey("sweep", sweepSchema, struct {
 		Names    []string
 		Configs  []boom.Config
 		Flow     FlowConfig
 		Scale    int
 		Sampling sampling.Spec
-	}{c.Workloads, c.Configs, r.fc, int(c.Scale), spec}).Hex()
+	}{c.Workloads, c.Configs, r.fc, int(c.Scale), r.effectiveSpec(c)}).Hex()
 }
 
-// loadJournal parses an existing journal and returns the set of tasks with
-// a "done" record, provided the header matches wantID. A missing file, a
-// foreign campaign, or an unreadable header all return an empty set — the
-// sweep then simply starts from scratch. Truncated trailing lines (the
-// record being written when the process died) are skipped, not fatal.
+// loadJournal returns the set of tasks with a "done" record in the journal
+// at path, provided its header matches wantID. A missing file, a foreign
+// campaign, or an unreadable header all return an empty set — the sweep
+// then simply starts from scratch.
 func loadJournal(path, wantID string) (done map[string]bool, prevFailed int) {
-	f, err := os.Open(path)
-	if err != nil {
+	recs, ok := journal.Read(path, journal.Record{Ev: "sweep", ID: wantID})
+	if !ok {
 		return nil, 0
 	}
-	defer f.Close()
 	done = map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	first := true
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // torn write from a crash: ignore the fragment
-		}
-		if first {
-			if rec.Ev != "sweep" || rec.ID != wantID {
-				return nil, 0 // different campaign: never replay
-			}
-			first = false
-			continue
-		}
+	for _, rec := range recs {
 		switch rec.Ev {
 		case "done":
 			done[rec.Task] = true
@@ -180,12 +73,12 @@ func loadJournal(path, wantID string) (done map[string]bool, prevFailed int) {
 // the journal is disabled (nil, empty set). With WithResume, a matching
 // prior journal yields the done-set and the file is extended in place;
 // otherwise the file is truncated and a fresh header written.
-func (r *Runner) openSweepJournal(camp Campaign) (*journal, map[string]bool) {
+func (r *Runner) openSweepJournal(camp Campaign) (*journal.Writer, map[string]bool) {
 	if r.cache == nil {
 		return nil, nil
 	}
-	id := r.sweepID(camp)
-	path := filepath.Join(r.cache.Dir(), journalName)
+	id := r.CampaignID(camp)
+	path := JournalPath(r.cache.Dir())
 	var done map[string]bool
 	if r.resume {
 		var prevFailed int
@@ -194,39 +87,18 @@ func (r *Runner) openSweepJournal(camp Campaign) (*journal, map[string]bool) {
 			r.note("resume: journal lists %d finished task(s), %d failed — rerunning the rest", len(done), prevFailed)
 		}
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		r.note("journal disabled: %v", err)
-		return nil, done
-	}
-	flags := os.O_CREATE | os.O_WRONLY
-	if len(done) > 0 {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	jn, err := journal.Open(path, journal.Record{Ev: "sweep", ID: id}, len(done) > 0, func(err error) {
+		r.reg.Counter("core.sweep.journal_write_errors").Inc()
+		r.note("sweep journal disabled after write error (a later -resume will rerun unjournaled tasks): %v", err)
+	})
 	if err != nil {
 		r.note("journal disabled: %v", err)
-		return nil, done
-	}
-	jn := &journal{f: f, reg: r.reg, warn: r.note}
-	if len(done) == 0 {
-		jn.appendSync(journalRecord{Ev: "sweep", ID: id})
 	}
 	return jn, done
-}
-
-// CampaignID returns the campaign fingerprint under this Runner's flow
-// parameters — the exact identity the sweep journal is keyed by. The
-// serving layer (internal/serve) reuses it as the job and dedupe ID:
-// duplicate submissions of one campaign collapse onto one job, and the
-// artifact cache dedupes across requests.
-func (r *Runner) CampaignID(camp Campaign) string {
-	return r.sweepID(camp)
 }
 
 // JournalPath returns the sweep journal location for a cache directory
 // (diagnostics and tests).
 func JournalPath(cacheDir string) string {
-	return filepath.Join(cacheDir, journalName)
+	return filepath.Join(cacheDir, "sweep.journal")
 }

@@ -15,10 +15,12 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/asap7"
+	"repro/internal/backoff"
 	"repro/internal/bbv"
 	"repro/internal/boom"
 	"repro/internal/ckpt"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/mav"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -68,8 +70,7 @@ type Runner struct {
 	remote       *artifact.Remote
 	verify       bool
 	stageTimeout time.Duration
-	retryMax     int
-	retryBase    time.Duration
+	retry        backoff.Policy
 	keepGoing    bool
 	resume       bool
 	inj          *faultinject.Injector
@@ -93,9 +94,9 @@ func WithLib(lib asap7.Library) Option {
 
 // WithSampling sets the Runner's sampling spec, used by direct
 // Profile/Run/Validate calls and by Sweep when the campaign itself
-// carries no spec. The zero value (the default) reproduces the legacy
-// implicit defaults — and every legacy artifact key and campaign
-// fingerprint byte-for-byte. A campaign with a non-zero Sampling field
+// carries no spec. The zero value (the default) means the implicit
+// defaults: per-workload interval, BBV-only features, the flow's
+// clustering and warm-up. A campaign with a non-zero Sampling field
 // overrides this for its sweep, the way campaign scale already overrides
 // WithScale.
 func WithSampling(spec sampling.Spec) Option {
@@ -186,9 +187,11 @@ func WithStageTimeout(d time.Duration) Option {
 // WithRetry allows up to n retries (n+1 attempts) per sweep task when the
 // failure is transient (see IsTransient): injected chaos, cache I/O, a
 // tripped watchdog. Waits between attempts grow exponentially from base
-// (base, 2·base, 4·base, …). Deterministic model errors — deadlocks,
-// invalid configs, diverged checkpoints — are never retried. Retries apply
-// to Sweep tasks; direct Profile/Run calls fail on first error.
+// (base, 2·base, 4·base, …) without jitter: a sweep retries in-process
+// faults, there is no fleet to de-synchronize. Deterministic model errors —
+// deadlocks, invalid configs, diverged checkpoints — are never retried.
+// Retries apply to Sweep tasks; direct Profile/Run calls fail on first
+// error.
 func WithRetry(n int, base time.Duration) Option {
 	return func(r *Runner) {
 		if n < 0 {
@@ -197,7 +200,8 @@ func WithRetry(n int, base time.Duration) Option {
 		if base <= 0 {
 			base = 10 * time.Millisecond
 		}
-		r.retryMax, r.retryBase = n, base
+		// Max is the last wait, so the doubling is never capped.
+		r.retry = backoff.Policy{Attempts: n + 1, Base: base, Max: base << max(n-1, 0), Jitter: -1}
 	}
 }
 
@@ -245,6 +249,7 @@ func New(fc FlowConfig, opts ...Option) *Runner {
 		fc:    fc,
 		scale: workloads.ScaleTiny,
 		par:   runtime.GOMAXPROCS(0),
+		retry: backoff.Policy{Attempts: 1},
 	}
 	for _, o := range opts {
 		o(r)
@@ -1033,7 +1038,7 @@ type taskSet struct {
 // and are excluded from the tasks counter, queue-wait histogram and worker
 // busy time. A canceled context surfaces as a *StageError naming the phase
 // in flight and wrapping ctx.Err().
-func (r *Runner) runTasks(ctx context.Context, jn *journal, doneSet map[string]bool, ts taskSet) error {
+func (r *Runner) runTasks(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, ts taskSet) error {
 	if ts.n == 0 {
 		return nil
 	}
@@ -1136,38 +1141,39 @@ func utilization(busyNS, wallNS int64) float64 {
 }
 
 // runTask supervises one task: journal bookkeeping and resume accounting,
-// then bounded exponential-backoff retries around guarded attempts.
-func (r *Runner) runTask(ctx context.Context, jn *journal, doneSet map[string]bool, id taskID, do func(context.Context) error) error {
+// then guarded attempts under the Runner's retry policy (WithRetry), which
+// only transient errors get to use.
+func (r *Runner) runTask(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, id taskID, do func(context.Context) error) error {
 	resumed := doneSet[id.label()]
 	if resumed {
 		r.reg.Counter("core.sweep.tasks_resumed").Inc()
 	} else {
-		jn.append(journalRecord{Ev: "start", Task: id.label()})
+		jn.Append(journal.Record{Ev: "start", Task: id.label()})
 	}
 	t0 := time.Now()
 	var err error
-	for attempt := 1; ; attempt++ {
-		err = r.attempt(ctx, id, do)
-		if err == nil || ctx.Err() != nil || attempt > r.retryMax || !IsTransient(err) {
-			if err != nil && attempt > 1 {
-				var se *StageError
-				if errors.As(err, &se) {
-					se.Attempt = attempt
-				}
-			}
-			break
+	attempts := 0
+	rerr := backoff.Retry(ctx, r.retry, func(ctx context.Context) error {
+		if attempts++; attempts > 1 {
+			r.reg.Counter("core.sweep.retries").Inc()
 		}
-		r.reg.Counter("core.sweep.retries").Inc()
-		select {
-		case <-time.After(r.retryBase << (attempt - 1)):
-		case <-ctx.Done():
+		if err = r.attempt(ctx, id, do); err != nil && !IsTransient(err) {
+			return backoff.Permanent(err)
 		}
+		return err
+	})
+	if attempts == 0 {
+		err = wrapStage(id.stage(), id.workload, id.config, rerr) // canceled before the first attempt
+	}
+	var se *StageError
+	if attempts > 1 && errors.As(err, &se) {
+		se.Attempt = attempts
 	}
 	if !resumed {
 		if err != nil {
-			jn.append(journalRecord{Ev: "fail", Task: id.label(), Err: err.Error()})
+			jn.Append(journal.Record{Ev: "fail", Task: id.label(), Err: err.Error()})
 		} else {
-			jn.append(journalRecord{Ev: "done", Task: id.label(), NS: time.Since(t0).Nanoseconds()})
+			jn.Append(journal.Record{Ev: "done", Task: id.label(), NS: time.Since(t0).Nanoseconds()})
 		}
 	}
 	if err == nil && r.taskHook != nil {

@@ -17,7 +17,13 @@ import (
 
 // TestRunnerStageSpans is the end-to-end observability check: every flow
 // stage must emit a non-zero span, and the stage spans must account for
-// (nearly) all of the flow's wall-clock time.
+// (nearly) all of the flow's wall-clock time. Per-point warmup, measure
+// and estimate laps run concurrently on a multi-core host, so the
+// accounting is stated in terms that hold at any -cpu: no stage outlasts
+// the flow, the stages' extents leave (nearly) no flow time unexplained,
+// and their summed busy time fits the flow's wall-clock times the
+// Runner's worker budget. At -cpu 1 these collapse to "the stages sum to
+// the flow".
 func TestRunnerStageSpans(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := New(DefaultFlowConfig(), WithMetrics(reg))
@@ -40,20 +46,37 @@ func TestRunnerStageSpans(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("flow span has no duration")
 	}
-	seen := map[string]int64{}
-	var sum int64
+	if flow.Peak() != 1 || flow.BusyNS() != total {
+		t.Errorf("flow laps are serial here: peak %d, busy %d, extent %d", flow.Peak(), flow.BusyNS(), total)
+	}
+	budget := runtime.GOMAXPROCS(0) // the Runner's default -j
+	seen := map[string]bool{}
+	var extents, busy int64
 	for _, c := range flow.Children() {
-		d := c.DurationNS()
-		seen[c.Name()] = d
-		sum += d
+		d, b, peak := c.DurationNS(), c.BusyNS(), c.Peak()
+		seen[c.Name()] = d > 0
+		if d > total {
+			t.Errorf("stage %q extent %d ns outlasts the flow (%d ns)", c.Name(), d, total)
+		}
+		if peak < 1 || peak > budget {
+			t.Errorf("stage %q peaked at %d concurrent laps under a budget of %d", c.Name(), peak, budget)
+		}
+		if b < d || b > d*int64(peak) {
+			t.Errorf("stage %q busy %d ns outside [extent %d, extent x peak %d]", c.Name(), b, d, peak)
+		}
+		extents += d
+		busy += b
 	}
 	for _, stage := range Stages() {
-		if seen[stage] <= 0 {
-			t.Errorf("stage span %q missing or zero (%d ns)", stage, seen[stage])
+		if !seen[stage] {
+			t.Errorf("stage span %q missing or zero", stage)
 		}
 	}
-	if frac := float64(sum) / float64(total); frac < 0.85 || frac > 1.02 {
+	if frac := float64(extents) / float64(total); frac < 0.85 {
 		t.Errorf("stage spans cover %.1f%% of flow wall-clock (want ~100%%)", 100*frac)
+	}
+	if frac := float64(busy) / (float64(total) * float64(budget)); frac > 1.02 {
+		t.Errorf("stage busy time is %.1f%% of flow wall-clock x %d workers (want <= 100%%)", 100*frac, budget)
 	}
 
 	// Throughput and stage-adjacent instrumentation must be populated.

@@ -11,11 +11,11 @@ import (
 // This file pins the interaction between sampling.Spec and the campaign
 // fingerprint. Two properties are load-bearing:
 //
-//  1. The zero spec is invisible: a campaign with Sampling == Spec{} (or a
-//     Runner built WithSampling(Spec{})) must reproduce the pre-sampling
-//     fingerprints byte-for-byte, or existing journals and caches orphan.
-//  2. Any non-zero spec is part of campaign identity: it must change the
-//     fingerprint, and distinct specs must not collide — otherwise a
+//  1. The zero spec is one identity however it is spelled: a campaign with
+//     Sampling == Spec{}, one that never set it, and a Runner built
+//     WithSampling(Spec{}) all produce the pinned zero-spec fingerprint.
+//  2. Every spec is part of campaign identity: a non-zero spec must change
+//     the fingerprint, and distinct specs must not collide — otherwise a
 //     bbv+mav journal could replay against a bbv-only cache.
 
 func shaQsortMedium() Campaign {
@@ -80,7 +80,7 @@ func TestRunnerSpecResolution(t *testing.T) {
 		t.Fatalf("runner-level spec fingerprints differently from campaign-level: %s vs %s", viaRunner, plain)
 	}
 	if viaRunner == fpShaQsortMedium {
-		t.Fatal("non-zero runner spec left the legacy fingerprint unchanged")
+		t.Fatal("non-zero runner spec left the zero-spec fingerprint unchanged")
 	}
 }
 

@@ -260,7 +260,7 @@ func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
 					cl.reports = nil
 					cl.auditRounds = 0
 					r.remaining++
-					r.frag.revokeCell(label)
+					revokeCell(r.frag, label)
 					c.count("fabric.cells_requeued_suspect")
 					c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
 						short(r.id), label, worker)
@@ -289,7 +289,7 @@ func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload 
 	if ws := c.workers[worker]; ws != nil {
 		ws.cellsDone++
 	}
-	r.frag.appendCell(cl.task.Label(), payload)
+	appendCell(r.frag, cl.task.Label(), payload)
 	if r.remaining == 0 {
 		c.finishLocked(r)
 	}

@@ -47,6 +47,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
@@ -157,7 +158,7 @@ type run struct {
 	cells     map[string]*cell
 	order     []string // deterministic scheduling/assembly order
 	remaining int      // cells not yet terminal (done/failed)
-	frag      *fragmentWriter
+	frag      *journal.Writer
 	failErr   error // first fatal error (fail-fast mode)
 	finished  bool
 	done      chan struct{}
@@ -321,7 +322,7 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		}
 	}
 	if c.cfg.JournalDir != "" {
-		r.frag = openFragment(FragmentPath(c.cfg.JournalDir, id), id, resumed > 0, c.cfg.Log)
+		r.frag = openFragment(FragmentPath(c.cfg.JournalDir, id), id, resumed > 0, c.logf)
 	}
 
 	c.mu.Lock()

@@ -1,23 +1,18 @@
 package fabric
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"os"
 	"path/filepath"
-	"sync"
+
+	"repro/internal/journal"
 )
 
-// Fabric journal fragments: the distributed analogue of the single-node
-// sweep journal (internal/core). Every node — the coordinator as cells
-// are reported done, each worker as it finishes cells locally — appends
-// completed cells to its own per-campaign fragment file, one JSON object
-// per line. Fragments are WALs in the same dialect as the sweep journal:
-// a header record pins the campaign fingerprint so a fragment is never
-// merged into a foreign campaign, records are flushed per line so a
-// killed node loses at most the line being written, and torn trailing
-// lines are skipped on read.
+// Fabric journal fragments: the fabric's policy over the shared WAL
+// (internal/journal owns the file mechanics; internal/core holds the
+// single-node sweep's policy over the same file format). Every node — the
+// coordinator as cells are reported done, each worker as it finishes cells
+// locally — appends completed cells to its own per-campaign fragment,
+// headed by the campaign fingerprint so a fragment is never merged into a
+// foreign campaign.
 //
 // MergeJournals is the recovery path: a restarted coordinator (or an
 // operator gathering fragments off dead workers' disks) merges any number
@@ -27,16 +22,6 @@ import (
 // results are deterministic functions of the campaign fingerprint, so in
 // a healthy cluster duplicates are byte-identical and the choice is
 // unobservable.
-
-// fragmentRecord is one JSONL line of a fragment.
-type fragmentRecord struct {
-	Ev   string `json:"ev"`             // "fabric" (header) | "cell" | "revoke"
-	ID   string `json:"id,omitempty"`   // campaign fingerprint (header only)
-	Task string `json:"task,omitempty"` // cell label, e.g. "measure/MegaBOOM/sha"
-	// Payload carries the canonical measure bytes (base64 via
-	// encoding/json); profile cells journal with no payload.
-	Payload []byte `json:"payload,omitempty"`
-}
 
 // FragmentPath returns the journal fragment location for one campaign
 // under a node's cache/journal directory.
@@ -48,97 +33,31 @@ func FragmentPath(dir, campaignID string) string {
 	return filepath.Join(dir, "fabric-"+short+".journal")
 }
 
-// fragmentWriter is an append-only fragment WAL. Like the sweep journal,
-// a write error disables the writer rather than risking a torn record
-// being half-trusted later: the failure mode is "no fragment" (resume
-// reruns those cells), never a plausible-but-wrong one. A nil
-// *fragmentWriter is inert.
-type fragmentWriter struct {
-	mu       sync.Mutex
-	f        *os.File
-	disabled bool
-	warn     func(format string, args ...interface{})
-}
-
-// openFragment opens (or creates) the fragment at path for campaignID.
-// With extend=true — the caller already recovered cells from it and the
-// header matched — the file is appended to; otherwise it is truncated and
-// a fresh header written and fsynced. Returns nil (journaling disabled)
-// on any open error.
-func openFragment(path, campaignID string, extend bool, warn func(string, ...interface{})) *fragmentWriter {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		if warn != nil {
-			warn("fabric journal disabled: %v", err)
-		}
-		return nil
-	}
-	flags := os.O_CREATE | os.O_WRONLY
-	if extend {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+// openFragment opens the fragment at path for campaignID under
+// journal.Open's extend rules. Returns nil — inert, journaling disabled:
+// a restart reruns those cells — on any open error.
+func openFragment(path, campaignID string, extend bool, warn func(string, ...interface{})) *journal.Writer {
+	w, err := journal.Open(path, journal.Record{Ev: "fabric", ID: campaignID}, extend, func(err error) {
+		warn("fabric journal disabled after write error (a restart will rerun unjournaled cells): %v", err)
+	})
 	if err != nil {
-		if warn != nil {
-			warn("fabric journal disabled: %v", err)
-		}
-		return nil
-	}
-	w := &fragmentWriter{f: f, warn: warn}
-	if !extend {
-		w.append(fragmentRecord{Ev: "fabric", ID: campaignID}, true)
+		warn("fabric journal disabled: %v", err)
 	}
 	return w
 }
 
-func (w *fragmentWriter) appendCell(label string, payload []byte) {
-	w.append(fragmentRecord{Ev: "cell", Task: label, Payload: payload}, false)
+func appendCell(w *journal.Writer, label string, payload []byte) {
+	w.Append(journal.Record{Ev: "cell", Task: label, Payload: payload})
 }
 
 // revokeCell retracts an earlier cell record (a quarantined worker's
 // suspect result): on merge the revoke erases every preceding record for
-// the label in this fragment, so a resume reruns the cell instead of
-// trusting bytes from a worker later caught lying. A re-completed cell
-// appends a fresh record after the revoke and is trusted normally.
-func (w *fragmentWriter) revokeCell(label string) {
-	w.append(fragmentRecord{Ev: "revoke", Task: label}, true)
-}
-
-func (w *fragmentWriter) append(rec fragmentRecord, sync bool) {
-	if w == nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return // fragmentRecord always marshals; stay inert regardless
-	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.disabled {
-		return
-	}
-	n, err := w.f.Write(line) // one write syscall per record: crash loses ≤1 line
-	if err == nil && n < len(line) {
-		err = io.ErrShortWrite
-	}
-	if err == nil && sync {
-		err = w.f.Sync()
-	}
-	if err != nil {
-		w.disabled = true
-		if w.warn != nil {
-			w.warn("fabric journal disabled after write error (a restart will rerun unjournaled cells): %v", err)
-		}
-	}
-}
-
-func (w *fragmentWriter) Close() error {
-	if w == nil {
-		return nil
-	}
-	return w.f.Close()
+// the label, so a resume reruns the cell instead of trusting bytes from a
+// worker later caught lying. A re-completed cell appends a fresh record
+// after the revoke and is trusted normally. Fsynced: a lost revoke would
+// resurrect the suspect bytes.
+func revokeCell(w *journal.Writer, label string) {
+	w.AppendSync(journal.Record{Ev: "revoke", Task: label})
 }
 
 // MergeJournals merges any number of fragment files into the union of
@@ -152,42 +71,18 @@ func (w *fragmentWriter) Close() error {
 func MergeJournals(wantID string, paths ...string) map[string][]byte {
 	cells := map[string][]byte{}
 	for _, p := range paths {
-		mergeFragment(cells, p, wantID)
+		recs, _ := journal.Read(p, journal.Record{Ev: "fabric", ID: wantID})
+		for _, rec := range recs {
+			switch {
+			case rec.Task == "":
+			case rec.Ev == "revoke":
+				delete(cells, rec.Task) // suspect result retracted by quarantine
+			case rec.Ev == "cell":
+				if _, dup := cells[rec.Task]; !dup { // first fingerprint wins silently
+					cells[rec.Task] = rec.Payload
+				}
+			}
+		}
 	}
 	return cells
-}
-
-func mergeFragment(cells map[string][]byte, path, wantID string) {
-	f, err := os.Open(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	first := true
-	for sc.Scan() {
-		var rec fragmentRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // torn write from a crash: ignore the fragment line
-		}
-		if first {
-			if rec.Ev != "fabric" || rec.ID != wantID {
-				return // foreign campaign: never merge
-			}
-			first = false
-			continue
-		}
-		if rec.Ev == "revoke" && rec.Task != "" {
-			delete(cells, rec.Task) // suspect result retracted by quarantine
-			continue
-		}
-		if rec.Ev != "cell" || rec.Task == "" {
-			continue
-		}
-		if _, dup := cells[rec.Task]; dup {
-			continue // first fingerprint wins silently
-		}
-		cells[rec.Task] = rec.Payload
-	}
 }

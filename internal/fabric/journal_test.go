@@ -15,7 +15,7 @@ func writeFragment(t *testing.T, dir, name, campaignID string, cells map[string]
 		t.Fatal("openFragment failed")
 	}
 	for _, label := range order {
-		w.appendCell(label, cells[label])
+		appendCell(w, label, cells[label])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -84,32 +84,6 @@ func TestMergeDuplicateFirstWins(t *testing.T) {
 	}
 }
 
-// TestMergeTornTrailingLine: a crash mid-append leaves a torn final line;
-// the complete prefix still merges.
-func TestMergeTornTrailingLine(t *testing.T) {
-	dir := t.TempDir()
-	p := writeFragment(t, dir, "a.journal", "camp-1", map[string][]byte{
-		"profile/sha":        nil,
-		"measure/medium/sha": []byte("ok"),
-	}, []string{"profile/sha", "measure/medium/sha"})
-	f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"ev":"cell","task":"measure/mega/sha","pa`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	cells := MergeJournals("camp-1", p)
-	if len(cells) != 2 {
-		t.Fatalf("merged %d cells, want the 2 complete ones: %v", len(cells), cells)
-	}
-	if _, ok := cells["measure/mega/sha"]; ok {
-		t.Error("torn record must not merge")
-	}
-}
-
 // TestMergeForeignFragment: a fragment whose header pins a different
 // campaign is ignored whole — fragments never cross-pollinate campaigns.
 func TestMergeForeignFragment(t *testing.T) {
@@ -132,51 +106,92 @@ func TestMergeForeignFragment(t *testing.T) {
 	}
 }
 
-// TestFragmentExtendRoundTrip: the coordinator-restart shape — recover
-// cells from a fragment, reopen it in extend mode, append more, and
-// verify a second recovery sees both generations.
-func TestFragmentExtendRoundTrip(t *testing.T) {
+// TestMergeRevoke: a revoke retracts every earlier record of its cell —
+// across fragments, since the suspect bytes may have reached more than
+// one — while a re-completion journaled after it is trusted normally.
+func TestMergeRevoke(t *testing.T) {
 	dir := t.TempDir()
-	path := FragmentPath(dir, "0123456789abcdef0123")
-	w := openFragment(path, "0123456789abcdef0123", false, t.Logf)
-	w.appendCell("profile/sha", nil)
-	w.appendCell("measure/medium/sha", []byte("gen-1"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := MergeJournals("0123456789abcdef0123", path)
-	if len(got) != 2 {
-		t.Fatalf("first recovery %v", got)
-	}
-
-	w = openFragment(path, "0123456789abcdef0123", true, t.Logf)
-	w.appendCell("measure/mega/sha", []byte("gen-2"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got = MergeJournals("0123456789abcdef0123", path)
-	if len(got) != 3 || string(got["measure/mega/sha"]) != "gen-2" || string(got["measure/medium/sha"]) != "gen-1" {
-		t.Fatalf("second recovery %v", got)
-	}
-
-	// Truncate mode (a fresh campaign admission without resume) discards
-	// the old generations.
-	w = openFragment(path, "0123456789abcdef0123", false, t.Logf)
-	w.appendCell("profile/fft", nil)
+	a := writeFragment(t, dir, "a.journal", "camp-1",
+		map[string][]byte{"measure/medium/sha": []byte("suspect"), "measure/mega/sha": []byte("fine")},
+		[]string{"measure/medium/sha", "measure/mega/sha"})
+	path := filepath.Join(dir, "b.journal")
+	w := openFragment(path, "camp-1", false, t.Logf)
+	appendCell(w, "measure/medium/sha", []byte("suspect"))
+	revokeCell(w, "measure/medium/sha")
 	w.Close()
-	got = MergeJournals("0123456789abcdef0123", path)
-	if len(got) != 1 {
-		t.Fatalf("truncating reopen kept stale cells: %v", got)
+	cells := MergeJournals("camp-1", a, path)
+	if _, ok := cells["measure/medium/sha"]; ok || string(cells["measure/mega/sha"]) != "fine" {
+		t.Fatalf("revoked cell survived the merge (or took a bystander with it): %v", cells)
+	}
+
+	w = openFragment(path, "camp-1", true, t.Logf)
+	appendCell(w, "measure/medium/sha", []byte("recomputed"))
+	w.Close()
+	if got := string(MergeJournals("camp-1", path)["measure/medium/sha"]); got != "recomputed" {
+		t.Errorf("re-completed cell = %q, want the bytes journaled after the revoke", got)
 	}
 }
 
-// TestNilFragmentWriter: a nil writer (journaling disabled) is inert.
-func TestNilFragmentWriter(t *testing.T) {
-	var w *fragmentWriter
-	w.appendCell("measure/medium/sha", []byte("x"))
-	if err := w.Close(); err != nil {
+// TestExtendAfterTornTailKeepsCell: a node that crashed mid-append leaves
+// a torn last line; the restarted node extends the fragment, and the first
+// cell it completes must not be glued onto that fragment and lost.
+func TestExtendAfterTornTailKeepsCell(t *testing.T) {
+	dir := t.TempDir()
+	p := writeFragment(t, dir, "a.journal", "camp-1",
+		map[string][]byte{"measure/medium/sha": []byte("ok")}, []string{"measure/medium/sha"})
+	f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"ev":"cell","task":"measure/mega/sha","pa`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if cells := MergeJournals("camp-1", p); len(cells) != 1 {
+		t.Fatalf("merged %d cells from the torn fragment, want the 1 complete one: %v", len(cells), cells)
+	}
+
+	w := openFragment(p, "camp-1", true, t.Logf)
+	appendCell(w, "measure/mega/qsort", []byte("after-restart"))
+	w.Close()
+	cells := MergeJournals("camp-1", p)
+	if string(cells["measure/mega/qsort"]) != "after-restart" || string(cells["measure/medium/sha"]) != "ok" {
+		t.Fatalf("cell completed after the restart was lost: %v", cells)
+	}
+}
+
+// TestWorkerFragmentHeaderChecked: whatever a worker finds at its fragment
+// path — nothing, an empty file, a torn header, another campaign's
+// fragment (FragmentPath keys on a 12-character prefix) — the cells it
+// journals must be recoverable; and a fragment that is its own is
+// extended, not truncated.
+func TestWorkerFragmentHeaderChecked(t *testing.T) {
+	const id = "0123456789abcdef0123"
+	for name, body := range map[string]string{
+		"absent":      "",
+		"empty":       "",
+		"torn header": `{"ev":"fabric","id":"0123456`,
+		"foreign":     `{"ev":"fabric","id":"0123456789abffffffff"}` + "\n" + `{"ev":"cell","task":"profile/fft"}` + "\n",
+		"own":         `{"ev":"fabric","id":"` + id + `"}` + "\n" + `{"ev":"cell","task":"profile/fft"}` + "\n",
+	} {
+		dir := t.TempDir()
+		if name != "absent" {
+			if err := os.WriteFile(FragmentPath(dir, id), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, err := NewWorker(WorkerConfig{Coordinator: "127.0.0.1:0", CacheDir: dir, Log: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendCell(w.fragmentFor(id), "measure/medium/sha", []byte("mine"))
+		w.fragmentFor(id).Close()
+		cells := MergeJournals(id, FragmentPath(dir, id))
+		if string(cells["measure/medium/sha"]) != "mine" {
+			t.Errorf("%s: journaled cell not recoverable: %v", name, cells)
+		}
+		if _, kept := cells["profile/fft"]; kept != (name == "own") {
+			t.Errorf("%s: earlier cell kept=%v", name, kept)
+		}
 	}
 }

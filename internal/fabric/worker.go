@@ -17,6 +17,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -81,11 +82,16 @@ type Worker struct {
 	pollMS  int64
 	store   bool
 
-	mu           sync.Mutex
-	runners      map[string]*core.Runner    // per-campaign, keyed by fingerprint
-	auditRunners map[string]*core.Runner    // per-campaign Fresh (storeless) runners
-	camps        map[string]core.Campaign   // decoded campaign specs, same keys
-	frags        map[string]*fragmentWriter // per-campaign journal fragments
+	mu      sync.Mutex
+	runners map[runnerKey]*core.Runner // per-campaign, normal and Fresh (storeless)
+	camps   map[string]core.Campaign   // decoded campaign specs, keyed by fingerprint
+	frags   map[string]*journal.Writer // per-campaign journal fragments
+}
+
+// runnerKey names one of a campaign's two Runners.
+type runnerKey struct {
+	campaign string // fingerprint
+	fresh    bool   // the audit re-execution runner
 }
 
 // NewWorker validates the config and fills defaults.
@@ -121,8 +127,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	return &Worker{
 		cfg: cfg, base: base, hc: hc,
-		runners:      map[string]*core.Runner{},
-		auditRunners: map[string]*core.Runner{},
+		runners: map[runnerKey]*core.Runner{},
+		camps:   map[string]core.Campaign{},
+		frags:   map[string]*journal.Writer{},
 	}, nil
 }
 
@@ -343,7 +350,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		// MergeJournals it into the coordinator's — the cell's canonical
 		// bytes are not lost with the report. Audit re-executions are
 		// deliberately not journaled: their product is a vote, not a cell.
-		w.fragmentFor(t.Campaign).appendCell(t.Label(), payload)
+		appendCell(w.fragmentFor(t.Campaign), t.Label(), payload)
 	}
 	done := doneRequest{Worker: w.cfg.ID, Task: t, OK: err == nil, Payload: payload}
 	if err != nil {
@@ -368,15 +375,7 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 			err = fmt.Errorf("fabric: panic in %s: %v", t.Label(), rec)
 		}
 	}()
-	r, camp, err := w.runner(ctx, t.Campaign)
-	if t.Fresh {
-		// Audit re-execution: derive the result independently. The fresh
-		// runner has its own cache directory and no remote store tier, so
-		// nothing computed by the worker under audit can leak into this
-		// derivation — agreement means agreement of computations, not of
-		// caches.
-		r, camp, err = w.auditRunner(ctx, t.Campaign)
-	}
+	r, camp, err := w.runnerFor(ctx, t.Campaign, t.Fresh)
 	if err != nil {
 		return nil, err
 	}
@@ -412,89 +411,50 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 	}
 }
 
-// parOpts translates the worker's parallelism knobs into engine options,
-// shared by the normal and audit runners so both shapes of execution —
-// store-backed cells and storeless audit re-executions — spread a cell's
-// simulation points across the same budget.
-func (w *Worker) parOpts() []core.Option {
-	var opts []core.Option
+// runnerFor returns (building on first use) one of a campaign's two
+// Runners. The campaign spec is fetched from the coordinator and the
+// Runner assembled exactly as a single node would, plus the remote store
+// tier when the coordinator serves one.
+//
+// The fresh runner serves audit re-executions, which must derive the
+// result independently: it has its own cache directory and no remote store
+// tier, so nothing computed by the worker under audit can leak into the
+// derivation — agreement means agreement of computations, not of caches.
+// Both share the worker's parallelism budget, which is what keeps those
+// storeless re-executions from paying full serial latency.
+func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (*core.Runner, core.Campaign, error) {
+	camp, err := w.fetchCampaign(ctx, campaignID)
+	if err != nil {
+		return nil, core.Campaign{}, err
+	}
+	key := runnerKey{campaignID, fresh}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if r := w.runners[key]; r != nil {
+		return r, camp, nil
+	}
+	cacheDir := w.cfg.CacheDir
+	if fresh {
+		cacheDir = filepath.Join(cacheDir, "audit-fresh")
+	}
+	opts := []core.Option{
+		core.WithScale(camp.Scale),
+		core.WithSampling(camp.Sampling),
+		core.WithCache(cacheDir),
+		core.WithMetrics(w.cfg.Registry),
+		core.WithFaultInjector(w.cfg.Injector),
+	}
 	if w.cfg.Parallelism > 0 {
 		opts = append(opts, core.WithParallelism(w.cfg.Parallelism))
 	}
 	if w.cfg.PointParallelism > 0 {
 		opts = append(opts, core.WithPointParallelism(w.cfg.PointParallelism))
 	}
-	return opts
-}
-
-// runner returns (building on first use) the per-campaign Runner: the
-// campaign spec is fetched from the coordinator and the Runner assembled
-// exactly as a single node would, plus the remote store tier when the
-// coordinator serves one.
-func (w *Worker) runner(ctx context.Context, campaignID string) (*core.Runner, core.Campaign, error) {
-	w.mu.Lock()
-	r := w.runners[campaignID]
-	w.mu.Unlock()
-	if r != nil {
-		camp, err := w.fetchCampaign(ctx, campaignID)
-		return r, camp, err
-	}
-	camp, err := w.fetchCampaign(ctx, campaignID)
-	if err != nil {
-		return nil, core.Campaign{}, err
-	}
-	opts := []core.Option{
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
-		core.WithCache(w.cfg.CacheDir),
-		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.cfg.Injector),
-	}
-	opts = append(opts, w.parOpts()...)
-	if w.store {
+	if w.store && !fresh {
 		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
 	}
-	r = core.New(core.FlowConfigFor(camp.Scale), opts...)
-	w.mu.Lock()
-	if have := w.runners[campaignID]; have != nil {
-		r = have
-	} else {
-		w.runners[campaignID] = r
-	}
-	w.mu.Unlock()
-	return r, camp, nil
-}
-
-// auditRunner returns (building on first use) the per-campaign Fresh
-// runner used for audit re-executions: same campaign, same flow, but a
-// private cache directory and no remote store, so every audited cell is
-// recomputed from scratch on this node.
-func (w *Worker) auditRunner(ctx context.Context, campaignID string) (*core.Runner, core.Campaign, error) {
-	w.mu.Lock()
-	r := w.auditRunners[campaignID]
-	w.mu.Unlock()
-	if r != nil {
-		camp, err := w.fetchCampaign(ctx, campaignID)
-		return r, camp, err
-	}
-	camp, err := w.fetchCampaign(ctx, campaignID)
-	if err != nil {
-		return nil, core.Campaign{}, err
-	}
-	r = core.New(core.FlowConfigFor(camp.Scale), append([]core.Option{
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
-		core.WithCache(filepath.Join(w.cfg.CacheDir, "audit-fresh")),
-		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.cfg.Injector),
-	}, w.parOpts()...)...)
-	w.mu.Lock()
-	if have := w.auditRunners[campaignID]; have != nil {
-		r = have
-	} else {
-		w.auditRunners[campaignID] = r
-	}
-	w.mu.Unlock()
+	r := core.New(core.FlowConfigFor(camp.Scale), opts...)
+	w.runners[key] = r
 	return r, camp, nil
 }
 
@@ -502,9 +462,6 @@ func (w *Worker) auditRunner(ctx context.Context, campaignID string) (*core.Runn
 // coordinator on first use (specs are immutable per fingerprint).
 func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, error) {
 	w.mu.Lock()
-	if w.camps == nil {
-		w.camps = map[string]core.Campaign{}
-	}
 	if c, ok := w.camps[id]; ok {
 		w.mu.Unlock()
 		return c, nil
@@ -539,20 +496,15 @@ func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, e
 
 // fragmentFor returns (opening on first use) the worker's journal
 // fragment for one campaign, under the worker's cache directory. An
-// existing fragment is extended — its header already names this campaign
-// because FragmentPath is campaign-scoped.
-func (w *Worker) fragmentFor(campaignID string) *fragmentWriter {
+// existing fragment of this campaign is extended; anything else at the
+// path — empty, torn header, foreign campaign — is started afresh.
+func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.frags == nil {
-		w.frags = map[string]*fragmentWriter{}
-	}
 	if f, ok := w.frags[campaignID]; ok {
 		return f
 	}
-	path := FragmentPath(w.cfg.CacheDir, campaignID)
-	_, statErr := os.Stat(path)
-	f := openFragment(path, campaignID, statErr == nil, w.cfg.Log)
+	f := openFragment(FragmentPath(w.cfg.CacheDir, campaignID), campaignID, true, w.logf)
 	w.frags[campaignID] = f // nil (disabled) is cached too: stays inert
 	return f
 }

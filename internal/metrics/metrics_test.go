@@ -148,20 +148,53 @@ func TestSpanNesting(t *testing.T) {
 }
 
 func TestSpanOverlappingLaps(t *testing.T) {
-	// Overlapping Start/End pairs (parallel sweep workers sharing a stage
-	// span) must count wall-clock time with ≥1 active lap exactly once.
+	// Overlapping Start/End pairs (parallel point workers sharing a stage
+	// span): the extent counts wall-clock time with ≥1 active lap exactly
+	// once, busy time sums every lap, and the peak records the overlap.
 	var now int64
-	reg := NewRegistryWithClock(func() int64 { now += 1; return now })
+	reg := NewRegistryWithClock(func() int64 { now += 10; return now })
 	s := reg.Span("stage")
-	s.Start() // t=1 (active 0→1: lap starts)
-	s.Start() // no clock read
-	s.End()   // still active
-	s.End()   // t=2 → 1ns
-	if d := s.DurationNS(); d != 1 {
-		t.Errorf("overlapped duration %d, want 1", d)
+	s.Start() // t=10
+	s.Start() // t=20
+	s.End()   // t=30
+	s.End()   // t=40
+	s.Start() // t=50: a later, serial lap
+	s.End()   // t=60
+	if d := s.DurationNS(); d != 40 {
+		t.Errorf("extent %d, want 40 (10..40 once, plus 50..60)", d)
 	}
-	if s.Laps() != 1 {
-		t.Errorf("laps %d, want 1", s.Laps())
+	if b := s.BusyNS(); b != 50 {
+		t.Errorf("busy %d, want 50 (laps of 30, 10 and 10)", b)
+	}
+	if s.Peak() != 2 || s.Laps() != 3 {
+		t.Errorf("peak %d laps %d, want 2 and 3", s.Peak(), s.Laps())
+	}
+	snap := s.Snapshot()
+	if snap.NS != 40 || snap.BusyNS != 50 || snap.Peak != 2 || snap.Laps != 3 {
+		t.Errorf("snapshot %+v disagrees with the accessors", snap)
+	}
+	// Reading an idle span does not touch the clock.
+	if before := now; s.DurationNS() != 40 || now != before {
+		t.Errorf("idle read advanced the clock %d -> %d", before, now)
+	}
+}
+
+// TestSpanSerialBusyEqualsExtent: for serial callers the three views
+// collapse — busy time is the extent and the peak is one.
+func TestSpanSerialBusyEqualsExtent(t *testing.T) {
+	var now int64
+	reg := NewRegistryWithClock(func() int64 { now += 7; return now })
+	s := reg.Span("stage")
+	for i := 0; i < 5; i++ {
+		s.Start()
+		s.End()
+	}
+	if s.DurationNS() != 35 || s.BusyNS() != s.DurationNS() || s.Peak() != 1 {
+		t.Errorf("serial span: extent %d busy %d peak %d", s.DurationNS(), s.BusyNS(), s.Peak())
+	}
+	s.Start()
+	if d := s.DurationNS(); d != 35+7 { // a running lap is included
+		t.Errorf("running lap: extent %d, want 42", d)
 	}
 }
 

