@@ -19,7 +19,7 @@ build:
 # assertion, and this is where it shows.
 test: build
 	$(GO) test -shuffle=on ./...
-	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve
+	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -cpu 1,2 -short ./internal/fabric
 
 vet:
@@ -27,12 +27,15 @@ vet:
 
 # Race tier: the packages with concurrent code (metrics registry, Runner
 # worker pool, artifact cache, fault injector, shared journal, HTTP job
-# service, sweep fabric) must stay race-clean. The fabric package runs
-# -short: its full 11×3 conformance matrices are covered race-free by
-# `make test`, while the journal, lease, resume, and store-economy tests
-# all still run under the race detector.
+# service, sweep fabric) must stay race-clean, and so must the functional
+# core they share state through: concurrent point workers fetch from one
+# predecoded text image (internal/sim) and clone one checkpoint memory
+# (internal/mem). The fabric package runs -short: its full 11×3
+# conformance matrices are covered race-free by `make test`, while the
+# journal, lease, resume, and store-economy tests all still run under the
+# race detector.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve
+	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
 # Fuzz smoke: a few seconds per target on top of the committed seed
@@ -215,22 +218,29 @@ fabric-chaos:
 	$(GO) test -run TestConformanceNetworkChaos -count=1 ./internal/fabric
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick, decode,
-# stats/power accumulate, functional step) and record cycles/sec, ns/op,
-# and allocs/op per BOOM config in BENCH_kernel.json. See README
-# "Performance" for the methodology.
+# stats/power accumulate, functional step/trace, BBV observe, memory
+# access) and record cycles/sec, ns/op, and allocs/op per BOOM config in
+# BENCH_kernel.json. See README "Performance" for the methodology.
 bench:
 	$(GO) run ./cmd/kernelbench -benchtime 2s -count 3
 
 # Bench smoke: every kernel benchmark runs once (-benchtime 1x) and the
-# JSON emitter must see all five kernels — catches perf-harness rot
-# without paying for real measurements.
+# JSON emitter must see every kernel — catches perf-harness rot without
+# paying for real measurements. Then the functional-core floor: the four
+# per-instruction kernels (cheap enough to measure for real: 5M ops each,
+# best of 3) must allocate exactly what their committed BENCH_kernel.json
+# rows do and, on the CPU model the ledger was taken on, run within 1.5x
+# of them.
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick decode stats_accumulate power_accumulate func_step measure_j1 measure_j4; do \
+	for k in tick decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done
+	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' -benchtime 5000000x -count 3 \
+		-out .bench-check/floor.json -floor BENCH_kernel.json 2> .bench-check/floor.log \
+		|| { cat .bench-check/floor.log; exit 1; }
 	rm -rf .bench-check
 	@echo "bench-smoke: OK"
 

@@ -1,11 +1,14 @@
 // Command kernelbench runs the hot-path kernel benchmarks (BOOM tick,
-// decode, stats accumulate, power accumulate, functional step) and emits
-// a machine-readable BENCH_kernel.json with cycles/sec, ns/op, and
-// allocs/op per BOOM configuration:
+// decode, stats accumulate, power accumulate, functional step/trace, BBV
+// observe, memory access) and emits a machine-readable BENCH_kernel.json
+// with cycles/sec, ns/op, and allocs/op per BOOM configuration:
 //
 //	go run ./cmd/kernelbench                      # writes BENCH_kernel.json
 //	go run ./cmd/kernelbench -benchtime 5s -out - # longer runs, to stdout
 //	go run ./cmd/kernelbench -benchtime 1x        # smoke: one iteration each
+//	go run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' \
+//	    -benchtime 5000000x -count 3 -out - -floor BENCH_kernel.json
+//	                                              # functional-core regression floor
 //
 // It drives the same `go test -bench BenchmarkKernel` harness a developer
 // runs by hand — the benchmarks stay the single source of truth and this
@@ -32,12 +35,23 @@ var kernelPackages = []string{
 	"./internal/core",
 	"./internal/power",
 	"./internal/sim",
+	"./internal/bbv",
+	"./internal/mem",
 }
+
+// floorKernels are the functional-core kernels -floor holds to the
+// committed ledger. Their op is one instruction (or one access pair), so a
+// fixed -benchtime Nx measures them in milliseconds.
+var floorKernels = []string{"func_step", "func_run_trace", "bbv_observe", "mem_read_write"}
+
+// floorSlack is how much slower than its committed row a floor kernel may
+// run before the floor fails.
+const floorSlack = 1.5
 
 // Result is one benchmark line of BENCH_kernel.json.
 type Result struct {
 	Name         string  `json:"name"`   // e.g. KernelTickMediumBOOM
-	Kernel       string  `json:"kernel"` // tick, decode, stats_accumulate, power_accumulate, func_step, measure_j1, measure_j4
+	Kernel       string  `json:"kernel"` // tick, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4
 	Config       string  `json:"config,omitempty"`
 	Package      string  `json:"package"`
 	Iterations   int64   `json:"iterations"`
@@ -71,12 +85,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	benchtime := fs.String("benchtime", "2s", "per-benchmark time or iteration count (go test -benchtime)")
 	out := fs.String("out", "BENCH_kernel.json", "output path (- = stdout)")
 	count := fs.Int("count", 1, "runs per benchmark (go test -count); the best ns/op run is kept")
+	bench := fs.String("bench", "^BenchmarkKernel", "benchmarks to run (go test -bench)")
+	floor := fs.String("floor", "", "committed ledger to hold the functional-core kernels to: allocs/op equal, ns/op within 1.5x when taken on the same CPU model")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	goArgs := []string{
-		"test", "-run", "^$", "-bench", "^BenchmarkKernel",
+		"test", "-run", "^$", "-bench", *bench,
 		"-benchmem", "-benchtime", *benchtime, "-count", strconv.Itoa(*count),
 	}
 	goArgs = append(goArgs, kernelPackages...)
@@ -96,6 +112,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rep.GOARCH = runtime.GOARCH
 	rep.Benchtime = *benchtime
 
+	if *floor != "" {
+		raw, err := os.ReadFile(*floor)
+		if err != nil {
+			return err
+		}
+		var committed Report
+		if err := json.Unmarshal(raw, &committed); err != nil {
+			return fmt.Errorf("%s: %w", *floor, err)
+		}
+		if err := checkFloor(rep, &committed, stderr); err != nil {
+			return err
+		}
+	}
+
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -109,6 +139,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d kernels)\n", *out, len(rep.Results))
+	return nil
+}
+
+// checkFloor holds every floor kernel of got to its row in the committed
+// ledger: the row must exist on both sides, allocs/op must be equal, and
+// ns/op may be at most floorSlack times the committed figure. Absolute
+// times only compare like with like, so the ns/op half is skipped (and
+// said so) when the ledger was taken on a different CPU model.
+func checkFloor(got, committed *Report, stderr io.Writer) error {
+	row := func(rep *Report, kernel string) *Result {
+		for i := range rep.Results {
+			if rep.Results[i].Kernel == kernel {
+				return &rep.Results[i]
+			}
+		}
+		return nil
+	}
+	sameCPU := got.CPU == committed.CPU
+	if !sameCPU {
+		fmt.Fprintf(stderr, "floor: ledger taken on %q, this host is %q: comparing allocs/op only\n", committed.CPU, got.CPU)
+	}
+	for _, k := range floorKernels {
+		g, c := row(got, k), row(committed, k)
+		switch {
+		case g == nil:
+			return fmt.Errorf("floor: kernel %s did not run", k)
+		case c == nil:
+			return fmt.Errorf("floor: kernel %s has no committed row", k)
+		case g.AllocsPerOp != c.AllocsPerOp:
+			return fmt.Errorf("floor: %s allocates %d/op, committed %d/op", k, g.AllocsPerOp, c.AllocsPerOp)
+		case sameCPU && g.NsPerOp > floorSlack*c.NsPerOp:
+			return fmt.Errorf("floor: %s runs at %.2f ns/op, more than %.1fx the committed %.2f", k, g.NsPerOp, floorSlack, c.NsPerOp)
+		}
+	}
 	return nil
 }
 
@@ -201,16 +265,21 @@ func splitKernelName(name string) (kernel, config string) {
 		}
 	}
 	// CamelCase → snake_case: TickMedium stripped above leaves e.g.
-	// "StatsAccumulate" → stats_accumulate.
+	// "StatsAccumulate" → stats_accumulate. A run of capitals is one word
+	// ("BBVObserve" → bbv_observe), so a capital starts a word only after a
+	// lower-case letter or digit, or before a lower-case letter.
+	upper := func(i int) bool { return i < len(name) && name[i] >= 'A' && name[i] <= 'Z' }
+	lower := func(i int) bool { return i < len(name) && name[i] >= 'a' && name[i] <= 'z' }
 	var b strings.Builder
-	for i, c := range name {
-		if c >= 'A' && c <= 'Z' {
-			if i > 0 {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if upper(i) {
+			if i > 0 && (!upper(i-1) || lower(i+1)) {
 				b.WriteByte('_')
 			}
 			c += 'a' - 'A'
 		}
-		b.WriteRune(c)
+		b.WriteByte(c)
 	}
 	return b.String(), config
 }

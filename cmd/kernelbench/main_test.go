@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"strings"
+	"testing"
+)
 
 const sampleOutput = `goos: linux
 goarch: amd64
@@ -65,5 +69,56 @@ func TestParseBenchLineRejectsGarbage(t *testing.T) {
 		if _, ok := parseBenchLine(line); ok {
 			t.Errorf("accepted %q", line)
 		}
+	}
+}
+
+func TestSplitKernelName(t *testing.T) {
+	for name, want := range map[string][2]string{
+		"KernelTickMediumBOOM":    {"tick", "MediumBOOM"},
+		"KernelStatsAccumulate":   {"stats_accumulate", ""},
+		"KernelMeasureJ1MegaBOOM": {"measure_j1", "MegaBOOM"},
+		"KernelFuncStep":          {"func_step", ""},
+		"KernelFuncRunTrace":      {"func_run_trace", ""},
+		"KernelBBVObserve":        {"bbv_observe", ""},
+		"KernelMemReadWrite":      {"mem_read_write", ""},
+	} {
+		if k, c := splitKernelName(name); k != want[0] || c != want[1] {
+			t.Errorf("%s → (%q, %q), want (%q, %q)", name, k, c, want[0], want[1])
+		}
+	}
+}
+
+func TestCheckFloor(t *testing.T) {
+	ledger := func(cpu string, ns float64, allocs int64) *Report {
+		rep := &Report{CPU: cpu}
+		for _, k := range floorKernels {
+			rep.Results = append(rep.Results, Result{Kernel: k, NsPerOp: ns, AllocsPerOp: allocs})
+		}
+		return rep
+	}
+	committed := ledger("cpu A", 10, 0)
+	for _, tc := range []struct {
+		name string
+		got  *Report
+		want string // substring of the error; "" = passes
+	}{
+		{"same speed", ledger("cpu A", 10, 0), ""},
+		{"within slack", ledger("cpu A", 14.9, 0), ""},
+		{"too slow", ledger("cpu A", 15.1, 0), "more than 1.5x"},
+		{"too slow on another cpu model is not comparable", ledger("cpu B", 40, 0), ""},
+		{"allocates", ledger("cpu A", 10, 1), "allocates 1/op"},
+		{"allocates on another cpu model", ledger("cpu B", 10, 1), "allocates 1/op"},
+		{"kernel missing", &Report{CPU: "cpu A"}, "did not run"},
+	} {
+		err := checkFloor(tc.got, committed, io.Discard)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := checkFloor(ledger("cpu A", 10, 0), &Report{CPU: "cpu A"}, io.Discard); err == nil || !strings.Contains(err.Error(), "no committed row") {
+		t.Errorf("empty committed ledger: err = %v", err)
 	}
 }

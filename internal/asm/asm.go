@@ -47,6 +47,11 @@ type Program struct {
 	Data     []byte
 	Symbols  map[string]uint64
 	Entry    uint64
+
+	// Insts is Text predecoded, word for word: the image every sim.CPU
+	// loaded from this program fetches from. It is shared between CPUs
+	// (and goroutines) and must never be written.
+	Insts []rv64.Inst
 }
 
 // TextBytes returns the instruction stream as little-endian bytes.

@@ -587,5 +587,12 @@ func (a *assembler) pass2(textBase, dataBase uint64) (*Program, error) {
 			pc += 4
 		}
 	}
+	// Decode from the encoded words, not from the assembler's own Inst
+	// values, so the image is exactly what fetching the bytes would give.
+	// Every word came out of rv64.Encode, so Decode cannot fail.
+	p.Insts = make([]rv64.Inst, len(p.Text))
+	for i, raw := range p.Text {
+		p.Insts[i], _ = rv64.Decode(raw)
+	}
 	return p, nil
 }

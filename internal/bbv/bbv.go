@@ -31,14 +31,22 @@ func (v Vector) Total() float64 {
 
 // Profiler accumulates BBVs over a run. Feed it every retired instruction
 // via Observe, then call Finish once.
+//
+// Counting is run-length: Observe counts the instructions of the block in
+// flight in run and adds the run to a dense per-interval count slice
+// (indexed by block ID) when the block ends; the Vector map is only built
+// when an interval closes. Counts are integers far below 2^53, so the
+// float64 weights are exactly what per-instruction increments would give.
 type Profiler struct {
 	interval int64
 
 	ids     map[uint64]int // block start PC → block ID
-	current Vector
-	count   int64
-	blockID int  // block being executed
-	inBlock bool // whether blockID is valid
+	counts  []int64        // this interval's instructions per block ID
+	touched []int          // block IDs with a non-zero count, in first-touch order
+	count   int64          // instructions in this interval, the open run included
+	run     int64          // instructions of the open block not yet in counts
+	blockID int            // block being executed
+	inBlock bool           // whether blockID is valid
 
 	vectors []Vector
 	starts  []uint64 // per-interval start PC (checkpoint anchor)
@@ -53,32 +61,21 @@ func NewProfiler(intervalSize int64) *Profiler {
 	return &Profiler{
 		interval: intervalSize,
 		ids:      make(map[uint64]int),
-		current:  make(Vector),
 	}
 }
 
 // Observe processes one retired instruction.
 func (p *Profiler) Observe(r *sim.Retired) {
-	if !p.havePC {
-		p.pending = r.PC
-		p.havePC = true
-	}
 	if !p.inBlock {
-		id, ok := p.ids[r.PC]
-		if !ok {
-			id = len(p.ids)
-			p.ids[r.PC] = id
-		}
-		p.blockID = id
-		p.inBlock = true
+		p.enterBlock(r.PC)
 	}
-	p.current[p.blockID]++
+	p.run++
 	p.count++
 
 	// A control-flow instruction (taken or not) ends the block: the next
 	// instruction starts a new one keyed by its own PC.
 	if r.Inst.Op.IsBranchOrJump() {
-		p.inBlock = false
+		p.closeRun()
 	}
 
 	if p.count >= p.interval {
@@ -86,13 +83,50 @@ func (p *Profiler) Observe(r *sim.Retired) {
 	}
 }
 
+// enterBlock opens the block starting at pc, numbering it on first sight.
+func (p *Profiler) enterBlock(pc uint64) {
+	if !p.havePC {
+		p.pending = pc
+		p.havePC = true
+	}
+	id, ok := p.ids[pc]
+	if !ok {
+		id = len(p.ids)
+		p.ids[pc] = id
+		p.counts = append(p.counts, 0)
+	}
+	p.blockID = id
+	p.inBlock = true
+}
+
+// closeRun credits the open block with the instructions counted since it
+// was entered and leaves no block open.
+func (p *Profiler) closeRun() {
+	if p.run > 0 {
+		if p.counts[p.blockID] == 0 {
+			p.touched = append(p.touched, p.blockID)
+		}
+		p.counts[p.blockID] += p.run
+		p.run = 0
+	}
+	p.inBlock = false
+}
+
+// flush closes the interval: an interval boundary inside a block splits the
+// block's instructions between the two intervals, and the next instruction
+// opens a block keyed by its own PC.
 func (p *Profiler) flush(nextPC uint64) {
-	p.vectors = append(p.vectors, p.current)
+	p.closeRun()
+	v := make(Vector, len(p.touched))
+	for _, id := range p.touched {
+		v[id] = float64(p.counts[id])
+		p.counts[id] = 0
+	}
+	p.touched = p.touched[:0]
+	p.vectors = append(p.vectors, v)
 	p.starts = append(p.starts, p.pending)
 	p.pending = nextPC
-	p.current = make(Vector)
 	p.count = 0
-	p.inBlock = false
 }
 
 // Finish closes the trailing partial interval (if it contains at least one

@@ -69,7 +69,7 @@ func TestCaptureRestoreDeterminism(t *testing.T) {
 
 	c2 := sim.New()
 	p, _ := asm.Assemble(countdown)
-	c2.Load(p) // establish the decode window
+	c2.Load(p) // establish the text window
 	k.Restore(c2)
 	if c2.InstRet != 2500 {
 		t.Fatalf("restored InstRet = %d", c2.InstRet)
@@ -98,6 +98,41 @@ func TestRestoreIsolatesMemory(t *testing.T) {
 	c2.Mem.Write64(0x200, 7)
 	if c3.Mem.Read64(0x200) == 7 {
 		t.Fatal("two restores share memory")
+	}
+}
+
+// TestRestoreLeavesNoStaleTranslations: restoring into a CPU that has been
+// running swaps its memory; nothing cached from the old memory (the mem
+// TLB) may serve the restored CPU, and a restore needs only the text window
+// attached, not the program loaded.
+func TestRestoreLeavesNoStaleTranslations(t *testing.T) {
+	ref := prep(t)
+	want := finish(t, ref)
+
+	c := prep(t)
+	if _, err := c.Run(2500); err != nil {
+		t.Fatal(err)
+	}
+	k := Capture(c)
+
+	// Run the same CPU to the end — its accesses are now cached against
+	// the memory it ran on — then restore twice and finish each time.
+	if got := finish(t, c); got != want {
+		t.Fatalf("first continuation: %d, want %d", got, want)
+	}
+	for round := 0; round < 2; round++ {
+		k.Restore(c)
+		if got := finish(t, c); got != want {
+			t.Fatalf("continuation after restore %d into a used CPU: %d, want %d", round, got, want)
+		}
+	}
+
+	p, _ := asm.Assemble(countdown)
+	c2 := sim.New()
+	c2.AttachText(p)
+	k.Restore(c2)
+	if got := finish(t, c2); got != want {
+		t.Fatalf("continuation on a window-only CPU: %d, want %d", got, want)
 	}
 }
 

@@ -139,23 +139,53 @@ func (r *Result) PerfPerWatt() float64 {
 	return r.IPC() / (r.TotalPowerMW() / 1000.0)
 }
 
-// traceSource adapts a functional CPU into a timing-model trace source.
-// A functional-step divergence ends the trace and is captured in err for
-// the caller to surface as a stage failure (never a panic).
+// traceSource adapts a functional CPU into a timing-model trace source. It
+// executes a batch of instructions at a time into buf and hands the
+// records out one by one, so the functional CPU runs up to traceBatch-1
+// instructions ahead of the timing model's fetch. That look-ahead is
+// invisible: nothing reads the functional CPU's state once a detailed run
+// has started. A functional-step divergence ends the trace when the timing
+// model reaches the faulting instruction — not when the batch holding it
+// was filled — and is captured in err for the caller to surface as a stage
+// failure (never a panic).
 type traceSource struct {
-	cpu *sim.CPU
-	err error
+	cpu     *sim.CPU
+	err     error
+	fillErr error // fault met while filling buf; surfaces once buf[:n] drains
+	n, pos  int   // buf[pos:n] are the records not yet handed out
+	buf     [traceBatch]sim.Retired
 }
 
+// traceBatch is how many instructions the trace source executes at a time.
+const traceBatch = 64
+
 func (t *traceSource) next(r *sim.Retired) bool {
-	if t.err != nil || t.cpu.Halted {
+	if t.pos == t.n && !t.refill() {
 		return false
 	}
-	if err := t.cpu.Step(r); err != nil {
-		t.err = fmt.Errorf("core: functional step diverged: %w", err)
-		return false
-	}
+	*r = t.buf[t.pos]
+	t.pos++
 	return true
+}
+
+// refill executes the next batch once buf has drained and reports whether
+// it produced a record. A halted CPU produces none, forever; a fault met
+// by an earlier fill surfaces now, its batch having drained.
+func (t *traceSource) refill() bool {
+	if t.err != nil {
+		return false
+	}
+	if t.fillErr == nil {
+		t.n, t.fillErr = t.cpu.Fill(t.buf[:])
+		t.pos = 0
+		if t.n > 0 {
+			return true
+		}
+	}
+	if t.fillErr != nil {
+		t.err = fmt.Errorf("core: functional step diverged: %w", t.fillErr)
+	}
+	return false
 }
 
 // Sweep holds a full experiment: every workload × configuration. Under

@@ -677,8 +677,11 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		// Warm-up: restore the architectural checkpoint into a fresh
 		// functional+timing pair and prime caches and predictors.
 		endStage := r.stage(StageWarmup)
+		// The checkpoint supplies memory and registers; only the text
+		// window (the workload's shared predecoded image) comes from the
+		// program.
 		cpu := sim.New()
-		cpu.Load(prog) // establish the decode window
+		cpu.AttachText(prog)
 		p.Checkpoints[i].Restore(cpu)
 		core, nerr := boom.New(cfg)
 		if nerr != nil {

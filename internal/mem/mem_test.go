@@ -149,3 +149,185 @@ func TestDisjointWritesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// byteModel is the obvious memory the TLB-fronted one must behave like.
+type byteModel map[uint64]byte
+
+func (b byteModel) read(addr uint64, size int) uint64 {
+	var v uint64
+	for i := 0; i < size; i++ {
+		v |= uint64(b[addr+uint64(i)]) << (8 * i)
+	}
+	return v
+}
+
+func (b byteModel) write(addr uint64, size int, v uint64) {
+	for i := 0; i < size; i++ {
+		b[addr+uint64(i)] = byte(v >> (8 * i))
+	}
+}
+
+// TestSizedAccessesAgainstByteModel drives the sized accessors with random
+// reads and writes over more pages than the TLB has entries, several of
+// them sharing a TLB slot, with a third of the accesses straddling a page
+// boundary, and checks every read against a byte-per-key model.
+func TestSizedAccessesAgainstByteModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m, model := New(), byteModel{}
+	pages := make([]uint64, 3*tlbSize)
+	for i := range pages {
+		// Consecutive groups of three collide in the direct-mapped TLB.
+		pages[i] = uint64(i%tlbSize) + uint64(i/tlbSize)*tlbSize*7
+	}
+	for i := 0; i < 200_000; i++ {
+		size := 1 << rng.Intn(4)
+		addr := pages[rng.Intn(len(pages))]<<PageBits + uint64(rng.Intn(PageSize))
+		if rng.Intn(3) == 0 {
+			addr = addr&^pageMask + PageSize - uint64(1+rng.Intn(size)) // ends in the next page when size > 1
+		}
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			model.write(addr, size, v)
+			switch size {
+			case 1:
+				m.Write8(addr, uint8(v))
+			case 2:
+				m.Write16(addr, uint16(v))
+			case 4:
+				m.Write32(addr, uint32(v))
+			case 8:
+				m.Write64(addr, v)
+			}
+			continue
+		}
+		var got uint64
+		switch size {
+		case 1:
+			got = uint64(m.Read8(addr))
+		case 2:
+			got = uint64(m.Read16(addr))
+		case 4:
+			got = uint64(m.Read32(addr))
+		case 8:
+			got = m.Read64(addr)
+		}
+		if want := model.read(addr, size); got != want {
+			t.Fatalf("op %d: read%d(%#x) = %#x, want %#x", i, 8*size, addr, got, want)
+		}
+		if g := m.Read(addr, size); g != got {
+			t.Fatalf("op %d: Read(%#x, %d) = %#x, sized accessor gave %#x", i, addr, size, g, got)
+		}
+	}
+}
+
+// TestReadsNeverCreatePages: no read of any shape — sized, straddling into
+// untouched memory, bulk — may add a page, because PageCount and the
+// Serialize bytes are what a checkpoint stores.
+func TestReadsNeverCreatePages(t *testing.T) {
+	m := New()
+	m.Write64(5*PageSize-8, 0x0102030405060708) // last word of page 4; page 5 untouched
+	var before bytes.Buffer
+	if err := m.Serialize(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []uint64{0, 5 * PageSize, 5*PageSize - 3, 99 * PageSize, 1<<63 + 17} {
+		m.Read8(addr)
+		m.Read16(addr)
+		m.Read32(addr)
+		m.Read64(addr)
+		m.Read(addr, 8)
+		m.ByteAt(addr)
+		m.ReadBytes(addr, 3*PageSize)
+	}
+	if got := m.Read64(5*PageSize - 3); got != 0x010203 {
+		t.Fatalf("straddling read into untouched memory = %#x, want 0x010203", got)
+	}
+	if m.PageCount() != 1 {
+		t.Fatalf("reads grew the memory to %d pages", m.PageCount())
+	}
+	var after bytes.Buffer
+	if err := m.Serialize(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("reads changed the serialized image")
+	}
+}
+
+// TestNoStaleTLBAfterDeserialize: Deserialize replaces the page map, so a
+// page pointer cached from the old map must not serve a later access.
+func TestNoStaleTLBAfterDeserialize(t *testing.T) {
+	img := New()
+	img.Write64(0x2000, 222)
+	var buf bytes.Buffer
+	if err := img.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	m := New()
+	m.Write64(0x2000, 111) // page 2: differs in the image
+	m.Write64(0x7000, 777) // page 7: absent from the image
+	if m.Read64(0x2000) != 111 || m.Read64(0x7000) != 777 {
+		t.Fatal("setup reads failed")
+	}
+	if err := m.Deserialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Read64(0x2000); got != 222 {
+		t.Errorf("after Deserialize read %d, want the image's 222", got)
+	}
+	if got := m.Read64(0x7000); got != 0 {
+		t.Errorf("after Deserialize a dropped page still reads %d", got)
+	}
+	m.Write64(0x7000, 1) // must land in a page of the new map
+	if m.PageCount() != 2 {
+		t.Errorf("write after Deserialize went to a page outside the map: %d pages", m.PageCount())
+	}
+	var out bytes.Buffer
+	if err := m.Serialize(&out); err != nil {
+		t.Fatal(err)
+	}
+	back := New()
+	if err := back.Deserialize(&out); err != nil {
+		t.Fatal(err)
+	}
+	if back.Read64(0x7000) != 1 || back.Read64(0x2000) != 222 {
+		t.Error("writes after Deserialize did not reach the serialized image")
+	}
+}
+
+// TestCloneSharesNoTLBState: with both TLBs hot on the same page, writes on
+// either side stay on that side.
+func TestCloneSharesNoTLBState(t *testing.T) {
+	m := New()
+	m.Write64(0x3000, 1)
+	m.Read64(0x3000) // hot in m
+	c := m.Clone()
+	if c.Read64(0x3000) != 1 {
+		t.Fatal("clone lost the page")
+	}
+	c.Write64(0x3000, 2)
+	m.Write64(0x3008, 3)
+	if m.Read64(0x3000) != 1 || c.Read64(0x3000) != 2 {
+		t.Errorf("write crossed the clone: original %d, clone %d", m.Read64(0x3000), c.Read64(0x3000))
+	}
+	if c.Read64(0x3008) != 0 {
+		t.Error("original's later write is visible in the clone")
+	}
+}
+
+func TestReadBytesStraddlesPagesAndHoles(t *testing.T) {
+	m := New()
+	m.SetBytes(PageSize-2, []byte{1, 2, 3, 4})   // pages 0 and 1
+	m.SetBytes(4*PageSize-1, []byte{9, 8, 7, 6}) // pages 3 and 4; page 2 stays untouched
+	got := m.ReadBytes(PageSize-3, 3*PageSize+8)
+	want := make([]byte, 3*PageSize+8)
+	copy(want[1:], []byte{1, 2, 3, 4})
+	copy(want[3*PageSize+2:], []byte{9, 8, 7, 6})
+	if !bytes.Equal(got, want) {
+		t.Fatal("ReadBytes across pages and an untouched hole differs from the bytes written")
+	}
+	if m.PageCount() != 4 {
+		t.Fatalf("ReadBytes over the hole created a page: %d pages", m.PageCount())
+	}
+}

@@ -370,14 +370,20 @@ func (op Op) HasRs2() bool {
 // HasRs3 reports whether op reads a third source register.
 func (op Op) HasRs3() bool { return ops[op].fmt == fmtR4 }
 
-// IsBranchOrJump reports whether op can redirect the PC.
-func (op Op) IsBranchOrJump() bool {
-	switch op.Class() {
-	case ClassBranch, ClassJAL, ClassJALR:
-		return true
+// redirects caches IsBranchOrJump per Op in a table small enough to stay
+// in cache: the BBV profiler asks once per retired instruction.
+var redirects = func() (t [numOps]bool) {
+	for op := range t {
+		switch ops[op].class {
+		case ClassBranch, ClassJAL, ClassJALR:
+			t[op] = true
+		}
 	}
-	return false
-}
+	return t
+}()
+
+// IsBranchOrJump reports whether op can redirect the PC.
+func (op Op) IsBranchOrJump() bool { return redirects[op] }
 
 // Inst is one decoded instruction.
 type Inst struct {

@@ -8,203 +8,302 @@ import (
 	"repro/internal/rv64"
 )
 
-// exec executes one decoded instruction and returns the next PC, the branch
-// outcome and the effective memory address (when applicable).
-func (c *CPU) exec(in rv64.Inst) (next uint64, taken bool, memAddr uint64, err error) {
-	pc := c.PC
-	next = pc + 4
-	x := &c.X
-	rs1 := x[in.Rs1]
-	rs2 := x[in.Rs2]
-	wr := func(v uint64) {
-		if in.Rd != 0 {
-			x[in.Rd] = v
-		}
+// execute is the one executor every entry point sits on: it retires up to
+// max instructions (at most len(recs) when recs is non-nil, writing one
+// record per instruction) and returns how many retired. It stops early when
+// the program halts or an instruction faults; a faulting instruction does
+// not retire and leaves the PC pointing at itself.
+//
+// The loop keeps the PC in a local, fetches a pointer into the predecoded
+// text window (no Inst is copied except into a record) and dispatches
+// through one switch. System calls, breakpoints and FP arithmetic are routed
+// out of line through execSlow; an illegal word never gets this far (the
+// assembler emits none, and a fetch outside the window fails to decode).
+func (c *CPU) execute(recs []Retired, max int64) (n int64, err error) {
+	if c.Halted {
+		return 0, nil
 	}
-	w32 := func(v int32) { wr(uint64(int64(v))) }
-
-	switch in.Op {
-	case rv64.LUI:
-		wr(uint64(in.Imm << 12))
-	case rv64.AUIPC:
-		wr(pc + uint64(in.Imm<<12))
-	case rv64.JAL:
-		wr(pc + 4)
-		next = pc + uint64(in.Imm)
-		taken = true
-	case rv64.JALR:
-		t := (rs1 + uint64(in.Imm)) &^ 1
-		wr(pc + 4)
-		next = t
-		taken = true
-	case rv64.BEQ:
-		taken = rs1 == rs2
-	case rv64.BNE:
-		taken = rs1 != rs2
-	case rv64.BLT:
-		taken = int64(rs1) < int64(rs2)
-	case rv64.BGE:
-		taken = int64(rs1) >= int64(rs2)
-	case rv64.BLTU:
-		taken = rs1 < rs2
-	case rv64.BGEU:
-		taken = rs1 >= rs2
-	case rv64.LB:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(uint64(int64(int8(c.Mem.Read(memAddr, 1)))))
-	case rv64.LH:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(uint64(int64(int16(c.Mem.Read(memAddr, 2)))))
-	case rv64.LW:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(uint64(int64(int32(c.Mem.Read(memAddr, 4)))))
-	case rv64.LD:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(c.Mem.Read(memAddr, 8))
-	case rv64.LBU:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(c.Mem.Read(memAddr, 1))
-	case rv64.LHU:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(c.Mem.Read(memAddr, 2))
-	case rv64.LWU:
-		memAddr = rs1 + uint64(in.Imm)
-		wr(c.Mem.Read(memAddr, 4))
-	case rv64.SB:
-		memAddr = rs1 + uint64(in.Imm)
-		c.Mem.Write(memAddr, 1, rs2)
-	case rv64.SH:
-		memAddr = rs1 + uint64(in.Imm)
-		c.Mem.Write(memAddr, 2, rs2)
-	case rv64.SW:
-		memAddr = rs1 + uint64(in.Imm)
-		c.Mem.Write(memAddr, 4, rs2)
-	case rv64.SD:
-		memAddr = rs1 + uint64(in.Imm)
-		c.Mem.Write(memAddr, 8, rs2)
-	case rv64.ADDI:
-		wr(rs1 + uint64(in.Imm))
-	case rv64.SLTI:
-		wr(b2u(int64(rs1) < in.Imm))
-	case rv64.SLTIU:
-		wr(b2u(rs1 < uint64(in.Imm)))
-	case rv64.XORI:
-		wr(rs1 ^ uint64(in.Imm))
-	case rv64.ORI:
-		wr(rs1 | uint64(in.Imm))
-	case rv64.ANDI:
-		wr(rs1 & uint64(in.Imm))
-	case rv64.SLLI:
-		wr(rs1 << uint(in.Imm))
-	case rv64.SRLI:
-		wr(rs1 >> uint(in.Imm))
-	case rv64.SRAI:
-		wr(uint64(int64(rs1) >> uint(in.Imm)))
-	case rv64.ADD:
-		wr(rs1 + rs2)
-	case rv64.SUB:
-		wr(rs1 - rs2)
-	case rv64.SLL:
-		wr(rs1 << (rs2 & 63))
-	case rv64.SLT:
-		wr(b2u(int64(rs1) < int64(rs2)))
-	case rv64.SLTU:
-		wr(b2u(rs1 < rs2))
-	case rv64.XOR:
-		wr(rs1 ^ rs2)
-	case rv64.SRL:
-		wr(rs1 >> (rs2 & 63))
-	case rv64.SRA:
-		wr(uint64(int64(rs1) >> (rs2 & 63)))
-	case rv64.OR:
-		wr(rs1 | rs2)
-	case rv64.AND:
-		wr(rs1 & rs2)
-	case rv64.ADDIW:
-		w32(int32(rs1) + int32(in.Imm))
-	case rv64.SLLIW:
-		w32(int32(rs1) << uint(in.Imm))
-	case rv64.SRLIW:
-		w32(int32(uint32(rs1) >> uint(in.Imm)))
-	case rv64.SRAIW:
-		w32(int32(rs1) >> uint(in.Imm))
-	case rv64.ADDW:
-		w32(int32(rs1) + int32(rs2))
-	case rv64.SUBW:
-		w32(int32(rs1) - int32(rs2))
-	case rv64.SLLW:
-		w32(int32(rs1) << (rs2 & 31))
-	case rv64.SRLW:
-		w32(int32(uint32(rs1) >> (rs2 & 31)))
-	case rv64.SRAW:
-		w32(int32(rs1) >> (rs2 & 31))
-	case rv64.FENCE:
-		// no-op in a single-hart functional model
-	case rv64.ECALL:
-		if err := c.syscall(); err != nil {
-			return next, false, 0, err
-		}
-	case rv64.EBREAK:
-		return next, false, 0, ErrBreakpoint
-
-	case rv64.MUL:
-		wr(rs1 * rs2)
-	case rv64.MULH:
-		wr(mulh(int64(rs1), int64(rs2)))
-	case rv64.MULHSU:
-		wr(mulhsu(int64(rs1), rs2))
-	case rv64.MULHU:
-		wr(mulhu(rs1, rs2))
-	case rv64.DIV:
-		wr(uint64(divS(int64(rs1), int64(rs2))))
-	case rv64.DIVU:
-		wr(divU(rs1, rs2))
-	case rv64.REM:
-		wr(uint64(remS(int64(rs1), int64(rs2))))
-	case rv64.REMU:
-		wr(remU(rs1, rs2))
-	case rv64.MULW:
-		w32(int32(rs1) * int32(rs2))
-	case rv64.DIVW:
-		w32(divS32(int32(rs1), int32(rs2)))
-	case rv64.DIVUW:
-		w32(int32(divU32(uint32(rs1), uint32(rs2))))
-	case rv64.REMW:
-		w32(remS32(int32(rs1), int32(rs2)))
-	case rv64.REMUW:
-		w32(int32(remU32(uint32(rs1), uint32(rs2))))
-
-	default:
-		return c.execFP(in, rs1, rs2)
+	if recs != nil && max > int64(len(recs)) {
+		max = int64(len(recs))
 	}
-
-	if in.Op.Class() == rv64.ClassBranch {
-		if taken {
-			next = pc + uint64(in.Imm)
+	var (
+		x    = &c.X
+		m    = c.Mem
+		pc   = c.PC
+		text = c.text
+		base = c.textBase
+		span = 4 * uint64(len(text)) // window size in bytes; 0 without a window
+	)
+loop:
+	for n < max {
+		var in *rv64.Inst
+		if off := pc - base; off < span && off&3 == 0 {
+			in = &text[off>>2]
+		} else if in, err = c.fetchOutside(pc); err != nil {
+			break
 		}
+		var (
+			rs1   = x[in.Rs1&31]
+			rs2   = x[in.Rs2&31]
+			rd    = in.Rd & 31
+			imm   = uint64(in.Imm)
+			next  = pc + 4
+			taken bool
+			addr  uint64 // effective address of a load or store
+		)
+
+		switch in.Op {
+		case rv64.LUI:
+			x[rd] = imm << 12
+		case rv64.AUIPC:
+			x[rd] = pc + imm<<12
+		case rv64.JAL:
+			x[rd] = pc + 4
+			next = pc + imm
+			taken = true
+		case rv64.JALR:
+			x[rd] = pc + 4
+			next = (rs1 + imm) &^ 1
+			taken = true
+		case rv64.BEQ:
+			if rs1 == rs2 {
+				taken, next = true, pc+imm
+			}
+		case rv64.BNE:
+			if rs1 != rs2 {
+				taken, next = true, pc+imm
+			}
+		case rv64.BLT:
+			if int64(rs1) < int64(rs2) {
+				taken, next = true, pc+imm
+			}
+		case rv64.BGE:
+			if int64(rs1) >= int64(rs2) {
+				taken, next = true, pc+imm
+			}
+		case rv64.BLTU:
+			if rs1 < rs2 {
+				taken, next = true, pc+imm
+			}
+		case rv64.BGEU:
+			if rs1 >= rs2 {
+				taken, next = true, pc+imm
+			}
+		case rv64.LB:
+			addr = rs1 + imm
+			x[rd] = uint64(int64(int8(m.Read8(addr))))
+		case rv64.LH:
+			addr = rs1 + imm
+			x[rd] = uint64(int64(int16(m.Read16(addr))))
+		case rv64.LW:
+			addr = rs1 + imm
+			x[rd] = uint64(int64(int32(m.Read32(addr))))
+		case rv64.LD:
+			addr = rs1 + imm
+			x[rd] = m.Read64(addr)
+		case rv64.LBU:
+			addr = rs1 + imm
+			x[rd] = uint64(m.Read8(addr))
+		case rv64.LHU:
+			addr = rs1 + imm
+			x[rd] = uint64(m.Read16(addr))
+		case rv64.LWU:
+			addr = rs1 + imm
+			x[rd] = uint64(m.Read32(addr))
+		case rv64.FLD:
+			addr = rs1 + imm
+			c.F[rd] = m.Read64(addr)
+		case rv64.SB:
+			addr = rs1 + imm
+			if hitsText(addr, 1, base, span) {
+				err = textWrite(pc, addr)
+				break loop
+			}
+			m.Write8(addr, uint8(rs2))
+		case rv64.SH:
+			addr = rs1 + imm
+			if hitsText(addr, 2, base, span) {
+				err = textWrite(pc, addr)
+				break loop
+			}
+			m.Write16(addr, uint16(rs2))
+		case rv64.SW:
+			addr = rs1 + imm
+			if hitsText(addr, 4, base, span) {
+				err = textWrite(pc, addr)
+				break loop
+			}
+			m.Write32(addr, uint32(rs2))
+		case rv64.SD:
+			addr = rs1 + imm
+			if hitsText(addr, 8, base, span) {
+				err = textWrite(pc, addr)
+				break loop
+			}
+			m.Write64(addr, rs2)
+		case rv64.FSD:
+			addr = rs1 + imm
+			if hitsText(addr, 8, base, span) {
+				err = textWrite(pc, addr)
+				break loop
+			}
+			m.Write64(addr, c.F[in.Rs2&31])
+		case rv64.ADDI:
+			x[rd] = rs1 + imm
+		case rv64.SLTI:
+			x[rd] = b2u(int64(rs1) < in.Imm)
+		case rv64.SLTIU:
+			x[rd] = b2u(rs1 < imm)
+		case rv64.XORI:
+			x[rd] = rs1 ^ imm
+		case rv64.ORI:
+			x[rd] = rs1 | imm
+		case rv64.ANDI:
+			x[rd] = rs1 & imm
+		case rv64.SLLI:
+			x[rd] = rs1 << (imm & 63)
+		case rv64.SRLI:
+			x[rd] = rs1 >> (imm & 63)
+		case rv64.SRAI:
+			x[rd] = uint64(int64(rs1) >> (imm & 63))
+		case rv64.ADD:
+			x[rd] = rs1 + rs2
+		case rv64.SUB:
+			x[rd] = rs1 - rs2
+		case rv64.SLL:
+			x[rd] = rs1 << (rs2 & 63)
+		case rv64.SLT:
+			x[rd] = b2u(int64(rs1) < int64(rs2))
+		case rv64.SLTU:
+			x[rd] = b2u(rs1 < rs2)
+		case rv64.XOR:
+			x[rd] = rs1 ^ rs2
+		case rv64.SRL:
+			x[rd] = rs1 >> (rs2 & 63)
+		case rv64.SRA:
+			x[rd] = uint64(int64(rs1) >> (rs2 & 63))
+		case rv64.OR:
+			x[rd] = rs1 | rs2
+		case rv64.AND:
+			x[rd] = rs1 & rs2
+		case rv64.ADDIW:
+			x[rd] = sext32(int32(rs1) + int32(imm))
+		case rv64.SLLIW:
+			x[rd] = sext32(int32(rs1) << (imm & 31))
+		case rv64.SRLIW:
+			x[rd] = sext32(int32(uint32(rs1) >> (imm & 31)))
+		case rv64.SRAIW:
+			x[rd] = sext32(int32(rs1) >> (imm & 31))
+		case rv64.ADDW:
+			x[rd] = sext32(int32(rs1) + int32(rs2))
+		case rv64.SUBW:
+			x[rd] = sext32(int32(rs1) - int32(rs2))
+		case rv64.SLLW:
+			x[rd] = sext32(int32(rs1) << (rs2 & 31))
+		case rv64.SRLW:
+			x[rd] = sext32(int32(uint32(rs1) >> (rs2 & 31)))
+		case rv64.SRAW:
+			x[rd] = sext32(int32(rs1) >> (rs2 & 31))
+		case rv64.FENCE:
+			// no-op in a single-hart functional model
+
+		case rv64.MUL:
+			x[rd] = rs1 * rs2
+		case rv64.MULH:
+			x[rd] = mulh(int64(rs1), int64(rs2))
+		case rv64.MULHSU:
+			x[rd] = mulhsu(int64(rs1), rs2)
+		case rv64.MULHU:
+			x[rd] = mulhu(rs1, rs2)
+		case rv64.DIV:
+			x[rd] = uint64(divS(int64(rs1), int64(rs2)))
+		case rv64.DIVU:
+			x[rd] = divU(rs1, rs2)
+		case rv64.REM:
+			x[rd] = uint64(remS(int64(rs1), int64(rs2)))
+		case rv64.REMU:
+			x[rd] = remU(rs1, rs2)
+		case rv64.MULW:
+			x[rd] = sext32(int32(rs1) * int32(rs2))
+		case rv64.DIVW:
+			x[rd] = sext32(divS32(int32(rs1), int32(rs2)))
+		case rv64.DIVUW:
+			x[rd] = sext32(int32(divU32(uint32(rs1), uint32(rs2))))
+		case rv64.REMW:
+			x[rd] = sext32(remS32(int32(rs1), int32(rs2)))
+		case rv64.REMUW:
+			x[rd] = sext32(int32(remU32(uint32(rs1), uint32(rs2))))
+
+		default:
+			c.PC = pc // the slow path reports it
+			if err = c.execSlow(in, rs1); err != nil {
+				break loop
+			}
+			if c.Halted {
+				max = n + 1 // the exiting ECALL still retires
+			}
+		}
+		x[0] = 0 // cheaper than guarding every write on rd != 0
+
+		if recs != nil {
+			r := &recs[n]
+			r.PC = pc
+			r.NextPC = next
+			r.Inst = *in
+			r.Taken = taken
+			r.MemAddr = addr
+		}
+		n++
+		pc = next
 	}
-	return next, taken, memAddr, nil
+	c.PC = pc
+	c.InstRet += uint64(n)
+	return n, err
 }
 
-func (c *CPU) execFP(in rv64.Inst, rs1, rs2 uint64) (next uint64, taken bool, memAddr uint64, err error) {
-	next = c.PC + 4
-	f := &c.F
-	fd := func(i uint8) float64 { return math.Float64frombits(f[i]) }
-	wrf := func(v float64) { f[in.Rd] = math.Float64bits(v) }
-	wri := func(v uint64) {
-		if in.Rd != 0 {
-			c.X[in.Rd] = v
-		}
+// fetchOutside decodes the instruction at a PC the text window does not
+// serve: one outside it, or a misaligned one.
+func (c *CPU) fetchOutside(pc uint64) (*rv64.Inst, error) {
+	if pc&3 != 0 {
+		return nil, fmt.Errorf("%w: pc=%#x", ErrMisalignedFetch, pc)
 	}
+	in, err := rv64.Decode(c.Mem.Read32(pc))
+	if err != nil {
+		return nil, fmt.Errorf("sim: pc=%#x: %w", pc, err)
+	}
+	c.outside = in
+	return &c.outside, nil
+}
+
+// hitsText reports whether a size-byte store at addr overlaps the text
+// window [base, base+span): one unsigned compare, exact even when the store
+// wraps the address space (span == 0 means no window).
+func hitsText(addr, size, base, span uint64) bool {
+	return addr-base+(size-1) < span+(size-1) && span != 0
+}
+
+func textWrite(pc, addr uint64) error {
+	return fmt.Errorf("%w: pc=%#x addr=%#x", ErrTextWrite, pc, addr)
+}
+
+func sext32(v int32) uint64 { return uint64(int64(v)) }
+
+// execSlow executes what the main switch routes out of line: system
+// instructions and FP arithmetic (none of it touches memory). c.PC is the
+// instruction's own PC.
+func (c *CPU) execSlow(in *rv64.Inst, rs1 uint64) error {
+	f := &c.F
+	fd := func(i uint8) float64 { return math.Float64frombits(f[i&31]) }
+	rd := in.Rd & 31
+	wrf := func(v float64) { f[rd] = math.Float64bits(v) }
+	wri := func(v uint64) { c.X[rd] = v } // execute re-zeroes x0
 	a, b := fd(in.Rs1), fd(in.Rs2)
 
 	switch in.Op {
-	case rv64.FLD:
-		memAddr = rs1 + uint64(in.Imm)
-		f[in.Rd] = c.Mem.Read(memAddr, 8)
-	case rv64.FSD:
-		memAddr = rs1 + uint64(in.Imm)
-		c.Mem.Write(memAddr, 8, f[in.Rs2])
+	case rv64.ECALL:
+		return c.syscall()
+	case rv64.EBREAK:
+		return ErrBreakpoint
 	case rv64.FADDD:
 		wrf(a + b)
 	case rv64.FSUBD:
@@ -216,11 +315,11 @@ func (c *CPU) execFP(in rv64.Inst, rs1, rs2 uint64) (next uint64, taken bool, me
 	case rv64.FSQRTD:
 		wrf(math.Sqrt(a))
 	case rv64.FSGNJD:
-		f[in.Rd] = f[in.Rs1]&^signBit | f[in.Rs2]&signBit
+		f[rd] = f[in.Rs1&31]&^signBit | f[in.Rs2&31]&signBit
 	case rv64.FSGNJND:
-		f[in.Rd] = f[in.Rs1]&^signBit | ^f[in.Rs2]&signBit
+		f[rd] = f[in.Rs1&31]&^signBit | ^f[in.Rs2&31]&signBit
 	case rv64.FSGNJXD:
-		f[in.Rd] = f[in.Rs1] ^ f[in.Rs2]&signBit
+		f[rd] = f[in.Rs1&31] ^ f[in.Rs2&31]&signBit
 	case rv64.FMIND:
 		wrf(fpMin(a, b))
 	case rv64.FMAXD:
@@ -242,9 +341,9 @@ func (c *CPU) execFP(in rv64.Inst, rs1, rs2 uint64) (next uint64, taken bool, me
 	case rv64.FCVTDLU:
 		wrf(float64(rs1))
 	case rv64.FMVXD:
-		wri(f[in.Rs1])
+		wri(f[in.Rs1&31])
 	case rv64.FMVDX:
-		f[in.Rd] = rs1
+		f[rd] = rs1
 	case rv64.FEQD:
 		wri(b2u(a == b))
 	case rv64.FLTD:
@@ -252,7 +351,7 @@ func (c *CPU) execFP(in rv64.Inst, rs1, rs2 uint64) (next uint64, taken bool, me
 	case rv64.FLED:
 		wri(b2u(a <= b))
 	case rv64.FCLASSD:
-		wri(fclass(f[in.Rs1]))
+		wri(fclass(f[in.Rs1&31]))
 	case rv64.FMADDD:
 		wrf(math.FMA(a, b, fd(in.Rs3)))
 	case rv64.FMSUBD:
@@ -262,9 +361,9 @@ func (c *CPU) execFP(in rv64.Inst, rs1, rs2 uint64) (next uint64, taken bool, me
 	case rv64.FNMSUBD:
 		wrf(math.FMA(-a, b, fd(in.Rs3)))
 	default:
-		return next, false, 0, fmt.Errorf("sim: unimplemented op %v at pc=%#x", in.Op, c.PC)
+		return fmt.Errorf("sim: unimplemented op %v at pc=%#x", in.Op, c.PC)
 	}
-	return next, false, memAddr, nil
+	return nil
 }
 
 const signBit = uint64(1) << 63

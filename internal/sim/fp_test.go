@@ -18,8 +18,7 @@ func execOne(t *testing.T, in rv64.Inst, setup func(*CPU)) *CPU {
 		t.Fatal(err)
 	}
 	c.Mem.Write(0x1000, 4, uint64(raw))
-	c.PC = 0x1000
-	c.SetTextWindow(0x1000, 1)
+	c.PC = 0x1000 // no text window: the fetch decodes from memory
 	if setup != nil {
 		setup(c)
 	}

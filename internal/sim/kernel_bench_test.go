@@ -1,9 +1,9 @@
 package sim_test
 
-// Kernel microbenchmark of the functional simulator's per-instruction step
-// (decode-cache hit → execute → retire-record fill), the producer side of
-// the trace-driven timing model. Wrapped into BENCH_kernel.json by
-// cmd/kernelbench.
+// Kernel microbenchmarks of the functional simulator, the producer side of
+// the trace-driven timing model: one instruction per Step call, and the
+// batched RunTrace path the profile stage drives. One op is one retired
+// instruction. Wrapped into BENCH_kernel.json by cmd/kernelbench.
 
 import (
 	"testing"
@@ -35,5 +35,35 @@ func BenchmarkKernelFuncStep(b *testing.B) {
 		if err := cpu.Step(&r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKernelFuncRunTrace retires b.N instructions through RunTrace
+// under a no-op observer, restarting the workload whenever it exits.
+func BenchmarkKernelFuncRunTrace(b *testing.B) {
+	w, err := workloads.Build("sha", workloads.ScaleTiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu, err := w.NewCPU()
+	if err != nil {
+		b.Fatal(err)
+	}
+	observe := func(*sim.Retired) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := int64(b.N); left > 0; {
+		if cpu.Halted {
+			b.StopTimer()
+			if cpu, err = w.NewCPU(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		n, err := cpu.RunTrace(left, observe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		left -= n
 	}
 }

@@ -6,7 +6,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/asm"
@@ -32,6 +34,20 @@ type Retired struct {
 // ErrBreakpoint is returned by Run when an EBREAK retires.
 var ErrBreakpoint = fmt.Errorf("sim: ebreak")
 
+// ErrTextWrite is returned (wrapped, with the PC and address) when a store
+// overlaps the text window. Text is write-protected: the window is fetched
+// from a predecoded image shared between CPUs, so a store there could not
+// take effect and is refused instead.
+var ErrTextWrite = errors.New("sim: store into the text window")
+
+// ErrMisalignedFetch is returned (wrapped, with the PC) when the PC is not
+// a multiple of four; the model has no compressed instructions.
+var ErrMisalignedFetch = errors.New("sim: misaligned instruction fetch")
+
+// traceBatch is how many instructions RunTrace executes between deliveries
+// to its callback.
+const traceBatch = 64
+
 // CPU is the architectural state plus execution machinery.
 type CPU struct {
 	PC      uint64
@@ -44,10 +60,14 @@ type CPU struct {
 
 	Stdout []byte // bytes written via the write syscall
 
-	// decoded-instruction cache covering the text segment
+	// The text window: text[i] is the instruction at textBase+4i. It is
+	// the loaded program's predecoded image (asm.Program.Insts), shared
+	// with every other CPU running that program and never written.
 	textBase uint64
-	decoded  []rv64.Inst
-	valid    []bool
+	text     []rv64.Inst
+	outside  rv64.Inst // decode slot for a fetch outside the window
+
+	batch [traceBatch]Retired // RunTrace's delivery buffer
 
 	metrics *metrics.Registry // optional; nil disables instrumentation
 }
@@ -75,69 +95,47 @@ func New() *CPU {
 }
 
 // Load installs an assembled program: text and data are copied into memory,
-// the PC is set to the entry point and the decode cache is primed.
+// the PC is set to the entry point and the text window is attached.
 func (c *CPU) Load(p *asm.Program) {
 	c.Mem.SetBytes(p.TextAddr, p.TextBytes())
 	if len(p.Data) > 0 {
 		c.Mem.SetBytes(p.DataAddr, p.Data)
 	}
 	c.PC = p.Entry
-	c.SetTextWindow(p.TextAddr, len(p.Text))
+	c.AttachText(p)
 }
 
-// SetTextWindow (re)declares the instruction address range so fetches decode
-// through a direct-mapped slice cache instead of repeated binary decode.
-func (c *CPU) SetTextWindow(base uint64, words int) {
-	c.textBase = base
-	c.decoded = make([]rv64.Inst, words)
-	c.valid = make([]bool, words)
-}
-
-func (c *CPU) fetch(pc uint64) (rv64.Inst, error) {
-	if idx := (pc - c.textBase) / 4; pc >= c.textBase && idx < uint64(len(c.decoded)) && pc%4 == 0 {
-		if c.valid[idx] {
-			return c.decoded[idx], nil
-		}
-		in, err := rv64.Decode(c.Mem.Read32(pc))
-		if err != nil {
-			return in, fmt.Errorf("sim: pc=%#x: %w", pc, err)
-		}
-		c.decoded[idx], c.valid[idx] = in, true
-		return in, nil
-	}
-	in, err := rv64.Decode(c.Mem.Read32(pc))
-	if err != nil {
-		return in, fmt.Errorf("sim: pc=%#x: %w", pc, err)
-	}
-	return in, nil
+// AttachText points the text window at p's predecoded image and touches
+// nothing else. It is Load for a CPU whose memory and registers come from
+// a checkpoint: copying the program in would only be thrown away by the
+// restore. Fetches outside the window decode from memory.
+func (c *CPU) AttachText(p *asm.Program) {
+	c.textBase = p.TextAddr
+	c.text = p.Insts
 }
 
 // Step executes one instruction. If r is non-nil it is filled with the
 // retirement record. Stepping a halted CPU is a no-op returning nil.
 func (c *CPU) Step(r *Retired) error {
-	if c.Halted {
-		return nil
-	}
-	in, err := c.fetch(c.PC)
-	if err != nil {
+	if r == nil {
+		_, err := c.execute(nil, 1)
 		return err
 	}
-	pc := c.PC
-	next, taken, memAddr, err := c.exec(in)
-	if err != nil {
-		return err
+	var one [1]Retired
+	n, err := c.execute(one[:], 1)
+	if n == 1 {
+		*r = one[0]
 	}
-	c.X[0] = 0
-	c.PC = next
-	c.InstRet++
-	if r != nil {
-		r.PC = pc
-		r.NextPC = next
-		r.Inst = in
-		r.Taken = taken
-		r.MemAddr = memAddr
-	}
-	return nil
+	return err
+}
+
+// Fill executes up to len(recs) instructions, writing one retirement
+// record each, and returns how many retired. It stops early at a halt or
+// at a faulting instruction, whose error it returns with the records
+// before it.
+func (c *CPU) Fill(recs []Retired) (int, error) {
+	n, err := c.execute(recs, int64(len(recs)))
+	return int(n), err
 }
 
 // Run executes up to max instructions (or until halt when max < 0) and
@@ -147,31 +145,34 @@ func (c *CPU) Run(max int64) (n int64, err error) {
 		t0 := time.Now()
 		defer func() { c.recordRun(t0, n) }()
 	}
-	for !c.Halted && (max < 0 || n < max) {
-		if err := c.Step(nil); err != nil {
-			return n, err
-		}
-		n++
+	if max < 0 {
+		max = math.MaxInt64
 	}
-	return n, nil
+	return c.execute(nil, max)
 }
 
 // RunTrace is Run with a callback per retired instruction. The callback
 // receives a reused Retired record; it must not retain the pointer.
+// Instructions execute a batch at a time, so when the callback sees a
+// record the CPU itself may already be up to traceBatch-1 instructions
+// further on.
 func (c *CPU) RunTrace(max int64, fn func(*Retired)) (n int64, err error) {
 	if c.metrics != nil {
 		t0 := time.Now()
 		defer func() { c.recordRun(t0, n) }()
 	}
-	var r Retired
-	for !c.Halted && (max < 0 || n < max) {
-		if err := c.Step(&r); err != nil {
-			return n, err
-		}
-		fn(&r)
-		n++
+	if max < 0 {
+		max = math.MaxInt64
 	}
-	return n, nil
+	for !c.Halted && n < max && err == nil {
+		var k int64
+		k, err = c.execute(c.batch[:], max-n)
+		for i := range c.batch[:k] {
+			fn(&c.batch[i])
+		}
+		n += k
+	}
+	return n, err
 }
 
 // syscall implements the minimal Linux-flavored ABI the workloads use:

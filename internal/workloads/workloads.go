@@ -13,6 +13,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/sim"
@@ -83,15 +84,23 @@ type Workload struct {
 	// resolves it to DefaultInterval(scale); set it explicitly only for
 	// custom instances constructed outside Build.
 	IntervalSize int64
+
+	assemble sync.Once // guards prog, progErr
+	prog     *asm.Program
+	progErr  error
 }
 
-// Program assembles the workload.
+// Program returns the assembled workload. It assembles Source once, on the
+// first call; every caller (and every CPU it loads) shares the result, so
+// the returned Program is read-only.
 func (w *Workload) Program() (*asm.Program, error) {
-	p, err := asm.Assemble(w.Source)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
-	}
-	return p, nil
+	w.assemble.Do(func() {
+		w.prog, w.progErr = asm.Assemble(w.Source)
+		if w.progErr != nil {
+			w.progErr = fmt.Errorf("workload %s: %w", w.Name, w.progErr)
+		}
+	})
+	return w.prog, w.progErr
 }
 
 // NewCPU assembles, loads program and segments, and returns a ready CPU.
