@@ -1,12 +1,14 @@
 # Build/verify entry points. `make check` is the CI tier that keeps the
-# concurrent metrics/runner code race-clean, smokes the fuzz targets,
-# proves the artifact cache round-trips byte-identically on every change,
-# drills the supervised sweep engine (chaos injection, crash-resume), and
-# smokes the boomd HTTP job service end to end.
+# concurrent metrics/runner code race-clean, smokes the fuzz targets and
+# drills the supervised sweep engine through its CLI (chaos injection,
+# crash-resume). What used to be shell-scripted smokes here are Go tests
+# in `make test`: the cache round-trip is cmd/tables' TestCacheRoundTrip,
+# and the boomd serve / parametric cold-warm / fabric-vs-solo drills are
+# cmd/boomd's tests, booting the daemon and a -worker in-process.
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos bench bench-smoke bench-measure fidelity check
+.PHONY: build test vet race fuzz-smoke chaos resume-roundtrip fabric-chaos bench bench-smoke bench-measure fidelity check
 
 build:
 	$(GO) build ./...
@@ -19,7 +21,7 @@ build:
 # assertion, and this is where it shows.
 test: build
 	$(GO) test -shuffle=on ./...
-	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve ./internal/sim ./internal/mem ./internal/bbv
+	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -cpu 1,2 -short ./internal/fabric
 
 vet:
@@ -27,15 +29,15 @@ vet:
 
 # Race tier: the packages with concurrent code (metrics registry, Runner
 # worker pool, artifact cache, fault injector, shared journal, HTTP job
-# service, sweep fabric) must stay race-clean, and so must the functional
-# core they share state through: concurrent point workers fetch from one
-# predecoded text image (internal/sim) and clone one checkpoint memory
-# (internal/mem). The fabric package runs -short: its full 11×3
-# conformance matrices are covered race-free by `make test`, while the
-# journal, lease, resume, and store-economy tests all still run under the
-# race detector.
+# service and the boomd wiring around it, sweep fabric) must stay
+# race-clean, and so must the functional core they share state through:
+# concurrent point workers fetch from one predecoded text image
+# (internal/sim) and clone one checkpoint memory (internal/mem). The
+# fabric package runs -short: its full 11×3 conformance matrices are
+# covered race-free by `make test`, while the journal, lease, resume, and
+# store-economy tests all still run under the race detector.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve ./internal/sim ./internal/mem ./internal/bbv
+	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
 # Fuzz smoke: a few seconds per target on top of the committed seed
@@ -45,16 +47,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzJournalRead -fuzztime 5s ./internal/journal
-
-# Cache round-trip: cold run populates the cache, warm run must reproduce
-# the report byte for byte (cmp) straight from the artifacts.
-cache-roundtrip:
-	rm -rf .cache-check
-	mkdir -p .cache-check
-	$(GO) run ./cmd/tables -scale tiny -q -cache .cache-check > .cache-check/cold.txt
-	$(GO) run ./cmd/tables -scale tiny -q -cache .cache-check > .cache-check/warm.txt
-	cmp .cache-check/cold.txt .cache-check/warm.txt
-	rm -rf .cache-check
 
 # Chaos drill: a keep-going sweep with a seeded fault plan (a panic, a
 # transient error, artifact corruption) must render tables with FAILED
@@ -87,126 +79,6 @@ resume-roundtrip:
 		> .resume-check/warm.txt
 	cmp .resume-check/resumed.txt .resume-check/warm.txt
 	rm -rf .resume-check
-
-# Serve smoke: boot boomd on an ephemeral port, run a tiny campaign
-# through boomctl (submit → long-poll result), scrape /metrics, then
-# SIGTERM and require a clean drain (exit 0).
-serve-smoke:
-	rm -rf .serve-check && mkdir -p .serve-check
-	$(GO) build -o .serve-check/boomd ./cmd/boomd
-	$(GO) build -o .serve-check/boomctl ./cmd/boomctl
-	set -e; \
-	./.serve-check/boomd -addr 127.0.0.1:0 -q -cache .serve-check/cache \
-		> .serve-check/out.txt 2> .serve-check/log.txt & pid=$$!; \
-	for i in $$(seq 1 50); do \
-		grep -q 'listening on' .serve-check/out.txt 2>/dev/null && break; sleep 0.1; \
-	done; \
-	addr=$$(sed -n 's/^boomd: listening on //p' .serve-check/out.txt | head -1); \
-	test -n "$$addr" || { echo "serve-smoke: boomd never bound"; kill $$pid; exit 1; }; \
-	./.serve-check/boomctl -addr $$addr submit -workloads sha -configs medium \
-		-scale tiny -wait > .serve-check/result.json; \
-	grep -q '"rows":' .serve-check/result.json; \
-	./.serve-check/boomctl -addr $$addr metrics | grep -q 'serve_sweeps_done 1'; \
-	kill -TERM $$pid; wait $$pid
-	rm -rf .serve-check
-	@echo "serve-smoke: OK"
-
-# DSE smoke: boot boomd, drive a 2-axis parametric campaign (4 design
-# points) through cmd/dse, and require the shared-stage economy on the
-# cold run: one bbv/select/checkpoint chain for the workload next to 4
-# detailed measurements. Then restart boomd over the same cache and
-# require the warm rerun to be all measurement cache hits with a
-# byte-identical frontier (cmp).
-dse-smoke:
-	rm -rf .dse-check && mkdir -p .dse-check
-	$(GO) build -o .dse-check/boomd ./cmd/boomd
-	$(GO) build -o .dse-check/boomctl ./cmd/boomctl
-	$(GO) build -o .dse-check/dse ./cmd/dse
-	set -e; \
-	./.dse-check/boomd -addr 127.0.0.1:0 -q -cache .dse-check/cache \
-		> .dse-check/out.txt 2> .dse-check/log.txt & pid=$$!; \
-	for i in $$(seq 1 50); do \
-		grep -q 'listening on' .dse-check/out.txt 2>/dev/null && break; sleep 0.1; \
-	done; \
-	addr=$$(sed -n 's/^boomd: listening on //p' .dse-check/out.txt | head -1); \
-	test -n "$$addr" || { echo "dse-smoke: boomd never bound"; kill $$pid; exit 1; }; \
-	./.dse-check/dse -addr $$addr -workloads sha -base medium \
-		-axes 'rob=48,64;predictor=tage,gshare' -scale tiny -json \
-		> .dse-check/cold.json; \
-	./.dse-check/boomctl -addr $$addr metrics > .dse-check/cold.metrics; \
-	grep -q '^artifact_bbv_miss 1$$' .dse-check/cold.metrics; \
-	grep -q '^artifact_select_miss 1$$' .dse-check/cold.metrics; \
-	grep -q '^artifact_checkpoint_miss 1$$' .dse-check/cold.metrics; \
-	grep -q '^artifact_measure_miss 4$$' .dse-check/cold.metrics; \
-	kill -TERM $$pid; wait $$pid; \
-	./.dse-check/boomd -addr 127.0.0.1:0 -q -cache .dse-check/cache \
-		> .dse-check/out2.txt 2> .dse-check/log2.txt & pid=$$!; \
-	for i in $$(seq 1 50); do \
-		grep -q 'listening on' .dse-check/out2.txt 2>/dev/null && break; sleep 0.1; \
-	done; \
-	addr=$$(sed -n 's/^boomd: listening on //p' .dse-check/out2.txt | head -1); \
-	test -n "$$addr" || { echo "dse-smoke: second boomd never bound"; kill $$pid; exit 1; }; \
-	./.dse-check/dse -addr $$addr -workloads sha -base medium \
-		-axes 'rob=48,64;predictor=tage,gshare' -scale tiny -json \
-		> .dse-check/warm.json; \
-	./.dse-check/boomctl -addr $$addr metrics > .dse-check/warm.metrics; \
-	grep -q '^artifact_measure_hit 4$$' .dse-check/warm.metrics; \
-	! grep -q '^artifact_measure_miss [1-9]' .dse-check/warm.metrics; \
-	kill -TERM $$pid; wait $$pid
-	cmp .dse-check/cold.json .dse-check/warm.json
-	rm -rf .dse-check
-	@echo "dse-smoke: OK"
-
-# Fabric smoke: boot a coordinator boomd and a worker boomd on ephemeral
-# ports, run a campaign through the fabric (worker registered, cells
-# leased and reported — no local fallback), then rerun the same campaign
-# on a standalone boomd and require the two result bodies to be
-# byte-identical (cmp). This is the CLI-level proof of the in-tree
-# cross-node conformance suite.
-fabric-smoke:
-	rm -rf .fabric-check && mkdir -p .fabric-check
-	$(GO) build -o .fabric-check/boomd ./cmd/boomd
-	$(GO) build -o .fabric-check/boomctl ./cmd/boomctl
-	set -e; \
-	./.fabric-check/boomd -addr 127.0.0.1:0 -q -cache .fabric-check/store \
-		> .fabric-check/coord.txt 2> .fabric-check/coord.log & cpid=$$!; \
-	for i in $$(seq 1 50); do \
-		grep -q 'listening on' .fabric-check/coord.txt 2>/dev/null && break; sleep 0.1; \
-	done; \
-	addr=$$(sed -n 's/^boomd: listening on //p' .fabric-check/coord.txt | head -1); \
-	test -n "$$addr" || { echo "fabric-smoke: coordinator never bound"; kill $$cpid; exit 1; }; \
-	./.fabric-check/boomd -worker -coordinator http://$$addr -worker-id smoke-w1 \
-		-cache .fabric-check/wcache \
-		> .fabric-check/worker.txt 2> .fabric-check/worker.log & wpid=$$!; \
-	for i in $$(seq 1 50); do \
-		./.fabric-check/boomctl -addr $$addr metrics 2>/dev/null \
-			| grep -q '^fabric_workers 1$$' && break; sleep 0.1; \
-	done; \
-	./.fabric-check/boomctl -addr $$addr metrics | grep -q '^fabric_workers 1$$' \
-		|| { echo "fabric-smoke: worker never registered"; kill $$cpid $$wpid; exit 1; }; \
-	./.fabric-check/boomctl -addr $$addr submit -workloads sha,qsort -configs medium \
-		-scale tiny -wait > .fabric-check/fabric.json; \
-	./.fabric-check/boomctl -addr $$addr status > .fabric-check/status.json; \
-	grep -q 'smoke-w1' .fabric-check/status.json; \
-	./.fabric-check/boomctl -addr $$addr metrics > .fabric-check/metrics.txt; \
-	grep -q '^fabric_cells_done 4$$' .fabric-check/metrics.txt; \
-	! grep -q '^fabric_local_fallback [1-9]' .fabric-check/metrics.txt; \
-	kill -TERM $$wpid; wait $$wpid; \
-	kill -TERM $$cpid; wait $$cpid
-	set -e; \
-	./.fabric-check/boomd -addr 127.0.0.1:0 -q \
-		> .fabric-check/solo.txt 2> .fabric-check/solo.log & pid=$$!; \
-	for i in $$(seq 1 50); do \
-		grep -q 'listening on' .fabric-check/solo.txt 2>/dev/null && break; sleep 0.1; \
-	done; \
-	addr=$$(sed -n 's/^boomd: listening on //p' .fabric-check/solo.txt | head -1); \
-	test -n "$$addr" || { echo "fabric-smoke: solo boomd never bound"; kill $$pid; exit 1; }; \
-	./.fabric-check/boomctl -addr $$addr submit -workloads sha,qsort -configs medium \
-		-scale tiny -wait > .fabric-check/solo.json; \
-	kill -TERM $$pid; wait $$pid
-	cmp .fabric-check/fabric.json .fabric-check/solo.json
-	rm -rf .fabric-check
-	@echo "fabric-smoke: OK"
 
 # Fabric chaos drill: the full 11×3 conformance matrix on a 3-worker
 # in-process cluster where worker-0 corrupts every measure payload it
@@ -259,4 +131,4 @@ bench-measure:
 fidelity:
 	BOOM_FIDELITY=1 $(GO) test -run TestFidelityGate -count=1 -v ./internal/core
 
-check: vet race fuzz-smoke bench-smoke bench-measure fidelity cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos
+check: vet race fuzz-smoke bench-smoke bench-measure fidelity chaos resume-roundtrip fabric-chaos

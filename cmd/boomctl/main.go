@@ -20,8 +20,7 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,33 +42,17 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	// Global flags come before the subcommand; sub-flags after it.
-	addr := "127.0.0.1:8080"
-	timeout := 10 * time.Minute
-	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		switch {
-		case args[0] == "-addr" && len(args) > 1:
-			addr = args[1]
-			args = args[2:]
-		case args[0] == "-timeout" && len(args) > 1:
-			d, err := time.ParseDuration(args[1])
-			if err != nil {
-				return fmt.Errorf("-timeout: %w", err)
-			}
-			timeout = d
-			args = args[2:]
-		default:
-			return usage()
-		}
+	fs := newFlagSet("boomctl")
+	addr := fs.String("addr", "127.0.0.1:8080", "")
+	timeout := fs.Duration("timeout", 10*time.Minute, "")
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	if len(args) == 0 {
+	if fs.NArg() == 0 {
 		return usage()
 	}
-	c := &client{
-		base: "http://" + addr,
-		http: &http.Client{Timeout: timeout},
-		out:  out,
-	}
-	cmd, rest := args[0], args[1:]
+	c := &client{Client: serve.NewClient(*addr, *timeout), out: out}
+	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "submit":
 		return c.submit(rest)
@@ -99,6 +82,21 @@ func run(args []string, out io.Writer) error {
 	return usage()
 }
 
+// newFlagSet returns a FlagSet that prints nothing itself; parse reports
+// what it objects to together with the one usage line.
+func newFlagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%v\n%v", err, usage())
+	}
+	return nil
+}
+
 func usage() error {
 	return fmt.Errorf("usage: boomctl [-addr HOST:PORT] [-timeout D] " +
 		"submit [-workloads a,b] [-configs x,y | -base CFG -axes 'p=v1,v2;…' -override 'p=v;…'] [-scale S] " +
@@ -107,144 +105,60 @@ func usage() error {
 }
 
 type client struct {
-	base string
-	http *http.Client
-	out  io.Writer
-}
-
-// sampl lazily allocates the request's sampling block, so the block is
-// emitted only when a sampling flag was actually given and flagless
-// submissions stay byte-identical to pre-sampling boomctl.
-func sampl(req *serve.SweepRequest) *serve.SamplingRequest {
-	if req.Sampling == nil {
-		req.Sampling = &serve.SamplingRequest{}
-	}
-	return req.Sampling
+	*serve.Client
+	out io.Writer
 }
 
 func (c *client) submit(args []string) error {
-	var req serve.SweepRequest
-	wait := false
-	for i := 0; i < len(args); i++ {
-		switch {
-		case args[i] == "-workloads" && i+1 < len(args):
-			i++
-			req.Workloads = splitList(args[i])
-		case args[i] == "-configs" && i+1 < len(args):
-			i++
-			req.Configs = splitList(args[i])
-		case args[i] == "-scale" && i+1 < len(args):
-			i++
-			req.Scale = args[i]
-		case args[i] == "-base" && i+1 < len(args):
-			i++
-			req.Base = args[i]
-		case args[i] == "-axes" && i+1 < len(args):
-			i++
-			axes, err := dse.ParseAxes(args[i])
-			if err != nil {
-				return fmt.Errorf("-axes: %w", err)
-			}
-			req.Axes = map[string][]serve.AxisValue{}
-			for _, ax := range axes {
-				vals := make([]serve.AxisValue, len(ax.Values))
-				for j, v := range ax.Values {
-					vals[j] = serve.AxisValue(v)
-				}
-				req.Axes[ax.Param] = vals
-			}
-		case args[i] == "-override" && i+1 < len(args):
-			i++
-			ovs, err := dse.ParseOverrides(args[i])
-			if err != nil {
-				return fmt.Errorf("-override: %w", err)
-			}
-			req.ConfigOverrides = map[string]serve.AxisValue{}
-			for _, ov := range ovs {
-				req.ConfigOverrides[ov.Param] = serve.AxisValue(ov.Value)
-			}
-		case args[i] == "-interval" && i+1 < len(args):
-			i++
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || n < 0 {
-				return fmt.Errorf("-interval %q: want a non-negative instruction count", args[i])
-			}
-			sampl(&req).Interval = n
-		case args[i] == "-features" && i+1 < len(args):
-			i++
-			sampl(&req).Features = args[i]
-		case args[i] == "-sp-dims" && i+1 < len(args):
-			i++
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 0 {
-				return fmt.Errorf("-sp-dims %q: want a non-negative integer", args[i])
-			}
-			sampl(&req).Dims = n
-		case args[i] == "-sp-maxk" && i+1 < len(args):
-			i++
-			n, err := strconv.Atoi(args[i])
-			if err != nil || n < 0 {
-				return fmt.Errorf("-sp-maxk %q: want a non-negative integer", args[i])
-			}
-			sampl(&req).MaxK = n
-		case args[i] == "-warmup" && i+1 < len(args):
-			i++
-			sampl(&req).Warmup = args[i]
-		case args[i] == "-wait":
-			wait = true
-		default:
-			return usage()
-		}
+	fs := newFlagSet("submit")
+	wl := fs.String("workloads", "", "")
+	configs := fs.String("configs", "", "")
+	scale := fs.String("scale", "", "")
+	spec := dse.Spec{}
+	fs.StringVar(&spec.Base, "base", "", "")
+	axes := fs.String("axes", "", "")
+	overrides := fs.String("override", "", "")
+	interval := fs.Int64("interval", 0, "")
+	features := fs.String("features", "", "")
+	dims := fs.Int("sp-dims", 0, "")
+	maxK := fs.Int("sp-maxk", 0, "")
+	warmup := fs.String("warmup", "", "")
+	wait := fs.Bool("wait", false, "")
+	if err := parse(fs, args); err != nil {
+		return err
 	}
-	body, err := json.Marshal(req)
+	if fs.NArg() > 0 {
+		return usage()
+	}
+	var err error
+	if spec.Axes, err = dse.ParseAxes(*axes); err != nil {
+		return fmt.Errorf("-axes: %w", err)
+	}
+	if spec.Overrides, err = dse.ParseOverrides(*overrides); err != nil {
+		return fmt.Errorf("-override: %w", err)
+	}
+	req := serve.RequestFromSpec(spec)
+	req.Workloads, req.Configs, req.Scale = serve.SplitList(*wl), serve.SplitList(*configs), *scale
+	req.Sampling = serve.SamplingBlock(*interval, *features, *dims, *maxK, *warmup)
+	st, err := c.Submit(req)
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Post(c.base+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	b, err := readBody(resp)
-	if err != nil {
-		return err
-	}
-	var st serve.Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("decoding submit response: %w", err)
-	}
-	if !wait {
+	if !*wait {
 		fmt.Fprintln(c.out, st.ID)
 		return nil
 	}
 	return c.result(st.ID, true)
 }
 
-// result fetches the canonical result JSON; with wait it long-polls until
-// the job is terminal (re-polling if a proxy cuts the long poll short).
+// result prints a job's canonical result JSON (see serve.Client.Result).
 func (c *client) result(id string, wait bool) error {
-	for {
-		url := c.base + "/v1/sweeps/" + id + "/result"
-		if wait {
-			url += "?wait=1"
-		}
-		resp, err := c.http.Get(url)
-		if err != nil {
-			return err
-		}
-		b, err := readBody(resp)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusAccepted {
-			if !wait {
-				return fmt.Errorf("sweep %s not finished (use -wait)", id)
-			}
-			time.Sleep(200 * time.Millisecond)
-			continue
-		}
-		_, werr := c.out.Write(b)
-		return werr
+	b, err := c.Result(id, wait)
+	if err != nil {
+		return err
 	}
+	_, err = c.out.Write(b)
+	return err
 }
 
 // drainRetries bounds how many 503 drain rejections a read is retried
@@ -275,7 +189,7 @@ func retryDelay(attempt int, retryAfter string) time.Duration {
 
 func (c *client) get(path string) error {
 	for attempt := 0; ; attempt++ {
-		resp, err := c.http.Get(c.base + path)
+		resp, err := c.HTTP.Get(c.Base + path)
 		if err != nil {
 			return err
 		}
@@ -290,40 +204,11 @@ func (c *client) get(path string) error {
 				continue
 			}
 		}
-		b, err := readBody(resp)
+		b, err := serve.ReadBody(resp)
 		if err != nil {
 			return err
 		}
 		_, werr := c.out.Write(b)
 		return werr
 	}
-}
-
-// readBody drains the response and turns non-2xx (other than 202, which
-// callers branch on) into an error carrying the server's message — plus
-// the Retry-After hint when the server sent one, so a draining node reads
-// as "retry after Ns", not a bare failure.
-func readBody(resp *http.Response) ([]byte, error) {
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			return nil, fmt.Errorf("%s: %s (retry after %ss)", resp.Status, bytes.TrimSpace(b), ra)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-	return b, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/engineflags"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
@@ -50,14 +52,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "boomd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is main minus the process boundary: it serves (or, with -worker,
+// polls) until ctx is canceled — main cancels it on SIGTERM/SIGINT — and
+// then drains. stdout carries the one line scripts scrape for the bound
+// address (port 0 support); the lifecycle log goes to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("boomd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	ef := engineflags.Register(fs)
 	queueDepth := fs.Int("queue", 8, "job queue depth; excess submissions get 429")
@@ -80,10 +89,10 @@ func run(args []string) error {
 	}
 
 	logf := func(format string, a ...interface{}) {
-		fmt.Fprintf(os.Stderr, "boomd: "+format+"\n", a...)
+		fmt.Fprintf(stderr, "boomd: "+format+"\n", a...)
 	}
 	if *workerMode {
-		return runWorker(*coordinator, *workerID, ef, logf)
+		return runWorker(ctx, *coordinator, *workerID, ef.Engine, logf, stdout)
 	}
 
 	// Every daemon embeds a fabric coordinator; with no registered workers
@@ -95,34 +104,22 @@ func run(args []string) error {
 		store = artifact.Open(ef.CacheDir)
 	}
 	coord := fabric.NewCoordinator(fabric.Config{
-		Store:      store,
-		Registry:   reg,
-		Lease:      *lease,
-		KeepGoing:  ef.KeepGoing,
-		Resume:     ef.Resume,
-		JournalDir: ef.CacheDir,
-		AuditFrac:  *audit,
-		Injector:   ef.Injector(),
-		Log:        logf,
+		Engine:    ef.Engine,
+		Store:     store,
+		Registry:  reg,
+		Lease:     *lease,
+		AuditFrac: *audit,
+		Log:       logf,
 	})
 	srv, err := serve.New(serve.Config{
-		CacheDir:         ef.CacheDir,
-		CacheVerify:      ef.CacheVerify,
-		Resume:           ef.Resume,
-		Retries:          ef.Retries,
-		StageTimeout:     ef.StageTimeout,
-		KeepGoing:        ef.KeepGoing,
-		Chaos:            ef.Chaos,
-		Parallelism:      ef.Jobs,
-		PointParallelism: ef.PointJobs,
-		Sampling:         ef.Sampling(),
-		QueueDepth:       *queueDepth,
-		SweepWorkers:     *workers,
-		Log:              logf,
-		Progress:         !*quiet,
-		Registry:         reg,
-		RemoteStore:      ef.RemoteStore,
-		Distribute:       coord.RunCampaign,
+		Engine:       ef.Engine,
+		Sampling:     ef.Sampling(),
+		QueueDepth:   *queueDepth,
+		SweepWorkers: *workers,
+		Log:          logf,
+		Progress:     !*quiet,
+		Registry:     reg,
+		Distribute:   coord.RunCampaign,
 	})
 	if err != nil {
 		return err
@@ -133,8 +130,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Stdout so scripts can scrape the bound address (port 0 support).
-	fmt.Printf("boomd: listening on %s\n", ln.Addr())
+	fmt.Fprintf(stdout, "boomd: listening on %s\n", ln.Addr())
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/fabric/", coord.Handler())
@@ -144,14 +140,11 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
 
 	logf("signal received; draining (grace %s)", *grace)
 	dctx, cancel := context.WithTimeout(context.Background(), *grace)
@@ -167,41 +160,25 @@ func run(args []string) error {
 }
 
 // runWorker is -worker mode: one fabric worker polling a coordinator
-// until SIGTERM/SIGINT. The worker's cache directory (-cache, or a temp
-// dir) is its local artifact tier over the coordinator's store. RPCs use
-// the split -remote-connect-timeout/-remote-timeout client; with -chaos,
-// the same plan arms both the pipeline sites and — via the transport
-// wrapper — the network-boundary sites, scoped to this worker's ID.
-func runWorker(coordinator, id string, ef *engineflags.Flags, logf func(string, ...interface{})) error {
+// until ctx is canceled. What the engine flags mean to a worker — the
+// cache as its local tier over the coordinator's store, the split RPC
+// timeouts, one -chaos plan arming pipeline and network sites alike — is
+// fabric.WorkerConfig.Engine's to say.
+func runWorker(ctx context.Context, coordinator, id string, engine core.Engine, logf func(string, ...interface{}), stdout io.Writer) error {
 	if coordinator == "" {
 		return fmt.Errorf("-worker requires -coordinator URL")
 	}
-	if id == "" {
-		id = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	var hc *http.Client
-	if ef.Injector() != nil {
-		hc = ef.RemoteClient(id)
-	}
 	w, err := fabric.NewWorker(fabric.WorkerConfig{
-		Coordinator:      coordinator,
-		ID:               id,
-		CacheDir:         ef.CacheDir,
-		Registry:         metrics.NewRegistry(),
-		Injector:         ef.Injector(),
-		HTTPClient:       hc,
-		ConnectTimeout:   ef.RemoteConnect,
-		RPCTimeout:       ef.RemoteTimeout,
-		Parallelism:      ef.Jobs,
-		PointParallelism: ef.PointJobs,
-		Log:              logf,
+		Coordinator: coordinator,
+		ID:          id,
+		Engine:      engine,
+		Registry:    metrics.NewRegistry(),
+		Log:         logf,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("boomd: worker %s polling %s\n", w.ID(), coordinator)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	fmt.Fprintf(stdout, "boomd: worker %s polling %s\n", w.ID(), coordinator)
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		return err
 	}

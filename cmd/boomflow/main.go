@@ -110,9 +110,7 @@ func main() {
 	}
 	opts = append(opts, engineOpts...)
 	reg := ef.MetricsRegistry()
-	if reg != nil {
-		opts = append(opts, core.WithMetrics(reg))
-	}
+	opts = append(opts, core.WithMetrics(reg))
 	runner := core.New(fc, opts...)
 	ctx := context.Background()
 

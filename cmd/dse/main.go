@@ -13,25 +13,23 @@
 // (POST /v1/sweeps with the parametric v2 body). Both paths produce the
 // same canonical result bytes, so the frontier is bit-identical however
 // the campaign executed. -json emits the canonical frontier encoding; the
-// default is a human-readable table. With -cache DIR the profile stages
+// default is a human-readable table. The in-process path takes the shared
+// engine flags (internal/engineflags): with -cache DIR the profile stages
 // are shared across runs and design points through the artifact cache.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/sampling"
+	"repro/internal/engineflags"
 	"repro/internal/serve"
 	"repro/internal/workloads"
 )
@@ -53,15 +51,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scaleFlag := fs.String("scale", "tiny", "workload scale: tiny|default|paper")
 	addr := fs.String("addr", "", "run through a boomd daemon at HOST:PORT instead of in-process")
 	jsonOut := fs.Bool("json", false, "emit the canonical frontier JSON instead of the text table")
-	cacheDir := fs.String("cache", "", "artifact cache directory for the in-process path")
 	params := fs.Bool("params", false, "list the sweepable parameters and exit")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	timeout := fs.Duration("timeout", 10*time.Minute, "HTTP client timeout for -addr")
-	interval := fs.Int64("interval", 0, "sampling interval in instructions (0 = per-workload default)")
-	features := fs.String("features", "", "SimPoint clustering features: bbv|bbv+mav (empty = bbv)")
-	spDims := fs.Int("sp-dims", 0, "SimPoint projection dimensions (0 = flow default)")
-	spMaxK := fs.Int("sp-maxk", 0, "SimPoint cluster-count ceiling (0 = flow default)")
-	warmup := fs.String("warmup", "", "warm-up before each measured SimPoint: none, an instruction count, or a factor like 5x")
+	// The engine flags govern the in-process path; with -addr the daemon's
+	// own engine runs the campaign and only the sampling flags travel.
+	ef := engineflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,43 +75,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	spec := dse.Spec{Base: *base}
-	if *axesFlag != "" {
-		if spec.Axes, err = dse.ParseAxes(*axesFlag); err != nil {
-			return err
-		}
+	if spec.Axes, err = dse.ParseAxes(*axesFlag); err != nil {
+		return err
 	}
-	if *ovFlag != "" {
-		if spec.Overrides, err = dse.ParseOverrides(*ovFlag); err != nil {
-			return err
-		}
+	if spec.Overrides, err = dse.ParseOverrides(*ovFlag); err != nil {
+		return err
 	}
-	names := splitList(*wl)
+	names := serve.SplitList(*wl)
 	if len(names) == 0 {
 		names = workloads.Names()
 	}
-	policy, insts, factor, err := sampling.ParseWarmup(*warmup)
-	if err != nil {
-		return fmt.Errorf("-warmup: %w", err)
-	}
-	sspec := sampling.Spec{
-		Interval:     *interval,
-		Features:     *features,
-		Dims:         *spDims,
-		MaxK:         *spMaxK,
-		WarmupPolicy: policy,
-		WarmupInsts:  insts,
-		WarmupFactor: factor,
-	}
-	if err := sspec.Validate(); err != nil {
+	if err := ef.Validate(); err != nil {
 		return err
 	}
 
 	var result serve.SweepResult
 	var raw []byte
 	if *addr != "" {
-		raw, err = runRemote(*addr, *timeout, names, spec, *scaleFlag, sspec, *warmup)
+		// Submit runLocal's campaign exactly — same spec fields, warm-up in
+		// its CLI spelling — so both paths fingerprint identically, then
+		// long-poll the canonical result.
+		req := serve.RequestFromSpec(spec)
+		req.Workloads, req.Scale = names, *scaleFlag
+		req.Sampling = serve.SamplingBlock(ef.Interval, ef.Features, ef.SPDims, ef.SPMaxK, ef.Warmup)
+		c := serve.NewClient(*addr, *timeout)
+		var st serve.Status
+		if st, err = c.Submit(req); err == nil {
+			raw, err = c.Result(st.ID, true)
+		}
 	} else {
-		raw, err = runLocal(names, spec, sspec, scale, *cacheDir, *quiet, stderr)
+		raw, err = runLocal(names, spec, ef, scale, *quiet, stderr)
 	}
 	if err != nil {
 		return err
@@ -152,24 +140,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 // runLocal expands the spec and drives the campaign through core.Runner,
 // then encodes with the serving encoder so the bytes match a boomd run of
 // the same campaign.
-func runLocal(names []string, spec dse.Spec, sspec sampling.Spec, scale workloads.Scale, cacheDir string, quiet bool, stderr io.Writer) ([]byte, error) {
+func runLocal(names []string, spec dse.Spec, ef *engineflags.Flags, scale workloads.Scale, quiet bool, stderr io.Writer) ([]byte, error) {
 	cfgs, err := dse.Expand(spec)
 	if err != nil {
 		return nil, err
 	}
+	opts, err := ef.Options()
+	if err != nil {
+		return nil, err
+	}
 	camp := core.NewCampaign(names, cfgs, scale)
-	camp.Sampling = sspec
+	camp.Sampling = ef.Sampling()
 	if err := camp.Validate(); err != nil {
 		return nil, err
 	}
-	opts := []core.Option{core.WithScale(scale)}
+	opts = append(opts, core.WithScale(scale))
 	if !quiet {
 		fmt.Fprintf(stderr, "exploring %d design point(s) × %d workload(s) at %s scale\n",
 			len(cfgs), len(names), scale)
 		opts = append(opts, core.WithProgress(func(s string) { fmt.Fprintln(stderr, s) }))
-	}
-	if cacheDir != "" {
-		opts = append(opts, core.WithCache(cacheDir))
 	}
 	r := core.New(core.FlowConfigFor(scale), opts...)
 	sw, err := r.Sweep(context.Background(), camp)
@@ -177,92 +166,4 @@ func runLocal(names []string, spec dse.Spec, sspec sampling.Spec, scale workload
 		return nil, err
 	}
 	return serve.EncodeSweep(r.CampaignID(camp), scale, sw)
-}
-
-// runRemote submits the parametric v2 body to a boomd daemon and
-// long-polls the canonical result.
-func runRemote(addr string, timeout time.Duration, names []string, spec dse.Spec, scale string, sspec sampling.Spec, warmup string) ([]byte, error) {
-	req := serve.SweepRequest{Workloads: names, Scale: scale, Base: spec.Base}
-	if !sspec.IsZero() {
-		// Mirror runLocal's campaign exactly: same spec fields, warm-up in
-		// its CLI spelling, so both paths fingerprint identically.
-		req.Sampling = &serve.SamplingRequest{
-			Interval: sspec.Interval,
-			Features: sspec.Features,
-			Dims:     sspec.Dims,
-			MaxK:     sspec.MaxK,
-			Warmup:   warmup,
-		}
-	}
-	if len(spec.Overrides) > 0 {
-		req.ConfigOverrides = map[string]serve.AxisValue{}
-		for _, s := range spec.Overrides {
-			req.ConfigOverrides[s.Param] = serve.AxisValue(s.Value)
-		}
-	}
-	if len(spec.Axes) > 0 {
-		req.Axes = map[string][]serve.AxisValue{}
-		for _, a := range spec.Axes {
-			vals := make([]serve.AxisValue, len(a.Values))
-			for i, v := range a.Values {
-				vals[i] = serve.AxisValue(v)
-			}
-			req.Axes[a.Param] = vals
-		}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	client := &http.Client{Timeout: timeout}
-	base := "http://" + addr
-	resp, err := client.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	b, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	var st serve.Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, fmt.Errorf("decoding submit response: %w", err)
-	}
-	for {
-		rr, err := client.Get(base + "/v1/sweeps/" + st.ID + "/result?wait=1")
-		if err != nil {
-			return nil, err
-		}
-		rb, err := readBody(rr)
-		if err != nil {
-			return nil, err
-		}
-		if rr.StatusCode == http.StatusAccepted {
-			time.Sleep(200 * time.Millisecond)
-			continue
-		}
-		return rb, nil
-	}
-}
-
-func readBody(resp *http.Response) ([]byte, error) {
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-	}
-	return b, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -28,30 +28,19 @@ func main() {
 	cacheVerify := flag.Bool("cache-verify", false, "recompute every cache hit and fail on divergence")
 	flag.Parse()
 
-	var scale workloads.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = workloads.ScaleTiny
-	case "default":
-		scale = workloads.ScaleDefault
-	case "paper":
-		scale = workloads.ScalePaper
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
+	scale, err := workloads.ParseScale(*scaleFlag)
+	if err != nil {
+		fatal(err)
 	}
-
 	w, err := workloads.Build(*bench, scale)
 	if err != nil {
 		fatal(err)
 	}
-	fc := core.FlowConfigFor(scale)
-	opts := []core.Option{core.WithScale(scale)}
-	if *cacheDir != "" {
-		opts = append(opts, core.WithCache(*cacheDir), core.WithCacheVerify(*cacheVerify))
-	} else if *cacheVerify {
-		fatal(fmt.Errorf("-cache-verify requires -cache DIR"))
+	opts, err := core.Engine{CacheDir: *cacheDir, CacheVerify: *cacheVerify}.Options()
+	if err != nil {
+		fatal(err)
 	}
-	runner := core.New(fc, opts...)
+	runner := core.New(core.FlowConfigFor(scale), append(opts, core.WithScale(scale))...)
 	p, err := runner.Profile(context.Background(), w)
 	if err != nil {
 		fatal(err)

@@ -94,9 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}))
 	}
 	reg := ef.MetricsRegistry()
-	if reg != nil {
-		opts = append(opts, core.WithMetrics(reg))
-	}
+	opts = append(opts, core.WithMetrics(reg))
 	camp := core.NewCampaign(workloads.Names(), configs, scale)
 	camp.Sampling = ef.Sampling()
 	sw, err := core.New(fc, opts...).Sweep(context.Background(), camp)

@@ -34,8 +34,9 @@ func main() {
 	cacheDir := flag.String("cache", "", "artifact cache directory (empty = no caching)")
 	cacheVerify := flag.Bool("cache-verify", false, "recompute every cache hit and fail on divergence")
 	flag.Parse()
-	if *cacheVerify && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "validate: -cache-verify requires -cache DIR")
+	opts, err := core.Engine{CacheDir: *cacheDir, CacheVerify: *cacheVerify}.Options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "validate:", err)
 		os.Exit(1)
 	}
 
@@ -61,12 +62,7 @@ func main() {
 	}
 
 	// 2. SimPoint flow accuracy on one workload.
-	fc := core.DefaultFlowConfig()
-	opts := []core.Option{core.WithScale(workloads.ScaleTiny)}
-	if *cacheDir != "" {
-		opts = append(opts, core.WithCache(*cacheDir), core.WithCacheVerify(*cacheVerify))
-	}
-	runner := core.New(fc, opts...)
+	runner := core.New(core.DefaultFlowConfig(), append(opts, core.WithScale(workloads.ScaleTiny))...)
 	ctx := context.Background()
 	acc, err := runner.Validate(ctx, "bitcount", boom.LargeBOOM())
 	if err != nil {

@@ -3,24 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/asap7"
 	"repro/internal/backoff"
 	"repro/internal/bbv"
 	"repro/internal/boom"
 	"repro/internal/ckpt"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/mav"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -76,171 +71,6 @@ type Runner struct {
 	inj          *faultinject.Injector
 	taskHook     func(completed int)
 	tasksDone    atomic.Int64
-}
-
-// Option configures a Runner.
-type Option func(*Runner)
-
-// WithScale sets the workload scale used when the Runner builds workloads
-// by name (Sweep, Validate). Default: workloads.ScaleTiny.
-func WithScale(s workloads.Scale) Option {
-	return func(r *Runner) { r.scale = s }
-}
-
-// WithLib overrides the ASAP7 library used for power estimation.
-func WithLib(lib asap7.Library) Option {
-	return func(r *Runner) { r.fc.Lib = lib }
-}
-
-// WithSampling sets the Runner's sampling spec, used by direct
-// Profile/Run/Validate calls and by Sweep when the campaign itself
-// carries no spec. The zero value (the default) means the implicit
-// defaults: per-workload interval, BBV-only features, the flow's
-// clustering and warm-up. A campaign with a non-zero Sampling field
-// overrides this for its sweep, the way campaign scale already overrides
-// WithScale.
-func WithSampling(spec sampling.Spec) Option {
-	return func(r *Runner) { r.sampling = spec }
-}
-
-// WithMetrics attaches a metrics registry: per-stage spans under the
-// "flow" root span, functional/detailed throughput, k-means stats, and
-// sweep worker utilization. A nil registry disables instrumentation.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(r *Runner) { r.reg = reg }
-}
-
-// WithParallelism sets the Runner's total worker budget: the number of
-// Sweep workers, and — shared with them through one slot semaphore — the
-// ceiling on concurrent intra-cell point workers (see
-// WithPointParallelism). Values below 1 mean "one worker". Default:
-// runtime.GOMAXPROCS(0). Results are bit-identical for every parallelism
-// level — each (workload, config) measurement is an isolated deterministic
-// core+CPU pair, and within a cell the per-point reduction is replayed
-// serially in checkpoint order (DESIGN §17).
-func WithParallelism(n int) Option {
-	return func(r *Runner) { r.par = n }
-}
-
-// WithPointParallelism caps how many simulation points of one (workload,
-// config) cell may be measured concurrently. The default (any n < 1)
-// shares the WithParallelism budget: a cell fans its points out over
-// whatever slots the sweep leaves idle, so a single-workload campaign
-// uses all of -j while a saturated 11×3 sweep degrades each cell to
-// serial measurement — the combined goroutine count never exceeds -j.
-// n = 1 forces strictly serial point measurement. Results are
-// bit-identical at every setting.
-func WithPointParallelism(n int) Option {
-	return func(r *Runner) { r.pointPar = n }
-}
-
-// WithProgress installs a callback receiving human-readable step strings.
-func WithProgress(fn func(string)) Option {
-	return func(r *Runner) { r.progress = fn }
-}
-
-// WithCache attaches a content-addressed artifact cache rooted at dir.
-// Every stage then does lookup → compute-on-miss → atomic write, keyed by
-// a hash of the stage's full input closure (see internal/core/cache.go).
-// Results are bit-identical with and without a cache; an empty dir
-// disables caching.
-func WithCache(dir string) Option {
-	return func(r *Runner) {
-		if dir == "" {
-			r.cache = nil
-			return
-		}
-		r.cache = artifact.Open(dir)
-	}
-}
-
-// WithRemoteStore attaches a remote artifact store as a second cache
-// tier (see artifact.Cache.SetRemote): local misses fall through to a
-// checksum-verified remote fetch, and every Put is pushed through to the
-// store so stages computed on this node are visible to every node sharing
-// it. This is how the distributed sweep fabric (internal/fabric) gets the
-// paper's one-profile-per-workload economy across machines. Requires
-// WithCache (the local tier is the read-through cache); without a cache
-// the remote is ignored.
-func WithRemoteStore(remote *artifact.Remote) Option {
-	return func(r *Runner) { r.remote = remote }
-}
-
-// WithCacheVerify makes every cache hit recompute the stage and
-// byte-compare the canonical payloads, turning silent cache corruption or
-// nondeterminism into a hard error. A no-op without WithCache.
-func WithCacheVerify(v bool) Option {
-	return func(r *Runner) { r.verify = v }
-}
-
-// WithStageTimeout bounds each pipeline stage execution with a deadline: a
-// workload's profile/select/checkpoint stages individually, and each
-// (workload, config) measurement body as one unit. Enforcement is
-// cooperative — the deadline is observed at the same interval boundaries
-// as context cancellation — and a tripped watchdog surfaces as a transient
-// error (errors.Is context.DeadlineExceeded), so WithRetry can re-run the
-// stage. Zero (the default) disables the watchdog.
-func WithStageTimeout(d time.Duration) Option {
-	return func(r *Runner) { r.stageTimeout = d }
-}
-
-// WithRetry allows up to n retries (n+1 attempts) per sweep task when the
-// failure is transient (see IsTransient): injected chaos, cache I/O, a
-// tripped watchdog. Waits between attempts grow exponentially from base
-// (base, 2·base, 4·base, …) without jitter: a sweep retries in-process
-// faults, there is no fleet to de-synchronize. Deterministic model errors —
-// deadlocks, invalid configs, diverged checkpoints — are never retried.
-// Retries apply to Sweep tasks; direct Profile/Run calls fail on first
-// error.
-func WithRetry(n int, base time.Duration) Option {
-	return func(r *Runner) {
-		if n < 0 {
-			n = 0
-		}
-		if base <= 0 {
-			base = 10 * time.Millisecond
-		}
-		// Max is the last wait, so the doubling is never capped.
-		r.retry = backoff.Policy{Attempts: n + 1, Base: base, Max: base << max(n-1, 0), Jitter: -1}
-	}
-}
-
-// WithKeepGoing makes Sweep run every task regardless of failures, collect
-// every task error into a *SweepErrors, and still return all successfully
-// measured Results: a long campaign loses exactly the faulted (workload,
-// config) pairs, nothing else. Without it (the default), the first failure
-// aborts the sweep and the remaining tasks are drained unrun.
-func WithKeepGoing(v bool) Option {
-	return func(r *Runner) { r.keepGoing = v }
-}
-
-// WithResume replays the sweep journal left under the cache directory by a
-// previous (killed or failed) run of the identical campaign: tasks with a
-// "done" record are served straight from their cache artifacts and only
-// unfinished or failed tasks recompute. Requires WithCache; a journal from
-// a different campaign (different workloads, configs, flow parameters or
-// scale) is ignored.
-func WithResume(v bool) Option {
-	return func(r *Runner) { r.resume = v }
-}
-
-// WithFaultInjector attaches a deterministic fault-injection plan (see
-// internal/faultinject). The injector is threaded into every fault site
-// the Runner controls: core.profile/<wl>, core.measure/<wl>/<cfg>,
-// core.estimate/<wl>/<cfg> at each per-point power estimate,
-// boom.tick/<wl>/<cfg> inside the detailed model, and the artifact cache's
-// read/write sites. Nil (the default) disables every site.
-func WithFaultInjector(inj *faultinject.Injector) Option {
-	return func(r *Runner) { r.inj = inj }
-}
-
-// WithTaskHook installs fn, called after every successfully completed
-// sweep task with the Runner's running completion count. This is an
-// operational hook for crash drills and progress-driven tooling (e.g.
-// "kill the process after N tasks" in resume tests); fn runs on worker
-// goroutines and must be safe for concurrent use.
-func WithTaskHook(fn func(completed int)) Option {
-	return func(r *Runner) { r.taskHook = fn }
 }
 
 // New returns a Runner for the given flow configuration.
@@ -868,348 +698,6 @@ func (r *Runner) measureFull(ctx context.Context, w *workloads.Workload, cfg boo
 	res.Slots = est.SlotPower(st)
 	res.DetailedInsts = ran
 	return nil
-}
-
-// Sweep profiles every campaign workload once (at the campaign's scale)
-// and evaluates it on every design point with the SimPoint flow: N
-// configs share one profile/select/checkpoint per workload, both within
-// the sweep (phase 1 runs once per workload) and across sweeps (the
-// profile stages are config-independent, so their cache artifacts feed
-// every design point that ever measures the workload). Work is spread
-// across the Runner's parallelism — every (workload, config) measurement
-// is independent and deterministic, so results are bit-identical to a
-// serial run regardless of worker count, metrics attachment, cache state,
-// retries, or which sibling tasks failed.
-//
-// Failure semantics: by default the first task error aborts the sweep
-// (remaining tasks drain unrun) and Sweep returns (nil, err). Under
-// WithKeepGoing, every task runs, all failures are collected into a
-// *SweepErrors, and Sweep returns the partial *Sweep TOGETHER WITH the
-// error — callers render what succeeded and report what did not. Missing
-// entries in Results mark the failed pairs.
-func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
-	names, configs := camp.Workloads, camp.Configs
-	var noteMu sync.Mutex
-	note := func(format string, args ...interface{}) {
-		noteMu.Lock()
-		r.note(format, args...)
-		noteMu.Unlock()
-	}
-	spec := r.effectiveSpec(camp)
-	sw := &Sweep{
-		Flow:     r.fc,
-		Scale:    camp.Scale,
-		Sampling: spec,
-		Names:    append([]string(nil), names...),
-		Profiles: map[string]*Profile{},
-		Results:  map[string]map[string]*Result{},
-	}
-	for _, cfg := range configs {
-		sw.ConfigNames = append(sw.ConfigNames, cfg.Name)
-		sw.Results[cfg.Name] = map[string]*Result{}
-	}
-	jn, doneSet := r.openSweepJournal(camp)
-	defer jn.Close()
-	var mu sync.Mutex
-
-	// Phase 1: profile every workload (parallel across workloads).
-	profErr := r.runTasks(ctx, jn, doneSet, taskSet{
-		stage: StageProfile,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "profile", workload: names[i]} },
-		do: func(ctx context.Context, i int) error {
-			name := names[i]
-			w, err := workloads.Build(name, camp.Scale)
-			if err != nil {
-				return wrapStage(StageProfile, name, "", err)
-			}
-			note("profiling %-14s (%s scale)", name, camp.Scale)
-			p, err := r.profileWith(ctx, w, spec)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sw.Profiles[name] = p
-			mu.Unlock()
-			note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
-				name, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
-				100*p.Selection.Coverage)
-			return nil
-		},
-	})
-	if profErr != nil && !r.keepGoing {
-		return nil, profErr
-	}
-
-	// Phase 2: measure every (config, workload) pair (parallel). Pairs
-	// whose workload failed to profile are already accounted in profErr
-	// and skipped here.
-	type pair struct {
-		cfg  boom.Config
-		name string
-	}
-	var pairs []pair
-	for _, cfg := range configs {
-		for _, name := range names {
-			if sw.Profiles[name] == nil {
-				continue
-			}
-			pairs = append(pairs, pair{cfg, name})
-		}
-	}
-	var measErr error
-	if ctx.Err() == nil {
-		measErr = r.runTasks(ctx, jn, doneSet, taskSet{
-			stage: StageMeasure,
-			n:     len(pairs),
-			id: func(i int) taskID {
-				return taskID{kind: "measure", workload: pairs[i].name, config: pairs[i].cfg.Name}
-			},
-			do: func(ctx context.Context, i int) error {
-				pr := pairs[i]
-				note("measuring %-14s on %s", pr.name, pr.cfg.Name)
-				res, err := r.Run(ctx, sw.Profiles[pr.name], pr.cfg)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				sw.Results[pr.cfg.Name][pr.name] = res
-				mu.Unlock()
-				return nil
-			},
-		})
-	} else if profErr == nil {
-		profErr = &StageError{Stage: StageMeasure, Err: ctx.Err()}
-	}
-	if !r.keepGoing {
-		if measErr != nil {
-			return nil, measErr
-		}
-		return sw, nil
-	}
-	var errs []error
-	for _, e := range []error{profErr, measErr} {
-		var se *SweepErrors
-		switch {
-		case e == nil:
-		case errors.As(e, &se):
-			errs = append(errs, se.Errs...)
-		default:
-			errs = append(errs, e)
-		}
-	}
-	if len(errs) > 0 {
-		return sw, &SweepErrors{Errs: errs}
-	}
-	return sw, nil
-}
-
-// taskID names one sweep task for journaling and failure identity.
-type taskID struct {
-	kind     string // "profile" | "measure"
-	workload string
-	config   string // empty for profile tasks
-}
-
-func (id taskID) label() string {
-	if id.config == "" {
-		return id.kind + "/" + id.workload
-	}
-	return id.kind + "/" + id.config + "/" + id.workload
-}
-
-func (id taskID) stage() string {
-	if id.kind == "profile" {
-		return StageProfile
-	}
-	return StageMeasure
-}
-
-// taskSet is one parallel phase of a sweep.
-type taskSet struct {
-	stage string
-	n     int
-	id    func(i int) taskID
-	do    func(ctx context.Context, i int) error
-}
-
-// runTasks runs a task set on a fixed worker pool under supervision,
-// recording per-worker busy time and utilization plus task queue-wait into
-// the registry. Fail-fast mode (the default) returns the first error and
-// drains the remaining queue unrun; keep-going mode runs everything and
-// returns a *SweepErrors. Drained tasks increment core.sweep.tasks_drained
-// and are excluded from the tasks counter, queue-wait histogram and worker
-// busy time. A canceled context surfaces as a *StageError naming the phase
-// in flight and wrapping ctx.Err().
-func (r *Runner) runTasks(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, ts taskSet) error {
-	if ts.n == 0 {
-		return nil
-	}
-	workers := r.par
-	if workers > ts.n {
-		workers = ts.n
-	}
-	type item struct {
-		idx        int
-		enqueuedNS int64
-	}
-	ch := make(chan item, ts.n)
-	start := time.Now()
-	qwait := r.reg.Histogram("core.sweep.queue_wait_ns")
-	tasks := r.reg.Counter("core.sweep.tasks")
-	drained := r.reg.Counter("core.sweep.tasks_drained")
-
-	var mu sync.Mutex
-	var errs []error
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(errs) > 0
-	}
-	record := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-		r.reg.Counter("core.sweep.tasks_failed").Inc()
-	}
-	busyNS := make([]int64, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for it := range ch {
-				if (!r.keepGoing && failed()) || ctx.Err() != nil {
-					drained.Inc()
-					continue // drain without running (and without accounting)
-				}
-				t0 := time.Now()
-				qwait.Observe(t0.UnixNano() - it.enqueuedNS)
-				// One task holds one slot of the shared -j budget for its
-				// whole attempt chain; intra-cell point helpers try-acquire
-				// the remainder (points.go), so sweep workers plus point
-				// workers never exceed -j goroutines combined.
-				r.sem <- struct{}{}
-				err := r.runTask(ctx, jn, doneSet, ts.id(it.idx),
-					func(c context.Context) error { return ts.do(c, it.idx) })
-				<-r.sem
-				if err != nil {
-					record(err)
-				}
-				tasks.Inc()
-				busyNS[wk] += time.Since(t0).Nanoseconds()
-			}
-		}(wk)
-	}
-	for i := 0; i < ts.n; i++ {
-		ch <- item{i, time.Now().UnixNano()}
-	}
-	close(ch)
-	wg.Wait()
-	if r.reg != nil {
-		wall := time.Since(start).Nanoseconds()
-		for wk := 0; wk < workers; wk++ {
-			r.reg.Counter(fmt.Sprintf("core.sweep.worker.%02d.busy_ns", wk)).Add(busyNS[wk])
-			r.reg.Gauge(fmt.Sprintf("core.sweep.worker.%02d.util", wk)).
-				Set(utilization(busyNS[wk], wall))
-		}
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		errs = append(errs, &StageError{Stage: ts.stage, Err: cerr})
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	if !r.keepGoing {
-		return errs[0]
-	}
-	return &SweepErrors{Errs: errs}
-}
-
-// utilization returns the busy/wall worker-utilization ratio as a finite
-// value in [0, 1]. A zero or negative wall clock — a degenerate or instant
-// sweep on a coarse clock — must yield 0, never NaN or ±Inf: the ratio
-// lands in a gauge that -metrics json marshals, and encoding/json rejects
-// non-finite numbers outright, so one bad division would kill the whole
-// metrics emission. Busy time can marginally exceed the wall measurement
-// (the two clock reads are not atomic), so the ratio is clamped at 1.
-func utilization(busyNS, wallNS int64) float64 {
-	if wallNS <= 0 || busyNS <= 0 {
-		return 0
-	}
-	if u := float64(busyNS) / float64(wallNS); u < 1 {
-		return u
-	}
-	return 1
-}
-
-// runTask supervises one task: journal bookkeeping and resume accounting,
-// then guarded attempts under the Runner's retry policy (WithRetry), which
-// only transient errors get to use.
-func (r *Runner) runTask(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, id taskID, do func(context.Context) error) error {
-	resumed := doneSet[id.label()]
-	if resumed {
-		r.reg.Counter("core.sweep.tasks_resumed").Inc()
-	} else {
-		jn.Append(journal.Record{Ev: "start", Task: id.label()})
-	}
-	t0 := time.Now()
-	var err error
-	attempts := 0
-	rerr := backoff.Retry(ctx, r.retry, func(ctx context.Context) error {
-		if attempts++; attempts > 1 {
-			r.reg.Counter("core.sweep.retries").Inc()
-		}
-		if err = r.attempt(ctx, id, do); err != nil && !IsTransient(err) {
-			return backoff.Permanent(err)
-		}
-		return err
-	})
-	if attempts == 0 {
-		err = wrapStage(id.stage(), id.workload, id.config, rerr) // canceled before the first attempt
-	}
-	var se *StageError
-	if attempts > 1 && errors.As(err, &se) {
-		se.Attempt = attempts
-	}
-	if !resumed {
-		if err != nil {
-			jn.Append(journal.Record{Ev: "fail", Task: id.label(), Err: err.Error()})
-		} else {
-			jn.Append(journal.Record{Ev: "done", Task: id.label(), NS: time.Since(t0).Nanoseconds()})
-		}
-	}
-	if err == nil && r.taskHook != nil {
-		r.taskHook(int(r.tasksDone.Add(1)))
-	}
-	return err
-}
-
-// attempt runs one guarded try of a task: a panic anywhere below —
-// the detailed model, an artifact codec, a workload generator — is
-// recovered into a *StageError carrying the captured stack, and a tripped
-// per-stage watchdog (deadline exceeded while the sweep's own context is
-// still live) is classified transient so the retry policy applies.
-func (r *Runner) attempt(parent context.Context, id taskID, do func(context.Context) error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.reg.Counter("core.sweep.panics").Inc()
-			err = &StageError{
-				Stage:    id.stage(),
-				Workload: id.workload,
-				Config:   id.config,
-				Panicked: true,
-				Stack:    debug.Stack(),
-				Err:      fmt.Errorf("panic: %v", p),
-			}
-		}
-	}()
-	err = do(parent)
-	if err != nil && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		r.reg.Counter("core.sweep.timeouts").Inc()
-		err = Transient(err)
-	}
-	return err
 }
 
 // Validate runs both the SimPoint flow and the full detailed model for

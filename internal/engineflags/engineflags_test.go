@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 // parse registers the shared flags (plus metrics) on a throwaway FlagSet
@@ -94,33 +93,26 @@ func TestOptionsBuilt(t *testing.T) {
 	}
 }
 
-// TestRemoteClient: the remote-tier client carries the split
-// connect/response timeouts (no overall timeout — long polls must
-// survive), and a -chaos plan arms the network boundary by wrapping the
-// transport in a faultinject.Transport with the caller's peer scope.
-func TestRemoteClient(t *testing.T) {
-	f := parse(t, "-remote-connect-timeout", "1s", "-remote-timeout", "2s")
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	hc := f.RemoteClient("")
-	if hc.Timeout != 0 {
-		t.Errorf("overall client timeout %s; must be 0 so long polls survive", hc.Timeout)
-	}
-	if _, ok := hc.Transport.(*faultinject.Transport); ok {
-		t.Error("transport chaos-wrapped without a -chaos plan")
-	}
-
-	f = parse(t, "-chaos", "7:fabric.report/w-1=error")
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tr, ok := f.RemoteClient("w-1").Transport.(*faultinject.Transport)
-	if !ok {
-		t.Fatal("a -chaos plan must wrap the remote client in a faultinject.Transport")
-	}
-	if tr.Peer != "w-1" || tr.Injector != f.Injector() {
-		t.Errorf("transport wiring: peer %q injector match %v", tr.Peer, tr.Injector == f.Injector())
+// TestEveryEngineFieldHasOneFlag: the flags bind straight into the
+// embedded core.Engine, one flag per field. A knob added to the struct but
+// not to Register (or bound twice) fails here, before it can be settable
+// from one entry point and not from another.
+func TestEveryEngineFieldHasOneFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	bound := map[uintptr][]string{}
+	fs.VisitAll(func(fl *flag.Flag) {
+		// The flag package's *Var values are the bound variable's own
+		// address under a named pointer type.
+		p := reflect.ValueOf(fl.Value).Pointer()
+		bound[p] = append(bound[p], "-"+fl.Name)
+	})
+	ev := reflect.ValueOf(&f.Engine).Elem()
+	for i := 0; i < ev.NumField(); i++ {
+		name := ev.Type().Field(i).Name
+		if flags := bound[ev.Field(i).Addr().Pointer()]; len(flags) != 1 {
+			t.Errorf("core.Engine.%s is bound to %d flags %v, want exactly one", name, len(flags), flags)
+		}
 	}
 }
 

@@ -443,16 +443,20 @@ func TestConformanceNetworkChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 11×3 distributed matrix under network chaos + audit")
 	}
+	const hostileNet = "fabric.poll=delay:20msx3," +
+		"fabric.report=errorx2," +
+		"fabric.heartbeat=errorx1," +
+		"artifact.remote.get=corrupt:4x1," +
+		"artifact.remote.get=truncate#1x1," +
+		"artifact.remote.put=errorx1"
 	c := startCluster(t, clusterOpts{
-		workers:     3,
-		audit:       1,
-		workerChaos: []string{"7:fabric.payload/worker-0=corruptx*"},
-		netChaos: "23:fabric.poll=delay:20msx3," +
-			"fabric.report=errorx2," +
-			"fabric.heartbeat=errorx1," +
-			"artifact.remote.get=corrupt:4x1," +
-			"artifact.remote.get=truncate#1x1," +
-			"artifact.remote.put=errorx1",
+		workers: 3,
+		audit:   1,
+		workerEngines: []core.Engine{
+			{Chaos: "23:fabric.payload/worker-0=corruptx*," + hostileNet},
+			{Chaos: "23:" + hostileNet},
+			{Chaos: "23:" + hostileNet},
+		},
 	})
 	camp := core.NewCampaign(workloads.Names(), boom.Configs(), workloads.ScaleTiny)
 	sw, err := c.coord.RunCampaign(context.Background(), "chaos-audit-11x3", camp, nil)

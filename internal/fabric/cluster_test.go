@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/fabric"
-	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/serve"
@@ -55,15 +54,14 @@ type clusterOpts struct {
 	storeDir string  // shared across restarts; "" = fresh temp dir
 	chaos    string  // coordinator-side injector spec
 	audit    float64 // fabric.Config.AuditFrac
-	// workerChaos[i] arms worker-i's own injector (pipeline sites plus the
-	// "fabric.payload/<id>" lying-worker site); missing/empty = honest.
-	workerChaos []string
-	// netChaos wraps every worker's HTTP client in a faultinject.Transport.
-	// Each worker parses its own injector from the spec (independent hit
-	// counters) with Peer set to its ID, so both broadcast rules
+	// workerEngines[i] is worker-i's Engine (missing = the zero Engine). Its
+	// Chaos plan arms one injector for the worker's pipeline sites, the
+	// "fabric.payload/<id>" lying-worker site and — through the
+	// faultinject.Transport its HTTP client is wrapped in, scoped to the
+	// worker's ID — the network-boundary sites, so both broadcast rules
 	// ("fabric.report=error") and per-worker rules
 	// ("artifact.remote.get/worker-1=corrupt") stay deterministic.
-	netChaos string
+	workerEngines []core.Engine
 }
 
 func startCluster(t *testing.T, o clusterOpts) *cluster {
@@ -71,23 +69,15 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 	if o.storeDir == "" {
 		o.storeDir = t.TempDir()
 	}
-	var inj *faultinject.Injector
-	if o.chaos != "" {
-		var err error
-		if inj, err = faultinject.Parse(o.chaos); err != nil {
-			t.Fatal(err)
-		}
-	}
 	c := &cluster{coordReg: metrics.NewRegistry()}
 	c.coord = fabric.NewCoordinator(fabric.Config{
 		Store:      artifact.Open(o.storeDir),
 		Registry:   c.coordReg,
 		Lease:      o.lease,
 		Poll:       10 * time.Millisecond,
-		Resume:     o.resume,
+		Engine:     core.Engine{Resume: o.resume, Chaos: o.chaos},
 		JournalDir: o.storeDir,
 		AuditFrac:  o.audit,
-		Injector:   inj,
 		Log:        t.Logf,
 	})
 	c.ts = httptest.NewServer(c.coord.Handler())
@@ -97,33 +87,16 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 	for i := 0; i < o.workers; i++ {
 		reg := metrics.NewRegistry()
 		c.workerRegs = append(c.workerRegs, reg)
-		id := fmt.Sprintf("worker-%d", i)
-		var winj *faultinject.Injector
-		if i < len(o.workerChaos) && o.workerChaos[i] != "" {
-			var err error
-			if winj, err = faultinject.Parse(o.workerChaos[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		hc := c.ts.Client()
-		if o.netChaos != "" {
-			ninj, err := faultinject.Parse(o.netChaos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hc = &http.Client{Transport: &faultinject.Transport{
-				Injector: ninj,
-				Base:     c.ts.Client().Transport,
-				Peer:     id,
-			}}
+		var engine core.Engine
+		if i < len(o.workerEngines) {
+			engine = o.workerEngines[i]
 		}
 		w, err := fabric.NewWorker(fabric.WorkerConfig{
 			Coordinator: c.ts.URL,
-			ID:          id,
+			ID:          fmt.Sprintf("worker-%d", i),
 			CacheDir:    t.TempDir(),
 			Registry:    reg,
-			Injector:    winj,
-			HTTPClient:  hc,
+			Engine:      engine,
 			Log:         t.Logf,
 		})
 		if err != nil {
@@ -320,7 +293,6 @@ func TestConformanceWorkerKill(t *testing.T) {
 		ID:          "doomed",
 		CacheDir:    t.TempDir(),
 		Registry:    metrics.NewRegistry(),
-		HTTPClient:  c.ts.Client(),
 		TaskHook: func(fabric.Task) {
 			if w0tasks.Add(1) == 2 {
 				w0cancel() // die holding the lease
@@ -482,6 +454,36 @@ func TestLeaseFaultInjection(t *testing.T) {
 	}
 	if want := directBytes(t, "lf", camp); !bytes.Equal(enc, want) {
 		t.Errorf("faulted distributed bytes differ from direct run")
+	}
+}
+
+// TestWorkerHonoursEngine: a worker runs its cells under every knob of the
+// Engine it carries, not under a hand-picked subset. CacheVerify: the
+// measure cell's Profile hits the chain the profile cell just left in the
+// worker's cache, and every verified hit counts in artifact.verify.ok.
+// StageTimeout: a profile stage stalled past the watchdog is cut off, the
+// cell is reported failed on every regrant, and the campaign fails.
+func TestWorkerHonoursEngine(t *testing.T) {
+	camp := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
+
+	c := startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{CacheVerify: true}}})
+	if _, err := c.coord.RunCampaign(context.Background(), "worker-verify", camp, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.workerCounterSum("artifact.verify.ok"); n < 3 {
+		t.Errorf("artifact.verify.ok %d: the measure cell's bbv/select/checkpoint hits were not verified", n)
+	}
+
+	c = startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{
+		StageTimeout: 20 * time.Millisecond,
+		Chaos:        "1:core.profile/sha=delay:200msx*",
+	}}})
+	_, err := c.coord.RunCampaign(context.Background(), "worker-watchdog", camp, nil)
+	if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+		t.Errorf("campaign error %v, want the profile cell failed by the stage watchdog", err)
+	}
+	if n := c.coordReg.Counter("fabric.cells_failed").Value(); n < 1 {
+		t.Errorf("cells_failed %d: the stalled profile cell was never reported failed", n)
 	}
 }
 

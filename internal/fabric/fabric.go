@@ -68,19 +68,15 @@ type Config struct {
 	// Poll is the idle backoff hint returned to workers when no cell is
 	// runnable (default 250ms).
 	Poll time.Duration
-	// MaxAttempts bounds how many times a cell that *reports* failure is
-	// regranted before it is marked failed (default 3). Lease expiries are
-	// not failures and do not count.
-	MaxAttempts int
-	// KeepGoing mirrors core.WithKeepGoing: failed cells are collected
-	// into a *core.SweepErrors next to the partial Sweep instead of
-	// aborting the campaign.
-	KeepGoing bool
-	// Resume replays this campaign's journal fragment under JournalDir:
-	// cells recorded done are served from the fragment, not recomputed.
-	Resume bool
-	// JournalDir, when set, holds the coordinator's per-campaign journal
-	// fragments (conventionally the cache directory).
+	// Engine is the engine the daemon runs under (see core.Engine). The
+	// coordinator reads KeepGoing (failed cells are collected into a
+	// *core.SweepErrors next to the partial Sweep instead of aborting),
+	// Resume (cells recorded done in the campaign's journal fragment under
+	// CacheDir are served from it) and Chaos (one injector per
+	// coordinator, for the "fabric.lease/<worker>" site).
+	Engine core.Engine
+	// JournalDir is the shorthand for Engine.CacheDir — where the
+	// per-campaign journal fragments live — folded in when that is empty.
 	JournalDir string
 	// AuditFrac is the fraction of completed measure cells re-dispatched
 	// to a different worker for fingerprint verification (0 = no auditing,
@@ -88,11 +84,14 @@ type Config struct {
 	// campaign fingerprint and cell label (see Audited); divergent workers
 	// are quarantined by majority vote.
 	AuditFrac float64
-	// Injector arms the "fabric.lease/<worker>" chaos site.
-	Injector *faultinject.Injector
 	// Log receives one line per lifecycle event (nil = silent).
 	Log func(format string, args ...interface{})
 }
+
+// maxAttempts bounds how many times a cell that *reports* failure is
+// regranted before it is marked failed. Lease expiries are not failures
+// and do not count.
+const maxAttempts = 3
 
 // Coordinator owns the cell scheduler and the fabric's HTTP surface.
 // Create with NewCoordinator; campaigns enter through RunCampaign (the
@@ -100,6 +99,7 @@ type Config struct {
 type Coordinator struct {
 	cfg Config
 	reg *metrics.Registry
+	inj *faultinject.Injector
 	mux *http.ServeMux
 
 	mu       sync.Mutex
@@ -164,7 +164,9 @@ type run struct {
 	done      chan struct{}
 }
 
-// NewCoordinator builds a coordinator and its HTTP routes.
+// NewCoordinator builds a coordinator and its HTTP routes. It panics if
+// cfg.Engine does not validate — a daemon has validated its flags long
+// before it gets here.
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Lease <= 0 {
 		cfg.Lease = 15 * time.Second
@@ -172,12 +174,17 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
+	if cfg.Engine.CacheDir == "" {
+		cfg.Engine.CacheDir = cfg.JournalDir
 	}
+	if err := cfg.Engine.Validate(); err != nil {
+		panic("fabric: coordinator: " + err.Error())
+	}
+	inj, _ := cfg.Engine.Injector()
 	c := &Coordinator{
 		cfg:     cfg,
 		reg:     cfg.Registry,
+		inj:     inj,
 		workers: map[string]*workerState{},
 		runs:    map[string]*run{},
 	}
@@ -300,8 +307,9 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	r.remaining = len(r.order)
 
 	resumed := 0
-	if c.cfg.Resume && c.cfg.JournalDir != "" {
-		for label, payload := range MergeJournals(id, FragmentPath(c.cfg.JournalDir, id)) {
+	journalDir := c.cfg.Engine.CacheDir
+	if c.cfg.Engine.Resume {
+		for label, payload := range MergeJournals(id, FragmentPath(journalDir, id)) {
 			cl := r.cells[label]
 			if cl == nil || cl.state != cellPending {
 				continue
@@ -321,8 +329,8 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 			c.logf("campaign %s: resumed %d cell(s) from journal fragment", short(id), resumed)
 		}
 	}
-	if c.cfg.JournalDir != "" {
-		r.frag = openFragment(FragmentPath(c.cfg.JournalDir, id), id, resumed > 0, c.logf)
+	if journalDir != "" {
+		r.frag = openFragment(FragmentPath(journalDir, id), id, resumed > 0, c.logf)
 	}
 
 	c.mu.Lock()
@@ -466,7 +474,7 @@ func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
 			}
 		}
 	}
-	if !c.cfg.KeepGoing && r.failErr == nil {
+	if !c.cfg.Engine.KeepGoing && r.failErr == nil {
 		r.failErr = fmt.Errorf("fabric: cell %s failed after %d attempt(s): %s",
 			cl.task.Label(), cl.attempts, msg)
 		c.finishLocked(r)
@@ -526,7 +534,7 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 			errs = append(errs, fmt.Errorf("fabric: cell %s: %s", label, cl.errMsg))
 		}
 	}
-	if r.failErr != nil && !c.cfg.KeepGoing {
+	if r.failErr != nil && !c.cfg.Engine.KeepGoing {
 		return nil, r.failErr
 	}
 	if len(errs) > 0 {

@@ -112,7 +112,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, req *http.Request) {
 	// Chaos site: a failed lease grant. The worker treats it like any
 	// transient coordinator error — back off and poll again — so the
 	// campaign completes (byte-identically) despite the faults.
-	if err := c.cfg.Injector.Hit("fabric.lease", body.Worker); err != nil {
+	if err := c.inj.Hit("fabric.lease", body.Worker); err != nil {
 		c.count("fabric.lease_faults")
 		c.httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -206,8 +206,8 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 		}
 		cl.attempts++
 		c.logf("campaign %s: %s failed on %s (attempt %d/%d): %s",
-			short(r.id), label, body.Worker, cl.attempts, c.cfg.MaxAttempts, body.Error)
-		if cl.attempts < c.cfg.MaxAttempts {
+			short(r.id), label, body.Worker, cl.attempts, maxAttempts, body.Error)
+		if cl.attempts < maxAttempts {
 			cl.state = cellPending
 			cl.worker = ""
 			c.count("fabric.cells_requeued")

@@ -30,43 +30,27 @@ type WorkerConfig struct {
 	// ID names the worker in leases, logs, and status ("worker-<pid>" when
 	// empty). IDs must be unique per cluster.
 	ID string
-	// CacheDir is the worker's local artifact cache (a temp dir when
-	// empty). With the coordinator serving a remote store, this is the
-	// read-through first tier over it.
-	CacheDir string
+	// Engine says how the worker runs its cells (see core.Engine). Its
+	// CacheDir is the local tier over the coordinator's store (a temp dir
+	// when empty) and its RemoteStore is ignored: the store is the
+	// coordinator's. A worker holds one cell at a time, so the Parallelism
+	// budget drains into intra-cell point helpers (DESIGN §17) and the
+	// sweep-level Resume/KeepGoing/Retries do nothing. Chaos arms one
+	// injector per worker: pipeline and cache sites, the transport (scoped
+	// to ID), and "fabric.payload/<id>", which corrupts the bytes this
+	// worker reports — the lie coordinator-side auditing exists to catch.
+	Engine core.Engine
+	// CacheDir and Parallelism are shorthands for the Engine's fields of
+	// the same name, folded in by NewWorker where those are zero.
+	CacheDir    string
+	Parallelism int
 	// Registry collects the worker's pipeline + fabric metrics.
 	Registry *metrics.Registry
-	// Injector arms the worker-side chaos sites (artifact.fetch, the core
-	// pipeline sites, and "fabric.payload/<id>" — corrupting the result
-	// bytes this worker reports, the shape coordinator-side auditing
-	// exists to catch).
-	Injector *faultinject.Injector
-	// HTTPClient overrides the default client (tests; also where a chaos
-	// faultinject.Transport is attached). When nil, a client with
-	// ConnectTimeout/RPCTimeout is built.
-	HTTPClient *http.Client
-	// ConnectTimeout bounds dialing the coordinator (default 5s). Only
-	// used when HTTPClient is nil.
-	ConnectTimeout time.Duration
-	// RPCTimeout bounds the wait for response headers on each RPC
-	// (default 60s). There is deliberately no overall client timeout — an
-	// overall bound would also cap long polls and large artifact
-	// transfers. Only used when HTTPClient is nil.
-	RPCTimeout time.Duration
 	// Log receives one line per lifecycle event (nil = silent).
 	Log func(format string, args ...interface{})
 	// TaskHook, when set, observes each granted task before execution
 	// (tests use it to kill a worker mid-campaign deterministically).
 	TaskHook func(Task)
-	// Parallelism is the worker's core.WithParallelism budget (0 = all
-	// cores). A fabric worker leases one cell at a time, so the budget
-	// mostly drains into intra-cell point helpers (DESIGN §17) — this is
-	// what keeps storeless audit re-executions, which can never hit the
-	// shared store, from paying full serial latency.
-	Parallelism int
-	// PointParallelism caps points measured concurrently within one cell
-	// (0 = share the Parallelism budget, 1 = serial).
-	PointParallelism int
 }
 
 // Worker is the execution side of the fabric: it registers with a
@@ -76,6 +60,7 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg  WorkerConfig
 	base string
+	inj  *faultinject.Injector
 	hc   *http.Client
 
 	leaseMS int64
@@ -106,27 +91,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d", os.Getpid())
 	}
-	if cfg.CacheDir == "" {
+	e := &cfg.Engine
+	if e.CacheDir == "" {
+		e.CacheDir = cfg.CacheDir
+	}
+	if e.Parallelism == 0 {
+		e.Parallelism = cfg.Parallelism
+	}
+	if e.CacheDir == "" {
 		dir, err := os.MkdirTemp("", "boom-worker-*")
 		if err != nil {
 			return nil, fmt.Errorf("fabric: worker cache dir: %w", err)
 		}
-		cfg.CacheDir = dir
+		e.CacheDir = dir
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		connect := cfg.ConnectTimeout
-		if connect <= 0 {
-			connect = 5 * time.Second
-		}
-		rpc := cfg.RPCTimeout
-		if rpc <= 0 {
-			rpc = 60 * time.Second
-		}
-		hc = artifact.NewHTTPClient(connect, rpc)
+	e.RemoteStore = ""
+	if err := e.Validate(); err != nil {
+		return nil, fmt.Errorf("fabric: worker: %w", err)
 	}
+	inj, _ := e.Injector()
 	return &Worker{
-		cfg: cfg, base: base, hc: hc,
+		cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID),
 		runners: map[runnerKey]*core.Runner{},
 		camps:   map[string]core.Campaign{},
 		frags:   map[string]*journal.Writer{},
@@ -342,7 +327,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		// canonical payload before it is journaled or reported, so the
 		// wire JSON stays valid and the lie reaches the coordinator's
 		// audit layer instead of dying in a decoder.
-		payload = w.cfg.Injector.Corrupt(payload, "fabric.payload", w.cfg.ID)
+		payload = w.inj.Corrupt(payload, "fabric.payload", w.cfg.ID)
 	}
 	if err == nil && !t.Fresh {
 		// The worker's own journal fragment: if this node dies before (or
@@ -433,23 +418,20 @@ func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (
 	if r := w.runners[key]; r != nil {
 		return r, camp, nil
 	}
-	cacheDir := w.cfg.CacheDir
+	e := w.cfg.Engine
+	e.Chaos = "" // armed once per worker (w.inj), not once per Runner
 	if fresh {
-		cacheDir = filepath.Join(cacheDir, "audit-fresh")
+		e.CacheDir = filepath.Join(e.CacheDir, "audit-fresh")
 	}
-	opts := []core.Option{
+	opts, err := e.Options()
+	if err != nil {
+		return nil, core.Campaign{}, err
+	}
+	opts = append(opts,
 		core.WithScale(camp.Scale),
 		core.WithSampling(camp.Sampling),
-		core.WithCache(cacheDir),
 		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.cfg.Injector),
-	}
-	if w.cfg.Parallelism > 0 {
-		opts = append(opts, core.WithParallelism(w.cfg.Parallelism))
-	}
-	if w.cfg.PointParallelism > 0 {
-		opts = append(opts, core.WithPointParallelism(w.cfg.PointParallelism))
-	}
+		core.WithFaultInjector(w.inj))
 	if w.store && !fresh {
 		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
 	}
@@ -504,7 +486,7 @@ func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
 	if f, ok := w.frags[campaignID]; ok {
 		return f
 	}
-	f := openFragment(FragmentPath(w.cfg.CacheDir, campaignID), campaignID, true, w.logf)
+	f := openFragment(FragmentPath(w.cfg.Engine.CacheDir, campaignID), campaignID, true, w.logf)
 	w.frags[campaignID] = f // nil (disabled) is cached too: stays inert
 	return f
 }

@@ -200,6 +200,27 @@ func (s Spec) String() string {
 	return strings.Join(parts, " ")
 }
 
+// ParseSpec assembles and validates a Spec from its five external
+// spellings — the -interval/-features/-sp-dims/-sp-maxk/-warmup flags and
+// the serve "sampling" request block — with warm-up in its CLI form (see
+// ParseWarmup), so no entry point can build an inconsistent policy triple.
+func ParseSpec(interval int64, features string, dims, maxK int, warmup string) (Spec, error) {
+	policy, insts, factor, err := ParseWarmup(warmup)
+	if err != nil {
+		return Spec{}, err
+	}
+	s := Spec{
+		Interval:     interval,
+		Features:     features,
+		Dims:         dims,
+		MaxK:         maxK,
+		WarmupPolicy: policy,
+		WarmupInsts:  insts,
+		WarmupFactor: factor,
+	}
+	return s, s.Validate()
+}
+
 // ParseWarmup maps a CLI warm-up flag value onto policy fields:
 //
 //	""     → flow default

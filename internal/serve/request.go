@@ -90,20 +90,7 @@ func (sr *SamplingRequest) spec() (sampling.Spec, error) {
 	if sr == nil {
 		return sampling.Spec{}, nil
 	}
-	policy, insts, factor, err := sampling.ParseWarmup(sr.Warmup)
-	if err != nil {
-		return sampling.Spec{}, err
-	}
-	spec := sampling.Spec{
-		Interval:     sr.Interval,
-		Features:     sr.Features,
-		Dims:         sr.Dims,
-		MaxK:         sr.MaxK,
-		WarmupPolicy: policy,
-		WarmupInsts:  insts,
-		WarmupFactor: factor,
-	}
-	return spec, spec.Validate()
+	return sampling.ParseSpec(sr.Interval, sr.Features, sr.Dims, sr.MaxK, sr.Warmup)
 }
 
 // AxisValue is one axis value, accepted as a JSON string or number —

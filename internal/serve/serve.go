@@ -50,11 +50,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
 )
@@ -63,32 +60,13 @@ import (
 // usable in-memory server: no cache, no retries, queue depth 8, one sweep
 // at a time.
 type Config struct {
-	// CacheDir enables the content-addressed artifact cache and the
-	// crash-resume journal for every sweep ("" = neither).
-	CacheDir string
-	// CacheVerify recomputes every cache hit and fails on divergence.
-	CacheVerify bool
-	// Resume replays a matching sweep journal under CacheDir on the next
-	// submission of that campaign and reruns only unfinished tasks.
-	Resume bool
-	// Retries bounds per-task retry on transient faults; RetryBase is the
-	// backoff base (default 10ms when Retries > 0).
-	Retries   int
-	RetryBase time.Duration
-	// StageTimeout arms a watchdog per pipeline stage (0 = none).
-	StageTimeout time.Duration
-	// KeepGoing runs every (workload, config) pair despite failures and
-	// serves the partial campaign with a Failed list.
-	KeepGoing bool
-	// Chaos is a deterministic fault-injection plan SEED:SPEC (see
-	// internal/faultinject), validated at construction.
-	Chaos string
-	// Parallelism is per-sweep worker count (0 = all cores).
+	// Engine says how every sweep executes (see core.Engine). Its Chaos
+	// plan is armed afresh for each job.
+	Engine core.Engine
+	// CacheDir and Parallelism are shorthands for the Engine's fields of
+	// the same name, folded in by New where those are zero.
+	CacheDir    string
 	Parallelism int
-	// PointParallelism caps simulation points measured concurrently within
-	// one cell (0 = share the Parallelism budget, 1 = serial; see
-	// core.WithPointParallelism).
-	PointParallelism int
 	// Sampling is the default sampling spec applied to campaigns whose
 	// request carries no "sampling" block. The zero value keeps the
 	// legacy flow (and its fingerprints) untouched; a request-level block
@@ -99,11 +77,9 @@ type Config struct {
 	// (default 8).
 	QueueDepth int
 	// SweepWorkers is the number of sweeps run concurrently (default 1;
-	// keep it at 1 when CacheDir is set — the journal is one file per
+	// keep it at 1 when a cache dir is set — the journal is one file per
 	// cache dir, so concurrent sweeps would contend for it).
 	SweepWorkers int
-	// RetryAfter is the hint returned with 429/503 (default 2s).
-	RetryAfter time.Duration
 
 	// TaskHook mirrors core.WithTaskHook (crash drills in tests).
 	TaskHook func(completed int)
@@ -116,9 +92,6 @@ type Config struct {
 	// cmd/boomd shares one registry between the server and the fabric
 	// coordinator so /metrics shows both planes.
 	Registry *metrics.Registry
-	// RemoteStore is the base URL of a remote artifact store attached as a
-	// read-through tier over CacheDir (which it requires).
-	RemoteStore string
 	// Distribute, when set, replaces the direct Runner.Sweep call for each
 	// job: the fabric coordinator's RunCampaign hooks in here, sharding the
 	// campaign across registered workers (and falling back to the local
@@ -127,6 +100,10 @@ type Config struct {
 	// way, fabric_test imports serve to prove byte-identity.
 	Distribute func(ctx context.Context, id string, camp core.Campaign, local *core.Runner) (*core.Sweep, error)
 }
+
+// retryAfter is the Retry-After hint sent with 429 (queue full) and 503
+// (draining), in seconds.
+const retryAfter = "2"
 
 // Server is the HTTP job service. Create with New, serve via Handler,
 // stop with Shutdown (graceful) or Close (immediate).
@@ -145,8 +122,8 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// New validates cfg (chaos spec grammar, cache-dependent flags) and
-// starts the sweep workers.
+// New folds the shorthands into cfg.Engine, validates it and the default
+// sampling spec, and starts the sweep workers.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
@@ -154,30 +131,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SweepWorkers <= 0 {
 		cfg.SweepWorkers = 1
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
+	if cfg.Engine.CacheDir == "" {
+		cfg.Engine.CacheDir = cfg.CacheDir
 	}
-	if cfg.Retries > 0 && cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
+	if cfg.Engine.Parallelism == 0 {
+		cfg.Engine.Parallelism = cfg.Parallelism
 	}
-	if cfg.CacheDir == "" {
-		if cfg.CacheVerify {
-			return nil, fmt.Errorf("serve: CacheVerify requires CacheDir")
-		}
-		if cfg.Resume {
-			return nil, fmt.Errorf("serve: Resume requires CacheDir (the journal lives there)")
-		}
-	}
-	if cfg.Chaos != "" {
-		if _, err := faultinject.Parse(cfg.Chaos); err != nil {
-			return nil, err
-		}
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if err := cfg.Sampling.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default sampling spec: %w", err)
-	}
-	if cfg.RemoteStore != "" && cfg.CacheDir == "" {
-		return nil, fmt.Errorf("serve: RemoteStore requires CacheDir (the local read-through tier)")
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -265,7 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_draining").Inc()
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -290,7 +254,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_full").Inc()
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		s.httpError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth))
 		return
@@ -376,41 +340,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // newRunner builds the engine for one campaign from the daemon's config.
 // All sweeps share the server's registry and cache directory.
 func (s *Server) newRunner(c core.Campaign) (*core.Runner, error) {
-	opts := []core.Option{
-		core.WithScale(c.Scale),
-		core.WithMetrics(s.reg),
+	opts, err := s.cfg.Engine.Options()
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Parallelism > 0 {
-		opts = append(opts, core.WithParallelism(s.cfg.Parallelism))
-	}
-	if s.cfg.PointParallelism > 0 {
-		opts = append(opts, core.WithPointParallelism(s.cfg.PointParallelism))
-	}
-	if s.cfg.CacheDir != "" {
-		opts = append(opts, core.WithCache(s.cfg.CacheDir), core.WithCacheVerify(s.cfg.CacheVerify))
-	}
-	if s.cfg.RemoteStore != "" {
-		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(s.cfg.RemoteStore, nil)))
-	}
-	if s.cfg.Resume {
-		opts = append(opts, core.WithResume(true))
-	}
-	if s.cfg.KeepGoing {
-		opts = append(opts, core.WithKeepGoing(true))
-	}
-	if s.cfg.Retries > 0 {
-		opts = append(opts, core.WithRetry(s.cfg.Retries, s.cfg.RetryBase))
-	}
-	if s.cfg.StageTimeout > 0 {
-		opts = append(opts, core.WithStageTimeout(s.cfg.StageTimeout))
-	}
-	if s.cfg.Chaos != "" {
-		inj, err := faultinject.Parse(s.cfg.Chaos)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, core.WithFaultInjector(inj))
-	}
+	opts = append(opts, core.WithScale(c.Scale), core.WithMetrics(s.reg))
 	if s.cfg.TaskHook != nil {
 		opts = append(opts, core.WithTaskHook(s.cfg.TaskHook))
 	}
@@ -457,12 +391,4 @@ func (s *Server) logf(format string, args ...interface{}) {
 	if s.cfg.Log != nil {
 		s.cfg.Log(format, args...)
 	}
-}
-
-func retryAfterSecs(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
 }

@@ -241,7 +241,7 @@ func TestGracefulDrainResume(t *testing.T) {
 
 	// Phase 2: restart over the same cache dir with -resume; resubmitting
 	// the campaign replays the journal.
-	srvB, tsB := newTestServer(t, Config{CacheDir: dir, Resume: true, Parallelism: 1})
+	srvB, tsB := newTestServer(t, Config{Engine: core.Engine{CacheDir: dir, Resume: true, Parallelism: 1}})
 	resp, b = postCampaign(t, tsB, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp.StatusCode, b)
@@ -266,10 +266,10 @@ func TestChaosDrillOverHTTP(t *testing.T) {
 	cfgs := []boom.Config{boom.MediumBOOM()}
 	_, want := directSweepBytes(t, names, cfgs, workloads.ScaleTiny)
 
-	s, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{Engine: core.Engine{
 		Chaos:   "1:core.measure/sha/MediumBOOM=error",
 		Retries: 2,
-	})
+	}})
 	resp, b := postCampaign(t, ts, `{"workloads":["sha"],"configs":["medium"],"scale":"tiny"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
@@ -413,9 +413,9 @@ func TestHealthAndMetrics(t *testing.T) {
 // submission of the same fingerprint re-runs it instead of collapsing
 // onto the failure.
 func TestFailedJobResubmission(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{Engine: core.Engine{
 		Chaos: "1:core.measure/sha/MediumBOOM=error-perm",
-	})
+	}})
 	body := `{"workloads":["sha"],"configs":["medium"],"scale":"tiny"}`
 	resp, b := postCampaign(t, ts, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -447,17 +447,55 @@ func TestFailedJobResubmission(t *testing.T) {
 
 // TestConfigValidation: New must reject incoherent configs up front.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Resume: true}); err == nil {
+	if _, err := New(Config{Engine: core.Engine{Resume: true}}); err == nil {
 		t.Error("Resume without CacheDir must be rejected")
 	}
-	if _, err := New(Config{CacheVerify: true}); err == nil {
+	if _, err := New(Config{Engine: core.Engine{CacheVerify: true}}); err == nil {
 		t.Error("CacheVerify without CacheDir must be rejected")
 	}
-	if _, err := New(Config{Chaos: "not-a-spec"}); err == nil {
+	if _, err := New(Config{Engine: core.Engine{Chaos: "not-a-spec"}}); err == nil {
 		t.Error("malformed chaos spec must be rejected at startup")
 	}
-	if _, err := New(Config{RemoteStore: "http://store:9000"}); err == nil {
+	if _, err := New(Config{Engine: core.Engine{RemoteStore: "http://store:9000"}}); err == nil {
 		t.Error("RemoteStore without CacheDir must be rejected")
+	}
+	// The shorthand CacheDir satisfies the Engine's cache-dependent knobs.
+	s, err := New(Config{CacheDir: t.TempDir(), Engine: core.Engine{Resume: true, CacheVerify: true}})
+	if err != nil {
+		t.Fatalf("shorthand CacheDir must fold into the Engine before validation: %v", err)
+	}
+	s.Close()
+}
+
+// TestShorthandsEqualEngine: the fenced shorthands Config.CacheDir and
+// Config.Parallelism and the same values spelled in Config.Engine are one
+// configuration — same campaign identity, same served bytes.
+func TestShorthandsEqualEngine(t *testing.T) {
+	body := `{"workloads":["sha"],"configs":["medium"],"scale":"tiny"}`
+	run := func(cfg Config) (string, []byte) {
+		t.Helper()
+		_, ts := newTestServer(t, cfg)
+		resp, b := postCampaign(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, b)
+		}
+		var st Status
+		if err := json.Unmarshal(b, &st); err != nil {
+			t.Fatal(err)
+		}
+		rr, rb := get(t, ts.URL+"/v1/sweeps/"+st.ID+"/result?wait=1")
+		if rr.StatusCode != http.StatusOK {
+			t.Fatalf("result: %d %s", rr.StatusCode, rb)
+		}
+		return st.ID, rb
+	}
+	idA, a := run(Config{CacheDir: t.TempDir(), Parallelism: 1})
+	idB, b := run(Config{Engine: core.Engine{CacheDir: t.TempDir(), Parallelism: 1}})
+	if idA != idB {
+		t.Errorf("campaign id %s via shorthands, %s via Engine", idA, idB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("result bytes differ:\nshorthand %s\nengine    %s", a, b)
 	}
 }
 
