@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -13,6 +15,18 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// beMainEnv marks a re-exec of the test binary that must behave as the
+// tables command itself (TestCrashResumeRoundTrip's child).
+const beMainEnv = "TABLES_TEST_BE_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(beMainEnv) != "" {
+		main() // os.Args are the child's; -die-after's exit(3) happens in here
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 var spaceRun = regexp.MustCompile(" {2,}")
 
@@ -114,5 +128,74 @@ func TestCacheVerifyRequiresDir(t *testing.T) {
 	err := run([]string{"-cache-verify"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-cache") {
 		t.Fatalf("want a usage error mentioning -cache, got %v", err)
+	}
+}
+
+// TestMetricsOutCheckedBeforeSweep: a -metrics-out that cannot be created
+// is a usage error returned before the sweep starts (no progress line, no
+// table), not a failure after it.
+func TestMetricsOutCheckedBeforeSweep(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-scale", "tiny", "-metrics", "json",
+		"-metrics-out", filepath.Join(t.TempDir(), "no-such-dir", "m.json")}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "-metrics-out") {
+		t.Fatalf("want a usage error mentioning -metrics-out, got %v", err)
+	}
+	if stdout.Len() != 0 || stderr.Len() != 0 {
+		t.Errorf("the sweep ran before the error: stdout %d bytes, stderr %q", stdout.Len(), stderr.String())
+	}
+}
+
+// TestChaosKeepGoingCLI proves the chaos wiring end to end through the
+// command: a keep-going sweep under a seeded fault plan (a panic and a
+// transient error that outlasts its retries) renders its tables with
+// FAILED cells, lists the failed tasks on stderr and returns an error —
+// it never crashes. (core's TestChaosSweepAcceptance proves the rest:
+// non-faulted pairs stay bit-identical.)
+func TestChaosKeepGoingCLI(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-scale", "tiny", "-q", "-keep-going", "-retries", "2",
+		"-chaos", "42:core.measure/sha/MediumBOOM=panic,core.measure/qsort/*=error"}, &stdout, &stderr)
+	if err == nil {
+		t.Error("a sweep with failed tasks returned no error")
+	}
+	if !strings.Contains(stdout.String(), "FAILED") {
+		t.Error("no FAILED cell in the rendered tables")
+	}
+	if !strings.Contains(stderr.String(), "task(s) failed") {
+		t.Errorf("stderr does not list the failed tasks: %q", stderr.String())
+	}
+}
+
+// TestCrashResumeRoundTrip kills a real process mid-sweep: a child (this
+// test binary re-exec'd as the command) runs a cached sweep with
+// -die-after 5 and must die with exit status 3. Resuming over its cache and
+// journal — rerunning only the unfinished tasks — must then print exactly
+// what a warm rerun of the completed campaign prints (wall-clock figures
+// travel with the artifacts, so the compare is byte for byte).
+func TestCrashResumeRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	args := []string{"-scale", "tiny", "-q", "-cache", t.TempDir()}
+
+	child := exec.Command(os.Args[0], append(args, "-die-after", "5")...)
+	child.Env = append(os.Environ(), beMainEnv+"=1")
+	out, err := child.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 3 {
+		t.Fatalf("child: %v, want exit status 3\n%s", err, out)
+	}
+
+	var resumed, warm bytes.Buffer
+	if err := run(append(args, "-resume"), &resumed, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &warm, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed.Bytes(), warm.Bytes()) {
+		t.Errorf("resumed output is not byte-identical to the warm rerun\n%s",
+			firstDiff(resumed.String(), warm.String()))
 	}
 }

@@ -1,0 +1,152 @@
+package repro_test
+
+import (
+	"bufio"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// Docs-drift checks: the docs a newcomer reads must describe the tree as it
+// is. Commands, packages and make targets they name must exist, every
+// `DESIGN §N` must land on a section, and DESIGN.md must stay one top-down
+// document rather than grow a section per change.
+
+// legibleDocs are the documents held to the tree. CHANGES.md, ROADMAP.md
+// and ISSUE.md narrate history and plans, and benchmark/ is fenced, so
+// they are free to name what no longer exists.
+var legibleDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+const designMaxLines = 600
+
+var (
+	docPath     = regexp.MustCompile(`(?:^|[^\w/]|\./)(cmd|examples|internal)/([a-z0-9_]+)`)
+	makeInline  = regexp.MustCompile("`make((?:\\s+[a-z][a-z0-9-]*)+)`")
+	makeCommand = regexp.MustCompile(`^make((?: [a-z][a-z0-9-]*)+)`)
+	makeTarget  = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	designRef   = regexp.MustCompile(`DESIGN(?:\.md)? §(\w+(?:\.\d+)?)`)
+	bareRef     = regexp.MustCompile(`§(\d\w*(?:\.\d+)?)`)
+	designH2    = regexp.MustCompile(`^## (\d+)\. `)
+)
+
+func readDoc(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// designSections returns the numbers of DESIGN.md's `## N.` headings as
+// strings, failing on any `## ` heading that is not numbered that way or is
+// out of sequence.
+func designSections(t *testing.T) map[string]bool {
+	t.Helper()
+	sections := map[string]bool{}
+	for _, line := range strings.Split(readDoc(t, "DESIGN.md"), "\n") {
+		if !strings.HasPrefix(line, "## ") {
+			continue
+		}
+		m := designH2.FindStringSubmatch(line)
+		if want := fmt.Sprint(len(sections) + 1); m == nil || m[1] != want {
+			t.Errorf("DESIGN.md heading %q: want it numbered `## %s.`", line, want)
+			continue
+		}
+		sections[m[1]] = true
+	}
+	return sections
+}
+
+func TestDesignIsOneTopDownDocument(t *testing.T) {
+	if n := strings.Count(readDoc(t, "DESIGN.md"), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md is %d lines, cap %d: describe the system, let CHANGES.md narrate the change", n, designMaxLines)
+	}
+	if n := len(designSections(t)); n == 0 || n > 8 {
+		t.Errorf("DESIGN.md has %d numbered sections, want 1..8", n)
+	}
+}
+
+func TestDocsNameWhatExists(t *testing.T) {
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(readDoc(t, "Makefile"), -1) {
+		targets[m[1]] = true
+	}
+	checkTargets := func(doc, list string) {
+		for _, target := range strings.Fields(list) {
+			if !targets[target] {
+				t.Errorf("%s: `make %s` is not a Makefile target", doc, target)
+			}
+		}
+	}
+	for _, doc := range legibleDocs {
+		text := readDoc(t, doc)
+		for _, m := range docPath.FindAllStringSubmatch(text, -1) {
+			if info, err := os.Stat(filepath.Join(m[1], m[2])); err != nil || !info.IsDir() {
+				t.Errorf("%s names %s/%s, which is not a directory", doc, m[1], m[2])
+			}
+		}
+		for _, m := range makeInline.FindAllStringSubmatch(text, -1) {
+			checkTargets(doc, m[1])
+		}
+		fenced := false
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			} else if m := makeCommand.FindStringSubmatch(line); fenced && m != nil {
+				checkTargets(doc, m[1])
+			}
+		}
+	}
+}
+
+// TestDesignReferencesResolve: every `DESIGN §N` / `DESIGN.md §N` in Go
+// sources, the Makefile and the legible docs — and every bare `§N` inside
+// DESIGN.md itself — names a `## N.` heading. Paper sections are roman
+// (§II-A) and so never look like one.
+func TestDesignReferencesResolve(t *testing.T) {
+	sections := designSections(t)
+	check := func(path string, re *regexp.Regexp) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for n := 1; sc.Scan(); n++ {
+			for _, m := range re.FindAllStringSubmatch(sc.Text(), -1) {
+				if !sections[m[1]] {
+					t.Errorf("%s:%d: §%s is not a section of DESIGN.md", path, n, m[1])
+				}
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("Makefile", designRef)
+	for _, doc := range legibleDocs {
+		check(doc, designRef)
+	}
+	check("DESIGN.md", bareRef)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return fs.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && path != "docs_test.go" {
+			check(path, designRef)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -23,7 +23,7 @@ func cpiErrPct(sp, full *Result) float64 {
 // TestDifferentialAccuracy is the safety net behind the cache: for every
 // registered workload at MediumBOOM it (a) checks the SimPoint-estimated
 // CPI against the full detailed run within the 20% bound the repo already
-// claims (results_paper.txt / cmd/validate), and (b) reruns the estimate
+// claims (results_paper.txt / TestSimPointAccuracy), and (b) reruns the estimate
 // through a warm cache with metrics attached and demands bit-identical
 // results — the cache must never change what the pipeline computes.
 func TestDifferentialAccuracy(t *testing.T) {
@@ -79,7 +79,7 @@ func TestDifferentialAccuracy(t *testing.T) {
 	}
 
 	// Per-workload CPI error bounds. The blanket bound is the 20% the
-	// repo already claims (results_paper.txt / cmd/validate); dijkstra —
+	// repo already claims (results_paper.txt / TestSimPointAccuracy); dijkstra —
 	// historically the worst offender, fixed by the explicit warm-up
 	// policy above — is pinned tighter so a warm-up regression shows up
 	// as a bound violation rather than hiding under the blanket.

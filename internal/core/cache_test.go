@@ -9,9 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/boom"
+	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
 	"repro/internal/workloads"
@@ -36,37 +36,51 @@ func corruptAllCacheFiles(t *testing.T, dir string) {
 	}
 }
 
-// TestWarmCacheSweepSpeedup is the headline economics claim: a warm-cache
-// sweep over every registered workload skips straight to report
-// generation, at least 5× faster than the cold run, with exactly equal
-// results (timing fields included — hit costs are restored from the
-// cache, so even the speedup table reproduces byte-for-byte). Both runs
-// are -j 1: the claim is about the work the cache saves, and on a
-// multi-core host a parallel cold run hides most of that work while the
-// warm run, bound by reading artifacts, gains nothing.
-func TestWarmCacheSweepSpeedup(t *testing.T) {
+// TestWarmCacheSweepDoesNoWork is the headline economics claim, stated as
+// counts that repeat exactly on any host: a warm-cache sweep over every
+// registered workload retires no instruction in either simulator, runs no
+// k-means, hits every stage artifact and misses none — it goes straight to
+// report generation — with exactly equal results (timing fields included:
+// hit costs are restored from the cache, so even the speedup table
+// reproduces byte-for-byte). How much wall clock that saves is the
+// benchmark's question (`sweep-warm`), not this test's.
+func TestWarmCacheSweepDoesNoWork(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	fc := DefaultFlowConfig()
 	names := workloads.Names()
 	cfgs := []boom.Config{boom.MediumBOOM()}
 
-	t0 := time.Now()
-	coldSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithParallelism(1)).Sweep(ctx, tcamp(names, cfgs))
+	coldSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldDur := time.Since(t0)
-
-	t1 := time.Now()
-	warmSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithParallelism(1)).Sweep(ctx, tcamp(names, cfgs))
+	reg := metrics.NewRegistry()
+	warmSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithMetrics(reg)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmDur := time.Since(t1)
 
-	if warmDur*5 > coldDur {
-		t.Errorf("warm sweep %v is not ≥5× faster than cold %v", warmDur, coldDur)
+	profiles, cells := int64(len(names)), int64(len(names)*len(cfgs))
+	for _, c := range []struct {
+		counter string
+		want    int64
+	}{
+		{"boom.retired", 0},
+		{"sim.insts", 0},
+		// k-means runs only in the select stage's compute body, on a miss
+		// (simpoint.kmeans.runs reports the selection's stats, cached or not).
+		{"artifact.select.miss", 0},
+		{"artifact.miss", 0},
+		{"artifact.bbv.hit", profiles},
+		{"artifact.select.hit", profiles},
+		{"artifact.checkpoint.hit", profiles},
+		{"artifact.measure.hit", cells},
+		{"artifact.hit", 3*profiles + cells},
+	} {
+		if got := reg.Counter(c.counter).Value(); got != c.want {
+			t.Errorf("warm sweep: %s = %d, want %d", c.counter, got, c.want)
+		}
 	}
 	if !reflect.DeepEqual(coldSW.Results, warmSW.Results) {
 		t.Error("warm sweep results differ from cold")

@@ -209,7 +209,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 // runtime.GOMAXPROCS(0). Results are bit-identical for every parallelism
 // level — each (workload, config) measurement is an isolated deterministic
 // core+CPU pair, and within a cell the per-point reduction is replayed
-// serially in checkpoint order (DESIGN §17).
+// serially in checkpoint order (DESIGN §4).
 func WithParallelism(n int) Option {
 	return func(r *Runner) { r.par = n }
 }

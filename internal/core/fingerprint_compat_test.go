@@ -20,7 +20,7 @@ import (
 // below pin the current encoding (sweep schema 3: one shape for every
 // campaign, the effective sampling spec always hashed). If one of these
 // tests fails, the fix is to restore the encoding; the constants move only
-// with a deliberate sweepSchema bump, documented in DESIGN §7c.
+// with a deliberate sweepSchema bump, documented in DESIGN §3.
 const (
 	// All 11 workloads x the three named BOOM corners, ScaleTiny flow.
 	fpTrioTinyAll = "a028fa37fe00135e3f359a25b54b3851abf11bade9552b9c07f949cde4884542"

@@ -4,7 +4,7 @@ package core
 // every simulation point warmed, measured, and estimated — serially and
 // with four workers sharing the budget. The J1/J4 pair is what
 // BENCH_kernel.json records for the intra-cell point parallelism of
-// DESIGN §17, and `make bench-measure` asserts J4 actually beats J1 with
+// DESIGN §4, and `make bench-measure` asserts J4 actually beats J1 with
 // byte-identical results. The profile (functional simulation + SimPoint
 // selection) is built once per process so ns/op isolates the measure
 // stage itself.

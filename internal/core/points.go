@@ -11,7 +11,7 @@ import (
 	"repro/internal/simpoint"
 )
 
-// Intra-cell point parallelism (DESIGN §17). Every simulation point of one
+// Intra-cell point parallelism (DESIGN §4). Every simulation point of one
 // (workload, config) cell restores its own architectural checkpoint into a
 // fresh functional+timing pair, so points are independent and can be
 // measured concurrently. Two invariants make this safe:

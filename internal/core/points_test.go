@@ -1,6 +1,6 @@
 package core
 
-// Tests for intra-cell point parallelism (points.go, DESIGN §17): the
+// Tests for intra-cell point parallelism (points.go, DESIGN §4): the
 // worker pool must claim every checkpoint exactly once, the ordered
 // reduce must be bit-identical at any parallelism and any completion
 // order, and the two silent-failure bugs in the measure path — a

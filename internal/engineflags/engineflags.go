@@ -91,8 +91,9 @@ func (f *Flags) RegisterMetrics(fs *flag.FlagSet) {
 // Validate must run after fs.Parse. The engine knobs are checked by
 // core.Engine.Validate; what is added here exists only on a command line:
 // a zero that the Engine reads as "use the default" is refused when it was
-// typed out, the sampling flags must assemble into a valid spec, and
-// -metrics must name a known mode. Errors name the offending flag.
+// typed out, the sampling flags must assemble into a valid spec, -metrics
+// must name a known mode and, when it is set, a -metrics-out file must be
+// creatable. Errors name the offending flag.
 func (f *Flags) Validate() error {
 	var typedZero error
 	f.fs.Visit(func(fl *flag.Flag) {
@@ -119,6 +120,15 @@ func (f *Flags) Validate() error {
 		case "", "text", "json":
 		default:
 			return fmt.Errorf("unknown -metrics mode %q (text|json)", f.MetricsMode)
+		}
+		// Open the destination now: a path that cannot be written must
+		// cost a usage error, not the whole run EmitMetrics comes after.
+		if path := f.metricsFile(); f.MetricsMode != "" && path != "" {
+			file, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+			if err != nil {
+				return fmt.Errorf("-metrics-out: %w", err)
+			}
+			file.Close()
 		}
 	}
 	return nil
@@ -158,6 +168,15 @@ func (f *Flags) MetricsRegistry() *metrics.Registry {
 	return metrics.NewRegistry()
 }
 
+// metricsFile returns the -metrics-out path, or "" when metrics go to the
+// tool's standard output.
+func (f *Flags) metricsFile() string {
+	if f.MetricsOut == "-" {
+		return ""
+	}
+	return f.MetricsOut
+}
+
 // EmitMetrics renders reg per -metrics/-metrics-out. stdout is the tool's
 // standard output (used when -metrics-out is "-" or empty).
 func (f *Flags) EmitMetrics(reg *metrics.Registry, stdout io.Writer) error {
@@ -165,8 +184,8 @@ func (f *Flags) EmitMetrics(reg *metrics.Registry, stdout io.Writer) error {
 		return nil
 	}
 	dst := stdout
-	if f.MetricsOut != "-" && f.MetricsOut != "" {
-		file, err := os.Create(f.MetricsOut)
+	if path := f.metricsFile(); path != "" {
+		file, err := os.Create(path)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,6 +44,8 @@ func TestValidateRejections(t *testing.T) {
 		{[]string{"-remote-store", "http://store:9000"}, "-remote-store requires -cache"},
 		{[]string{"-remote-connect-timeout", "-1s"}, "-remote-connect-timeout"},
 		{[]string{"-remote-timeout", "0s"}, "-remote-timeout"},
+		// A destination that cannot be created fails here, before any work.
+		{[]string{"-metrics", "json", "-metrics-out", filepath.Join(t.TempDir(), "no-such-dir", "m.json")}, "-metrics-out"},
 	}
 	for _, tc := range cases {
 		f := parse(t, tc.args...)
@@ -141,5 +145,28 @@ func TestMetricsRegistry(t *testing.T) {
 
 	if err := f.EmitMetrics(nil, &buf); err != nil {
 		t.Errorf("nil registry must be a no-op, got %v", err)
+	}
+
+	// A file destination is created by Validate and filled by EmitMetrics;
+	// without -metrics the path is never touched.
+	out := filepath.Join(t.TempDir(), "m.json")
+	if err := parse(t, "-metrics-out", out).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("-metrics-out created without -metrics")
+	}
+	f = parse(t, "-metrics", "json", "-metrics-out", out)
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("Validate did not create the destination: %v", err)
+	}
+	if err := f.EmitMetrics(f.MetricsRegistry(), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(out); err != nil || !strings.HasPrefix(string(data), "{") {
+		t.Errorf("metrics file holds %q, %v", data, err)
 	}
 }

@@ -431,8 +431,8 @@ func TestAuditCleanPass(t *testing.T) {
 	}
 }
 
-// TestConformanceNetworkChaos is the trust-layer tentpole (and the `make
-// fabric-chaos` target): the full 11×3 matrix on a 3-worker cluster where
+// TestConformanceNetworkChaos is the trust-layer tentpole (not -short
+// gated, so part of `go test ./...`): the full 11×3 matrix on a 3-worker cluster where
 // worker-0 corrupts every measure payload it reports AND every worker's
 // network is hostile — stalled polls, 5xx'd reports and heartbeats,
 // corrupted and truncated artifact-store responses. The campaign must

@@ -494,7 +494,7 @@ func (c *Coordinator) finishLocked(r *run) {
 
 // assemble merges a finished run's cells into the Sweep a single node
 // would have produced. Profiles are intentionally absent (the encoding
-// never consumes them — DESIGN §12's wall-clock-free contract); Results
+// never consumes them — DESIGN §6's wall-clock-free contract); Results
 // decode from each measure cell's canonical payload, which IS the bytes
 // the measure artifact holds, so the merge cannot introduce drift.
 func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {

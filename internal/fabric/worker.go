@@ -34,7 +34,7 @@ type WorkerConfig struct {
 	// CacheDir is the local tier over the coordinator's store (a temp dir
 	// when empty) and its RemoteStore is ignored: the store is the
 	// coordinator's. A worker holds one cell at a time, so the Parallelism
-	// budget drains into intra-cell point helpers (DESIGN §17) and the
+	// budget drains into intra-cell point helpers (DESIGN §4) and the
 	// sweep-level Resume/KeepGoing/Retries do nothing. Chaos arms one
 	// injector per worker: pipeline and cache sites, the transport (scoped
 	// to ID), and "fabric.payload/<id>", which corrupts the bytes this
