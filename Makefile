@@ -47,7 +47,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzJournalRead -fuzztime 5s ./internal/journal
 
-# Kernel benchmarks: measure the hot-path kernels (BOOM tick, decode,
+# Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
+# low-IPC tarfind — decode,
 # stats/power accumulate, functional step/trace, BBV observe, memory
 # access) per BOOM config into BENCH_kernel.json. See README "Performance".
 bench:
@@ -55,17 +56,23 @@ bench:
 
 # Every kernel benchmark runs once (-benchtime 1x) and the JSON emitter
 # must see every kernel — catches perf-harness rot without paying for real
-# measurements. Then the functional-core floor: the four per-instruction
-# kernels (5M ops each, best of 3) must allocate exactly what their
-# committed BENCH_kernel.json rows do and, on the CPU model the ledger was
-# taken on, run within 1.5x of them.
+# measurements. Then the two floors against the committed BENCH_kernel.json.
+# The tick kernels (8 replays each, so a stray runtime allocation rounds
+# away) may allocate no more per op than their rows: a count, so it gates
+# on every host. The four per-instruction
+# functional-core kernels (5M ops each, best of 3) must allocate exactly
+# what their rows do and, on the CPU model the ledger was taken on, run
+# within 1.5x of them.
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4; do \
+	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done
+	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernelTick' -benchtime 8x \
+		-out .bench-check/ticks.json -floor BENCH_kernel.json 2> .bench-check/ticks.log \
+		|| { cat .bench-check/ticks.log; exit 1; }
 	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' -benchtime 5000000x -count 3 \
 		-out .bench-check/floor.json -floor BENCH_kernel.json 2> .bench-check/floor.log \
 		|| { cat .bench-check/floor.log; exit 1; }

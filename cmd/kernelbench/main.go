@@ -1,5 +1,5 @@
-// Command kernelbench runs the hot-path kernel benchmarks (BOOM tick,
-// decode, stats accumulate, power accumulate, functional step/trace, BBV
+// Command kernelbench runs the hot-path kernel benchmarks (BOOM tick on a
+// high- and a low-IPC trace, decode, stats accumulate, power accumulate, functional step/trace, BBV
 // observe, memory access) and emits a machine-readable BENCH_kernel.json
 // with cycles/sec, ns/op, and allocs/op per BOOM configuration:
 //
@@ -9,6 +9,8 @@
 //	go run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' \
 //	    -benchtime 5000000x -count 3 -out - -floor BENCH_kernel.json
 //	                                              # functional-core regression floor
+//	go run ./cmd/kernelbench -bench '^BenchmarkKernelTick' -benchtime 8x \
+//	    -out - -floor BENCH_kernel.json           # tick-kernel allocation ceiling
 //
 // It drives the same `go test -bench BenchmarkKernel` harness a developer
 // runs by hand — the benchmarks stay the single source of truth and this
@@ -44,6 +46,12 @@ var kernelPackages = []string{
 // fixed -benchtime Nx measures them in milliseconds.
 var floorKernels = []string{"func_step", "func_run_trace", "bbv_observe", "mem_read_write"}
 
+// ceilingKernels are the tick kernels, whose allocs/op -floor holds at or
+// below the committed rows: a count, so it gates on every host. It is what
+// keeps a simulation point allocation-free (boom.New's tables, nothing per
+// cycle or per µop).
+var ceilingKernels = []string{"tick", "tick_lo_ipc"}
+
 // floorSlack is how much slower than its committed row a floor kernel may
 // run before the floor fails.
 const floorSlack = 1.5
@@ -51,7 +59,7 @@ const floorSlack = 1.5
 // Result is one benchmark line of BENCH_kernel.json.
 type Result struct {
 	Name         string  `json:"name"`   // e.g. KernelTickMediumBOOM
-	Kernel       string  `json:"kernel"` // tick, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4
+	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4
 	Config       string  `json:"config,omitempty"`
 	Package      string  `json:"package"`
 	Iterations   int64   `json:"iterations"`
@@ -86,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("out", "BENCH_kernel.json", "output path (- = stdout)")
 	count := fs.Int("count", 1, "runs per benchmark (go test -count); the best ns/op run is kept")
 	bench := fs.String("bench", "^BenchmarkKernel", "benchmarks to run (go test -bench)")
-	floor := fs.String("floor", "", "committed ledger to hold the functional-core kernels to: allocs/op equal, ns/op within 1.5x when taken on the same CPU model")
+	floor := fs.String("floor", "", "committed ledger to hold the kernels that ran to: functional-core allocs/op equal and ns/op within 1.5x when taken on the same CPU model; tick allocs/op no higher")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -142,18 +150,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// checkFloor holds every floor kernel of got to its row in the committed
-// ledger: the row must exist on both sides, allocs/op must be equal, and
-// ns/op may be at most floorSlack times the committed figure. Absolute
-// times only compare like with like, so the ns/op half is skipped (and
-// said so) when the ledger was taken on a different CPU model.
+// checkFloor holds the kernels of got to their rows in the committed
+// ledger. Every functional-core kernel must have run, allocate exactly what
+// its row does, and take at most floorSlack times its ns/op; absolute times
+// only compare like with like, so that half is skipped (and said so) when
+// the ledger was taken on a different CPU model. Every tick kernel that ran
+// may allocate no more than its row, per config. The two groups' ops
+// differ a million-fold in cost, so one -bench selection runs one or the
+// other: the functional-core half is waived only for a run that selected
+// tick kernels and no functional-core one.
 func checkFloor(got, committed *Report, stderr io.Writer) error {
-	row := func(rep *Report, kernel string) *Result {
+	row := func(rep *Report, kernel, config string) *Result {
 		for i := range rep.Results {
-			if rep.Results[i].Kernel == kernel {
-				return &rep.Results[i]
+			if r := &rep.Results[i]; r.Kernel == kernel && r.Config == config {
+				return r
 			}
 		}
+		return nil
+	}
+	var ticks []*Result
+	for i := range got.Results {
+		for _, k := range ceilingKernels {
+			if got.Results[i].Kernel == k {
+				ticks = append(ticks, &got.Results[i])
+			}
+		}
+	}
+	for _, g := range ticks {
+		c := row(committed, g.Kernel, g.Config)
+		switch {
+		case c == nil:
+			return fmt.Errorf("floor: kernel %s %s has no committed row", g.Kernel, g.Config)
+		case g.AllocsPerOp > c.AllocsPerOp:
+			return fmt.Errorf("floor: %s %s allocates %d/op, committed %d/op", g.Kernel, g.Config, g.AllocsPerOp, c.AllocsPerOp)
+		}
+	}
+	tickOnly := len(ticks) > 0
+	for _, k := range floorKernels {
+		tickOnly = tickOnly && row(got, k, "") == nil
+	}
+	if tickOnly {
 		return nil
 	}
 	sameCPU := got.CPU == committed.CPU
@@ -161,7 +197,7 @@ func checkFloor(got, committed *Report, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "floor: ledger taken on %q, this host is %q: comparing allocs/op only\n", committed.CPU, got.CPU)
 	}
 	for _, k := range floorKernels {
-		g, c := row(got, k), row(committed, k)
+		g, c := row(got, k, ""), row(committed, k, "")
 		switch {
 		case g == nil:
 			return fmt.Errorf("floor: kernel %s did not run", k)

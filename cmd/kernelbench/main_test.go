@@ -75,6 +75,7 @@ func TestParseBenchLineRejectsGarbage(t *testing.T) {
 func TestSplitKernelName(t *testing.T) {
 	for name, want := range map[string][2]string{
 		"KernelTickMediumBOOM":    {"tick", "MediumBOOM"},
+		"KernelTickLoIPCMegaBOOM": {"tick_lo_ipc", "MegaBOOM"},
 		"KernelStatsAccumulate":   {"stats_accumulate", ""},
 		"KernelMeasureJ1MegaBOOM": {"measure_j1", "MegaBOOM"},
 		"KernelFuncStep":          {"func_step", ""},
@@ -120,5 +121,39 @@ func TestCheckFloor(t *testing.T) {
 	}
 	if err := checkFloor(ledger("cpu A", 10, 0), &Report{CPU: "cpu A"}, io.Discard); err == nil || !strings.Contains(err.Error(), "no committed row") {
 		t.Errorf("empty committed ledger: err = %v", err)
+	}
+}
+
+// TestCheckFloorTickCeiling: the tick kernels are held per config to an
+// allocation ceiling — lower passes, higher fails on any CPU model — and a
+// tick-only run does not need the functional-core kernels.
+func TestCheckFloorTickCeiling(t *testing.T) {
+	ticks := func(cpu string, large int64) *Report {
+		return &Report{CPU: cpu, Results: []Result{
+			{Kernel: "tick", Config: "MediumBOOM", AllocsPerOp: 57},
+			{Kernel: "tick", Config: "LargeBOOM", AllocsPerOp: large},
+			{Kernel: "tick_lo_ipc", Config: "LargeBOOM", AllocsPerOp: 57},
+		}}
+	}
+	committed := ticks("cpu A", 57)
+	for _, tc := range []struct {
+		name string
+		got  *Report
+		want string
+	}{
+		{"equal", ticks("cpu A", 57), ""},
+		{"lower", ticks("cpu A", 40), ""},
+		{"higher", ticks("cpu A", 58), "tick LargeBOOM allocates 58/op, committed 57/op"},
+		{"higher on another cpu model", ticks("cpu B", 1656), "allocates 1656/op"},
+		{"uncommitted config", &Report{Results: []Result{{Kernel: "tick_lo_ipc", Config: "MegaBOOM"}}}, "no committed row"},
+		{"ticks beside half a functional floor", &Report{Results: append(ticks("cpu A", 57).Results, Result{Kernel: "mem_read_write"})}, "func_step did not run"},
+	} {
+		err := checkFloor(tc.got, committed, io.Discard)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

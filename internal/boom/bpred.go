@@ -58,6 +58,25 @@ func newBPred(cfg *Config, stats *Stats) *bpred {
 	return b
 }
 
+// reset returns every table to its power-on state — the cold predictor a
+// new core starts a simulation point with — and retargets the activity
+// counters at stats.
+func (b *bpred) reset(stats *Stats) {
+	b.stats = stats
+	b.hist, b.rasTop, b.rasCnt = 0, 0, 0
+	clear(b.bimodal)
+	for i := range b.tables {
+		clear(b.tables[i].tags)
+		clear(b.tables[i].ctr)
+		clear(b.tables[i].useful)
+	}
+	clear(b.gshare)
+	clear(b.btbTags)
+	clear(b.btbTargets)
+	clear(b.btbValid)
+	clear(b.ras)
+}
+
 func mix(pc uint64) uint64 {
 	pc ^= pc >> 13
 	pc *= 0x9E3779B97F4A7C15

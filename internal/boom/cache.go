@@ -30,6 +30,15 @@ func newCacheModel(kib, ways, lineBytes int) *cacheModel {
 	}
 }
 
+// reset empties the cache. Ages and the stamp go too: victim selection
+// compares the age of an invalid way 0.
+func (c *cacheModel) reset() {
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.age)
+	c.stamp = 0
+}
+
 // access looks up addr; on a miss it fills the line (LRU victim). Returns
 // whether the access hit.
 func (c *cacheModel) access(addr uint64) bool {

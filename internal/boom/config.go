@@ -289,6 +289,10 @@ func (c *Config) Validate() error {
 		check(c.DCacheMSHRs > 0, "MSHRs"),
 		check(c.L2KiB > 0 && c.L2Ways > 0 && cacheSetsOK(c.L2KiB, c.L2Ways, c.LineBytes), "L2 geometry"),
 		check(c.L2Latency > 0 && c.MemLatency > 0, "memory latencies"),
+		// A completion is queued in slot (cycle+latency)%ringSize: a load
+		// that misses to DRAM must land inside the ring or it would alias
+		// a slot ~ringSize cycles early and complete there.
+		check(latLoadHit+c.L2Latency+c.MemLatency < ringSize, "memory latencies exceed the event horizon"),
 		check(c.ClockMHz > 0, "clock"),
 	} {
 		if e != nil {

@@ -39,48 +39,39 @@ const (
 	stDone
 )
 
-// depRef is a reference to a producing uop. seq disambiguates recycled uop
-// objects: if the pointer's seq moved on, the producer has committed and the
-// dependency is satisfied. ready memoizes a satisfied dependency by nilling
-// the pointer — readiness is monotonic (seq values never repeat and stDone
-// holds until the uop commits and is recycled), so subsequent checks reduce
-// to a nil test.
-type depRef struct {
-	u   *uop
-	seq uint64
-}
-
-func (d *depRef) ready() bool {
-	u := d.u
-	if u == nil {
-		return true
-	}
-	if u.seq != d.seq || u.state == stDone {
-		d.u = nil
-		return true
-	}
-	return false
-}
-
 type uop struct {
 	seq     uint64
 	pc      uint64
 	nextPC  uint64
 	memAddr uint64
-	taken   bool
+	doneAt  uint64
 
 	uopStatic // cracked form, copied from the per-PC decode cache
 
-	dep [3]depRef
+	// Wakeup-driven readiness (DESIGN §7). Bit d of pend is set at rename
+	// while source slot d's producer is in flight and not stDone; only that
+	// producer's completion clears it. wake[d] heads the list of consumers
+	// whose slot d waits on this µop, threaded through their wakeNext[d].
+	wake     [3]*uop
+	wakeNext [3]*uop
+	evNext   *uop // next µop completing in the same event-ring slot
+	pend     uint8
 
 	state     uopState
-	doneAt    uint64
+	taken     bool
 	mispred   bool
 	addrKnown bool // stores: STA has issued
 
 	// pipeline-trace timestamps (filled only when tracing is on)
 	fetchedAt, dispatchedAt, issuedAt uint64
 }
+
+// Source-slot pend bits the store halves wait on: STA needs the address
+// operand (slot 0), STD the data operand (slot 1).
+const (
+	pendAddr = 1 << 0
+	pendData = 1 << 1
+)
 
 // Core is one timing-model instance. Create with New, drive with Run.
 type Core struct {
@@ -95,15 +86,6 @@ type Core struct {
 	dcache *cacheModel
 	l2     *cacheModel
 
-	cycle   uint64
-	seq     uint64
-	retired uint64
-
-	next func(*sim.Retired) bool
-	trc  sim.Retired // reusable trace record (keeps pullTrace allocation-free)
-	peek *uop        // one-uop fetch lookahead
-	eof  bool
-
 	dec []decEntry // per-PC decode/crack cache
 
 	fetchBuf uopRing
@@ -114,21 +96,56 @@ type Core struct {
 	stq      uopRing // stores in program order, pruned at commit
 	stdWait  []*uop  // stores whose address issued but data is pending (STD)
 
+	accHist []uint64 // accHist[k] = cycles with int-queue occupancy k (clamped)
+
+	freeUops []*uop
+	arena    []uop
+
+	checkInv bool
+
+	traceW    io.Writer
+	traceLeft uint64
+
+	pipeState
+}
+
+// pipeState is every piece of simulation state that is not a table or a
+// buffer: Reset returns it to a new core's with one assignment.
+type pipeState struct {
+	cycle   uint64
+	seq     uint64
+	retired uint64
+
+	next func(*sim.Retired) bool
+	trc  sim.Retired // reusable trace record (keeps pullTrace allocation-free)
+	peek *uop        // one-uop fetch lookahead
+	eof  bool
+
 	// Wrong-path pressure: while a mispredicted branch is unresolved the
 	// real front end keeps dispatching wrong-path uops into the issue
 	// queues. The trace has no wrong path, so the model accounts the
 	// occupancy/activity (not timing) of those phantom entries here.
+	// wpInt/wpMem/wpFp are the per-cycle additions before the room clamp,
+	// fixed when the mispredicted branch dispatches: nothing younger
+	// dispatches until it resolves, so the class mix cannot move.
 	wrongInt, wrongMem, wrongFp int
+	wpInt, wpMem, wpFp          int
 
-	lastInt [32]depRef
-	lastFp  [32]depRef
+	// Rename map: the youngest in-flight writer of each register that has
+	// not completed; nil once it has (the value is in the register file).
+	lastInt [32]*uop
+	lastFp  [32]*uop
 
 	intInFlight, fpInFlight int
 	ldqUsed                 int
 
-	events     [ringSize][]*uop
-	mshrredeem [ringSize]int
-	mshrsBusy  int
+	// Event ring: slot t%ringSize holds, in issue order, the µops whose
+	// result arrives at cycle t (an intrusive list through uop.evNext) and
+	// the MSHRs released then. Config.Validate keeps every latency below
+	// ringSize, so a queued event is always within ringSize of cycle.
+	evHead, evTail [ringSize]*uop
+	mshrredeem     [ringSize]int
+	mshrsBusy      int
 
 	fetchReadyAt  uint64
 	redirect      *uop
@@ -139,19 +156,17 @@ type Core struct {
 	// dispatched-uop class mix, used to shape wrong-path pressure
 	dispInt, dispMem, dispFp uint64
 
-	checkInv bool
-
-	traceW    io.Writer
-	traceLeft uint64
+	// Quiet-cycle skipping (DESIGN §7): active is set by every site of a
+	// step that changes pipeline state; quietCAM is the store-queue search
+	// charge an MSHR-blocked load repeats on each cycle it replays.
+	active   bool
+	quietCAM uint64
+	skipped  uint64 // cycles advanced by skipQuiet rather than step
 
 	// Per-cycle activity accumulators, flushed into stats at interval
 	// boundaries (Stats/ResetStats/end of Run) instead of per cycle.
 	accCycles uint64
 	accOcc    [NumComponents]uint64
-	accHist   []uint64 // accHist[k] = cycles with int-queue occupancy k (clamped)
-
-	freeUops []*uop
-	arena    []uop
 }
 
 // New builds a core for cfg. Invalid configurations are returned as errors
@@ -190,6 +205,32 @@ func New(cfg Config) (*Core, error) {
 
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
+
+// Reset returns the core to the state New built — cold predictors and
+// caches, empty pipeline, cycle 0, fresh counters — without reallocating
+// its tables, so one core can measure simulation point after simulation
+// point. What a caller attached (metrics, fault injector, pipe trace,
+// invariant checking) stays attached. The decode cache is kept: it
+// revalidates every hit against the full instruction, so its contents
+// never reach a simulated byte.
+func (c *Core) Reset() {
+	c.pipeState = pipeState{}
+	c.stats = NewStats(&c.cfg)
+	c.bp.reset(c.stats)
+	c.icache.reset()
+	c.dcache.reset()
+	c.l2.reset()
+	c.fetchBuf.reset()
+	c.rob.reset()
+	c.stq.reset()
+	c.intQ, c.memQ, c.fpQ, c.stdWait = c.intQ[:0], c.memQ[:0], c.fpQ[:0], c.stdWait[:0]
+	clear(c.accHist)
+	clear(c.arena)
+	c.freeUops = c.freeUops[:0]
+	for i := range c.arena {
+		c.freeUops = append(c.freeUops, &c.arena[i])
+	}
+}
 
 // Stats returns the accumulated statistics (flushing any batched per-cycle
 // accumulators first, so the counters are always current at the call).
@@ -247,6 +288,10 @@ func (c *Core) SetMetrics(reg *metrics.Registry) { c.metrics = reg }
 // inside any measured interval.
 const injCheckMask = 1<<13 - 1
 
+// deadlockCycles is the progress watchdog: Run reports a DeadlockError once
+// this many cycles pass without a commit.
+const deadlockCycles = 100_000
+
 // SetFaultInjector attaches an optional fault injector; scope segments
 // (typically workload and config name) are appended to the "boom.tick"
 // site so chaos specs can target one measurement deterministically. A nil
@@ -275,12 +320,16 @@ func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, erro
 	defer c.flushAcc()
 	c.next = next
 	c.eof = false
+	c.active = true // the first step of a call is never skipped over
 	start := c.retired
 	target := start + maxRetire
 	lastRetired, lastProgress := c.retired, c.cycle
 	for c.retired < target {
 		if c.eof && c.peek == nil && c.rob.len() == 0 && c.fetchBuf.len() == 0 {
 			break
+		}
+		if !c.active && !c.checkInv {
+			c.skipQuiet(lastProgress + deadlockCycles)
 		}
 		if c.inj != nil && c.cycle&injCheckMask == 0 {
 			if err := c.inj.Hit(c.injSite...); err != nil {
@@ -290,7 +339,7 @@ func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, erro
 		c.step()
 		if c.retired != lastRetired {
 			lastRetired, lastProgress = c.retired, c.cycle
-		} else if c.cycle-lastProgress > 100_000 {
+		} else if c.cycle-lastProgress > deadlockCycles {
 			return c.retired - start, &DeadlockError{
 				Cycle: c.cycle, Retired: c.retired,
 				ROB: c.rob.len(), FetchBuf: c.fetchBuf.len(),
@@ -351,16 +400,69 @@ func (c *Core) pullTrace() *uop {
 }
 
 func (c *Core) step() {
+	c.active, c.quietCAM = false, 0
 	c.processCompletions()
 	c.commit()
 	c.issueAll()
 	c.dispatch()
 	c.fetch()
-	c.accountOccupancy()
+	c.accountOccupancy(1)
 	if c.checkInv {
 		c.assertInvariants()
 	}
 	c.cycle++
+}
+
+// skipQuiet runs after a step that changed nothing (active stayed false).
+// Such a step repeats identically until a timed condition flips, so the
+// clock jumps to the earliest cycle >= now at which one can: a queued
+// completion or MSHR release, the front end's fetchReadyAt (a pending
+// redirect ends on a completion instead), a divider coming free, the fault
+// injector's next check, or horizon, the watchdog's last cycle. Each
+// skipped cycle is charged exactly what the quiet step charged: occupancy,
+// the replaying loads' store-queue searches and, under a pending redirect,
+// the wrong-path front end. CheckInvariants(true) never skips, which makes
+// it the per-cycle reference TestQuietSkipMatchesStepping compares with.
+func (c *Core) skipQuiet(horizon uint64) {
+	now := c.cycle
+	wake := sooner(horizon, c.divBusyUntil, now)
+	wake = sooner(wake, c.fdivBusyUntil, now)
+	if c.redirect == nil {
+		wake = sooner(wake, c.fetchReadyAt, now)
+	}
+	if c.inj != nil {
+		wake = sooner(wake, (now+injCheckMask)&^injCheckMask, now)
+	}
+	for t := now; t < wake && t < now+ringSize; t++ {
+		if s := t % ringSize; c.evHead[s] != nil || c.mshrredeem[s] != 0 {
+			wake = t
+			break
+		}
+	}
+	n := wake - now
+	if n == 0 {
+		return
+	}
+	c.skipped += n
+	c.stats.Comp[CompLSU].CAMSearches += n * c.quietCAM
+	if c.redirect == nil {
+		c.accountOccupancy(n)
+		c.cycle = wake
+		return
+	}
+	for ; c.cycle < wake; c.cycle++ {
+		c.wrongPath()
+		c.accountOccupancy(1)
+	}
+}
+
+// sooner returns t if it is a wake-up in [now, wake), else wake: a timer
+// that has already expired is not what the pipeline is waiting for.
+func sooner(wake, t, now uint64) uint64 {
+	if t >= now && t < wake {
+		return t
+	}
+	return wake
 }
 
 // processCompletions handles every uop whose result becomes available this
@@ -370,19 +472,33 @@ func (c *Core) processCompletions() {
 	if n := c.mshrredeem[slot]; n > 0 {
 		c.mshrsBusy -= n
 		c.mshrredeem[slot] = 0
+		c.active = true
 	}
-	done := c.events[slot]
-	if len(done) == 0 {
+	u := c.evHead[slot]
+	if u == nil {
 		return
 	}
-	c.events[slot] = done[:0]
-	for _, u := range done {
+	c.evHead[slot], c.evTail[slot] = nil, nil
+	c.active = true
+	for ; u != nil; u = u.evNext {
 		u.state = stDone
+		for d := range u.wake {
+			for v := u.wake[d]; v != nil; v = v.wakeNext[d] {
+				v.pend &^= 1 << d
+			}
+			u.wake[d] = nil
+		}
 		if u.dstInt {
 			c.stats.Comp[CompIntRF].Writes++
+			if c.lastInt[u.rd] == u {
+				c.lastInt[u.rd] = nil
+			}
 		}
 		if u.dstFp {
 			c.stats.Comp[CompFpRF].Writes++
+			if c.lastFp[u.rd] == u {
+				c.lastFp[u.rd] = nil
+			}
 		}
 		if u.dstInt || u.dstFp {
 			// Wakeup: every valid issue-queue entry compares its source
@@ -443,6 +559,9 @@ func (c *Core) commit() {
 		c.freeUops = append(c.freeUops, u)
 		n++
 	}
+	if n > 0 {
+		c.active = true
+	}
 }
 
 func (c *Core) schedule(u *uop, doneAt uint64) {
@@ -451,11 +570,14 @@ func (c *Core) schedule(u *uop, doneAt uint64) {
 	}
 	u.state = stIssued
 	u.doneAt = doneAt
-	c.events[doneAt%ringSize] = append(c.events[doneAt%ringSize], u)
-}
-
-func (c *Core) ready(u *uop) bool {
-	return u.dep[0].ready() && u.dep[1].ready() && u.dep[2].ready()
+	slot := doneAt % ringSize
+	if t := c.evTail[slot]; t != nil {
+		t.evNext = u
+	} else {
+		c.evHead[slot] = u
+	}
+	c.evTail[slot] = u
+	c.active = true
 }
 
 // issueAll runs the three distributed scheduler queues. The integer and
@@ -473,7 +595,7 @@ func (c *Core) issueInt(intReads *int) {
 	issued := 0
 	for i := 0; i < len(c.intQ) && issued < c.cfg.IntIssueWidth; {
 		u := c.intQ[i]
-		if !c.ready(u) {
+		if u.pend != 0 {
 			i++
 			continue
 		}
@@ -510,7 +632,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 	// issued finish as soon as their data operand arrives.
 	for i := 0; i < len(c.stdWait); {
 		u := c.stdWait[i]
-		if !u.dep[1].ready() {
+		if u.pend&pendData != 0 {
 			i++
 			continue
 		}
@@ -543,7 +665,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 		if u.isStore {
 			// STA issues as soon as the address operand is ready, BOOM's
 			// STA/STD split: younger loads then disambiguate against it.
-			if !u.dep[0].ready() {
+			if u.pend&pendAddr != 0 {
 				i++
 				continue
 			}
@@ -554,7 +676,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			c.stats.Comp[CompLSU].CAMSearches += uint64(c.ldqUsed)
 			c.removeFromQueue(&c.memQ, i, CompMemIssue)
 			c.countExec(u)
-			if u.dep[1].ready() {
+			if u.pend&pendData == 0 {
 				// Data already available: STD fires with the STA.
 				if u.fpData {
 					c.stats.Comp[CompFpRF].Reads++
@@ -569,7 +691,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			continue
 		}
 
-		if !c.ready(u) {
+		if u.pend != 0 {
 			i++
 			continue
 		}
@@ -614,7 +736,10 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 		// L1D access; misses need an MSHR.
 		hit := c.dcache.probe(u.memAddr)
 		if !hit && c.mshrsBusy >= c.cfg.DCacheMSHRs {
-			i++ // replay next cycle
+			// Replay next cycle. The search charged above repeats on every
+			// cycle the load stays blocked, which skipQuiet must reproduce.
+			c.quietCAM += uint64(c.stq.len())
+			i++
 			continue
 		}
 		*intReads--
@@ -651,7 +776,7 @@ func (c *Core) issueFp(fpReads *int) {
 	issued := 0
 	for i := 0; i < len(c.fpQ) && issued < c.cfg.FpIssueWidth; {
 		u := c.fpQ[i]
-		if !c.ready(u) {
+		if u.pend != 0 {
 			i++
 			continue
 		}
@@ -693,6 +818,7 @@ func (c *Core) removeFromQueue(q *[]*uop, i int, comp Component) {
 	c.stats.Comp[comp].Shifts += uint64(len(s) - i - 1)
 	copy(s[i:], s[i+1:])
 	*q = s[:len(s)-1]
+	c.active = true
 }
 
 func (c *Core) countExec(u *uop) {
@@ -738,11 +864,9 @@ func (c *Core) dispatch() {
 		}
 
 		c.fetchBuf.popFront()
+		c.active = true
 		c.stats.Comp[CompFetchBuffer].Reads++
 		c.traceDispatch(u)
-		if u == c.redirect {
-			c.redirectDisp = true
-		}
 
 		// Rename: map-table reads for sources, a write for the destination,
 		// and — on any branch that can mispredict — a snapshot copy of both
@@ -763,11 +887,11 @@ func (c *Core) dispatch() {
 
 		if u.dstInt {
 			c.intInFlight++
-			c.lastInt[u.rd] = depRef{u, u.seq}
+			c.lastInt[u.rd] = u
 		}
 		if u.dstFp {
 			c.fpInFlight++
-			c.lastFp[u.rd] = depRef{u, u.seq}
+			c.lastFp[u.rd] = u
 		}
 		if u.isLoad {
 			c.ldqUsed++
@@ -793,18 +917,36 @@ func (c *Core) dispatch() {
 		}
 		c.stats.Comp[comp].Writes++
 		c.stats.Comp[CompOther].Reads++ // decode logic
+		if u == c.redirect {
+			// The mispredicted branch ends its fetch group, so it is the
+			// last µop to dispatch until it resolves: the wrong-path mix is
+			// the class mix as of now.
+			c.redirectDisp = true
+			total := c.dispInt + c.dispMem + c.dispFp
+			budget := uint64(c.cfg.DecodeWidth)
+			c.wpInt = int((budget*c.dispInt + total - 1) / total)
+			c.wpMem = int(budget * c.dispMem / total)
+			c.wpFp = int(budget * c.dispFp / total)
+		}
 	}
 }
 
-// renameSources fills u.dep from the rename map, walking the source-slot
-// table precomputed at crack time.
+// renameSources walks the source-slot table precomputed at crack time: a
+// slot whose producer has not completed becomes a pend bit and an entry on
+// that producer's wake list.
 func (c *Core) renameSources(u *uop) {
 	for d := 0; d < 3; d++ {
+		var p *uop
 		switch u.srcKind[d] {
 		case srcInt:
-			u.dep[d] = c.lastInt[u.srcReg[d]]
+			p = c.lastInt[u.srcReg[d]]
 		case srcFp:
-			u.dep[d] = c.lastFp[u.srcReg[d]]
+			p = c.lastFp[u.srcReg[d]]
+		}
+		if p != nil {
+			u.pend |= 1 << d
+			u.wakeNext[d] = p.wake[d]
+			p.wake[d] = u
 		}
 	}
 }
@@ -812,46 +954,7 @@ func (c *Core) renameSources(u *uop) {
 // fetch models the front end for one cycle.
 func (c *Core) fetch() {
 	if c.redirect != nil {
-		// Waiting for a mispredicted branch to resolve: the front end keeps
-		// running down the wrong path — predictor and I-cache stay busy and
-		// wrong-path uops keep dispatching into the issue queues until the
-		// flush. The phantom entries mirror the workload's class mix.
-		c.bp.lookupCycle()
-		c.stats.Comp[CompICache].Reads++
-		if !c.redirectDisp {
-			// The branch is still in the fetch buffer: nothing younger can
-			// dispatch yet, so the queues see no wrong-path pressure.
-			return
-		}
-		total := c.dispInt + c.dispMem + c.dispFp
-		if total == 0 {
-			total = 1
-		}
-		budget := uint64(c.cfg.DecodeWidth)
-		addInt := int((budget*c.dispInt + total - 1) / total)
-		addMem := int(budget * c.dispMem / total)
-		addFp := int(budget * c.dispFp / total)
-		if room := c.cfg.IntIssueSlots - len(c.intQ) - c.wrongInt; addInt > room {
-			addInt = room
-		}
-		if room := c.cfg.MemIssueSlots - len(c.memQ) - c.wrongMem; addMem > room {
-			addMem = room
-		}
-		if room := c.cfg.FpIssueSlots - len(c.fpQ) - c.wrongFp; addFp > room {
-			addFp = room
-		}
-		if addInt > 0 {
-			c.wrongInt += addInt
-			c.stats.Comp[CompIntIssue].Writes += uint64(addInt)
-		}
-		if addMem > 0 {
-			c.wrongMem += addMem
-			c.stats.Comp[CompMemIssue].Writes += uint64(addMem)
-		}
-		if addFp > 0 {
-			c.wrongFp += addFp
-			c.stats.Comp[CompFpIssue].Writes += uint64(addFp)
-		}
+		c.wrongPath()
 		return
 	}
 	if c.cycle < c.fetchReadyAt {
@@ -864,6 +967,7 @@ func (c *Core) fetch() {
 	if first == nil {
 		return
 	}
+	c.active = true
 
 	// One I-cache read and one predictor lookup per fetch cycle.
 	c.stats.Comp[CompICache].Reads++
@@ -902,6 +1006,43 @@ func (c *Core) fetch() {
 		if stop {
 			return
 		}
+	}
+}
+
+// wrongPath is the front end's cycle while a mispredicted branch waits to
+// resolve: it keeps running down the wrong path — predictor and I-cache
+// stay busy and wrong-path uops keep dispatching into the issue queues
+// until the flush. The phantom entries mirror the workload's class mix.
+// It is not pipeline activity: skipQuiet repeats it per skipped cycle.
+func (c *Core) wrongPath() {
+	c.bp.lookupCycle()
+	c.stats.Comp[CompICache].Reads++
+	if !c.redirectDisp {
+		// The branch is still in the fetch buffer: nothing younger can
+		// dispatch yet, so the queues see no wrong-path pressure.
+		return
+	}
+	addInt, addMem, addFp := c.wpInt, c.wpMem, c.wpFp
+	if room := c.cfg.IntIssueSlots - len(c.intQ) - c.wrongInt; addInt > room {
+		addInt = room
+	}
+	if room := c.cfg.MemIssueSlots - len(c.memQ) - c.wrongMem; addMem > room {
+		addMem = room
+	}
+	if room := c.cfg.FpIssueSlots - len(c.fpQ) - c.wrongFp; addFp > room {
+		addFp = room
+	}
+	if addInt > 0 {
+		c.wrongInt += addInt
+		c.stats.Comp[CompIntIssue].Writes += uint64(addInt)
+	}
+	if addMem > 0 {
+		c.wrongMem += addMem
+		c.stats.Comp[CompMemIssue].Writes += uint64(addMem)
+	}
+	if addFp > 0 {
+		c.wrongFp += addFp
+		c.stats.Comp[CompFpIssue].Writes += uint64(addFp)
 	}
 }
 
@@ -970,24 +1111,25 @@ func (c *Core) predict(u *uop) bool {
 	return false
 }
 
-// accountOccupancy records per-cycle occupancy of every tracked structure
-// into the flat accumulators; flushAcc folds them into stats at interval
-// boundaries. The int-queue slot profile is recorded as an occupancy
-// histogram rather than a per-slot loop.
-func (c *Core) accountOccupancy() {
-	c.accCycles++
-	c.accOcc[CompFetchBuffer] += uint64(c.fetchBuf.len())
-	c.accOcc[CompRob] += uint64(c.rob.len())
+// accountOccupancy records n cycles at the current occupancy of every
+// tracked structure (n is 1 except when skipQuiet jumps) into the flat
+// accumulators; flushAcc folds them into stats at interval boundaries. The
+// int-queue slot profile is recorded as an occupancy histogram rather than
+// a per-slot loop.
+func (c *Core) accountOccupancy(n uint64) {
+	c.accCycles += n
+	c.accOcc[CompFetchBuffer] += n * uint64(c.fetchBuf.len())
+	c.accOcc[CompRob] += n * uint64(c.rob.len())
 	intOcc := len(c.intQ) + c.wrongInt
-	c.accOcc[CompIntIssue] += uint64(intOcc)
-	c.accOcc[CompMemIssue] += uint64(len(c.memQ) + c.wrongMem)
-	c.accOcc[CompFpIssue] += uint64(len(c.fpQ) + c.wrongFp)
-	c.accOcc[CompLSU] += uint64(c.ldqUsed + c.stq.len())
-	c.accOcc[CompDCache] += uint64(c.mshrsBusy)
+	c.accOcc[CompIntIssue] += n * uint64(intOcc)
+	c.accOcc[CompMemIssue] += n * uint64(len(c.memQ)+c.wrongMem)
+	c.accOcc[CompFpIssue] += n * uint64(len(c.fpQ)+c.wrongFp)
+	c.accOcc[CompLSU] += n * uint64(c.ldqUsed+c.stq.len())
+	c.accOcc[CompDCache] += n * uint64(c.mshrsBusy)
 	if intOcc >= len(c.accHist) {
 		intOcc = len(c.accHist) - 1
 	}
-	c.accHist[intOcc]++
+	c.accHist[intOcc] += n
 }
 
 // nIntSrcs counts integer register file reads the uop performs (precomputed

@@ -13,11 +13,10 @@ import (
 // panicked — carrying the pipeline state at detection time.
 func TestRunDeadlockTypedError(t *testing.T) {
 	c := mustNew(t, MediumBOOM())
-	// Plant a uop that can never issue: it depends on itself, so the dep
-	// is never ready, the ROB head never commits, and the progress
-	// watchdog must fire.
-	u := &uop{seq: 1, state: stWaiting}
-	u.dep[0] = depRef{u: u, seq: 1}
+	// Plant a uop that can never issue: its pend bit sits on no producer's
+	// wake list, so nothing ever clears it, the ROB head never commits, and
+	// the progress watchdog must fire.
+	u := &uop{seq: 1, state: stWaiting, pend: 1}
 	c.rob.pushBack(u)
 	c.intQ = append(c.intQ, u)
 
@@ -38,8 +37,10 @@ func TestRunDeadlockTypedError(t *testing.T) {
 	if de.ROB != 1 || de.IntQ != 1 {
 		t.Errorf("state snapshot rob=%d intQ=%d, want 1/1", de.ROB, de.IntQ)
 	}
-	if de.Cycle == 0 {
-		t.Error("detection cycle not recorded")
+	// The whole wait is one quiet stretch: a skip that overshoots the
+	// watchdog horizon would shift the reported cycle.
+	if de.Cycle != 100_001 {
+		t.Errorf("detected at cycle %d, want 100001 (the per-cycle watchdog's report)", de.Cycle)
 	}
 	for _, want := range []string{"deadlock", "rob 1"} {
 		if !strings.Contains(err.Error(), want) {

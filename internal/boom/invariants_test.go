@@ -7,40 +7,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestInvariantsHoldAcrossSuite runs every workload on every configuration
-// with per-cycle structural checking enabled.
-func TestInvariantsHoldAcrossSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invariant sweep is slow")
-	}
-	for _, cfg := range Configs() {
-		for _, name := range workloads.Names() {
-			w, err := workloads.Build(name, workloads.ScaleTiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cpu, err := w.NewCPU()
-			if err != nil {
-				t.Fatal(err)
-			}
-			core := mustNew(t, cfg)
-			core.CheckInvariants(true)
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s on %s: %v", name, cfg.Name, r)
-					}
-				}()
-				mustRun(t, core, traceFrom(t, cpu), math.MaxUint64)
-			}()
-			if core.Stats().Insts == 0 {
-				t.Fatalf("%s on %s retired nothing", name, cfg.Name)
-			}
-		}
-	}
-}
-
-// TestInvariantsWithGShare covers the ablation path too.
+// TestInvariantsWithGShare runs the ablation predictor with per-cycle
+// structural checking; the TAGE suite (every workload on every
+// configuration) is the stepping half of TestQuietSkipMatchesStepping.
 func TestInvariantsWithGShare(t *testing.T) {
 	cfg := MediumBOOM()
 	cfg.Predictor = PredictorGShare

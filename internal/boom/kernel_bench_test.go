@@ -21,34 +21,48 @@ import (
 )
 
 var (
-	ktOnce sync.Once
-	ktBuf  []sim.Retired
-	ktErr  error
+	ktMu  sync.Mutex
+	ktBuf = map[string][]sim.Retired{}
 )
 
-// kernelTrace records the committed instruction stream of sha at tiny
-// scale once per process.
-func kernelTrace(b *testing.B) []sim.Retired {
-	b.Helper()
-	ktOnce.Do(func() {
-		w, err := workloads.Build("sha", workloads.ScaleTiny)
-		if err != nil {
-			ktErr = err
-			return
-		}
-		cpu, err := w.NewCPU()
-		if err != nil {
-			ktErr = err
-			return
-		}
-		_, ktErr = cpu.RunTrace(-1, func(r *sim.Retired) {
-			ktBuf = append(ktBuf, *r)
-		})
-	})
-	if ktErr != nil {
-		b.Fatal(ktErr)
+// kernelTrace records the committed instruction stream of a workload at
+// tiny scale once per process, for the benchmarks that replay it b.N times.
+func kernelTrace(tb testing.TB, name string) []sim.Retired {
+	tb.Helper()
+	ktMu.Lock()
+	defer ktMu.Unlock()
+	if tr, ok := ktBuf[name]; ok {
+		return tr
 	}
-	return ktBuf
+	tr := workloadTrace(tb, name)
+	ktBuf[name] = tr
+	return tr
+}
+
+// workloadTrace records a workload's committed stream at tiny scale,
+// uncached: a test uses a trace once and should not keep ~50 MB alive.
+func workloadTrace(tb testing.TB, name string) []sim.Retired {
+	tb.Helper()
+	w, err := workloads.Build(name, workloads.ScaleTiny)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cpu, err := w.NewCPU()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return recordTrace(tb, cpu)
+}
+
+// recordTrace captures a CPU's committed instruction stream so the same
+// stream can be replayed into several cores.
+func recordTrace(tb testing.TB, cpu *sim.CPU) []sim.Retired {
+	tb.Helper()
+	var tr []sim.Retired
+	if _, err := cpu.RunTrace(-1, func(r *sim.Retired) { tr = append(tr, *r) }); err != nil {
+		tb.Fatal(err)
+	}
+	return tr
 }
 
 // replaySource feeds a recorded trace to Core.Run.
@@ -66,11 +80,11 @@ func (s *replaySource) next(r *sim.Retired) bool {
 	return true
 }
 
-// benchTick replays the full recorded trace through a fresh core per
-// iteration: ns/op is the cost of one whole-trace replay; the cycles/s and
-// ns/inst metrics are the figures BENCH_kernel.json records.
-func benchTick(b *testing.B, cfg Config) {
-	tr := kernelTrace(b)
+// benchTick replays a workload's full recorded trace through a fresh core
+// per iteration: ns/op is the cost of one whole-trace replay; the cycles/s
+// and ns/inst metrics are the figures BENCH_kernel.json records.
+func benchTick(b *testing.B, workload string, cfg Config) {
+	tr := kernelTrace(b, workload)
 	b.ReportAllocs()
 	var cycles, insts uint64
 	b.ResetTimer()
@@ -94,15 +108,22 @@ func benchTick(b *testing.B, cfg Config) {
 	}
 }
 
-func BenchmarkKernelTickMediumBOOM(b *testing.B) { benchTick(b, MediumBOOM()) }
-func BenchmarkKernelTickLargeBOOM(b *testing.B)  { benchTick(b, LargeBOOM()) }
-func BenchmarkKernelTickMegaBOOM(b *testing.B)   { benchTick(b, MegaBOOM()) }
+// The tick kernel is metered at both ends of the suite: sha (IPC ~3.5)
+// pays per instruction, tarfind (IPC ~0.3) per cycle — a cost that grows
+// with cycles × queue occupancy shows only on the second.
+func BenchmarkKernelTickMediumBOOM(b *testing.B) { benchTick(b, "sha", MediumBOOM()) }
+func BenchmarkKernelTickLargeBOOM(b *testing.B)  { benchTick(b, "sha", LargeBOOM()) }
+func BenchmarkKernelTickMegaBOOM(b *testing.B)   { benchTick(b, "sha", MegaBOOM()) }
+
+func BenchmarkKernelTickLoIPCMediumBOOM(b *testing.B) { benchTick(b, "tarfind", MediumBOOM()) }
+func BenchmarkKernelTickLoIPCLargeBOOM(b *testing.B)  { benchTick(b, "tarfind", LargeBOOM()) }
+func BenchmarkKernelTickLoIPCMegaBOOM(b *testing.B)   { benchTick(b, "tarfind", MegaBOOM()) }
 
 // BenchmarkKernelDecode measures the per-instruction fetch-crack path
 // (trace pull → µop fields) in isolation: ns/op is the cost of cracking
 // one committed instruction into a µop.
 func BenchmarkKernelDecode(b *testing.B) {
-	tr := kernelTrace(b)
+	tr := kernelTrace(b, "sha")
 	c, err := New(MediumBOOM())
 	if err != nil {
 		b.Fatal(err)

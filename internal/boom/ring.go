@@ -37,3 +37,8 @@ func (r *uopRing) popFront() *uop {
 	r.n--
 	return u
 }
+
+func (r *uopRing) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}

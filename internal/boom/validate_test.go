@@ -62,6 +62,8 @@ func TestValidateRejections(t *testing.T) {
 		{"L2Latency", func(c *Config) { c.L2Latency = 0 }, "memory latencies"},
 		{"MemLatency", func(c *Config) { c.MemLatency = 0 }, "memory latencies"},
 		{"ClockMHz", func(c *Config) { c.ClockMHz = 0 }, "clock"},
+		{"miss latency = event ring", func(c *Config) { c.MemLatency = ringSize - latLoadHit - c.L2Latency }, "memory latencies exceed the event horizon"},
+		{"L2 latency alone past the ring", func(c *Config) { c.L2Latency = 4 * ringSize }, "memory latencies exceed the event horizon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {
@@ -75,6 +77,37 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not name the %q check", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateEventHorizonBoundary: the longest load latency may be
+// ringSize-1 (511; the 512 side is a TestValidateRejections row), and at
+// that boundary a DRAM miss is still timed in full: a chain of loads, each
+// address depending on the previous load's (zero) data, through cold lines
+// pays the whole latency per hop, not a ring-aliased short one.
+func TestValidateEventHorizonBoundary(t *testing.T) {
+	cfg := MediumBOOM()
+	cfg.MemLatency = ringSize - 1 - latLoadHit - cfg.L2Latency
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a %d-cycle miss fits the %d-slot ring: %v", ringSize-1, ringSize, err)
+	}
+	const hops = 64
+	st := runAsm(t, `
+	.text
+	li t0, 0x2000000
+	li t2, 64
+chase:
+	ld t3, 0(t0)
+	add t0, t0, t3
+	addi t0, t0, 64
+	addi t2, t2, -1
+	bnez t2, chase
+`, cfg)
+	if st.L2Misses < hops {
+		t.Fatalf("the chase missed to DRAM %d times, want %d", st.L2Misses, hops)
+	}
+	if min := uint64(hops * (ringSize - 1)); st.Cycles < min {
+		t.Errorf("%d dependent DRAM misses took %d cycles, less than %d: completions alias the event ring", hops, st.Cycles, min)
 	}
 }
 

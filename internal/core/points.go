@@ -13,8 +13,9 @@ import (
 
 // Intra-cell point parallelism (DESIGN §4). Every simulation point of one
 // (workload, config) cell restores its own architectural checkpoint into a
-// fresh functional+timing pair, so points are independent and can be
-// measured concurrently. Two invariants make this safe:
+// fresh functional CPU and a cold timing core (its worker's, Reset between
+// points), so points are independent and can be measured concurrently. Two
+// invariants make this safe:
 //
 //   - One shared budget. The Runner owns a slot semaphore of capacity -j
 //     shared between cell-level sweep workers and intra-cell point helpers,
@@ -50,6 +51,15 @@ type pointOutput struct {
 	aborted  bool   // skipped because a sibling point already failed
 }
 
+// pointScratch is what one point worker keeps from point to point of a
+// cell: the power report EstimateInto fills (consumed before the next
+// point) and the timing core, built at the worker's first point and Reset
+// for each later one instead of reallocating its tables.
+type pointScratch struct {
+	report power.Report
+	core   *boom.Core
+}
+
 // pointBudget returns the per-cell cap on concurrently measured points:
 // WithPointParallelism when set, otherwise the full -j budget.
 func (r *Runner) pointBudget() int {
@@ -63,17 +73,17 @@ func (r *Runner) pointBudget() int {
 // The calling goroutine is always worker zero; up to pointBudget()-1
 // helpers are admitted by try-acquiring slots from the Runner's shared
 // budget, so cell-level sweep workers and point helpers can never
-// oversubscribe -j between them. Each worker owns a private power.Report
-// scratch (the zero-alloc EstimateInto path). Point indices are claimed
-// atomically; body must be panic-free or capture its own panics — a panic
-// escaping body on a helper goroutine would kill the process.
-func (r *Runner) runPoints(n int, body func(i int, scratch *power.Report)) {
+// oversubscribe -j between them. Each worker owns a private pointScratch.
+// Point indices are claimed atomically; body must be panic-free or capture
+// its own panics — a panic escaping body on a helper goroutine would kill
+// the process.
+func (r *Runner) runPoints(n int, body func(i int, scratch *pointScratch)) {
 	if n == 0 {
 		return
 	}
 	var next atomic.Int64
 	work := func() {
-		var scratch power.Report
+		var scratch pointScratch
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/boom"
-	"repro/internal/power"
 	"repro/internal/simpoint"
 )
 
@@ -109,7 +108,7 @@ func TestRunPointsClaimsEachIndexOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 33} {
 			r := New(DefaultFlowConfig(), WithParallelism(par))
 			counts := make([]atomic.Int32, n+1)
-			r.runPoints(n, func(i int, _ *power.Report) {
+			r.runPoints(n, func(i int, _ *pointScratch) {
 				counts[i].Add(1)
 			})
 			for i := 0; i < n; i++ {
@@ -184,7 +183,7 @@ func TestOrderedReduceShuffledCompletion(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(delayRng()%3000) * time.Microsecond
 		}
-		r.runPoints(n, func(i int, _ *power.Report) {
+		r.runPoints(n, func(i int, _ *pointScratch) {
 			time.Sleep(delays[i])
 			outs[i] = fresh[i]
 		})

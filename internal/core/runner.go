@@ -439,7 +439,7 @@ func (r *Runner) Run(ctx context.Context, p *Profile, cfg boom.Config) (*Result,
 // never leaks partial state into a retry.
 //
 // Points are measured concurrently (see points.go): each restores its own
-// checkpoint into a fresh functional+timing pair, deposits its raw
+// checkpoint into a fresh CPU and a cold timing core, deposits its raw
 // measurement into an index-addressed slot, and the floating-point
 // reduction replays serially in checkpoint order — bit-identical to a
 // serial loop at every parallelism level.
@@ -475,7 +475,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 	pointNS := r.reg.Histogram("core.measure.point_ns")
 	pointsDone := r.reg.Counter("core.measure.points")
 
-	r.runPoints(n, func(i int, scratch *power.Report) {
+	r.runPoints(n, func(i int, scratch *pointScratch) {
 		out := &outs[i]
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -505,7 +505,8 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		}()
 
 		// Warm-up: restore the architectural checkpoint into a fresh
-		// functional+timing pair and prime caches and predictors.
+		// functional CPU and a cold timing core (the worker's own, Reset
+		// after its first point) and prime caches and predictors.
 		endStage := r.stage(StageWarmup)
 		// The checkpoint supplies memory and registers; only the text
 		// window (the workload's shared predecoded image) comes from the
@@ -513,14 +514,20 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		cpu := sim.New()
 		cpu.AttachText(prog)
 		p.Checkpoints[i].Restore(cpu)
-		core, nerr := boom.New(cfg)
-		if nerr != nil {
-			endStage()
-			out.err = serr(StageWarmup, nerr)
-			return
+		core := scratch.core
+		if core == nil {
+			var nerr error
+			if core, nerr = boom.New(cfg); nerr != nil {
+				endStage()
+				out.err = serr(StageWarmup, nerr)
+				return
+			}
+			core.SetMetrics(r.reg)
+			core.SetFaultInjector(r.inj, p.Workload.Name, cfg.Name)
+			scratch.core = core
+		} else {
+			core.Reset()
 		}
-		core.SetMetrics(r.reg)
-		core.SetFaultInjector(r.inj, p.Workload.Name, cfg.Name)
 		ts := &traceSource{cpu: cpu}
 		if warm := uint64(p.WarmupInsts[i]); warm > 0 {
 			if _, rerr := core.Run(ts.next, warm); rerr != nil {
@@ -556,7 +563,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		// accumulated Stats.
 		perr := r.inj.Hit("core.estimate", p.Workload.Name, cfg.Name)
 		if perr == nil {
-			perr = est.EstimateInto(scratch, st)
+			perr = est.EstimateInto(&scratch.report, st)
 		}
 		if perr != nil {
 			endStage()
@@ -567,7 +574,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 			Interval: p.Checkpoints[i].Interval,
 			Weight:   p.Selection.Selected[i].Weight,
 			IPC:      st.IPC(),
-			PowerMW:  scratch.TotalMW(),
+			PowerMW:  scratch.report.TotalMW(),
 		}
 		dst := slotBuf[i*cfg.IntIssueSlots : (i+1)*cfg.IntIssueSlots : (i+1)*cfg.IntIssueSlots]
 		out.slots = est.SlotPowerInto(dst, st)

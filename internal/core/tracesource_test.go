@@ -89,34 +89,37 @@ func TestTraceSourceEndsAtHalt(t *testing.T) {
 	}
 }
 
-// TestSharedImageConcurrentPoints measures one cell with two point workers:
-// both restore checkpoints of the same workload and fetch from its one
-// predecoded image at the same time. Under -race (make race) this is the
-// check that the image really is read-only; the byte comparison is the
-// check that sharing it changes nothing.
+// TestSharedImageConcurrentPoints measures one cell with one, two and four
+// point workers: they restore checkpoints of the same workload and fetch
+// from its one predecoded image at the same time, and each keeps one
+// timing core that it Resets from point to point. Under -race (make race)
+// this is the check that the image really is read-only and a core never
+// crosses workers; the byte comparison is the check that sharing the image
+// changes nothing and that no state survives Reset — qsort's nine points
+// land on the workers' cores in a different partition at each width, so a
+// predictor or cache line leaking from one point into the next would
+// measure a different cell.
 func TestSharedImageConcurrentPoints(t *testing.T) {
 	p := profileOf(t, "qsort")
-	if p.NumSimPoints() < 2 {
-		t.Fatalf("qsort selected %d simulation point(s); the test needs two to run concurrently", p.NumSimPoints())
+	if p.NumSimPoints() < 5 {
+		t.Fatalf("qsort selected %d simulation point(s); the test needs five so that one of four workers measures two", p.NumSimPoints())
 	}
 	cfg := boom.MediumBOOM()
-	serial, err := New(DefaultFlowConfig(), WithParallelism(1)).Run(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
+	measure := func(opts ...Option) []byte {
+		res, err := New(DefaultFlowConfig(), opts...).Run(context.Background(), p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeMeasuredResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	wide, err := New(DefaultFlowConfig(), WithParallelism(2), WithPointParallelism(2)).Run(context.Background(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := EncodeMeasuredResult(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := EncodeMeasuredResult(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb, wb) {
-		t.Error("two point workers sharing the text image measured a different cell than one")
+	serial := measure(WithParallelism(1))
+	for _, j := range []int{2, 4} {
+		if !bytes.Equal(serial, measure(WithParallelism(j), WithPointParallelism(j))) {
+			t.Errorf("%d point workers sharing the text image measured a different cell than one", j)
+		}
 	}
 }
