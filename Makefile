@@ -1,10 +1,10 @@
 # Build/verify entry points. Everything behavioural is a Go test under
 # `make test`; `make check` is the CI tier on top of it, six gates:
-#   vet            go vet
+#   vet            go vet, and gofmt -l prints nothing
 #   race           the concurrent packages under the race detector
 #   fuzz-smoke     5 s per fuzz target on top of the committed corpora
 #   bench-smoke    every kernel benchmark once + the functional-core floor
-#   bench-measure  one measure cell: -point-j 1 vs 4, byte-identical
+#   bench-measure  one measure cell: -j 1 vs -j 4, byte-identical
 #   fidelity       sampled-vs-full CPI error per sampling spec
 # The CLI drills (chaos keep-going, crash-resume, cache round-trip, boomd
 # serve / fabric-vs-solo) are tests of the commands themselves, in ./cmd/...
@@ -28,9 +28,11 @@ test: build
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] \
+		|| { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 # The packages with concurrent code (metrics registry, Runner worker pool,
-# artifact cache, fault injector, shared journal, HTTP job service and the
+# artifact cache, fault injector, fabric journal, HTTP job service and the
 # boomd wiring around it, sweep fabric) must stay race-clean, and so must
 # the functional core they share state through: concurrent point workers
 # fetch from one predecoded text image (internal/sim) and clone one

@@ -1,19 +1,19 @@
 // Command boomd serves the experiment sweep engine over HTTP: submit a
 // campaign (workloads × BOOM configs at a scale), poll or long-poll for
 // the canonical result JSON, scrape /metrics for engine and serving
-// state. Campaign fingerprints — the same identities the crash-resume
-// journal and the artifact cache key on — double as job IDs, so duplicate
-// in-flight submissions collapse onto one sweep.
+// state. Campaign fingerprints — built from the inputs the artifact cache
+// keys on — double as job IDs, so duplicate in-flight submissions collapse
+// onto one sweep.
 //
-//	boomd -addr :8080 -cache .cache -resume -retries 2 &
+//	boomd -addr :8080 -cache .cache -retries 2 &
 //	boomctl submit -scale tiny -wait
 //
 // The queue is bounded (-queue); submissions beyond it get 429 with a
 // Retry-After hint. SIGTERM/SIGINT drains gracefully: admission stops
 // (/readyz flips to 503), in-flight and queued sweeps run to completion
 // within -grace, then the process exits. If the grace expires first the
-// sweeps are canceled — every completed task is already journaled under
-// -cache, so restarting boomd with -resume and resubmitting the campaign
+// sweeps are canceled — every completed stage is already stored under
+// -cache, so restarting boomd on it and resubmitting the campaign
 // recomputes nothing that finished.
 //
 // boomd is also both halves of the distributed sweep fabric
@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	ef := engineflags.Register(fs)
 	queueDepth := fs.Int("queue", 8, "job queue depth; excess submissions get 429")
-	workers := fs.Int("workers", 1, "concurrent sweeps (keep 1 with -cache: the journal is per cache dir)")
+	workers := fs.Int("workers", 1, "concurrent sweeps (each with its own -j budget)")
 	grace := fs.Duration("grace", 30*time.Second, "drain grace on SIGTERM before canceling in-flight sweeps")
 	quiet := fs.Bool("q", false, "log lifecycle events only, not per-stage progress")
 	workerMode := fs.Bool("worker", false, "run as a fabric worker instead of a daemon (requires -coordinator)")
@@ -150,7 +150,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	dctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
-		logf("grace expired; in-flight sweeps canceled (journaled tasks replay with -resume): %v", err)
+		logf("grace expired; in-flight sweeps canceled (resubmit after a restart on the same -cache to resume): %v", err)
 	}
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer hcancel()

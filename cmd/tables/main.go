@@ -16,13 +16,14 @@
 // Fault tolerance: -keep-going collects task failures instead of aborting
 // (failed pairs render as FAILED cells and the command exits non-zero);
 // -retries N and -stage-timeout D add bounded retry and per-stage
-// watchdogs; -resume replays the sweep journal under -cache after a crash
-// and reruns only unfinished tasks; -chaos SEED:SPEC injects deterministic
-// faults (panics, errors, delays, artifact corruption) for drills:
+// watchdogs; after a crash, rerunning against the same -cache recomputes
+// only the stages that had not finished; -chaos SEED:SPEC injects
+// deterministic faults (panics, errors, delays, artifact corruption) for
+// drills:
 //
 //	go run ./cmd/tables -scale tiny -keep-going -chaos '7:core.measure/sha/*=panic'
 //	go run ./cmd/tables -scale tiny -cache .cache -die-after 5 ; \
-//	go run ./cmd/tables -scale tiny -cache .cache -resume
+//	go run ./cmd/tables -scale tiny -cache .cache
 package main
 
 import (
@@ -61,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quiet := fs.Bool("q", false, "suppress progress output")
 	ef := engineflags.Register(fs)
 	ef.RegisterMetrics(fs)
-	dieAfter := fs.Int("die-after", 0, "crash drill: exit(3) after N completed sweep tasks (tests -resume)")
+	dieAfter := fs.Int("die-after", 0, "crash drill: exit(3) after N completed sweep tasks (rerun on the same -cache to recover)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,6 +13,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/boom"
+	"repro/internal/metrics"
+	"repro/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -168,18 +173,22 @@ func TestChaosKeepGoingCLI(t *testing.T) {
 }
 
 // TestCrashResumeRoundTrip kills a real process mid-sweep: a child (this
-// test binary re-exec'd as the command) runs a cached sweep with
-// -die-after 5 and must die with exit status 3. Resuming over its cache and
-// journal — rerunning only the unfinished tasks — must then print exactly
-// what a warm rerun of the completed campaign prints (wall-clock figures
-// travel with the artifacts, so the compare is byte for byte).
+// test binary re-exec'd as the command) runs a cached sweep at -j 1 with
+// -die-after 5 and must die with exit status 3 — five workloads profiled,
+// nothing else finished. Crash recovery is the cache: the first rerun over
+// it must recompute exactly the unfinished stages (the other profile
+// chains, every measurement), the second nothing, and both must print the
+// same bytes (wall-clock figures travel with the artifacts, so the compare
+// is byte for byte).
 func TestCrashResumeRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
 	}
-	args := []string{"-scale", "tiny", "-q", "-cache", t.TempDir()}
+	const profiled = 5 // tasks the child finishes: at -j 1, the first five profile chains
+	cache := t.TempDir()
+	args := []string{"-scale", "tiny", "-q", "-j", "1", "-cache", cache}
 
-	child := exec.Command(os.Args[0], append(args, "-die-after", "5")...)
+	child := exec.Command(os.Args[0], append(args, "-die-after", fmt.Sprint(profiled))...)
 	child.Env = append(os.Environ(), beMainEnv+"=1")
 	out, err := child.CombinedOutput()
 	var exit *exec.ExitError
@@ -187,15 +196,48 @@ func TestCrashResumeRoundTrip(t *testing.T) {
 		t.Fatalf("child: %v, want exit status 3\n%s", err, out)
 	}
 
-	var resumed, warm bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed, io.Discard); err != nil {
-		t.Fatal(err)
+	rerun := func() (stdout []byte, counters map[string]int64) {
+		mfile := filepath.Join(t.TempDir(), "m.json")
+		var buf bytes.Buffer
+		if err := run(append(args, "-metrics", "json", "-metrics-out", mfile), &buf, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(mfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap metrics.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), snap.Counters
 	}
-	if err := run(args, &warm, io.Discard); err != nil {
-		t.Fatal(err)
+	first, c1 := rerun()
+	second, c2 := rerun()
+
+	unprofiled := int64(len(workloads.Names()) - profiled)
+	for stage, want := range map[string]int64{
+		"bbv": unprofiled, "select": unprofiled, "checkpoint": unprofiled,
+		"measure": int64(len(workloads.Names()) * len(boom.Configs())),
+	} {
+		if got := c1["artifact."+stage+".miss"]; got != want {
+			t.Errorf("first rerun: artifact.%s.miss = %d, want %d (exactly what the kill left unfinished)", stage, got, want)
+		}
+		if got := c2["artifact."+stage+".miss"]; got != 0 {
+			t.Errorf("second rerun: artifact.%s.miss = %d, want 0", stage, got)
+		}
 	}
-	if !bytes.Equal(resumed.Bytes(), warm.Bytes()) {
-		t.Errorf("resumed output is not byte-identical to the warm rerun\n%s",
-			firstDiff(resumed.String(), warm.String()))
+	if got := c1["artifact.bbv.hit"]; got != profiled {
+		t.Errorf("first rerun: artifact.bbv.hit = %d, want the %d profiles the child finished", got, profiled)
+	}
+	if c1["boom.retired"] == 0 || c2["boom.retired"] != 0 {
+		t.Errorf("boom.retired = %d then %d, want the detailed model to run in the first rerun only", c1["boom.retired"], c2["boom.retired"])
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("the rerun after the kill is not byte-identical to a warm rerun\n%s",
+			firstDiff(string(first), string(second)))
+	}
+	if left, _ := filepath.Glob(filepath.Join(cache, "*.journal")); len(left) != 0 {
+		t.Errorf("a single-node sweep keeps no journal, found %v", left)
 	}
 }

@@ -2,13 +2,17 @@ package repro_test
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/engineflags"
 )
 
 // Docs-drift checks: the docs a newcomer reads must describe the tree as it
@@ -31,6 +35,7 @@ var (
 	designRef   = regexp.MustCompile(`DESIGN(?:\.md)? §(\w+(?:\.\d+)?)`)
 	bareRef     = regexp.MustCompile(`§(\d\w*(?:\.\d+)?)`)
 	designH2    = regexp.MustCompile(`^## (\d+)\. `)
+	engineRow   = regexp.MustCompile("^\\| `(\\w+)` \\| `(-[a-z-]+)` \\|")
 )
 
 func readDoc(t *testing.T, path string) string {
@@ -148,5 +153,44 @@ func TestDesignReferencesResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDesignEngineTable: the rows of DESIGN §4's Engine table are exactly
+// the fields of core.Engine, in order, and each row's flag is the one
+// engineflags.Register binds to that field — a deleted knob cannot linger
+// in, and a new one cannot be missing from, the table a newcomer reads.
+func TestDesignEngineTable(t *testing.T) {
+	flags := flag.NewFlagSet("docs", flag.ContinueOnError)
+	ef := engineflags.Register(flags)
+	flagOf := map[uintptr]string{}
+	flags.VisitAll(func(fl *flag.Flag) {
+		// A *Var flag's Value is the bound variable's own address.
+		flagOf[reflect.ValueOf(fl.Value).Pointer()] = "-" + fl.Name
+	})
+	var want []string
+	engine := reflect.ValueOf(&ef.Engine).Elem()
+	for i := 0; i < engine.NumField(); i++ {
+		want = append(want, engine.Type().Field(i).Name+" "+flagOf[engine.Field(i).Addr().Pointer()])
+	}
+
+	_, table, found := strings.Cut(readDoc(t, "DESIGN.md"), "\n| Field | Flag | Meaning (zero value) |\n|---|---|---|\n")
+	if !found {
+		t.Fatal("DESIGN.md has no `| Field | Flag | Meaning (zero value) |` table")
+	}
+	var got []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		m := engineRow.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("DESIGN.md Engine table row %q: want | `Field` | `-flag` | meaning |", line)
+		}
+		got = append(got, m[1]+" "+m[2])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DESIGN §4 Engine table rows:\n  %s\ncore.Engine fields and their flags:\n  %s",
+			strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -14,9 +14,9 @@ import (
 var ErrBreakerOpen = fmt.Errorf("artifact: remote store circuit breaker open")
 
 const (
-	brClosed = iota // normal operation
-	brOpen          // short-circuiting everything until the cooldown lapses
-	brHalfOpen      // cooldown lapsed; one probe in flight decides
+	brClosed   = iota // normal operation
+	brOpen            // short-circuiting everything until the cooldown lapses
+	brHalfOpen        // cooldown lapsed; one probe in flight decides
 )
 
 // breaker is a consecutive-failure circuit breaker guarding the remote

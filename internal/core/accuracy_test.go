@@ -55,7 +55,7 @@ func TestDifferentialAccuracy(t *testing.T) {
 	// Full-model baselines, spread over the worker pool like a sweep.
 	fulls := make(map[string]*Result, len(names))
 	var mu sync.Mutex
-	err = cold.runTasks(ctx, nil, nil, taskSet{
+	err = cold.runTasks(ctx, taskSet{
 		stage: StageMeasure,
 		n:     len(names),
 		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },

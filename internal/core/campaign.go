@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/artifact"
 	"repro/internal/boom"
 	"repro/internal/sampling"
 	"repro/internal/workloads"
@@ -11,10 +12,10 @@ import (
 // Campaign is the unit of sweep identity: the workloads, the design
 // points, and the scale they are evaluated at. It replaces the
 // (names []string, configs []boom.Config) pairs that used to thread
-// through Sweep, the crash-resume journal, and the serving layer — one
-// value now carries everything the campaign fingerprint covers, so the
-// engine cannot be handed a workload list and a config list that belong
-// to different campaigns.
+// through Sweep, the serving layer and the fabric — one value now carries
+// everything the campaign fingerprint covers, so the engine cannot be
+// handed a workload list and a config list that belong to different
+// campaigns.
 //
 // The zero value is the empty campaign at ScaleTiny; use NewCampaign or a
 // composite literal. Configs may be the registry's named trio or design
@@ -26,8 +27,8 @@ type Campaign struct {
 	// Workloads lists benchmark names (internal/workloads.Names order is
 	// conventional but not required).
 	Workloads []string
-	// Configs lists the design points. Names must be unique: the journal
-	// and result maps key cells by (config name, workload name).
+	// Configs lists the design points. Names must be unique: result maps
+	// and fabric cells key cells by (config name, workload name).
 	Configs []boom.Config
 	// Scale is the workload scale every cell is built at.
 	Scale workloads.Scale
@@ -61,9 +62,36 @@ func (c Campaign) ConfigNames() []string {
 // Cells returns the number of (workload, config) measurement cells.
 func (c Campaign) Cells() int { return len(c.Workloads) * len(c.Configs) }
 
+// CampaignID fingerprints a campaign under this Runner's flow parameters:
+// the exact workload list, configuration list, flow parameters, scale and
+// effective sampling spec. It is the one identity of a run: the serving
+// layer's job and dedupe ID (internal/serve), so duplicate submissions of
+// one campaign collapse onto one job, and the header of every fabric
+// journal fragment (internal/fabric). Reuses the artifact cache's canonical
+// encoding, so any drift in any input — including any single field of any
+// design point, which is how parametric axes (internal/dse) become part of
+// the identity — yields a different ID and a stale fragment is ignored
+// rather than replayed.
+//
+// The encoded shape below (an anonymous struct, these field names and
+// types, the schema version) is pinned by the fingerprint compatibility
+// suite. Do not rename fields, reorder them, or name the struct (the
+// canonical encoding hashes the type name, and an anonymous struct encodes
+// as ""); a deliberate change bumps sweepSchema, which orphans fragments
+// and boomd job IDs but — like every cache key — moves no result byte.
+func (r *Runner) CampaignID(c Campaign) string {
+	return artifact.NewKey("sweep", sweepSchema, struct {
+		Names    []string
+		Configs  []boom.Config
+		Flow     FlowConfig
+		Scale    int
+		Sampling sampling.Spec
+	}{c.Workloads, c.Configs, r.fc, int(c.Scale), r.effectiveSpec(c)}).Hex()
+}
+
 // Validate rejects campaigns the sweep engine cannot run unambiguously:
-// empty axes, duplicate workloads or config names (the journal keys tasks
-// by name), unregistered workloads, structurally invalid design points
+// empty axes, duplicate workloads or config names (cells are keyed by
+// name), unregistered workloads, structurally invalid design points
 // (boom.Config.Validate), and unresolvable sampling specs.
 func (c Campaign) Validate() error {
 	if len(c.Workloads) == 0 {

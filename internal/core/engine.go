@@ -23,8 +23,9 @@ import (
 // means the same thing at every entry point. The zero value is a valid
 // in-memory, all-cores, fail-fast engine.
 type Engine struct {
-	// -cache: root of the artifact cache and the crash-resume journal
-	// ("" = neither).
+	// -cache: root of the artifact cache, which is also what a rerun of a
+	// killed or failed sweep resumes from, and of the fabric's journal
+	// fragments ("" = none).
 	CacheDir string
 	// -cache-verify: recompute every cache hit and fail on divergence.
 	CacheVerify bool
@@ -37,9 +38,6 @@ type Engine struct {
 	// overall client timeout would also cap long polls and big transfers.
 	RemoteConnect time.Duration
 	RemoteTimeout time.Duration
-	// -resume: replay the sweep journal under CacheDir and rerun only
-	// unfinished tasks.
-	Resume bool
 	// -keep-going: run every (workload, config) pair despite failures.
 	KeepGoing bool
 	// -retries: re-attempts per sweep task on transient faults, waiting
@@ -47,11 +45,9 @@ type Engine struct {
 	Retries int
 	// -stage-timeout: watchdog deadline per pipeline stage (0 = none).
 	StageTimeout time.Duration
-	// -j: the Runner's total worker budget (0 = all cores).
+	// -j: the Runner's total worker budget, shared by sweep workers and
+	// the point helpers inside each cell (0 = all cores).
 	Parallelism int
-	// -point-j: points measured concurrently within one cell (0 = share
-	// the Parallelism budget, 1 = serial).
-	PointParallelism int
 	// -chaos: deterministic fault-injection plan SEED:SPEC (see
 	// internal/faultinject). Every Injector call arms a fresh plan with
 	// its own hit counters; when to call it is each carrier's policy.
@@ -74,8 +70,6 @@ func (e Engine) Validate() error {
 	switch {
 	case e.Parallelism < 0:
 		return fmt.Errorf("-j %d: parallelism must be ≥ 1 (0 = all cores)", e.Parallelism)
-	case e.PointParallelism < 0:
-		return fmt.Errorf("-point-j %d: must be ≥ 0 (0 shares the -j budget)", e.PointParallelism)
 	case e.Retries < 0:
 		return fmt.Errorf("-retries %d: must be ≥ 0", e.Retries)
 	case e.StageTimeout < 0:
@@ -86,8 +80,6 @@ func (e Engine) Validate() error {
 		return fmt.Errorf("-remote-timeout %s: must be ≥ 0 (0 = %s)", e.RemoteTimeout, DefaultRemoteTimeout)
 	case e.CacheDir == "" && e.CacheVerify:
 		return fmt.Errorf("-cache-verify requires -cache DIR")
-	case e.CacheDir == "" && e.Resume:
-		return fmt.Errorf("-resume requires -cache DIR (the journal lives there)")
 	case e.CacheDir == "" && e.RemoteStore != "":
 		return fmt.Errorf("-remote-store requires -cache DIR (the local read-through tier)")
 	}
@@ -143,9 +135,6 @@ func (e Engine) Options() ([]Option, error) {
 	if e.Parallelism > 0 {
 		opts = append(opts, WithParallelism(e.Parallelism))
 	}
-	if e.PointParallelism > 0 {
-		opts = append(opts, WithPointParallelism(e.PointParallelism))
-	}
 	if e.CacheDir != "" {
 		opts = append(opts, WithCache(e.CacheDir), WithCacheVerify(e.CacheVerify))
 	}
@@ -154,9 +143,6 @@ func (e Engine) Options() ([]Option, error) {
 	}
 	if e.KeepGoing {
 		opts = append(opts, WithKeepGoing(true))
-	}
-	if e.Resume {
-		opts = append(opts, WithResume(true))
 	}
 	if e.Retries > 0 {
 		opts = append(opts, WithRetry(e.Retries, RetryBackoff))
@@ -204,26 +190,17 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithParallelism sets the Runner's total worker budget: the number of
 // Sweep workers, and — shared with them through one slot semaphore — the
-// ceiling on concurrent intra-cell point workers (see
-// WithPointParallelism). Values below 1 mean "one worker". Default:
-// runtime.GOMAXPROCS(0). Results are bit-identical for every parallelism
-// level — each (workload, config) measurement is an isolated deterministic
-// core+CPU pair, and within a cell the per-point reduction is replayed
-// serially in checkpoint order (DESIGN §4).
+// ceiling on concurrent intra-cell point workers. A cell fans its points
+// out over whatever slots the sweep leaves idle, so a single-workload
+// campaign uses all of -j while a saturated 11×3 sweep degrades each cell
+// to serial measurement — the combined goroutine count never exceeds -j.
+// Values below 1 mean "one worker". Default: runtime.GOMAXPROCS(0).
+// Results are bit-identical for every parallelism level — each (workload,
+// config) measurement is an isolated deterministic core+CPU pair, and
+// within a cell the per-point reduction is replayed serially in checkpoint
+// order (DESIGN §4).
 func WithParallelism(n int) Option {
 	return func(r *Runner) { r.par = n }
-}
-
-// WithPointParallelism caps how many simulation points of one (workload,
-// config) cell may be measured concurrently. The default (any n < 1)
-// shares the WithParallelism budget: a cell fans its points out over
-// whatever slots the sweep leaves idle, so a single-workload campaign
-// uses all of -j while a saturated 11×3 sweep degrades each cell to
-// serial measurement — the combined goroutine count never exceeds -j.
-// n = 1 forces strictly serial point measurement. Results are
-// bit-identical at every setting.
-func WithPointParallelism(n int) Option {
-	return func(r *Runner) { r.pointPar = n }
 }
 
 // WithProgress installs a callback receiving human-readable step strings.
@@ -306,16 +283,6 @@ func WithKeepGoing(v bool) Option {
 	return func(r *Runner) { r.keepGoing = v }
 }
 
-// WithResume replays the sweep journal left under the cache directory by a
-// previous (killed or failed) run of the identical campaign: tasks with a
-// "done" record are served straight from their cache artifacts and only
-// unfinished or failed tasks recompute. Requires WithCache; a journal from
-// a different campaign (different workloads, configs, flow parameters or
-// scale) is ignored.
-func WithResume(v bool) Option {
-	return func(r *Runner) { r.resume = v }
-}
-
 // WithFaultInjector attaches a deterministic fault-injection plan (see
 // internal/faultinject). The injector is threaded into every fault site
 // the Runner controls: core.profile/<wl>, core.measure/<wl>/<cfg>,
@@ -329,8 +296,8 @@ func WithFaultInjector(inj *faultinject.Injector) Option {
 // WithTaskHook installs fn, called after every successfully completed
 // sweep task with the Runner's running completion count. This is an
 // operational hook for crash drills and progress-driven tooling (e.g.
-// "kill the process after N tasks" in resume tests); fn runs on worker
-// goroutines and must be safe for concurrent use.
+// "kill the process after N tasks" in crash-recovery tests); fn runs on
+// worker goroutines and must be safe for concurrent use.
 func WithTaskHook(fn func(completed int)) Option {
 	return func(r *Runner) { r.taskHook = fn }
 }

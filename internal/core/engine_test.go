@@ -24,13 +24,11 @@ func TestEngineValidate(t *testing.T) {
 		want string
 	}{
 		{Engine{Parallelism: -4}, "-j -4"},
-		{Engine{PointParallelism: -1}, "-point-j"},
 		{Engine{Retries: -1}, "-retries"},
 		{Engine{StageTimeout: -time.Second}, "-stage-timeout"},
 		{Engine{RemoteConnect: -time.Second}, "-remote-connect-timeout"},
 		{Engine{RemoteTimeout: -time.Second}, "-remote-timeout"},
 		{Engine{CacheVerify: true}, "-cache-verify requires -cache"},
-		{Engine{Resume: true}, "-resume requires -cache"},
 		{Engine{RemoteStore: "http://store:9000"}, "-remote-store requires -cache"},
 		{Engine{Chaos: "not-a-plan"}, "-chaos"},
 	}
@@ -47,9 +45,9 @@ func TestEngineValidate(t *testing.T) {
 		{},
 		{
 			CacheDir: t.TempDir(), CacheVerify: true, RemoteStore: "http://store:9000",
-			RemoteConnect: time.Second, RemoteTimeout: time.Second, Resume: true,
+			RemoteConnect: time.Second, RemoteTimeout: time.Second,
 			KeepGoing: true, Retries: 2, StageTimeout: time.Second, Parallelism: 2,
-			PointParallelism: 1, Chaos: "7:core.measure/sha/*=error",
+			Chaos: "7:core.measure/sha/*=error",
 		},
 	}
 	for _, e := range good {
@@ -65,7 +63,7 @@ func TestEngineValidate(t *testing.T) {
 // TestEveryEngineFieldReachesTheLadder: Options (with the Injector and
 // HTTPClient builders it calls) is the only place an Engine turns into
 // Runner options, so a field none of them reads is a knob every carrier
-// accepts and no Runner honours — the "-point-j threaded through five
+// accepts and no Runner honours — the "one knob threaded through five
 // layers by hand" class of mistake. The check is on the source: most
 // knobs surface only as unexported Runner state or inside an HTTP
 // transport's dialer, where a behavioural probe cannot see them.

@@ -37,7 +37,7 @@ func TestFidelityGate(t *testing.T) {
 	// Full-model CPI baselines, shared by both specs.
 	fulls := make(map[string]*Result, len(names))
 	var mu sync.Mutex
-	err := r.runTasks(ctx, nil, nil, taskSet{
+	err := r.runTasks(ctx, taskSet{
 		stage: StageMeasure,
 		n:     len(names),
 		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },

@@ -1,26 +1,21 @@
 package core
 
 import (
-	"context"
-	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/boom"
-	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
 // This file is the campaign-fingerprint compatibility suite. The
-// fingerprint is the identity that keys journals, boomd jobs and dedupe,
-// so it must not drift by accident: a changed hex silently stops every
-// existing journal from resuming and re-keys every boomd job. The values
-// below pin the current encoding (sweep schema 3: one shape for every
-// campaign, the effective sampling spec always hashed). If one of these
-// tests fails, the fix is to restore the encoding; the constants move only
-// with a deliberate sweepSchema bump, documented in DESIGN §3.
+// fingerprint is the identity that keys fabric journal fragments, boomd
+// jobs and dedupe, so it must not drift by accident: a changed hex silently
+// stops every existing fragment from resuming and re-keys every boomd job.
+// The values below pin the current encoding (sweep schema 3: one shape for
+// every campaign, the effective sampling spec always hashed). If one of
+// these tests fails, the fix is to restore the encoding; the constants move
+// only with a deliberate sweepSchema bump, documented in DESIGN §3.
 const (
 	// All 11 workloads x the three named BOOM corners, ScaleTiny flow.
 	fpTrioTinyAll = "a028fa37fe00135e3f359a25b54b3851abf11bade9552b9c07f949cde4884542"
@@ -69,55 +64,32 @@ func TestPinnedCampaignFingerprints(t *testing.T) {
 			got := pinnedRunner(t, tc.scale).CampaignID(tc.camp)
 			if got != tc.want {
 				t.Fatalf("fingerprint drifted: got %s, want %s\n"+
-					"A journal keyed by the pinned ID would no longer resume.", got, tc.want)
+					"A fabric fragment keyed by the pinned ID would no longer resume.", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestPinnedJournalResumes writes a journal in the exact on-disk format —
-// header keyed by the pinned fingerprint, then "done" records with the
-// pinned task labels — and checks that a sweep of that campaign treats
-// those tasks as resumed: the fingerprint, the record dialect and the task
-// labels are one compatibility surface.
-func TestPinnedJournalResumes(t *testing.T) {
-	dir := t.TempDir()
-	pinned := []journal.Record{
-		{Ev: "sweep", ID: fpShaQsortMedium},
-		{Ev: "done", Task: "profile/sha", NS: 12345},
-		{Ev: "done", Task: "profile/qsort", NS: 23456},
-		{Ev: "done", Task: "measure/MediumBOOM/sha", NS: 34567},
-	}
-	f, err := os.Create(JournalPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range pinned {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestSweepIDSensitivity: any campaign input drift — workload set, config
+// set, flow parameters, scale — must change the fingerprint.
+func TestSweepIDSensitivity(t *testing.T) {
+	names := []string{"sha", "bitcount"}
+	cfgs := []boom.Config{boom.MediumBOOM()}
+	base := New(DefaultFlowConfig()).CampaignID(tcamp(names, cfgs))
 
-	reg := metrics.NewRegistry()
-	r := pinnedRunner(t, workloads.ScaleTiny,
-		WithCache(dir), WithResume(true), WithMetrics(reg))
-	camp := NewCampaign([]string{"sha", "qsort"}, []boom.Config{boom.MediumBOOM()}, workloads.ScaleTiny)
-	sw, err := r.Sweep(context.Background(), camp)
-	if err != nil {
-		t.Fatal(err)
+	if got := New(DefaultFlowConfig()).CampaignID(tcamp(names, cfgs)); got != base {
+		t.Error("identical campaign must fingerprint identically")
 	}
-	if len(sw.Results) != 1 || len(sw.Results["MediumBOOM"]) != 2 {
-		t.Fatalf("sweep incomplete after resume: %+v", sw.Results)
+	if got := New(DefaultFlowConfig()).CampaignID(tcamp([]string{"sha"}, cfgs)); got == base {
+		t.Error("workload-set drift not detected")
 	}
-	if got := reg.Counter("core.sweep.tasks_resumed").Value(); got != int64(len(pinned)-1) {
-		t.Fatalf("tasks_resumed = %d, want %d: the journal's done-set was not honored", got, len(pinned)-1)
+	if got := New(DefaultFlowConfig()).CampaignID(tcamp(names, []boom.Config{boom.MegaBOOM()})); got == base {
+		t.Error("config-set drift not detected")
+	}
+	fc := DefaultFlowConfig()
+	fc.WarmupInsts++
+	if got := New(fc).CampaignID(tcamp(names, cfgs)); got == base {
+		t.Error("flow-parameter drift not detected")
 	}
 }
 
@@ -125,8 +97,8 @@ func TestPinnedJournalResumes(t *testing.T) {
 // boom.Config by reflection and requires the campaign fingerprint to
 // change. This is what makes parametric design points (internal/dse)
 // first-class identities: any knob an axis can turn is part of the
-// campaign ID, so two design points never collide in the journal or the
-// boomd job table.
+// campaign ID, so two design points never collide in a journal fragment or
+// the boomd job table.
 func TestFingerprintSensitiveToEveryConfigField(t *testing.T) {
 	r := pinnedRunner(t, workloads.ScaleTiny)
 	base := NewCampaign([]string{"sha"}, []boom.Config{boom.MediumBOOM()}, workloads.ScaleTiny)
@@ -153,7 +125,7 @@ func TestFingerprintSensitiveToEveryConfigField(t *testing.T) {
 		}
 		mut := NewCampaign([]string{"sha"}, []boom.Config{cfg}, workloads.ScaleTiny)
 		if r.CampaignID(mut) == baseID {
-			t.Errorf("fingerprint blind to boom.Config.%s: two different design points would share a journal", field.Name)
+			t.Errorf("fingerprint blind to boom.Config.%s: two different design points would share a job ID", field.Name)
 		}
 	}
 }

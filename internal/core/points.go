@@ -60,20 +60,11 @@ type pointScratch struct {
 	core   *boom.Core
 }
 
-// pointBudget returns the per-cell cap on concurrently measured points:
-// WithPointParallelism when set, otherwise the full -j budget.
-func (r *Runner) pointBudget() int {
-	if r.pointPar >= 1 {
-		return r.pointPar
-	}
-	return r.par
-}
-
 // runPoints executes body(i, scratch) for every point index in [0, n).
-// The calling goroutine is always worker zero; up to pointBudget()-1
-// helpers are admitted by try-acquiring slots from the Runner's shared
-// budget, so cell-level sweep workers and point helpers can never
-// oversubscribe -j between them. Each worker owns a private pointScratch.
+// The calling goroutine is always worker zero; helpers are admitted by
+// try-acquiring slots from the Runner's shared budget, so cell-level sweep
+// workers and point helpers can never oversubscribe -j between them. Each
+// worker owns a private pointScratch.
 // Point indices are claimed atomically; body must be panic-free or capture
 // its own panics — a panic escaping body on a helper goroutine would kill
 // the process.
@@ -92,7 +83,7 @@ func (r *Runner) runPoints(n int, body func(i int, scratch *pointScratch)) {
 			body(i, &scratch)
 		}
 	}
-	extra := r.pointBudget() - 1
+	extra := r.par - 1
 	if extra > n-1 {
 		extra = n - 1
 	}

@@ -49,16 +49,15 @@ func Stages() []string {
 // Sweep runs under supervision: worker panics are recovered into
 // *StageError (never crash the process), per-stage watchdogs bound runaway
 // stages (WithStageTimeout), transient faults retry with exponential
-// backoff (WithRetry), failures can be collected instead of aborting the
-// campaign (WithKeepGoing), and — with a cache attached — an append-only
-// journal makes killed sweeps resumable (WithResume).
+// backoff (WithRetry), and failures can be collected instead of aborting
+// the campaign (WithKeepGoing). With a cache attached, a killed or failed
+// sweep is resumed by rerunning it: every finished stage is a cache hit.
 type Runner struct {
 	fc           FlowConfig
 	scale        workloads.Scale
 	sampling     sampling.Spec
 	reg          *metrics.Registry
 	par          int
-	pointPar     int
 	sem          chan struct{} // shared -j slot budget (see points.go)
 	progress     func(string)
 	cache        *artifact.Cache
@@ -67,7 +66,6 @@ type Runner struct {
 	stageTimeout time.Duration
 	retry        backoff.Policy
 	keepGoing    bool
-	resume       bool
 	inj          *faultinject.Injector
 	taskHook     func(completed int)
 	tasksDone    atomic.Int64
@@ -151,9 +149,9 @@ func (r *Runner) Profile(ctx context.Context, w *workloads.Workload) (*Profile, 
 
 // effectiveSpec resolves which sampling spec governs a campaign: the
 // campaign's own when set, else the Runner's (WithSampling). Everything
-// spec-dependent — sweep profiling, the campaign fingerprint, the
-// journal identity — goes through this one resolution so results and
-// identities can never disagree.
+// spec-dependent — sweep profiling, the campaign fingerprint — goes
+// through this one resolution so results and identities can never
+// disagree.
 func (r *Runner) effectiveSpec(c Campaign) sampling.Spec {
 	if !c.Sampling.IsZero() {
 		return c.Sampling

@@ -223,6 +223,51 @@ func TestSweepCancellationStageError(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err answers nil k times, then Canceled for
+// good: a cancellation that lands, deterministically, between any two of
+// the engine's checks.
+type cancelAfter struct {
+	context.Context
+	calls, k int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepCancellationNeverSwallowed: wherever a cancellation lands — in
+// a phase, or in the window between the two — a fail-fast Sweep returns
+// either an error or every requested cell, never a clean, empty sweep.
+// The cache is warm so that each of the many sweeps costs milliseconds.
+func TestSweepCancellationNeverSwallowed(t *testing.T) {
+	camp := tcamp([]string{"sha", "bitcount"}, []boom.Config{boom.MediumBOOM()})
+	r := New(DefaultFlowConfig(), WithParallelism(1), WithCache(t.TempDir()))
+	if _, err := r.Sweep(context.Background(), camp); err != nil {
+		t.Fatal(err)
+	}
+	whole := &cancelAfter{Context: context.Background(), k: 1 << 30}
+	if _, err := r.Sweep(whole, camp); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= whole.calls; k++ {
+		sw, err := r.Sweep(&cancelAfter{Context: context.Background(), k: k}, camp)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("k=%d: error %v does not wrap context.Canceled", k, err)
+			}
+			continue
+		}
+		for _, n := range camp.Workloads {
+			if sw.Results["MediumBOOM"][n] == nil {
+				t.Errorf("k=%d: Sweep returned no error and no result for %s", k, n)
+			}
+		}
+	}
+}
+
 // TestChaosCorruptArtifact: a payload corrupted between disk and decode
 // must be evicted and recomputed, with the final result bit-identical to
 // the fault-free run (the cache self-heals; the report never changes).
@@ -261,9 +306,10 @@ func TestChaosCorruptArtifact(t *testing.T) {
 	}
 }
 
-// TestSweepResumeJournal: a failed keep-going sweep leaves a journal; a
-// -resume rerun of the identical campaign replays finished tasks through
-// the cache and recomputes only what never finished.
+// TestSweepResumeJournal: crash recovery is the cache. After a failed
+// keep-going sweep, a plain rerun of the identical campaign on the same
+// cache serves every finished stage from it and recomputes only what never
+// finished — no journal, no resume switch.
 func TestSweepResumeJournal(t *testing.T) {
 	dir := t.TempDir()
 	names := []string{"sha", "bitcount"}
@@ -275,7 +321,7 @@ func TestSweepResumeJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run 1: one measurement fails permanently; 5 of 6 tasks journal done.
+	// Run 1: one measurement fails permanently; 5 of 6 tasks finish.
 	sw1, err := New(DefaultFlowConfig(),
 		WithCache(dir),
 		WithKeepGoing(true),
@@ -288,46 +334,42 @@ func TestSweepResumeJournal(t *testing.T) {
 		t.Fatal("faulted pair must be absent from run 1")
 	}
 
-	// Run 2: resume the identical campaign without chaos. Finished tasks
-	// replay from the cache; only the failed pair recomputes.
+	// Run 2: rerun the identical campaign without chaos. Finished tasks
+	// are cache hits; only the failed pair recomputes, so the detailed
+	// model retires exactly that pair's instructions.
 	reg := metrics.NewRegistry()
 	sw2, err := New(DefaultFlowConfig(),
 		WithCache(dir),
-		WithResume(true),
 		WithMetrics(reg),
 	).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
-		t.Fatalf("resume run must complete cleanly: %v", err)
-	}
-	if got := reg.Counter("core.sweep.tasks_resumed").Value(); got != 5 {
-		t.Errorf("core.sweep.tasks_resumed = %d, want 5", got)
+		t.Fatalf("rerun must complete cleanly: %v", err)
 	}
 	if got := reg.Counter("artifact.measure.miss").Value(); got != 1 {
 		t.Errorf("artifact.measure.miss = %d, want 1 (only the unfinished pair recomputes)", got)
+	}
+	for _, stage := range []string{"bbv", "select", "checkpoint"} {
+		if got := reg.Counter("artifact." + stage + ".miss").Value(); got != 0 {
+			t.Errorf("artifact.%s.miss = %d, want 0 (the profile chains finished in run 1)", stage, got)
+		}
+	}
+	alone := metrics.NewRegistry()
+	if _, err := New(DefaultFlowConfig(), WithMetrics(alone)).Run(ctx, sw2.Profiles["bitcount"], boom.MegaBOOM()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter("boom.retired").Value(), alone.Counter("boom.retired").Value(); got != want || got == 0 {
+		t.Errorf("boom.retired = %d, want %d (what the unfinished pair retires on its own, nothing else)", got, want)
 	}
 	for _, cfg := range cfgs {
 		for _, n := range names {
 			got, want := sw2.Results[cfg.Name][n], ref.Results[cfg.Name][n]
 			if got == nil {
-				t.Fatalf("%s/%s missing after resume", cfg.Name, n)
+				t.Fatalf("%s/%s missing after the rerun", cfg.Name, n)
 			}
 			if !bytes.Equal(payloadOf(t, got), payloadOf(t, want)) {
 				t.Errorf("%s/%s not bit-identical to the cache-free run", cfg.Name, n)
 			}
 		}
-	}
-
-	// A different campaign must never replay this journal.
-	reg3 := metrics.NewRegistry()
-	if _, err := New(DefaultFlowConfig(),
-		WithCache(dir),
-		WithResume(true),
-		WithMetrics(reg3),
-	).Sweep(ctx, tcamp([]string{"sha"}, cfgs)); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg3.Counter("core.sweep.tasks_resumed").Value(); got != 0 {
-		t.Errorf("foreign campaign resumed %d tasks, want 0", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/boom"
-	"repro/internal/journal"
 	"repro/internal/workloads"
 )
 
@@ -52,12 +51,10 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		sw.ConfigNames = append(sw.ConfigNames, cfg.Name)
 		sw.Results[cfg.Name] = map[string]*Result{}
 	}
-	jn, doneSet := r.openSweepJournal(camp)
-	defer jn.Close()
 	var mu sync.Mutex
 
 	// Phase 1: profile every workload (parallel across workloads).
-	profErr := r.runTasks(ctx, jn, doneSet, taskSet{
+	profErr := r.runTasks(ctx, taskSet{
 		stage: StageProfile,
 		n:     len(names),
 		id:    func(i int) taskID { return taskID{kind: "profile", workload: names[i]} },
@@ -87,7 +84,8 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 
 	// Phase 2: measure every (config, workload) pair (parallel). Pairs
 	// whose workload failed to profile are already accounted in profErr
-	// and skipped here.
+	// and skipped here. Under a canceled context runTasks drains every pair
+	// and reports the cancellation itself.
 	type pair struct {
 		cfg  boom.Config
 		name string
@@ -101,30 +99,25 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 			pairs = append(pairs, pair{cfg, name})
 		}
 	}
-	var measErr error
-	if ctx.Err() == nil {
-		measErr = r.runTasks(ctx, jn, doneSet, taskSet{
-			stage: StageMeasure,
-			n:     len(pairs),
-			id: func(i int) taskID {
-				return taskID{kind: "measure", workload: pairs[i].name, config: pairs[i].cfg.Name}
-			},
-			do: func(ctx context.Context, i int) error {
-				pr := pairs[i]
-				note("measuring %-14s on %s", pr.name, pr.cfg.Name)
-				res, err := r.Run(ctx, sw.Profiles[pr.name], pr.cfg)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				sw.Results[pr.cfg.Name][pr.name] = res
-				mu.Unlock()
-				return nil
-			},
-		})
-	} else if profErr == nil {
-		profErr = &StageError{Stage: StageMeasure, Err: ctx.Err()}
-	}
+	measErr := r.runTasks(ctx, taskSet{
+		stage: StageMeasure,
+		n:     len(pairs),
+		id: func(i int) taskID {
+			return taskID{kind: "measure", workload: pairs[i].name, config: pairs[i].cfg.Name}
+		},
+		do: func(ctx context.Context, i int) error {
+			pr := pairs[i]
+			note("measuring %-14s on %s", pr.name, pr.cfg.Name)
+			res, err := r.Run(ctx, sw.Profiles[pr.name], pr.cfg)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			sw.Results[pr.cfg.Name][pr.name] = res
+			mu.Unlock()
+			return nil
+		},
+	})
 	if !r.keepGoing {
 		if measErr != nil {
 			return nil, measErr
@@ -148,18 +141,11 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	return sw, nil
 }
 
-// taskID names one sweep task for journaling and failure identity.
+// taskID names one sweep task for failure identity.
 type taskID struct {
 	kind     string // "profile" | "measure"
 	workload string
 	config   string // empty for profile tasks
-}
-
-func (id taskID) label() string {
-	if id.config == "" {
-		return id.kind + "/" + id.workload
-	}
-	return id.kind + "/" + id.config + "/" + id.workload
 }
 
 func (id taskID) stage() string {
@@ -185,7 +171,7 @@ type taskSet struct {
 // and are excluded from the tasks counter, queue-wait histogram and worker
 // busy time. A canceled context surfaces as a *StageError naming the phase
 // in flight and wrapping ctx.Err().
-func (r *Runner) runTasks(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, ts taskSet) error {
+func (r *Runner) runTasks(ctx context.Context, ts taskSet) error {
 	if ts.n == 0 {
 		return nil
 	}
@@ -234,7 +220,7 @@ func (r *Runner) runTasks(ctx context.Context, jn *journal.Writer, doneSet map[s
 				// the remainder (points.go), so sweep workers plus point
 				// workers never exceed -j goroutines combined.
 				r.sem <- struct{}{}
-				err := r.runTask(ctx, jn, doneSet, ts.id(it.idx),
+				err := r.runTask(ctx, ts.id(it.idx),
 					func(c context.Context) error { return ts.do(c, it.idx) })
 				<-r.sem
 				if err != nil {
@@ -287,17 +273,9 @@ func utilization(busyNS, wallNS int64) float64 {
 	return 1
 }
 
-// runTask supervises one task: journal bookkeeping and resume accounting,
-// then guarded attempts under the Runner's retry policy (WithRetry), which
-// only transient errors get to use.
-func (r *Runner) runTask(ctx context.Context, jn *journal.Writer, doneSet map[string]bool, id taskID, do func(context.Context) error) error {
-	resumed := doneSet[id.label()]
-	if resumed {
-		r.reg.Counter("core.sweep.tasks_resumed").Inc()
-	} else {
-		jn.Append(journal.Record{Ev: "start", Task: id.label()})
-	}
-	t0 := time.Now()
+// runTask supervises one task: guarded attempts under the Runner's retry
+// policy (WithRetry), which only transient errors get to use.
+func (r *Runner) runTask(ctx context.Context, id taskID, do func(context.Context) error) error {
 	var err error
 	attempts := 0
 	rerr := backoff.Retry(ctx, r.retry, func(ctx context.Context) error {
@@ -315,13 +293,6 @@ func (r *Runner) runTask(ctx context.Context, jn *journal.Writer, doneSet map[st
 	var se *StageError
 	if attempts > 1 && errors.As(err, &se) {
 		se.Attempt = attempts
-	}
-	if !resumed {
-		if err != nil {
-			jn.Append(journal.Record{Ev: "fail", Task: id.label(), Err: err.Error()})
-		} else {
-			jn.Append(journal.Record{Ev: "done", Task: id.label(), NS: time.Since(t0).Nanoseconds()})
-		}
 	}
 	if err == nil && r.taskHook != nil {
 		r.taskHook(int(r.tasksDone.Add(1)))

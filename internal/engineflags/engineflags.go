@@ -1,9 +1,9 @@
 // Package engineflags declares the sweep-engine command-line surface shared
 // by every binary that drives the flow (cmd/boomflow, cmd/tables,
-// cmd/boomd): caching, crash-resume, supervision, fault injection,
-// parallelism, and metrics emission. A new engine option is declared here
-// once and every binary picks it up in lockstep instead of each cmd
-// re-wiring (and drifting on) its own copy.
+// cmd/boomd): caching, supervision, fault injection, parallelism, and
+// metrics emission. A new engine option is declared here once and every
+// binary picks it up in lockstep instead of each cmd re-wiring (and
+// drifting on) its own copy.
 //
 // Usage:
 //
@@ -62,13 +62,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.StringVar(&f.CacheDir, "cache", "", "artifact cache directory (empty = no caching)")
 	fs.BoolVar(&f.CacheVerify, "cache-verify", false, "recompute every cache hit and fail on divergence")
-	fs.BoolVar(&f.Resume, "resume", false, "replay the sweep journal under -cache and rerun only unfinished tasks")
 	fs.IntVar(&f.Retries, "retries", 0, "retries per sweep task on transient faults")
 	fs.BoolVar(&f.KeepGoing, "keep-going", false, "run every (workload, config) pair despite failures instead of aborting")
 	fs.DurationVar(&f.StageTimeout, "stage-timeout", 0, "watchdog deadline per pipeline stage (0 = none)")
 	fs.StringVar(&f.Chaos, "chaos", "", "deterministic fault-injection plan SEED:SPEC, e.g. 7:core.measure/sha/*=error (see internal/faultinject)")
 	fs.IntVar(&f.Parallelism, "j", 0, "sweep parallelism (0 = all cores); results are bit-identical at any level")
-	fs.IntVar(&f.PointParallelism, "point-j", 0, "simulation points measured concurrently within one cell (0 = share the -j budget, 1 = serial); results are bit-identical at any level")
 	fs.StringVar(&f.RemoteStore, "remote-store", "", "base URL of a remote artifact store used as a read-through tier over -cache")
 	fs.DurationVar(&f.RemoteConnect, "remote-connect-timeout", core.DefaultRemoteConnect, "dial timeout for remote-store/coordinator RPCs")
 	fs.DurationVar(&f.RemoteTimeout, "remote-timeout", core.DefaultRemoteTimeout, "response-header timeout per remote RPC (not an overall cap; long polls and large transfers may run longer)")

@@ -34,11 +34,9 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{[]string{"-j", "0"}, "-j 0"},
 		{[]string{"-j", "-4"}, "-j -4"},
-		{[]string{"-point-j", "-1"}, "-point-j"},
 		{[]string{"-retries", "-1"}, "-retries"},
 		{[]string{"-stage-timeout", "-1s"}, "-stage-timeout"},
 		{[]string{"-cache-verify"}, "-cache-verify requires -cache"},
-		{[]string{"-resume"}, "-resume requires -cache"},
 		{[]string{"-chaos", "not-a-plan"}, "-chaos"},
 		{[]string{"-metrics", "xml"}, "-metrics"},
 		{[]string{"-remote-store", "http://store:9000"}, "-remote-store requires -cache"},
@@ -82,7 +80,7 @@ func TestDefaultJobsValid(t *testing.T) {
 // TestOptionsBuilt: every set flag must contribute its engine option.
 func TestOptionsBuilt(t *testing.T) {
 	f := parse(t,
-		"-j", "2", "-point-j", "2", "-cache", t.TempDir(), "-cache-verify", "-resume",
+		"-j", "2", "-cache", t.TempDir(), "-cache-verify",
 		"-retries", "3", "-keep-going", "-stage-timeout", "5s",
 		"-chaos", "7:core.measure/sha/*=error",
 		"-remote-store", "http://store:9000")
@@ -90,10 +88,24 @@ func TestOptionsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// parallelism, point parallelism, cache, cache-verify, keep-going,
-	// resume, retry, stage-timeout, fault injector, remote store
-	if len(opts) != 10 {
-		t.Errorf("built %d options, want 10", len(opts))
+	// parallelism, cache, cache-verify, keep-going, retry, stage-timeout,
+	// fault injector, remote store
+	if len(opts) != 8 {
+		t.Errorf("built %d options, want 8", len(opts))
+	}
+}
+
+// TestRetiredFlagsUndefined: -resume and -point-j are gone, not ignored —
+// a script that still passes one fails at parse time instead of running
+// under a knob that no longer means anything.
+func TestRetiredFlagsUndefined(t *testing.T) {
+	for _, args := range [][]string{{"-resume"}, {"-point-j", "2"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: parse error %v, want \"flag provided but not defined\"", args, err)
+		}
 	}
 }
 

@@ -50,7 +50,6 @@ type cluster struct {
 type clusterOpts struct {
 	workers  int
 	lease    time.Duration
-	resume   bool
 	storeDir string  // shared across restarts; "" = fresh temp dir
 	chaos    string  // coordinator-side injector spec
 	audit    float64 // fabric.Config.AuditFrac
@@ -75,7 +74,7 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		Registry:   c.coordReg,
 		Lease:      o.lease,
 		Poll:       10 * time.Millisecond,
-		Engine:     core.Engine{Resume: o.resume, Chaos: o.chaos},
+		Engine:     core.Engine{Chaos: o.chaos},
 		JournalDir: o.storeDir,
 		AuditFrac:  o.audit,
 		Log:        t.Logf,
@@ -326,9 +325,9 @@ func TestConformanceWorkerKill(t *testing.T) {
 }
 
 // TestCoordinatorRestartResume: kill the coordinator mid-campaign, start
-// a fresh one over the same journal/store directory with Resume on, and
-// finish. Cells journaled before the crash must not recompute, and the
-// final bytes must equal the direct single-node encoding.
+// a fresh one over the same journal/store directory, and finish. Cells
+// journaled before the crash must not recompute, and the final bytes must
+// equal the direct single-node encoding.
 func TestCoordinatorRestartResume(t *testing.T) {
 	shared := t.TempDir()
 	camp := core.NewCampaign([]string{"sha", "qsort"},
@@ -358,8 +357,9 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	a.stop()
 
-	// Phase B: new coordinator, same journal + store, resume.
-	b := startCluster(t, clusterOpts{workers: 2, storeDir: shared, resume: true})
+	// Phase B: new coordinator, same journal + store: the fragment's header
+	// names the campaign, so it is replayed.
+	b := startCluster(t, clusterOpts{workers: 2, storeDir: shared})
 	sw, err := b.coord.RunCampaign(context.Background(), id, camp, nil)
 	if err != nil {
 		t.Fatal(err)

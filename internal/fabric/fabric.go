@@ -71,8 +71,8 @@ type Config struct {
 	// Engine is the engine the daemon runs under (see core.Engine). The
 	// coordinator reads KeepGoing (failed cells are collected into a
 	// *core.SweepErrors next to the partial Sweep instead of aborting),
-	// Resume (cells recorded done in the campaign's journal fragment under
-	// CacheDir are served from it) and Chaos (one injector per
+	// CacheDir (cells recorded done in the campaign's journal fragment
+	// under it are served from it) and Chaos (one injector per
 	// coordinator, for the "fabric.lease/<worker>" site).
 	Engine core.Engine
 	// JournalDir is the shorthand for Engine.CacheDir — where the
@@ -274,9 +274,9 @@ func (c *Coordinator) RunCampaign(ctx context.Context, id string, camp core.Camp
 	return c.assemble(r)
 }
 
-// admit builds the cell graph for one campaign, replays a matching
-// journal fragment under Resume, and registers the run with the
-// scheduler.
+// admit builds the cell graph for one campaign, replays the journal
+// fragment a previous coordinator left for this fingerprint, and registers
+// the run with the scheduler.
 func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err := camp.Validate(); err != nil {
 		return nil, err
@@ -306,9 +306,8 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	}
 	r.remaining = len(r.order)
 
-	resumed := 0
-	journalDir := c.cfg.Engine.CacheDir
-	if c.cfg.Engine.Resume {
+	if journalDir := c.cfg.Engine.CacheDir; journalDir != "" {
+		resumed := 0
 		for label, payload := range MergeJournals(id, FragmentPath(journalDir, id)) {
 			cl := r.cells[label]
 			if cl == nil || cl.state != cellPending {
@@ -328,9 +327,7 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 			}
 			c.logf("campaign %s: resumed %d cell(s) from journal fragment", short(id), resumed)
 		}
-	}
-	if journalDir != "" {
-		r.frag = openFragment(FragmentPath(journalDir, id), id, resumed > 0, c.logf)
+		r.frag = openFragment(FragmentPath(journalDir, id), id, c.logf)
 	}
 
 	c.mu.Lock()

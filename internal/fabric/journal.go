@@ -6,9 +6,8 @@ import (
 	"repro/internal/journal"
 )
 
-// Fabric journal fragments: the fabric's policy over the shared WAL
-// (internal/journal owns the file mechanics; internal/core holds the
-// single-node sweep's policy over the same file format). Every node — the
+// Fabric journal fragments: the fabric's policy over its WAL
+// (internal/journal owns the file mechanics). Every node — the
 // coordinator as cells are reported done, each worker as it finishes cells
 // locally — appends completed cells to its own per-campaign fragment,
 // headed by the campaign fingerprint so a fragment is never merged into a
@@ -34,10 +33,12 @@ func FragmentPath(dir, campaignID string) string {
 }
 
 // openFragment opens the fragment at path for campaignID under
-// journal.Open's extend rules. Returns nil — inert, journaling disabled:
+// journal.Open's extend rule: an existing fragment of this campaign is
+// extended, anything else at the path — empty, torn header, foreign
+// campaign — is started afresh. Returns nil — inert, journaling disabled:
 // a restart reruns those cells — on any open error.
-func openFragment(path, campaignID string, extend bool, warn func(string, ...interface{})) *journal.Writer {
-	w, err := journal.Open(path, journal.Record{Ev: "fabric", ID: campaignID}, extend, func(err error) {
+func openFragment(path, campaignID string, warn func(string, ...interface{})) *journal.Writer {
+	w, err := journal.Open(path, journal.Record{Ev: "fabric", ID: campaignID}, true, func(err error) {
 		warn("fabric journal disabled after write error (a restart will rerun unjournaled cells): %v", err)
 	})
 	if err != nil {

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +12,7 @@ import (
 func writeFragment(t *testing.T, dir, name, campaignID string, cells map[string][]byte, order []string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	w := openFragment(path, campaignID, false, t.Logf)
+	w := openFragment(path, campaignID, t.Logf)
 	if w == nil {
 		t.Fatal("openFragment failed")
 	}
@@ -115,7 +117,7 @@ func TestMergeRevoke(t *testing.T) {
 		map[string][]byte{"measure/medium/sha": []byte("suspect"), "measure/mega/sha": []byte("fine")},
 		[]string{"measure/medium/sha", "measure/mega/sha"})
 	path := filepath.Join(dir, "b.journal")
-	w := openFragment(path, "camp-1", false, t.Logf)
+	w := openFragment(path, "camp-1", t.Logf)
 	appendCell(w, "measure/medium/sha", []byte("suspect"))
 	revokeCell(w, "measure/medium/sha")
 	w.Close()
@@ -124,7 +126,7 @@ func TestMergeRevoke(t *testing.T) {
 		t.Fatalf("revoked cell survived the merge (or took a bystander with it): %v", cells)
 	}
 
-	w = openFragment(path, "camp-1", true, t.Logf)
+	w = openFragment(path, "camp-1", t.Logf)
 	appendCell(w, "measure/medium/sha", []byte("recomputed"))
 	w.Close()
 	if got := string(MergeJournals("camp-1", path)["measure/medium/sha"]); got != "recomputed" {
@@ -151,7 +153,7 @@ func TestExtendAfterTornTailKeepsCell(t *testing.T) {
 		t.Fatalf("merged %d cells from the torn fragment, want the 1 complete one: %v", len(cells), cells)
 	}
 
-	w := openFragment(p, "camp-1", true, t.Logf)
+	w := openFragment(p, "camp-1", t.Logf)
 	appendCell(w, "measure/mega/qsort", []byte("after-restart"))
 	w.Close()
 	cells := MergeJournals("camp-1", p)
@@ -192,6 +194,57 @@ func TestWorkerFragmentHeaderChecked(t *testing.T) {
 		}
 		if _, kept := cells["profile/fft"]; kept != (name == "own") {
 			t.Errorf("%s: earlier cell kept=%v", name, kept)
+		}
+	}
+}
+
+// openFiles counts this process's open descriptors on files under dir.
+func openFiles(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd on this platform: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWorkerHoldsOneFragmentOpen: a long-lived worker serving many
+// campaigns keeps only the current campaign's fragment open — not one
+// descriptor per campaign it has ever seen — and every cell it journals
+// survives the close/reopen when a campaign comes back.
+func TestWorkerHoldsOneFragmentOpen(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWorker(WorkerConfig{Coordinator: "127.0.0.1:0", CacheDir: dir, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb", "cccccccccccccccc"}
+	want := map[string][]string{}
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			label := fmt.Sprintf("measure/cfg%d/sha", round)
+			appendCell(w.fragmentFor(id), label, []byte(id+label))
+			want[id] = append(want[id], label)
+			if n := openFiles(t, dir); n != 1 {
+				t.Fatalf("round %d, campaign %s: %d fragments open, want 1", round, id, n)
+			}
+		}
+	}
+	for _, id := range ids {
+		cells := MergeJournals(id, FragmentPath(dir, id))
+		if len(cells) != len(want[id]) {
+			t.Errorf("campaign %s: merged %d cells, want %d", id, len(cells), len(want[id]))
+		}
+		for _, label := range want[id] {
+			if string(cells[label]) != id+label {
+				t.Errorf("campaign %s: cell %s lost across the close/reopen: %q", id, label, cells[label])
+			}
 		}
 	}
 }

@@ -34,9 +34,8 @@ type Task struct {
 	Fresh bool `json:"fresh,omitempty"`
 }
 
-// Label names the cell the way the sweep journal names tasks
-// ("profile/<wl>", "measure/<cfg>/<wl>"), so fabric journal fragments and
-// single-node journals speak the same identity language.
+// Label names the cell ("profile/<wl>", "measure/<cfg>/<wl>"): its key in
+// the run's cell graph and in every journal fragment.
 func (t Task) Label() string {
 	if t.Kind == taskProfile {
 		return t.Kind + "/" + t.Workload

@@ -35,7 +35,7 @@ type WorkerConfig struct {
 	// when empty) and its RemoteStore is ignored: the store is the
 	// coordinator's. A worker holds one cell at a time, so the Parallelism
 	// budget drains into intra-cell point helpers (DESIGN §4) and the
-	// sweep-level Resume/KeepGoing/Retries do nothing. Chaos arms one
+	// sweep-level KeepGoing/Retries do nothing. Chaos arms one
 	// injector per worker: pipeline and cache sites, the transport (scoped
 	// to ID), and "fabric.payload/<id>", which corrupts the bytes this
 	// worker reports — the lie coordinator-side auditing exists to catch.
@@ -70,7 +70,8 @@ type Worker struct {
 	mu      sync.Mutex
 	runners map[runnerKey]*core.Runner // per-campaign, normal and Fresh (storeless)
 	camps   map[string]core.Campaign   // decoded campaign specs, keyed by fingerprint
-	frags   map[string]*journal.Writer // per-campaign journal fragments
+	fragID  string                     // campaign of the one open journal fragment
+	frag    *journal.Writer
 }
 
 // runnerKey names one of a campaign's two Runners.
@@ -114,7 +115,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID),
 		runners: map[runnerKey]*core.Runner{},
 		camps:   map[string]core.Campaign{},
-		frags:   map[string]*journal.Writer{},
 	}, nil
 }
 
@@ -197,9 +197,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	defer func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		for _, f := range w.frags {
-			f.Close()
-		}
+		w.frag.Close()
+		w.fragID, w.frag = "", nil
 	}()
 	if err := w.register(ctx); err != nil {
 		return err
@@ -476,19 +475,23 @@ func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, e
 	return camp, nil
 }
 
-// fragmentFor returns (opening on first use) the worker's journal
-// fragment for one campaign, under the worker's cache directory. An
-// existing fragment of this campaign is extended; anything else at the
-// path — empty, torn header, foreign campaign — is started afresh.
+// fragmentFor returns the worker's journal fragment for one campaign,
+// under the worker's cache directory. A worker runs one cell at a time, so
+// only the current campaign's fragment is open: a cell of another campaign
+// closes it, and openFragment's extend rule picks it up again when the
+// first campaign comes back — a long-lived worker holds one descriptor, not
+// one per campaign it has ever seen.
 func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if f, ok := w.frags[campaignID]; ok {
-		return f
+	if w.fragID != campaignID {
+		if err := w.frag.Close(); err != nil {
+			w.logf("worker %s: closing the fragment of campaign %s: %v", w.cfg.ID, short(w.fragID), err)
+		}
+		w.frag = openFragment(FragmentPath(w.cfg.Engine.CacheDir, campaignID), campaignID, w.logf)
+		w.fragID = campaignID // a nil (disabled) fragment is kept too: stays inert
 	}
-	f := openFragment(FragmentPath(w.cfg.Engine.CacheDir, campaignID), campaignID, true, w.logf)
-	w.frags[campaignID] = f // nil (disabled) is cached too: stays inert
-	return f
+	return w.frag
 }
 
 // sleepCtx sleeps d or until ctx cancels; reports whether the full sleep

@@ -1,14 +1,13 @@
-// Package journal is the crash-resume write-ahead log shared by the
-// single-node sweep (internal/core) and the distributed fabric
-// (internal/fabric): an append-only JSONL file, one Record per line, one
-// write syscall per record, so a killed process loses at most the line
-// being written. The first record is a header pinning the campaign
-// fingerprint; a journal is never read back, or extended, under a
+// Package journal is the crash-resume write-ahead log of the distributed
+// fabric (internal/fabric): an append-only JSONL file, one Record per
+// line, one write syscall per record, so a killed process loses at most
+// the line being written. The first record is a header pinning the
+// campaign fingerprint; a journal is never read back, or extended, under a
 // different header. Torn lines are skipped on read, never fatal.
 //
-// The package owns the mechanics only. What the records mean is each
-// caller's policy: core folds "done" records into a resume set, fabric
-// folds "cell"/"revoke" records into a first-wins payload map.
+// The package owns the mechanics only. What the records mean is the
+// caller's policy: fabric folds "cell"/"revoke" records into a first-wins
+// payload map.
 package journal
 
 import (
@@ -20,16 +19,13 @@ import (
 	"sync"
 )
 
-// Record is one JSONL line: the union of the sweep journal's and the
-// fabric fragments' fields. Every field but Ev is omitempty and the order
-// is fixed, so each dialect's lines are byte-for-byte what its own writer
-// always produced.
+// Record is one JSONL line. Every field but Ev is omitempty and the order
+// is fixed, so a fragment's lines are byte-for-byte what every earlier
+// build wrote.
 type Record struct {
-	Ev   string `json:"ev"`             // header: "sweep" | "fabric"; then "start", "done", "fail" | "cell", "revoke"
+	Ev   string `json:"ev"`             // header: "fabric"; then "cell", "revoke"
 	ID   string `json:"id,omitempty"`   // campaign fingerprint (header only)
 	Task string `json:"task,omitempty"` // e.g. "profile/sha", "measure/MegaBOOM/sha"
-	NS   int64  `json:"ns,omitempty"`   // task wall-clock ("done" only)
-	Err  string `json:"err,omitempty"`  // failure message ("fail" only)
 	// Payload carries a fabric cell's canonical measure bytes (base64 via
 	// encoding/json); profile cells journal with no payload.
 	Payload []byte `json:"payload,omitempty"`

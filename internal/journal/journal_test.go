@@ -13,8 +13,11 @@ var (
 	fabricHeader = Record{Ev: "fabric", ID: "0123456789abcdef0123"}
 )
 
-// Journals exactly as the pre-merge writers (core's journal, fabric's
-// fragmentWriter) put them on disk, one line of every record kind.
+// fabricDialect is a fragment exactly as every build has put it on disk,
+// one line of every record kind. sweepDialect is the retired single-node
+// sweep journal: no writer produces it any more, so to the reader it is a
+// foreign dialect (its "ns"/"err" fields are unknown) that must still be
+// handled like any other input.
 const (
 	sweepDialect = `{"ev":"sweep","id":"19b9181fede44501869b1c4d01e5c4e0e48474bbc1391f8d9eaca5e9b3b5743f"}
 {"ev":"start","task":"profile/sha"}
@@ -46,9 +49,8 @@ func mustOpen(t testing.TB, path string, header Record, extend bool) *Writer {
 	return w
 }
 
-// TestDialectsByteForByte: both on-disk dialects parse through Read, and
-// the one Record type writes each of them back byte-for-byte — merging the
-// two record types changed no journal on disk.
+// TestDialectsByteForByte: the on-disk dialect parses through Read, and
+// Record writes it back byte-for-byte — no fragment on disk changes.
 func TestDialectsByteForByte(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -56,11 +58,6 @@ func TestDialectsByteForByte(t *testing.T) {
 		body   string
 		want   []Record
 	}{
-		{"sweep", sweepHeader, sweepDialect, []Record{
-			{Ev: "start", Task: "profile/sha"},
-			{Ev: "done", Task: "profile/sha", NS: 12345},
-			{Ev: "fail", Task: "measure/MediumBOOM/qsort", Err: `measure qsort on MediumBOOM: injected "chaos"`},
-		}},
 		{"fabric", fabricHeader, fabricDialect, []Record{
 			{Ev: "cell", Task: "profile/sha"},
 			{Ev: "cell", Task: "measure/MediumBOOM/sha", Payload: []byte("canonical \x00\x01\xff measure bytes")},
@@ -217,9 +214,9 @@ func TestWriteErrorReportedOnce(t *testing.T) {
 	defer f.Close()
 	var reports int
 	w := &Writer{f: f, onError: func(error) { reports++ }}
-	w.Append(Record{Ev: "start", Task: "profile/sha"})
-	w.Append(Record{Ev: "done", Task: "profile/sha", NS: 1})
-	w.AppendSync(Record{Ev: "done", Task: "profile/qsort", NS: 1})
+	w.Append(Record{Ev: "cell", Task: "profile/sha"})
+	w.Append(Record{Ev: "cell", Task: "profile/qsort"})
+	w.AppendSync(Record{Ev: "revoke", Task: "profile/qsort"})
 	if reports != 1 {
 		t.Errorf("reported %d times, want exactly 1 (first error only)", reports)
 	}

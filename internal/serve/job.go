@@ -45,10 +45,10 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one sweep under the server's base context. The journal
-// makes cancellation lossless: tasks record "done" before the sweep
-// returns, so a drain that cancels mid-campaign leaves a journal that
-// -resume replays without recomputation.
+// runJob executes one sweep under the server's base context. The cache
+// makes cancellation lossless: every finished stage is stored before the
+// sweep returns, so after a drain that cancels mid-campaign a resubmission
+// recomputes only what had not finished.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = jobRunning
@@ -103,7 +103,7 @@ func (s *Server) runJob(j *job) {
 	if failed {
 		s.reg.Counter("serve.sweeps_failed").Inc()
 		if errors.Is(err, context.Canceled) {
-			s.logf("sweep %s: canceled during drain after %s (journaled tasks resume with -resume)",
+			s.logf("sweep %s: canceled during drain after %s (a resubmission resumes from the cache)",
 				shortID(j.id), time.Since(start).Round(time.Millisecond))
 		} else {
 			s.logf("sweep %s: failed: %v", shortID(j.id), err)
@@ -137,7 +137,7 @@ func (s *Server) Draining() bool {
 // Shutdown drains gracefully: stop admitting, let in-flight and queued
 // sweeps finish. If ctx expires first, the sweeps' contexts are canceled
 // — they stop at the next task boundary with everything completed so far
-// already journaled — and Shutdown returns ctx.Err.
+// already in the cache — and Shutdown returns ctx.Err.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 	done := make(chan struct{})

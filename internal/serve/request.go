@@ -16,8 +16,8 @@ import (
 //
 // v1 (named configs) — the original body, still accepted unchanged, and
 // producing byte-identical campaign fingerprints to the pre-parametric
-// service (journals and cache entries written by older builds keep
-// resuming):
+// service (fabric fragments and cache entries written by older builds
+// keep resuming):
 //
 //	{"workloads": ["sha"], "configs": ["medium", "mega"], "scale": "tiny"}
 //
@@ -125,8 +125,8 @@ func (v AxisValue) MarshalJSON() ([]byte, error) {
 // sweep engine uses — workload names must be registered, named configs
 // resolve through boom.ConfigByName, parametric fields expand through
 // internal/dse — and returns the core.Campaign that feeds the campaign
-// fingerprint. Everything that passes here is exactly what the journal
-// and artifact cache key on.
+// fingerprint. Everything that passes here is exactly what the artifact
+// cache and the fabric's journal fragments key on.
 func resolveRequest(req SweepRequest) (core.Campaign, error) {
 	var camp core.Campaign
 	camp.Scale = workloads.ScaleTiny

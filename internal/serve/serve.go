@@ -1,9 +1,9 @@
 // Package serve puts the sweep engine behind an HTTP job service. It is
 // the thin layer cmd/boomd is built from: a bounded job queue with
 // admission control in front of core.Runner, with campaign fingerprints
-// (core.Runner.CampaignID — the same identity the crash-resume journal
-// and artifact cache key on) doubling as job IDs, so duplicate in-flight
-// submissions of one campaign collapse onto a single sweep.
+// (core.Runner.CampaignID, built from the inputs the artifact cache keys
+// on) doubling as job IDs, so duplicate in-flight submissions of one
+// campaign collapse onto a single sweep.
 //
 // Endpoints:
 //
@@ -18,7 +18,7 @@
 //	{"workloads":["sha","qsort"], "configs":["medium","mega"], "scale":"tiny"}
 //
 // and keeps producing byte-identical campaign fingerprints to the
-// pre-parametric service, so existing journals and caches stay valid.
+// pre-parametric service, so existing job IDs and caches stay valid.
 // The parametric form gives a base point plus per-parameter sweep axes
 // (expanded by internal/dse into the validated cross product) and
 // optional fixed overrides:
@@ -76,9 +76,9 @@ type Config struct {
 	// QueueDepth bounds the job queue; submissions beyond it get 429
 	// (default 8).
 	QueueDepth int
-	// SweepWorkers is the number of sweeps run concurrently (default 1;
-	// keep it at 1 when a cache dir is set — the journal is one file per
-	// cache dir, so concurrent sweeps would contend for it).
+	// SweepWorkers is the number of sweeps run concurrently (default 1).
+	// Each sweep has its own -j budget, and concurrent sweeps share the
+	// cache safely: its entries are written atomically.
 	SweepWorkers int
 
 	// TaskHook mirrors core.WithTaskHook (crash drills in tests).
@@ -199,7 +199,7 @@ type Status struct {
 // handleSubmit admits a campaign: resolve → fingerprint → single-flight →
 // bounded enqueue. The fingerprint is computed by the same Runner that
 // will execute the sweep, so "same campaign" here means exactly what the
-// journal and cache mean by it.
+// cache and the fabric mean by it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))

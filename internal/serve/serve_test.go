@@ -178,9 +178,9 @@ func TestSingleFlightLoad(t *testing.T) {
 }
 
 // TestGracefulDrainResume is the acceptance drain test: SIGTERM
-// (Shutdown) during a sweep cancels it with completed tasks journaled; a
-// fresh server over the same cache dir with Resume replays the journal
-// and completes the campaign without recomputing the journaled tasks.
+// (Shutdown) during a sweep cancels it with completed tasks in the cache;
+// a fresh server over the same cache dir completes the resubmitted
+// campaign without recomputing them.
 func TestGracefulDrainResume(t *testing.T) {
 	dir := t.TempDir()
 	names := []string{"sha", "qsort"}
@@ -189,7 +189,7 @@ func TestGracefulDrainResume(t *testing.T) {
 	_, want := directSweepBytes(t, names, cfgs, workloads.ScaleTiny)
 
 	// Phase 1: a server whose sweep blocks after 2 completed tasks (both
-	// profiles, journaled "done"), standing in for a long campaign.
+	// profiles, their artifacts stored), standing in for a long campaign.
 	release := make(chan struct{})
 	hookHit := make(chan struct{})
 	var once sync.Once
@@ -217,7 +217,7 @@ func TestGracefulDrainResume(t *testing.T) {
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatal(err)
 	}
-	<-hookHit // two tasks journaled, worker parked mid-sweep
+	<-hookHit // two tasks finished, worker parked mid-sweep
 
 	// SIGTERM path: drain with a grace the parked sweep cannot meet.
 	dctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -239,9 +239,9 @@ func TestGracefulDrainResume(t *testing.T) {
 		t.Errorf("draining server admitted a submission (%d)", rr.StatusCode)
 	}
 
-	// Phase 2: restart over the same cache dir with -resume; resubmitting
-	// the campaign replays the journal.
-	srvB, tsB := newTestServer(t, Config{Engine: core.Engine{CacheDir: dir, Resume: true, Parallelism: 1}})
+	// Phase 2: restart over the same cache dir; the resubmitted campaign
+	// resumes from it.
+	srvB, tsB := newTestServer(t, Config{Engine: core.Engine{CacheDir: dir, Parallelism: 1}})
 	resp, b = postCampaign(t, tsB, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp.StatusCode, b)
@@ -253,8 +253,15 @@ func TestGracefulDrainResume(t *testing.T) {
 	if !bytes.Equal(rb, want) {
 		t.Errorf("resumed result differs from direct run:\ngot  %s\nwant %s", rb, want)
 	}
-	if got := srvB.Metrics().Counter("core.sweep.tasks_resumed").Value(); got != 2 {
-		t.Errorf("core.sweep.tasks_resumed = %d, want 2 (the journaled tasks)", got)
+	for _, stage := range []string{"bbv", "select", "checkpoint"} {
+		hit := srvB.Metrics().Counter("artifact." + stage + ".hit").Value()
+		miss := srvB.Metrics().Counter("artifact." + stage + ".miss").Value()
+		if hit != 2 || miss != 0 {
+			t.Errorf("artifact.%s: %d hits, %d misses, want 2 and 0 (both profiles finished before the drain)", stage, hit, miss)
+		}
+	}
+	if got := srvB.Metrics().Counter("artifact.measure.miss").Value(); got != 2 {
+		t.Errorf("artifact.measure.miss = %d, want 2 (the measurements the drain canceled)", got)
 	}
 }
 
@@ -447,9 +454,6 @@ func TestFailedJobResubmission(t *testing.T) {
 
 // TestConfigValidation: New must reject incoherent configs up front.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Engine: core.Engine{Resume: true}}); err == nil {
-		t.Error("Resume without CacheDir must be rejected")
-	}
 	if _, err := New(Config{Engine: core.Engine{CacheVerify: true}}); err == nil {
 		t.Error("CacheVerify without CacheDir must be rejected")
 	}
@@ -460,7 +464,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("RemoteStore without CacheDir must be rejected")
 	}
 	// The shorthand CacheDir satisfies the Engine's cache-dependent knobs.
-	s, err := New(Config{CacheDir: t.TempDir(), Engine: core.Engine{Resume: true, CacheVerify: true}})
+	s, err := New(Config{CacheDir: t.TempDir(), Engine: core.Engine{CacheVerify: true}})
 	if err != nil {
 		t.Fatalf("shorthand CacheDir must fold into the Engine before validation: %v", err)
 	}
