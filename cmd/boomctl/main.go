@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/dse"
 	"repro/internal/serve"
 )
@@ -177,14 +178,7 @@ func retryDelay(attempt int, retryAfter string) time.Duration {
 		}
 		return ceiling
 	}
-	d := 500 * time.Millisecond
-	for i := 0; i < attempt && d < ceiling; i++ {
-		d *= 2
-	}
-	if d > ceiling {
-		return ceiling
-	}
-	return d
+	return backoff.Policy{Base: 500 * time.Millisecond, Max: ceiling, Jitter: -1}.Wait(attempt)
 }
 
 func (c *client) get(path string) error {

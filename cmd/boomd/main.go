@@ -8,20 +8,23 @@
 //	boomd -addr :8080 -cache .cache -retries 2 &
 //	boomctl submit -scale tiny -wait
 //
-// The queue is bounded (-queue); submissions beyond it get 429 with a
-// Retry-After hint. SIGTERM/SIGINT drains gracefully: admission stops
-// (/readyz flips to 503), in-flight and queued sweeps run to completion
-// within -grace, then the process exits. If the grace expires first the
-// sweeps are canceled — every completed stage is already stored under
-// -cache, so restarting boomd on it and resubmitting the campaign
+// The daemon runs one sweep at a time, under the whole -j budget; the
+// rest wait in a bounded queue (-queue), and submissions beyond it get 429
+// with a Retry-After hint. SIGTERM/SIGINT drains gracefully: admission
+// stops (/readyz flips to 503), the in-flight and queued sweeps run to
+// completion within -grace, then the process exits. If the grace expires
+// first the sweeps are canceled — every completed stage is already stored
+// under -cache, so restarting boomd on it and resubmitting the campaign
 // recomputes nothing that finished.
 //
 // boomd is also both halves of the distributed sweep fabric
-// (internal/fabric). Every daemon embeds a coordinator: campaigns
-// submitted to /v1/sweeps are sharded across any workers registered at
-// /v1/fabric/, and run locally when none are (so a solo boomd behaves
-// exactly as before). With -cache the coordinator also serves the
-// cluster's remote artifact store at /v1/artifacts/. A worker node runs
+// (internal/fabric). Every daemon embeds a coordinator: the campaign in
+// flight is sharded across any workers registered at /v1/fabric/, and runs
+// locally when none are — or when the last one falls silent mid-campaign
+// (so a solo boomd behaves exactly as before). With -cache the coordinator
+// also serves the cluster's remote artifact store at /v1/artifacts/ and
+// journals each result it accepts, so a restarted daemon resumes a
+// resubmitted campaign. A worker node runs
 //
 //	boomd -worker -coordinator http://head:8080
 //
@@ -70,7 +73,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	ef := engineflags.Register(fs)
 	queueDepth := fs.Int("queue", 8, "job queue depth; excess submissions get 429")
-	workers := fs.Int("workers", 1, "concurrent sweeps (each with its own -j budget)")
 	grace := fs.Duration("grace", 30*time.Second, "drain grace on SIGTERM before canceling in-flight sweeps")
 	quiet := fs.Bool("q", false, "log lifecycle events only, not per-stage progress")
 	workerMode := fs.Bool("worker", false, "run as a fabric worker instead of a daemon (requires -coordinator)")
@@ -112,14 +114,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Log:       logf,
 	})
 	srv, err := serve.New(serve.Config{
-		Engine:       ef.Engine,
-		Sampling:     ef.Sampling(),
-		QueueDepth:   *queueDepth,
-		SweepWorkers: *workers,
-		Log:          logf,
-		Progress:     !*quiet,
-		Registry:     reg,
-		Distribute:   coord.RunCampaign,
+		Engine:     ef.Engine,
+		Sampling:   ef.Sampling(),
+		QueueDepth: *queueDepth,
+		Log:        logf,
+		Progress:   !*quiet,
+		Registry:   reg,
+		Distribute: coord.RunCampaign,
 	})
 	if err != nil {
 		return err

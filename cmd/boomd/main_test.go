@@ -127,6 +127,16 @@ func tinyRequest(workloads ...string) serve.SweepRequest {
 	return serve.SweepRequest{Workloads: workloads, Configs: []string{"medium"}, Scale: "tiny"}
 }
 
+// TestRetiredFlagsUndefined: -workers is gone, not ignored — the daemon
+// runs one sweep at a time, and a script that still asks for more fails at
+// parse time instead of getting one anyway.
+func TestRetiredFlagsUndefined(t *testing.T) {
+	err := run(context.Background(), []string{"-workers", "2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("boomd -workers 2: %v, want \"flag provided but not defined\"", err)
+	}
+}
+
 // TestServeRoundTrip: boot on an ephemeral port, run a tiny campaign
 // (submit → long-poll result), scrape /metrics, then signal and require a
 // clean drain.

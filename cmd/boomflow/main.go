@@ -81,6 +81,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *out != "" && *mode != "profile" {
 		return fmt.Errorf("-out requires -mode profile (got -mode %s)", *mode)
 	}
+	// boomflow calls Profile/Run/RunFull directly; only Sweep supervises.
+	const unsupervised = "%s supervises sweep tasks (tables, dse, boomd); boomflow runs one unsupervised flow"
+	if ef.Retries != 0 {
+		return fmt.Errorf(unsupervised, "-retries")
+	}
+	if ef.KeepGoing {
+		return fmt.Errorf(unsupervised, "-keep-going")
+	}
 	cfg, err := boom.ConfigByName(*configName)
 	if err != nil {
 		return err

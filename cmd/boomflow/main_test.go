@@ -214,6 +214,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-mode", "full", "-out", t.TempDir()}, "-out requires -mode profile"},
 		{[]string{"-trace", "10"}, "-trace requires -mode full"},
 		{[]string{"-mode", "profile", "-trace", "10"}, "-trace requires -mode full"},
+		{[]string{"-retries", "3"}, "-retries supervises sweep"},
+		{[]string{"-keep-going"}, "-keep-going supervises sweep"},
 		{[]string{"-metrics", "text", "-metrics-out", filepath.Join(t.TempDir(), "no-such-dir", "m.txt")}, "-metrics-out"},
 	} {
 		out, err := boomflow(t, tc.args...)

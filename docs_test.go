@@ -36,7 +36,15 @@ var (
 	bareRef     = regexp.MustCompile(`§(\d\w*(?:\.\d+)?)`)
 	designH2    = regexp.MustCompile(`^## (\d+)\. `)
 	engineRow   = regexp.MustCompile("^\\| `(\\w+)` \\| `(-[a-z-]+)` \\|")
+	codeSpan    = regexp.MustCompile("`[^`\n]+`")
+	flagToken   = regexp.MustCompile(`(?:^|[\s(\[=|'"])--?([a-z][a-z0-9-]*)`)
+	flagDecl    = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(?:Var)?\((?:&?[\w.]+, )?"([\w-]+)"`)
 )
+
+// goToolFlags are the `go test` / `go build` (and `gofmt -l`) flags the docs
+// use; every other -flag they show must be one a FlagSet in this repo
+// registers.
+var goToolFlags = []string{"race", "short", "cpu", "run", "bench", "benchtime", "count", "fuzz", "fuzztime", "shuffle", "v", "l"}
 
 func readDoc(t *testing.T, path string) string {
 	t.Helper()
@@ -139,6 +147,17 @@ func TestDesignReferencesResolve(t *testing.T) {
 		check(doc, designRef)
 	}
 	check("DESIGN.md", bareRef)
+	walkGoSources(t, func(path string) {
+		if path != "docs_test.go" {
+			check(path, designRef)
+		}
+	})
+}
+
+// walkGoSources visits every .go file of the tree outside the fenced
+// benchmark/ and hidden directories.
+func walkGoSources(t *testing.T, visit func(path string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -146,8 +165,8 @@ func TestDesignReferencesResolve(t *testing.T) {
 		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
 			return fs.SkipDir
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") && path != "docs_test.go" {
-			check(path, designRef)
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			visit(path)
 		}
 		return nil
 	})
@@ -192,5 +211,46 @@ func TestDesignEngineTable(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("DESIGN §4 Engine table rows:\n  %s\ncore.Engine fields and their flags:\n  %s",
 			strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestDocsFlagsAreRegistered: every -flag shown in a code span or fenced
+// block of the legible docs is registered by some FlagSet — the commands',
+// engineflags', the benchmark driver's, or a test binary's own (-update) —
+// or is a go tool flag. A deleted flag cannot linger in the docs.
+func TestDocsFlagsAreRegistered(t *testing.T) {
+	known := map[string]bool{}
+	for _, name := range goToolFlags {
+		known[name] = true
+	}
+	collect := func(path string) {
+		for _, m := range flagDecl.FindAllStringSubmatch(readDoc(t, path), -1) {
+			known[m[1]] = true
+		}
+	}
+	collect(filepath.Join("benchmark", "main.go")) // the rest of benchmark/ registers none
+	walkGoSources(t, collect)
+
+	for _, doc := range legibleDocs {
+		fenced := false
+		for n, line := range strings.Split(readDoc(t, doc), "\n") {
+			var code []string
+			switch {
+			case strings.HasPrefix(line, "```"):
+				fenced = !fenced
+				continue
+			case fenced:
+				code = []string{line}
+			default:
+				code = codeSpan.FindAllString(line, -1)
+			}
+			for _, text := range code {
+				for _, m := range flagToken.FindAllStringSubmatch(strings.Trim(text, "`"), -1) {
+					if !known[m[1]] {
+						t.Errorf("%s:%d: -%s is not a flag any command, test binary or the go tool registers", doc, n+1, m[1])
+					}
+				}
+			}
+		}
 	}
 }

@@ -20,8 +20,8 @@
 // speedup and its accuracy validation).
 //
 // The flow is driven through a Runner constructed with New and functional
-// options (WithScale, WithLib, WithMetrics, WithParallelism, WithProgress,
-// and the supervision/caching options — see runner.go). Every Runner method
+// options (WithScale, WithMetrics, WithParallelism, WithProgress,
+// and the supervision/caching options — see engine.go). Every Runner method
 // takes a context.Context with cooperative cancellation at interval
 // boundaries, and every stage is wrapped in a span when a metrics registry
 // is attached.

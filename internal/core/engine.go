@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/asap7"
 	"repro/internal/backoff"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -159,15 +158,10 @@ func (e Engine) Options() ([]Option, error) {
 // Option configures a Runner.
 type Option func(*Runner)
 
-// WithScale sets the workload scale used when the Runner builds workloads
-// by name (Sweep, Validate). Default: workloads.ScaleTiny.
+// WithScale sets the scale Validate builds its workload at (default
+// workloads.ScaleTiny). Sweep does not read it: a campaign carries its own.
 func WithScale(s workloads.Scale) Option {
 	return func(r *Runner) { r.scale = s }
-}
-
-// WithLib overrides the ASAP7 library used for power estimation.
-func WithLib(lib asap7.Library) Option {
-	return func(r *Runner) { r.fc.Lib = lib }
 }
 
 // WithSampling sets the Runner's sampling spec, used by direct

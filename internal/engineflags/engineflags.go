@@ -1,5 +1,5 @@
 // Package engineflags declares the sweep-engine command-line surface shared
-// by every binary that drives the flow (cmd/boomflow, cmd/tables,
+// by every binary that drives the flow (cmd/boomflow, cmd/tables, cmd/dse,
 // cmd/boomd): caching, supervision, fault injection, parallelism, and
 // metrics emission. A new engine option is declared here once and every
 // binary picks it up in lockstep instead of each cmd re-wiring (and

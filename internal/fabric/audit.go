@@ -181,7 +181,7 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 	// cells must land before this cell's completion can finish the run.
 	for _, rep := range cl.reports {
 		if rep.sum != winner {
-			c.quarantineLocked(rep.worker,
+			c.quarantineLocked(r, rep.worker,
 				fmt.Sprintf("result for %s diverged from the %d-vote majority", cl.task.Label(), best), cl)
 		}
 	}
@@ -216,7 +216,7 @@ func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
 // it completed requeued as suspect — with the journal record revoked, so
 // a resume recomputes rather than trusts. except (the cell whose audit
 // convicted the worker) is being finalized by the caller and is skipped.
-func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
+func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *cell) {
 	ws := c.workers[worker]
 	if ws == nil {
 		ws = &workerState{id: worker, lastSeen: time.Now()}
@@ -228,43 +228,40 @@ func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
 	ws.quarantined = true
 	c.count("fabric.workers_quarantined")
 	c.logf("worker %s QUARANTINED: %s", worker, reason)
-	for _, rid := range c.runOrder {
-		r := c.runs[rid]
-		if r.finished {
+	if r.finished {
+		return // failed fast: nothing left to requeue into
+	}
+	for _, label := range r.order {
+		cl := r.cells[label]
+		if cl == except {
 			continue
 		}
-		for _, label := range r.order {
-			cl := r.cells[label]
-			if cl == except {
-				continue
+		switch cl.state {
+		case cellLeased:
+			if cl.worker == worker {
+				cl.state = cellPending
+				cl.worker = ""
+				c.count("fabric.cells_requeued_suspect")
 			}
-			switch cl.state {
-			case cellLeased:
-				if cl.worker == worker {
-					cl.state = cellPending
-					cl.worker = ""
-					c.count("fabric.cells_requeued_suspect")
-				}
-			case cellAuditLeased:
-				if cl.worker == worker {
-					cl.state = cellAuditWait
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
-			case cellDone:
-				if cl.doneBy == worker && !cl.audited && cl.task.Kind == taskMeasure {
-					cl.state = cellPending
-					cl.worker = ""
-					cl.doneBy = ""
-					cl.payload = nil
-					cl.reports = nil
-					cl.auditRounds = 0
-					r.remaining++
-					revokeCell(r.frag, label)
-					c.count("fabric.cells_requeued_suspect")
-					c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
-						short(r.id), label, worker)
-				}
+		case cellAuditLeased:
+			if cl.worker == worker {
+				cl.state = cellAuditWait
+				cl.worker = ""
+				c.count("fabric.cells_stolen")
+			}
+		case cellDone:
+			if cl.doneBy == worker && !cl.audited && cl.task.Kind == taskMeasure {
+				cl.state = cellPending
+				cl.worker = ""
+				cl.doneBy = ""
+				cl.payload = nil
+				cl.reports = nil
+				cl.auditRounds = 0
+				r.remaining++
+				revokeCell(r.frag, label)
+				c.count("fabric.cells_requeued_suspect")
+				c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
+					short(r.id), label, worker)
 			}
 		}
 	}

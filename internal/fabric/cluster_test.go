@@ -7,7 +7,7 @@
 // so fabric output is anchored to the exact bytes the paper's tables were
 // generated from, not merely to "whatever the engine produces today".
 // The identity must survive chaos: a worker killed mid-campaign, injected
-// lease faults, a coordinator restart resuming from journal fragments.
+// lease faults, a coordinator restart resuming from its journal fragment.
 package fabric_test
 
 import (
@@ -41,8 +41,11 @@ import (
 type cluster struct {
 	coord      *fabric.Coordinator
 	coordReg   *metrics.Registry
+	storeDir   string // the coordinator's store and journal directory
 	ts         *httptest.Server
+	workers    []*fabric.Worker
 	workerRegs []*metrics.Registry
+	workerDirs []string // each worker's cache directory
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
 }
@@ -68,7 +71,7 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 	if o.storeDir == "" {
 		o.storeDir = t.TempDir()
 	}
-	c := &cluster{coordReg: metrics.NewRegistry()}
+	c := &cluster{coordReg: metrics.NewRegistry(), storeDir: o.storeDir}
 	c.coord = fabric.NewCoordinator(fabric.Config{
 		Store:      artifact.Open(o.storeDir),
 		Registry:   c.coordReg,
@@ -90,10 +93,12 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		if i < len(o.workerEngines) {
 			engine = o.workerEngines[i]
 		}
+		dir := t.TempDir()
+		c.workerDirs = append(c.workerDirs, dir)
 		w, err := fabric.NewWorker(fabric.WorkerConfig{
 			Coordinator: c.ts.URL,
 			ID:          fmt.Sprintf("worker-%d", i),
-			CacheDir:    t.TempDir(),
+			CacheDir:    dir,
 			Registry:    reg,
 			Engine:      engine,
 			Log:         t.Logf,
@@ -101,6 +106,7 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.workers = append(c.workers, w)
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()

@@ -7,10 +7,10 @@
 // already guarantees. Every cell is an isolated, bit-reproducible
 // computation keyed by the campaign fingerprint, so the coordinator never
 // has to arbitrate between results: a stolen cell finished twice produced
-// identical bytes both times, a resumed campaign replays journal
-// fragments instead of recomputing, and the merged Sweep encodes — via
-// the same wall-clock-free serve.EncodeSweep — byte-identically to a
-// single-node Runner.Sweep of the same campaign.
+// identical bytes both times, a resumed campaign replays the
+// coordinator's journal fragment instead of recomputing, and the merged
+// Sweep encodes — via the same wall-clock-free serve.EncodeSweep —
+// byte-identically to a single-node Runner.Sweep of the same campaign.
 //
 // Scheduling is a pull model with leases:
 //
@@ -21,7 +21,9 @@
 //     worker that dies, hangs, or partitions simply stops heartbeating,
 //     the lease expires, and the next poll steals the cell back
 //     ("fabric.cells_stolen") — node death degrades to extra latency,
-//     never to a lost or wrong cell.
+//     never to a lost or wrong cell. When the last worker dies nobody is
+//     left to poll, so RunCampaign itself watches liveness and finishes
+//     the campaign on the local runner ("fabric.local_fallback").
 //   - Completed measure cells ship their canonical measure-artifact
 //     payload in the done report; profile cells publish their artifacts
 //     through the remote store (internal/artifact) instead, so every
@@ -38,6 +40,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -95,19 +98,19 @@ const maxAttempts = 3
 
 // Coordinator owns the cell scheduler and the fabric's HTTP surface.
 // Create with NewCoordinator; campaigns enter through RunCampaign (the
-// serve.Config.Distribute hook) and workers through Handler.
+// serve.Config.Distribute hook), one at a time, and workers through
+// Handler.
 type Coordinator struct {
 	cfg Config
 	reg *metrics.Registry
 	inj *faultinject.Injector
 	mux *http.ServeMux
 
-	mu       sync.Mutex
-	workers  map[string]*workerState
-	runs     map[string]*run
-	runOrder []string
-	seq      uint64
-	drain    func() bool
+	mu      sync.Mutex
+	workers map[string]*workerState
+	run     *run // the campaign in flight; nil between campaigns
+	seq     uint64
+	drain   func() bool
 
 	// encodeErrOnce gates the single log line for response-encode failures;
 	// the rate lives in the fabric.http_encode_errors counter (see http.go).
@@ -150,7 +153,7 @@ type cell struct {
 	reports     []auditReport // fingerprint votes while in audit states
 }
 
-// run is one campaign in flight.
+// run is the campaign in flight.
 type run struct {
 	id        string
 	camp      core.Campaign
@@ -186,7 +189,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		reg:     cfg.Registry,
 		inj:     inj,
 		workers: map[string]*workerState{},
-		runs:    map[string]*run{},
 	}
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /v1/fabric/workers", c.handleRegister)
@@ -247,36 +249,62 @@ func (c *Coordinator) count(name string) {
 
 // RunCampaign distributes one campaign across the registered workers and
 // blocks until every cell is terminal (or ctx is canceled). It has the
-// exact signature of serve.Config.Distribute. With no live workers the
-// campaign runs on the local Runner instead — a coordinator with an empty
-// cluster degrades to a single node, byte-identically. Error semantics
-// mirror Runner.Sweep: fail-fast returns (nil, err) on the first
-// exhausted cell; KeepGoing returns the partial Sweep together with a
-// *core.SweepErrors.
+// exact signature of serve.Config.Distribute. One campaign is in flight at
+// a time: a call made while another is running is refused with an error
+// naming the campaign in flight. With no live workers — at the start, or
+// because the last one went silent mid-campaign — the campaign runs on the
+// local Runner instead: a coordinator with an empty cluster degrades to a
+// single node, byte-identically, and whatever the dead workers pushed to
+// the store is a cache hit for it. Error semantics mirror Runner.Sweep:
+// fail-fast returns (nil, err) on the first exhausted cell; KeepGoing
+// returns the partial Sweep together with a *core.SweepErrors.
 func (c *Coordinator) RunCampaign(ctx context.Context, id string, camp core.Campaign, local *core.Runner) (*core.Sweep, error) {
-	if c.LiveWorkers() == 0 && local != nil {
-		c.count("fabric.local_fallback")
-		c.logf("campaign %s: no live workers, running locally", short(id))
-		return local.Sweep(ctx, camp)
+	if local == nil || c.LiveWorkers() > 0 {
+		sw, err := c.distribute(ctx, id, camp, local != nil)
+		if !errors.Is(err, errNoWorkers) {
+			return sw, err
+		}
 	}
+	c.count("fabric.local_fallback")
+	c.logf("campaign %s: no live workers, running locally", short(id))
+	return local.Sweep(ctx, camp)
+}
+
+// errNoWorkers is distribute's verdict that nobody is left to poll.
+var errNoWorkers = errors.New("fabric: no live workers")
+
+// distribute admits the campaign and waits for its last cell. Leases lapse
+// only when somebody polls, so a cluster whose every worker has gone silent
+// would wait forever: with fallback set, liveness is re-evaluated at lease
+// cadence and the run is abandoned with errNoWorkers.
+func (c *Coordinator) distribute(ctx context.Context, id string, camp core.Campaign, fallback bool) (*core.Sweep, error) {
 	r, err := c.admit(id, camp)
 	if err != nil {
 		return nil, err
 	}
-	defer c.retire(id)
+	defer c.retire(r)
 	c.logf("campaign %s: %d cell(s) across %d live worker(s)",
 		short(id), len(r.order), c.LiveWorkers())
-	select {
-	case <-r.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	tick := time.NewTicker(c.cfg.Lease)
+	defer tick.Stop()
+	for {
+		select {
+		case <-r.done:
+			return c.assemble(r)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-tick.C:
+			if fallback && c.LiveWorkers() == 0 {
+				return nil, errNoWorkers
+			}
+		}
 	}
-	return c.assemble(r)
 }
 
 // admit builds the cell graph for one campaign, replays the journal
-// fragment a previous coordinator left for this fingerprint, and registers
-// the run with the scheduler.
+// fragment a previous coordinator left for this fingerprint, and makes it
+// the run in flight — or refuses, touching nothing, when there already is
+// one.
 func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err := camp.Validate(); err != nil {
 		return nil, err
@@ -306,6 +334,12 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	}
 	r.remaining = len(r.order)
 
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.run != nil {
+		return nil, fmt.Errorf("fabric: campaign %s refused: campaign %s is in flight and the coordinator runs one at a time",
+			short(id), short(c.run.id))
+	}
 	if journalDir := c.cfg.Engine.CacheDir; journalDir != "" {
 		resumed := 0
 		for label, payload := range MergeJournals(id, FragmentPath(journalDir, id)) {
@@ -329,92 +363,73 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		}
 		r.frag = openFragment(FragmentPath(journalDir, id), id, c.logf)
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.runs[id] != nil {
-		r.frag.Close()
-		return nil, fmt.Errorf("fabric: campaign %s already running", short(id))
-	}
-	c.runs[id] = r
-	c.runOrder = append(c.runOrder, id)
+	c.run = r
 	if r.remaining == 0 {
 		c.finishLocked(r)
 	}
 	return r, nil
 }
 
-// retire removes a finished (or abandoned) run from the scheduler. Late
-// reports for a retired campaign are acknowledged and dropped — the
-// journal fragment already has everything that completed.
-func (c *Coordinator) retire(id string) {
+// retire clears the slot of a finished (or abandoned) run. Late
+// heartbeats and reports for it are answered "lost" and acknowledged-
+// and-dropped — the journal fragment already has everything accepted.
+func (c *Coordinator) retire(r *run) {
 	c.mu.Lock()
-	r := c.runs[id]
-	delete(c.runs, id)
-	for i, rid := range c.runOrder {
-		if rid == id {
-			c.runOrder = append(c.runOrder[:i], c.runOrder[i+1:]...)
-			break
-		}
-	}
+	c.run = nil
 	c.mu.Unlock()
-	if r != nil {
-		r.frag.Close()
-	}
+	r.frag.Close()
 }
 
 // nextTask grants the first runnable cell to worker, stamping a fresh
-// lease. Expired leases across every run are reclaimed first, so a
-// stalled worker's cells become grantable the moment anyone polls.
-// Quarantined workers are granted nothing; cells held for audit are
-// granted — as Fresh re-executions — ahead of pending work, since they
-// gate campaign completion.
+// lease. Expired leases are reclaimed first, so a stalled worker's cells
+// become grantable the moment anyone polls. Quarantined workers are
+// granted nothing; cells held for audit are granted — as Fresh
+// re-executions — ahead of pending work, since they gate campaign
+// completion.
 func (c *Coordinator) nextTask(worker string) *Task {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLeasesLocked(now)
+	r := c.run
+	if r == nil || r.finished {
+		return nil
+	}
+	c.expireLeasesLocked(r, now)
 	if ws := c.workers[worker]; ws != nil && ws.quarantined {
 		return nil
 	}
-	for _, rid := range c.runOrder {
-		r := c.runs[rid]
-		if r.finished {
+	for _, label := range r.order {
+		cl := r.cells[label]
+		switch cl.state {
+		case cellAuditWait:
+			if t := c.grantAuditLocked(r, cl, worker, now); t != nil {
+				return t
+			}
+			continue
+		case cellPending:
+			// fall through to the normal grant below
+		default:
 			continue
 		}
-		for _, label := range r.order {
-			cl := r.cells[label]
-			switch cl.state {
-			case cellAuditWait:
-				if t := c.grantAuditLocked(r, cl, worker, now); t != nil {
-					return t
-				}
+		if cl.requires != "" {
+			switch req := r.cells[cl.requires]; req.state {
+			case cellDone:
+				// runnable
+			case cellFailed:
+				c.failCellLocked(r, cl, fmt.Sprintf("dependency %s failed", cl.requires))
 				continue
-			case cellPending:
-				// fall through to the normal grant below
 			default:
-				continue
+				continue // profile still pending or in flight
 			}
-			if cl.requires != "" {
-				switch req := r.cells[cl.requires]; req.state {
-				case cellDone:
-					// runnable
-				case cellFailed:
-					c.failCellLocked(r, cl, fmt.Sprintf("dependency %s failed", cl.requires))
-					continue
-				default:
-					continue // profile still pending or in flight
-				}
-			}
-			c.seq++
-			cl.state = cellLeased
-			cl.worker = worker
-			cl.deadline = now.Add(c.cfg.Lease)
-			cl.task.Seq = c.seq
-			t := cl.task
-			c.count("fabric.cells_leased")
-			return &t
 		}
+		c.seq++
+		cl.state = cellLeased
+		cl.worker = worker
+		cl.deadline = now.Add(c.cfg.Lease)
+		cl.task.Seq = c.seq
+		t := cl.task
+		c.count("fabric.cells_leased")
+		return &t
 	}
 	return nil
 }
@@ -422,31 +437,25 @@ func (c *Coordinator) nextTask(worker string) *Task {
 // expireLeasesLocked steals cells back from workers whose lease lapsed.
 // An expired audit lease returns to the audit queue, not the pending
 // queue — the original result is still held for verification.
-func (c *Coordinator) expireLeasesLocked(now time.Time) {
-	for _, rid := range c.runOrder {
-		r := c.runs[rid]
-		if r.finished {
-			continue
-		}
-		for _, label := range r.order {
-			cl := r.cells[label]
-			switch cl.state {
-			case cellLeased:
-				if now.After(cl.deadline) {
-					c.logf("campaign %s: stealing %s from silent worker %s",
-						short(r.id), label, cl.worker)
-					cl.state = cellPending
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
-			case cellAuditLeased:
-				if now.After(cl.deadline) {
-					c.logf("campaign %s: stealing audit of %s from silent worker %s",
-						short(r.id), label, cl.worker)
-					cl.state = cellAuditWait
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
+func (c *Coordinator) expireLeasesLocked(r *run, now time.Time) {
+	for _, label := range r.order {
+		cl := r.cells[label]
+		switch cl.state {
+		case cellLeased:
+			if now.After(cl.deadline) {
+				c.logf("campaign %s: stealing %s from silent worker %s",
+					short(r.id), label, cl.worker)
+				cl.state = cellPending
+				cl.worker = ""
+				c.count("fabric.cells_stolen")
+			}
+		case cellAuditLeased:
+			if now.After(cl.deadline) {
+				c.logf("campaign %s: stealing audit of %s from silent worker %s",
+					short(r.id), label, cl.worker)
+				cl.state = cellAuditWait
+				cl.worker = ""
+				c.count("fabric.cells_stolen")
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -133,8 +132,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.runs[body.Task.Campaign]
-	if r == nil {
+	r := c.run
+	if r == nil || r.id != body.Task.Campaign {
+		// Not the campaign in flight: retired, or never this coordinator's.
 		c.writeJSON(w, heartbeatResponse{Lost: true})
 		return
 	}
@@ -158,11 +158,11 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 	c.touchWorker(body.Worker, false)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.runs[body.Task.Campaign]
-	if r == nil {
-		// Retired campaign: a straggler finishing after completion. Its
-		// bytes are identical to the ones already merged, so acknowledge
-		// and drop.
+	r := c.run
+	if r == nil || r.id != body.Task.Campaign {
+		// Not the campaign in flight: a straggler finishing after its
+		// campaign retired. Whatever it computed is in the store already,
+		// so acknowledge and drop.
 		c.writeJSON(w, doneResponse{OK: true})
 		return
 	}
@@ -255,7 +255,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, req *http.Request) {
 		// The same typed rejection submit gives while shutting down: a
 		// Retry-After so clients (boomctl status) can distinguish "node
 		// draining, ask again" from a dead endpoint.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterDrainSecs))
+		w.Header().Set("Retry-After", retryAfterDrain)
 		c.httpError(w, http.StatusServiceUnavailable, "coordinator is draining; retry later")
 		return
 	}
@@ -263,10 +263,9 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, req *http.Request) {
 	c.mu.Lock()
 	reply := StatusReply{
 		Workers:   c.sortedWorkersLocked(now),
-		Campaigns: make([]CampaignStatus, 0, len(c.runOrder)),
+		Campaigns: []CampaignStatus{},
 	}
-	for _, rid := range c.runOrder {
-		r := c.runs[rid]
+	if r := c.run; r != nil {
 		cs := CampaignStatus{ID: r.id}
 		for _, label := range r.order {
 			switch r.cells[label].state {
@@ -288,15 +287,15 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, req *http.Request) {
 	c.writeJSON(w, reply)
 }
 
-// retryAfterDrainSecs is the Retry-After hint on drain rejections,
-// matching serve's submit-path value.
-const retryAfterDrainSecs = 5
+// retryAfterDrain is the Retry-After hint on drain rejections, in seconds:
+// the value serve's submit path sends, so one daemon gives one hint.
+const retryAfterDrain = "2"
 
 func (c *Coordinator) handleCampaign(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	c.mu.Lock()
 	var spec []byte
-	if r := c.runs[id]; r != nil {
+	if r := c.run; r != nil && r.id == id {
 		spec = r.spec
 	}
 	c.mu.Unlock()

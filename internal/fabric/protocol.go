@@ -35,7 +35,7 @@ type Task struct {
 }
 
 // Label names the cell ("profile/<wl>", "measure/<cfg>/<wl>"): its key in
-// the run's cell graph and in every journal fragment.
+// the run's cell graph and in its journal fragment.
 func (t Task) Label() string {
 	if t.Kind == taskProfile {
 		return t.Kind + "/" + t.Workload
@@ -130,7 +130,7 @@ type WorkerStatus struct {
 	Quarantined bool `json:"quarantined,omitempty"`
 }
 
-// CampaignStatus is one in-flight campaign's cell accounting.
+// CampaignStatus is the in-flight campaign's cell accounting.
 type CampaignStatus struct {
 	ID       string `json:"id"`
 	Pending  int    `json:"pending"`
@@ -143,7 +143,8 @@ type CampaignStatus struct {
 // StatusReply is the body of GET /v1/fabric/status. While the node is
 // draining the endpoint returns 503 with a Retry-After header and an
 // {"error": ...} body instead — the same typed rejection submit gives —
-// so clients see "draining, retry later", never a bare failure.
+// so clients see "draining, retry later", never a bare failure. Campaigns
+// lists the campaign in flight: zero or one entry.
 type StatusReply struct {
 	Draining  bool             `json:"draining"`
 	Workers   []WorkerStatus   `json:"workers"`

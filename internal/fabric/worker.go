@@ -17,7 +17,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -67,17 +66,13 @@ type Worker struct {
 	pollMS  int64
 	store   bool
 
-	mu      sync.Mutex
-	runners map[runnerKey]*core.Runner // per-campaign, normal and Fresh (storeless)
-	camps   map[string]core.Campaign   // decoded campaign specs, keyed by fingerprint
-	fragID  string                     // campaign of the one open journal fragment
-	frag    *journal.Writer
-}
-
-// runnerKey names one of a campaign's two Runners.
-type runnerKey struct {
-	campaign string // fingerprint
-	fresh    bool   // the audit re-execution runner
+	// The campaign whose cell the worker holds — its decoded spec and its
+	// two Runners, built on first use — replaced when a cell of another
+	// campaign arrives. Touched only by Run's goroutine.
+	campID string
+	camp   core.Campaign
+	normal *core.Runner
+	fresh  *core.Runner // audit re-executions: own cache, no remote store
 }
 
 // NewWorker validates the config and fills defaults.
@@ -111,11 +106,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("fabric: worker: %w", err)
 	}
 	inj, _ := e.Injector()
-	return &Worker{
-		cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID),
-		runners: map[runnerKey]*core.Runner{},
-		camps:   map[string]core.Campaign{},
-	}, nil
+	return &Worker{cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID)}, nil
 }
 
 // ID returns the worker's cluster identity.
@@ -143,17 +134,24 @@ type rpcError struct {
 
 func (e *rpcError) Error() string { return e.msg }
 
-// post sends one JSON round trip to a coordinator endpoint.
-func (w *Worker) post(ctx context.Context, path string, body, reply interface{}) error {
-	buf, err := json.Marshal(body)
+// rpc makes one JSON round trip to a coordinator endpoint; a nil body
+// sends none (the campaign-spec GET).
+func (w *Worker) rpc(ctx context.Context, method, path string, body, reply interface{}) error {
+	var payload io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		payload = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, payload)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(buf))
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
 		return err
@@ -172,12 +170,12 @@ func (w *Worker) post(ctx context.Context, path string, body, reply interface{})
 	return nil
 }
 
-// postRetry wraps post in the worker's retry discipline: jittered
+// rpcRetry wraps rpc in the worker's retry discipline: jittered
 // exponential backoff with a per-attempt deadline. Transport errors, 5xx
 // and stalls retry; 4xx refusals return immediately.
-func (w *Worker) postRetry(ctx context.Context, p backoff.Policy, path string, body, reply interface{}) error {
+func (w *Worker) rpcRetry(ctx context.Context, p backoff.Policy, method, path string, body, reply interface{}) error {
 	return backoff.Retry(ctx, p, func(actx context.Context) error {
-		err := w.post(actx, path, body, reply)
+		err := w.rpc(actx, method, path, body, reply)
 		if err == nil {
 			return nil
 		}
@@ -194,12 +192,6 @@ func (w *Worker) postRetry(ctx context.Context, p backoff.Policy, path string, b
 // canceled. Run only returns ctx.Err(); transient coordinator errors are
 // absorbed by backoff.
 func (w *Worker) Run(ctx context.Context) error {
-	defer func() {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		w.frag.Close()
-		w.fragID, w.frag = "", nil
-	}()
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -214,7 +206,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var pr pollResponse
-		if err := w.postRetry(ctx, pollPolicy, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr); err != nil {
+		if err := w.rpcRetry(ctx, pollPolicy, http.MethodPost, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -240,15 +232,16 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // The worker's RPC retry disciplines. Poll gets one attempt per loop
 // iteration (the main loop is its retry, with the coordinator's idle
-// hint as the backoff); register and done-reports retry in place because
-// giving up on them loses work.
+// hint as the backoff); register, and the two RPCs a leased cell depends
+// on — the campaign-spec fetch and the done report — retry in place
+// because giving up on them loses work.
 var (
 	pollPolicy     = backoff.Policy{Attempts: 1, AttemptTimeout: 30 * time.Second}
 	registerPolicy = backoff.Policy{
 		Attempts: 20, Base: 250 * time.Millisecond, Max: 2 * time.Second,
 		AttemptTimeout: 10 * time.Second,
 	}
-	donePolicy = backoff.Policy{
+	cellPolicy = backoff.Policy{
 		Attempts: 5, Base: 200 * time.Millisecond, Max: 2 * time.Second,
 		AttemptTimeout: 10 * time.Second,
 	}
@@ -256,7 +249,7 @@ var (
 
 func (w *Worker) register(ctx context.Context) error {
 	var rr registerResponse
-	err := w.postRetry(ctx, registerPolicy, "/v1/fabric/workers", registerRequest{Worker: w.cfg.ID}, &rr)
+	err := w.rpcRetry(ctx, registerPolicy, http.MethodPost, "/v1/fabric/workers", registerRequest{Worker: w.cfg.ID}, &rr)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -298,7 +291,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 			case <-tick.C:
 				var hr heartbeatResponse
 				hbPolicy := backoff.Policy{Attempts: 2, Base: 100 * time.Millisecond, AttemptTimeout: lease / 3}
-				err := w.postRetry(tctx, hbPolicy, "/v1/fabric/heartbeat", heartbeatRequest{Worker: w.cfg.ID, Task: t}, &hr)
+				err := w.rpcRetry(tctx, hbPolicy, http.MethodPost, "/v1/fabric/heartbeat", heartbeatRequest{Worker: w.cfg.ID, Task: t}, &hr)
 				if err == nil && hr.Lost {
 					lost = true
 					w.count("fabric.leases_lost")
@@ -323,18 +316,10 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	if err == nil && t.Kind == taskMeasure {
 		// Chaos site "fabric.payload/<id>": a worker that computes
 		// correctly but reports corrupted bytes — bit flips applied to the
-		// canonical payload before it is journaled or reported, so the
-		// wire JSON stays valid and the lie reaches the coordinator's
-		// audit layer instead of dying in a decoder.
+		// canonical payload before it is reported, so the wire JSON stays
+		// valid and the lie reaches the coordinator's audit layer instead
+		// of dying in a decoder.
 		payload = w.inj.Corrupt(payload, "fabric.payload", w.cfg.ID)
-	}
-	if err == nil && !t.Fresh {
-		// The worker's own journal fragment: if this node dies before (or
-		// while) reporting, an operator can still gather the fragment and
-		// MergeJournals it into the coordinator's — the cell's canonical
-		// bytes are not lost with the report. Audit re-executions are
-		// deliberately not journaled: their product is a vote, not a cell.
-		appendCell(w.fragmentFor(t.Campaign), t.Label(), payload)
 	}
 	done := doneRequest{Worker: w.cfg.ID, Task: t, OK: err == nil, Payload: payload}
 	if err != nil {
@@ -345,7 +330,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		w.count("fabric.cells_completed")
 	}
 	var dr doneResponse
-	if rerr := w.postRetry(ctx, donePolicy, "/v1/fabric/done", done, &dr); rerr != nil {
+	if rerr := w.rpcRetry(ctx, cellPolicy, http.MethodPost, "/v1/fabric/done", done, &dr); rerr != nil {
 		w.logf("worker %s: could not report %s; lease will expire", w.cfg.ID, t.Label())
 	}
 }
@@ -359,10 +344,11 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 			err = fmt.Errorf("fabric: panic in %s: %v", t.Label(), rec)
 		}
 	}()
-	r, camp, err := w.runnerFor(ctx, t.Campaign, t.Fresh)
+	r, err := w.runnerFor(ctx, t.Campaign, t.Fresh)
 	if err != nil {
 		return nil, err
 	}
+	camp := w.camp // runnerFor made t.Campaign the campaign held
 	wl, err := workloads.Build(t.Workload, camp.Scale)
 	if err != nil {
 		return nil, err
@@ -395,10 +381,12 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 	}
 }
 
-// runnerFor returns (building on first use) one of a campaign's two
-// Runners. The campaign spec is fetched from the coordinator and the
-// Runner assembled exactly as a single node would, plus the remote store
-// tier when the coordinator serves one.
+// runnerFor returns (building on first use) one of the current campaign's
+// two Runners. A cell of a campaign other than the one the worker holds
+// drops that one's spec and Runners and fetches the new spec from the
+// coordinator (specs are immutable per fingerprint); the Runner is
+// assembled exactly as a single node would, plus the remote store tier when
+// the coordinator serves one.
 //
 // The fresh runner serves audit re-executions, which must derive the
 // result independently: it has its own cache directory and no remote store
@@ -406,16 +394,20 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 // derivation — agreement means agreement of computations, not of caches.
 // Both share the worker's parallelism budget, which is what keeps those
 // storeless re-executions from paying full serial latency.
-func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (*core.Runner, core.Campaign, error) {
-	camp, err := w.fetchCampaign(ctx, campaignID)
-	if err != nil {
-		return nil, core.Campaign{}, err
+func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (*core.Runner, error) {
+	if w.campID != campaignID {
+		var wire campaignWire
+		if err := w.rpcRetry(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &wire); err != nil {
+			return nil, fmt.Errorf("fabric: fetching campaign %s: %w", short(campaignID), err)
+		}
+		w.campID, w.camp, w.normal, w.fresh = campaignID, wire.campaign(), nil, nil
 	}
-	key := runnerKey{campaignID, fresh}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if r := w.runners[key]; r != nil {
-		return r, camp, nil
+	slot := &w.normal
+	if fresh {
+		slot = &w.fresh
+	}
+	if *slot != nil {
+		return *slot, nil
 	}
 	e := w.cfg.Engine
 	e.Chaos = "" // armed once per worker (w.inj), not once per Runner
@@ -424,74 +416,18 @@ func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (
 	}
 	opts, err := e.Options()
 	if err != nil {
-		return nil, core.Campaign{}, err
+		return nil, err
 	}
 	opts = append(opts,
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
+		core.WithScale(w.camp.Scale),
+		core.WithSampling(w.camp.Sampling),
 		core.WithMetrics(w.cfg.Registry),
 		core.WithFaultInjector(w.inj))
 	if w.store && !fresh {
 		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
 	}
-	r := core.New(core.FlowConfigFor(camp.Scale), opts...)
-	w.runners[key] = r
-	return r, camp, nil
-}
-
-// fetchCampaign returns the decoded campaign spec, fetching it from the
-// coordinator on first use (specs are immutable per fingerprint).
-func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, error) {
-	w.mu.Lock()
-	if c, ok := w.camps[id]; ok {
-		w.mu.Unlock()
-		return c, nil
-	}
-	w.mu.Unlock()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/fabric/campaigns/"+id, nil)
-	if err != nil {
-		return core.Campaign{}, err
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return core.Campaign{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return core.Campaign{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return core.Campaign{}, fmt.Errorf("fabric: fetching campaign %s: %s", short(id), resp.Status)
-	}
-	var wire campaignWire
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return core.Campaign{}, fmt.Errorf("fabric: campaign %s spec: %w", short(id), err)
-	}
-	camp := wire.campaign()
-	w.mu.Lock()
-	w.camps[id] = camp
-	w.mu.Unlock()
-	return camp, nil
-}
-
-// fragmentFor returns the worker's journal fragment for one campaign,
-// under the worker's cache directory. A worker runs one cell at a time, so
-// only the current campaign's fragment is open: a cell of another campaign
-// closes it, and openFragment's extend rule picks it up again when the
-// first campaign comes back — a long-lived worker holds one descriptor, not
-// one per campaign it has ever seen.
-func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.fragID != campaignID {
-		if err := w.frag.Close(); err != nil {
-			w.logf("worker %s: closing the fragment of campaign %s: %v", w.cfg.ID, short(w.fragID), err)
-		}
-		w.frag = openFragment(FragmentPath(w.cfg.Engine.CacheDir, campaignID), campaignID, w.logf)
-		w.fragID = campaignID // a nil (disabled) fragment is kept too: stays inert
-	}
-	return w.frag
+	*slot = core.New(core.FlowConfigFor(w.camp.Scale), opts...)
+	return *slot, nil
 }
 
 // sleepCtx sleeps d or until ctx cancels; reports whether the full sleep

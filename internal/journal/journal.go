@@ -47,25 +47,23 @@ type Writer struct {
 	disabled bool
 }
 
-// Open prepares the journal at path for appending under header. With
-// extend, an existing file is kept — but only if its header matches
-// (otherwise everything appended would be ignored on read), and after a
-// newline when its last line is torn (otherwise the first appended record
-// would be glued onto the fragment and lost with it). In every other case
-// the file is truncated and a fresh header written and fsynced, so a crash
-// right after Open cannot leave a journal without a durable identity.
-// onError (may be nil) receives the first write error.
-func Open(path string, header Record, extend bool, onError func(error)) (*Writer, error) {
+// Open prepares the journal at path for appending under header. An
+// existing file is extended — but only if its header matches (otherwise
+// everything appended would be ignored on read), and after a newline when
+// its last line is torn (otherwise the first appended record would be
+// glued onto the fragment and lost with it). In every other case the file
+// is truncated and a fresh header written and fsynced, so a crash right
+// after Open cannot leave a journal without a durable identity. onError
+// (may be nil) receives the first write error.
+func Open(path string, header Record, onError func(error)) (*Writer, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
-	if extend {
-		if f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644); err == nil {
-			if scan(f, header, nil) && terminate(f) == nil {
-				return &Writer{f: f, onError: onError}, nil
-			}
-			f.Close()
+	if f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644); err == nil {
+		if scan(f, header, nil) && terminate(f) == nil {
+			return &Writer{f: f, onError: onError}, nil
 		}
+		f.Close()
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -40,9 +40,9 @@ func writeFile(t testing.TB, body string) string {
 	return path
 }
 
-func mustOpen(t testing.TB, path string, header Record, extend bool) *Writer {
+func mustOpen(t testing.TB, path string, header Record) *Writer {
 	t.Helper()
-	w, err := Open(path, header, extend, func(err error) { t.Errorf("journal write error: %v", err) })
+	w, err := Open(path, header, func(err error) { t.Errorf("journal write error: %v", err) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDialectsByteForByte(t *testing.T) {
 				t.Fatalf("Read = %+v, %v; want %+v", recs, ok, tc.want)
 			}
 			path := filepath.Join(t.TempDir(), "sub", "dir", "rewritten.journal") // Open creates parents
-			w := mustOpen(t, path, tc.header, false)
+			w := mustOpen(t, path, tc.header)
 			for _, rec := range recs {
 				w.Append(rec)
 			}
@@ -123,25 +123,24 @@ func TestReadForeignHeader(t *testing.T) {
 // the journal's identity survives a crash that follows immediately.
 func TestHeaderDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.journal")
-	w := mustOpen(t, path, sweepHeader, false)
+	w := mustOpen(t, path, sweepHeader)
 	defer w.Close()
 	if recs, ok := Read(path, sweepHeader); !ok || len(recs) != 0 {
 		t.Fatalf("right after Open: %d records, ok=%v; want a bare matching header", len(recs), ok)
 	}
 }
 
-// TestExtendRoundTrip: the restart shape — recover records, reopen in
-// extend mode, append more, and a second recovery sees both generations;
-// a truncating reopen discards them.
+// TestExtendRoundTrip: the restart shape — recover records, reopen,
+// append more, and a second recovery sees both generations.
 func TestExtendRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.journal")
-	w := mustOpen(t, path, fabricHeader, false)
+	w := mustOpen(t, path, fabricHeader)
 	w.Append(Record{Ev: "cell", Task: "profile/sha"})
 	w.Append(Record{Ev: "cell", Task: "measure/medium/sha", Payload: []byte("gen-1")})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w = mustOpen(t, path, fabricHeader, true)
+	w = mustOpen(t, path, fabricHeader)
 	w.AppendSync(Record{Ev: "cell", Task: "measure/mega/sha", Payload: []byte("gen-2")})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -150,20 +149,13 @@ func TestExtendRoundTrip(t *testing.T) {
 	if !ok || len(recs) != 3 || string(recs[1].Payload) != "gen-1" || string(recs[2].Payload) != "gen-2" {
 		t.Fatalf("after extend: %+v, ok=%v", recs, ok)
 	}
-
-	w = mustOpen(t, path, fabricHeader, false)
-	w.Append(Record{Ev: "cell", Task: "profile/fft"})
-	w.Close()
-	if recs, _ := Read(path, fabricHeader); len(recs) != 1 {
-		t.Fatalf("truncating reopen kept stale records: %+v", recs)
-	}
 }
 
 // TestExtendAfterTornTail: extending a journal whose last line was torn
 // by a crash must not glue the first appended record onto the fragment.
 func TestExtendAfterTornTail(t *testing.T) {
 	path := writeFile(t, fabricDialect+`{"ev":"cell","task":"measure/mega/sha","pa`)
-	w := mustOpen(t, path, fabricHeader, true)
+	w := mustOpen(t, path, fabricHeader)
 	w.Append(Record{Ev: "cell", Task: "measure/mega/qsort", Payload: []byte("kept")})
 	w.Close()
 	recs, ok := Read(path, fabricHeader)
@@ -172,7 +164,7 @@ func TestExtendAfterTornTail(t *testing.T) {
 	}
 }
 
-// TestExtendChecksHeader: extend keeps a file only when its header
+// TestExtendChecksHeader: Open keeps a file only when its header
 // matches; anything else would be appended to forever and ignored on
 // every read, so it is truncated and re-headed instead.
 func TestExtendChecksHeader(t *testing.T) {
@@ -183,7 +175,7 @@ func TestExtendChecksHeader(t *testing.T) {
 		"not a journal":    "hello\nworld\n",
 	} {
 		path := writeFile(t, body)
-		w := mustOpen(t, path, fabricHeader, true)
+		w := mustOpen(t, path, fabricHeader)
 		w.Append(Record{Ev: "cell", Task: "profile/sha"})
 		w.Close()
 		recs, ok := Read(path, fabricHeader)
@@ -193,7 +185,7 @@ func TestExtendChecksHeader(t *testing.T) {
 	}
 	// And a missing file is simply created.
 	path := filepath.Join(t.TempDir(), "absent.journal")
-	w := mustOpen(t, path, fabricHeader, true)
+	w := mustOpen(t, path, fabricHeader)
 	w.Close()
 	if _, ok := Read(path, fabricHeader); !ok {
 		t.Error("extend of a missing file did not create a headed journal")
@@ -237,7 +229,7 @@ func TestENOSPCReported(t *testing.T) {
 		t.Skip(err)
 	}
 	var reports int
-	w, err := Open(path, sweepHeader, false, func(error) { reports++ })
+	w, err := Open(path, sweepHeader, func(error) { reports++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +253,7 @@ func TestNilWriter(t *testing.T) {
 // FuzzJournalRead feeds arbitrary file contents through the reader and
 // the extend path. Whatever is on disk, Read must not panic, must return
 // records only under a matching header, and a record appended through
-// Open(extend) must be the last one a following Read returns — the
+// Open must be the last one a following Read returns — the
 // property both crash-recovery bugs (glued torn tail, unchecked header)
 // violated.
 func FuzzJournalRead(f *testing.F) {
@@ -279,7 +271,7 @@ func FuzzJournalRead(f *testing.F) {
 			if !ok && len(before) != 0 {
 				t.Fatalf("%d records returned under a mismatched header", len(before))
 			}
-			w := mustOpen(t, path, header, true)
+			w := mustOpen(t, path, header)
 			marker := Record{Ev: "cell", Task: "fuzz/marker", Payload: []byte{0, 1, 2}}
 			w.Append(marker)
 			if err := w.Close(); err != nil {

@@ -55,9 +55,9 @@ var noTLB = func() *[tlbSize]tlbEntry {
 // call New.
 //
 // A Memory is not safe for concurrent use, reads included: every access may
-// fill the TLB. Clone, Serialize, PageCount and Footprint touch only the
-// page map and may run concurrently with one another (a checkpoint image
-// is cloned by several measuring goroutines at once).
+// fill the TLB. Clone, Serialize and PageCount touch only the page map and
+// may run concurrently with one another (a checkpoint image is cloned by
+// several measuring goroutines at once).
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
 
@@ -271,9 +271,6 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 
 // PageCount reports how many pages have been touched.
 func (m *Memory) PageCount() int { return len(m.pages) }
-
-// Footprint reports the number of bytes of allocated backing store.
-func (m *Memory) Footprint() int64 { return int64(len(m.pages)) * PageSize }
 
 // Clone returns a deep copy, used to fork a pristine workload image for
 // multiple simulations.

@@ -37,7 +37,8 @@ type job struct {
 	done chan struct{}
 }
 
-// worker drains the queue until BeginDrain closes it.
+// worker is the one sweep goroutine: it drains the queue, a job at a time,
+// until BeginDrain closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -156,7 +157,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Close force-stops: cancel all sweeps now and wait for workers to exit.
+// Close force-stops: cancel the sweep in flight and wait for the worker to
+// exit.
 // For tests; production shutdown is Shutdown.
 func (s *Server) Close() {
 	s.BeginDrain()

@@ -14,10 +14,10 @@ import (
 // SweepRequest is the POST /v1/sweeps body. Two request shapes share the
 // endpoint:
 //
-// v1 (named configs) — the original body, still accepted unchanged, and
-// producing byte-identical campaign fingerprints to the pre-parametric
-// service (fabric fragments and cache entries written by older builds
-// keep resuming):
+// v1 (named configs) — the original body, still accepted unchanged. Its
+// campaign fingerprints are pinned (request_test.go) and move only with a
+// deliberate schema bump in internal/core/cache.go, which orphans every
+// fabric fragment and cache entry written before it:
 //
 //	{"workloads": ["sha"], "configs": ["medium", "mega"], "scale": "tiny"}
 //

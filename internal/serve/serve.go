@@ -17,8 +17,8 @@
 //
 //	{"workloads":["sha","qsort"], "configs":["medium","mega"], "scale":"tiny"}
 //
-// and keeps producing byte-identical campaign fingerprints to the
-// pre-parametric service, so existing job IDs and caches stay valid.
+// and keeps resolving to its pinned campaign fingerprints, so job IDs and
+// caches stay valid until a deliberate schema bump (internal/core/cache.go).
 // The parametric form gives a base point plus per-parameter sweep axes
 // (expanded by internal/dse into the validated cross product) and
 // optional fixed overrides:
@@ -57,8 +57,7 @@ import (
 )
 
 // Config carries the daemon's flags into the server. The zero value is a
-// usable in-memory server: no cache, no retries, queue depth 8, one sweep
-// at a time.
+// usable in-memory server: no cache, no retries, queue depth 8.
 type Config struct {
 	// Engine says how every sweep executes (see core.Engine). Its Chaos
 	// plan is armed afresh for each job.
@@ -76,10 +75,6 @@ type Config struct {
 	// QueueDepth bounds the job queue; submissions beyond it get 429
 	// (default 8).
 	QueueDepth int
-	// SweepWorkers is the number of sweeps run concurrently (default 1).
-	// Each sweep has its own -j budget, and concurrent sweeps share the
-	// cache safely: its entries are written atomically.
-	SweepWorkers int
 
 	// TaskHook mirrors core.WithTaskHook (crash drills in tests).
 	TaskHook func(completed int)
@@ -123,13 +118,11 @@ type Server struct {
 }
 
 // New folds the shorthands into cfg.Engine, validates it and the default
-// sampling spec, and starts the sweep workers.
+// sampling spec, and starts the sweep goroutine: the daemon runs one sweep
+// at a time, under the whole Engine.Parallelism budget.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.SweepWorkers <= 0 {
-		cfg.SweepWorkers = 1
 	}
 	if cfg.Engine.CacheDir == "" {
 		cfg.Engine.CacheDir = cfg.CacheDir
@@ -161,10 +154,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	for i := 0; i < cfg.SweepWorkers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.worker()
 	return s, nil
 }
 
