@@ -42,37 +42,44 @@ race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
-# go accepts one -fuzz target per invocation.
+# go accepts one -fuzz target per invocation. The two payload-decoder
+# targets seed from real KB-sized payloads; minimizing one new input at the
+# default 60 s budget would eat their whole 5 s, so theirs is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseBBV -fuzztime 5s ./internal/bbv
+	$(GO) test -run '^$$' -fuzz FuzzParseMAV -fuzztime 5s ./internal/mav
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz FuzzArtifactEntry -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzJournalRead -fuzztime 5s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — decode,
 # stats/power accumulate, functional step/trace, BBV observe, memory
-# access) per BOOM config into BENCH_kernel.json. See README "Performance".
+# access, one measure cell, one warm rerun) per BOOM config into
+# BENCH_kernel.json. See README "Performance".
 bench:
 	$(GO) run ./cmd/kernelbench -benchtime 2s -count 3
 
 # Every kernel benchmark runs once (-benchtime 1x) and the JSON emitter
 # must see every kernel — catches perf-harness rot without paying for real
 # measurements. Then the two floors against the committed BENCH_kernel.json.
-# The tick kernels (8 replays each, so a stray runtime allocation rounds
-# away) may allocate no more per op than their rows: a count, so it gates
-# on every host. The four per-instruction
+# The tick kernels and the warm rerun (8 iterations each, so a stray
+# runtime allocation rounds away) may allocate no more per op than their
+# rows: a count, so it gates on every host. The four per-instruction
 # functional-core kernels (5M ops each, best of 3) must allocate exactly
 # what their rows do and, on the CPU model the ledger was taken on, run
 # within 1.5x of them.
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4; do \
+	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done
-	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernelTick' -benchtime 8x \
+	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep)' -benchtime 8x \
 		-out .bench-check/ticks.json -floor BENCH_kernel.json 2> .bench-check/ticks.log \
 		|| { cat .bench-check/ticks.log; exit 1; }
 	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' -benchtime 5000000x -count 3 \

@@ -82,6 +82,7 @@ func TestSplitKernelName(t *testing.T) {
 		"KernelFuncRunTrace":      {"func_run_trace", ""},
 		"KernelBBVObserve":        {"bbv_observe", ""},
 		"KernelMemReadWrite":      {"mem_read_write", ""},
+		"KernelWarmSweep":         {"warm_sweep", ""},
 	} {
 		if k, c := splitKernelName(name); k != want[0] || c != want[1] {
 			t.Errorf("%s → (%q, %q), want (%q, %q)", name, k, c, want[0], want[1])
@@ -124,16 +125,21 @@ func TestCheckFloor(t *testing.T) {
 	}
 }
 
-// TestCheckFloorTickCeiling: the tick kernels are held per config to an
-// allocation ceiling — lower passes, higher fails on any CPU model — and a
-// tick-only run does not need the functional-core kernels.
+// TestCheckFloorTickCeiling: the tick kernels (and the warm rerun) are held
+// per config to an allocation ceiling — lower passes, higher fails on any
+// CPU model, the slack rounding to nothing on a 57/op row — and a
+// ceiling-only run does not need the functional-core kernels.
 func TestCheckFloorTickCeiling(t *testing.T) {
 	ticks := func(cpu string, large int64) *Report {
 		return &Report{CPU: cpu, Results: []Result{
 			{Kernel: "tick", Config: "MediumBOOM", AllocsPerOp: 57},
 			{Kernel: "tick", Config: "LargeBOOM", AllocsPerOp: large},
 			{Kernel: "tick_lo_ipc", Config: "LargeBOOM", AllocsPerOp: 57},
+			{Kernel: "warm_sweep", AllocsPerOp: 2400},
 		}}
+	}
+	warm := func(allocs int64) *Report {
+		return &Report{Results: []Result{{Kernel: "warm_sweep", AllocsPerOp: allocs}}}
 	}
 	committed := ticks("cpu A", 57)
 	for _, tc := range []struct {
@@ -145,6 +151,8 @@ func TestCheckFloorTickCeiling(t *testing.T) {
 		{"lower", ticks("cpu A", 40), ""},
 		{"higher", ticks("cpu A", 58), "tick LargeBOOM allocates 58/op, committed 57/op"},
 		{"higher on another cpu model", ticks("cpu B", 1656), "allocates 1656/op"},
+		{"warm rerun within the pool-refill slack", warm(2424), ""},
+		{"warm rerun reads a payload again", warm(2425), "warm_sweep allocates 2425/op, committed 2400/op"},
 		{"uncommitted config", &Report{Results: []Result{{Kernel: "tick_lo_ipc", Config: "MegaBOOM"}}}, "no committed row"},
 		{"ticks beside half a functional floor", &Report{Results: append(ticks("cpu A", 57).Results, Result{Kernel: "mem_read_write"})}, "func_step did not run"},
 	} {

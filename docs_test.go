@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -38,6 +41,7 @@ var (
 	engineRow   = regexp.MustCompile("^\\| `(\\w+)` \\| `(-[a-z-]+)` \\|")
 	codeSpan    = regexp.MustCompile("`[^`\n]+`")
 	flagToken   = regexp.MustCompile(`(?:^|[\s(\[=|'"])--?([a-z][a-z0-9-]*)`)
+	qualIdent   = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(\*)?(?:\.([A-Za-z_]\w*))?`)
 	flagDecl    = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(?:Var)?\((?:&?[\w.]+, )?"([\w-]+)"`)
 )
 
@@ -249,6 +253,117 @@ func TestDocsFlagsAreRegistered(t *testing.T) {
 					if !known[m[1]] {
 						t.Errorf("%s:%d: -%s is not a flag any command, test binary or the go tool registers", doc, n+1, m[1])
 					}
+				}
+			}
+		}
+	}
+}
+
+// pkgDecls is what go/parser finds declared in one package directory, test
+// files included (the docs name tests): top-level names, and per type its
+// methods and struct fields.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+}
+
+func parsePkgDecls(t *testing.T, dir string) pkgDecls {
+	t.Helper()
+	d := pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.top[decl.Name.Name] = true
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					member(id.Name, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							d.top[id.Name] = true
+						}
+					case *ast.TypeSpec:
+						d.top[spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									member(spec.Name.Name, id.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// TestDesignIdentifiersResolve: every `pkg.Ident` (or `pkg.Type.Member`,
+// or `pkg.Prefix*`) in a code span or fenced block of DESIGN.md whose pkg is
+// a directory under internal/ names a declaration go/parser finds there —
+// a deleted function, type, method or field cannot linger in the design a
+// newcomer reads. Exported names only: metric names and chaos sites
+// (`artifact.fail_open`, `core.measure/<wl>`) share the shape in lower case.
+func TestDesignIdentifiersResolve(t *testing.T) {
+	pkgs := map[string]pkgDecls{}
+	fenced := false
+	for n, line := range strings.Split(readDoc(t, "DESIGN.md"), "\n") {
+		var code []string
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+			continue
+		case fenced:
+			code = []string{line}
+		default:
+			code = codeSpan.FindAllString(line, -1)
+		}
+		for _, text := range code {
+			for _, m := range qualIdent.FindAllStringSubmatch(strings.Trim(text, "`"), -1) {
+				pkg, name, glob, memb := m[1], m[2], m[3] != "", m[4]
+				dir := filepath.Join("internal", pkg)
+				if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+					continue // a variable, or a package that is not ours
+				}
+				d, ok := pkgs[pkg]
+				if !ok {
+					d = parsePkgDecls(t, dir)
+					pkgs[pkg] = d
+				}
+				found := d.top[name]
+				for decl := range d.top {
+					found = found || glob && strings.HasPrefix(decl, name)
+				}
+				switch {
+				case !found:
+					t.Errorf("DESIGN.md:%d: %s.%s is not declared in %s", n+1, pkg, name, dir)
+				case memb != "" && !glob && d.members[name] != nil && !d.members[name][memb]:
+					t.Errorf("DESIGN.md:%d: %s.%s has no method or field %s", n+1, pkg, name, memb)
 				}
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -138,25 +139,17 @@ func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 		c.count("artifact." + k.Stage + ".miss")
 		return nil, 0, false
 	}
-	hit := func(payload []byte, costNS int64) ([]byte, int64, bool) {
-		c.count("artifact.hit")
-		c.count("artifact." + k.Stage + ".hit")
-		if c.reg != nil {
-			c.reg.Counter("artifact.saved_ns").Add(costNS)
-		}
-		return payload, costNS, true
-	}
 	data, err := os.ReadFile(c.path(k))
 	if err == nil {
 		data = c.inj.Corrupt(data, "artifact.read", k.Stage)
 		payload, costNS, err = decodeEntry(data, k.Version)
 		if err == nil {
-			return hit(payload, costNS)
+			c.countHit(k, costNS)
+			return payload, costNS, true
 		}
 		// Corrupt or mismatched: evict so the slot heals on the next write
 		// (or on the remote fetch below).
-		os.Remove(c.path(k))
-		c.count("artifact.evict")
+		c.evict(k)
 	}
 	if c.remote == nil {
 		return miss()
@@ -170,7 +163,59 @@ func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 		// unreachable: fetchRemote only returns verified entries
 		return miss()
 	}
-	return hit(payload, costNS)
+	c.countHit(k, costNS)
+	return payload, costNS, true
+}
+
+// countHit is the accounting of one served entry, shared by Get and Cost.
+func (c *Cache) countHit(k Key, costNS int64) {
+	c.count("artifact.hit")
+	c.count("artifact." + k.Stage + ".hit")
+	if c.reg != nil {
+		c.reg.Counter("artifact.saved_ns").Add(costNS)
+	}
+}
+
+func (c *Cache) evict(k Key) {
+	os.Remove(c.path(k))
+	c.count("artifact.evict")
+}
+
+// Has reports whether the local tier holds a file for k: one stat — no
+// read, no verification, no counter. It is a hint for choosing a read
+// strategy; only Get and Cost say whether the entry is good.
+func (c *Cache) Has(k Key) bool {
+	_, err := os.Stat(c.path(k))
+	return err == nil
+}
+
+// Cost is Get for a caller that needs only the recorded compute cost: the
+// local entry is verified exactly as Get verifies it — framing, schema
+// version, length against the file size, SHA-256 over metadata and payload
+// — but in one streaming pass through a pooled buffer, so no payload is
+// held. A good entry counts as a hit like any other; a bad one is evicted.
+// Not ok (entry absent, bad, or behind a chaos plan that rewrites this
+// stage's bytes in memory) counts no miss: the caller falls back to Get,
+// whose remote fall-through and miss accounting then apply once.
+func (c *Cache) Cost(k Key) (costNS int64, ok bool) {
+	if c.inj.Transforms("artifact.read", k.Stage) {
+		return 0, false
+	}
+	f, err := os.Open(c.path(k))
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err == nil {
+		costNS, err = verifyEntry(f, info.Size(), k.Version)
+	}
+	if err != nil {
+		c.evict(k)
+		return 0, false
+	}
+	c.countHit(k, costNS)
+	return costNS, true
 }
 
 // fetchRemote pulls one entry from the remote store and verifies it
@@ -362,28 +407,65 @@ func encodeEntry(payload []byte, version int, costNS int64) []byte {
 	return out
 }
 
-func decodeEntry(data []byte, version int) (payload []byte, costNS int64, err error) {
-	if len(data) < headerSize {
-		return nil, 0, fmt.Errorf("artifact: entry truncated (%d bytes)", len(data))
+// parseHeader checks an entry's fixed prefix against the expected schema
+// version and the entry's total size, returning the recorded cost.
+func parseHeader(hdr []byte, size int64, version int) (costNS int64, err error) {
+	if size < headerSize {
+		return 0, fmt.Errorf("artifact: entry truncated (%d bytes)", size)
 	}
 	le := binary.LittleEndian
-	if m := le.Uint64(data[0:]); m != entryMagic {
-		return nil, 0, fmt.Errorf("artifact: bad magic %#x", m)
+	if m := le.Uint64(hdr[0:]); m != entryMagic {
+		return 0, fmt.Errorf("artifact: bad magic %#x", m)
 	}
-	if v := le.Uint64(data[8:]); v != uint64(version) {
-		return nil, 0, fmt.Errorf("artifact: schema version %d, want %d", v, version)
+	if v := le.Uint64(hdr[8:]); v != uint64(version) {
+		return 0, fmt.Errorf("artifact: schema version %d, want %d", v, version)
 	}
-	costNS = int64(le.Uint64(data[16:]))
-	n := le.Uint64(data[24:])
-	if n > maxPayload || int(n) != len(data)-headerSize {
-		return nil, 0, fmt.Errorf("artifact: payload length %d vs %d bytes on disk", n, len(data)-headerSize)
+	if n := le.Uint64(hdr[24:]); n > maxPayload || int64(n) != size-headerSize {
+		return 0, fmt.Errorf("artifact: payload length %d vs %d bytes on disk", n, size-headerSize)
+	}
+	return int64(le.Uint64(hdr[16:])), nil
+}
+
+var errChecksum = errors.New("artifact: entry checksum mismatch")
+
+func decodeEntry(data []byte, version int) (payload []byte, costNS int64, err error) {
+	if costNS, err = parseHeader(data, int64(len(data)), version); err != nil {
+		return nil, 0, err
 	}
 	payload = data[headerSize:]
 	h := sha256.New()
 	h.Write(data[8:32])
 	h.Write(payload)
 	if !bytes.Equal(h.Sum(nil), data[32:32+sha256.Size]) {
-		return nil, 0, fmt.Errorf("artifact: entry checksum mismatch")
+		return nil, 0, errChecksum
 	}
 	return payload, costNS, nil
+}
+
+// verifyBufs holds the read buffers of verifyEntry.
+var verifyBufs = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
+// verifyEntry is decodeEntry over a stream of size bytes: the same checks
+// and the same cost, the payload hashed as it passes and never held. It
+// reads no more than size bytes, whatever the length field says.
+func verifyEntry(r io.Reader, size int64, version int) (costNS int64, err error) {
+	buf := verifyBufs.Get().(*[64 << 10]byte)
+	defer verifyBufs.Put(buf)
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, fmt.Errorf("artifact: entry truncated (%d bytes)", size)
+	}
+	if costNS, err = parseHeader(hdr[:], size, version); err != nil {
+		return 0, err
+	}
+	h := sha256.New()
+	h.Write(hdr[8:32])
+	// LimitReader also hides any WriterTo of r, so the copy goes through buf.
+	if n, err := io.CopyBuffer(h, io.LimitReader(r, size-headerSize), buf[:]); err != nil || n != size-headerSize {
+		return 0, fmt.Errorf("artifact: entry truncated (%d of %d bytes)", headerSize+n, size)
+	}
+	if !bytes.Equal(h.Sum(buf[:0]), hdr[32:]) {
+		return 0, errChecksum
+	}
+	return costNS, nil
 }

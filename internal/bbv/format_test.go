@@ -59,3 +59,32 @@ func TestReadBBRejectsGarbage(t *testing.T) {
 		t.Fatalf("comment handling: %v %d", err, len(got))
 	}
 }
+
+// TestReadBBLongLine pins the accepted input size: the scanner starts at
+// 64 KiB and grows, so an interval that touches thousands of blocks (one
+// line well past 64 KiB) still round-trips.
+func TestReadBBLongLine(t *testing.T) {
+	v := Vector{}
+	for b := 0; b < 10_000; b++ {
+		v[b] = float64(1000 + b)
+	}
+	var buf bytes.Buffer
+	if err := WriteBB(&buf, []Vector{v, {0: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if first := strings.IndexByte(buf.String(), '\n'); first <= 64<<10 {
+		t.Fatalf("first line is %d bytes; the test needs one past 64 KiB", first)
+	}
+	got, err := ReadBB(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || len(got[0]) != len(v) || len(got[1]) != 1 {
+		t.Fatalf("got %d vectors (%d blocks in the first), want 2 (%d)", len(got), len(got[0]), len(v))
+	}
+	for b, w := range v {
+		if got[0][b] != w {
+			t.Fatalf("block %d: %v want %v", b, got[0][b], w)
+		}
+	}
+}

@@ -56,6 +56,9 @@ const (
 // maxCachedLen bounds decoded slice lengths (corrupt-payload defense).
 const maxCachedLen = 1 << 28
 
+// pointRowLen is the encoded size of one PointResult (four 8-byte fields).
+const pointRowLen = 32
+
 // maxCkptRawLen bounds the inflated size of a checkpoint payload, so a
 // corrupt entry cannot act as a decompression bomb.
 const maxCkptRawLen = 1 << 31
@@ -98,7 +101,11 @@ type profileKeys struct {
 // (features change the BBV payload and the clustering), the select key
 // hashes the resolved simpoint.Config so Dims/MaxK overrides count, and the
 // checkpoint key hashes the resolved warm-up (policy changes checkpoints).
+// Without a cache the chain is zero: every stage just runs.
 func (r *Runner) profileKeys(w *workloads.Workload, spec sampling.Spec) profileKeys {
+	if r.cache == nil {
+		return profileKeys{}
+	}
 	ident := identOf(w)
 	ident.IntervalSize = spec.ResolveInterval(w.IntervalSize)
 	var k profileKeys
@@ -270,8 +277,9 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 // extremely repetitive (zeroed pages, data segments duplicated into every
 // checkpoint), so the body is flate-compressed. BestSpeed already shrinks
 // the worst case (tarfind's ~19 MB filesystem image × every simpoint,
-// ~370 MB raw) by two orders of magnitude, which is what keeps warm-cache
-// sweeps fast: the dominant cost of a warm profile is reading this entry.
+// ~370 MB raw) by two orders of magnitude, which keeps the entry cheap to
+// checksum (all a fully warm sweep does with it) and to read back when a
+// cell does need measuring.
 func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64) ([]byte, error) {
 	var buf bytes.Buffer
 	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
@@ -295,12 +303,17 @@ func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64) ([]byte, error) 
 	return buf.Bytes(), nil
 }
 
+// decodeCkptPayload checks the payload's counts against wantPoints — what
+// the selection it was keyed from says — before allocating for them.
 func decodeCkptPayload(payload []byte, wantPoints int) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
 	fr := flate.NewReader(bytes.NewReader(payload))
 	defer fr.Close()
 	rd := bufio.NewReaderSize(io.LimitReader(fr, maxCkptRawLen), 1<<16)
 	br := binio.NewReader(rd)
-	warmups = make([]int64, br.Len(maxCachedLen))
+	if n := br.Len(maxCachedLen); n != wantPoints {
+		br.Fail("checkpoint payload has %d warm-ups for %d simpoints", n, wantPoints)
+	}
+	warmups = make([]int64, wantPoints)
 	for i := range warmups {
 		warmups[i] = br.I64()
 	}
@@ -311,9 +324,11 @@ func decodeCkptPayload(payload []byte, wantPoints int) (cks []*ckpt.Checkpoint, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(cks) != len(warmups) || len(cks) != wantPoints {
-		return nil, nil, fmt.Errorf("checkpoint payload has %d checkpoints / %d warm-ups for %d simpoints",
-			len(cks), len(warmups), wantPoints)
+	if len(cks) != wantPoints {
+		return nil, nil, fmt.Errorf("checkpoint payload has %d checkpoints for %d simpoints", len(cks), wantPoints)
+	}
+	if _, err := rd.ReadByte(); err != io.EOF {
+		return nil, nil, fmt.Errorf("checkpoint payload has trailing bytes")
 	}
 	return cks, warmups, nil
 }
@@ -353,7 +368,11 @@ func encodeResultPayload(res *Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeResultPayload(payload []byte, res *Result) error {
+// decodeResultPayload decodes a measure or full payload taken on a config
+// with intIssueSlots integer issue slots. The two slice lengths are checked
+// against what is already known — the slot count, and the NumPoints decoded
+// just before — ahead of allocating for them.
+func decodeResultPayload(payload []byte, res *Result, intIssueSlots int) error {
 	rd := bytes.NewReader(payload)
 	br := binio.NewReader(rd)
 	res.TotalInsts = br.U64()
@@ -362,11 +381,20 @@ func decodeResultPayload(payload []byte, res *Result) error {
 	res.Coverage = br.F64()
 	res.K = br.Int()
 	res.DetailedInsts = br.U64()
-	res.Slots = make([]float64, br.Len(maxCachedLen))
+	if n := br.Len(maxCachedLen); n != intIssueSlots {
+		br.Fail("result payload has %d issue slots for a %d-slot config", n, intIssueSlots)
+	}
+	res.Slots = make([]float64, intIssueSlots)
 	for i := range res.Slots {
 		res.Slots[i] = br.F64()
 	}
-	res.Points = make([]PointResult, br.Len(maxCachedLen))
+	if n := br.Len(maxCachedLen); n != res.NumPoints || n > rd.Len()/pointRowLen {
+		br.Fail("result payload has %d point rows for %d points in %d bytes", n, res.NumPoints, rd.Len())
+	}
+	if err := br.Err(); err != nil {
+		return err
+	}
+	res.Points = make([]PointResult, res.NumPoints)
 	for i := range res.Points {
 		res.Points[i].Interval = br.I64()
 		res.Points[i].Weight = br.F64()
@@ -382,6 +410,9 @@ func decodeResultPayload(payload []byte, res *Result) error {
 	}
 	if res.Power, err = power.DecodeReport(rd); err != nil {
 		return err
+	}
+	if rd.Len() != 0 {
+		return fmt.Errorf("result payload has %d trailing bytes", rd.Len())
 	}
 	return nil
 }

@@ -95,6 +95,35 @@ func TestWarmCacheSweepDoesNoWork(t *testing.T) {
 			t.Errorf("%s: warm selection differs from cold", name)
 		}
 	}
+
+	// What "hits every stage artifact" does not mean: the warm sweep
+	// verified the bbv and checkpoint entries for their costs and read
+	// neither payload, since no cell needed measuring. Everything a report
+	// prints is there all the same, and the cost accounted as saved is the
+	// cold sweep's whole compute cost.
+	var saved int64
+	for name, pa := range coldSW.Profiles {
+		pb := warmSW.Profiles[name]
+		if pb.Vectors != nil || pb.MAVs != nil || pb.Checkpoints != nil || pb.WarmupInsts != nil {
+			t.Errorf("%s: the warm sweep read a payload nothing asked for", name)
+		}
+		if pa.Vectors == nil || pa.Checkpoints == nil || pa.WarmupInsts == nil {
+			t.Errorf("%s: the cold sweep measured and must hold its payloads", name)
+		}
+		if pb.Selection == nil || pb.TotalInsts == 0 || pb.TotalInsts != pa.TotalInsts || pb.Interval != pa.Interval {
+			t.Errorf("%s: warm profile reports %d insts / interval %d, cold %d / %d",
+				name, pb.TotalInsts, pb.Interval, pa.TotalInsts, pa.Interval)
+		}
+		saved += pa.WallNS
+	}
+	for _, perCfg := range coldSW.Results {
+		for _, res := range perCfg {
+			saved += res.MeasureWallNS
+		}
+	}
+	if got := reg.Counter("artifact.saved_ns").Value(); got != saved {
+		t.Errorf("warm sweep: artifact.saved_ns = %d, want the cold sweep's compute cost %d", got, saved)
+	}
 }
 
 // TestCachedMatchesUncached: attaching a cache must not change a single

@@ -28,7 +28,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/asap7"
 	"repro/internal/bbv"
@@ -79,6 +81,15 @@ func FlowConfigFor(scale workloads.Scale) FlowConfig {
 }
 
 // Profile is the result of steps 1–3 for one workload (config-independent).
+//
+// Workload, Sampling, Interval, Selection, WallNS and CacheKey are always
+// set. The payload fields — TotalInsts, Vectors, MAVs, NumBlocks (the bbv
+// stage's) and Checkpoints, WarmupInsts (the checkpoint stage's) — are set
+// by Runner.Profile, and by Runner.Sweep whenever a cell of the workload
+// had to be measured. A Sweep that found every cell of the workload cached
+// reads the two stages' recorded costs and leaves their payloads unread:
+// those fields stay nil (TotalInsts is filled from a cached Result), and
+// load fetches them should a Run on the profile need to measure after all.
 type Profile struct {
 	Workload    *workloads.Workload
 	Sampling    sampling.Spec // spec the profile was taken under (zero = legacy)
@@ -92,6 +103,25 @@ type Profile struct {
 	WarmupInsts []int64            // actual warm-up available per checkpoint
 	WallNS      int64              // compute wall-clock of steps 1–3 (cache hits report the original cost)
 	CacheKey    string             // artifact-chain fingerprint of steps 1–3; empty without a cache
+
+	mu      sync.Mutex                  // serializes load
+	pending func(context.Context) error // runs the stages whose payloads are unread; nil when none are
+}
+
+// load makes every payload field available, once: concurrent cells of one
+// workload wait for the first to finish, and a failed load is retried by
+// the next caller.
+func (p *Profile) load(ctx context.Context) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pending == nil {
+		return nil
+	}
+	if err := p.pending(ctx); err != nil {
+		return err
+	}
+	p.pending = nil
+	return nil
 }
 
 // NumSimPoints returns the number of selected simulation points (the

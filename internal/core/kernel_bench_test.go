@@ -62,3 +62,27 @@ func benchMeasure(b *testing.B, par int) {
 
 func BenchmarkKernelMeasureJ1MegaBOOM(b *testing.B) { benchMeasure(b, 1) }
 func BenchmarkKernelMeasureJ4MegaBOOM(b *testing.B) { benchMeasure(b, 4) }
+
+// BenchmarkKernelWarmSweep is a rerun: the 3 × 3 tiny campaign against a
+// cache populated in set-up, a fresh Runner per iteration (a new process's
+// worth of Runner against an old cache), on one worker so allocs/op is the
+// same count on every host. What is left is workloads.Build, key
+// derivation, three selection and nine result decodes, and six streaming
+// checksums; `make bench-smoke` holds allocs/op at or below the ledger's
+// warm_sweep row, so a payload read creeping back in fails on any machine.
+func BenchmarkKernelWarmSweep(b *testing.B) {
+	dir := b.TempDir()
+	camp := tcamp(warmNames, boom.Configs())
+	sweep := func() {
+		if _, err := New(DefaultFlowConfig(), WithCache(dir), WithParallelism(1)).Sweep(context.Background(), camp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // cold: populates the cache
+	sweep() // warm: first-use set-up (the verifier's pooled buffer) stays out of the count
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/boom"
+
 // Measured-result transport for the distributed sweep fabric
 // (internal/fabric): a worker that finishes a measure cell ships the
 // cell's canonical payload bytes back to the coordinator, which decodes
@@ -18,7 +20,8 @@ func EncodeMeasuredResult(res *Result) ([]byte, error) {
 // DecodeMeasuredResult decodes a canonical measure payload into res,
 // filling everything but the identity fields (Workload, Suite,
 // ConfigName, Mode) — exactly the split the artifact cache uses, so the
-// caller seeds those from the cell it scheduled.
-func DecodeMeasuredResult(payload []byte, res *Result) error {
-	return decodeResultPayload(payload, res)
+// caller seeds those from the cell it scheduled, and names that cell's
+// config: a payload whose shape does not fit it is an error.
+func DecodeMeasuredResult(payload []byte, res *Result, cfg boom.Config) error {
+	return decodeResultPayload(payload, res, cfg.IntIssueSlots)
 }

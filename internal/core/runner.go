@@ -142,9 +142,9 @@ func (r *Runner) stageCtx(ctx context.Context) (context.Context, context.CancelF
 // cooperative: the context is checked at interval boundaries of the
 // functional execution, where any WithStageTimeout deadline is observed
 // too. With a cache attached, each step is served from its artifact when
-// present.
+// present. Every field of the returned Profile is set.
 func (r *Runner) Profile(ctx context.Context, w *workloads.Workload) (*Profile, error) {
-	return r.profileWith(ctx, w, r.sampling)
+	return r.profileWith(ctx, w, r.sampling, r.profileKeys(w, r.sampling), nil)
 }
 
 // effectiveSpec resolves which sampling spec governs a campaign: the
@@ -172,133 +172,172 @@ func (r *Runner) simpointConfig(spec sampling.Spec) simpoint.Config {
 	return cfg
 }
 
-// profileWith is Profile under an explicit sampling spec: the spec
-// resolves the interval length (falling back to the workload's), the
-// clustering feature set and config, and the warm-up budget checkpoints
-// are captured under.
-func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sampling.Spec) (*Profile, error) {
+// allCached is a sweep's look at the cells before the chain: whether the
+// local cache holds a file for every stage of a workload's profile chain
+// and for every campaign cell measured on it. It is a hint (stats only);
+// the reads that follow verify what they serve. -cache-verify recomputes
+// every stage, so it never qualifies.
+func (r *Runner) allCached(keys profileKeys, cells []artifact.Key) bool {
+	if len(cells) == 0 || r.verify {
+		return false
+	}
+	for _, k := range append([]artifact.Key{keys.bbv, keys.sel, keys.ckpt}, cells...) {
+		if !r.cache.Has(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// profileWith is Profile under an explicit sampling spec and its key chain
+// (zero without a cache): the spec resolves the interval length (falling
+// back to the workload's), the clustering feature set and config, and the
+// warm-up budget checkpoints are captured under.
+//
+// cells are the measure keys of the campaign cells a Sweep will run on the
+// profile (nil from Profile). When allCached says all of them will hit,
+// nothing downstream reads the bbv and checkpoint payloads, so those two
+// stages checksum their entries for the recorded cost alone
+// (artifact.Cache.Cost) and hand the stage itself to Profile.load; an entry
+// that fails there is evicted and its stage runs as on any other miss.
+func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sampling.Spec,
+	keys profileKeys, cells []artifact.Key) (*Profile, error) {
 	defer r.flowLap()()
 
 	interval := spec.ResolveInterval(w.IntervalSize)
 	warmup := spec.ResolveWarmup(interval, r.fc.WarmupInsts)
 	spCfg := r.simpointConfig(spec)
 
-	var keys profileKeys
+	p := &Profile{Workload: w, Sampling: spec, Interval: interval}
 	if r.cache != nil {
-		keys = r.profileKeys(w, spec)
+		p.CacheKey = keys.ckpt.Hex()
 	}
+	costOnly := r.allCached(keys, cells)
+	// stageCost reads a stage's cost without its payload, under its span.
+	stageCost := func(stage string, k artifact.Key) (int64, bool) {
+		defer r.stage(stage)()
+		return r.cache.Cost(k)
+	}
+	// needBBV / needCkpt: the stage's cost is known, its payload unread.
+	var needBBV, needCkpt bool
 
 	// Stage 1: functional execution + BBV (and, under a bbv+mav spec, MAV)
 	// profiling, one interval at a time.
-	var (
-		vectors    []bbv.Vector
-		mavs       []mav.Vector
-		totalInsts uint64
-		numBlocks  int
-	)
-	endStage := r.stage(StageProfile)
-	c1, err := r.stageCached(keys.bbv,
-		func(payload []byte) error {
-			v, m, ti, nb, derr := decodeBBVPayloadSpec(payload, spec)
-			if derr != nil {
-				return derr
-			}
-			vectors, mavs, totalInsts, numBlocks = v, m, ti, nb
-			return nil
-		},
-		func() error {
-			sctx, cancel := r.stageCtx(ctx)
-			defer cancel()
-			if ierr := r.inj.Hit("core.profile", w.Name); ierr != nil {
-				return ierr
-			}
-			cpu, cerr := w.NewCPU()
-			if cerr != nil {
-				return cerr
-			}
-			cpu.SetMetrics(r.reg)
-			profiler := bbv.NewProfiler(interval)
-			observe := profiler.Observe
-			var mavProf *mav.Profiler
-			if spec.UseMAV() {
-				// Both profilers count every retired instruction, so their
-				// interval boundaries coincide and vector i of each stream
-				// describes the same instructions.
-				mavProf = mav.NewProfiler(interval)
-				observe = func(rt *sim.Retired) {
-					profiler.Observe(rt)
-					mavProf.Observe(rt)
+	bbvStage := func(ctx context.Context) (int64, error) {
+		defer r.stage(StageProfile)()
+		cost, err := r.stageCached(keys.bbv,
+			func(payload []byte) error {
+				v, m, ti, nb, derr := decodeBBVPayloadSpec(payload, spec)
+				if derr != nil {
+					return derr
 				}
-			}
-			var n int64
-			for !cpu.Halted {
-				if cerr := sctx.Err(); cerr != nil {
+				p.Vectors, p.MAVs, p.TotalInsts, p.NumBlocks = v, m, ti, nb
+				return nil
+			},
+			func() error {
+				sctx, cancel := r.stageCtx(ctx)
+				defer cancel()
+				if ierr := r.inj.Hit("core.profile", w.Name); ierr != nil {
+					return ierr
+				}
+				cpu, cerr := w.NewCPU()
+				if cerr != nil {
 					return cerr
 				}
-				ran, rerr := cpu.RunTrace(interval, observe)
-				n += ran
-				if rerr != nil {
-					return rerr
+				cpu.SetMetrics(r.reg)
+				profiler := bbv.NewProfiler(interval)
+				observe := profiler.Observe
+				var mavProf *mav.Profiler
+				if spec.UseMAV() {
+					// Both profilers count every retired instruction, so their
+					// interval boundaries coincide and vector i of each stream
+					// describes the same instructions.
+					mavProf = mav.NewProfiler(interval)
+					observe = func(rt *sim.Retired) {
+						profiler.Observe(rt)
+						mavProf.Observe(rt)
+					}
 				}
-				if ran == 0 && !cpu.Halted {
-					return fmt.Errorf("no forward progress (did not halt)")
+				var n int64
+				for !cpu.Halted {
+					if cerr := sctx.Err(); cerr != nil {
+						return cerr
+					}
+					ran, rerr := cpu.RunTrace(interval, observe)
+					n += ran
+					if rerr != nil {
+						return rerr
+					}
+					if ran == 0 && !cpu.Halted {
+						return fmt.Errorf("no forward progress (did not halt)")
+					}
 				}
-			}
-			profiler.Finish()
-			vectors = profiler.Vectors()
-			totalInsts = uint64(n)
-			numBlocks = profiler.NumBlocks()
-			if mavProf != nil {
-				mavProf.Finish()
-				mavs = mavProf.Vectors()
-				if len(mavs) != len(vectors) {
-					return fmt.Errorf("profiler drift: %d MAV intervals for %d BBV intervals", len(mavs), len(vectors))
+				profiler.Finish()
+				p.Vectors, p.TotalInsts, p.NumBlocks = profiler.Vectors(), uint64(n), profiler.NumBlocks()
+				if mavProf != nil {
+					mavProf.Finish()
+					p.MAVs = mavProf.Vectors()
+					if len(p.MAVs) != len(p.Vectors) {
+						return fmt.Errorf("profiler drift: %d MAV intervals for %d BBV intervals", len(p.MAVs), len(p.Vectors))
+					}
 				}
-			}
-			return nil
-		},
-		func() ([]byte, error) {
-			return encodeBBVPayloadSpec(vectors, mavs, totalInsts, numBlocks, spec)
-		})
-	endStage()
-	if err != nil {
-		return nil, wrapStage(StageProfile, w.Name, "", err)
+				return nil
+			},
+			func() ([]byte, error) {
+				return encodeBBVPayloadSpec(p.Vectors, p.MAVs, p.TotalInsts, p.NumBlocks, spec)
+			})
+		return cost, wrapStage(StageProfile, w.Name, "", err)
+	}
+	var c1 int64
+	var err error
+	if costOnly {
+		c1, needBBV = stageCost(StageProfile, keys.bbv)
+	}
+	if !needBBV {
+		if c1, err = bbvStage(ctx); err != nil {
+			return nil, err
+		}
 	}
 
 	// Stage 2: SimPoint selection.
-	var sel *simpoint.Result
-	endStage = r.stage(StageSelect)
+	endStage := r.stage(StageSelect)
 	c2, err := r.stageCached(keys.sel,
 		func(payload []byte) error {
 			s, derr := simpoint.DecodeResult(bytes.NewReader(payload))
 			if derr != nil {
 				return derr
 			}
-			sel = s
+			p.Selection = s
 			return nil
 		},
 		func() error {
+			if needBBV { // clustering needs the vectors after all
+				if _, berr := bbvStage(ctx); berr != nil {
+					return berr
+				}
+				needBBV = false
+			}
 			var s *simpoint.Result
 			var serr error
 			if spec.UseMAV() {
-				s, serr = simpoint.ChooseCombined(vectors, mavs, spCfg)
+				s, serr = simpoint.ChooseCombined(p.Vectors, p.MAVs, spCfg)
 			} else {
-				s, serr = simpoint.Choose(vectors, spCfg)
+				s, serr = simpoint.Choose(p.Vectors, spCfg)
 			}
 			if serr != nil {
 				return serr
 			}
-			sel = s
+			p.Selection = s
 			return nil
 		},
 		func() ([]byte, error) {
 			var buf bytes.Buffer
-			if eerr := simpoint.EncodeResult(&buf, sel); eerr != nil {
+			if eerr := simpoint.EncodeResult(&buf, p.Selection); eerr != nil {
 				return nil, eerr
 			}
 			return buf.Bytes(), nil
 		})
-	if err == nil && r.reg != nil {
+	if sel := p.Selection; err == nil && r.reg != nil {
 		r.reg.Counter("simpoint.kmeans.runs").Add(int64(sel.Stats.Runs))
 		r.reg.Counter("simpoint.kmeans.iterations").Add(int64(sel.Stats.Iterations))
 		r.reg.Gauge("simpoint.k").Set(float64(sel.K))
@@ -308,96 +347,104 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	if err != nil {
 		return nil, wrapStage(StageSelect, w.Name, "", err)
 	}
+	sel := p.Selection
 
 	// Stage 3: checkpoint creation. Checkpoints are taken WarmupInsts
 	// before each simulation point (clamped at program start), in one
 	// functional pass over the sorted capture points.
-	var (
-		cks     []*ckpt.Checkpoint
-		warmups []int64
-	)
-	endStage = r.stage(StageCheckpoint)
-	c3, err := r.stageCached(keys.ckpt,
-		func(payload []byte) error {
-			k, wu, derr := decodeCkptPayload(payload, len(sel.Selected))
-			if derr != nil {
-				return derr
-			}
-			cks, warmups = k, wu
-			return nil
-		},
-		func() error {
-			sctx, cancel := r.stageCtx(ctx)
-			defer cancel()
-			type capturePoint struct {
-				at       int64 // instruction count where the checkpoint is taken
-				selIdx   int
-				interval int64
-			}
-			caps := make([]capturePoint, len(sel.Selected))
-			for i, pt := range sel.Selected {
-				st := int64(pt.Interval) * interval
-				at := st - warmup
-				if at < 0 {
-					at = 0
+	ckptStage := func(ctx context.Context) (int64, error) {
+		defer r.stage(StageCheckpoint)()
+		cost, err := r.stageCached(keys.ckpt,
+			func(payload []byte) error {
+				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected))
+				if derr != nil {
+					return derr
 				}
-				caps[i] = capturePoint{at: at, selIdx: i, interval: int64(pt.Interval)}
-			}
-			sort.Slice(caps, func(i, j int) bool { return caps[i].at < caps[j].at })
-
-			cpu2, cerr := w.NewCPU()
-			if cerr != nil {
-				return cerr
-			}
-			cpu2.SetMetrics(r.reg)
-			cks = make([]*ckpt.Checkpoint, len(caps))
-			warmups = make([]int64, len(caps))
-			var executed int64
-			for _, cp := range caps {
-				for executed < cp.at {
-					if cerr := sctx.Err(); cerr != nil {
-						return cerr
-					}
-					step := cp.at - executed
-					if step > interval {
-						step = interval
-					}
-					if _, rerr := cpu2.Run(step); rerr != nil {
-						return rerr
-					}
-					executed += step
+				p.Checkpoints, p.WarmupInsts = k, wu
+				return nil
+			},
+			func() error {
+				sctx, cancel := r.stageCtx(ctx)
+				defer cancel()
+				type capturePoint struct {
+					at       int64 // instruction count where the checkpoint is taken
+					selIdx   int
+					interval int64
 				}
-				k := ckpt.Capture(cpu2)
-				k.Interval = cp.interval
-				k.Weight = sel.Selected[cp.selIdx].Weight
-				cks[cp.selIdx] = k
-				warmups[cp.selIdx] = cp.interval*interval - cp.at
+				caps := make([]capturePoint, len(sel.Selected))
+				for i, pt := range sel.Selected {
+					st := int64(pt.Interval) * interval
+					at := st - warmup
+					if at < 0 {
+						at = 0
+					}
+					caps[i] = capturePoint{at: at, selIdx: i, interval: int64(pt.Interval)}
+				}
+				sort.Slice(caps, func(i, j int) bool { return caps[i].at < caps[j].at })
+
+				cpu2, cerr := w.NewCPU()
+				if cerr != nil {
+					return cerr
+				}
+				cpu2.SetMetrics(r.reg)
+				cks := make([]*ckpt.Checkpoint, len(caps))
+				warmups := make([]int64, len(caps))
+				var executed int64
+				for _, cp := range caps {
+					for executed < cp.at {
+						if cerr := sctx.Err(); cerr != nil {
+							return cerr
+						}
+						step := cp.at - executed
+						if step > interval {
+							step = interval
+						}
+						if _, rerr := cpu2.Run(step); rerr != nil {
+							return rerr
+						}
+						executed += step
+					}
+					k := ckpt.Capture(cpu2)
+					k.Interval = cp.interval
+					k.Weight = sel.Selected[cp.selIdx].Weight
+					cks[cp.selIdx] = k
+					warmups[cp.selIdx] = cp.interval*interval - cp.at
+				}
+				p.Checkpoints, p.WarmupInsts = cks, warmups
+				return nil
+			},
+			func() ([]byte, error) {
+				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts)
+			})
+		return cost, wrapStage(StageCheckpoint, w.Name, "", err)
+	}
+	var c3 int64
+	if costOnly {
+		c3, needCkpt = stageCost(StageCheckpoint, keys.ckpt)
+	}
+	if !needCkpt {
+		if c3, err = ckptStage(ctx); err != nil {
+			return nil, err
+		}
+	}
+	p.WallNS = c1 + c2 + c3
+
+	if needBBV || needCkpt {
+		p.pending = func(ctx context.Context) error {
+			if needBBV {
+				if _, err := bbvStage(ctx); err != nil {
+					return err
+				}
+				needBBV = false
+			}
+			if needCkpt {
+				if _, err := ckptStage(ctx); err != nil {
+					return err
+				}
+				needCkpt = false
 			}
 			return nil
-		},
-		func() ([]byte, error) {
-			return encodeCkptPayload(cks, warmups)
-		})
-	endStage()
-	if err != nil {
-		return nil, wrapStage(StageCheckpoint, w.Name, "", err)
-	}
-
-	p := &Profile{
-		Workload:    w,
-		Sampling:    spec,
-		Interval:    interval,
-		TotalInsts:  totalInsts,
-		Vectors:     vectors,
-		MAVs:        mavs,
-		NumBlocks:   numBlocks,
-		Selection:   sel,
-		Checkpoints: cks,
-		WarmupInsts: warmups,
-		WallNS:      c1 + c2 + c3,
-	}
-	if r.cache != nil {
-		p.CacheKey = keys.ckpt.Hex()
+		}
 	}
 	return p, nil
 }
@@ -408,12 +455,18 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 // simulation points. With a cache attached, the whole measurement is one
 // artifact keyed off the profile's chain.
 func (r *Runner) Run(ctx context.Context, p *Profile, cfg boom.Config) (*Result, error) {
-	defer r.flowLap()()
-
 	var key artifact.Key
 	if r.cache != nil && p.CacheKey != "" {
 		key = measureKey(p.CacheKey, cfg, r.fc.Lib)
 	}
+	return r.run(ctx, p, cfg, key)
+}
+
+// run is Run under an already-derived measure key (zero: uncached); Sweep
+// derives each cell's key once, for its probe and for this.
+func (r *Runner) run(ctx context.Context, p *Profile, cfg boom.Config, key artifact.Key) (*Result, error) {
+	defer r.flowLap()()
+
 	res := &Result{
 		Workload:   p.Workload.Name,
 		Suite:      p.Workload.Suite,
@@ -421,8 +474,13 @@ func (r *Runner) Run(ctx context.Context, p *Profile, cfg boom.Config) (*Result,
 		Mode:       "simpoint",
 	}
 	cost, err := r.stageCached(key,
-		func(payload []byte) error { return decodeResultPayload(payload, res) },
-		func() error { return r.measure(ctx, p, cfg, res) },
+		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
+		func() error {
+			if err := p.load(ctx); err != nil {
+				return err
+			}
+			return r.measure(ctx, p, cfg, res)
+		},
 		func() ([]byte, error) { return encodeResultPayload(res) })
 	if err != nil {
 		return nil, wrapStage(StageMeasure, p.Workload.Name, cfg.Name, err)
@@ -631,7 +689,7 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 		Mode:       "full",
 	}
 	cost, err := r.stageCached(key,
-		func(payload []byte) error { return decodeResultPayload(payload, res) },
+		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
 		func() error { return r.measureFull(ctx, w, cfg, res) },
 		func() ([]byte, error) { return encodeResultPayload(res) })
 	if err != nil {

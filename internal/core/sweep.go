@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/backoff"
 	"repro/internal/boom"
 	"repro/internal/workloads"
@@ -18,11 +19,13 @@ import (
 // configs share one profile/select/checkpoint per workload, both within
 // the sweep (phase 1 runs once per workload) and across sweeps (the
 // profile stages are config-independent, so their cache artifacts feed
-// every design point that ever measures the workload). Work is spread
-// across the Runner's parallelism — every (workload, config) measurement
-// is independent and deterministic, so results are bit-identical to a
-// serial run regardless of worker count, metrics attachment, cache state,
-// retries, or which sibling tasks failed.
+// every design point that ever measures the workload). With a cache, phase
+// 1 looks at a workload's cells before its chain: when every one is already
+// cached it verifies the chain for its costs and reads only the selection
+// (see profileWith). Work is spread across the Runner's parallelism — every
+// (workload, config) measurement is independent and deterministic, so
+// results are bit-identical to a serial run regardless of worker count,
+// metrics attachment, cache state, retries, or which sibling tasks failed.
 //
 // Failure semantics: by default the first task error aborts the sweep
 // (remaining tasks drain unrun) and Sweep returns (nil, err). Under
@@ -52,8 +55,12 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		sw.Results[cfg.Name] = map[string]*Result{}
 	}
 	var mu sync.Mutex
+	cellKeys := map[string][]artifact.Key{} // by workload, aligned with configs; nil without a cache
 
-	// Phase 1: profile every workload (parallel across workloads).
+	// Phase 1: profile every workload (parallel across workloads). Every
+	// key of the workload — its chain and its cells — is derived here, from
+	// inputs alone, so profileWith can look at the cells before it reads
+	// the chain and phase 2 derives nothing again.
 	profErr := r.runTasks(ctx, taskSet{
 		stage: StageProfile,
 		n:     len(names),
@@ -65,13 +72,28 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 				return wrapStage(StageProfile, name, "", err)
 			}
 			note("profiling %-14s (%s scale)", name, camp.Scale)
-			p, err := r.profileWith(ctx, w, spec)
+			keys := r.profileKeys(w, spec)
+			var cells []artifact.Key
+			if r.cache != nil {
+				chain := keys.ckpt.Hex()
+				cells = make([]artifact.Key, len(configs))
+				for ci, cfg := range configs {
+					cells[ci] = measureKey(chain, cfg, r.fc.Lib)
+				}
+			}
+			p, err := r.profileWith(ctx, w, spec, keys, cells)
 			if err != nil {
 				return err
 			}
 			mu.Lock()
 			sw.Profiles[name] = p
+			cellKeys[name] = cells
 			mu.Unlock()
+			if p.Vectors == nil {
+				note("  %-14s every cell cached: k=%d, %d simpoints, %.0f%% coverage",
+					name, p.Selection.K, p.NumSimPoints(), 100*p.Selection.Coverage)
+				return nil
+			}
 			note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
 				name, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
 				100*p.Selection.Coverage)
@@ -89,14 +111,19 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	type pair struct {
 		cfg  boom.Config
 		name string
+		key  artifact.Key
 	}
 	var pairs []pair
-	for _, cfg := range configs {
+	for ci, cfg := range configs {
 		for _, name := range names {
 			if sw.Profiles[name] == nil {
 				continue
 			}
-			pairs = append(pairs, pair{cfg, name})
+			pr := pair{cfg: cfg, name: name}
+			if cells := cellKeys[name]; cells != nil {
+				pr.key = cells[ci]
+			}
+			pairs = append(pairs, pr)
 		}
 	}
 	measErr := r.runTasks(ctx, taskSet{
@@ -108,7 +135,7 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		do: func(ctx context.Context, i int) error {
 			pr := pairs[i]
 			note("measuring %-14s on %s", pr.name, pr.cfg.Name)
-			res, err := r.Run(ctx, sw.Profiles[pr.name], pr.cfg)
+			res, err := r.run(ctx, sw.Profiles[pr.name], pr.cfg, pr.key)
 			if err != nil {
 				return err
 			}
@@ -118,6 +145,13 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 			return nil
 		},
 	})
+	// A profile whose bbv payload stayed unread takes its instruction
+	// count from a result: measure copied it there from the same chain.
+	for _, pr := range pairs {
+		if p, res := sw.Profiles[pr.name], sw.Results[pr.cfg.Name][pr.name]; p.TotalInsts == 0 && res != nil {
+			p.TotalInsts = res.TotalInsts
+		}
+	}
 	if !r.keepGoing {
 		if measErr != nil {
 			return nil, measErr

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/boom"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
@@ -518,6 +519,10 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 	for _, name := range sw.ConfigNames {
 		sw.Results[name] = map[string]*core.Result{}
 	}
+	cfgs := map[string]boom.Config{}
+	for _, cfg := range r.camp.Configs {
+		cfgs[cfg.Name] = cfg
+	}
 	var errs []error
 	for _, label := range r.order {
 		cl := r.cells[label]
@@ -531,7 +536,7 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 				ConfigName: cl.task.Config,
 				Mode:       "simpoint",
 			}
-			if err := core.DecodeMeasuredResult(cl.payload, res); err != nil {
+			if err := core.DecodeMeasuredResult(cl.payload, res, cfgs[cl.task.Config]); err != nil {
 				errs = append(errs, fmt.Errorf("fabric: decoding %s: %w", label, err))
 				continue
 			}

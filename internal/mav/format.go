@@ -49,7 +49,7 @@ func WriteMAV(w io.Writer, vectors []Vector) error {
 func ReadMAV(r io.Reader) ([]Vector, error) {
 	var out []Vector
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

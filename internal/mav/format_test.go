@@ -86,3 +86,19 @@ func TestReadMAVHardening(t *testing.T) {
 		t.Fatalf("count 2^53 parsed as %v", got)
 	}
 }
+
+// TestReadMAVLongLine pins the accepted input size: the scanner starts at
+// 64 KiB and grows, so a line well past that — a vector has only
+// NumFeatures fields, so the length here is padding between them — still
+// parses to the same vector.
+func TestReadMAVLongLine(t *testing.T) {
+	want := Vector{FeatLoads: 7, FeatReuseHits: 3}
+	line := "M:1:7 " + strings.Repeat(" ", 70<<10) + ":8:3\nM:2:5\n"
+	got, err := ReadMAV(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != want || got[1] != (Vector{FeatStores: 5}) {
+		t.Fatalf("got %v, want [%v %v]", got, want, Vector{FeatStores: 5})
+	}
+}

@@ -321,7 +321,9 @@ func (m *Memory) Deserialize(r io.Reader) error {
 	if n > 1<<24 {
 		return fmt.Errorf("mem: unreasonable page count %d", n)
 	}
-	m.pages = make(map[uint64]*[PageSize]byte, n)
+	// The count is a size hint only up to a bound: it is read before any of
+	// the pages it promises, so a corrupt one must not size the map.
+	m.pages = make(map[uint64]*[PageSize]byte, min(n, 1<<12))
 	m.tlb = noTLB // every cached pointer was into the old map
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
