@@ -23,7 +23,7 @@ build:
 # one) is a bug in the assertion, and this is where it shows.
 test: build
 	$(GO) test -shuffle=on ./...
-	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve ./internal/sim ./internal/mem ./internal/bbv ./cmd/...
+	$(GO) test -cpu 1,2 ./internal/core ./internal/metrics ./internal/serve ./internal/wire ./internal/sim ./internal/mem ./internal/bbv ./cmd/...
 	$(GO) test -cpu 1,2 -short ./internal/fabric
 
 vet:
@@ -32,14 +32,14 @@ vet:
 		|| { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 # The packages with concurrent code (metrics registry, Runner worker pool,
-# artifact cache, fault injector, fabric journal, HTTP job service and the
-# boomd wiring around it, sweep fabric) must stay race-clean, and so must
-# the functional core they share state through: concurrent point workers
-# fetch from one predecoded text image (internal/sim) and clone one
-# checkpoint memory (internal/mem). The fabric package runs -short: its
+# artifact cache, fault injector, fabric journal, the HTTP round trip and
+# retry wrapper, HTTP job service and the boomd wiring around it, sweep
+# fabric) must stay race-clean, and so must the functional core they share
+# state through: concurrent point workers fetch from one predecoded text
+# image (internal/sim) and clone one checkpoint memory (internal/mem). The fabric package runs -short: its
 # full 11×3 conformance matrices are covered race-free by `make test`.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
+	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/journal ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
 # go accepts one -fuzz target per invocation. The two payload-decoder
@@ -52,6 +52,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzArtifactEntry -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzJournalRead -fuzztime 5s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzFabricBodies -fuzztime 5s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 

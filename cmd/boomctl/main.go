@@ -13,25 +13,28 @@
 // instead. status with an ID reports that job; with no ID it reports the
 // fabric (registered workers — including any quarantined by result
 // auditing — and in-flight campaigns' cell accounting). A draining
-// coordinator answers reads with 503 + Retry-After; boomctl honors the
-// hint with a capped backoff and retries, surfacing the typed "retry
-// after Ns" error only if the node is still draining after that. Exit
-// status is non-zero on any HTTP error, including a failed sweep.
+// coordinator answers reads with 503 + Retry-After; boomctl takes that as
+// the wait instruction it is (DESIGN §6 "Wire") and asks again, surfacing
+// the typed "retry after Ns" error only if the node is still draining five
+// retries later. -wait waits as long as the sweep runs; every single request
+// is bounded by the client. Exit status is non-zero on any HTTP error,
+// including a failed sweep.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/dse"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -45,14 +48,13 @@ func run(args []string, out io.Writer) error {
 	// Global flags come before the subcommand; sub-flags after it.
 	fs := newFlagSet("boomctl")
 	addr := fs.String("addr", "127.0.0.1:8080", "")
-	timeout := fs.Duration("timeout", 10*time.Minute, "")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return usage()
 	}
-	c := &client{Client: serve.NewClient(*addr, *timeout), out: out}
+	c := &client{Client: serve.NewClient(*addr), out: out}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "submit":
@@ -99,7 +101,7 @@ func parse(fs *flag.FlagSet, args []string) error {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: boomctl [-addr HOST:PORT] [-timeout D] " +
+	return fmt.Errorf("usage: boomctl [-addr HOST:PORT] " +
 		"submit [-workloads a,b] [-configs x,y | -base CFG -axes 'p=v1,v2;…' -override 'p=v;…'] [-scale S] " +
 		"[-interval N] [-features bbv|bbv+mav] [-sp-dims N] [-sp-maxk N] [-warmup none|N|Nx] [-wait] | " +
 		"status [ID] | result ID [-wait] | metrics | health")
@@ -162,47 +164,27 @@ func (c *client) result(id string, wait bool) error {
 	return err
 }
 
-// drainRetries bounds how many 503 drain rejections a read is retried
-// through before the typed error is surfaced to the caller.
-const drainRetries = 5
-
-// retryDelay is how long to wait before re-asking a draining node: the
-// server's Retry-After hint when it sent a parseable one, otherwise a
-// doubling backoff from 500ms — either way capped, so a confused server
+// readPolicy is how a read rides out a drain: up to five more asks, each
+// after the server's Retry-After — capped at Max, so a confused server
 // advertising "Retry-After: 86400" cannot park the client for a day.
-func retryDelay(attempt int, retryAfter string) time.Duration {
-	const ceiling = 15 * time.Second
-	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs >= 0 {
-		if d := time.Duration(secs) * time.Second; d < ceiling {
-			return d
-		}
-		return ceiling
-	}
-	return backoff.Policy{Base: 500 * time.Millisecond, Max: ceiling, Jitter: -1}.Wait(attempt)
-}
+var readPolicy = backoff.Policy{Attempts: 6, Base: 500 * time.Millisecond, Max: 15 * time.Second, Jitter: -1}
 
+// get prints one endpoint's body. Only an answer that says when to come
+// back is retried: any other failure, a dead endpoint included, is the
+// answer an operator at a terminal wants now.
 func (c *client) get(path string) error {
-	for attempt := 0; ; attempt++ {
-		resp, err := c.HTTP.Get(c.Base + path)
-		if err != nil {
+	var b []byte
+	err := wire.Retry(context.Background(), readPolicy, func(ctx context.Context) error {
+		_, err := c.Do(ctx, http.MethodGet, path, nil, &b)
+		var e *wire.Error
+		if errors.As(err, &e) && e.RetryAfter != "" {
 			return err
 		}
-		// A draining node answers 503 + Retry-After ("ask again shortly"),
-		// which is a wait instruction, not a failure — honor it with a
-		// capped backoff before giving up.
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < drainRetries {
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				time.Sleep(retryDelay(attempt, ra))
-				continue
-			}
-		}
-		b, err := serve.ReadBody(resp)
-		if err != nil {
-			return err
-		}
-		_, werr := c.out.Write(b)
-		return werr
+		return backoff.Permanent(err)
+	})
+	if err != nil {
+		return err
 	}
+	_, err = c.out.Write(b)
+	return err
 }

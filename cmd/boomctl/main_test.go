@@ -9,10 +9,22 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
+
+// drainRetries is how many 503 + Retry-After answers a read rides out before
+// it surfaces the typed error: readPolicy's attempts after the first.
+var drainRetries = int32(readPolicy.Attempts - 1)
+
+// TestRetiredFlagsUndefined: -timeout is gone, not ignored — -wait waits as
+// long as the sweep runs and each request is bounded by the client itself.
+func TestRetiredFlagsUndefined(t *testing.T) {
+	err := run([]string{"-timeout", "1m", "health"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("boomctl -timeout 1m: %v, want \"flag provided but not defined\"", err)
+	}
+}
 
 // startServer stands up a serve.Server and returns its host:port.
 func startServer(t *testing.T, cfg serve.Config) string {
@@ -234,31 +246,6 @@ func TestStatusDrainRecovery(t *testing.T) {
 	// The quarantine flag travels through to the operator unmangled.
 	if !strings.Contains(out.String(), `"quarantined":true`) {
 		t.Errorf("status output %q lost the quarantined marker", out.String())
-	}
-}
-
-// TestRetryDelay pins the backoff arithmetic: server hints win but are
-// capped, and without a parseable hint the fallback doubles from 500ms up
-// to the same ceiling.
-func TestRetryDelay(t *testing.T) {
-	cases := []struct {
-		attempt    int
-		retryAfter string
-		want       time.Duration
-	}{
-		{0, "5", 5 * time.Second},
-		{3, "0", 0},
-		{0, "86400", 15 * time.Second}, // confused server: capped
-		{0, "soon", 500 * time.Millisecond},
-		{1, "", time.Second},
-		{2, "", 2 * time.Second},
-		{10, "", 15 * time.Second},
-		{0, "-1", 500 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := retryDelay(c.attempt, c.retryAfter); got != c.want {
-			t.Errorf("retryDelay(%d, %q) = %s, want %s", c.attempt, c.retryAfter, got, c.want)
-		}
 	}
 }
 

@@ -83,7 +83,7 @@ func daemon(t *testing.T, args ...string) (c *serve.Client, stop func()) {
 	if !ok {
 		t.Fatalf("boomd announced %q, want its listen address", line)
 	}
-	return serve.NewClient(addr, time.Minute), stop
+	return serve.NewClient(addr), stop
 }
 
 // campaign submits req and long-polls its canonical result bytes.
@@ -102,12 +102,8 @@ func campaign(t *testing.T, c *serve.Client, req serve.SweepRequest) []byte {
 
 func metricsText(t *testing.T, c *serve.Client) string {
 	t.Helper()
-	resp, err := c.HTTP.Get(c.Base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := serve.ReadBody(resp)
-	if err != nil {
+	var b []byte
+	if _, err := c.Do(context.Background(), http.MethodGet, "/metrics", nil, &b); err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
@@ -207,11 +203,8 @@ func TestFabricMatchesSolo(t *testing.T) {
 
 	req := tinyRequest("sha", "qsort")
 	viaFabric := campaign(t, c, req)
-	resp, err := c.HTTP.Get(c.Base + "/v1/fabric/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, err := serve.ReadBody(resp); err != nil || !bytes.Contains(status, []byte("smoke-w1")) {
+	var status []byte
+	if _, err := c.Do(context.Background(), http.MethodGet, "/v1/fabric/status", nil, &status); err != nil || !bytes.Contains(status, []byte("smoke-w1")) {
 		t.Errorf("fabric status %s (err %v) does not list the worker", status, err)
 	}
 	text := metricsText(t, c)

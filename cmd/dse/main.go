@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dse"
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the canonical frontier JSON instead of the text table")
 	params := fs.Bool("params", false, "list the sweepable parameters and exit")
 	quiet := fs.Bool("q", false, "suppress progress output")
-	timeout := fs.Duration("timeout", 10*time.Minute, "HTTP client timeout for -addr")
 	// The engine flags govern the in-process path; with -addr the daemon's
 	// own engine runs the campaign and only the sampling flags travel.
 	ef := engineflags.Register(fs)
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		req := serve.RequestFromSpec(spec)
 		req.Workloads, req.Scale = names, *scaleFlag
 		req.Sampling = serve.SamplingBlock(ef.Interval, ef.Features, ef.SPDims, ef.SPMaxK, ef.Warmup)
-		c := serve.NewClient(*addr, *timeout)
+		c := serve.NewClient(*addr)
 		var st serve.Status
 		if st, err = c.Submit(req); err == nil {
 			raw, err = c.Result(st.ID, true)

@@ -36,6 +36,17 @@ func TestNoAxesRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredFlagsUndefined: -timeout is gone, not ignored — with -addr the
+// long poll waits as long as the campaign runs, each request bounded by the
+// client itself.
+func TestRetiredFlagsUndefined(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := run([]string{"-timeout", "1m", "-axes", "rob=64,96"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("dse -timeout 1m: %v, want \"flag provided but not defined\"", err)
+	}
+}
+
 // TestLocalFrontier: a small local exploration produces a deterministic
 // frontier whose JSON form is bit-identical across runs, and whose text
 // form names a recommendation per workload.

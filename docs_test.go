@@ -43,6 +43,9 @@ var (
 	flagToken   = regexp.MustCompile(`(?:^|[\s(\[=|'"])--?([a-z][a-z0-9-]*)`)
 	qualIdent   = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(\*)?(?:\.([A-Za-z_]\w*))?`)
 	flagDecl    = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(?:Var)?\((?:&?[\w.]+, )?"([\w-]+)"`)
+	routeDecl   = regexp.MustCompile(`\.Handle(?:Func)?\("(?:[A-Z]+ )?(/[^"]*)"`)
+	routeToken  = regexp.MustCompile("(?:^|[^\\w/.])(/v1/[^\\s`'\")]*|/metrics|/healthz|/readyz)")
+	sitePrefix  = regexp.MustCompile(`strings\.HasPrefix\(p, "(/[^"]+)"\)`)
 )
 
 // goToolFlags are the `go test` / `go build` (and `gofmt -l`) flags the docs
@@ -236,25 +239,112 @@ func TestDocsFlagsAreRegistered(t *testing.T) {
 	walkGoSources(t, collect)
 
 	for _, doc := range legibleDocs {
-		fenced := false
-		for n, line := range strings.Split(readDoc(t, doc), "\n") {
-			var code []string
-			switch {
-			case strings.HasPrefix(line, "```"):
-				fenced = !fenced
-				continue
-			case fenced:
-				code = []string{line}
-			default:
-				code = codeSpan.FindAllString(line, -1)
+		codeLines(t, doc, func(line int, code string) {
+			for _, m := range flagToken.FindAllStringSubmatch(code, -1) {
+				if !known[m[1]] {
+					t.Errorf("%s:%d: -%s is not a flag any command, test binary or the go tool registers", doc, line, m[1])
+				}
 			}
-			for _, text := range code {
-				for _, m := range flagToken.FindAllStringSubmatch(strings.Trim(text, "`"), -1) {
-					if !known[m[1]] {
-						t.Errorf("%s:%d: -%s is not a flag any command, test binary or the go tool registers", doc, n+1, m[1])
+		})
+	}
+}
+
+// codeLines calls visit with every code span and fenced-block line of doc.
+func codeLines(t *testing.T, doc string, visit func(line int, code string)) {
+	t.Helper()
+	fenced := false
+	for n, line := range strings.Split(readDoc(t, doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case fenced:
+			visit(n+1, line)
+		default:
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				visit(n+1, strings.Trim(span, "`"))
+			}
+		}
+	}
+}
+
+// routeMatches reports whether path is served by pattern: segment by
+// segment, a `{name}` segment of the pattern standing for any one segment,
+// and a path ending in "/" naming the subtree it is a prefix of.
+func routeMatches(pattern, path string) bool {
+	want, got := strings.Split(pattern, "/"), strings.Split(path, "/")
+	subtree := strings.HasSuffix(path, "/")
+	if subtree {
+		got = got[:len(got)-1]
+	}
+	if len(got) > len(want) || !subtree && len(got) != len(want) {
+		return false
+	}
+	for i, seg := range got {
+		if seg != want[i] && !strings.HasPrefix(want[i], "{") {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDocsRoutesAreRegistered: every HTTP path shown in a code span or
+// fenced block of the legible docs — `/v1/…`, `/metrics`, `/healthz`,
+// `/readyz`; a `[/optional]` tail is checked with and without — and every
+// path prefix faultinject's rpcSite switches on is one some mux in the tree
+// registers (subtree mounts like boomd's `/v1/fabric/` only forward, so
+// they vouch for nothing). A renamed or deleted route cannot linger in the
+// docs, and a chaos site cannot name a path nobody serves.
+func TestDocsRoutesAreRegistered(t *testing.T) {
+	var routes []string
+	walkGoSources(t, func(path string) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, m := range routeDecl.FindAllStringSubmatch(readDoc(t, path), -1) {
+			if !strings.HasSuffix(m[1], "/") {
+				routes = append(routes, m[1])
+			}
+		}
+	})
+	if len(routes) == 0 {
+		t.Fatal("found no registered routes: routeDecl no longer matches how the tree registers them")
+	}
+	served := func(path string) bool {
+		for _, r := range routes {
+			if routeMatches(r, path) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range legibleDocs {
+		codeLines(t, doc, func(line int, code string) {
+			for _, m := range routeToken.FindAllStringSubmatch(code, -1) {
+				path := m[1]
+				variants := []string{path}
+				if open := strings.Index(path, "["); open >= 0 {
+					variants = []string{path[:open], strings.NewReplacer("[", "", "]", "").Replace(path)}
+				}
+				for _, v := range variants {
+					v, _, _ = strings.Cut(v, "?")
+					if !served(v) {
+						t.Errorf("%s:%d: no handler is registered for %s", doc, line, v)
 					}
 				}
 			}
+		})
+	}
+	sites := sitePrefix.FindAllStringSubmatch(readDoc(t, filepath.Join("internal", "faultinject", "transport.go")), -1)
+	if len(sites) == 0 {
+		t.Fatal("found no path prefixes in faultinject.rpcSite")
+	}
+	for _, m := range sites {
+		found := false
+		for _, r := range routes {
+			found = found || strings.HasPrefix(r, m[1])
+		}
+		if !found {
+			t.Errorf("faultinject.rpcSite switches on %s, which no registered route starts with", m[1])
 		}
 	}
 }
@@ -331,41 +421,28 @@ func parsePkgDecls(t *testing.T, dir string) pkgDecls {
 // (`artifact.fail_open`, `core.measure/<wl>`) share the shape in lower case.
 func TestDesignIdentifiersResolve(t *testing.T) {
 	pkgs := map[string]pkgDecls{}
-	fenced := false
-	for n, line := range strings.Split(readDoc(t, "DESIGN.md"), "\n") {
-		var code []string
-		switch {
-		case strings.HasPrefix(line, "```"):
-			fenced = !fenced
-			continue
-		case fenced:
-			code = []string{line}
-		default:
-			code = codeSpan.FindAllString(line, -1)
-		}
-		for _, text := range code {
-			for _, m := range qualIdent.FindAllStringSubmatch(strings.Trim(text, "`"), -1) {
-				pkg, name, glob, memb := m[1], m[2], m[3] != "", m[4]
-				dir := filepath.Join("internal", pkg)
-				if info, err := os.Stat(dir); err != nil || !info.IsDir() {
-					continue // a variable, or a package that is not ours
-				}
-				d, ok := pkgs[pkg]
-				if !ok {
-					d = parsePkgDecls(t, dir)
-					pkgs[pkg] = d
-				}
-				found := d.top[name]
-				for decl := range d.top {
-					found = found || glob && strings.HasPrefix(decl, name)
-				}
-				switch {
-				case !found:
-					t.Errorf("DESIGN.md:%d: %s.%s is not declared in %s", n+1, pkg, name, dir)
-				case memb != "" && !glob && d.members[name] != nil && !d.members[name][memb]:
-					t.Errorf("DESIGN.md:%d: %s.%s has no method or field %s", n+1, pkg, name, memb)
-				}
+	codeLines(t, "DESIGN.md", func(line int, code string) {
+		for _, m := range qualIdent.FindAllStringSubmatch(code, -1) {
+			pkg, name, glob, memb := m[1], m[2], m[3] != "", m[4]
+			dir := filepath.Join("internal", pkg)
+			if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+				continue // a variable, or a package that is not ours
+			}
+			d, ok := pkgs[pkg]
+			if !ok {
+				d = parsePkgDecls(t, dir)
+				pkgs[pkg] = d
+			}
+			found := d.top[name]
+			for decl := range d.top {
+				found = found || glob && strings.HasPrefix(decl, name)
+			}
+			switch {
+			case !found:
+				t.Errorf("DESIGN.md:%d: %s.%s is not declared in %s", line, pkg, name, dir)
+			case memb != "" && !glob && d.members[name] != nil && !d.members[name][memb]:
+				t.Errorf("DESIGN.md:%d: %s.%s has no method or field %s", line, pkg, name, memb)
 			}
 		}
-	}
+	})
 }

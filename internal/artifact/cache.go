@@ -108,12 +108,6 @@ func (c *Cache) SetRemote(r *Remote) {
 	}
 }
 
-func (c *Cache) count(name string) {
-	if c.reg != nil {
-		c.reg.Counter(name).Inc()
-	}
-}
-
 // path returns the entry file for a key: <dir>/<stage>/<hh>/<hex>.v<N>.
 // The schema version is part of the file name, so entries written under an
 // older schema are never even opened after a version bump.
@@ -135,8 +129,8 @@ func (c *Cache) path(k Key) string {
 // returned. Verified entries fill the local tier and count as hits.
 func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 	miss := func() ([]byte, int64, bool) {
-		c.count("artifact.miss")
-		c.count("artifact." + k.Stage + ".miss")
+		c.reg.Counter("artifact.miss").Inc()
+		c.reg.Counter("artifact." + k.Stage + ".miss").Inc()
 		return nil, 0, false
 	}
 	data, err := os.ReadFile(c.path(k))
@@ -169,16 +163,14 @@ func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 
 // countHit is the accounting of one served entry, shared by Get and Cost.
 func (c *Cache) countHit(k Key, costNS int64) {
-	c.count("artifact.hit")
-	c.count("artifact." + k.Stage + ".hit")
-	if c.reg != nil {
-		c.reg.Counter("artifact.saved_ns").Add(costNS)
-	}
+	c.reg.Counter("artifact.hit").Inc()
+	c.reg.Counter("artifact." + k.Stage + ".hit").Inc()
+	c.reg.Counter("artifact.saved_ns").Add(costNS)
 }
 
 func (c *Cache) evict(k Key) {
 	os.Remove(c.path(k))
-	c.count("artifact.evict")
+	c.reg.Counter("artifact.evict").Inc()
 }
 
 // Has reports whether the local tier holds a file for k: one stat — no
@@ -227,33 +219,33 @@ func (c *Cache) Cost(k Key) (costNS int64, ok bool) {
 // local tier so subsequent Gets stop paying the round trip.
 func (c *Cache) fetchRemote(k Key) (entry []byte, ok bool) {
 	if err := c.inj.Hit("artifact.fetch", k.Stage); err != nil {
-		c.count("artifact.remote.error")
+		c.reg.Counter("artifact.remote.error").Inc()
 		return nil, false
 	}
 	entry, err := c.remote.Fetch(k)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			c.count("artifact.remote.miss")
+			c.reg.Counter("artifact.remote.miss").Inc()
 		} else {
-			c.count("artifact.remote.error")
+			c.reg.Counter("artifact.remote.error").Inc()
 		}
 		return nil, false
 	}
 	entry = c.inj.Corrupt(entry, "artifact.fetch", k.Stage)
 	if _, _, err := decodeEntry(entry, k.Version); err != nil {
 		_ = c.remote.Evict(k)
-		c.count("artifact.remote.evict")
+		c.reg.Counter("artifact.remote.evict").Inc()
 		return nil, false
 	}
 	if c.writeAllowed() {
 		if err := c.putRaw(k, entry); err == nil {
 			c.noteWriteOK()
-			c.count("artifact.remote.fill")
+			c.reg.Counter("artifact.remote.fill").Inc()
 		} else {
 			c.noteWriteError(k, err)
 		}
 	}
-	c.count("artifact.remote.fetch")
+	c.reg.Counter("artifact.remote.fetch").Inc()
 	return entry, true
 }
 
@@ -277,7 +269,7 @@ func (c *Cache) noteWriteOK() {
 // one transient hiccup doesn't permanently disable the cache. The
 // transition logs exactly one warning.
 func (c *Cache) noteWriteError(k Key, err error) {
-	c.count("artifact.write_errors")
+	c.reg.Counter("artifact.write_errors").Inc()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.writeErrs++
@@ -286,7 +278,7 @@ func (c *Cache) noteWriteError(k Key, err error) {
 		return
 	}
 	c.failOpen = true
-	c.count("artifact.fail_open")
+	c.reg.Counter("artifact.fail_open").Inc()
 	if c.log != nil {
 		c.log("artifact cache failing open: writing %s under %s: %v (caching disabled for this run; stages recompute instead)", k, c.dir, err)
 	}
@@ -324,24 +316,22 @@ func (c *Cache) Put(k Key, payload []byte, costNS int64) error {
 	}
 	entry := encodeEntry(payload, k.Version, costNS)
 	if !c.writeAllowed() {
-		c.count("artifact.put_skipped")
+		c.reg.Counter("artifact.put_skipped").Inc()
 	} else if err := c.putRaw(k, entry); err != nil {
 		c.noteWriteError(k, err)
 	} else {
 		c.noteWriteOK()
-		c.count("artifact.put")
-		if c.reg != nil {
-			c.reg.Counter("artifact.put_bytes").Add(int64(len(payload)))
-		}
+		c.reg.Counter("artifact.put").Inc()
+		c.reg.Counter("artifact.put_bytes").Add(int64(len(payload)))
 	}
 	if c.remote != nil {
 		if err := c.remote.Push(k, entry); errors.Is(err, ErrBreakerOpen) {
-			c.count("artifact.remote.push_skipped")
+			c.reg.Counter("artifact.remote.push_skipped").Inc()
 		} else if err != nil {
-			c.count("artifact.remote.push_error")
+			c.reg.Counter("artifact.remote.push_error").Inc()
 			return fmt.Errorf("artifact: pushing %s to remote store: %w", k, err)
 		} else {
-			c.count("artifact.remote.push")
+			c.reg.Counter("artifact.remote.push").Inc()
 		}
 	}
 	return nil

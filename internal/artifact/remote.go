@@ -15,7 +15,6 @@
 package artifact
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -31,6 +30,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // ErrNotFound reports a key absent from the remote store.
@@ -52,17 +52,6 @@ func NewHTTPClient(connect, response time.Duration) *http.Client {
 		IdleConnTimeout:       90 * time.Second,
 	}}
 }
-
-// statusError is an HTTP refusal from the store, kept typed so the retry
-// and breaker layers can tell "the server said no" (4xx: permanent,
-// breaker-neutral) from "the server is hurting" (5xx: retryable, counts
-// toward the trip threshold).
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
 
 // Remote is the client half of the remote artifact store. A nil *Remote
 // is inert. Safe for concurrent use.
@@ -100,7 +89,7 @@ func NewRemote(base string, hc *http.Client) *Remote {
 			AttemptTimeout: 60 * time.Second,
 		},
 	}
-	r.br = newBreaker(5, 5*time.Second, r.count)
+	r.br = newBreaker(5, 5*time.Second, func(name string) { r.reg.Counter(name).Inc() })
 	return r
 }
 
@@ -115,35 +104,39 @@ func (r *Remote) SetRetry(p backoff.Policy) { r.pol = p }
 // consecutive failed operations, short-circuit for cooldown before
 // probing. Zero values keep the defaults (5 failures, 5s).
 func (r *Remote) SetBreaker(threshold int, cooldown time.Duration) {
-	r.br = newBreaker(threshold, cooldown, r.count)
+	r.br = newBreaker(threshold, cooldown, r.br.count)
 }
 
-func (r *Remote) count(name string) {
-	if r.reg != nil {
-		r.reg.Counter(name).Inc()
+// status returns the HTTP status err carries, 0 when the store never
+// answered (or err is nil).
+func status(err error) int {
+	var e *wire.Error
+	if errors.As(err, &e) {
+		return e.Status
 	}
+	return 0
 }
 
 // breakerNeutral reports errors that prove the store is reachable even
 // though the operation failed — a 404 or any other 4xx is the server
 // answering, which must not trip the breaker.
 func breakerNeutral(err error) bool {
-	if errors.Is(err, ErrNotFound) {
-		return true
-	}
-	var se *statusError
-	return errors.As(err, &se) && se.code < 500
+	s := status(err)
+	return 0 < s && s < 500
 }
 
-// do runs one logical store operation through the breaker and the retry
-// policy. One allow() per operation: the retries inside count as a single
-// breaker verdict, so the trip threshold measures operations, not
-// attempts.
-func (r *Remote) do(op func(ctx context.Context) error) error {
+// do runs one logical store operation — method on k's URL — through the
+// breaker and the retry policy (internal/wire says what is retried). One
+// allow() per operation: the retries inside count as a single breaker
+// verdict, so the trip threshold measures operations, not attempts.
+func (r *Remote) do(method string, k Key, body, reply any) error {
 	if !r.br.allow() {
 		return ErrBreakerOpen
 	}
-	err := backoff.Retry(context.Background(), r.pol, op)
+	err := wire.Retry(context.Background(), r.pol, func(ctx context.Context) error {
+		_, err := wire.Do(ctx, r.hc, method, r.url(k), body, reply, maxPayload+headerSize)
+		return err
+	})
 	if err == nil || breakerNeutral(err) {
 		r.br.success()
 	} else {
@@ -162,88 +155,30 @@ func (r *Remote) url(k Key) string {
 // ErrBreakerOpen while the breaker is short-circuiting.
 func (r *Remote) Fetch(k Key) ([]byte, error) {
 	var out []byte
-	err := r.do(func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url(k), nil)
-		if err != nil {
-			return backoff.Permanent(err)
-		}
-		resp, err := r.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			out, err = io.ReadAll(io.LimitReader(resp.Body, maxPayload+headerSize))
-			return err
-		case http.StatusNotFound:
-			return backoff.Permanent(ErrNotFound)
-		default:
-			serr := &statusError{resp.StatusCode, fmt.Sprintf("artifact: remote store GET %s: %s", k, resp.Status)}
-			if resp.StatusCode/100 == 4 {
-				return backoff.Permanent(serr)
-			}
-			return serr
-		}
-	})
-	if err != nil {
-		return nil, err
+	err := r.do(http.MethodGet, k, nil, &out)
+	if status(err) == http.StatusNotFound {
+		return nil, ErrNotFound
 	}
-	return out, nil
+	return out, err
 }
 
 // Push uploads the raw entry bytes for k. Pushing the same key twice is
-// idempotent: content addressing makes every writer's entry equivalent.
+// idempotent: content addressing makes every writer's entry equivalent. A
+// 4xx is the store rejecting these bytes (corrupt entry); resending them
+// cannot change its mind.
 func (r *Remote) Push(k Key, entry []byte) error {
-	return r.do(func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.url(k), bytes.NewReader(entry))
-		if err != nil {
-			return backoff.Permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := r.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 == 2 {
-			return nil
-		}
-		serr := &statusError{resp.StatusCode, fmt.Sprintf("artifact: remote store PUT %s: %s", k, resp.Status)}
-		if resp.StatusCode/100 == 4 {
-			// The store rejected these bytes (corrupt entry); resending
-			// the same bytes cannot change its mind.
-			return backoff.Permanent(serr)
-		}
-		return serr
-	})
+	return r.do(http.MethodPut, k, entry, nil)
 }
 
 // Evict removes k from the store (best effort; absent keys succeed). Used
 // when a fetched entry fails verification, so the slot heals on the next
 // Push instead of serving the same corrupt bytes forever.
 func (r *Remote) Evict(k Key) error {
-	return r.do(func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, r.url(k), nil)
-		if err != nil {
-			return backoff.Permanent(err)
-		}
-		resp, err := r.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 == 2 || resp.StatusCode == http.StatusNotFound {
-			return nil
-		}
-		serr := &statusError{resp.StatusCode, fmt.Sprintf("artifact: remote store DELETE %s: %s", k, resp.Status)}
-		if resp.StatusCode/100 == 4 {
-			return backoff.Permanent(serr)
-		}
-		return serr
-	})
+	err := r.do(http.MethodDelete, k, nil, nil)
+	if status(err) == http.StatusNotFound {
+		return nil
+	}
+	return err
 }
 
 var hexSumRE = regexp.MustCompile(`^[0-9a-f]{64}$`)
@@ -297,18 +232,18 @@ func NewServer(c *Cache) http.Handler {
 		func(w http.ResponseWriter, r *http.Request, k Key) {
 			data, err := os.ReadFile(c.path(k))
 			if err != nil {
-				c.count("artifact.store.get_miss")
+				c.reg.Counter("artifact.store.get_miss").Inc()
 				http.NotFound(w, r)
 				return
 			}
 			if _, _, err := decodeEntry(data, k.Version); err != nil {
 				// Rotted on the store's disk: evict rather than serve.
 				os.Remove(c.path(k))
-				c.count("artifact.store.evict")
+				c.reg.Counter("artifact.store.evict").Inc()
 				http.NotFound(w, r)
 				return
 			}
-			c.count("artifact.store.get")
+			c.reg.Counter("artifact.store.get").Inc()
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(data)
 		}))
@@ -320,7 +255,7 @@ func NewServer(c *Cache) http.Handler {
 				return
 			}
 			if _, _, err := decodeEntry(entry, k.Version); err != nil {
-				c.count("artifact.store.put_rejected")
+				c.reg.Counter("artifact.store.put_rejected").Inc()
 				http.Error(w, "corrupt entry: "+err.Error(), http.StatusBadRequest)
 				return
 			}
@@ -328,13 +263,13 @@ func NewServer(c *Cache) http.Handler {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			c.count("artifact.store.put")
+			c.reg.Counter("artifact.store.put").Inc()
 			w.WriteHeader(http.StatusNoContent)
 		}))
 	mux.HandleFunc("DELETE /v1/artifacts/{stage}/{version}/{sum}", withKey(
 		func(w http.ResponseWriter, _ *http.Request, k Key) {
 			os.Remove(c.path(k))
-			c.count("artifact.store.delete")
+			c.reg.Counter("artifact.store.delete").Inc()
 			w.WriteHeader(http.StatusNoContent)
 		}))
 	return mux

@@ -91,6 +91,25 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &p)
 }
 
+// afterError marks a retryable error that says how long to wait.
+type afterError struct {
+	err error
+	d   time.Duration
+}
+
+func (a *afterError) Error() string { return a.err.Error() }
+func (a *afterError) Unwrap() error { return a.err }
+
+// After wraps err with a wait instruction: Retry still retries it, but
+// sleeps d — capped at the policy's Max, so no peer can park its caller —
+// instead of the exponential step (an HTTP Retry-After; see internal/wire).
+func After(err error, d time.Duration) error {
+	if err == nil {
+		return nil
+	}
+	return &afterError{err: err, d: d}
+}
+
 // jitterRand is the package's own seeded source so Retry never contends
 // on (or reseeds) the global one.
 var (
@@ -105,8 +124,7 @@ func jitterFloat() float64 {
 }
 
 // Wait returns the sleep before attempt n (0-based: Wait(0) precedes the
-// first retry), jittered per the policy. Exposed for callers that manage
-// their own loops (boomctl's Retry-After handling caps with it).
+// first retry), jittered per the policy.
 func (p Policy) Wait(n int) time.Duration {
 	p = p.withDefaults()
 	w := p.Base
@@ -122,11 +140,21 @@ func (p Policy) Wait(n int) time.Duration {
 	return w
 }
 
+// WaitAfter returns the sleep between attempt n failing with err and the
+// next one: err's After instruction capped at Max, otherwise Wait(n).
+func (p Policy) WaitAfter(n int, err error) time.Duration {
+	var a *afterError
+	if errors.As(err, &a) {
+		return max(0, min(a.d, p.withDefaults().Max))
+	}
+	return p.Wait(n)
+}
+
 // Retry runs op until it succeeds, returns a Permanent error, exhausts
 // the attempt budget, or ctx is canceled. Each attempt gets its own
 // child context carrying AttemptTimeout. The returned error is the last
-// attempt's (unwrapped from the Permanent marker), or ctx.Err() when the
-// parent context ended first.
+// attempt's (unwrapped from the Permanent or After marker), or ctx.Err()
+// when the parent context ended first.
 func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	p = p.withDefaults()
 	var lastErr error
@@ -151,10 +179,14 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 			return perm.err
 		}
 		lastErr = err
+		var after *afterError
+		if errors.As(err, &after) {
+			lastErr = after.err
+		}
 		if attempt == p.Attempts-1 {
 			break
 		}
-		t := time.NewTimer(p.Wait(attempt))
+		t := time.NewTimer(p.WaitAfter(attempt, err))
 		select {
 		case <-ctx.Done():
 			t.Stop()

@@ -124,3 +124,32 @@ func TestWaitJitterStaysInBand(t *testing.T) {
 		}
 	}
 }
+
+// TestAfterIsACappedWaitInstruction: an After error is retried like any
+// other, its wait replaces the exponential step but never exceeds Max, and
+// the caller gets its own error back without the marker.
+func TestAfterIsACappedWaitInstruction(t *testing.T) {
+	p := Policy{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: -1}
+	busy := errors.New("busy")
+	for _, c := range []struct{ d, want time.Duration }{
+		{0, 0},
+		{25 * time.Millisecond, 25 * time.Millisecond},
+		{24 * time.Hour, 40 * time.Millisecond},
+		{-time.Second, 0},
+	} {
+		if got := p.WaitAfter(3, After(busy, c.d)); got != c.want {
+			t.Errorf("WaitAfter(After(%v)) = %v, want %v", c.d, got, c.want)
+		}
+	}
+	if got := p.WaitAfter(1, busy); got != 20*time.Millisecond {
+		t.Errorf("WaitAfter without an instruction = %v, want Wait(1) = 20ms", got)
+	}
+	calls := 0
+	err := Retry(context.Background(), fastPolicy(), func(context.Context) error {
+		calls++
+		return After(busy, 0)
+	})
+	if err != busy || calls != 4 {
+		t.Errorf("Retry = %v after %d calls, want the bare error after all 4 attempts", err, calls)
+	}
+}

@@ -184,15 +184,11 @@ func (r *Runner) stageCached(key artifact.Key,
 	}
 	if hit { // verification pass
 		if !bytes.Equal(fresh, cached) {
-			if r.reg != nil {
-				r.reg.Counter("artifact.verify.fail").Inc()
-			}
+			r.reg.Counter("artifact.verify.fail").Inc()
 			return 0, fmt.Errorf("cache verify: artifact %s diverges from recomputation (cached %d bytes, fresh %d bytes)",
 				key, len(cached), len(fresh))
 		}
-		if r.reg != nil {
-			r.reg.Counter("artifact.verify.ok").Inc()
-		}
+		r.reg.Counter("artifact.verify.ok").Inc()
 		return cachedCost, nil
 	}
 	if err := r.cache.Put(key, fresh, computed); err != nil {

@@ -62,9 +62,12 @@ func (c Campaign) ConfigNames() []string {
 // Cells returns the number of (workload, config) measurement cells.
 func (c Campaign) Cells() int { return len(c.Workloads) * len(c.Configs) }
 
-// CampaignID fingerprints a campaign under this Runner's flow parameters:
-// the exact workload list, configuration list, flow parameters, scale and
-// effective sampling spec. It is the one identity of a run: the serving
+// CampaignID fingerprints a campaign under flow parameters fc: the exact
+// workload list, configuration list, flow parameters, scale and sampling
+// spec (as given: Runner.CampaignID resolves the effective one first; the
+// serving layer, whose Runners carry none of their own, fingerprints a
+// submission with this before it builds anything). It is the one identity
+// of a run: the serving
 // layer's job and dedupe ID (internal/serve), so duplicate submissions of
 // one campaign collapse onto one job, and the header of every fabric
 // journal fragment (internal/fabric). Reuses the artifact cache's canonical
@@ -79,14 +82,49 @@ func (c Campaign) Cells() int { return len(c.Workloads) * len(c.Configs) }
 // canonical encoding hashes the type name, and an anonymous struct encodes
 // as ""); a deliberate change bumps sweepSchema, which orphans fragments
 // and boomd job IDs but — like every cache key — moves no result byte.
-func (r *Runner) CampaignID(c Campaign) string {
+func CampaignID(fc FlowConfig, c Campaign) string {
 	return artifact.NewKey("sweep", sweepSchema, struct {
 		Names    []string
 		Configs  []boom.Config
 		Flow     FlowConfig
 		Scale    int
 		Sampling sampling.Spec
-	}{c.Workloads, c.Configs, r.fc, int(c.Scale), r.effectiveSpec(c)}).Hex()
+	}{c.Workloads, c.Configs, fc, int(c.Scale), c.Sampling}).Hex()
+}
+
+// CampaignID is the package-level CampaignID under this Runner's flow
+// parameters and the campaign's effective sampling spec.
+func (r *Runner) CampaignID(c Campaign) string {
+	c.Sampling = r.effectiveSpec(c)
+	return CampaignID(r.fc, c)
+}
+
+// ShortID abbreviates a campaign fingerprint to its first 12 hex
+// characters: log lines, and the name of a fabric journal fragment.
+func ShortID(id string) string {
+	if len(id) > 12 {
+		return id[:12]
+	}
+	return id
+}
+
+// NewSweep returns the empty Sweep of campaign c under flow parameters fc:
+// every requested name recorded, one (empty) result row per design point,
+// Sampling as the campaign gives it.
+func NewSweep(fc FlowConfig, c Campaign) *Sweep {
+	sw := &Sweep{
+		Flow:        fc,
+		Scale:       c.Scale,
+		Sampling:    c.Sampling,
+		Names:       append([]string(nil), c.Workloads...),
+		ConfigNames: c.ConfigNames(),
+		Profiles:    map[string]*Profile{},
+		Results:     map[string]map[string]*Result{},
+	}
+	for _, name := range sw.ConfigNames {
+		sw.Results[name] = map[string]*Result{}
+	}
+	return sw
 }
 
 // Validate rejects campaigns the sweep engine cannot run unambiguously:

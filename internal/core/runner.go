@@ -337,7 +337,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 			}
 			return buf.Bytes(), nil
 		})
-	if sel := p.Selection; err == nil && r.reg != nil {
+	if sel := p.Selection; err == nil {
 		r.reg.Counter("simpoint.kmeans.runs").Add(int64(sel.Stats.Runs))
 		r.reg.Counter("simpoint.kmeans.iterations").Add(int64(sel.Stats.Iterations))
 		r.reg.Gauge("simpoint.k").Set(float64(sel.K))

@@ -42,18 +42,8 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		noteMu.Unlock()
 	}
 	spec := r.effectiveSpec(camp)
-	sw := &Sweep{
-		Flow:     r.fc,
-		Scale:    camp.Scale,
-		Sampling: spec,
-		Names:    append([]string(nil), names...),
-		Profiles: map[string]*Profile{},
-		Results:  map[string]map[string]*Result{},
-	}
-	for _, cfg := range configs {
-		sw.ConfigNames = append(sw.ConfigNames, cfg.Name)
-		sw.Results[cfg.Name] = map[string]*Result{}
-	}
+	sw := NewSweep(r.fc, camp)
+	sw.Sampling = spec
 	var mu sync.Mutex
 	cellKeys := map[string][]artifact.Key{} // by workload, aligned with configs; nil without a cache
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Result auditing: the coordinator's defense against a worker that
@@ -137,7 +139,7 @@ func (c *Coordinator) grantAuditLocked(r *run, cl *cell, worker string, now time
 	cl.task.Seq = c.seq
 	t := cl.task
 	t.Fresh = true // the granted copy only: cl.task itself stays a normal cell identity
-	c.count("fabric.audit_grants")
+	c.reg.Counter("fabric.audit_grants").Inc()
 	return &t
 }
 
@@ -164,11 +166,11 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 		return
 	}
 	if len(counts) == 1 {
-		c.count("fabric.audits_passed")
+		c.reg.Counter("fabric.audits_passed").Inc()
 	} else {
-		c.count("fabric.audits_diverged")
+		c.reg.Counter("fabric.audits_diverged").Inc()
 		c.logf("campaign %s: AUDIT DIVERGENCE on %s: %d fingerprint(s) across %d vote(s)",
-			short(r.id), cl.task.Label(), len(counts), len(cl.reports))
+			core.ShortID(r.id), cl.task.Label(), len(counts), len(cl.reports))
 	}
 	var win auditReport
 	for _, rep := range cl.reports {
@@ -194,19 +196,19 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 // its producer still requeues it.
 func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
 	orig := cl.reports[0]
-	c.count("fabric.audits_abandoned")
+	c.reg.Counter("fabric.audits_abandoned").Inc()
 	if len(cl.reports) > 1 {
 		sums := map[[sha256.Size]byte]bool{}
 		for _, rep := range cl.reports {
 			sums[rep.sum] = true
 		}
 		if len(sums) > 1 {
-			c.count("fabric.audits_diverged")
+			c.reg.Counter("fabric.audits_diverged").Inc()
 			c.logf("campaign %s: UNRESOLVED AUDIT DIVERGENCE on %s (%s); accepting %s's original result",
-				short(r.id), cl.task.Label(), reason, orig.worker)
+				core.ShortID(r.id), cl.task.Label(), reason, orig.worker)
 		}
 	} else {
-		c.logf("campaign %s: abandoning audit of %s (%s)", short(r.id), cl.task.Label(), reason)
+		c.logf("campaign %s: abandoning audit of %s (%s)", core.ShortID(r.id), cl.task.Label(), reason)
 	}
 	c.finishCellLocked(r, cl, orig.worker, orig.payload, false)
 }
@@ -226,7 +228,7 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 		return
 	}
 	ws.quarantined = true
-	c.count("fabric.workers_quarantined")
+	c.reg.Counter("fabric.workers_quarantined").Inc()
 	c.logf("worker %s QUARANTINED: %s", worker, reason)
 	if r.finished {
 		return // failed fast: nothing left to requeue into
@@ -241,13 +243,13 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 			if cl.worker == worker {
 				cl.state = cellPending
 				cl.worker = ""
-				c.count("fabric.cells_requeued_suspect")
+				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
 			}
 		case cellAuditLeased:
 			if cl.worker == worker {
 				cl.state = cellAuditWait
 				cl.worker = ""
-				c.count("fabric.cells_stolen")
+				c.reg.Counter("fabric.cells_stolen").Inc()
 			}
 		case cellDone:
 			if cl.doneBy == worker && !cl.audited && cl.task.Kind == taskMeasure {
@@ -259,9 +261,9 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 				cl.auditRounds = 0
 				r.remaining++
 				revokeCell(r.frag, label)
-				c.count("fabric.cells_requeued_suspect")
+				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
 				c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
-					short(r.id), label, worker)
+					core.ShortID(r.id), label, worker)
 			}
 		}
 	}
@@ -279,7 +281,7 @@ func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload 
 	cl.payload = payload
 	cl.reports = nil
 	r.remaining--
-	c.count("fabric.cells_done")
+	c.reg.Counter("fabric.cells_done").Inc()
 	if c.reg != nil {
 		c.reg.Counter("fabric.cells_done." + worker).Inc()
 	}

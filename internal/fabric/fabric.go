@@ -192,10 +192,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 		workers: map[string]*workerState{},
 	}
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/fabric/workers", c.handleRegister)
-	c.mux.HandleFunc("POST /v1/fabric/poll", c.handlePoll)
-	c.mux.HandleFunc("POST /v1/fabric/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("POST /v1/fabric/done", c.handleDone)
+	c.mux.HandleFunc("POST /v1/fabric/workers", post(c, c.handleRegister))
+	c.mux.HandleFunc("POST /v1/fabric/poll", post(c, c.handlePoll))
+	c.mux.HandleFunc("POST /v1/fabric/heartbeat", post(c, c.handleHeartbeat))
+	c.mux.HandleFunc("POST /v1/fabric/done", post(c, c.handleDone))
 	c.mux.HandleFunc("GET /v1/fabric/status", c.handleStatus)
 	c.mux.HandleFunc("GET /v1/fabric/campaigns/{id}", c.handleCampaign)
 	if cfg.Store != nil {
@@ -242,12 +242,6 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 	}
 }
 
-func (c *Coordinator) count(name string) {
-	if c.reg != nil {
-		c.reg.Counter(name).Inc()
-	}
-}
-
 // RunCampaign distributes one campaign across the registered workers and
 // blocks until every cell is terminal (or ctx is canceled). It has the
 // exact signature of serve.Config.Distribute. One campaign is in flight at
@@ -266,8 +260,8 @@ func (c *Coordinator) RunCampaign(ctx context.Context, id string, camp core.Camp
 			return sw, err
 		}
 	}
-	c.count("fabric.local_fallback")
-	c.logf("campaign %s: no live workers, running locally", short(id))
+	c.reg.Counter("fabric.local_fallback").Inc()
+	c.logf("campaign %s: no live workers, running locally", core.ShortID(id))
 	return local.Sweep(ctx, camp)
 }
 
@@ -285,7 +279,7 @@ func (c *Coordinator) distribute(ctx context.Context, id string, camp core.Campa
 	}
 	defer c.retire(r)
 	c.logf("campaign %s: %d cell(s) across %d live worker(s)",
-		short(id), len(r.order), c.LiveWorkers())
+		core.ShortID(id), len(r.order), c.LiveWorkers())
 	tick := time.NewTicker(c.cfg.Lease)
 	defer tick.Stop()
 	for {
@@ -339,7 +333,7 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	defer c.mu.Unlock()
 	if c.run != nil {
 		return nil, fmt.Errorf("fabric: campaign %s refused: campaign %s is in flight and the coordinator runs one at a time",
-			short(id), short(c.run.id))
+			core.ShortID(id), core.ShortID(c.run.id))
 	}
 	if journalDir := c.cfg.Engine.CacheDir; journalDir != "" {
 		resumed := 0
@@ -360,7 +354,7 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 			if c.reg != nil {
 				c.reg.Counter("fabric.cells_resumed").Add(int64(resumed))
 			}
-			c.logf("campaign %s: resumed %d cell(s) from journal fragment", short(id), resumed)
+			c.logf("campaign %s: resumed %d cell(s) from journal fragment", core.ShortID(id), resumed)
 		}
 		r.frag = openFragment(FragmentPath(journalDir, id), id, c.logf)
 	}
@@ -429,7 +423,7 @@ func (c *Coordinator) nextTask(worker string) *Task {
 		cl.deadline = now.Add(c.cfg.Lease)
 		cl.task.Seq = c.seq
 		t := cl.task
-		c.count("fabric.cells_leased")
+		c.reg.Counter("fabric.cells_leased").Inc()
 		return &t
 	}
 	return nil
@@ -445,18 +439,18 @@ func (c *Coordinator) expireLeasesLocked(r *run, now time.Time) {
 		case cellLeased:
 			if now.After(cl.deadline) {
 				c.logf("campaign %s: stealing %s from silent worker %s",
-					short(r.id), label, cl.worker)
+					core.ShortID(r.id), label, cl.worker)
 				cl.state = cellPending
 				cl.worker = ""
-				c.count("fabric.cells_stolen")
+				c.reg.Counter("fabric.cells_stolen").Inc()
 			}
 		case cellAuditLeased:
 			if now.After(cl.deadline) {
 				c.logf("campaign %s: stealing audit of %s from silent worker %s",
-					short(r.id), label, cl.worker)
+					core.ShortID(r.id), label, cl.worker)
 				cl.state = cellAuditWait
 				cl.worker = ""
-				c.count("fabric.cells_stolen")
+				c.reg.Counter("fabric.cells_stolen").Inc()
 			}
 		}
 	}
@@ -469,7 +463,7 @@ func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
 	cl.errMsg = msg
 	cl.worker = ""
 	r.remaining--
-	c.count("fabric.cells_failed")
+	c.reg.Counter("fabric.cells_failed").Inc()
 	if cl.task.Kind == taskProfile {
 		for _, label := range r.order {
 			dep := r.cells[label]
@@ -477,7 +471,7 @@ func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
 				dep.state = cellFailed
 				dep.errMsg = fmt.Sprintf("dependency %s failed", cl.task.Label())
 				r.remaining--
-				c.count("fabric.cells_failed")
+				c.reg.Counter("fabric.cells_failed").Inc()
 			}
 		}
 	}
@@ -507,18 +501,7 @@ func (c *Coordinator) finishLocked(r *run) {
 func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := &core.Sweep{
-		Flow:        core.FlowConfigFor(r.camp.Scale),
-		Scale:       r.camp.Scale,
-		Sampling:    r.camp.Sampling,
-		Names:       append([]string(nil), r.camp.Workloads...),
-		ConfigNames: r.camp.ConfigNames(),
-		Profiles:    map[string]*core.Profile{},
-		Results:     map[string]map[string]*core.Result{},
-	}
-	for _, name := range sw.ConfigNames {
-		sw.Results[name] = map[string]*core.Result{}
-	}
+	sw := core.NewSweep(core.FlowConfigFor(r.camp.Scale), r.camp)
 	cfgs := map[string]boom.Config{}
 	for _, cfg := range r.camp.Configs {
 		cfgs[cfg.Name] = cfg
@@ -552,14 +535,6 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 		return sw, &core.SweepErrors{Errs: errs}
 	}
 	return sw, nil
-}
-
-// short abbreviates a campaign fingerprint for log lines.
-func short(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }
 
 // sortedWorkersLocked snapshots worker rows for the status endpoint.

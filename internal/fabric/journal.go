@@ -3,6 +3,7 @@ package fabric
 import (
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 )
 
@@ -22,11 +23,7 @@ import (
 // FragmentPath returns the journal fragment location for one campaign
 // under the coordinator's cache/journal directory.
 func FragmentPath(dir, campaignID string) string {
-	short := campaignID
-	if len(short) > 12 {
-		short = short[:12]
-	}
-	return filepath.Join(dir, "fabric-"+short+".journal")
+	return filepath.Join(dir, "fabric-"+core.ShortID(campaignID)+".journal")
 }
 
 // openFragment opens the fragment at path for campaignID under

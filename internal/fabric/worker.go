@@ -1,11 +1,8 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -118,71 +116,16 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-func (w *Worker) count(name string) {
-	if w.cfg.Registry != nil {
-		w.cfg.Registry.Counter(name).Inc()
-	}
-}
-
-// rpcError is a non-2xx coordinator answer, typed so retry layers can
-// separate refusals (4xx: the coordinator understood and said no) from
-// server-side trouble (5xx: retry).
-type rpcError struct {
-	code int
-	msg  string
-}
-
-func (e *rpcError) Error() string { return e.msg }
-
-// rpc makes one JSON round trip to a coordinator endpoint; a nil body
-// sends none (the campaign-spec GET).
-func (w *Worker) rpc(ctx context.Context, method, path string, body, reply interface{}) error {
-	var payload io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
+// call makes one JSON round trip to a coordinator endpoint (a nil body
+// sends none: the campaign-spec GET) under the retry discipline p; every
+// failed attempt that leaves another worth making counts into
+// fabric.rpc_retries.
+func (w *Worker) call(ctx context.Context, p backoff.Policy, method, path string, body, reply any) error {
+	return wire.Retry(ctx, p, func(ctx context.Context) error {
+		_, err := wire.Do(ctx, w.hc, method, w.base+path, body, reply, maxBody)
+		if wire.Retryable(err) {
+			w.cfg.Registry.Counter("fabric.rpc_retries").Inc()
 		}
-		payload = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, w.base+path, payload)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return &rpcError{resp.StatusCode, fmt.Sprintf("fabric: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(raw)))}
-	}
-	if reply != nil {
-		return json.Unmarshal(raw, reply)
-	}
-	return nil
-}
-
-// rpcRetry wraps rpc in the worker's retry discipline: jittered
-// exponential backoff with a per-attempt deadline. Transport errors, 5xx
-// and stalls retry; 4xx refusals return immediately.
-func (w *Worker) rpcRetry(ctx context.Context, p backoff.Policy, method, path string, body, reply interface{}) error {
-	return backoff.Retry(ctx, p, func(actx context.Context) error {
-		err := w.rpc(actx, method, path, body, reply)
-		if err == nil {
-			return nil
-		}
-		if re, ok := err.(*rpcError); ok && re.code/100 == 4 {
-			return backoff.Permanent(err)
-		}
-		w.count("fabric.rpc_retries")
 		return err
 	})
 }
@@ -206,11 +149,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var pr pollResponse
-		if err := w.rpcRetry(ctx, pollPolicy, http.MethodPost, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr); err != nil {
+		if err := w.call(ctx, pollPolicy, http.MethodPost, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			w.count("fabric.poll_errors")
+			w.cfg.Registry.Counter("fabric.poll_errors").Inc()
 			if !sleepCtx(ctx, idle) {
 				return ctx.Err()
 			}
@@ -249,7 +192,7 @@ var (
 
 func (w *Worker) register(ctx context.Context) error {
 	var rr registerResponse
-	err := w.rpcRetry(ctx, registerPolicy, http.MethodPost, "/v1/fabric/workers", registerRequest{Worker: w.cfg.ID}, &rr)
+	err := w.call(ctx, registerPolicy, http.MethodPost, "/v1/fabric/workers", registerRequest{Worker: w.cfg.ID}, &rr)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -291,10 +234,10 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 			case <-tick.C:
 				var hr heartbeatResponse
 				hbPolicy := backoff.Policy{Attempts: 2, Base: 100 * time.Millisecond, AttemptTimeout: lease / 3}
-				err := w.rpcRetry(tctx, hbPolicy, http.MethodPost, "/v1/fabric/heartbeat", heartbeatRequest{Worker: w.cfg.ID, Task: t}, &hr)
+				err := w.call(tctx, hbPolicy, http.MethodPost, "/v1/fabric/heartbeat", heartbeatRequest{Worker: w.cfg.ID, Task: t}, &hr)
 				if err == nil && hr.Lost {
 					lost = true
-					w.count("fabric.leases_lost")
+					w.cfg.Registry.Counter("fabric.leases_lost").Inc()
 					cancel() // stop burning cycles on a cell someone else owns
 					return
 				}
@@ -324,13 +267,13 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	done := doneRequest{Worker: w.cfg.ID, Task: t, OK: err == nil, Payload: payload}
 	if err != nil {
 		done.Error = err.Error()
-		w.count("fabric.cells_errored")
+		w.cfg.Registry.Counter("fabric.cells_errored").Inc()
 		w.logf("worker %s: %s failed: %v", w.cfg.ID, t.Label(), err)
 	} else {
-		w.count("fabric.cells_completed")
+		w.cfg.Registry.Counter("fabric.cells_completed").Inc()
 	}
 	var dr doneResponse
-	if rerr := w.rpcRetry(ctx, cellPolicy, http.MethodPost, "/v1/fabric/done", done, &dr); rerr != nil {
+	if rerr := w.call(ctx, cellPolicy, http.MethodPost, "/v1/fabric/done", done, &dr); rerr != nil {
 		w.logf("worker %s: could not report %s; lease will expire", w.cfg.ID, t.Label())
 	}
 }
@@ -396,11 +339,11 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 // storeless re-executions from paying full serial latency.
 func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (*core.Runner, error) {
 	if w.campID != campaignID {
-		var wire campaignWire
-		if err := w.rpcRetry(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &wire); err != nil {
-			return nil, fmt.Errorf("fabric: fetching campaign %s: %w", short(campaignID), err)
+		var spec campaignWire
+		if err := w.call(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &spec); err != nil {
+			return nil, fmt.Errorf("fabric: fetching campaign %s: %w", core.ShortID(campaignID), err)
 		}
-		w.campID, w.camp, w.normal, w.fresh = campaignID, wire.campaign(), nil, nil
+		w.campID, w.camp, w.normal, w.fresh = campaignID, spec.campaign(), nil, nil
 	}
 	slot := &w.normal
 	if fresh {

@@ -1,15 +1,17 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/dse"
+	"repro/internal/wire"
 )
 
 // Client is the boomd HTTP client cmd/boomctl and cmd/dse -addr share.
@@ -18,10 +20,23 @@ type Client struct {
 	HTTP *http.Client
 }
 
-// NewClient returns a client for the daemon at addr (host:port) whose
-// every request, long polls included, is capped at timeout.
-func NewClient(addr string, timeout time.Duration) *Client {
-	return &Client{Base: "http://" + addr, HTTP: &http.Client{Timeout: timeout}}
+// NewClient returns a client for the daemon at addr (host:port).
+func NewClient(addr string) *Client {
+	return &Client{Base: "http://" + addr, HTTP: &http.Client{}}
+}
+
+// requestBound caps one request — not a wait: Result asks again when a long
+// poll outlives it (a variable so tests can shrink it). maxReply caps one
+// reply: a 4096-point result is ~15 MB.
+var requestBound = 10 * time.Minute
+
+const maxReply = 1 << 28
+
+// Do makes one bounded round trip to the daemon (see wire.Do).
+func (c *Client) Do(ctx context.Context, method, path string, body, reply any) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, requestBound)
+	defer cancel()
+	return wire.Do(ctx, c.HTTP, method, c.Base+path, body, reply, maxReply)
 }
 
 // RequestFromSpec starts a parametric (v2) request from a design-space
@@ -65,66 +80,35 @@ func SamplingBlock(interval int64, features string, dims, maxK int, warmup strin
 // campaign fingerprint to ask for the result under.
 func (c *Client) Submit(req SweepRequest) (Status, error) {
 	var st Status
-	body, err := json.Marshal(req)
-	if err != nil {
-		return st, err
-	}
-	resp, err := c.HTTP.Post(c.Base+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return st, err
-	}
-	b, err := ReadBody(resp)
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return st, fmt.Errorf("decoding submit response: %w", err)
-	}
-	return st, nil
+	_, err := c.Do(context.Background(), http.MethodPost, "/v1/sweeps", req, &st)
+	return st, err
 }
 
 // Result fetches a job's canonical result JSON. With wait it long-polls
-// until the job is terminal, re-polling if a proxy cuts the poll short;
-// without, an unfinished job is an error.
+// until the job is terminal, however long that takes: a poll that comes back
+// 202, or that outlives the client's own requestBound, is asked again — only
+// the daemon's answer (200 the result, 500 the sweep failed) or a transport
+// failure ends the wait. Without wait an unfinished job is an error.
 func (c *Client) Result(id string, wait bool) ([]byte, error) {
-	url := c.Base + "/v1/sweeps/" + id + "/result"
+	path := "/v1/sweeps/" + id + "/result"
+	poll := backoff.Policy{Attempts: 1}
 	if wait {
-		url += "?wait=1"
+		path += "?wait=1"
+		poll = backoff.Policy{Attempts: math.MaxInt, Base: 200 * time.Millisecond, Max: 200 * time.Millisecond, Jitter: -1}
 	}
-	for {
-		resp, err := c.HTTP.Get(url)
-		if err != nil {
-			return nil, err
+	var b []byte
+	err := backoff.Retry(context.Background(), poll, func(ctx context.Context) error {
+		status, err := c.Do(ctx, http.MethodGet, path, nil, &b)
+		switch {
+		case status == http.StatusAccepted:
+			return fmt.Errorf("sweep %s not finished (use -wait)", id)
+		case errors.Is(err, context.DeadlineExceeded):
+			return backoff.After(err, 0) // our own bound cut the poll: ask again now
 		}
-		b, err := ReadBody(resp)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return b, nil
-		}
-		if !wait {
-			return nil, fmt.Errorf("sweep %s not finished (use -wait)", id)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// ReadBody drains the response and turns non-2xx (other than 202, which
-// callers branch on) into an error carrying the server's message — plus
-// the Retry-After hint when the server sent one, so a draining node reads
-// as "retry after Ns", not a bare failure.
-func ReadBody(resp *http.Response) ([]byte, error) {
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+		return backoff.Permanent(err)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			return nil, fmt.Errorf("%s: %s (retry after %ss)", resp.Status, bytes.TrimSpace(b), ra)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
 	}
 	return b, nil
 }

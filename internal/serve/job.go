@@ -23,9 +23,8 @@ const (
 // job is also the single-flight slot for its campaign: duplicates find it
 // in Server.jobs and collapse onto it instead of enqueueing.
 type job struct {
-	id     string
-	camp   core.Campaign
-	runner *core.Runner
+	id   string
+	camp core.Campaign
 
 	// Mutable state, guarded by Server.mu.
 	state     jobState
@@ -46,7 +45,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one sweep under the server's base context. The cache
+// runJob builds the job's Runner — here, not at submission, so a collapsed,
+// rejected or still-queued submission opens no cache and no remote-store
+// client — and executes one sweep under the server's base context. The cache
 // makes cancellation lossless: every finished stage is stored before the
 // sweep returns, so after a drain that cancels mid-campaign a resubmission
 // recomputes only what had not finished.
@@ -57,18 +58,18 @@ func (s *Server) runJob(j *job) {
 	s.reg.Gauge("serve.queue_depth").Set(float64(len(s.queue)))
 	s.reg.Counter("serve.sweeps_started").Inc()
 	s.logf("sweep %s: %d workload(s) × %d design point(s) at %s scale",
-		shortID(j.id), len(j.camp.Workloads), len(j.camp.Configs), j.camp.Scale)
+		core.ShortID(j.id), len(j.camp.Workloads), len(j.camp.Configs), j.camp.Scale)
 
 	start := time.Now()
 	var sw *core.Sweep
-	var err error
-	if s.cfg.Distribute != nil {
+	runner, err := s.newRunner(j.camp) // fails only on an Engine New would have refused
+	if err == nil && s.cfg.Distribute != nil {
 		// Distributed plane: the fabric coordinator shards the campaign
-		// across live workers (or runs it on j.runner when none are),
+		// across live workers (or runs it on runner when none are),
 		// returning the same canonical Sweep either way.
-		sw, err = s.cfg.Distribute(s.baseCtx, j.id, j.camp, j.runner)
-	} else {
-		sw, err = j.runner.Sweep(s.baseCtx, j.camp)
+		sw, err = s.cfg.Distribute(s.baseCtx, j.id, j.camp, runner)
+	} else if err == nil {
+		sw, err = runner.Sweep(s.baseCtx, j.camp)
 	}
 	var payload []byte
 	var encErr error
@@ -105,13 +106,13 @@ func (s *Server) runJob(j *job) {
 		s.reg.Counter("serve.sweeps_failed").Inc()
 		if errors.Is(err, context.Canceled) {
 			s.logf("sweep %s: canceled during drain after %s (a resubmission resumes from the cache)",
-				shortID(j.id), time.Since(start).Round(time.Millisecond))
+				core.ShortID(j.id), time.Since(start).Round(time.Millisecond))
 		} else {
-			s.logf("sweep %s: failed: %v", shortID(j.id), err)
+			s.logf("sweep %s: failed: %v", core.ShortID(j.id), err)
 		}
 	} else {
 		s.reg.Counter("serve.sweeps_done").Inc()
-		s.logf("sweep %s: done in %s", shortID(j.id), time.Since(start).Round(time.Millisecond))
+		s.logf("sweep %s: done in %s", core.ShortID(j.id), time.Since(start).Round(time.Millisecond))
 	}
 	close(j.done)
 }
@@ -164,12 +165,4 @@ func (s *Server) Close() {
 	s.BeginDrain()
 	s.cancel()
 	s.wg.Wait()
-}
-
-// shortID abbreviates a campaign fingerprint for log lines.
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }

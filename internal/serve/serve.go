@@ -1,7 +1,7 @@
 // Package serve puts the sweep engine behind an HTTP job service. It is
 // the thin layer cmd/boomd is built from: a bounded job queue with
 // admission control in front of core.Runner, with campaign fingerprints
-// (core.Runner.CampaignID, built from the inputs the artifact cache keys
+// (core.CampaignID, built from the inputs the artifact cache keys
 // on) doubling as job IDs, so duplicate in-flight submissions of one
 // campaign collapse onto a single sweep.
 //
@@ -46,7 +46,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -54,6 +53,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
+	"repro/internal/wire"
 )
 
 // Config carries the daemon's flags into the server. The zero value is a
@@ -95,10 +95,6 @@ type Config struct {
 	// way, fabric_test imports serve to prove byte-identity.
 	Distribute func(ctx context.Context, id string, camp core.Campaign, local *core.Runner) (*core.Sweep, error)
 }
-
-// retryAfter is the Retry-After hint sent with 429 (queue full) and 503
-// (draining), in seconds.
-const retryAfter = "2"
 
 // Server is the HTTP job service. Create with New, serve via Handler,
 // stop with Shutdown (graceful) or Close (immediate).
@@ -187,41 +183,48 @@ type Status struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// handleSubmit admits a campaign: resolve → fingerprint → single-flight →
-// bounded enqueue. The fingerprint is computed by the same Runner that
-// will execute the sweep, so "same campaign" here means exactly what the
-// cache and the fabric mean by it.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxRequest caps a submission body: the largest parametric request is a
+// few KB.
+const maxRequest = 1 << 20
+
+// decodeSubmit turns a submission into the campaign it asks for: one JSON
+// value with no unknown fields (wire.ReadJSON), resolved against the
+// registries. Every rejection is a 400.
+func (s *Server) decodeSubmit(w http.ResponseWriter, r *http.Request) (core.Campaign, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+	if err := wire.ReadJSON(w, r, maxRequest, true, &req); err != nil {
+		return core.Campaign{}, err
 	}
 	camp, err := resolveRequest(req)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return camp, &wire.Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	if camp.Sampling.IsZero() {
 		// Daemon-level default; the request's own block (even an explicit
 		// empty one, which resolves to the zero spec) was already applied.
 		camp.Sampling = s.cfg.Sampling
 	}
-	runner, err := s.newRunner(camp)
+	return camp, nil
+}
+
+// handleSubmit admits a campaign: resolve → fingerprint → single-flight →
+// bounded enqueue. The fingerprint is the one the job's Runner (built when
+// the job starts, see runJob) computes, so "same campaign" here means
+// exactly what the cache and the fabric mean by it.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	camp, err := s.decodeSubmit(w, r)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, err)
 		return
 	}
-	id := runner.CampaignID(camp)
+	id := core.CampaignID(core.FlowConfigFor(camp.Scale), camp)
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_draining").Inc()
-		w.Header().Set("Retry-After", retryAfter)
-		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
+		wire.WriteError(w, &wire.Error{Status: http.StatusServiceUnavailable,
+			Msg: "server is draining", RetryAfter: wire.RetryHint})
 		return
 	}
 	if j := s.jobs[id]; j != nil && j.state != jobFailed {
@@ -230,24 +233,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st := s.statusLocked(j)
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_collapsed").Inc()
-		s.writeJSON(w, http.StatusOK, st)
+		wire.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	j := &job{
-		id:     id,
-		camp:   camp,
-		runner: runner,
-		state:  jobQueued,
-		done:   make(chan struct{}),
+		id:    id,
+		camp:  camp,
+		state: jobQueued,
+		done:  make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_full").Inc()
-		w.Header().Set("Retry-After", retryAfter)
-		s.httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth))
+		wire.WriteError(w, &wire.Error{Status: http.StatusTooManyRequests,
+			Msg: fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth), RetryAfter: wire.RetryHint})
 		return
 	}
 	s.jobs[id] = j // a failed prior job is replaced: resubmission retries it
@@ -256,7 +257,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.reg.Counter("serve.jobs_accepted").Inc()
 	s.reg.Gauge("serve.queue_depth").Set(float64(depth))
-	s.writeJSON(w, http.StatusAccepted, st)
+	wire.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -269,10 +270,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if j == nil {
-		s.httpError(w, http.StatusNotFound, "unknown sweep "+id)
+		wire.WriteError(w, &wire.Error{Status: http.StatusNotFound, Msg: "unknown sweep " + id})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, st)
+	wire.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleResult serves the canonical result bytes exactly as the worker
@@ -284,7 +285,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j == nil {
-		s.httpError(w, http.StatusNotFound, "unknown sweep "+id)
+		wire.WriteError(w, &wire.Error{Status: http.StatusNotFound, Msg: "unknown sweep " + id})
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
@@ -303,10 +304,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(result)
 	case jobFailed:
-		s.httpError(w, http.StatusInternalServerError, "sweep failed: "+errMsg)
+		wire.WriteError(w, &wire.Error{Status: http.StatusInternalServerError, Msg: "sweep failed: " + errMsg})
 	default:
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusAccepted, st)
+		wire.SetRetryAfter(w, "1")
+		wire.WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
@@ -357,25 +358,6 @@ func (s *Server) statusLocked(j *job) Status {
 		Collapsed: j.collapsed,
 		Error:     j.err,
 	}
-}
-
-type jsonError struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) httpError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, jsonError{Error: msg})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
 }
 
 func (s *Server) logf(format string, args ...interface{}) {

@@ -349,12 +349,16 @@ func TestValidation(t *testing.T) {
 		{"unknown config", `{"configs":["GigaBOOM"]}`},
 		{"duplicate config", `{"configs":["medium","MediumBOOM"]}`},
 		{"unknown scale", `{"scale":"huge"}`},
+		{"trailing bytes", `{"workloads":["sha"]} garbage`},
+		{"second value", `{"workloads":["sha"]}{"workloads":["qsort"]}`},
 	} {
 		resp, b := postCampaign(t, ts, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d %s, want 400", tc.name, resp.StatusCode, b)
 		}
-		var je jsonError
+		var je struct {
+			Error string `json:"error"`
+		}
 		if err := json.Unmarshal(b, &je); err != nil || je.Error == "" {
 			t.Errorf("%s: error payload %q is not {\"error\":...}", tc.name, b)
 		}
