@@ -55,7 +55,7 @@ var ceilingKernels = []string{"tick", "tick_lo_ipc", "warm_sweep"}
 
 // ceilingSlack is the fraction of its committed row a ceiling kernel may
 // exceed it by. It rounds to nothing on the tick rows (57/op); on
-// warm_sweep (~2400/op) it is the handful of allocations per op that refill
+// warm_sweep (~1500/op) it is the handful of allocations per op that refill
 // the sync.Pools (fmt's, the artifact verifier's buffer) a GC cycle in the
 // middle of an 8-iteration run empties. A payload parse is thousands.
 const ceilingSlack = 0.01

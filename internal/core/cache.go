@@ -28,8 +28,8 @@ import (
 // keys:
 //
 //	bbv        ← workload identity (name, suite, scale, generator output:
-//	             source text, data segments, checksum) + resolved interval
-//	             size + sampling spec
+//	             source text, data segments) + resolved interval size +
+//	             sampling spec
 //	select     ← bbv key + resolved simpoint.Config + sampling spec
 //	checkpoint ← bbv key + select key + resolved warm-up length
 //	measure    ← checkpoint key + boom.Config + asap7.Library
@@ -41,15 +41,14 @@ import (
 // (internal/artifact); payload meaning is versioned here.
 
 // Per-stage schema versions, covering both a stage's key shape and its
-// payload format. The profile stages' and the fingerprint's latest bump
-// changed key shapes only (one shape for every sampling spec, the zero
-// spec included).
+// payload format. The latest bump (bbv 4, full 2) dropped the reference
+// checksum from the workload identity.
 const (
-	bbvSchema     = 3 // sampling spec in key; MAV section in payload under a bbv+mav spec
+	bbvSchema     = 4 // sampling spec in key; MAV section in payload under a bbv+mav spec
 	selectSchema  = 3 // sampling spec in key
 	ckptSchema    = 4 // resolved warm-up in key; flate-compressed body
 	measureSchema = 1
-	fullSchema    = 1
+	fullSchema    = 2
 	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
 )
 
@@ -65,13 +64,14 @@ const maxCkptRawLen = 1 << 31
 
 // workloadIdent is every input that determines a workload's committed
 // instruction stream: the generator's name and parameters are fully
-// captured by the generated source, data segments and reference checksum.
+// captured by the generated source and data segments. The reference
+// checksum is a function of those two, so it is not hashed — and a key is
+// derived without running the reference (workloads.Workload.Checksum).
 type workloadIdent struct {
 	Name         string
 	Suite        string
 	Scale        int
 	IntervalSize int64
-	Checksum     uint64
 	Source       string
 	Segments     []workloads.Segment
 }
@@ -82,7 +82,6 @@ func identOf(w *workloads.Workload) workloadIdent {
 		Suite:        w.Suite,
 		Scale:        int(w.Scale),
 		IntervalSize: w.IntervalSize,
-		Checksum:     w.Checksum,
 		Source:       w.Source,
 		Segments:     w.Segments,
 	}

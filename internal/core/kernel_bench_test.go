@@ -66,10 +66,11 @@ func BenchmarkKernelMeasureJ4MegaBOOM(b *testing.B) { benchMeasure(b, 4) }
 // BenchmarkKernelWarmSweep is a rerun: the 3 × 3 tiny campaign against a
 // cache populated in set-up, a fresh Runner per iteration (a new process's
 // worth of Runner against an old cache), on one worker so allocs/op is the
-// same count on every host. What is left is workloads.Build, key
-// derivation, three selection and nine result decodes, and six streaming
-// checksums; `make bench-smoke` holds allocs/op at or below the ledger's
-// warm_sweep row, so a payload read creeping back in fails on any machine.
+// same count on every host. What is left is workloads.Build (generation
+// only: no reference runs), key derivation, three selection and nine
+// result decodes, and six streaming checksums; `make bench-smoke` holds
+// allocs/op at or below the ledger's warm_sweep row, so a payload read
+// creeping back in fails on any machine.
 func BenchmarkKernelWarmSweep(b *testing.B) {
 	dir := b.TempDir()
 	camp := tcamp(warmNames, boom.Configs())

@@ -272,6 +272,9 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 						return fmt.Errorf("no forward progress (did not halt)")
 					}
 				}
+				if cerr := checkExit(w, cpu); cerr != nil {
+					return cerr
+				}
 				profiler.Finish()
 				p.Vectors, p.TotalInsts, p.NumBlocks = profiler.Vectors(), uint64(n), profiler.NumBlocks()
 				if mavProf != nil {
@@ -744,6 +747,11 @@ func (r *Runner) measureFull(ctx context.Context, w *workloads.Workload, cfg boo
 		}
 	}
 	endStage()
+	if cpu.Halted {
+		if err := checkExit(w, cpu); err != nil {
+			return serr(StageMeasure, err)
+		}
+	}
 
 	st := core.Stats()
 	est := power.NewEstimator(cfg, r.fc.Lib)
@@ -763,8 +771,20 @@ func (r *Runner) measureFull(ctx context.Context, w *workloads.Workload, cfg boo
 	return nil
 }
 
+// checkExit is the flow's end-to-end oracle: a program that ran to its
+// halt must leave the workload's Go reference value in a0. A mismatch is
+// deterministic (the assembler, the functional simulator or the kernel
+// disagrees with the reference), so it is never retried.
+func checkExit(w *workloads.Workload, cpu *sim.CPU) error {
+	if got, want := uint64(cpu.Exit), w.Checksum(); got != want {
+		return fmt.Errorf("workload %s exited with %#x, reference checksum %#x", w.Name, got, want)
+	}
+	return nil
+}
+
 // Validate runs both the SimPoint flow and the full detailed model for
-// one workload (built at the Runner's scale) and compares their IPC.
+// one workload (built at the Runner's scale) and compares their IPC. Both
+// runs share one Workload, so one reference run serves both exit checks.
 func (r *Runner) Validate(ctx context.Context, name string, cfg boom.Config) (*Accuracy, error) {
 	w, err := workloads.Build(name, r.scale)
 	if err != nil {
@@ -778,11 +798,7 @@ func (r *Runner) Validate(ctx context.Context, name string, cfg boom.Config) (*A
 	if err != nil {
 		return nil, err
 	}
-	w2, err := workloads.Build(name, r.scale)
-	if err != nil {
-		return nil, err
-	}
-	full, err := r.RunFull(ctx, w2, cfg)
+	full, err := r.RunFull(ctx, w, cfg)
 	if err != nil {
 		return nil, err
 	}

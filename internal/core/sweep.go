@@ -14,6 +14,10 @@ import (
 	"repro/internal/workloads"
 )
 
+// buildWorkload is how Sweep builds a campaign's workloads; the exit-check
+// tests swap in a program that disagrees with its reference.
+var buildWorkload = workloads.Build
+
 // Sweep profiles every campaign workload once (at the campaign's scale)
 // and evaluates it on every design point with the SimPoint flow: N
 // configs share one profile/select/checkpoint per workload, both within
@@ -57,7 +61,7 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		id:    func(i int) taskID { return taskID{kind: "profile", workload: names[i]} },
 		do: func(ctx context.Context, i int) error {
 			name := names[i]
-			w, err := workloads.Build(name, camp.Scale)
+			w, err := buildWorkload(name, camp.Scale)
 			if err != nil {
 				return wrapStage(StageProfile, name, "", err)
 			}

@@ -47,9 +47,8 @@ func gcdRef(a, b uint64) uint64 {
 	return a
 }
 
-func buildBasicmath(s Scale) (*Workload, error) {
-	n := basicmathN(s)
-
+// basicmathRef is the three phases' checksum over n values each.
+func basicmathRef(n int64) uint64 {
 	var acc uint64
 	// Phase A: integer square roots of pseudo-random values.
 	l := newLCG(0xB45)
@@ -77,6 +76,11 @@ func buildBasicmath(s Scale) (*Workload, error) {
 		}
 		acc += 5 * v
 	}
+	return acc
+}
+
+func buildBasicmath(s Scale) (*Workload, error) {
+	n := basicmathN(s)
 
 	src := fmt.Sprintf(`
 	.equ N, %d
@@ -180,10 +184,10 @@ pc_horner:
 `+exitSeq, n, int64(lcgMul), int64(lcgInc))
 
 	return &Workload{
-		Name:     "basicmath",
-		Suite:    "MiBench",
-		Scale:    s,
-		Source:   src,
-		Checksum: acc,
+		Name:   "basicmath",
+		Suite:  "MiBench",
+		Scale:  s,
+		Source: src,
+		ref:    func() uint64 { return basicmathRef(n) },
 	}, nil
 }

@@ -71,28 +71,31 @@ func buildDijkstra(s Scale) (*Workload, error) {
 
 func buildDijkstraWith(v, sources int64) (*Workload, error) {
 
-	// Dense graph with pseudo-random weights 1..999 (no self edges).
-	adj := make([]uint32, v*v)
+	// Dense graph with pseudo-random weights 1..999 (no self edges), as the
+	// little-endian u32 matrix the kernel reads.
+	seg := make([]byte, 4*v*v)
 	l := newLCG(0xD1C)
 	for i := int64(0); i < v; i++ {
 		for j := int64(0); j < v; j++ {
 			if i == j {
 				continue
 			}
-			adj[i*v+j] = l.next32()%999 + 1
+			binary.LittleEndian.PutUint32(seg[4*(i*v+j):], l.next32()%999+1)
 		}
 	}
 
-	var acc uint64
-	for src := int64(0); src < sources; src++ {
-		for _, d := range dijkstraRef(adj, v, src%v) {
-			acc += uint64(d)
+	ref := func() uint64 {
+		adj := make([]uint32, v*v)
+		for i := range adj {
+			adj[i] = binary.LittleEndian.Uint32(seg[4*i:])
 		}
-	}
-
-	seg := make([]byte, 4*v*v)
-	for i, w := range adj {
-		binary.LittleEndian.PutUint32(seg[4*i:], w)
+		var acc uint64
+		for src := int64(0); src < sources; src++ {
+			for _, d := range dijkstraRef(adj, v, src%v) {
+				acc += uint64(d)
+			}
+		}
+		return acc
 	}
 
 	// Work-queue ring: power-of-two capacity well above the worst-case
@@ -204,7 +207,7 @@ acc_loop:
 		Suite:    "MiBench",
 		Source:   src,
 		Segments: []Segment{{Addr: ExtraBase, Bytes: seg}},
-		Checksum: acc,
+		ref:      ref,
 	}, nil
 }
 

@@ -75,24 +75,26 @@ func buildFFT(s Scale, inverse bool) (*Workload, error) {
 		seed = 0x1FF7
 		name = "ifft"
 	}
-	re := make([]float64, n)
-	im := make([]float64, n)
+	// Memory layout (all offsets from ExtraBase, in bytes):
+	// RE: 0, IM: 8N, WRE: 16N, WIM: 20N, REV: 24N, INVN: 28N.
+	seg := make([]byte, 28*n+8)
+	le := binary.LittleEndian
+	putF := func(off int64, v float64) { le.PutUint64(seg[off:], math.Float64bits(v)) }
+	getF := func(off int64) float64 { return math.Float64frombits(le.Uint64(seg[off:])) }
 	l := newLCG(seed)
 	for i := int64(0); i < n; i++ {
-		re[i] = float64(l.next()>>11)/(1<<53) - 0.5
-		im[i] = float64(l.next()>>11)/(1<<53) - 0.5
+		putF(8*i, float64(l.next()>>11)/(1<<53)-0.5)
+		putF(8*n+8*i, float64(l.next()>>11)/(1<<53)-0.5)
 	}
 
 	// Twiddles: w_k = exp(∓2πik/N); inverse uses the conjugate.
-	wre := make([]float64, n/2)
-	wim := make([]float64, n/2)
 	for k := int64(0); k < n/2; k++ {
 		ang := 2 * math.Pi * float64(k) / float64(n)
-		wre[k] = math.Cos(ang)
+		putF(16*n+8*k, math.Cos(ang))
 		if inverse {
-			wim[k] = math.Sin(ang)
+			putF(20*n+8*k, math.Sin(ang))
 		} else {
-			wim[k] = -math.Sin(ang)
+			putF(20*n+8*k, -math.Sin(ang))
 		}
 	}
 
@@ -101,43 +103,37 @@ func buildFFT(s Scale, inverse bool) (*Workload, error) {
 	for 1<<bitsN < int(n) {
 		bitsN++
 	}
-	rev := make([]uint32, n)
 	for i := int64(0); i < n; i++ {
 		var r uint32
 		for b := 0; b < bitsN; b++ {
 			r |= uint32(i>>uint(b)&1) << uint(bitsN-1-b)
 		}
-		rev[i] = r
-	}
-
-	// Reference run + checksum.
-	refRe := append([]float64(nil), re...)
-	refIm := append([]float64(nil), im...)
-	for r := int64(0); r < reps; r++ {
-		fftRef(refRe, refIm, wre, wim, rev)
-	}
-	var acc uint64
-	for i := int64(0); i < n; i++ {
-		acc = acc*31 + math.Float64bits(refRe[i])
-		acc = acc*31 + math.Float64bits(refIm[i])
-	}
-
-	// Memory layout (all offsets from ExtraBase, in bytes):
-	// RE: 0, IM: 8N, WRE: 16N, WIM: 20N, REV: 24N, INVN: 28N.
-	seg := make([]byte, 28*n+8)
-	putF := func(off int64, v float64) {
-		binary.LittleEndian.PutUint64(seg[off:], math.Float64bits(v))
-	}
-	for i := int64(0); i < n; i++ {
-		putF(8*i, re[i])
-		putF(8*n+8*i, im[i])
-		binary.LittleEndian.PutUint32(seg[24*n+4*i:], rev[i])
-	}
-	for k := int64(0); k < n/2; k++ {
-		putF(16*n+8*k, wre[k])
-		putF(20*n+8*k, wim[k])
+		le.PutUint32(seg[24*n+4*i:], r)
 	}
 	putF(28*n, 1/float64(n))
+
+	// Reference run + checksum, over the inputs read back from the segment.
+	ref := func() uint64 {
+		re, im := make([]float64, n), make([]float64, n)
+		wre, wim := make([]float64, n/2), make([]float64, n/2)
+		rev := make([]uint32, n)
+		for i := int64(0); i < n; i++ {
+			re[i], im[i] = getF(8*i), getF(8*n+8*i)
+			rev[i] = le.Uint32(seg[24*n+4*i:])
+		}
+		for k := int64(0); k < n/2; k++ {
+			wre[k], wim[k] = getF(16*n+8*k), getF(20*n+8*k)
+		}
+		for r := int64(0); r < reps; r++ {
+			fftRef(re, im, wre, wim, rev)
+		}
+		var acc uint64
+		for i := int64(0); i < n; i++ {
+			acc = acc*31 + math.Float64bits(re[i])
+			acc = acc*31 + math.Float64bits(im[i])
+		}
+		return acc
+	}
 
 	src := fmt.Sprintf(`
 	.equ N,     %d
@@ -290,6 +286,6 @@ ck_loop:
 		Scale:    s,
 		Source:   src,
 		Segments: []Segment{{Addr: ExtraBase, Bytes: seg}},
-		Checksum: acc,
+		ref:      ref,
 	}, nil
 }

@@ -28,43 +28,40 @@ func matmultParams(s Scale) (n, reps int64) {
 func buildMatmult(s Scale) (*Workload, error) {
 	n, reps := matmultParams(s)
 
-	// Input matrices A and B (int32), generated deterministically.
-	a := make([]int32, n*n)
-	b := make([]int32, n*n)
+	// Input matrices A and B (int32), generated deterministically and
+	// stored back to back, followed by room for C.
+	seg := make([]byte, 12*n*n)
 	l := newLCG(0x3A7)
-	for i := range a {
-		a[i] = int32(l.next32() % 1000)
-	}
-	for i := range b {
-		b[i] = int32(l.next32() % 1000)
+	for i := int64(0); i < 2*n*n; i++ {
+		binary.LittleEndian.PutUint32(seg[4*i:], l.next32()%1000)
 	}
 
 	// Reference: C = A×B each rep; accumulate the C sum every rep (C is
 	// identical across reps, so the accumulation just scales — but the
 	// kernel must actually recompute it, same as the original benchmark).
-	var acc uint64
-	c := make([]int32, n*n)
-	for r := int64(0); r < reps; r++ {
-		for i := int64(0); i < n; i++ {
-			for j := int64(0); j < n; j++ {
-				var sum int32
-				for k := int64(0); k < n; k++ {
-					sum += a[i*n+k] * b[k*n+j]
+	ref := func() uint64 {
+		ab := make([]int32, 2*n*n)
+		for i := range ab {
+			ab[i] = int32(binary.LittleEndian.Uint32(seg[4*i:]))
+		}
+		a, b := ab[:n*n], ab[n*n:]
+		var acc uint64
+		c := make([]int32, n*n)
+		for r := int64(0); r < reps; r++ {
+			for i := int64(0); i < n; i++ {
+				for j := int64(0); j < n; j++ {
+					var sum int32
+					for k := int64(0); k < n; k++ {
+						sum += a[i*n+k] * b[k*n+j]
+					}
+					c[i*n+j] = sum
 				}
-				c[i*n+j] = sum
+			}
+			for _, v := range c {
+				acc += uint64(int64(v))
 			}
 		}
-		for _, v := range c {
-			acc += uint64(int64(v))
-		}
-	}
-
-	seg := make([]byte, 12*n*n) // A, B, C back to back
-	for i, v := range a {
-		binary.LittleEndian.PutUint32(seg[4*i:], uint32(v))
-	}
-	for i, v := range b {
-		binary.LittleEndian.PutUint32(seg[4*int64(i)+4*n*n:], uint32(v))
+		return acc
 	}
 
 	src := fmt.Sprintf(`
@@ -139,6 +136,6 @@ sum_loop:
 		Scale:    s,
 		Source:   src,
 		Segments: []Segment{{Addr: ExtraBase, Bytes: seg}},
-		Checksum: acc,
+		ref:      ref,
 	}, nil
 }

@@ -85,10 +85,9 @@ func (t *patTrie) lookup(key uint32) bool {
 	return t.key[n] == key
 }
 
-func buildPatricia(s Scale) (*Workload, error) {
-	inserts, lookups := patriciaParams(s)
-
-	// Reference.
+// patriciaRef builds the trie from the insert stream, probes it, and folds
+// the created and hit counts exactly as the kernel does.
+func patriciaRef(inserts, lookups int64) uint64 {
 	trie := newPatTrie()
 	var created, hits uint64
 	l := newLCG(0x9A7)
@@ -113,8 +112,11 @@ func buildPatricia(s Scale) (*Workload, error) {
 			hits++
 		}
 	}
-	acc := created*2654435761 + hits
+	return created*2654435761 + hits
+}
 
+func buildPatricia(s Scale) (*Workload, error) {
+	inserts, lookups := patriciaParams(s)
 	arenaBytes := (inserts + 8) * patNodeSize
 
 	src := fmt.Sprintf(`
@@ -232,6 +234,6 @@ look_next:
 			// explicit segment documents the footprint and forces pages in).
 			{Addr: ExtraBase, Bytes: make([]byte, arenaBytes)},
 		},
-		Checksum: acc,
+		ref: func() uint64 { return patriciaRef(inserts, lookups) },
 	}, nil
 }

@@ -27,25 +27,27 @@ func qsortK(s Scale) int64 {
 func buildQsort(s Scale) (*Workload, error) {
 	k := qsortK(s)
 
-	vals := make([]float64, k)
+	seg := make([]byte, 8*k)
 	l := newLCG(0x450)
-	for i := range vals {
-		vals[i] = float64(l.next()>>11) / (1 << 53) // [0,1), distinct w.h.p.
+	for i := int64(0); i < k; i++ {
+		v := float64(l.next()>>11) / (1 << 53) // [0,1), distinct w.h.p.
+		binary.LittleEndian.PutUint64(seg[8*i:], math.Float64bits(v))
 	}
 
 	// Reference: the sorted order is unique for distinct keys, so any sort
 	// yields the kernel's final array. Positional checksum with exact FP ops
 	// (×2^32 is exact; the convert truncates toward zero in both worlds).
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	var acc uint64
-	for i, v := range sorted {
-		acc += uint64(i+1) * uint64(int64(v*4294967296.0))
-	}
-
-	seg := make([]byte, 8*k)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(seg[8*i:], math.Float64bits(v))
+	ref := func() uint64 {
+		sorted := make([]float64, k)
+		for i := range sorted {
+			sorted[i] = math.Float64frombits(binary.LittleEndian.Uint64(seg[8*i:]))
+		}
+		sort.Float64s(sorted)
+		var acc uint64
+		for i, v := range sorted {
+			acc += uint64(i+1) * uint64(int64(v*4294967296.0))
+		}
+		return acc
 	}
 
 	src := fmt.Sprintf(`
@@ -133,6 +135,6 @@ done:
 		Scale:    s,
 		Source:   src,
 		Segments: []Segment{{Addr: ExtraBase, Bytes: seg}},
-		Checksum: acc,
+		ref:      ref,
 	}, nil
 }

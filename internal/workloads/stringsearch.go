@@ -62,30 +62,28 @@ func buildStringsearch(s Scale) (*Workload, error) {
 			corpus[i] = byte('a' + r%13) // halve the alphabet: more matches
 		}
 	}
-	// Patterns: substrings of the corpus (guaranteed hits), length 6..13.
+	// Patterns: substrings of the corpus (guaranteed hits), length 6..13,
+	// and their length table (one byte each), appended after the patterns.
 	const patLen = 16 // allocated slot per pattern
 	patSeg := make([]byte, int64(patLen)*patterns)
-	patLens := make([]int64, patterns)
+	lenSeg := make([]byte, patterns)
 	for p := int64(0); p < patterns; p++ {
 		n := 6 + int64(l.next32()%8)
 		off := int64(l.next32()) % (corpusLen - n)
 		copy(patSeg[p*patLen:], corpus[off:off+n])
-		patLens[p] = n
+		lenSeg[p] = byte(n)
 	}
 
 	// Reference.
-	var acc uint64
-	for r := int64(0); r < reps; r++ {
-		for p := int64(0); p < patterns; p++ {
-			pos, m := bmhRef(corpus, patSeg[p*patLen:p*patLen+patLens[p]])
-			acc += pos + m*uint64(p+1)
+	ref := func() uint64 {
+		var acc uint64
+		for r := int64(0); r < reps; r++ {
+			for p := int64(0); p < patterns; p++ {
+				pos, m := bmhRef(corpus, patSeg[p*patLen:p*patLen+int64(lenSeg[p])])
+				acc += pos + m*uint64(p+1)
+			}
 		}
-	}
-
-	// Pattern length table (one byte each) appended after the patterns.
-	lenSeg := make([]byte, patterns)
-	for i, n := range patLens {
-		lenSeg[i] = byte(n)
+		return acc
 	}
 
 	src := fmt.Sprintf(`
@@ -193,6 +191,6 @@ pat_done:
 		Scale:    s,
 		Source:   src,
 		Segments: segs,
-		Checksum: acc,
+		ref:      ref,
 	}, nil
 }

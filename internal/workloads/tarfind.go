@@ -62,24 +62,34 @@ func buildTarfind(s Scale) (*Workload, error) {
 	entries, passes := tarfindParams(s)
 
 	// Build a synthetic archive whose class tags are pseudo-random, so the
-	// per-header compare branches carry no learnable pattern.
+	// per-header compare branches carry no learnable pattern. Every entry's
+	// class and size are drawn first, so the image is allocated once at its
+	// final length (header + data padded to 512 each, then two zero
+	// terminator blocks without magic) and filled in place.
 	l := newLCG(0x7AF)
 	classes := []string{"src", "doc", "img", "bin", "tst", "cfg"}
-	var arc []byte
-	for e := int64(0); e < entries; e++ {
-		h := make([]byte, 512)
-		cls := classes[l.next32()%uint32(len(classes))]
-		name := fmt.Sprintf("proj/%s/file_%06d.dat", cls, e)
-		copy(h[tarNameOff:], name)
-		size := int64(l.next32() % 4000)
-		// 11-digit octal, NUL-terminated (tar convention).
-		copy(h[tarSizeOff:], fmt.Sprintf("%011o", size))
-		copy(h[tarMagicOff:], "ustar")
-		arc = append(arc, h...)
-		pad := (size + 511) / 512 * 512
-		arc = append(arc, make([]byte, pad)...)
+	type entry struct {
+		cls  string
+		size int64
 	}
-	arc = append(arc, make([]byte, 1024)...) // terminator blocks (no magic)
+	ents := make([]entry, entries)
+	arcLen := int64(1024)
+	for e := range ents {
+		cls := classes[l.next32()%uint32(len(classes))]
+		size := int64(l.next32() % 4000)
+		ents[e] = entry{cls, size}
+		arcLen += 512 + (size+511)/512*512
+	}
+	arc := make([]byte, arcLen)
+	off := int64(0)
+	for e, ent := range ents {
+		h := arc[off : off+512]
+		copy(h[tarNameOff:], fmt.Sprintf("proj/%s/file_%06d.dat", ent.cls, e))
+		// 11-digit octal, NUL-terminated (tar convention).
+		copy(h[tarSizeOff:], fmt.Sprintf("%011o", ent.size))
+		copy(h[tarMagicOff:], "ustar")
+		off += 512 + (ent.size+511)/512*512
+	}
 
 	// Needles cycle over the class tags; one archive scan per pass.
 	needleSlot := int64(8)
@@ -88,10 +98,13 @@ func buildTarfind(s Scale) (*Workload, error) {
 		copy(needleSeg[int64(i)*needleSlot:], c)
 	}
 
-	var acc uint64
-	for p := int64(0); p < passes; p++ {
-		needle := classes[p%int64(len(classes))]
-		acc += tarfindRef(arc, []byte(needle))
+	ref := func() uint64 {
+		var acc uint64
+		for p := int64(0); p < passes; p++ {
+			needle := classes[p%int64(len(classes))]
+			acc += tarfindRef(arc, []byte(needle))
+		}
+		return acc
 	}
 
 	src := fmt.Sprintf(`
@@ -183,6 +196,6 @@ pass_done:
 			{Addr: ExtraBase, Bytes: arc},
 			{Addr: ExtraBase + uint64(len(arc)), Bytes: needleSeg},
 		},
-		Checksum: acc,
+		ref: ref,
 	}, nil
 }

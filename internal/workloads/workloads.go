@@ -2,7 +2,8 @@
 // benchmarks as RV64 assembly kernels (assembled by internal/asm) paired
 // with bit-exact Go reference implementations. Each workload computes a
 // checksum that the simulator must reproduce, which validates the assembler,
-// the functional simulator and the kernel itself in one shot.
+// the functional simulator and the kernel itself in one shot. Build only
+// generates; the reference runs on the first Workload.Checksum call.
 //
 // Workloads take a Scale, which sets input sizes and iteration counts:
 // ScaleTiny is for unit tests, ScaleDefault for the standard experiment
@@ -73,7 +74,6 @@ type Workload struct {
 	Scale    Scale
 	Source   string // assembly text
 	Segments []Segment
-	Checksum uint64 // expected value in a0 at exit (Go reference result)
 
 	// IntervalSize is the BBV interval used for this workload at this
 	// scale, mirroring Table II's per-benchmark interval column.
@@ -85,9 +85,24 @@ type Workload struct {
 	// custom instances constructed outside Build.
 	IntervalSize int64
 
+	ref      func() uint64 // the Go reference run; see Checksum
+	refOnce  sync.Once     // guards checksum
+	checksum uint64
+
 	assemble sync.Once // guards prog, progErr
 	prog     *asm.Program
 	progErr  error
+}
+
+// Checksum returns the value the program must leave in a0 at exit: the Go
+// reference implementation's result. The reference runs on the first call
+// (at most once per Workload, whichever goroutine asks first); Build runs
+// none, so a rerun whose every stage is cached never pays for it. Only
+// this package's builders attach a reference: on a Workload literal built
+// elsewhere, Checksum panics.
+func (w *Workload) Checksum() uint64 {
+	w.refOnce.Do(func() { w.checksum = w.ref() })
+	return w.checksum
 }
 
 // Program returns the assembled workload. It assembles Source once, on the

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -33,8 +35,8 @@ func TestChecksumsTiny(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, insts := runWorkload(t, w)
-			if got != w.Checksum {
-				t.Fatalf("%s: checksum %#x, want %#x", name, got, w.Checksum)
+			if got != w.Checksum() {
+				t.Fatalf("%s: checksum %#x, want %#x", name, got, w.Checksum())
 			}
 			if insts < 20_000 {
 				t.Errorf("%s: only %d instructions at tiny scale", name, insts)
@@ -57,8 +59,8 @@ func TestChecksumsDefault(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, insts := runWorkload(t, w)
-			if got != w.Checksum {
-				t.Fatalf("%s: checksum %#x, want %#x", name, got, w.Checksum)
+			if got != w.Checksum() {
+				t.Fatalf("%s: checksum %#x, want %#x", name, got, w.Checksum())
 			}
 			if insts < 500_000 {
 				t.Errorf("%s: only %d instructions at default scale", name, insts)
@@ -84,8 +86,42 @@ func TestDeterministicBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Checksum != b.Checksum || a.Source != b.Source {
+		if a.Checksum() != b.Checksum() || a.Source != b.Source {
 			t.Errorf("%s: non-deterministic build", name)
+		}
+	}
+}
+
+// TestReferenceIsLazy: Build leaves every reference unrun, and eight
+// goroutines asking for the checksum at once run it exactly once and all
+// see its value.
+func TestReferenceIsLazy(t *testing.T) {
+	for _, name := range Names() {
+		w, err := Build(name, ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs atomic.Int32
+		ref := w.ref
+		w.ref = func() uint64 { runs.Add(1); return ref() }
+		got := make([]uint64, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = w.Checksum()
+			}()
+		}
+		wg.Wait()
+		if n := runs.Load(); n != 1 {
+			t.Errorf("%s: reference ran %d times after Build and 8 Checksum calls, want 1", name, n)
+		}
+		want := ref()
+		for i, v := range got {
+			if v != want {
+				t.Errorf("%s: caller %d saw %#x, reference %#x", name, i, v, want)
+			}
 		}
 	}
 }
@@ -101,8 +137,8 @@ func TestChecksumPaperScaleSpot(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, insts := runWorkload(t, w)
-	if got != w.Checksum {
-		t.Fatalf("sha paper-scale checksum %#x, want %#x", got, w.Checksum)
+	if got != w.Checksum() {
+		t.Fatalf("sha paper-scale checksum %#x, want %#x", got, w.Checksum())
 	}
 	if insts < 100_000_000 {
 		t.Fatalf("paper scale only ran %d instructions", insts)
