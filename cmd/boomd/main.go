@@ -22,9 +22,9 @@
 // flight is sharded across any workers registered at /v1/fabric/, and runs
 // locally when none are — or when the last one falls silent mid-campaign
 // (so a solo boomd behaves exactly as before). With -cache the coordinator
-// also serves the cluster's remote artifact store at /v1/artifacts/ and
-// journals each result it accepts, so a restarted daemon resumes a
-// resubmitted campaign. A worker node runs
+// also serves the cluster's remote artifact store at /v1/artifacts/, so a
+// restarted daemon re-leases a resubmitted campaign's cells and every one
+// that finished before is a store hit. A worker node runs
 //
 //	boomd -worker -coordinator http://head:8080
 //

@@ -69,19 +69,18 @@ func (c Campaign) Cells() int { return len(c.Workloads) * len(c.Configs) }
 // submission with this before it builds anything). It is the one identity
 // of a run: the serving
 // layer's job and dedupe ID (internal/serve), so duplicate submissions of
-// one campaign collapse onto one job, and the header of every fabric
-// journal fragment (internal/fabric). Reuses the artifact cache's canonical
+// one campaign collapse onto one job, and the campaign a fabric worker
+// fetches (internal/fabric). Reuses the artifact cache's canonical
 // encoding, so any drift in any input — including any single field of any
 // design point, which is how parametric axes (internal/dse) become part of
-// the identity — yields a different ID and a stale fragment is ignored
-// rather than replayed.
+// the identity — yields a different ID.
 //
 // The encoded shape below (an anonymous struct, these field names and
 // types, the schema version) is pinned by the fingerprint compatibility
 // suite. Do not rename fields, reorder them, or name the struct (the
 // canonical encoding hashes the type name, and an anonymous struct encodes
-// as ""); a deliberate change bumps sweepSchema, which orphans fragments
-// and boomd job IDs but — like every cache key — moves no result byte.
+// as ""); a deliberate change bumps sweepSchema, which orphans boomd job
+// IDs but — like every cache key — moves no result byte.
 func CampaignID(fc FlowConfig, c Campaign) string {
 	return artifact.NewKey("sweep", sweepSchema, struct {
 		Names    []string
@@ -100,7 +99,7 @@ func (r *Runner) CampaignID(c Campaign) string {
 }
 
 // ShortID abbreviates a campaign fingerprint to its first 12 hex
-// characters: log lines, and the name of a fabric journal fragment.
+// characters, for log lines.
 func ShortID(id string) string {
 	if len(id) > 12 {
 		return id[:12]

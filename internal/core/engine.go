@@ -23,8 +23,7 @@ import (
 // in-memory, all-cores, fail-fast engine.
 type Engine struct {
 	// -cache: root of the artifact cache, which is also what a rerun of a
-	// killed or failed sweep resumes from, and of the fabric's journal
-	// fragments ("" = none).
+	// killed or failed sweep resumes from ("" = none).
 	CacheDir string
 	// -cache-verify: recompute every cache hit and fail on divergence.
 	CacheVerify bool

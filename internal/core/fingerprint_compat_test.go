@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the campaign-fingerprint compatibility suite. The
-// fingerprint is the identity that keys fabric journal fragments, boomd
-// jobs and dedupe, so it must not drift by accident: a changed hex silently
-// stops every existing fragment from resuming and re-keys every boomd job.
+// fingerprint is the identity that keys boomd jobs and dedupe, so it must
+// not drift by accident: a changed hex silently re-keys every boomd job.
 // The values below pin the current encoding (sweep schema 3: one shape for
 // every campaign, the effective sampling spec always hashed). If one of
 // these tests fails, the fix is to restore the encoding; the constants move
@@ -64,7 +63,7 @@ func TestPinnedCampaignFingerprints(t *testing.T) {
 			got := pinnedRunner(t, tc.scale).CampaignID(tc.camp)
 			if got != tc.want {
 				t.Fatalf("fingerprint drifted: got %s, want %s\n"+
-					"A fabric fragment keyed by the pinned ID would no longer resume.", got, tc.want)
+					"A boomd job keyed by the pinned ID would no longer collapse onto it.", got, tc.want)
 			}
 		})
 	}
@@ -97,8 +96,7 @@ func TestSweepIDSensitivity(t *testing.T) {
 // boom.Config by reflection and requires the campaign fingerprint to
 // change. This is what makes parametric design points (internal/dse)
 // first-class identities: any knob an axis can turn is part of the
-// campaign ID, so two design points never collide in a journal fragment or
-// the boomd job table.
+// campaign ID, so two design points never collide in the boomd job table.
 func TestFingerprintSensitiveToEveryConfigField(t *testing.T) {
 	r := pinnedRunner(t, workloads.ScaleTiny)
 	base := NewCampaign([]string{"sha"}, []boom.Config{boom.MediumBOOM()}, workloads.ScaleTiny)

@@ -16,7 +16,7 @@ import (
 //     WithSampling(Spec{}) all produce the pinned zero-spec fingerprint.
 //  2. Every spec is part of campaign identity: a non-zero spec must change
 //     the fingerprint, and distinct specs must not collide — otherwise a
-//     bbv+mav journal could replay against a bbv-only cache.
+//     bbv+mav submission could collapse onto a bbv-only job.
 
 func shaQsortMedium() Campaign {
 	return NewCampaign([]string{"sha", "qsort"}, []boom.Config{boom.MediumBOOM()}, workloads.ScaleTiny)

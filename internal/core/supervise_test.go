@@ -306,11 +306,11 @@ func TestChaosCorruptArtifact(t *testing.T) {
 	}
 }
 
-// TestSweepResumeJournal: crash recovery is the cache. After a failed
+// TestSweepResumesFromCache: crash recovery is the cache. After a failed
 // keep-going sweep, a plain rerun of the identical campaign on the same
 // cache serves every finished stage from it and recomputes only what never
 // finished — no journal, no resume switch.
-func TestSweepResumeJournal(t *testing.T) {
+func TestSweepResumesFromCache(t *testing.T) {
 	dir := t.TempDir()
 	names := []string{"sha", "bitcount"}
 	cfgs := []boom.Config{boom.MediumBOOM(), boom.MegaBOOM()}

@@ -12,7 +12,7 @@
 // canonical name — base+param=value+… with parameters sorted — so the
 // same spec always yields the same configs in the same order, and the
 // campaign fingerprint (which hashes every field of every config) is a
-// stable identity for caches and journals.
+// stable identity for caches and jobs.
 //
 // The profile/select/checkpoint stages of the flow are config-independent,
 // so an N-point expansion still costs one profile per workload: the

@@ -24,9 +24,8 @@ import (
 // fingerprint reaching two votes wins, and every worker that voted for a
 // minority fingerprint is quarantined: it is granted no further cells,
 // its leased cells are stolen, and its unaudited completed cells are
-// requeued (and revoked from the journal fragment) as suspect. The
-// campaign then converges on majority bytes with the same golden digests
-// an honest cluster produces.
+// requeued as suspect. The campaign then converges on majority bytes with
+// the same golden digests an honest cluster produces.
 //
 // Costs and bounds: auditing holds sampled cells out of the done count
 // until resolution, spends at most maxAuditGrants re-executions per cell,
@@ -52,9 +51,9 @@ type auditReport struct {
 
 // Audited reports whether the cell named label falls in campaign id's
 // audit sample at fraction frac. The decision is a pure function of
-// (id, label, frac) — deterministic across coordinator restarts and
-// resumes, so a resumed campaign audits the same cells and operators can
-// predict the sample offline.
+// (id, label, frac) — deterministic across coordinator restarts, so a
+// resubmitted campaign audits the same cells and operators can predict
+// the sample offline.
 func Audited(campaignID, label string, frac float64) bool {
 	if frac <= 0 {
 		return false
@@ -215,8 +214,7 @@ func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
 
 // quarantineLocked banishes a worker whose bytes lost an audit vote: no
 // further grants, leased cells stolen, and every unaudited measure cell
-// it completed requeued as suspect — with the journal record revoked, so
-// a resume recomputes rather than trusts. except (the cell whose audit
+// it completed requeued as suspect. except (the cell whose audit
 // convicted the worker) is being finalized by the caller and is skipped.
 func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *cell) {
 	ws := c.workers[worker]
@@ -260,7 +258,6 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 				cl.reports = nil
 				cl.auditRounds = 0
 				r.remaining++
-				revokeCell(r.frag, label)
 				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
 				c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
 					core.ShortID(r.id), label, worker)
@@ -270,9 +267,9 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 }
 
 // finishCellLocked is the one way a cell becomes done: records the
-// producer, journals the payload, and closes the run when it was the
-// last. audited marks results that survived fingerprint verification —
-// unaudited ones remain revocable if their producer is later quarantined.
+// producer and the payload, and closes the run when it was the last.
+// audited marks results that survived fingerprint verification — unaudited
+// ones remain revocable if their producer is later quarantined.
 func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload []byte, audited bool) {
 	cl.state = cellDone
 	cl.worker = ""
@@ -288,7 +285,6 @@ func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload 
 	if ws := c.workers[worker]; ws != nil {
 		ws.cellsDone++
 	}
-	appendCell(r.frag, cl.task.Label(), payload)
 	if r.remaining == 0 {
 		c.finishLocked(r)
 	}

@@ -7,7 +7,8 @@
 // so fabric output is anchored to the exact bytes the paper's tables were
 // generated from, not merely to "whatever the engine produces today".
 // The identity must survive chaos: a worker killed mid-campaign, injected
-// lease faults, a coordinator restart resuming from its journal fragment.
+// lease faults, a coordinator restart that re-leases every cell from the
+// store.
 package fabric_test
 
 import (
@@ -41,11 +42,9 @@ import (
 type cluster struct {
 	coord      *fabric.Coordinator
 	coordReg   *metrics.Registry
-	storeDir   string // the coordinator's store and journal directory
 	ts         *httptest.Server
 	workers    []*fabric.Worker
 	workerRegs []*metrics.Registry
-	workerDirs []string // each worker's cache directory
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
 }
@@ -71,16 +70,15 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 	if o.storeDir == "" {
 		o.storeDir = t.TempDir()
 	}
-	c := &cluster{coordReg: metrics.NewRegistry(), storeDir: o.storeDir}
+	c := &cluster{coordReg: metrics.NewRegistry()}
 	c.coord = fabric.NewCoordinator(fabric.Config{
-		Store:      artifact.Open(o.storeDir),
-		Registry:   c.coordReg,
-		Lease:      o.lease,
-		Poll:       10 * time.Millisecond,
-		Engine:     core.Engine{Chaos: o.chaos},
-		JournalDir: o.storeDir,
-		AuditFrac:  o.audit,
-		Log:        t.Logf,
+		Store:     artifact.Open(o.storeDir),
+		Registry:  c.coordReg,
+		Lease:     o.lease,
+		Poll:      10 * time.Millisecond,
+		Engine:    core.Engine{Chaos: o.chaos},
+		AuditFrac: o.audit,
+		Log:       t.Logf,
 	})
 	c.ts = httptest.NewServer(c.coord.Handler())
 
@@ -93,12 +91,10 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		if i < len(o.workerEngines) {
 			engine = o.workerEngines[i]
 		}
-		dir := t.TempDir()
-		c.workerDirs = append(c.workerDirs, dir)
 		w, err := fabric.NewWorker(fabric.WorkerConfig{
 			Coordinator: c.ts.URL,
 			ID:          fmt.Sprintf("worker-%d", i),
-			CacheDir:    dir,
+			CacheDir:    t.TempDir(),
 			Registry:    reg,
 			Engine:      engine,
 			Log:         t.Logf,
@@ -331,51 +327,66 @@ func TestConformanceWorkerKill(t *testing.T) {
 }
 
 // TestCoordinatorRestartResume: kill the coordinator mid-campaign, start
-// a fresh one over the same journal/store directory, and finish. Cells
-// journaled before the crash must not recompute, and the final bytes must
-// equal the direct single-node encoding.
+// a fresh one over the same store directory, and finish. The new
+// coordinator knows nothing and re-leases every cell, but the cells its
+// predecessor accepted are store hits: nothing done before the crash is
+// simulated again, and the final bytes equal the direct single-node
+// encoding.
 func TestCoordinatorRestartResume(t *testing.T) {
 	shared := t.TempDir()
 	camp := core.NewCampaign([]string{"sha", "qsort"},
 		mustConfigs(t, "MediumBOOM", "MegaBOOM"), workloads.ScaleTiny)
 	const id = "restart-resume-campaign"
 
-	// Phase A: run until at least 2 cells are done, then kill the
-	// coordinator (cancel RunCampaign and tear the cluster down).
-	a := startCluster(t, clusterOpts{workers: 2, storeDir: shared})
+	// Phase A: one worker takes the cells in scheduling order — both
+	// profiles, then the MediumBOOM measures — and the moment it is granted
+	// its fifth, the first MegaBOOM measure, worker and coordinator die
+	// together, before that cell runs. The cut is the same on every run.
+	a := startCluster(t, clusterOpts{workers: 0, storeDir: shared})
 	actx, acancel := context.WithCancel(context.Background())
-	go func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if a.coordReg.Counter("fabric.cells_done").Value() >= 2 {
-				break
+	defer acancel()
+	var grants atomic.Int64
+	wa, err := fabric.NewWorker(fabric.WorkerConfig{
+		Coordinator: a.ts.URL,
+		ID:          "worker-a",
+		CacheDir:    t.TempDir(),
+		Registry:    metrics.NewRegistry(),
+		TaskHook: func(fabric.Task) {
+			if grants.Add(1) == 5 {
+				acancel()
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		acancel()
-	}()
+		},
+		Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	died := make(chan struct{})
+	go func() { defer close(died); wa.Run(actx) }()
 	if _, err := a.coord.RunCampaign(actx, id, camp, nil); err == nil {
 		t.Fatal("phase A was supposed to die mid-campaign")
 	}
-	doneA := a.coordReg.Counter("fabric.cells_done").Value()
-	if doneA < 2 {
-		t.Fatalf("phase A journaled only %d cells", doneA)
+	<-died
+	if n := a.coordReg.Counter("fabric.cells_done").Value(); n != 4 {
+		t.Fatalf("phase A accepted %d cells, want 4 (2 profiles + the 2 MediumBOOM measures)", n)
 	}
 	a.stop()
 
-	// Phase B: new coordinator, same journal + store: the fragment's header
-	// names the campaign, so it is replayed.
+	// Phase B: a new coordinator on the same store leases all six cells.
+	// Only the two MegaBOOM measures A never ran are simulated; every other
+	// stage is fetched from the store.
 	b := startCluster(t, clusterOpts{workers: 2, storeDir: shared})
 	sw, err := b.coord.RunCampaign(context.Background(), id, camp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := b.coordReg.Counter("fabric.cells_resumed").Value()
-	if resumed < 1 {
-		t.Errorf("cells_resumed %d: the journal fragment was not replayed", resumed)
+	if n := b.coordReg.Counter("fabric.cells_done").Value(); n != 6 {
+		t.Errorf("cells_done %d, want all 6 re-leased", n)
 	}
-	if total := resumed + b.coordReg.Counter("fabric.cells_done").Value(); total != 6 {
-		t.Errorf("resumed %d + done %d ≠ 6 cells", resumed, total-resumed)
+	for stage, want := range map[string]int64{"bbv": 0, "select": 0, "checkpoint": 0, "measure": 2} {
+		if n := b.workerCounterSum("artifact." + stage + ".miss"); n != want {
+			t.Errorf("phase B artifact.%s.miss = %d, want %d: a stage phase A finished was recomputed", stage, n, want)
+		}
 	}
 
 	enc, err := serve.EncodeSweep(id, camp.Scale, sw)
@@ -384,6 +395,84 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	if want := directBytes(t, id, camp); !bytes.Equal(enc, want) {
 		t.Errorf("resumed distributed bytes differ from direct run:\n got %s\nwant %s", enc, want)
+	}
+}
+
+// TestRestartNeverReplaysALie: a restarted coordinator trusts nothing its
+// predecessor accepted. Phase A's only worker computes honestly — its store
+// entries are right — but corrupts every payload it reports, and with no
+// audit the coordinator accepts them. Phase B restarts the coordinator on
+// the same store with three honest workers and audits on: every cell is
+// re-leased, each report is audited, and the bytes are the direct run's.
+func TestRestartNeverReplaysALie(t *testing.T) {
+	shared := t.TempDir()
+	camp := core.NewCampaign([]string{"sha", "qsort"},
+		mustConfigs(t, "MediumBOOM", "MegaBOOM"), workloads.ScaleTiny)
+	const id = "restart-never-replays-a-lie"
+	want := directBytes(t, id, camp)
+
+	a := startCluster(t, clusterOpts{workers: 1, storeDir: shared, workerEngines: []core.Engine{
+		{Chaos: "7:fabric.payload/worker-0=corrupt:200x*"},
+	}})
+	swA, err := a.coord.RunCampaign(context.Background(), id, camp, nil)
+	if err == nil && bytes.Equal(encodeSweep(t, id, camp, swA), want) {
+		t.Fatal("phase A served the honest bytes: the lying worker was never exercised")
+	}
+	a.stop()
+
+	b := startCluster(t, clusterOpts{workers: 3, storeDir: shared, audit: 1})
+	sw, err := b.coord.RunCampaign(context.Background(), id, camp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSweep(t, id, camp, sw), want) {
+		t.Error("the restarted coordinator served bytes that differ from the direct run's")
+	}
+	if n := b.coordReg.Counter("fabric.audits_passed").Value(); n == 0 {
+		t.Error("audits_passed 0: phase B's cells skipped the audit")
+	}
+}
+
+// TestWorkerRemovesItsTempCache: a worker given no cache directory makes
+// one under TMPDIR and removes it when Run returns; a directory the caller
+// supplied is left alone.
+func TestWorkerRemovesItsTempCache(t *testing.T) {
+	tmp := t.TempDir()
+	given := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	c := startCluster(t, clusterOpts{workers: 0})
+	camp := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, dir := range []string{"", given} {
+		w, err := fabric.NewWorker(fabric.WorkerConfig{
+			Coordinator: c.ts.URL,
+			ID:          fmt.Sprintf("worker-%d", i),
+			CacheDir:    dir,
+			Log:         t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	if _, err := c.coord.RunCampaign(context.Background(), "worker-temp-cache", camp, nil); err != nil {
+		t.Fatal(err)
+	}
+	made, _ := filepath.Glob(filepath.Join(tmp, "boom-worker-*"))
+	if len(made) != 1 {
+		t.Fatalf("worker cache dirs under TMPDIR while running: %v, want exactly one", made)
+	}
+	cancel()
+	wg.Wait()
+	if left, _ := filepath.Glob(filepath.Join(tmp, "boom-worker-*")); len(left) != 0 {
+		t.Errorf("worker left its temp cache behind: %v", left)
+	}
+	if _, err := os.Stat(given); err != nil {
+		t.Errorf("the caller-supplied cache dir is gone: %v", err)
 	}
 }
 

@@ -7,10 +7,10 @@
 // already guarantees. Every cell is an isolated, bit-reproducible
 // computation keyed by the campaign fingerprint, so the coordinator never
 // has to arbitrate between results: a stolen cell finished twice produced
-// identical bytes both times, a resumed campaign replays the
-// coordinator's journal fragment instead of recomputing, and the merged
-// Sweep encodes — via the same wall-clock-free serve.EncodeSweep —
-// byte-identically to a single-node Runner.Sweep of the same campaign.
+// identical bytes both times, a restarted coordinator re-leases every cell
+// and each is a store hit, and the merged Sweep encodes — via the same
+// wall-clock-free serve.EncodeSweep — byte-identically to a single-node
+// Runner.Sweep of the same campaign.
 //
 // Scheduling is a pull model with leases:
 //
@@ -51,12 +51,11 @@ import (
 	"repro/internal/boom"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
 // Config carries the coordinator's knobs. The zero value is usable: no
-// store, no journal, 15s leases.
+// store, 15s leases.
 type Config struct {
 	// Store, when set, is served as the cluster's remote artifact store at
 	// /v1/artifacts/ (see artifact.NewServer). Point it at the same
@@ -74,13 +73,14 @@ type Config struct {
 	Poll time.Duration
 	// Engine is the engine the daemon runs under (see core.Engine). The
 	// coordinator reads KeepGoing (failed cells are collected into a
-	// *core.SweepErrors next to the partial Sweep instead of aborting),
-	// CacheDir (cells recorded done in the campaign's journal fragment
-	// under it are served from it) and Chaos (one injector per
-	// coordinator, for the "fabric.lease/<worker>" site).
+	// *core.SweepErrors next to the partial Sweep instead of aborting) and
+	// Chaos (one injector per coordinator, for the "fabric.lease/<worker>"
+	// site) only.
 	Engine core.Engine
-	// JournalDir is the shorthand for Engine.CacheDir — where the
-	// per-campaign journal fragments live — folded in when that is empty.
+	// JournalDir is ignored: the coordinator keeps no journal. A restarted
+	// coordinator re-leases every cell, and the store serves what finished.
+	//
+	// Deprecated: leave it empty; nothing reads it.
 	JournalDir string
 	// AuditFrac is the fraction of completed measure cells re-dispatched
 	// to a different worker for fingerprint verification (0 = no auditing,
@@ -162,8 +162,7 @@ type run struct {
 	cells     map[string]*cell
 	order     []string // deterministic scheduling/assembly order
 	remaining int      // cells not yet terminal (done/failed)
-	frag      *journal.Writer
-	failErr   error // first fatal error (fail-fast mode)
+	failErr   error    // first fatal error (fail-fast mode)
 	finished  bool
 	done      chan struct{}
 }
@@ -177,9 +176,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
-	}
-	if cfg.Engine.CacheDir == "" {
-		cfg.Engine.CacheDir = cfg.JournalDir
 	}
 	if err := cfg.Engine.Validate(); err != nil {
 		panic("fabric: coordinator: " + err.Error())
@@ -296,10 +292,11 @@ func (c *Coordinator) distribute(ctx context.Context, id string, camp core.Campa
 	}
 }
 
-// admit builds the cell graph for one campaign, replays the journal
-// fragment a previous coordinator left for this fingerprint, and makes it
-// the run in flight — or refuses, touching nothing, when there already is
-// one.
+// admit builds the cell graph for one campaign and makes it the run in
+// flight — or refuses, touching nothing, when there already is one. Every
+// cell starts pending, even after a restart: what a previous coordinator
+// accepted is in the store, so re-leasing it costs a fetch, and its bytes
+// pass the audit like any other report's.
 func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err := camp.Validate(); err != nil {
 		return nil, err
@@ -335,44 +332,17 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		return nil, fmt.Errorf("fabric: campaign %s refused: campaign %s is in flight and the coordinator runs one at a time",
 			core.ShortID(id), core.ShortID(c.run.id))
 	}
-	if journalDir := c.cfg.Engine.CacheDir; journalDir != "" {
-		resumed := 0
-		for label, payload := range MergeJournals(id, FragmentPath(journalDir, id)) {
-			cl := r.cells[label]
-			if cl == nil || cl.state != cellPending {
-				continue
-			}
-			if cl.task.Kind == taskMeasure && len(payload) == 0 {
-				continue // a measure cell without its payload is not done
-			}
-			cl.state = cellDone
-			cl.payload = payload
-			r.remaining--
-			resumed++
-		}
-		if resumed > 0 {
-			if c.reg != nil {
-				c.reg.Counter("fabric.cells_resumed").Add(int64(resumed))
-			}
-			c.logf("campaign %s: resumed %d cell(s) from journal fragment", core.ShortID(id), resumed)
-		}
-		r.frag = openFragment(FragmentPath(journalDir, id), id, c.logf)
-	}
 	c.run = r
-	if r.remaining == 0 {
-		c.finishLocked(r)
-	}
 	return r, nil
 }
 
 // retire clears the slot of a finished (or abandoned) run. Late
 // heartbeats and reports for it are answered "lost" and acknowledged-
-// and-dropped — the journal fragment already has everything accepted.
+// and-dropped — whatever they computed is in the store already.
 func (c *Coordinator) retire(r *run) {
 	c.mu.Lock()
 	c.run = nil
 	c.mu.Unlock()
-	r.frag.Close()
 }
 
 // nextTask grants the first runnable cell to worker, stamping a fresh

@@ -1,19 +1,16 @@
-// One campaign in flight, one journal with a reader: the properties the
-// single-run coordinator and the journal-less worker rest on. Only the
-// coordinator journals, so what a dead worker finished must come back from
-// the store; a worker carries one campaign's state, so campaigns through
-// one worker must not bleed into each other; the coordinator holds one run,
-// so a second concurrent campaign is refused, not interleaved; and a
-// cluster whose last worker dies mid-campaign falls back to the local
-// runner instead of waiting for a poll that never comes.
+// One campaign in flight, and the store as the only record: the properties
+// the single-run coordinator and the stateless worker rest on. Nothing
+// journals, so what a dead worker finished must come back from the store;
+// a worker carries one campaign's state, so campaigns through one worker
+// must not bleed into each other; the coordinator holds one run, so a
+// second concurrent campaign is refused, not interleaved; and a cluster
+// whose last worker dies mid-campaign falls back to the local runner
+// instead of waiting for a poll that never comes.
 package fabric_test
 
 import (
 	"bytes"
 	"context"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -24,24 +21,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// fragmentsUnder lists every fabric journal fragment below dir.
-func fragmentsUnder(t *testing.T, dir string) []string {
-	t.Helper()
-	var found []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			if ok, _ := filepath.Match("fabric-*.journal", d.Name()); ok {
-				found = append(found, path)
-			}
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return found
-}
-
 func encodeSweep(t *testing.T, id string, camp core.Campaign, sw *core.Sweep) []byte {
 	t.Helper()
 	enc, err := serve.EncodeSweep(id, camp.Scale, sw)
@@ -51,12 +30,12 @@ func encodeSweep(t *testing.T, id string, camp core.Campaign, sw *core.Sweep) []
 	return enc
 }
 
-// TestStoreIsTheRecoveryPath: a worker keeps no journal, and needs none.
+// TestStoreIsTheRecoveryPath: the store is the whole record of a campaign.
 // Worker A finishes a campaign against coordinator 1; then both are gone,
-// and so is the coordinator's fragment, so coordinator 2 knows nothing and
-// every report A ever made is lost. A fresh worker B with an empty cache
-// still finishes the campaign without simulating one instruction: every
-// artifact A produced went through to the store before A reported it.
+// so coordinator 2 knows nothing and every report A ever made is lost. A
+// fresh worker B with an empty cache still finishes the campaign without
+// simulating one instruction: every artifact A produced went through to
+// the store before A reported it.
 func TestStoreIsTheRecoveryPath(t *testing.T) {
 	shared := t.TempDir()
 	camp := core.NewCampaign([]string{"sha", "qsort"},
@@ -69,24 +48,11 @@ func TestStoreIsTheRecoveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.stop()
-	if frags := fragmentsUnder(t, a.workerDirs[0]); len(frags) != 0 {
-		t.Errorf("worker A left journal fragments %v: only the coordinator journals", frags)
-	}
-	frag := fabric.FragmentPath(shared, id)
-	if n := len(fabric.MergeJournals(id, frag)); n != cells {
-		t.Fatalf("coordinator 1's fragment replays %d cells, want %d", n, cells)
-	}
-	if err := os.Remove(frag); err != nil {
-		t.Fatal(err)
-	}
 
 	b := startCluster(t, clusterOpts{workers: 1, storeDir: shared})
 	sw, err := b.coord.RunCampaign(context.Background(), id, camp, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := b.coordReg.Counter("fabric.cells_resumed").Value(); n != 0 {
-		t.Errorf("cells_resumed %d with the fragment deleted", n)
 	}
 	if n := b.coordReg.Counter("fabric.cells_done").Value(); n != cells {
 		t.Errorf("cells_done %d, want all %d re-leased to worker B", n, cells)
@@ -172,9 +138,6 @@ func TestSecondCampaignRefused(t *testing.T) {
 	}
 	if got := campaignsInStatus(t, c); len(got) != 1 || got[0] != firstID {
 		t.Errorf("status lists campaigns %v, want exactly the one in flight", got)
-	}
-	if frags := fragmentsUnder(t, c.storeDir); len(frags) != 1 {
-		t.Errorf("fragments on disk %v, want only the first campaign's: a refusal touches nothing", frags)
 	}
 
 	// The lease granted before the refusal is still good.

@@ -35,7 +35,7 @@ type Task struct {
 }
 
 // Label names the cell ("profile/<wl>", "measure/<cfg>/<wl>"): its key in
-// the run's cell graph and in its journal fragment.
+// the run's cell graph.
 func (t Task) Label() string {
 	if t.Kind == taskProfile {
 		return t.Kind + "/" + t.Workload

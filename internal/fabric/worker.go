@@ -28,14 +28,15 @@ type WorkerConfig struct {
 	// empty). IDs must be unique per cluster.
 	ID string
 	// Engine says how the worker runs its cells (see core.Engine). Its
-	// CacheDir is the local tier over the coordinator's store (a temp dir
-	// when empty) and its RemoteStore is ignored: the store is the
-	// coordinator's. A worker holds one cell at a time, so the Parallelism
-	// budget drains into intra-cell point helpers (DESIGN §4) and the
-	// sweep-level KeepGoing/Retries do nothing. Chaos arms one
-	// injector per worker: pipeline and cache sites, the transport (scoped
-	// to ID), and "fabric.payload/<id>", which corrupts the bytes this
-	// worker reports — the lie coordinator-side auditing exists to catch.
+	// CacheDir is the local tier over the coordinator's store (when empty,
+	// a temp dir that Run removes on return) and its RemoteStore is
+	// ignored: the store is the coordinator's. A worker holds one cell at a
+	// time, so the Parallelism budget drains into intra-cell point helpers
+	// (DESIGN §4) and the sweep-level KeepGoing/Retries do nothing. Chaos
+	// arms one injector per worker: pipeline and cache sites, the transport
+	// (scoped to ID), and "fabric.payload/<id>", which corrupts the bytes
+	// this worker reports — the lie coordinator-side auditing exists to
+	// catch.
 	Engine core.Engine
 	// CacheDir and Parallelism are shorthands for the Engine's fields of
 	// the same name, folded in by NewWorker where those are zero.
@@ -55,10 +56,11 @@ type WorkerConfig struct {
 // (local cache over the cluster's remote artifact store), and reports
 // canonical result bytes back. Create with NewWorker, drive with Run.
 type Worker struct {
-	cfg  WorkerConfig
-	base string
-	inj  *faultinject.Injector
-	hc   *http.Client
+	cfg    WorkerConfig
+	base   string
+	inj    *faultinject.Injector
+	hc     *http.Client
+	tmpDir string // the cache dir NewWorker created, if it made one: Run removes it
 
 	leaseMS int64
 	pollMS  int64
@@ -92,19 +94,21 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if e.Parallelism == 0 {
 		e.Parallelism = cfg.Parallelism
 	}
+	var tmpDir string
 	if e.CacheDir == "" {
 		dir, err := os.MkdirTemp("", "boom-worker-*")
 		if err != nil {
 			return nil, fmt.Errorf("fabric: worker cache dir: %w", err)
 		}
-		e.CacheDir = dir
+		e.CacheDir, tmpDir = dir, dir
 	}
 	e.RemoteStore = ""
 	if err := e.Validate(); err != nil {
+		os.RemoveAll(tmpDir)
 		return nil, fmt.Errorf("fabric: worker: %w", err)
 	}
 	inj, _ := e.Injector()
-	return &Worker{cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID)}, nil
+	return &Worker{cfg: cfg, base: base, inj: inj, hc: e.HTTPClient(inj, cfg.ID), tmpDir: tmpDir}, nil
 }
 
 // ID returns the worker's cluster identity.
@@ -133,8 +137,16 @@ func (w *Worker) call(ctx context.Context, p backoff.Policy, method, path string
 // Run is the worker's main loop: register (with retry — the coordinator
 // may come up after the worker), then poll/execute/report until ctx is
 // canceled. Run only returns ctx.Err(); transient coordinator errors are
-// absorbed by backoff.
+// absorbed by backoff. A cache dir NewWorker created itself goes with it;
+// a caller-supplied one is left alone.
 func (w *Worker) Run(ctx context.Context) error {
+	if w.tmpDir != "" {
+		defer func() {
+			if err := os.RemoveAll(w.tmpDir); err != nil {
+				w.logf("worker %s: removing its temp cache: %v", w.cfg.ID, err)
+			}
+		}()
+	}
 	if err := w.register(ctx); err != nil {
 		return err
 	}

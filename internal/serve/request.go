@@ -17,7 +17,7 @@ import (
 // v1 (named configs) — the original body, still accepted unchanged. Its
 // campaign fingerprints are pinned (request_test.go) and move only with a
 // deliberate schema bump in internal/core/cache.go, which orphans every
-// fabric fragment and cache entry written before it:
+// job ID and cache entry written before it:
 //
 //	{"workloads": ["sha"], "configs": ["medium", "mega"], "scale": "tiny"}
 //
@@ -126,7 +126,7 @@ func (v AxisValue) MarshalJSON() ([]byte, error) {
 // resolve through boom.ConfigByName, parametric fields expand through
 // internal/dse — and returns the core.Campaign that feeds the campaign
 // fingerprint. Everything that passes here is exactly what the artifact
-// cache and the fabric's journal fragments key on.
+// cache and the job ID key on.
 func resolveRequest(req SweepRequest) (core.Campaign, error) {
 	var camp core.Campaign
 	camp.Scale = workloads.ScaleTiny

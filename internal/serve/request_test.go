@@ -13,7 +13,7 @@ import (
 
 // Pinned campaign fingerprints (the same values core's fingerprint
 // compatibility suite pins). A v1 (named-config) request body must keep
-// resolving to these exact IDs: they key journals and job single-flight,
+// resolving to these exact IDs: they key jobs and their single-flight,
 // so they move only with a deliberate core sweep-schema bump.
 const (
 	fpTrioTinyAll    = "a028fa37fe00135e3f359a25b54b3851abf11bade9552b9c07f949cde4884542"
@@ -123,7 +123,7 @@ func TestAxisValueJSON(t *testing.T) {
 // TestParametricScaleMatchesNamedTrio: a v2 body that parametrically
 // reconstructs a registry config is a different campaign (different
 // config names) — the fingerprint must differ from the named-trio one, so
-// journals can never cross-replay.
+// the two jobs can never collapse onto each other.
 func TestParametricScaleMatchesNamedTrio(t *testing.T) {
 	id := requestID(t, `{"workloads":["sha","qsort"],"base":"medium","axes":{"rob":[64]},"scale":"tiny"}`)
 	if id == fpShaQsortMedium {

@@ -17,7 +17,7 @@ import (
 // fpShaQsortMediumMAV pins the fingerprint of the sha/qsort/medium
 // campaign under {features: bbv+mav, warmup: 5x, interval: 20000}. Like
 // the zero-spec constants in request_test.go, this hex is load-bearing: a
-// drift means journals written today would stop resuming. Restore the
+// drift means every job ID handed out today would change. Restore the
 // encoding; the constant moves only with a deliberate sweep-schema bump.
 const fpShaQsortMediumMAV = "a7a28f6d37e1aba5a5cdc1b1c7d818ae81a603dfc993f60a9275f5de8af8d5b1"
 
