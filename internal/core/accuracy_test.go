@@ -55,24 +55,23 @@ func TestDifferentialAccuracy(t *testing.T) {
 	// Full-model baselines, spread over the worker pool like a sweep.
 	fulls := make(map[string]*Result, len(names))
 	var mu sync.Mutex
-	err = cold.runTasks(ctx, taskSet{
-		stage: StageMeasure,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },
-		do: func(ctx context.Context, i int) error {
-			w, err := workloads.Build(names[i], workloads.ScaleTiny)
-			if err != nil {
-				return err
-			}
-			res, err := cold.RunFull(ctx, w, cfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			fulls[names[i]] = res
-			mu.Unlock()
-			return nil
-		},
+	cells := make([]Cell, len(names))
+	for i, name := range names {
+		cells[i] = Cell{Kind: StageMeasure, Workload: name, Config: cfg.Name}
+	}
+	err = cold.runTasks(ctx, cells, func(ctx context.Context, c Cell) error {
+		w, err := workloads.Build(c.Workload, workloads.ScaleTiny)
+		if err != nil {
+			return err
+		}
+		res, err := cold.RunFull(ctx, w, cfg)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		fulls[c.Workload] = res
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

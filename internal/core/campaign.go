@@ -62,6 +62,40 @@ func (c Campaign) ConfigNames() []string {
 // Cells returns the number of (workload, config) measurement cells.
 func (c Campaign) Cells() int { return len(c.Workloads) * len(c.Configs) }
 
+// Cell is one schedulable unit of a campaign: a workload's profile cell
+// (Kind StageProfile: the config-independent profile → select → checkpoint
+// chain) or one (workload, config) measure cell (Kind StageMeasure). Its
+// JSON is the cell part of the fabric's wire Task.
+type Cell struct {
+	Kind     string `json:"kind"`
+	Workload string `json:"workload"`
+	Config   string `json:"config,omitempty"` // measure cells only
+}
+
+// Label names the cell ("profile/<wl>", "measure/<cfg>/<wl>").
+func (c Cell) Label() string {
+	if c.Kind == StageProfile {
+		return c.Kind + "/" + c.Workload
+	}
+	return c.Kind + "/" + c.Config + "/" + c.Workload
+}
+
+// CellList lists the campaign's cells in the order every scheduler runs
+// them: the profile cells in workload order, then the measure cells, configs
+// outer.
+func (c Campaign) CellList() []Cell {
+	out := make([]Cell, 0, len(c.Workloads)+c.Cells())
+	for _, wl := range c.Workloads {
+		out = append(out, Cell{Kind: StageProfile, Workload: wl})
+	}
+	for i := range c.Configs {
+		for _, wl := range c.Workloads {
+			out = append(out, Cell{Kind: StageMeasure, Workload: wl, Config: c.Configs[i].Name})
+		}
+	}
+	return out
+}
+
 // CampaignID fingerprints a campaign under flow parameters fc: the exact
 // workload list, configuration list, flow parameters, scale and sampling
 // spec (as given: Runner.CampaignID resolves the effective one first; the

@@ -37,24 +37,23 @@ func TestFidelityGate(t *testing.T) {
 	// Full-model CPI baselines, shared by both specs.
 	fulls := make(map[string]*Result, len(names))
 	var mu sync.Mutex
-	err := r.runTasks(ctx, taskSet{
-		stage: StageMeasure,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },
-		do: func(ctx context.Context, i int) error {
-			w, err := workloads.Build(names[i], workloads.ScaleTiny)
-			if err != nil {
-				return err
-			}
-			res, err := r.RunFull(ctx, w, cfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			fulls[names[i]] = res
-			mu.Unlock()
-			return nil
-		},
+	cells := make([]Cell, len(names))
+	for i, name := range names {
+		cells[i] = Cell{Kind: StageMeasure, Workload: name, Config: cfg.Name}
+	}
+	err := r.runTasks(ctx, cells, func(ctx context.Context, c Cell) error {
+		w, err := workloads.Build(c.Workload, workloads.ScaleTiny)
+		if err != nil {
+			return err
+		}
+		res, err := r.RunFull(ctx, w, cfg)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		fulls[c.Workload] = res
+		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,11 @@ package core
 import "repro/internal/boom"
 
 // Measured-result transport for the distributed sweep fabric
-// (internal/fabric): a worker that finishes a measure cell ships the
-// cell's canonical payload bytes back to the coordinator, which decodes
-// them into the *Result it merges into the campaign's Sweep. Reusing the
-// measure artifact's cache codec — the exact bytes a local sweep would
-// have written under the measure key — is what makes distributed results
-// byte-identical to single-node ones by construction: there is no second
-// encoding that could drift.
+// (internal/fabric): a worker ships a measure cell's Result (Session.Run)
+// back as its canonical payload, which the coordinator decodes into the
+// Sweep it merges. The codec is the measure artifact's — the bytes a local
+// sweep writes under the cell's key — so distributed results are
+// byte-identical to single-node ones by construction.
 
 // EncodeMeasuredResult encodes a measured Result into the canonical
 // measure-artifact payload.

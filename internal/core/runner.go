@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +61,7 @@ type Runner struct {
 	par          int
 	sem          chan struct{} // shared -j slot budget (see points.go)
 	progress     func(string)
+	noteMu       sync.Mutex // one progress line at a time
 	cache        *artifact.Cache
 	remote       *artifact.Remote
 	verify       bool
@@ -124,6 +126,8 @@ func (r *Runner) stage(name string) func() {
 
 func (r *Runner) note(format string, args ...interface{}) {
 	if r.progress != nil {
+		r.noteMu.Lock()
+		defer r.noteMu.Unlock()
 		r.progress(fmt.Sprintf(format, args...))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/boom"
@@ -293,5 +294,48 @@ func TestZeroDurationSweepMetricsJSON(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatalf("emitted metrics are not valid JSON:\n%s", buf.Bytes())
+	}
+}
+
+// TestSessionProfilesOnce: measure cells of one workload run concurrently
+// on a session that holds no profile yet — a fabric worker whose profile
+// cell ran elsewhere — profile the workload once between them, and each
+// returns the Result a Sweep computes for its cell.
+func TestSessionProfilesOnce(t *testing.T) {
+	ctx := context.Background()
+	camp := tcamp([]string{"sha"}, []boom.Config{boom.MediumBOOM(), boom.LargeBOOM(), boom.MegaBOOM()})
+	ref, err := New(DefaultFlowConfig()).Sweep(ctx, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s := New(DefaultFlowConfig(), WithCache(t.TempDir()), WithMetrics(reg)).Session(camp)
+	cells := camp.CellList()[len(camp.Workloads):]
+	got := make([]*Result, len(cells))
+	var wg sync.WaitGroup
+	for i, c := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Run(ctx, c)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	for _, stage := range []string{"bbv", "select", "checkpoint"} {
+		if n := reg.Counter("artifact."+stage+".miss").Value() + reg.Counter("artifact."+stage+".hit").Value(); n != 1 {
+			t.Errorf("the %s stage ran %d times across %d concurrent measure cells, want once", stage, n, len(cells))
+		}
+	}
+	for i, c := range cells {
+		if want := ref.Results[c.Config][c.Workload]; got[i] == nil || !bytes.Equal(payloadOf(t, got[i]), payloadOf(t, want)) {
+			t.Errorf("%s: session result differs from the sweep's", c.Label())
+		}
+	}
+	if res, err := s.Run(ctx, Cell{Kind: StageProfile, Workload: "sha"}); res != nil || err != nil {
+		t.Errorf("profile cell on a profiled workload = %v, %v; want nil, nil", res, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,6 +31,7 @@ var buildWorkload = workloads.Build
 // (workload, config) measurement is independent and deterministic, so
 // results are bit-identical to a serial run regardless of worker count,
 // metrics attachment, cache state, retries, or which sibling tasks failed.
+// Every cell runs through one Session, the path a fabric worker's cells take.
 //
 // Failure semantics: by default the first task error aborts the sweep
 // (remaining tasks drain unrun) and Sweep returns (nil, err). Under
@@ -38,62 +40,11 @@ var buildWorkload = workloads.Build
 // error — callers render what succeeded and report what did not. Missing
 // entries in Results mark the failed pairs.
 func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
-	names, configs := camp.Workloads, camp.Configs
-	var noteMu sync.Mutex
-	note := func(format string, args ...interface{}) {
-		noteMu.Lock()
-		r.note(format, args...)
-		noteMu.Unlock()
-	}
-	spec := r.effectiveSpec(camp)
-	sw := NewSweep(r.fc, camp)
-	sw.Sampling = spec
-	var mu sync.Mutex
-	cellKeys := map[string][]artifact.Key{} // by workload, aligned with configs; nil without a cache
+	s := r.Session(camp)
+	sw, cells, nprof := s.sw, camp.CellList(), len(camp.Workloads)
 
-	// Phase 1: profile every workload (parallel across workloads). Every
-	// key of the workload — its chain and its cells — is derived here, from
-	// inputs alone, so profileWith can look at the cells before it reads
-	// the chain and phase 2 derives nothing again.
-	profErr := r.runTasks(ctx, taskSet{
-		stage: StageProfile,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "profile", workload: names[i]} },
-		do: func(ctx context.Context, i int) error {
-			name := names[i]
-			w, err := buildWorkload(name, camp.Scale)
-			if err != nil {
-				return wrapStage(StageProfile, name, "", err)
-			}
-			note("profiling %-14s (%s scale)", name, camp.Scale)
-			keys := r.profileKeys(w, spec)
-			var cells []artifact.Key
-			if r.cache != nil {
-				chain := keys.ckpt.Hex()
-				cells = make([]artifact.Key, len(configs))
-				for ci, cfg := range configs {
-					cells[ci] = measureKey(chain, cfg, r.fc.Lib)
-				}
-			}
-			p, err := r.profileWith(ctx, w, spec, keys, cells)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sw.Profiles[name] = p
-			cellKeys[name] = cells
-			mu.Unlock()
-			if p.Vectors == nil {
-				note("  %-14s every cell cached: k=%d, %d simpoints, %.0f%% coverage",
-					name, p.Selection.K, p.NumSimPoints(), 100*p.Selection.Coverage)
-				return nil
-			}
-			note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
-				name, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
-				100*p.Selection.Coverage)
-			return nil
-		},
-	})
+	// Phase 1: profile every workload (parallel across workloads).
+	profErr := r.runTasks(ctx, cells[:nprof], s.run)
 	if profErr != nil && !r.keepGoing {
 		return nil, profErr
 	}
@@ -102,47 +53,17 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	// whose workload failed to profile are already accounted in profErr
 	// and skipped here. Under a canceled context runTasks drains every pair
 	// and reports the cancellation itself.
-	type pair struct {
-		cfg  boom.Config
-		name string
-		key  artifact.Key
-	}
-	var pairs []pair
-	for ci, cfg := range configs {
-		for _, name := range names {
-			if sw.Profiles[name] == nil {
-				continue
-			}
-			pr := pair{cfg: cfg, name: name}
-			if cells := cellKeys[name]; cells != nil {
-				pr.key = cells[ci]
-			}
-			pairs = append(pairs, pr)
+	var measures []Cell
+	for _, c := range cells[nprof:] {
+		if sw.Profiles[c.Workload] != nil {
+			measures = append(measures, c)
 		}
 	}
-	measErr := r.runTasks(ctx, taskSet{
-		stage: StageMeasure,
-		n:     len(pairs),
-		id: func(i int) taskID {
-			return taskID{kind: "measure", workload: pairs[i].name, config: pairs[i].cfg.Name}
-		},
-		do: func(ctx context.Context, i int) error {
-			pr := pairs[i]
-			note("measuring %-14s on %s", pr.name, pr.cfg.Name)
-			res, err := r.run(ctx, sw.Profiles[pr.name], pr.cfg, pr.key)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			sw.Results[pr.cfg.Name][pr.name] = res
-			mu.Unlock()
-			return nil
-		},
-	})
+	measErr := r.runTasks(ctx, measures, s.run)
 	// A profile whose bbv payload stayed unread takes its instruction
 	// count from a result: measure copied it there from the same chain.
-	for _, pr := range pairs {
-		if p, res := sw.Profiles[pr.name], sw.Results[pr.cfg.Name][pr.name]; p.TotalInsts == 0 && res != nil {
+	for _, c := range measures {
+		if p, res := sw.Profiles[c.Workload], sw.Results[c.Config][c.Workload]; p.TotalInsts == 0 && res != nil {
 			p.TotalInsts = res.TotalInsts
 		}
 	}
@@ -152,15 +73,10 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		}
 		return sw, nil
 	}
-	var errs []error
+	var errs []error // keep-going runTasks returns nil or a *SweepErrors
 	for _, e := range []error{profErr, measErr} {
-		var se *SweepErrors
-		switch {
-		case e == nil:
-		case errors.As(e, &se):
+		if se, ok := e.(*SweepErrors); ok {
 			errs = append(errs, se.Errs...)
-		default:
-			errs = append(errs, e)
 		}
 	}
 	if len(errs) > 0 {
@@ -169,49 +85,163 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	return sw, nil
 }
 
-// taskID names one sweep task for failure identity.
-type taskID struct {
-	kind     string // "profile" | "measure"
-	workload string
-	config   string // empty for profile tasks
+// Session is one campaign's cells on one Runner: the effective sampling
+// spec, each workload's key chain and cell keys, and the Sweep the cells
+// fill. Runner.Sweep runs every cell of a campaign through one; a fabric
+// worker runs each cell it leases through the session of the campaign it
+// holds. A session profiles a workload at most once — in its profile cell,
+// or in the first measure cell that needs it — so however many configs
+// measure a workload, its chain is read or computed once. It is safe for
+// concurrent cells.
+type Session struct {
+	r    *Runner
+	camp Campaign
+	sw   *Sweep // its Sampling is the effective spec
+
+	mu  sync.Mutex // guards wls and sw's maps
+	wls map[string]*sessionWorkload
 }
 
-func (id taskID) stage() string {
-	if id.kind == "profile" {
-		return StageProfile
+// sessionWorkload is one workload's profile and the measure keys of its
+// cells, aligned with the campaign's configs (nil without a cache).
+type sessionWorkload struct {
+	mu    sync.Mutex // held while the workload profiles
+	p     *Profile
+	cells []artifact.Key
+}
+
+// Session opens a session on camp.
+func (r *Runner) Session(camp Campaign) *Session {
+	sw := NewSweep(r.fc, camp)
+	sw.Sampling = r.effectiveSpec(camp)
+	return &Session{r: r, camp: camp, sw: sw, wls: map[string]*sessionWorkload{}}
+}
+
+// Run runs one cell under the sweep's supervision (see runTask): a panic
+// becomes a *StageError carrying its stack, a tripped watchdog is
+// transient, and WithRetry applies. A measure cell returns its Result, a
+// profile cell nil.
+func (s *Session) Run(ctx context.Context, c Cell) (*Result, error) {
+	if err := s.r.runTask(ctx, c, s.run); err != nil {
+		return nil, err
 	}
-	return StageMeasure
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sw.Results[c.Config][c.Workload], nil
 }
 
-// taskSet is one parallel phase of a sweep.
-type taskSet struct {
-	stage string
-	n     int
-	id    func(i int) taskID
-	do    func(ctx context.Context, i int) error
+// run is one cell's body.
+func (s *Session) run(ctx context.Context, c Cell) error {
+	switch c.Kind {
+	case StageProfile:
+		_, err := s.profile(ctx, c.Workload)
+		return err
+	case StageMeasure:
+		return s.measure(ctx, c)
+	}
+	return fmt.Errorf("core: unknown cell kind %q", c.Kind)
 }
 
-// runTasks runs a task set on a fixed worker pool under supervision,
-// recording per-worker busy time and utilization plus task queue-wait into
-// the registry. Fail-fast mode (the default) returns the first error and
+// profile returns the workload's state, profiling it first unless the
+// session already holds its profile; concurrent callers wait for the
+// first, and a failed profile is retried by the next. Every key of the
+// workload — its chain and its cells — is derived here, from inputs alone,
+// so profileWith can look at the cells before it reads the chain and a
+// measure cell derives nothing again.
+func (s *Session) profile(ctx context.Context, name string) (*sessionWorkload, error) {
+	s.mu.Lock()
+	wl := s.wls[name]
+	if wl == nil {
+		wl = &sessionWorkload{}
+		s.wls[name] = wl
+	}
+	s.mu.Unlock()
+	wl.mu.Lock()
+	defer wl.mu.Unlock()
+	if wl.p != nil {
+		return wl, nil
+	}
+	w, err := buildWorkload(name, s.camp.Scale)
+	if err != nil {
+		return nil, wrapStage(StageProfile, name, "", err)
+	}
+	s.r.note("profiling %-14s (%s scale)", name, s.camp.Scale)
+	keys := s.r.profileKeys(w, s.sw.Sampling)
+	var cells []artifact.Key
+	if s.r.cache != nil {
+		chain := keys.ckpt.Hex()
+		cells = make([]artifact.Key, len(s.camp.Configs))
+		for ci, cfg := range s.camp.Configs {
+			cells[ci] = measureKey(chain, cfg, s.r.fc.Lib)
+		}
+	}
+	p, err := s.r.profileWith(ctx, w, s.sw.Sampling, keys, cells)
+	if err != nil {
+		return nil, err
+	}
+	if p.Vectors == nil {
+		s.r.note("  %-14s every cell cached: k=%d, %d simpoints, %.0f%% coverage",
+			name, p.Selection.K, p.NumSimPoints(), 100*p.Selection.Coverage)
+	} else {
+		s.r.note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
+			name, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
+			100*p.Selection.Coverage)
+	}
+	s.mu.Lock()
+	s.sw.Profiles[name] = p
+	s.mu.Unlock()
+	wl.p, wl.cells = p, cells
+	return wl, nil
+}
+
+// measure is a measure cell's body: the workload's profile, then the
+// measurement under the cell's key.
+func (s *Session) measure(ctx context.Context, c Cell) error {
+	ci := slices.IndexFunc(s.camp.Configs, func(cfg boom.Config) bool { return cfg.Name == c.Config })
+	if ci < 0 {
+		return wrapStage(StageMeasure, c.Workload, c.Config, errors.New("the campaign has no such config"))
+	}
+	wl, err := s.profile(ctx, c.Workload)
+	if err != nil {
+		return err
+	}
+	s.r.note("measuring %-14s on %s", c.Workload, c.Config)
+	var key artifact.Key
+	if wl.cells != nil {
+		key = wl.cells[ci]
+	}
+	res, err := s.r.run(ctx, wl.p, s.camp.Configs[ci], key)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.sw.Results[c.Config][c.Workload] = res
+	s.mu.Unlock()
+	return nil
+}
+
+// runTasks runs cells on a fixed worker pool, each under runTask, recording
+// per-worker busy time and utilization plus task queue-wait into the
+// registry. Fail-fast mode (the default) returns the first error and
 // drains the remaining queue unrun; keep-going mode runs everything and
 // returns a *SweepErrors. Drained tasks increment core.sweep.tasks_drained
 // and are excluded from the tasks counter, queue-wait histogram and worker
 // busy time. A canceled context surfaces as a *StageError naming the phase
-// in flight and wrapping ctx.Err().
-func (r *Runner) runTasks(ctx context.Context, ts taskSet) error {
-	if ts.n == 0 {
+// in flight (the first cell's kind) and wrapping ctx.Err().
+func (r *Runner) runTasks(ctx context.Context, cells []Cell, do func(context.Context, Cell) error) error {
+	n := len(cells)
+	if n == 0 {
 		return nil
 	}
 	workers := r.par
-	if workers > ts.n {
-		workers = ts.n
+	if workers > n {
+		workers = n
 	}
 	type item struct {
 		idx        int
 		enqueuedNS int64
 	}
-	ch := make(chan item, ts.n)
+	ch := make(chan item, n)
 	start := time.Now()
 	qwait := r.reg.Histogram("core.sweep.queue_wait_ns")
 	tasks := r.reg.Counter("core.sweep.tasks")
@@ -243,15 +273,7 @@ func (r *Runner) runTasks(ctx context.Context, ts taskSet) error {
 				}
 				t0 := time.Now()
 				qwait.Observe(t0.UnixNano() - it.enqueuedNS)
-				// One task holds one slot of the shared -j budget for its
-				// whole attempt chain; intra-cell point helpers try-acquire
-				// the remainder (points.go), so sweep workers plus point
-				// workers never exceed -j goroutines combined.
-				r.sem <- struct{}{}
-				err := r.runTask(ctx, ts.id(it.idx),
-					func(c context.Context) error { return ts.do(c, it.idx) })
-				<-r.sem
-				if err != nil {
+				if err := r.runTask(ctx, cells[it.idx], do); err != nil {
 					record(err)
 				}
 				tasks.Inc()
@@ -259,7 +281,7 @@ func (r *Runner) runTasks(ctx context.Context, ts taskSet) error {
 			}
 		}(wk)
 	}
-	for i := 0; i < ts.n; i++ {
+	for i := 0; i < n; i++ {
 		ch <- item{i, time.Now().UnixNano()}
 	}
 	close(ch)
@@ -273,7 +295,7 @@ func (r *Runner) runTasks(ctx context.Context, ts taskSet) error {
 		}
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		errs = append(errs, &StageError{Stage: ts.stage, Err: cerr})
+		errs = append(errs, &StageError{Stage: cells[0].Kind, Err: cerr})
 	}
 	if len(errs) == 0 {
 		return nil
@@ -301,22 +323,27 @@ func utilization(busyNS, wallNS int64) float64 {
 	return 1
 }
 
-// runTask supervises one task: guarded attempts under the Runner's retry
-// policy (WithRetry), which only transient errors get to use.
-func (r *Runner) runTask(ctx context.Context, id taskID, do func(context.Context) error) error {
+// runTask supervises one cell: guarded attempts under the Runner's retry
+// policy (WithRetry), which only transient errors get to use. The cell
+// holds one slot of the shared -j budget for its whole attempt chain;
+// intra-cell point helpers try-acquire the remainder (points.go), so cells
+// plus point workers never exceed -j goroutines combined.
+func (r *Runner) runTask(ctx context.Context, c Cell, do func(context.Context, Cell) error) error {
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
 	var err error
 	attempts := 0
 	rerr := backoff.Retry(ctx, r.retry, func(ctx context.Context) error {
 		if attempts++; attempts > 1 {
 			r.reg.Counter("core.sweep.retries").Inc()
 		}
-		if err = r.attempt(ctx, id, do); err != nil && !IsTransient(err) {
+		if err = r.attempt(ctx, c, do); err != nil && !IsTransient(err) {
 			return backoff.Permanent(err)
 		}
 		return err
 	})
 	if attempts == 0 {
-		err = wrapStage(id.stage(), id.workload, id.config, rerr) // canceled before the first attempt
+		err = wrapStage(c.Kind, c.Workload, c.Config, rerr) // canceled before the first attempt
 	}
 	var se *StageError
 	if attempts > 1 && errors.As(err, &se) {
@@ -333,21 +360,21 @@ func (r *Runner) runTask(ctx context.Context, id taskID, do func(context.Context
 // recovered into a *StageError carrying the captured stack, and a tripped
 // per-stage watchdog (deadline exceeded while the sweep's own context is
 // still live) is classified transient so the retry policy applies.
-func (r *Runner) attempt(parent context.Context, id taskID, do func(context.Context) error) (err error) {
+func (r *Runner) attempt(parent context.Context, c Cell, do func(context.Context, Cell) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.reg.Counter("core.sweep.panics").Inc()
 			err = &StageError{
-				Stage:    id.stage(),
-				Workload: id.workload,
-				Config:   id.config,
+				Stage:    c.Kind,
+				Workload: c.Workload,
+				Config:   c.Config,
 				Panicked: true,
 				Stack:    debug.Stack(),
 				Err:      fmt.Errorf("panic: %v", p),
 			}
 		}
 	}()
-	err = do(parent)
+	err = do(parent, c)
 	if err != nil && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 		r.reg.Counter("core.sweep.timeouts").Inc()
 		err = Transient(err)

@@ -88,7 +88,7 @@ func hasVoted(cl *cell, worker string) bool {
 // completed cell for audit: sampling says yes AND at least one live,
 // unquarantined worker other than the reporter exists to re-derive it.
 func (c *Coordinator) auditWantedLocked(r *run, cl *cell, reporter string, now time.Time) bool {
-	if c.cfg.AuditFrac <= 0 || cl.task.Kind != taskMeasure {
+	if c.cfg.AuditFrac <= 0 || cl.task.Kind != core.StageMeasure {
 		return false
 	}
 	if !Audited(r.id, cl.task.Label(), c.cfg.AuditFrac) {
@@ -250,7 +250,7 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 				c.reg.Counter("fabric.cells_stolen").Inc()
 			}
 		case cellDone:
-			if cl.doneBy == worker && !cl.audited && cl.task.Kind == taskMeasure {
+			if cl.doneBy == worker && !cl.audited && cl.task.Kind == core.StageMeasure {
 				cl.state = cellPending
 				cl.worker = ""
 				cl.doneBy = ""

@@ -16,6 +16,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -50,11 +51,12 @@ type cluster struct {
 }
 
 type clusterOpts struct {
-	workers  int
-	lease    time.Duration
-	storeDir string  // shared across restarts; "" = fresh temp dir
-	chaos    string  // coordinator-side injector spec
-	audit    float64 // fabric.Config.AuditFrac
+	workers   int
+	lease     time.Duration
+	storeDir  string  // shared across restarts; "" = fresh temp dir
+	chaos     string  // coordinator-side injector spec
+	keepGoing bool    // coordinator-side Engine.KeepGoing
+	audit     float64 // fabric.Config.AuditFrac
 	// workerEngines[i] is worker-i's Engine (missing = the zero Engine). Its
 	// Chaos plan arms one injector for the worker's pipeline sites, the
 	// "fabric.payload/<id>" lying-worker site and — through the
@@ -76,7 +78,7 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		Registry:  c.coordReg,
 		Lease:     o.lease,
 		Poll:      10 * time.Millisecond,
-		Engine:    core.Engine{Chaos: o.chaos},
+		Engine:    core.Engine{Chaos: o.chaos, KeepGoing: o.keepGoing},
 		AuditFrac: o.audit,
 		Log:       t.Logf,
 	})
@@ -529,6 +531,57 @@ func TestWarmProfileEconomy(t *testing.T) {
 	}
 }
 
+// TestWorkerReadsChainOncePerCampaign: the worker's session holds the
+// profile its profile cell computed, so the measure cells of every config
+// measure on it instead of reading the chain back from the cache, once per
+// config, as a fresh Runner.Profile would.
+func TestWorkerReadsChainOncePerCampaign(t *testing.T) {
+	camp := core.NewCampaign([]string{"sha"},
+		mustConfigs(t, "MediumBOOM", "LargeBOOM", "MegaBOOM"), workloads.ScaleTiny)
+	c := startCluster(t, clusterOpts{workers: 1})
+	sw, err := c.coord.RunCampaign(context.Background(), "chain-once", camp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"bbv", "checkpoint"} {
+		if n := c.workerCounterSum("artifact." + stage + ".hit"); n != 0 {
+			t.Errorf("artifact.%s.hit = %d, want 0: a measure cell read back the chain its profile cell computed", stage, n)
+		}
+	}
+	if want := directBytes(t, "chain-once", camp); !bytes.Equal(encodeSweep(t, "chain-once", camp, sw), want) {
+		t.Error("distributed bytes differ from the direct run's")
+	}
+}
+
+// TestKeepGoingErrorsMatchLocal: a keep-going campaign whose sha profile
+// fails for good reports one error per cause through the fabric, as
+// Runner.Sweep does — the measure cells the failure took down add none —
+// and the same bytes, whose failed list names every missing cell.
+func TestKeepGoingErrorsMatchLocal(t *testing.T) {
+	const id, chaos = "keep-going-parity", "1:core.profile/sha=error-permx*"
+	camp := core.NewCampaign([]string{"sha", "qsort"},
+		mustConfigs(t, "MediumBOOM", "MegaBOOM"), workloads.ScaleTiny)
+	opts, err := core.Engine{KeepGoing: true, Chaos: chaos}.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, localErr := core.New(core.FlowConfigFor(camp.Scale), opts...).Sweep(context.Background(), camp)
+	var want *core.SweepErrors
+	if !errors.As(localErr, &want) || len(want.Errs) != 1 {
+		t.Fatalf("local keep-going sweep: %v, want a *core.SweepErrors with 1 entry", localErr)
+	}
+
+	c := startCluster(t, clusterOpts{workers: 1, keepGoing: true, workerEngines: []core.Engine{{Chaos: chaos}}})
+	sw, err := c.coord.RunCampaign(context.Background(), id, camp, nil)
+	var got *core.SweepErrors
+	if !errors.As(err, &got) || len(got.Errs) != len(want.Errs) {
+		t.Errorf("distributed keep-going campaign: %v, want %d error(s) like the local sweep's %v", err, len(want.Errs), localErr)
+	}
+	if sw == nil || !bytes.Equal(encodeSweep(t, id, camp, sw), encodeSweep(t, id, camp, local)) {
+		t.Error("distributed keep-going bytes differ from the local sweep's")
+	}
+}
+
 // TestLeaseFaultInjection: the "fabric.lease" chaos site fails lease
 // grants; workers back off and retry, and the campaign completes with the
 // direct run's exact bytes.
@@ -553,27 +606,67 @@ func TestLeaseFaultInjection(t *testing.T) {
 }
 
 // TestWorkerHonoursEngine: a worker runs its cells under every knob of the
-// Engine it carries, not under a hand-picked subset. CacheVerify: the
-// measure cell's Profile hits the chain the profile cell just left in the
-// worker's cache, and every verified hit counts in artifact.verify.ok.
-// StageTimeout: a profile stage stalled past the watchdog is cut off, the
-// cell is reported failed on every regrant, and the campaign fails.
+// Engine it carries, not under a hand-picked subset: each cell goes through
+// the supervised session a single node's sweep uses. CacheVerify: a rerun
+// under a new campaign ID hits the chain and the measure entry the first run
+// left in the worker's cache, and every verified hit counts in
+// artifact.verify.ok. StageTimeout: a profile stage stalled past the
+// watchdog is cut off, the cell is reported failed on every regrant, and the
+// campaign fails. Retries: a transient fault is retried on the worker, so
+// the coordinator never sees it. Panic: a panicking cell is recovered into a
+// counted *core.StageError, and its regrant lands the direct run's bytes.
 func TestWorkerHonoursEngine(t *testing.T) {
 	camp := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
+	want := directBytes(t, "worker-engine", camp)
 
 	c := startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{CacheVerify: true}}})
 	if _, err := c.coord.RunCampaign(context.Background(), "worker-verify", camp, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.workerCounterSum("artifact.verify.ok"); n < 3 {
-		t.Errorf("artifact.verify.ok %d: the measure cell's bbv/select/checkpoint hits were not verified", n)
+	first := c.workerCounterSum("artifact.verify.ok")
+	if _, err := c.coord.RunCampaign(context.Background(), "worker-verify-rerun", camp, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.workerCounterSum("artifact.verify.ok") - first; n < 4 {
+		t.Errorf("artifact.verify.ok %d on the rerun: its bbv/select/checkpoint/measure hits were not all verified", n)
+	}
+
+	c = startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{
+		Retries: 1,
+		Chaos:   "1:core.measure/sha/MediumBOOM=errorx1",
+	}}})
+	sw, err := c.coord.RunCampaign(context.Background(), "worker-retries", camp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSweep(t, "worker-engine", camp, sw), want) {
+		t.Error("retried cell's bytes differ from the direct run's")
+	}
+	if n := c.coordReg.Counter("fabric.cells_requeued").Value(); n != 0 {
+		t.Errorf("fabric.cells_requeued %d: the worker reported a fault its retry budget covers", n)
+	}
+	if n := c.workerCounterSum("core.sweep.retries"); n != 1 {
+		t.Errorf("core.sweep.retries %d on the worker, want 1", n)
+	}
+
+	c = startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{
+		Chaos: "1:core.measure/sha/MediumBOOM=panicx1",
+	}}})
+	if sw, err = c.coord.RunCampaign(context.Background(), "worker-panic", camp, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSweep(t, "worker-engine", camp, sw), want) {
+		t.Error("bytes after the recovered panic differ from the direct run's")
+	}
+	if n := c.workerCounterSum("core.sweep.panics"); n != 1 {
+		t.Errorf("core.sweep.panics %d on the worker, want 1", n)
 	}
 
 	c = startCluster(t, clusterOpts{workers: 1, workerEngines: []core.Engine{{
 		StageTimeout: 20 * time.Millisecond,
 		Chaos:        "1:core.profile/sha=delay:200msx*",
 	}}})
-	_, err := c.coord.RunCampaign(context.Background(), "worker-watchdog", camp, nil)
+	_, err = c.coord.RunCampaign(context.Background(), "worker-watchdog", camp, nil)
 	if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
 		t.Errorf("campaign error %v, want the profile cell failed by the stage watchdog", err)
 	}

@@ -1,7 +1,8 @@
 // Package fabric is the distributed sweep plane: a coordinator that
-// shards a campaign's (workload × config) cells across registered
-// workers, and the worker loop that leases cells, executes them with the
-// ordinary core.Runner, and reports canonical result bytes back.
+// shards a campaign's cells (core.Cell) across registered workers, and the
+// worker loop that leases cells, runs them through the same supervised
+// core.Session a single node's sweep uses, and reports canonical result
+// bytes back.
 //
 // The design leans entirely on the determinism the rest of the codebase
 // already guarantees. Every cell is an isolated, bit-reproducible
@@ -312,17 +313,13 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		cells: map[string]*cell{},
 		done:  make(chan struct{}),
 	}
-	for _, wl := range camp.Workloads {
-		t := Task{Campaign: id, Kind: taskProfile, Workload: wl}
-		r.cells[t.Label()] = &cell{task: t}
-		r.order = append(r.order, t.Label())
-	}
-	for _, cfg := range camp.Configs {
-		for _, wl := range camp.Workloads {
-			t := Task{Campaign: id, Kind: taskMeasure, Workload: wl, Config: cfg.Name}
-			r.cells[t.Label()] = &cell{task: t, requires: taskProfile + "/" + wl}
-			r.order = append(r.order, t.Label())
+	for _, cc := range camp.CellList() {
+		cl := &cell{task: Task{Campaign: id, Cell: cc}}
+		if cc.Kind == core.StageMeasure {
+			cl.requires = core.Cell{Kind: core.StageProfile, Workload: cc.Workload}.Label()
 		}
+		r.cells[cc.Label()] = cl
+		r.order = append(r.order, cc.Label())
 	}
 	r.remaining = len(r.order)
 
@@ -376,16 +373,8 @@ func (c *Coordinator) nextTask(worker string) *Task {
 		default:
 			continue
 		}
-		if cl.requires != "" {
-			switch req := r.cells[cl.requires]; req.state {
-			case cellDone:
-				// runnable
-			case cellFailed:
-				c.failCellLocked(r, cl, fmt.Sprintf("dependency %s failed", cl.requires))
-				continue
-			default:
-				continue // profile still pending or in flight
-			}
+		if cl.requires != "" && r.cells[cl.requires].state != cellDone {
+			continue // profile still pending or in flight (a failed one failed its dependents)
 		}
 		c.seq++
 		cl.state = cellLeased
@@ -434,15 +423,13 @@ func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
 	cl.worker = ""
 	r.remaining--
 	c.reg.Counter("fabric.cells_failed").Inc()
-	if cl.task.Kind == taskProfile {
-		for _, label := range r.order {
-			dep := r.cells[label]
-			if dep.state == cellPending && dep.requires == cl.task.Label() {
-				dep.state = cellFailed
-				dep.errMsg = fmt.Sprintf("dependency %s failed", cl.task.Label())
-				r.remaining--
-				c.reg.Counter("fabric.cells_failed").Inc()
-			}
+	for _, label := range r.order {
+		dep := r.cells[label]
+		if dep.state == cellPending && dep.requires == cl.task.Label() {
+			dep.state = cellFailed
+			dep.errMsg = fmt.Sprintf("dependency %s failed", cl.task.Label())
+			r.remaining--
+			c.reg.Counter("fabric.cells_failed").Inc()
 		}
 	}
 	if !c.cfg.Engine.KeepGoing && r.failErr == nil {
@@ -481,7 +468,7 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 		cl := r.cells[label]
 		switch cl.state {
 		case cellDone:
-			if cl.task.Kind != taskMeasure {
+			if cl.task.Kind != core.StageMeasure {
 				continue
 			}
 			res := &core.Result{
@@ -495,6 +482,12 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 			}
 			sw.Results[cl.task.Config][cl.task.Workload] = res
 		case cellFailed:
+			// A cell its failed dependency took down is no cause of its own:
+			// one error per cause, as Runner.Sweep reports it (the result's
+			// failed list still names every missing cell).
+			if cl.requires != "" && r.cells[cl.requires].state == cellFailed {
+				continue
+			}
 			errs = append(errs, fmt.Errorf("fabric: cell %s: %s", label, cl.errMsg))
 		}
 	}

@@ -7,40 +7,22 @@ import (
 	"repro/internal/workloads"
 )
 
-// Task kinds. A campaign shards into one profile cell per workload (the
-// config-independent BBV→select→checkpoint chain) and one measure cell
-// per (workload, config) pair; measure cells are gated on their
-// workload's profile cell so the expensive chain runs once per workload
-// across the whole cluster, not once per design point.
-const (
-	taskProfile = "profile"
-	taskMeasure = "measure"
-)
-
-// Task is one schedulable cell of a distributed campaign. Seq is the
-// lease sequence number the coordinator stamps on each grant; heartbeats
-// echo it so a renewal for a stolen-and-regranted cell is recognizable
-// as stale.
+// Task is one lease of a campaign cell (core.Cell). A campaign shards into
+// one profile cell per workload and one measure cell per (workload, config)
+// pair; measure cells are gated on their workload's profile cell so the
+// expensive chain runs once per workload across the whole cluster, not once
+// per design point. Seq is the lease sequence number the coordinator stamps
+// on each grant; heartbeats echo it so a renewal for a stolen-and-regranted
+// cell is recognizable as stale.
 type Task struct {
 	Campaign string `json:"campaign"`
-	Kind     string `json:"kind"` // taskProfile | taskMeasure
-	Workload string `json:"workload"`
-	Config   string `json:"config,omitempty"` // measure cells only
-	Seq      uint64 `json:"seq"`
+	core.Cell
+	Seq uint64 `json:"seq"`
 	// Fresh marks an audit re-execution: the worker must recompute the
 	// cell without the shared remote store (and without its normal local
 	// cache), so the result is an independent derivation rather than a
 	// copy of the artifact under audit.
 	Fresh bool `json:"fresh,omitempty"`
-}
-
-// Label names the cell ("profile/<wl>", "measure/<cfg>/<wl>"): its key in
-// the run's cell graph.
-func (t Task) Label() string {
-	if t.Kind == taskProfile {
-		return t.Kind + "/" + t.Workload
-	}
-	return t.Kind + "/" + t.Config + "/" + t.Workload
 }
 
 // Wire bodies for the coordinator's POST endpoints.
@@ -82,9 +64,9 @@ type doneRequest struct {
 	Worker string `json:"worker"`
 	Task   Task   `json:"task"`
 	OK     bool   `json:"ok"`
-	// Payload is the canonical measure-artifact bytes for measure cells
-	// (core.EncodeMeasuredResult); empty for profile cells, whose product
-	// travels through the artifact store instead.
+	// Payload is the canonical measure-artifact bytes of a measure cell's
+	// result (core.EncodeMeasuredResult); empty for profile cells, whose
+	// product travels through the artifact store instead.
 	Payload []byte `json:"payload,omitempty"`
 	Error   string `json:"error,omitempty"`
 }

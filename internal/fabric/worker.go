@@ -16,7 +16,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/wire"
-	"repro/internal/workloads"
 )
 
 // WorkerConfig carries one worker's knobs; only Coordinator is required.
@@ -27,16 +26,15 @@ type WorkerConfig struct {
 	// ID names the worker in leases, logs, and status ("worker-<pid>" when
 	// empty). IDs must be unique per cluster.
 	ID string
-	// Engine says how the worker runs its cells (see core.Engine). Its
-	// CacheDir is the local tier over the coordinator's store (when empty,
-	// a temp dir that Run removes on return) and its RemoteStore is
-	// ignored: the store is the coordinator's. A worker holds one cell at a
-	// time, so the Parallelism budget drains into intra-cell point helpers
-	// (DESIGN §4) and the sweep-level KeepGoing/Retries do nothing. Chaos
-	// arms one injector per worker: pipeline and cache sites, the transport
-	// (scoped to ID), and "fabric.payload/<id>", which corrupts the bytes
-	// this worker reports — the lie coordinator-side auditing exists to
-	// catch.
+	// Engine says how the worker runs its cells: through the supervised
+	// core.Session a single node's sweep uses, so every knob means what it
+	// means there, but KeepGoing (a worker holds one cell at a time) and
+	// RemoteStore (the store is the coordinator's) do nothing. CacheDir is
+	// the local tier over that store (when empty, a temp dir that Run
+	// removes on return). Chaos arms one injector per worker: pipeline and
+	// cache sites, the transport (scoped to ID), and "fabric.payload/<id>",
+	// which corrupts the bytes this worker reports — the lie
+	// coordinator-side auditing exists to catch.
 	Engine core.Engine
 	// CacheDir and Parallelism are shorthands for the Engine's fields of
 	// the same name, folded in by NewWorker where those are zero.
@@ -52,9 +50,9 @@ type WorkerConfig struct {
 }
 
 // Worker is the execution side of the fabric: it registers with a
-// coordinator, polls for cells, runs them with an ordinary core.Runner
-// (local cache over the cluster's remote artifact store), and reports
-// canonical result bytes back. Create with NewWorker, drive with Run.
+// coordinator, polls for cells, runs them through a core.Session (local
+// cache over the cluster's remote artifact store), and reports canonical
+// result bytes back. Create with NewWorker, drive with Run.
 type Worker struct {
 	cfg    WorkerConfig
 	base   string
@@ -67,12 +65,12 @@ type Worker struct {
 	store   bool
 
 	// The campaign whose cell the worker holds — its decoded spec and its
-	// two Runners, built on first use — replaced when a cell of another
-	// campaign arrives. Touched only by Run's goroutine.
+	// two sessions with the profiles they took, opened on first use — kept
+	// until a cell of another campaign arrives. Touched only by Run's goroutine.
 	campID string
 	camp   core.Campaign
-	normal *core.Runner
-	fresh  *core.Runner // audit re-executions: own cache, no remote store
+	normal *core.Session
+	fresh  *core.Session // audit re-executions: own Runner, cache and profiles, no remote store
 }
 
 // NewWorker validates the config and fills defaults.
@@ -215,8 +213,8 @@ func (w *Worker) register(ctx context.Context) error {
 	return nil
 }
 
-// execute runs one leased cell end to end: hook, heartbeat loop, task
-// body, done report. A lost lease (stolen while we ran) abandons the cell
+// execute runs one leased cell end to end: hook, heartbeat loop, the cell,
+// done report. A lost lease (stolen while we ran) abandons the cell
 // without reporting — the thief's bytes are identical anyway.
 func (w *Worker) execute(ctx context.Context, t Task) {
 	if w.cfg.TaskHook != nil {
@@ -257,7 +255,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		}
 	}()
 
-	payload, err := w.runTask(tctx, t)
+	payload, err := w.runCell(tctx, t)
 	cancel()
 	hbWG.Wait()
 	if lost {
@@ -268,7 +266,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		return // shutdown mid-cell: don't report, let the lease expire
 	}
 
-	if err == nil && t.Kind == taskMeasure {
+	if err == nil && t.Kind == core.StageMeasure {
 		// Chaos site "fabric.payload/<id>": a worker that computes
 		// correctly but reports corrupted bytes — bit flips applied to the
 		// canonical payload before it is reported, so the wire JSON stays
@@ -290,66 +288,33 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	}
 }
 
-// runTask executes one cell body, converting panics (chaos drills, model
-// bugs) into reported errors so one poisoned cell never takes the worker
-// down.
-func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("fabric: panic in %s: %v", t.Label(), rec)
-		}
-	}()
-	r, err := w.runnerFor(ctx, t.Campaign, t.Fresh)
+// runCell runs one cell through the session of its campaign. A measure
+// cell yields its result's canonical payload; a profile cell's product is
+// its chain, which the cache writes through to the cluster store.
+func (w *Worker) runCell(ctx context.Context, t Task) ([]byte, error) {
+	s, err := w.session(ctx, t.Campaign, t.Fresh)
 	if err != nil {
 		return nil, err
 	}
-	camp := w.camp // runnerFor made t.Campaign the campaign held
-	wl, err := workloads.Build(t.Workload, camp.Scale)
-	if err != nil {
+	res, err := s.Run(ctx, t.Cell)
+	if err != nil || res == nil {
 		return nil, err
 	}
-	switch t.Kind {
-	case taskProfile:
-		// The product is the artifact chain itself: Profile fills the local
-		// cache and — via the synchronous write-through in artifact.Cache —
-		// the cluster store, so every other worker's measure cells fetch
-		// this chain instead of recomputing it.
-		_, err := r.Profile(ctx, wl)
-		return nil, err
-	case taskMeasure:
-		for i := range camp.Configs {
-			if camp.Configs[i].Name == t.Config {
-				p, perr := r.Profile(ctx, wl) // cache/store hit: the gated profile cell ran first
-				if perr != nil {
-					return nil, perr
-				}
-				res, rerr := r.Run(ctx, p, camp.Configs[i])
-				if rerr != nil {
-					return nil, rerr
-				}
-				return core.EncodeMeasuredResult(res)
-			}
-		}
-		return nil, fmt.Errorf("fabric: campaign has no config %q", t.Config)
-	default:
-		return nil, fmt.Errorf("fabric: unknown task kind %q", t.Kind)
-	}
+	return core.EncodeMeasuredResult(res)
 }
 
-// runnerFor returns (building on first use) one of the current campaign's
-// two Runners. A cell of a campaign other than the one the worker holds
-// drops that one's spec and Runners and fetches the new spec from the
-// coordinator (specs are immutable per fingerprint); the Runner is
-// assembled exactly as a single node would, plus the remote store tier when
-// the coordinator serves one.
+// session returns (opening on first use) one of the held campaign's two
+// sessions. A cell of another campaign drops that one's spec and sessions
+// and fetches the new spec from the coordinator (specs are immutable per
+// fingerprint); each session's Runner is a single node's, plus the remote
+// store tier when the coordinator serves one.
 //
-// The fresh runner serves audit re-executions, which must derive the
-// result independently: it has its own cache directory and no remote store
-// tier, so nothing computed by the worker under audit can leak into the
-// derivation — agreement means agreement of computations, not of caches.
-// Both share the worker's parallelism budget, which is what keeps those
-// storeless re-executions from paying full serial latency.
-func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (*core.Runner, error) {
+// The fresh session serves audit re-executions, which must derive the
+// result independently: its Runner has its own cache directory and no
+// store tier, and the session its own profiles, so nothing the worker
+// under audit computed can leak in — agreement means agreement of
+// computations, not of caches.
+func (w *Worker) session(ctx context.Context, campaignID string, fresh bool) (*core.Session, error) {
 	if w.campID != campaignID {
 		var spec campaignWire
 		if err := w.call(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &spec); err != nil {
@@ -373,15 +338,11 @@ func (w *Worker) runnerFor(ctx context.Context, campaignID string, fresh bool) (
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts,
-		core.WithScale(w.camp.Scale),
-		core.WithSampling(w.camp.Sampling),
-		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.inj))
+	opts = append(opts, core.WithMetrics(w.cfg.Registry), core.WithFaultInjector(w.inj))
 	if w.store && !fresh {
 		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
 	}
-	*slot = core.New(core.FlowConfigFor(w.camp.Scale), opts...)
+	*slot = core.New(core.FlowConfigFor(w.camp.Scale), opts...).Session(w.camp)
 	return *slot, nil
 }
 
