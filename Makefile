@@ -1,17 +1,18 @@
 # Build/verify entry points. Everything behavioural is a Go test under
-# `make test`; `make check` is the CI tier on top of it, six gates:
+# `make test`; `make check` is the CI tier on top of it, seven gates:
 #   vet            go vet, and gofmt -l prints nothing
 #   race           the concurrent packages under the race detector
 #   fuzz-smoke     5 s per fuzz target on top of the committed corpora
 #   bench-smoke    every kernel benchmark once + the functional-core floor
 #   bench-measure  one measure cell: -j 1 vs -j 4, byte-identical
 #   fidelity       sampled-vs-full CPI error per sampling spec
+#   invariants     the tiny 11x3 flow under boom's invariant checker
 # The CLI drills (chaos keep-going, crash-resume, cache round-trip, boomd
 # serve / fabric-vs-solo) are tests of the commands themselves, in ./cmd/...
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke bench bench-smoke bench-measure fidelity check
+.PHONY: build test vet race fuzz-smoke bench bench-smoke bench-measure fidelity invariants check
 
 build:
 	$(GO) build ./...
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFabricBodies -fuzztime 5s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — decode,
@@ -104,4 +106,11 @@ bench-measure:
 fidelity:
 	BOOM_FIDELITY=1 $(GO) test -run TestFidelityGate -count=1 -v ./internal/core
 
-check: vet race fuzz-smoke bench-smoke bench-measure fidelity
+# Invariant gate (DESIGN §7, cycle model): the tiny 11x3 campaign and the
+# three pinned full runs with boom.Core.CheckInvariants on in every core the
+# flow builds. A checked core steps every cycle, so the pinned digests in
+# testdata/equivalence_golden.txt must hold unchanged.
+invariants:
+	BOOM_INVARIANTS=1 $(GO) test -run TestFlowUnderInvariants -count=1 -v ./internal/core
+
+check: vet race fuzz-smoke bench-smoke bench-measure fidelity invariants

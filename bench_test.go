@@ -38,7 +38,7 @@ var (
 func benchSweep(b *testing.B) *core.Sweep {
 	b.Helper()
 	sweepOnce.Do(func() {
-		sweepVal, sweepErr = core.New(core.FlowConfigFor(workloads.ScaleTiny), core.WithScale(workloads.ScaleTiny)).
+		sweepVal, sweepErr = core.New(core.FlowConfigFor(workloads.ScaleTiny)).
 			Sweep(context.Background(), core.NewCampaign(workloads.Names(), boom.Configs(), workloads.ScaleTiny))
 	})
 	if sweepErr != nil {
@@ -144,10 +144,12 @@ func BenchmarkSimPointSpeedup(b *testing.B) {
 
 func BenchmarkSimPointAccuracy(b *testing.B) {
 	var acc *core.Accuracy
-	var err error
 	for i := 0; i < b.N; i++ {
-		acc, err = core.New(core.DefaultFlowConfig(), core.WithScale(workloads.ScaleTiny)).
-			Validate(context.Background(), "bitcount", boom.LargeBOOM())
+		w, err := workloads.Build("bitcount", workloads.ScaleTiny)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc, err = core.New(core.DefaultFlowConfig()).Validate(context.Background(), w, boom.LargeBOOM())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	reg := ef.MetricsRegistry()
-	opts := append([]core.Option{core.WithScale(scale), core.WithMetrics(reg)}, engineOpts...)
+	opts := append([]core.Option{core.WithMetrics(reg)}, engineOpts...)
 	runner := core.New(core.FlowConfigFor(scale), opts...)
 	ctx := context.Background()
 

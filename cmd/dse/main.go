@@ -152,7 +152,6 @@ func runLocal(names []string, spec dse.Spec, ef *engineflags.Flags, scale worklo
 	if err := camp.Validate(); err != nil {
 		return nil, err
 	}
-	opts = append(opts, core.WithScale(scale))
 	if !quiet {
 		fmt.Fprintf(stderr, "exploring %d design point(s) × %d workload(s) at %s scale\n",
 			len(cfgs), len(names), scale)

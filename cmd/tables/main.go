@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	configs := boom.Configs()
 	fc := core.FlowConfigFor(scale)
-	opts := []core.Option{core.WithScale(scale), core.WithProgress(progress)}
+	opts := []core.Option{core.WithProgress(progress)}
 	engineOpts, err := ef.Options()
 	if err != nil {
 		return err

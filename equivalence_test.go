@@ -52,7 +52,7 @@ func statsDigest(t *testing.T, s *boom.Stats) string {
 func equivalenceDigests(t *testing.T) []string {
 	t.Helper()
 	scale := workloads.ScaleTiny
-	r := core.New(core.FlowConfigFor(scale), core.WithScale(scale))
+	r := core.New(core.FlowConfigFor(scale))
 	names := workloads.Names()
 	configs := boom.Configs()
 	sw, err := r.Sweep(context.Background(), core.NewCampaign(names, configs, scale))

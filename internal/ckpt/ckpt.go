@@ -99,7 +99,9 @@ func SerializeAll(w io.Writer, ks []*Checkpoint) error {
 	return nil
 }
 
-// DeserializeAll reads a checkpoint slice in SerializeAll's format.
+// DeserializeAll reads a checkpoint slice in SerializeAll's format. The
+// count is read before any checkpoint it promises, so it sizes nothing:
+// the slice grows as each checkpoint decodes.
 func DeserializeAll(r io.Reader) ([]*Checkpoint, error) {
 	var b8 [8]byte
 	if _, err := io.ReadFull(r, b8[:]); err != nil {
@@ -109,13 +111,13 @@ func DeserializeAll(r io.Reader) ([]*Checkpoint, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("ckpt: unreasonable checkpoint count %d", n)
 	}
-	ks := make([]*Checkpoint, n)
-	for i := range ks {
+	ks := []*Checkpoint{}
+	for i := uint64(0); i < n; i++ {
 		k, err := Deserialize(r)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: checkpoint %d: %w", i, err)
 		}
-		ks[i] = k
+		ks = append(ks, k)
 	}
 	return ks, nil
 }

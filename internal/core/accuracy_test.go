@@ -46,7 +46,7 @@ func TestDifferentialAccuracy(t *testing.T) {
 		WarmupFactor: sampling.DefaultWarmupFactor,
 	}
 
-	cold := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir))
+	cold := New(fc, WithCache(dir))
 	sw, err := cold.Sweep(ctx, camp)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDifferentialAccuracy(t *testing.T) {
 	// Warm-cache rerun with metrics attached: every stage must hit, and
 	// every estimate must come back bit-for-bit.
 	reg := metrics.NewRegistry()
-	warm := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithMetrics(reg))
+	warm := New(fc, WithCache(dir), WithMetrics(reg))
 	sw2, err := warm.Sweep(ctx, camp)
 	if err != nil {
 		t.Fatal(err)

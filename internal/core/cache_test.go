@@ -51,12 +51,12 @@ func TestWarmCacheSweepDoesNoWork(t *testing.T) {
 	names := workloads.Names()
 	cfgs := []boom.Config{boom.MediumBOOM()}
 
-	coldSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir)).Sweep(ctx, tcamp(names, cfgs))
+	coldSW, err := New(fc, WithCache(dir)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	warmSW, err := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithMetrics(reg)).Sweep(ctx, tcamp(names, cfgs))
+	warmSW, err := New(fc, WithCache(dir), WithMetrics(reg)).Sweep(ctx, tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := New(fc, WithScale(workloads.ScaleTiny))
-	cached := New(fc, WithScale(workloads.ScaleTiny), WithCache(t.TempDir()))
+	plain := New(fc)
+	cached := New(fc, WithCache(t.TempDir()))
 
 	p1, err := plain.Profile(ctx, w1)
 	if err != nil {
@@ -191,12 +191,12 @@ func TestCacheVerifyPassesAndDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir))
+	cold := New(fc, WithCache(dir))
 	if _, err := cold.Profile(ctx, w); err != nil {
 		t.Fatal(err)
 	}
 
-	verify := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir), WithCacheVerify(true))
+	verify := New(fc, WithCache(dir), WithCacheVerify(true))
 	if _, err := verify.Profile(ctx, w); err != nil {
 		t.Fatalf("verify pass over a clean cache failed: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestCacheCorruptEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir))
+	r := New(fc, WithCache(dir))
 	p1, err := r.Profile(ctx, w)
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,9 @@ type Campaign struct {
 	// Sampling parameterizes how every cell is sampled: interval length,
 	// clustering feature set, projection dims, k ceiling, warm-up policy.
 	// The zero value means the implicit defaults (per-workload interval,
-	// BBV-only features, the flow's clustering and warm-up), and defers to
-	// the Runner's spec (WithSampling). It is part of the campaign
-	// fingerprint like any other spec (see Runner.CampaignID).
+	// BBV-only features, the flow's clustering and warm-up). It is the only
+	// spec a sweep runs under — a Runner's (WithSampling) never applies —
+	// and part of the campaign fingerprint like any other field.
 	Sampling sampling.Spec
 }
 
@@ -98,10 +98,8 @@ func (c Campaign) CellList() []Cell {
 
 // CampaignID fingerprints a campaign under flow parameters fc: the exact
 // workload list, configuration list, flow parameters, scale and sampling
-// spec (as given: Runner.CampaignID resolves the effective one first; the
-// serving layer, whose Runners carry none of their own, fingerprints a
-// submission with this before it builds anything). It is the one identity
-// of a run: the serving
+// spec (the serving layer fingerprints a submission with this before it
+// builds a Runner). It is the one identity of a run: the serving
 // layer's job and dedupe ID (internal/serve), so duplicate submissions of
 // one campaign collapse onto one job, and the campaign a fabric worker
 // fetches (internal/fabric). Reuses the artifact cache's canonical
@@ -126,11 +124,8 @@ func CampaignID(fc FlowConfig, c Campaign) string {
 }
 
 // CampaignID is the package-level CampaignID under this Runner's flow
-// parameters and the campaign's effective sampling spec.
-func (r *Runner) CampaignID(c Campaign) string {
-	c.Sampling = r.effectiveSpec(c)
-	return CampaignID(r.fc, c)
-}
+// parameters; no other Runner option reaches it.
+func (r *Runner) CampaignID(c Campaign) string { return CampaignID(r.fc, c) }
 
 // ShortID abbreviates a campaign fingerprint to its first 12 hex
 // characters, for log lines.

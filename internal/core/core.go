@@ -20,17 +20,17 @@
 // speedup and its accuracy validation).
 //
 // The flow is driven through a Runner constructed with New and functional
-// options (WithScale, WithMetrics, WithParallelism, WithProgress,
-// and the supervision/caching options — see engine.go). Every Runner method
+// options (WithMetrics, WithParallelism, WithProgress, and the
+// supervision/caching options — see engine.go). A Runner says how the flow
+// runs; what a sweep computes — workloads, configs, scale, sampling spec —
+// is its Campaign's alone. Every Runner method
 // takes a context.Context with cooperative cancellation at interval
 // boundaries, and every stage is wrapped in a span when a metrics registry
 // is attached.
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/asap7"
 	"repro/internal/bbv"
@@ -88,8 +88,9 @@ func FlowConfigFor(scale workloads.Scale) FlowConfig {
 // by Runner.Profile, and by Runner.Sweep whenever a cell of the workload
 // had to be measured. A Sweep that found every cell of the workload cached
 // reads the two stages' recorded costs and leaves their payloads unread:
-// those fields stay nil (TotalInsts is filled from a cached Result), and
-// load fetches them should a Run on the profile need to measure after all.
+// those fields stay nil (TotalInsts is filled from a cached Result). The
+// session reads them should a cell need measuring after all; Runner.Run on
+// such a profile reads the chain again through its own Runner.
 type Profile struct {
 	Workload    *workloads.Workload
 	Sampling    sampling.Spec // spec the profile was taken under (zero = legacy)
@@ -103,25 +104,6 @@ type Profile struct {
 	WarmupInsts []int64            // actual warm-up available per checkpoint
 	WallNS      int64              // compute wall-clock of steps 1–3 (cache hits report the original cost)
 	CacheKey    string             // artifact-chain fingerprint of steps 1–3; empty without a cache
-
-	mu      sync.Mutex                  // serializes load
-	pending func(context.Context) error // runs the stages whose payloads are unread; nil when none are
-}
-
-// load makes every payload field available, once: concurrent cells of one
-// workload wait for the first to finish, and a failed load is retried by
-// the next caller.
-func (p *Profile) load(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pending == nil {
-		return nil
-	}
-	if err := p.pending(ctx); err != nil {
-		return err
-	}
-	p.pending = nil
-	return nil
 }
 
 // NumSimPoints returns the number of selected simulation points (the
@@ -227,7 +209,7 @@ func (t *traceSource) refill() bool {
 type Sweep struct {
 	Flow        FlowConfig
 	Scale       workloads.Scale
-	Sampling    sampling.Spec                 // effective sampling spec (zero = legacy defaults)
+	Sampling    sampling.Spec                 // the campaign's sampling spec (zero = legacy defaults)
 	Names       []string                      // requested workloads, request order
 	ConfigNames []string                      // requested configs, request order
 	Profiles    map[string]*Profile           // by workload (may be partial)

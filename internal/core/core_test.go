@@ -124,8 +124,11 @@ func TestSimPointAccuracy(t *testing.T) {
 		t.Skip("runs full detailed simulations")
 	}
 	for _, name := range []string{"bitcount", "sha", "basicmath", "fft"} {
-		acc, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).
-			Validate(context.Background(), name, boom.LargeBOOM())
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := New(DefaultFlowConfig()).Validate(context.Background(), w, boom.LargeBOOM())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +144,7 @@ func TestSimPointAccuracy(t *testing.T) {
 
 func TestSweepAndSpeedup(t *testing.T) {
 	names := []string{"sha", "tarfind", "qsort"}
-	sw, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).
+	sw, err := New(DefaultFlowConfig()).
 		Sweep(context.Background(), tcamp(names, []boom.Config{boom.MediumBOOM(), boom.MegaBOOM()}))
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +292,11 @@ func TestPointsBracketAggregate(t *testing.T) {
 func TestParallelSweepDeterminism(t *testing.T) {
 	names := []string{"sha", "bitcount"}
 	cfgs := []boom.Config{boom.MediumBOOM(), boom.MegaBOOM()}
-	a, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).Sweep(context.Background(), tcamp(names, cfgs))
+	a, err := New(DefaultFlowConfig()).Sweep(context.Background(), tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).Sweep(context.Background(), tcamp(names, cfgs))
+	b, err := New(DefaultFlowConfig()).Sweep(context.Background(), tcamp(names, cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +312,11 @@ func TestParallelSweepDeterminism(t *testing.T) {
 }
 
 func TestFlowErrorPaths(t *testing.T) {
-	if _, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).Validate(context.Background(), "nope", boom.MediumBOOM()); err == nil {
-		t.Error("unknown workload must error")
+	sha, _ := workloads.Build("sha", workloads.ScaleTiny)
+	if _, err := New(DefaultFlowConfig()).Validate(context.Background(), sha, boom.Config{Name: "nope"}); err == nil {
+		t.Error("an invalid design point must error")
 	}
-	if _, err := New(DefaultFlowConfig(), WithScale(workloads.ScaleTiny)).
+	if _, err := New(DefaultFlowConfig()).
 		Sweep(context.Background(), tcamp([]string{"nope"}, []boom.Config{boom.MediumBOOM()})); err == nil {
 		t.Error("sweep with unknown workload must error")
 	}

@@ -121,9 +121,8 @@ func (e Engine) HTTPClient(inj *faultinject.Injector, peer string) *http.Client 
 // Options validates the Engine and returns the Runner options it stands
 // for — the one knob→option ladder. A Chaos plan is armed as one fresh
 // injector shared by the Runner's pipeline sites, its cache and its
-// remote-store transport; callers append the what (WithScale,
-// WithSampling) and their own handles (WithMetrics, WithProgress,
-// WithTaskHook) next to it.
+// remote-store transport; callers append their own handles (WithMetrics,
+// WithProgress, WithTaskHook) next to it.
 func (e Engine) Options() ([]Option, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -143,7 +142,7 @@ func (e Engine) Options() ([]Option, error) {
 		opts = append(opts, WithKeepGoing(true))
 	}
 	if e.Retries > 0 {
-		opts = append(opts, WithRetry(e.Retries, RetryBackoff))
+		opts = append(opts, WithRetry(e.Retries))
 	}
 	if e.StageTimeout > 0 {
 		opts = append(opts, WithStageTimeout(e.StageTimeout))
@@ -157,19 +156,14 @@ func (e Engine) Options() ([]Option, error) {
 // Option configures a Runner.
 type Option func(*Runner)
 
-// WithScale sets the scale Validate builds its workload at (default
-// workloads.ScaleTiny). Sweep does not read it: a campaign carries its own.
-func WithScale(s workloads.Scale) Option {
-	return func(r *Runner) { r.scale = s }
-}
+// Deprecated: WithScale sets nothing. A Campaign carries its scale, and
+// Profile, RunFull and Validate take a built workload.
+func WithScale(workloads.Scale) Option { return func(*Runner) {} }
 
-// WithSampling sets the Runner's sampling spec, used by direct
-// Profile/Run/Validate calls and by Sweep when the campaign itself
-// carries no spec. The zero value (the default) means the implicit
-// defaults: per-workload interval, BBV-only features, the flow's
-// clustering and warm-up. A campaign with a non-zero Sampling field
-// overrides this for its sweep, the way campaign scale already overrides
-// WithScale.
+// WithSampling sets the spec of direct Profile / Run / Validate calls. The
+// zero value (the default) means the implicit defaults: per-workload
+// interval, BBV-only features, the flow's clustering and warm-up. A Sweep
+// and its CampaignID never read it: a sweep runs under its campaign's spec.
 func WithSampling(spec sampling.Spec) Option {
 	return func(r *Runner) { r.sampling = spec }
 }
@@ -248,23 +242,17 @@ func WithStageTimeout(d time.Duration) Option {
 
 // WithRetry allows up to n retries (n+1 attempts) per sweep task when the
 // failure is transient (see IsTransient): injected chaos, cache I/O, a
-// tripped watchdog. Waits between attempts grow exponentially from base
-// (base, 2·base, 4·base, …) without jitter: a sweep retries in-process
+// tripped watchdog. Waits between attempts grow exponentially from
+// RetryBackoff (1×, 2×, 4×, …) without jitter: a sweep retries in-process
 // faults, there is no fleet to de-synchronize. Deterministic model errors —
 // deadlocks, invalid configs, diverged checkpoints — are never retried.
 // Retries apply to Sweep tasks; direct Profile/Run calls fail on first
 // error.
-func WithRetry(n int, base time.Duration) Option {
-	return func(r *Runner) {
-		if n < 0 {
-			n = 0
-		}
-		if base <= 0 {
-			base = 10 * time.Millisecond
-		}
-		// Max is the last wait, so the doubling is never capped.
-		r.retry = backoff.Policy{Attempts: n + 1, Base: base, Max: base << max(n-1, 0), Jitter: -1}
-	}
+func WithRetry(n int) Option {
+	n = max(n, 0)
+	// Max is the last wait, so the doubling is never capped.
+	p := backoff.Policy{Attempts: n + 1, Base: RetryBackoff, Max: RetryBackoff << max(n-1, 0), Jitter: -1}
+	return func(r *Runner) { r.retry = p }
 }
 
 // WithKeepGoing makes Sweep run every task regardless of failures, collect

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/boom"
 	"repro/internal/metrics"
@@ -84,7 +83,7 @@ func TestExitCheckColdSweepIsNotRetried(t *testing.T) {
 
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	r := New(DefaultFlowConfig(), WithCache(dir), WithMetrics(reg), WithRetry(2, time.Millisecond))
+	r := New(DefaultFlowConfig(), WithCache(dir), WithMetrics(reg), WithRetry(2))
 	_, err := r.Sweep(context.Background(), tcamp([]string{w.Name}, []boom.Config{boom.MediumBOOM()}))
 	wantExitMismatch(t, err, StageProfile, w)
 	_, err = r.RunFull(context.Background(), w, boom.MediumBOOM())

@@ -32,7 +32,7 @@ func TestFidelityGate(t *testing.T) {
 	fc := DefaultFlowConfig()
 	cfg := boom.MediumBOOM()
 	names := workloads.Names()
-	r := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir))
+	r := New(fc, WithCache(dir))
 
 	// Full-model CPI baselines, shared by both specs.
 	fulls := make(map[string]*Result, len(names))

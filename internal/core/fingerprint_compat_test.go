@@ -26,7 +26,7 @@ const (
 
 func pinnedRunner(t *testing.T, scale workloads.Scale, opts ...Option) *Runner {
 	t.Helper()
-	return New(FlowConfigFor(scale), append([]Option{WithScale(scale)}, opts...)...)
+	return New(FlowConfigFor(scale), opts...)
 }
 
 // TestPinnedCampaignFingerprints checks three zero-spec campaigns — the

@@ -55,8 +55,7 @@ func Stages() []string {
 // sweep is resumed by rerunning it: every finished stage is a cache hit.
 type Runner struct {
 	fc           FlowConfig
-	scale        workloads.Scale
-	sampling     sampling.Spec
+	sampling     sampling.Spec // direct Profile / Run / Validate calls only (WithSampling)
 	reg          *metrics.Registry
 	par          int
 	sem          chan struct{} // shared -j slot budget (see points.go)
@@ -77,7 +76,6 @@ type Runner struct {
 func New(fc FlowConfig, opts ...Option) *Runner {
 	r := &Runner{
 		fc:    fc,
-		scale: workloads.ScaleTiny,
 		par:   runtime.GOMAXPROCS(0),
 		retry: backoff.Policy{Attempts: 1},
 	}
@@ -148,19 +146,8 @@ func (r *Runner) stageCtx(ctx context.Context) (context.Context, context.CancelF
 // too. With a cache attached, each step is served from its artifact when
 // present. Every field of the returned Profile is set.
 func (r *Runner) Profile(ctx context.Context, w *workloads.Workload) (*Profile, error) {
-	return r.profileWith(ctx, w, r.sampling, r.profileKeys(w, r.sampling), nil)
-}
-
-// effectiveSpec resolves which sampling spec governs a campaign: the
-// campaign's own when set, else the Runner's (WithSampling). Everything
-// spec-dependent — sweep profiling, the campaign fingerprint — goes
-// through this one resolution so results and identities can never
-// disagree.
-func (r *Runner) effectiveSpec(c Campaign) sampling.Spec {
-	if !c.Sampling.IsZero() {
-		return c.Sampling
-	}
-	return r.sampling
+	p, _, err := r.profileWith(ctx, w, r.sampling, r.profileKeys(w, r.sampling), nil)
+	return p, err
 }
 
 // simpointConfig resolves the clustering config under a spec: the flow's
@@ -202,10 +189,12 @@ func (r *Runner) allCached(keys profileKeys, cells []artifact.Key) bool {
 // profile (nil from Profile). When allCached says all of them will hit,
 // nothing downstream reads the bbv and checkpoint payloads, so those two
 // stages checksum their entries for the recorded cost alone
-// (artifact.Cache.Cost) and hand the stage itself to Profile.load; an entry
-// that fails there is evicted and its stage runs as on any other miss.
+// (artifact.Cache.Cost) and return the stages themselves as load (nil when
+// every payload was read); an entry that fails there is evicted and its
+// stage runs as on any other miss. load reads only what is still unread:
+// its caller serializes it and may call it again after a failure.
 func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sampling.Spec,
-	keys profileKeys, cells []artifact.Key) (*Profile, error) {
+	keys profileKeys, cells []artifact.Key) (*Profile, func(context.Context) error, error) {
 	defer r.flowLap()()
 
 	interval := spec.ResolveInterval(w.IntervalSize)
@@ -302,7 +291,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	}
 	if !needBBV {
 		if c1, err = bbvStage(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -352,7 +341,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	}
 	endStage()
 	if err != nil {
-		return nil, wrapStage(StageSelect, w.Name, "", err)
+		return nil, nil, wrapStage(StageSelect, w.Name, "", err)
 	}
 	sel := p.Selection
 
@@ -431,13 +420,14 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	}
 	if !needCkpt {
 		if c3, err = ckptStage(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	p.WallNS = c1 + c2 + c3
 
+	var load func(context.Context) error
 	if needBBV || needCkpt {
-		p.pending = func(ctx context.Context) error {
+		load = func(ctx context.Context) error {
 			if needBBV {
 				if _, err := bbvStage(ctx); err != nil {
 					return err
@@ -453,25 +443,35 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 			return nil
 		}
 	}
-	return p, nil
+	return p, load, nil
 }
 
 // Run executes steps 4–5 of the flow for one profiled workload on one
 // configuration: restore every checkpoint, warm up, measure, and estimate
 // power, aggregating by cluster weight. The context is checked between
 // simulation points. With a cache attached, the whole measurement is one
-// artifact keyed off the profile's chain.
+// artifact keyed off the profile's chain. A profile whose payloads a warm
+// Sweep left unread is first read again, whole, through this Runner (its
+// cache, registry and fault plan) under the profile's own spec.
 func (r *Runner) Run(ctx context.Context, p *Profile, cfg boom.Config) (*Result, error) {
+	if p.Vectors == nil || p.Checkpoints == nil {
+		var err error
+		if p, _, err = r.profileWith(ctx, p.Workload, p.Sampling, r.profileKeys(p.Workload, p.Sampling), nil); err != nil {
+			return nil, err
+		}
+	}
 	var key artifact.Key
 	if r.cache != nil && p.CacheKey != "" {
 		key = measureKey(p.CacheKey, cfg, r.fc.Lib)
 	}
-	return r.run(ctx, p, cfg, key)
+	return r.run(ctx, p, cfg, key, nil)
 }
 
 // run is Run under an already-derived measure key (zero: uncached); Sweep
-// derives each cell's key once, for its probe and for this.
-func (r *Runner) run(ctx context.Context, p *Profile, cfg boom.Config, key artifact.Key) (*Result, error) {
+// derives each cell's key once, for its probe and for this. wl, the
+// session's state of p's workload (nil from Run), reads the payloads p left
+// unread ahead of the measurement's compute body — never on a hit.
+func (r *Runner) run(ctx context.Context, p *Profile, cfg boom.Config, key artifact.Key, wl *sessionWorkload) (*Result, error) {
 	defer r.flowLap()()
 
 	res := &Result{
@@ -483,8 +483,10 @@ func (r *Runner) run(ctx context.Context, p *Profile, cfg boom.Config, key artif
 	cost, err := r.stageCached(key,
 		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
 		func() error {
-			if err := p.load(ctx); err != nil {
-				return err
+			if wl != nil && wl.load != nil {
+				if err := wl.loadUnread(ctx); err != nil {
+					return err
+				}
 			}
 			return r.measure(ctx, p, cfg, res)
 		},
@@ -587,6 +589,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 			}
 			core.SetMetrics(r.reg)
 			core.SetFaultInjector(r.inj, p.Workload.Name, cfg.Name)
+			core.CheckInvariants(checkInvariants) // kept across Reset
 			scratch.core = core
 		} else {
 			core.Reset()
@@ -723,6 +726,7 @@ func (r *Runner) measureFull(ctx context.Context, w *workloads.Workload, cfg boo
 	}
 	core.SetMetrics(r.reg)
 	core.SetFaultInjector(r.inj, w.Name, cfg.Name)
+	core.CheckInvariants(checkInvariants)
 	ts := &traceSource{cpu: cpu}
 
 	endStage := r.stage(StageMeasure)
@@ -787,13 +791,9 @@ func checkExit(w *workloads.Workload, cpu *sim.CPU) error {
 }
 
 // Validate runs both the SimPoint flow and the full detailed model for
-// one workload (built at the Runner's scale) and compares their IPC. Both
-// runs share one Workload, so one reference run serves both exit checks.
-func (r *Runner) Validate(ctx context.Context, name string, cfg boom.Config) (*Accuracy, error) {
-	w, err := workloads.Build(name, r.scale)
-	if err != nil {
-		return nil, err
-	}
+// one built workload and compares their IPC. Both runs share the Workload,
+// so one reference run serves both exit checks.
+func (r *Runner) Validate(ctx context.Context, w *workloads.Workload, cfg boom.Config) (*Accuracy, error) {
 	p, err := r.Profile(ctx, w)
 	if err != nil {
 		return nil, err
@@ -807,7 +807,7 @@ func (r *Runner) Validate(ctx context.Context, name string, cfg boom.Config) (*A
 		return nil, err
 	}
 	return &Accuracy{
-		Workload:    name,
+		Workload:    w.Name,
 		ConfigName:  cfg.Name,
 		SimPointIPC: sp.IPC(),
 		FullIPC:     full.IPC(),

@@ -56,34 +56,6 @@ func TestSpecIsPartOfCampaignIdentity(t *testing.T) {
 	}
 }
 
-// TestRunnerSpecResolution: the campaign's own spec wins; the Runner's
-// spec (WithSampling) applies only to campaigns that carry none. The
-// fingerprint must follow the same resolution, or a sweep's results would
-// be keyed under an identity computed from parameters it did not run with.
-func TestRunnerSpecResolution(t *testing.T) {
-	spec := sampling.Recommended()
-
-	// Campaign spec set: runner spec must not matter.
-	camp := shaQsortMedium()
-	camp.Sampling = spec
-	plain := pinnedRunner(t, workloads.ScaleTiny).CampaignID(camp)
-	other := pinnedRunner(t, workloads.ScaleTiny,
-		WithSampling(sampling.Spec{Interval: 40_000})).CampaignID(camp)
-	if plain != other {
-		t.Fatalf("campaign spec did not win over runner spec: %s vs %s", plain, other)
-	}
-
-	// Campaign spec zero: the runner's spec becomes the effective one,
-	// and must fingerprint identically to the same spec on the campaign.
-	viaRunner := pinnedRunner(t, workloads.ScaleTiny, WithSampling(spec)).CampaignID(shaQsortMedium())
-	if viaRunner != plain {
-		t.Fatalf("runner-level spec fingerprints differently from campaign-level: %s vs %s", viaRunner, plain)
-	}
-	if viaRunner == fpShaQsortMedium {
-		t.Fatal("non-zero runner spec left the zero-spec fingerprint unchanged")
-	}
-}
-
 func TestCampaignValidateRejectsBadSpec(t *testing.T) {
 	camp := shaQsortMedium()
 	camp.Sampling = sampling.Spec{Features: "mav"}

@@ -108,7 +108,7 @@ func TestSweepRetryTransient(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	sw, err := New(DefaultFlowConfig(),
-		WithRetry(2, time.Millisecond),
+		WithRetry(2),
 		WithMetrics(reg),
 		WithFaultInjector(mustInj(t, "1:core.measure/sha/MediumBOOM=error")),
 	).Sweep(ctx, tcamp(names, cfgs))
@@ -141,7 +141,7 @@ func TestSweepRetryTransient(t *testing.T) {
 func TestSweepPermanentNotRetried(t *testing.T) {
 	reg := metrics.NewRegistry()
 	_, err := New(DefaultFlowConfig(),
-		WithRetry(3, time.Millisecond),
+		WithRetry(3),
 		WithMetrics(reg),
 		WithFaultInjector(mustInj(t, "1:core.measure/sha/MediumBOOM=error-perm")),
 	).Sweep(context.Background(), tcamp([]string{"sha"}, []boom.Config{boom.MediumBOOM()}))
@@ -425,7 +425,7 @@ func TestChaosSweepAcceptance(t *testing.T) {
 	sw, err := New(DefaultFlowConfig(),
 		WithCache(dir),
 		WithKeepGoing(true),
-		WithRetry(2, time.Millisecond),
+		WithRetry(2),
 		WithMetrics(reg),
 		WithFaultInjector(mustInj(t, spec)),
 	).Sweep(ctx, tcamp(names, cfgs))

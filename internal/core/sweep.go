@@ -19,6 +19,10 @@ import (
 // tests swap in a program that disagrees with its reference.
 var buildWorkload = workloads.Build
 
+// checkInvariants turns on boom's per-cycle invariant checker in every core
+// measure and measureFull build; the whole-flow invariant test sets it.
+var checkInvariants bool
+
 // Sweep profiles every campaign workload once (at the campaign's scale)
 // and evaluates it on every design point with the SimPoint flow: N
 // configs share one profile/select/checkpoint per workload, both within
@@ -60,13 +64,6 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 		}
 	}
 	measErr := r.runTasks(ctx, measures, s.run)
-	// A profile whose bbv payload stayed unread takes its instruction
-	// count from a result: measure copied it there from the same chain.
-	for _, c := range measures {
-		if p, res := sw.Profiles[c.Workload], sw.Results[c.Config][c.Workload]; p.TotalInsts == 0 && res != nil {
-			p.TotalInsts = res.TotalInsts
-		}
-	}
 	if !r.keepGoing {
 		if measErr != nil {
 			return nil, measErr
@@ -85,36 +82,37 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	return sw, nil
 }
 
-// Session is one campaign's cells on one Runner: the effective sampling
-// spec, each workload's key chain and cell keys, and the Sweep the cells
-// fill. Runner.Sweep runs every cell of a campaign through one; a fabric
-// worker runs each cell it leases through the session of the campaign it
-// holds. A session profiles a workload at most once — in its profile cell,
-// or in the first measure cell that needs it — so however many configs
-// measure a workload, its chain is read or computed once. It is safe for
-// concurrent cells.
+// Session is one campaign's cells on one Runner: each workload's key chain
+// and cell keys, and the Sweep the cells fill. It runs under the campaign's
+// sampling spec, never the Runner's. Runner.Sweep runs every cell of a
+// campaign through one; a fabric worker runs each cell it leases through
+// the session of the campaign it holds. A session profiles a workload at
+// most once — in its profile cell, or in the first measure cell that needs
+// it — and reads a payload that profile left unread at most once, so
+// however many configs measure a workload, its chain is read or computed
+// once. It is safe for concurrent cells.
 type Session struct {
 	r    *Runner
 	camp Campaign
-	sw   *Sweep // its Sampling is the effective spec
+	sw   *Sweep
 
 	mu  sync.Mutex // guards wls and sw's maps
 	wls map[string]*sessionWorkload
 }
 
-// sessionWorkload is one workload's profile and the measure keys of its
-// cells, aligned with the campaign's configs (nil without a cache).
+// sessionWorkload is one workload's profile, the measure keys of its cells
+// aligned with the campaign's configs (nil without a cache), and
+// profileWith's loader for the payloads it only costed (see loadUnread).
 type sessionWorkload struct {
-	mu    sync.Mutex // held while the workload profiles
+	mu    sync.Mutex // held while the workload profiles or loads, and to fill p.TotalInsts
 	p     *Profile
 	cells []artifact.Key
+	load  func(context.Context) error // nil when every payload was read
 }
 
 // Session opens a session on camp.
 func (r *Runner) Session(camp Campaign) *Session {
-	sw := NewSweep(r.fc, camp)
-	sw.Sampling = r.effectiveSpec(camp)
-	return &Session{r: r, camp: camp, sw: sw, wls: map[string]*sessionWorkload{}}
+	return &Session{r: r, camp: camp, sw: NewSweep(r.fc, camp), wls: map[string]*sessionWorkload{}}
 }
 
 // Run runs one cell under the sweep's supervision (see runTask): a panic
@@ -166,7 +164,7 @@ func (s *Session) profile(ctx context.Context, name string) (*sessionWorkload, e
 		return nil, wrapStage(StageProfile, name, "", err)
 	}
 	s.r.note("profiling %-14s (%s scale)", name, s.camp.Scale)
-	keys := s.r.profileKeys(w, s.sw.Sampling)
+	keys := s.r.profileKeys(w, s.camp.Sampling)
 	var cells []artifact.Key
 	if s.r.cache != nil {
 		chain := keys.ckpt.Hex()
@@ -175,7 +173,7 @@ func (s *Session) profile(ctx context.Context, name string) (*sessionWorkload, e
 			cells[ci] = measureKey(chain, cfg, s.r.fc.Lib)
 		}
 	}
-	p, err := s.r.profileWith(ctx, w, s.sw.Sampling, keys, cells)
+	p, load, err := s.r.profileWith(ctx, w, s.camp.Sampling, keys, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -190,8 +188,16 @@ func (s *Session) profile(ctx context.Context, name string) (*sessionWorkload, e
 	s.mu.Lock()
 	s.sw.Profiles[name] = p
 	s.mu.Unlock()
-	wl.p, wl.cells = p, cells
+	wl.p, wl.cells, wl.load = p, cells, load
 	return wl, nil
+}
+
+// loadUnread runs load under mu: concurrent cells wait for the first, and a
+// failed read is retried by the next (load reads only what is still unread).
+func (wl *sessionWorkload) loadUnread(ctx context.Context) error {
+	wl.mu.Lock()
+	defer wl.mu.Unlock()
+	return wl.load(ctx)
 }
 
 // measure is a measure cell's body: the workload's profile, then the
@@ -210,10 +216,15 @@ func (s *Session) measure(ctx context.Context, c Cell) error {
 	if wl.cells != nil {
 		key = wl.cells[ci]
 	}
-	res, err := s.r.run(ctx, wl.p, s.camp.Configs[ci], key)
+	res, err := s.r.run(ctx, wl.p, s.camp.Configs[ci], key, wl)
 	if err != nil {
 		return err
 	}
+	wl.mu.Lock()
+	if wl.p.TotalInsts == 0 { // the bbv payload is unread: measure copied the count from the same chain
+		wl.p.TotalInsts = res.TotalInsts
+	}
+	wl.mu.Unlock()
 	s.mu.Lock()
 	s.sw.Results[c.Config][c.Workload] = res
 	s.mu.Unlock()

@@ -148,7 +148,7 @@ func (h *handWorker) report(task fabric.Task, payload []byte) {
 // honest worker would — the ground truth hand-driven tests vote with.
 func honestPayload(t *testing.T, camp core.Campaign, wlName, cfgName string) []byte {
 	t.Helper()
-	r := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	r := core.New(core.FlowConfigFor(camp.Scale))
 	wl, err := workloads.Build(wlName, camp.Scale)
 	if err != nil {
 		t.Fatal(err)

@@ -181,7 +181,7 @@ func checkAgainstGolden(t *testing.T, sw *core.Sweep) {
 // it canonically — the reference the distributed bytes must equal.
 func directBytes(t *testing.T, id string, camp core.Campaign) []byte {
 	t.Helper()
-	r := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	r := core.New(core.FlowConfigFor(camp.Scale))
 	sw, err := r.Sweep(context.Background(), camp)
 	if err != nil {
 		t.Fatal(err)
@@ -726,7 +726,7 @@ func TestStatusDraining(t *testing.T) {
 func TestLocalFallback(t *testing.T) {
 	c := startCluster(t, clusterOpts{workers: 0})
 	camp := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
-	local := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	local := core.New(core.FlowConfigFor(camp.Scale))
 	sw, err := c.coord.RunCampaign(context.Background(), "fallback", camp, local)
 	if err != nil {
 		t.Fatal(err)

@@ -167,7 +167,7 @@ func TestLastWorkerDiesFallsBackLocal(t *testing.T) {
 	c := startCluster(t, clusterOpts{workers: 0, lease: 50 * time.Millisecond})
 	camp := core.NewCampaign([]string{"sha", "qsort"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
 	const id = "last-worker-dies"
-	local := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	local := core.New(core.FlowConfigFor(camp.Scale))
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

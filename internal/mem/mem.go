@@ -311,7 +311,8 @@ func (m *Memory) Serialize(w io.Writer) error {
 }
 
 // Deserialize replaces the contents of m with pages read from r, in the
-// format produced by Serialize.
+// format produced by Serialize. Page indices must strictly increase, as
+// Serialize writes them, so an accepted image re-serializes byte-exact.
 func (m *Memory) Deserialize(r io.Reader) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -325,11 +326,16 @@ func (m *Memory) Deserialize(r io.Reader) error {
 	// the pages it promises, so a corrupt one must not size the map.
 	m.pages = make(map[uint64]*[PageSize]byte, min(n, 1<<12))
 	m.tlb = noTLB // every cached pointer was into the old map
+	var prev uint64
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return fmt.Errorf("mem: reading page %d index: %w", i, err)
 		}
 		key := binary.LittleEndian.Uint64(hdr[:])
+		if i > 0 && key <= prev {
+			return fmt.Errorf("mem: page %d index %#x does not follow %#x", i, key, prev)
+		}
+		prev = key
 		p := new([PageSize]byte)
 		if _, err := io.ReadFull(r, p[:]); err != nil {
 			return fmt.Errorf("mem: reading page %d data: %w", i, err)

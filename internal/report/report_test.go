@@ -22,7 +22,7 @@ var (
 func testSweep(t *testing.T) *core.Sweep {
 	t.Helper()
 	sweepOnce.Do(func() {
-		sweepVal, sweepErr = core.New(core.DefaultFlowConfig(), core.WithScale(workloads.ScaleTiny)).
+		sweepVal, sweepErr = core.New(core.DefaultFlowConfig()).
 			Sweep(context.Background(), core.NewCampaign(
 				[]string{"sha", "qsort", "dijkstra"},
 				[]boom.Config{boom.MediumBOOM(), boom.MegaBOOM()},

@@ -31,7 +31,7 @@ func requestID(t *testing.T, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	r := core.New(core.FlowConfigFor(camp.Scale))
 	return r.CampaignID(camp)
 }
 

@@ -87,7 +87,7 @@ func TestSamplingRoundTripThroughServer(t *testing.T) {
 	}
 	camp := core.NewCampaign([]string{"sha"}, []boom.Config{boom.MediumBOOM()}, workloads.ScaleTiny)
 	camp.Sampling = spec
-	r := core.New(core.FlowConfigFor(camp.Scale), core.WithScale(camp.Scale))
+	r := core.New(core.FlowConfigFor(camp.Scale))
 	wantID := r.CampaignID(camp)
 	sw, err := r.Sweep(context.Background(), camp)
 	if err != nil {

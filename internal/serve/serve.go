@@ -336,7 +336,7 @@ func (s *Server) newRunner(c core.Campaign) (*core.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, core.WithScale(c.Scale), core.WithMetrics(s.reg))
+	opts = append(opts, core.WithMetrics(s.reg))
 	if s.cfg.TaskHook != nil {
 		opts = append(opts, core.WithTaskHook(s.cfg.TaskHook))
 	}

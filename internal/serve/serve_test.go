@@ -66,7 +66,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // encodes it with the serving encoder — the byte-identity reference.
 func directSweepBytes(t *testing.T, names []string, cfgs []boom.Config, scale workloads.Scale) (string, []byte) {
 	t.Helper()
-	r := core.New(core.FlowConfigFor(scale), core.WithScale(scale))
+	r := core.New(core.FlowConfigFor(scale))
 	camp := core.NewCampaign(names, cfgs, scale)
 	id := r.CampaignID(camp)
 	sw, err := r.Sweep(context.Background(), camp)
