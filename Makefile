@@ -43,19 +43,21 @@ race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
-# go accepts one -fuzz target per invocation. The two payload-decoder
+# go accepts one -fuzz target per invocation. The core payload-decoder
 # targets seed from real KB-sized payloads; minimizing one new input at the
 # default 60 s budget would eat their whole 5 s, so theirs is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseBBV -fuzztime 5s ./internal/bbv
 	$(GO) test -run '^$$' -fuzz FuzzParseMAV -fuzztime 5s ./internal/mav
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzArtifactEntry -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzFabricBodies -fuzztime 5s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBBVPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
@@ -70,8 +72,9 @@ bench:
 # must see every kernel — catches perf-harness rot without paying for real
 # measurements. Then the two floors against the committed BENCH_kernel.json.
 # The tick kernels and the warm rerun (8 iterations each, so a stray
-# runtime allocation rounds away) may allocate no more per op than their
-# rows: a count, so it gates on every host. The four per-instruction
+# runtime allocation rounds away) may allocate no more often and no more
+# bytes per op than their rows (1 % slack): counts, so they gate on every
+# host. The four per-instruction
 # functional-core kernels (5M ops each, best of 3) must allocate exactly
 # what their rows do and, on the CPU model the ledger was taken on, run
 # within 1.5x of them.

@@ -127,19 +127,24 @@ func TestCheckFloor(t *testing.T) {
 
 // TestCheckFloorTickCeiling: the tick kernels (and the warm rerun) are held
 // per config to an allocation ceiling — lower passes, higher fails on any
-// CPU model, the slack rounding to nothing on a 57/op row — and a
-// ceiling-only run does not need the functional-core kernels.
+// CPU model, the slack rounding to nothing on a 57/op row — and to a byte
+// ceiling within 1 %, and a ceiling-only run does not need the
+// functional-core kernels.
 func TestCheckFloorTickCeiling(t *testing.T) {
-	ticks := func(cpu string, large int64) *Report {
+	tickBytes := func(cpu string, large, largeBytes int64) *Report {
 		return &Report{CPU: cpu, Results: []Result{
-			{Kernel: "tick", Config: "MediumBOOM", AllocsPerOp: 57},
-			{Kernel: "tick", Config: "LargeBOOM", AllocsPerOp: large},
-			{Kernel: "tick_lo_ipc", Config: "LargeBOOM", AllocsPerOp: 57},
-			{Kernel: "warm_sweep", AllocsPerOp: 2400},
+			{Kernel: "tick", Config: "MediumBOOM", AllocsPerOp: 57, BytesPerOp: 600_000},
+			{Kernel: "tick", Config: "LargeBOOM", AllocsPerOp: large, BytesPerOp: largeBytes},
+			{Kernel: "tick_lo_ipc", Config: "LargeBOOM", AllocsPerOp: 57, BytesPerOp: 600_000},
+			{Kernel: "warm_sweep", AllocsPerOp: 2400, BytesPerOp: 180_000},
 		}}
 	}
+	ticks := func(cpu string, large int64) *Report { return tickBytes(cpu, large, 600_000) }
 	warm := func(allocs int64) *Report {
-		return &Report{Results: []Result{{Kernel: "warm_sweep", AllocsPerOp: allocs}}}
+		return &Report{Results: []Result{{Kernel: "warm_sweep", AllocsPerOp: allocs, BytesPerOp: 180_000}}}
+	}
+	warmBytes := func(bytes int64) *Report {
+		return &Report{Results: []Result{{Kernel: "warm_sweep", AllocsPerOp: 2400, BytesPerOp: bytes}}}
 	}
 	committed := ticks("cpu A", 57)
 	for _, tc := range []struct {
@@ -153,6 +158,11 @@ func TestCheckFloorTickCeiling(t *testing.T) {
 		{"higher on another cpu model", ticks("cpu B", 1656), "allocates 1656/op"},
 		{"warm rerun within the pool-refill slack", warm(2424), ""},
 		{"warm rerun reads a payload again", warm(2425), "warm_sweep allocates 2425/op, committed 2400/op"},
+		{"fewer tick bytes", tickBytes("cpu A", 57, 500_000), ""},
+		{"tick bytes within the slack", tickBytes("cpu A", 57, 606_000), ""},
+		{"a grown per-core table", tickBytes("cpu B", 57, 606_001), "tick LargeBOOM allocates 606001 B/op, committed 600000 B/op"},
+		{"warm rerun bytes within the slack", warmBytes(181_800), ""},
+		{"warm rerun bytes over the slack", warmBytes(181_801), "warm_sweep allocates 181801 B/op, committed 180000 B/op"},
 		{"uncommitted config", &Report{Results: []Result{{Kernel: "tick_lo_ipc", Config: "MegaBOOM"}}}, "no committed row"},
 		{"ticks beside half a functional floor", &Report{Results: append(ticks("cpu A", 57).Results, Result{Kernel: "mem_read_write"})}, "func_step did not run"},
 	} {

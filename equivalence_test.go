@@ -1,7 +1,7 @@
 // Equivalence suite: pins the detailed-model results at counter-level
 // bit-identity. The golden digests in testdata/equivalence_golden.txt were
 // generated from the pre-optimization cycle model; any hot-path rewrite
-// (decode cache, µop arena, batched accumulators) must keep every digest
+// (decode cache, µop window, batched accumulators) must keep every digest
 // byte-identical or this test names the exact (config, workload) cell that
 // drifted.
 //

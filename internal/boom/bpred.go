@@ -35,6 +35,9 @@ type tageTable struct {
 	tags    []uint16
 	ctr     []int8 // 3-bit signed counter: >= 0 predicts taken
 	useful  []uint8
+
+	idx int    // the current branch's index into this table
+	tag uint16 // and its tag
 }
 
 func newBPred(cfg *Config, stats *Stats) *bpred {
@@ -89,7 +92,18 @@ func (t *tageTable) index(pc, hist uint64) (idx int, tag uint16) {
 		h &= 1<<uint(t.histLen) - 1
 	}
 	v := mix(pc>>2 ^ h*0x45D9F3B3)
-	return int(v % uint64(len(t.tags))), uint16(v>>20)&0x3FF | 1 // nonzero 10-bit tag
+	return int(mod(v, uint64(len(t.tags)))), uint16(v>>20)&0x3FF | 1 // nonzero 10-bit tag
+}
+
+// mod is x mod n (n > 0, as Config.Validate requires of every predictor
+// table): a mask when n is a power of two, as in every preset, and a
+// division only otherwise. A table is indexed on every branch, and a
+// 64-bit division costs more than the rest of the lookup.
+func mod(x, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return x & (n - 1)
+	}
+	return x % n
 }
 
 // lookupCycle charges the per-fetch-cycle read activity: in a real BOOM the
@@ -106,92 +120,81 @@ func (b *bpred) lookupCycle() {
 	a.Reads++ // BTB read
 }
 
-// predictCond returns the predicted direction for a conditional branch.
-func (b *bpred) predictCond(pc uint64) bool {
+// cond predicts a conditional branch at pc, trains the direction
+// predictor with its architectural outcome and shifts the global history.
+// It returns the prediction.
+func (b *bpred) cond(pc uint64, taken bool) bool {
+	var predicted bool
 	if b.cfg.Predictor == PredictorGShare {
-		idx := (mix(pc>>2) ^ b.hist) % uint64(len(b.gshare))
-		return b.gshare[idx] >= 0
-	}
-	for t := len(b.tables) - 1; t >= 0; t-- {
-		idx, tag := b.tables[t].index(pc, b.hist)
-		if b.tables[t].tags[idx] == tag {
-			return b.tables[t].ctr[idx] >= 0
-		}
-	}
-	return b.bimodal[(pc>>2)%uint64(len(b.bimodal))] >= 0
-}
-
-// updateCond trains the direction predictor with the architectural outcome
-// and shifts the global history.
-func (b *bpred) updateCond(pc uint64, taken bool) {
-	a := &b.stats.Comp[CompBranchPredictor]
-	if b.cfg.Predictor == PredictorGShare {
-		idx := (mix(pc>>2) ^ b.hist) % uint64(len(b.gshare))
+		idx := mod(mix(pc>>2)^b.hist, uint64(len(b.gshare)))
+		predicted = b.gshare[idx] >= 0
 		b.gshare[idx] = bump2(b.gshare[idx], taken)
-		a.Writes++
+		b.stats.Comp[CompBranchPredictor].Writes++
 	} else {
-		b.updateTAGE(pc, taken)
+		predicted = b.condTAGE(pc, taken)
 	}
 	b.hist = b.hist<<1 | boolBit(taken)
+	return predicted
 }
 
-func (b *bpred) updateTAGE(pc uint64, taken bool) {
+// condTAGE is cond on TAGE. Each table's index and tag are computed at
+// most once per branch: the provider search computes them from the longest
+// history down to the provider, and the update and the allocation (which
+// only looks at longer tables) reuse them.
+func (b *bpred) condTAGE(pc uint64, taken bool) bool {
 	a := &b.stats.Comp[CompBranchPredictor]
 	// Find provider (longest matching) and the prediction it made.
 	provider := -1
-	var pIdx int
 	for t := len(b.tables) - 1; t >= 0; t-- {
-		idx, tag := b.tables[t].index(pc, b.hist)
-		if b.tables[t].tags[idx] == tag {
-			provider, pIdx = t, idx
+		tt := &b.tables[t]
+		tt.idx, tt.tag = tt.index(pc, b.hist)
+		if tt.tags[tt.idx] == tt.tag {
+			provider = t
 			break
 		}
 	}
 	var predicted bool
 	if provider >= 0 {
-		predicted = b.tables[provider].ctr[pIdx] >= 0
-	} else {
-		predicted = b.bimodal[(pc>>2)%uint64(len(b.bimodal))] >= 0
-	}
-
-	// Update provider counter (or bimodal).
-	if provider >= 0 {
-		b.tables[provider].ctr[pIdx] = bump3(b.tables[provider].ctr[pIdx], taken)
-		if predicted == taken && b.tables[provider].useful[pIdx] < 3 {
-			b.tables[provider].useful[pIdx]++
+		p := &b.tables[provider]
+		predicted = p.ctr[p.idx] >= 0
+		// Update provider counter.
+		p.ctr[p.idx] = bump3(p.ctr[p.idx], taken)
+		if predicted == taken && p.useful[p.idx] < 3 {
+			p.useful[p.idx]++
 		}
-		a.Writes++
 	} else {
-		bi := (pc >> 2) % uint64(len(b.bimodal))
+		bi := mod(pc>>2, uint64(len(b.bimodal)))
+		predicted = b.bimodal[bi] >= 0
 		b.bimodal[bi] = bump2(b.bimodal[bi], taken)
-		a.Writes++
 	}
+	a.Writes++
 
 	// On a mispredict, allocate one entry in a longer-history table.
 	if predicted != taken && provider < len(b.tables)-1 {
 		for t := provider + 1; t < len(b.tables); t++ {
-			idx, tag := b.tables[t].index(pc, b.hist)
-			if b.tables[t].useful[idx] == 0 {
-				b.tables[t].tags[idx] = tag
+			tt := &b.tables[t]
+			if tt.useful[tt.idx] == 0 {
+				tt.tags[tt.idx] = tt.tag
 				if taken {
-					b.tables[t].ctr[idx] = 0
+					tt.ctr[tt.idx] = 0
 				} else {
-					b.tables[t].ctr[idx] = -1
+					tt.ctr[tt.idx] = -1
 				}
-				b.tables[t].useful[idx] = 0
+				tt.useful[tt.idx] = 0
 				a.Writes++
 				break
 			}
 			// Decay usefulness so allocation eventually succeeds.
-			b.tables[t].useful[idx]--
+			tt.useful[tt.idx]--
 			a.Writes++
 		}
 	}
+	return predicted
 }
 
 // btbLookup returns the predicted target for pc, if any.
 func (b *bpred) btbLookup(pc uint64) (uint64, bool) {
-	idx := (pc >> 2) % uint64(len(b.btbTags))
+	idx := mod(pc>>2, uint64(len(b.btbTags)))
 	if b.btbValid[idx] && b.btbTags[idx] == pc {
 		return b.btbTargets[idx], true
 	}
@@ -200,7 +203,7 @@ func (b *bpred) btbLookup(pc uint64) (uint64, bool) {
 
 // btbUpdate installs a taken-control-flow target.
 func (b *bpred) btbUpdate(pc, target uint64) {
-	idx := (pc >> 2) % uint64(len(b.btbTags))
+	idx := mod(pc>>2, uint64(len(b.btbTags)))
 	b.btbTags[idx] = pc
 	b.btbTargets[idx] = target
 	b.btbValid[idx] = true

@@ -4,7 +4,7 @@ package boom
 // the L1I, L1D and the unified L2 behind them. It tracks hit/miss behaviour
 // on real addresses; latency and MSHR accounting live in the core.
 type cacheModel struct {
-	sets     int
+	setMask  uint64 // sets-1: Config.Validate requires a power-of-two set count
 	ways     int
 	lineBits uint
 	tags     []uint64 // sets × ways
@@ -21,7 +21,7 @@ func newCacheModel(kib, ways, lineBytes int) *cacheModel {
 		lb++
 	}
 	return &cacheModel{
-		sets:     sets,
+		setMask:  uint64(sets - 1),
 		ways:     ways,
 		lineBits: lb,
 		tags:     make([]uint64, sets*ways),
@@ -43,8 +43,7 @@ func (c *cacheModel) reset() {
 // whether the access hit.
 func (c *cacheModel) access(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
+	base := int(line&c.setMask) * c.ways
 	c.stamp++
 	for w := 0; w < c.ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == line {
@@ -72,8 +71,7 @@ func (c *cacheModel) access(addr uint64) bool {
 // timing model does not want fills to perturb the load path).
 func (c *cacheModel) probe(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
+	base := int(line&c.setMask) * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == line {
 			return true

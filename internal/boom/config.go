@@ -275,6 +275,9 @@ func (c *Config) Validate() error {
 		check(c.BTBEntries > 0 && c.RASEntries > 0 &&
 			c.TageTables > 0 && c.TageEntries > 0 && c.GShareEntries > 0, "predictor tables"),
 		check(c.RobEntries >= 2*c.DecodeWidth, "ROB size"),
+		// The µop window holds the ROB, the fetch buffer and the fetch
+		// lookahead, and names a slot in 16 bits.
+		check(c.RobEntries+c.FetchBufferEntries < 1<<15, "ROB plus fetch buffer exceeds the µop window"),
 		check(c.IntPhysRegs > 32 && c.FpPhysRegs > 32, "physical registers"),
 		check(c.IntIssueSlots > 0 && c.MemIssueSlots > 0 && c.FpIssueSlots > 0, "issue slots"),
 		check(c.IntIssueWidth > 0 && c.MemIssueWidth > 0 && c.FpIssueWidth > 0, "issue widths"),

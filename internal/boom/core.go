@@ -3,6 +3,7 @@ package boom
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/faultinject"
@@ -39,10 +40,13 @@ const (
 	stDone
 )
 
+// uop is one dynamic instruction in flight. It lives in the µop window at
+// slot seq&mask from fetch to commit and holds no pointer: every link to
+// another µop is a ref. Its sequence number is its place in the window
+// (seqOf), and its next PC is read once, at fetch, from the trace record
+// it was pulled from; neither is stored. 64 bytes: one cache line.
 type uop struct {
-	seq     uint64
 	pc      uint64
-	nextPC  uint64
 	memAddr uint64
 	doneAt  uint64
 
@@ -52,19 +56,20 @@ type uop struct {
 	// while source slot d's producer is in flight and not stDone; only that
 	// producer's completion clears it. wake[d] heads the list of consumers
 	// whose slot d waits on this µop, threaded through their wakeNext[d].
-	wake     [3]*uop
-	wakeNext [3]*uop
-	evNext   *uop // next µop completing in the same event-ring slot
+	wake     [3]ref
+	wakeNext [3]ref
+	evNext   ref // next µop completing in the same event-ring slot
 	pend     uint8
 
 	state     uopState
 	taken     bool
 	mispred   bool
 	addrKnown bool // stores: STA has issued
-
-	// pipeline-trace timestamps (filled only when tracing is on)
-	fetchedAt, dispatchedAt, issuedAt uint64
 }
+
+// ref names a µop by its window slot plus one; 0 is no µop. A window of
+// at most 1<<15 slots (Config.Validate) keeps every ref in 16 bits.
+type ref uint16
 
 // Source-slot pend bits the store halves wait on: STA needs the address
 // operand (slot 0), STD the data operand (slot 1).
@@ -88,23 +93,27 @@ type Core struct {
 
 	dec []decEntry // per-PC decode/crack cache
 
-	fetchBuf uopRing
-	rob      uopRing // FIFO, oldest first
-	intQ     []*uop
-	memQ     []*uop
-	fpQ      []*uop
-	stq      uopRing // stores in program order, pruned at commit
-	stdWait  []*uop  // stores whose address issued but data is pending (STD)
+	// The µop window: every µop from fetch to commit, at slot seq&mask.
+	// [head, mid) is the ROB, oldest first, [mid, tail) the fetch buffer,
+	// and the one-µop fetch lookahead sits at tail while peeked. Its length
+	// is the smallest power of two that holds a full ROB, a full fetch
+	// buffer and the lookahead, so a live µop's slot is never reused.
+	win  []uop
+	mask uint64
+
+	intQ    []ref
+	memQ    []ref
+	fpQ     []ref
+	stq     seqRing // stores' sequence numbers in program order, pruned at commit
+	stdWait []ref   // stores whose address issued but data is pending (STD)
 
 	accHist []uint64 // accHist[k] = cycles with int-queue occupancy k (clamped)
-
-	freeUops []*uop
-	arena    []uop
 
 	checkInv bool
 
 	traceW    io.Writer
 	traceLeft uint64
+	stamps    []pipeStamp // per window slot; allocated by SetPipeTrace
 
 	pipeState
 }
@@ -113,12 +122,13 @@ type Core struct {
 // buffer: Reset returns it to a new core's with one assignment.
 type pipeState struct {
 	cycle   uint64
-	seq     uint64
 	retired uint64
+
+	head, mid, tail uint64 // window bounds, as sequence numbers
+	peeked          bool   // the fetch lookahead at tail is filled
 
 	next func(*sim.Retired) bool
 	trc  sim.Retired // reusable trace record (keeps pullTrace allocation-free)
-	peek *uop        // one-uop fetch lookahead
 	eof  bool
 
 	// Wrong-path pressure: while a mispredicted branch is unresolved the
@@ -132,9 +142,10 @@ type pipeState struct {
 	wpInt, wpMem, wpFp          int
 
 	// Rename map: the youngest in-flight writer of each register that has
-	// not completed; nil once it has (the value is in the register file).
-	lastInt [32]*uop
-	lastFp  [32]*uop
+	// not completed; 0 once it has (the value is in the register file).
+	// Indexed by the cracked srcMap/dstMap: x0..x31, f0..f31, then the
+	// never-written renameNone and the never-read renameSink.
+	last [renameSlots]ref
 
 	intInFlight, fpInFlight int
 	ldqUsed                 int
@@ -143,18 +154,19 @@ type pipeState struct {
 	// result arrives at cycle t (an intrusive list through uop.evNext) and
 	// the MSHRs released then. Config.Validate keeps every latency below
 	// ringSize, so a queued event is always within ringSize of cycle.
-	evHead, evTail [ringSize]*uop
+	evHead, evTail [ringSize]ref
 	mshrredeem     [ringSize]int
 	mshrsBusy      int
 
 	fetchReadyAt  uint64
-	redirect      *uop
+	redirect      ref
 	redirectDisp  bool // the mispredicted branch has dispatched (wrong path may fill queues)
 	divBusyUntil  uint64
 	fdivBusyUntil uint64
 
-	// dispatched-uop class mix, used to shape wrong-path pressure
-	dispInt, dispMem, dispFp uint64
+	// dispatched-µop class mix per queue selector, used to shape
+	// wrong-path pressure
+	disp [sigQueues]uint64
 
 	// Quiet-cycle skipping (DESIGN §7): active is set by every site of a
 	// step that changes pipeline state; quietCAM is the store-queue search
@@ -164,9 +176,17 @@ type pipeState struct {
 	skipped  uint64 // cycles advanced by skipQuiet rather than step
 
 	// Per-cycle activity accumulators, flushed into stats at interval
-	// boundaries (Stats/ResetStats/end of Run) instead of per cycle.
+	// boundaries (Stats/ResetStats/end of Run) instead of per cycle, and
+	// the per-stage µop counts by activity signature (sig.go).
 	accCycles uint64
 	accOcc    [NumComponents]uint64
+	sigN      [numSigStages][numSigs]uint64
+}
+
+// freshPipe is the pipeline state of a new core: empty, with the first
+// µop fetched to be sequence number 1.
+func freshPipe() pipeState {
+	return pipeState{head: 1, mid: 1, tail: 1}
 }
 
 // New builds a core for cfg. Invalid configurations are returned as errors
@@ -183,24 +203,25 @@ func New(cfg Config) (*Core, error) {
 	c.l2 = newCacheModel(cfg.L2KiB, cfg.L2Ways, cfg.LineBytes)
 
 	c.dec = make([]decEntry, decEntries)
-	c.fetchBuf = newUopRing(cfg.FetchBufferEntries)
-	c.rob = newUopRing(cfg.RobEntries)
-	c.stq = newUopRing(cfg.StqEntries)
-	c.intQ = make([]*uop, 0, cfg.IntIssueSlots)
-	c.memQ = make([]*uop, 0, cfg.MemIssueSlots)
-	c.fpQ = make([]*uop, 0, cfg.FpIssueSlots)
-	c.stdWait = make([]*uop, 0, cfg.StqEntries)
+	n := pow2(cfg.RobEntries + cfg.FetchBufferEntries + 1)
+	c.win, c.mask = make([]uop, n), uint64(n-1)
+	c.stq = newSeqRing(cfg.StqEntries)
+	c.intQ = make([]ref, 0, cfg.IntIssueSlots)
+	c.memQ = make([]ref, 0, cfg.MemIssueSlots)
+	c.fpQ = make([]ref, 0, cfg.FpIssueSlots)
+	c.stdWait = make([]ref, 0, cfg.StqEntries)
 	c.accHist = make([]uint64, cfg.IntIssueSlots+1)
-
-	// µop arena: the in-flight population is bounded by ROB + fetch buffer
-	// + the one-entry peek slot, so every µop the model will ever hold live
-	// is preallocated here and recycled through freeUops.
-	c.arena = make([]uop, cfg.RobEntries+cfg.FetchBufferEntries+2)
-	c.freeUops = make([]*uop, 0, len(c.arena))
-	for i := range c.arena {
-		c.freeUops = append(c.freeUops, &c.arena[i])
-	}
+	c.pipeState = freshPipe()
 	return c, nil
+}
+
+// pow2 is the smallest power of two >= n.
+func pow2(n int) int {
+	sz := 1
+	for sz < n {
+		sz <<= 1
+	}
+	return sz
 }
 
 // Config returns the core's configuration.
@@ -214,22 +235,17 @@ func (c *Core) Config() Config { return c.cfg }
 // revalidates every hit against the full instruction, so its contents
 // never reach a simulated byte.
 func (c *Core) Reset() {
-	c.pipeState = pipeState{}
+	c.pipeState = freshPipe()
 	c.stats = NewStats(&c.cfg)
 	c.bp.reset(c.stats)
 	c.icache.reset()
 	c.dcache.reset()
 	c.l2.reset()
-	c.fetchBuf.reset()
-	c.rob.reset()
 	c.stq.reset()
 	c.intQ, c.memQ, c.fpQ, c.stdWait = c.intQ[:0], c.memQ[:0], c.fpQ[:0], c.stdWait[:0]
 	clear(c.accHist)
-	clear(c.arena)
-	c.freeUops = c.freeUops[:0]
-	for i := range c.arena {
-		c.freeUops = append(c.freeUops, &c.arena[i])
-	}
+	clear(c.win)
+	clear(c.stamps)
 }
 
 // Stats returns the accumulated statistics (flushing any batched per-cycle
@@ -248,17 +264,18 @@ func (c *Core) ResetStats() {
 	c.bp.stats = c.stats
 	c.accCycles = 0
 	c.accOcc = [NumComponents]uint64{}
-	for i := range c.accHist {
-		c.accHist[i] = 0
-	}
+	c.sigN = [numSigStages][numSigs]uint64{}
+	clear(c.accHist)
 }
 
-// flushAcc folds the batched per-cycle accumulators into stats. The
-// int-issue occupancy histogram flushes as a suffix sum: slot i was
-// occupied on every cycle whose occupancy exceeded i, so
-// IntIssueSlotCycles[i] gains the count of cycles with occupancy > i —
-// bit-identical to the per-cycle slot loop it replaces.
+// flushAcc folds the batched accumulators into stats: the per-stage
+// signature counts (foldSigs) and the per-cycle occupancy. The int-issue
+// occupancy histogram flushes as a suffix sum: slot i was occupied on
+// every cycle whose occupancy exceeded i, so IntIssueSlotCycles[i] gains
+// the count of cycles with occupancy > i — bit-identical to the per-cycle
+// slot loop it replaces.
 func (c *Core) flushAcc() {
+	c.foldSigs()
 	s := c.stats
 	s.Cycles += c.accCycles
 	c.accCycles = 0
@@ -303,7 +320,8 @@ func (c *Core) SetFaultInjector(inj *faultinject.Injector, scope ...string) {
 
 // Run feeds committed instructions from next through the pipeline until
 // maxRetire further instructions have committed (or the trace ends). It
-// returns the number retired by this call.
+// returns the number retired by this call; math.MaxUint64 runs to the end
+// of the trace however many instructions the core has already retired.
 //
 // A stuck pipeline — no commit for >100k cycles — is a model bug, not a
 // workload property. It is returned as a *DeadlockError (errors.Is
@@ -323,9 +341,12 @@ func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, erro
 	c.active = true // the first step of a call is never skipped over
 	start := c.retired
 	target := start + maxRetire
+	if target < start {
+		target = math.MaxUint64 // saturate: the sum wrapped
+	}
 	lastRetired, lastProgress := c.retired, c.cycle
 	for c.retired < target {
-		if c.eof && c.peek == nil && c.rob.len() == 0 && c.fetchBuf.len() == 0 {
+		if c.eof && !c.peeked && c.head == c.tail {
 			break
 		}
 		if !c.active && !c.checkInv {
@@ -342,7 +363,7 @@ func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, erro
 		} else if c.cycle-lastProgress > deadlockCycles {
 			return c.retired - start, &DeadlockError{
 				Cycle: c.cycle, Retired: c.retired,
-				ROB: c.rob.len(), FetchBuf: c.fetchBuf.len(),
+				ROB: int(c.mid - c.head), FetchBuf: int(c.tail - c.mid),
 				IntQ: len(c.intQ), MemQ: len(c.memQ), FpQ: len(c.fpQ),
 				STQ: c.stq.len(), MSHRs: c.mshrsBusy,
 			}
@@ -361,23 +382,24 @@ func (c *Core) recordRun(wall time.Duration, cycles, retired uint64) {
 	}
 }
 
-func (c *Core) allocUop() *uop {
-	if n := len(c.freeUops); n > 0 {
-		u := c.freeUops[n-1]
-		c.freeUops = c.freeUops[:n-1]
-		*u = uop{}
-		return u
-	}
-	return new(uop)
-}
+// slot is the window slot of sequence number seq; ref names it.
+func (c *Core) slot(seq uint64) *uop { return &c.win[seq&c.mask] }
+func (c *Core) ref(seq uint64) ref   { return ref(seq&c.mask) + 1 }
 
-// pullTrace refills the peek slot from the trace. The static part of the
-// µop comes from the per-PC decode cache; only the dynamic fields are
-// filled per instance. Dependencies are resolved against the rename state
-// at dispatch.
+// at is the µop r names, and seqOf its sequence number: the one live
+// sequence number, counted from head, that maps to its slot.
+func (c *Core) at(r ref) *uop      { return &c.win[r-1] }
+func (c *Core) seqOf(r ref) uint64 { return c.head + (uint64(r-1)-c.head)&c.mask }
+
+// pullTrace fills the fetch lookahead at tail from the trace. The static
+// part of the µop comes from the per-PC decode cache; the dynamic fields
+// are written one by one (a composite literal would zero and copy the
+// whole µop). Dependencies are resolved against the rename state at
+// dispatch.
 func (c *Core) pullTrace() *uop {
-	if c.peek != nil {
-		return c.peek
+	u := c.slot(c.tail)
+	if c.peeked {
+		return u
 	}
 	if c.eof {
 		return nil
@@ -387,15 +409,19 @@ func (c *Core) pullTrace() *uop {
 		c.eof = true
 		return nil
 	}
-	u := c.allocUop()
-	c.seq++
-	u.seq = c.seq
 	u.pc = r.PC
-	u.nextPC = r.NextPC
 	u.memAddr = r.MemAddr
+	u.uopStatic = *c.decode(r)
+	u.wake = [3]ref{}
+	u.pend = 0
+	u.state = stWaiting
 	u.taken = r.Taken
-	u.uopStatic = *c.lookupDecode(r.PC, r.Inst)
-	c.peek = u
+	u.mispred = false
+	u.addrKnown = false
+	c.peeked = true
+	if c.traceW != nil {
+		c.tracePull(r)
+	}
 	return u
 }
 
@@ -427,14 +453,14 @@ func (c *Core) skipQuiet(horizon uint64) {
 	now := c.cycle
 	wake := sooner(horizon, c.divBusyUntil, now)
 	wake = sooner(wake, c.fdivBusyUntil, now)
-	if c.redirect == nil {
+	if c.redirect == 0 {
 		wake = sooner(wake, c.fetchReadyAt, now)
 	}
 	if c.inj != nil {
 		wake = sooner(wake, (now+injCheckMask)&^injCheckMask, now)
 	}
 	for t := now; t < wake && t < now+ringSize; t++ {
-		if s := t % ringSize; c.evHead[s] != nil || c.mshrredeem[s] != 0 {
+		if s := t % ringSize; c.evHead[s] != 0 || c.mshrredeem[s] != 0 {
 			wake = t
 			break
 		}
@@ -445,7 +471,7 @@ func (c *Core) skipQuiet(horizon uint64) {
 	}
 	c.skipped += n
 	c.stats.Comp[CompLSU].CAMSearches += n * c.quietCAM
-	if c.redirect == nil {
+	if c.redirect == 0 {
 		c.accountOccupancy(n)
 		c.cycle = wake
 		return
@@ -474,64 +500,61 @@ func (c *Core) processCompletions() {
 		c.mshrredeem[slot] = 0
 		c.active = true
 	}
-	u := c.evHead[slot]
-	if u == nil {
+	r := c.evHead[slot]
+	if r == 0 {
 		return
 	}
-	c.evHead[slot], c.evTail[slot] = nil, nil
+	c.evHead[slot], c.evTail[slot] = 0, 0
 	c.active = true
-	for ; u != nil; u = u.evNext {
+	var broadcasts uint64
+	for ; r != 0; r = c.at(r).evNext {
+		u := c.at(r)
 		u.state = stDone
+		c.sigN[atComplete][u.sig]++
 		for d := range u.wake {
-			for v := u.wake[d]; v != nil; v = v.wakeNext[d] {
-				v.pend &^= 1 << d
+			for v := u.wake[d]; v != 0; {
+				w := c.at(v)
+				w.pend &^= 1 << d
+				v = w.wakeNext[d]
 			}
-			u.wake[d] = nil
+			u.wake[d] = 0
 		}
-		if u.dstInt {
-			c.stats.Comp[CompIntRF].Writes++
-			if c.lastInt[u.rd] == u {
-				c.lastInt[u.rd] = nil
-			}
-		}
-		if u.dstFp {
-			c.stats.Comp[CompFpRF].Writes++
-			if c.lastFp[u.rd] == u {
-				c.lastFp[u.rd] = nil
-			}
+		if c.last[u.dstMap] == r {
+			c.last[u.dstMap] = 0
 		}
 		if u.dstInt || u.dstFp {
-			// Wakeup: every valid issue-queue entry compares its source
-			// tags against the broadcast tag (CAM activity scales with
-			// occupancy — the effect behind Key Takeaway #4).
-			c.stats.Comp[CompIntIssue].CAMSearches += uint64(len(c.intQ))
-			c.stats.Comp[CompMemIssue].CAMSearches += uint64(len(c.memQ))
-			c.stats.Comp[CompFpIssue].CAMSearches += uint64(len(c.fpQ))
+			broadcasts++
 		}
-		if u.mispred && c.redirect == u {
+		if u.mispred && c.redirect == r {
 			// Branch resolved in execute: schedule the front-end redirect
 			// and flush the wrong-path entries from the issue queues.
-			c.redirect = nil
+			c.redirect = 0
 			c.fetchReadyAt = c.cycle + redirectPenalty
 			c.wrongInt, c.wrongMem, c.wrongFp = 0, 0, 0
 		}
 	}
+	// Wakeup: on each result broadcast every valid issue-queue entry
+	// compares its source tags against the broadcast tag (CAM activity
+	// scales with occupancy — the effect behind Key Takeaway #4). The
+	// queues do not change while completions are processed, so a cycle's
+	// broadcasts are charged at once.
+	c.stats.Comp[CompIntIssue].CAMSearches += broadcasts * uint64(len(c.intQ))
+	c.stats.Comp[CompMemIssue].CAMSearches += broadcasts * uint64(len(c.memQ))
+	c.stats.Comp[CompFpIssue].CAMSearches += broadcasts * uint64(len(c.fpQ))
 }
 
 // commit retires completed instructions in order.
 func (c *Core) commit() {
 	n := 0
-	for n < c.cfg.RetireWidth && c.rob.len() > 0 {
-		u := c.rob.front()
+	for n < c.cfg.RetireWidth && c.head < c.mid {
+		u := c.slot(c.head)
 		if u.state != stDone {
 			break
 		}
-		c.rob.popFront()
-		c.stats.Comp[CompRob].Reads++
+		seq := c.head
+		c.head++
+		c.sigN[atCommit][u.sig]++
 		if u.isStore {
-			// Store data leaves the store queue and is written to the L1D.
-			c.stats.Comp[CompDCache].Writes++
-			c.stats.Comp[CompLSU].Reads++
 			if !c.dcache.probe(u.memAddr) {
 				// Write miss: allocate through L2 (no pipeline stall; the
 				// store buffer hides it, but the energy is real).
@@ -539,13 +562,12 @@ func (c *Core) commit() {
 				c.l2.access(u.memAddr)
 			}
 			// Prune from the store queue (it is always the oldest).
-			if c.stq.len() > 0 && c.stq.front() == u {
+			if c.stq.len() > 0 && c.stq.front() == seq {
 				c.stq.popFront()
 			}
 		}
 		if u.isLoad {
 			c.ldqUsed--
-			c.stats.Comp[CompLSU].Reads++
 		}
 		if u.dstInt {
 			c.intInFlight--
@@ -554,9 +576,9 @@ func (c *Core) commit() {
 			c.fpInFlight--
 		}
 		c.retired++
-		c.stats.Insts++
-		c.traceRetire(u)
-		c.freeUops = append(c.freeUops, u)
+		if c.traceW != nil {
+			c.traceRetire(u, seq)
+		}
 		n++
 	}
 	if n > 0 {
@@ -564,19 +586,21 @@ func (c *Core) commit() {
 	}
 }
 
-func (c *Core) schedule(u *uop, doneAt uint64) {
-	if u.state == stWaiting {
-		c.traceIssue(u)
+func (c *Core) schedule(r ref, doneAt uint64) {
+	u := c.at(r)
+	if u.state == stWaiting && c.traceW != nil {
+		c.stamp(r).issued = c.cycle
 	}
 	u.state = stIssued
 	u.doneAt = doneAt
+	u.evNext = 0
 	slot := doneAt % ringSize
-	if t := c.evTail[slot]; t != nil {
-		t.evNext = u
+	if t := c.evTail[slot]; t != 0 {
+		c.at(t).evNext = r
 	} else {
-		c.evHead[slot] = u
+		c.evHead[slot] = r
 	}
-	c.evTail[slot] = u
+	c.evTail[slot] = r
 	c.active = true
 }
 
@@ -593,15 +617,18 @@ func (c *Core) issueAll() {
 
 func (c *Core) issueInt(intReads *int) {
 	issued := 0
-	for i := 0; i < len(c.intQ) && issued < c.cfg.IntIssueWidth; {
-		u := c.intQ[i]
+	q, kept, i := c.intQ, 0, 0
+	for ; i < len(q) && issued < c.cfg.IntIssueWidth; i++ {
+		r := q[i]
+		q[kept] = r // stays unless granted
+		u := c.at(r)
 		if u.pend != 0 {
-			i++
+			kept++
 			continue
 		}
 		reads := u.nIntSrcs()
 		if reads > *intReads {
-			i++
+			kept++
 			continue
 		}
 		var lat uint64
@@ -610,7 +637,7 @@ func (c *Core) issueInt(intReads *int) {
 			lat = latMul
 		case rv64.ClassDiv:
 			if c.cycle < c.divBusyUntil {
-				i++
+				kept++
 				continue
 			}
 			lat = latDiv
@@ -620,18 +647,20 @@ func (c *Core) issueInt(intReads *int) {
 		}
 		*intReads -= reads
 		c.stats.Comp[CompIntRF].Reads += uint64(reads)
-		c.removeFromQueue(&c.intQ, i, CompIntIssue)
-		c.schedule(u, c.cycle+lat)
+		c.grant(CompIntIssue, len(q)-i-1)
+		c.schedule(r, c.cycle+lat)
 		c.countExec(u)
 		issued++
 	}
+	c.intQ = collapse(q, kept, i)
 }
 
 func (c *Core) issueMem(intReads, fpReads *int) {
 	// Store-data (STD) completion: stores whose address generation already
 	// issued finish as soon as their data operand arrives.
 	for i := 0; i < len(c.stdWait); {
-		u := c.stdWait[i]
+		r := c.stdWait[i]
+		u := c.at(r)
 		if u.pend&pendData != 0 {
 			i++
 			continue
@@ -653,12 +682,15 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 		}
 		c.stdWait[i] = c.stdWait[len(c.stdWait)-1]
 		c.stdWait = c.stdWait[:len(c.stdWait)-1]
-		c.schedule(u, c.cycle+latStore)
+		c.schedule(r, c.cycle+latStore)
 	}
 
 	issued := 0
-	for i := 0; i < len(c.memQ) && issued < c.cfg.MemIssueWidth; {
-		u := c.memQ[i]
+	q, kept, i := c.memQ, 0, 0
+	for ; i < len(q) && issued < c.cfg.MemIssueWidth; i++ {
+		r := q[i]
+		q[kept] = r // stays unless granted
+		u := c.at(r)
 		if *intReads < 1 { // AGU always reads the base register
 			break
 		}
@@ -666,7 +698,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			// STA issues as soon as the address operand is ready, BOOM's
 			// STA/STD split: younger loads then disambiguate against it.
 			if u.pend&pendAddr != 0 {
-				i++
+				kept++
 				continue
 			}
 			*intReads--
@@ -674,7 +706,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			u.addrKnown = true
 			// Store issue searches the load queue for ordering violations.
 			c.stats.Comp[CompLSU].CAMSearches += uint64(c.ldqUsed)
-			c.removeFromQueue(&c.memQ, i, CompMemIssue)
+			c.grant(CompMemIssue, len(q)-i-1)
 			c.countExec(u)
 			if u.pend&pendData == 0 {
 				// Data already available: STD fires with the STA.
@@ -683,27 +715,29 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 				} else {
 					c.stats.Comp[CompIntRF].Reads++
 				}
-				c.schedule(u, c.cycle+latStore)
+				c.schedule(r, c.cycle+latStore)
 			} else {
-				c.stdWait = append(c.stdWait, u)
+				c.stdWait = append(c.stdWait, r)
 			}
 			issued++
 			continue
 		}
 
 		if u.pend != 0 {
-			i++
+			kept++
 			continue
 		}
 		// Load: older stores must have known addresses, then forward or
 		// access the L1D.
 		blocked := false
 		var forwarder *uop
+		seq := c.seqOf(r)
 		for j, nstq := 0, c.stq.len(); j < nstq; j++ {
-			s := c.stq.at(j)
-			if s.seq >= u.seq {
+			ss := c.stq.at(j)
+			if ss >= seq {
 				break
 			}
+			s := c.slot(ss)
 			if !s.addrKnown {
 				blocked = true
 				break
@@ -713,12 +747,12 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			}
 		}
 		if blocked {
-			i++
+			kept++
 			continue
 		}
 		if forwarder != nil && forwarder.state != stDone {
 			// Matching older store whose data hasn't arrived: wait.
-			i++
+			kept++
 			continue
 		}
 		// Load issue searches the store queue (CAM) for forwarding.
@@ -727,8 +761,8 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			*intReads--
 			c.stats.Comp[CompIntRF].Reads++
 			c.stats.StoreForward++
-			c.removeFromQueue(&c.memQ, i, CompMemIssue)
-			c.schedule(u, c.cycle+latForward)
+			c.grant(CompMemIssue, len(q)-i-1)
+			c.schedule(r, c.cycle+latForward)
 			c.countExec(u)
 			issued++
 			continue
@@ -739,7 +773,7 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			// Replay next cycle. The search charged above repeats on every
 			// cycle the load stays blocked, which skipQuiet must reproduce.
 			c.quietCAM += uint64(c.stq.len())
-			i++
+			kept++
 			continue
 		}
 		*intReads--
@@ -765,25 +799,29 @@ func (c *Core) issueMem(intReads, fpReads *int) {
 			c.mshrredeem[(c.cycle+lat)%ringSize]++
 			c.stats.Comp[CompDCache].Writes++ // line fill
 		}
-		c.removeFromQueue(&c.memQ, i, CompMemIssue)
-		c.schedule(u, c.cycle+lat)
+		c.grant(CompMemIssue, len(q)-i-1)
+		c.schedule(r, c.cycle+lat)
 		c.countExec(u)
 		issued++
 	}
+	c.memQ = collapse(q, kept, i)
 }
 
 func (c *Core) issueFp(fpReads *int) {
 	issued := 0
-	for i := 0; i < len(c.fpQ) && issued < c.cfg.FpIssueWidth; {
-		u := c.fpQ[i]
+	q, kept, i := c.fpQ, 0, 0
+	for ; i < len(q) && issued < c.cfg.FpIssueWidth; i++ {
+		r := q[i]
+		q[kept] = r // stays unless granted
+		u := c.at(r)
 		if u.pend != 0 {
-			i++
+			kept++
 			continue
 		}
 		reads := u.nFpSrcs()
 		intReads := u.nIntSrcs() // fcvt/fmv from the int file
 		if reads > *fpReads {
-			i++
+			kept++
 			continue
 		}
 		var lat uint64
@@ -792,7 +830,7 @@ func (c *Core) issueFp(fpReads *int) {
 			lat = latFPMul
 		case rv64.ClassFPDiv:
 			if c.cycle < c.fdivBusyUntil {
-				i++
+				kept++
 				continue
 			}
 			lat = latFPDiv
@@ -803,21 +841,31 @@ func (c *Core) issueFp(fpReads *int) {
 		*fpReads -= reads
 		c.stats.Comp[CompFpRF].Reads += uint64(reads)
 		c.stats.Comp[CompIntRF].Reads += uint64(intReads)
-		c.removeFromQueue(&c.fpQ, i, CompFpIssue)
-		c.schedule(u, c.cycle+lat)
+		c.grant(CompFpIssue, len(q)-i-1)
+		c.schedule(r, c.cycle+lat)
 		c.countExec(u)
 		issued++
 	}
+	c.fpQ = collapse(q, kept, i)
 }
 
-// removeFromQueue removes index i from a collapsing queue, charging the
-// entry shifts that compaction performs in hardware (Key Takeaway #5).
-func (c *Core) removeFromQueue(q *[]*uop, i int, comp Component) {
-	s := *q
-	c.stats.Comp[comp].Reads++ // entry read-out on grant
-	c.stats.Comp[comp].Shifts += uint64(len(s) - i - 1)
-	copy(s[i:], s[i+1:])
-	*q = s[:len(s)-1]
+// Each issue queue is a collapsing queue, scanned oldest first once per
+// cycle: an entry that stays moves down over the granted ones as the scan
+// passes it, and the unscanned rest follows in one copy. The scan's q,
+// kept and i give the queue that remains.
+func collapse(q []ref, kept, i int) []ref {
+	if kept == i {
+		return q
+	}
+	return q[:kept+copy(q[kept:], q[i:])]
+}
+
+// grant charges an issue-queue entry's read-out and the shifts compaction
+// performs in hardware (Key Takeaway #5): every entry behind it in the
+// queue as it stood at the start of the cycle moves down one.
+func (c *Core) grant(comp Component, behind int) {
+	c.stats.Comp[comp].Reads++
+	c.stats.Comp[comp].Shifts += uint64(behind)
 	c.active = true
 }
 
@@ -826,26 +874,27 @@ func (c *Core) countExec(u *uop) {
 }
 
 // dispatch renames and dispatches up to DecodeWidth instructions from the
-// fetch buffer into the ROB and the issue queues.
+// fetch buffer into the ROB and the issue queues. What it charges per µop
+// is a function of the µop's signature alone, so it counts the µop once
+// (sigN) and foldDispatch says what that costs.
 func (c *Core) dispatch() {
-	for n := 0; n < c.cfg.DecodeWidth && c.fetchBuf.len() > 0; n++ {
-		u := c.fetchBuf.front()
-		if c.rob.len() >= c.cfg.RobEntries {
+	for n := 0; n < c.cfg.DecodeWidth && c.mid < c.tail; n++ {
+		if c.mid-c.head >= uint64(c.cfg.RobEntries) {
 			return
 		}
-		// Queue selection, remaining capacity (wrong-path entries occupy
-		// slots until the flush), and the activity component are all keyed
-		// by the µop's precomputed queue selector.
-		var q *[]*uop
+		u := c.slot(c.mid)
+		// Queue selection and remaining capacity (wrong-path entries occupy
+		// slots until the flush) are keyed by the µop's precomputed queue
+		// selector.
+		var q *[]ref
 		var cap_ int
-		var comp Component
 		switch u.qSel {
 		case qMem:
-			q, cap_, comp = &c.memQ, c.cfg.MemIssueSlots-c.wrongMem, CompMemIssue
+			q, cap_ = &c.memQ, c.cfg.MemIssueSlots-c.wrongMem
 		case qFp:
-			q, cap_, comp = &c.fpQ, c.cfg.FpIssueSlots-c.wrongFp, CompFpIssue
+			q, cap_ = &c.fpQ, c.cfg.FpIssueSlots-c.wrongFp
 		default:
-			q, cap_, comp = &c.intQ, c.cfg.IntIssueSlots-c.wrongInt, CompIntIssue
+			q, cap_ = &c.intQ, c.cfg.IntIssueSlots-c.wrongInt
 		}
 		if len(*q) >= cap_ {
 			return
@@ -863,104 +912,68 @@ func (c *Core) dispatch() {
 			return
 		}
 
-		c.fetchBuf.popFront()
+		r := c.ref(c.mid)
+		c.mid++
 		c.active = true
-		c.stats.Comp[CompFetchBuffer].Reads++
-		c.traceDispatch(u)
-
-		// Rename: map-table reads for sources, a write for the destination,
-		// and — on any branch that can mispredict — a snapshot copy of both
-		// free lists (BOOM's allocation lists; Key Takeaway #3).
-		c.renameSources(u)
-		renameComp := CompIntRename
-		if u.fpRename {
-			renameComp = CompFpRename
-		}
-		c.stats.Comp[renameComp].Reads += uint64(u.nSrcs())
-		if u.dstInt || u.dstFp {
-			c.stats.Comp[renameComp].Writes++
-		}
-		if u.class == rv64.ClassBranch || u.class == rv64.ClassJALR || u.class == rv64.ClassJAL {
-			c.stats.Comp[CompIntRename].Shifts += uint64(c.cfg.IntPhysRegs)
-			c.stats.Comp[CompFpRename].Shifts += uint64(c.cfg.FpPhysRegs)
+		c.sigN[atDispatch][u.sig]++
+		if c.traceW != nil {
+			c.stamp(r).dispatched = c.cycle
 		}
 
+		c.renameSources(u, r)
+		c.last[u.dstMap] = r
 		if u.dstInt {
 			c.intInFlight++
-			c.lastInt[u.rd] = u
 		}
 		if u.dstFp {
 			c.fpInFlight++
-			c.lastFp[u.rd] = u
 		}
 		if u.isLoad {
 			c.ldqUsed++
-			c.stats.Loads++
-			c.stats.Comp[CompLSU].Writes++
 		}
 		if u.isStore {
-			c.stq.pushBack(u)
-			c.stats.Stores++
-			c.stats.Comp[CompLSU].Writes++
+			c.stq.pushBack(c.mid - 1)
 		}
-
-		c.rob.pushBack(u)
-		c.stats.Comp[CompRob].Writes++
-		*q = append(*q, u)
-		switch comp {
-		case CompMemIssue:
-			c.dispMem++
-		case CompFpIssue:
-			c.dispFp++
-		default:
-			c.dispInt++
-		}
-		c.stats.Comp[comp].Writes++
-		c.stats.Comp[CompOther].Reads++ // decode logic
-		if u == c.redirect {
+		*q = append(*q, r)
+		c.disp[u.qSel]++
+		if r == c.redirect {
 			// The mispredicted branch ends its fetch group, so it is the
 			// last µop to dispatch until it resolves: the wrong-path mix is
 			// the class mix as of now.
 			c.redirectDisp = true
-			total := c.dispInt + c.dispMem + c.dispFp
+			total := c.disp[qInt] + c.disp[qMem] + c.disp[qFp]
 			budget := uint64(c.cfg.DecodeWidth)
-			c.wpInt = int((budget*c.dispInt + total - 1) / total)
-			c.wpMem = int(budget * c.dispMem / total)
-			c.wpFp = int(budget * c.dispFp / total)
+			c.wpInt = int((budget*c.disp[qInt] + total - 1) / total)
+			c.wpMem = int(budget * c.disp[qMem] / total)
+			c.wpFp = int(budget * c.disp[qFp] / total)
 		}
 	}
 }
 
-// renameSources walks the source-slot table precomputed at crack time: a
-// slot whose producer has not completed becomes a pend bit and an entry on
-// that producer's wake list.
-func (c *Core) renameSources(u *uop) {
-	for d := 0; d < 3; d++ {
-		var p *uop
-		switch u.srcKind[d] {
-		case srcInt:
-			p = c.lastInt[u.srcReg[d]]
-		case srcFp:
-			p = c.lastFp[u.srcReg[d]]
-		}
-		if p != nil {
+// renameSources walks the source-slot rename indices precomputed at crack
+// time: a slot whose producer has not completed becomes a pend bit and an
+// entry on that producer's wake list.
+func (c *Core) renameSources(u *uop, r ref) {
+	for d, m := range u.srcMap {
+		if p := c.last[m]; p != 0 {
 			u.pend |= 1 << d
-			u.wakeNext[d] = p.wake[d]
-			p.wake[d] = u
+			pu := c.at(p)
+			u.wakeNext[d] = pu.wake[d]
+			pu.wake[d] = r
 		}
 	}
 }
 
 // fetch models the front end for one cycle.
 func (c *Core) fetch() {
-	if c.redirect != nil {
+	if c.redirect != 0 {
 		c.wrongPath()
 		return
 	}
 	if c.cycle < c.fetchReadyAt {
 		return
 	}
-	if c.fetchBuf.len() >= c.cfg.FetchBufferEntries {
+	if c.tail-c.mid >= uint64(c.cfg.FetchBufferEntries) {
 		return
 	}
 	first := c.pullTrace()
@@ -989,7 +1002,7 @@ func (c *Core) fetch() {
 	}
 
 	line := first.pc >> 6
-	for n := 0; n < c.cfg.FetchWidth && c.fetchBuf.len() < c.cfg.FetchBufferEntries; n++ {
+	for n := 0; n < c.cfg.FetchWidth && c.tail-c.mid < uint64(c.cfg.FetchBufferEntries); n++ {
 		u := c.pullTrace()
 		if u == nil {
 			return
@@ -997,13 +1010,16 @@ func (c *Core) fetch() {
 		if u.pc>>6 != line {
 			return // next fetch group starts at the new line
 		}
-		c.peek = nil
-		c.traceFetch(u)
-		c.fetchBuf.pushBack(u)
+		r := c.ref(c.tail)
+		c.peeked = false
+		c.tail++
+		if c.traceW != nil {
+			c.stamp(r).fetched = c.cycle
+		}
 		c.stats.Comp[CompFetchBuffer].Writes++
 
-		stop := c.predict(u)
-		if stop {
+		// The lookahead is always the last record pulled, so c.trc is u's.
+		if c.predict(u, r, c.trc.NextPC) {
 			return
 		}
 	}
@@ -1046,21 +1062,20 @@ func (c *Core) wrongPath() {
 	}
 }
 
-// predict runs the front-end prediction machinery for one fetched uop and
-// reports whether the fetch group must end (taken control flow or pending
+// predict runs the front-end prediction machinery for one fetched uop,
+// which r names and whose architectural successor is nextPC, and reports
+// whether the fetch group must end (taken control flow or pending
 // redirect).
-func (c *Core) predict(u *uop) bool {
+func (c *Core) predict(u *uop, r ref, nextPC uint64) bool {
 	switch u.class {
 	case rv64.ClassBranch:
 		c.stats.Branches++
-		predTaken := c.bp.predictCond(u.pc)
-		c.bp.updateCond(u.pc, u.taken)
-		if predTaken != u.taken {
+		if c.bp.cond(u.pc, u.taken) != u.taken {
 			u.mispred = true
-			c.redirect, c.redirectDisp = u, false
+			c.redirect, c.redirectDisp = r, false
 			c.stats.Mispredicts++
 			if u.taken {
-				c.bp.btbUpdate(u.pc, u.nextPC)
+				c.bp.btbUpdate(u.pc, nextPC)
 			}
 			return true
 		}
@@ -1068,9 +1083,9 @@ func (c *Core) predict(u *uop) bool {
 			return false
 		}
 		// Correctly predicted taken: the target must come from the BTB.
-		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != u.nextPC {
+		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != nextPC {
 			c.stats.BTBMisses++
-			c.bp.btbUpdate(u.pc, u.nextPC)
+			c.bp.btbUpdate(u.pc, nextPC)
 			c.fetchReadyAt = c.cycle + btbBubble
 		}
 		return true
@@ -1079,9 +1094,9 @@ func (c *Core) predict(u *uop) bool {
 		if u.call {
 			c.bp.rasPush(u.pc + 4)
 		}
-		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != u.nextPC {
+		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != nextPC {
 			c.stats.BTBMisses++
-			c.bp.btbUpdate(u.pc, u.nextPC)
+			c.bp.btbUpdate(u.pc, nextPC)
 			c.fetchReadyAt = c.cycle + btbBubble
 		}
 		return true
@@ -1098,12 +1113,12 @@ func (c *Core) predict(u *uop) bool {
 		if u.call {
 			c.bp.rasPush(u.pc + 4)
 		}
-		if !havePred || predicted != u.nextPC {
+		if !havePred || predicted != nextPC {
 			u.mispred = true
-			c.redirect, c.redirectDisp = u, false
+			c.redirect, c.redirectDisp = r, false
 			c.stats.Mispredicts++
 			if !u.ret {
-				c.bp.btbUpdate(u.pc, u.nextPC)
+				c.bp.btbUpdate(u.pc, nextPC)
 			}
 		}
 		return true
@@ -1118,8 +1133,8 @@ func (c *Core) predict(u *uop) bool {
 // a per-slot loop.
 func (c *Core) accountOccupancy(n uint64) {
 	c.accCycles += n
-	c.accOcc[CompFetchBuffer] += n * uint64(c.fetchBuf.len())
-	c.accOcc[CompRob] += n * uint64(c.rob.len())
+	c.accOcc[CompFetchBuffer] += n * (c.tail - c.mid)
+	c.accOcc[CompRob] += n * (c.mid - c.head)
 	intOcc := len(c.intQ) + c.wrongInt
 	c.accOcc[CompIntIssue] += n * uint64(intOcc)
 	c.accOcc[CompMemIssue] += n * uint64(len(c.memQ)+c.wrongMem)

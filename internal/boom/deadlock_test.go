@@ -16,9 +16,9 @@ func TestRunDeadlockTypedError(t *testing.T) {
 	// Plant a uop that can never issue: its pend bit sits on no producer's
 	// wake list, so nothing ever clears it, the ROB head never commits, and
 	// the progress watchdog must fire.
-	u := &uop{seq: 1, state: stWaiting, pend: 1}
-	c.rob.pushBack(u)
-	c.intQ = append(c.intQ, u)
+	*c.slot(1) = uop{state: stWaiting, pend: 1}
+	c.mid, c.tail = 2, 2
+	c.intQ = append(c.intQ, c.ref(1))
 
 	n, err := c.Run(func(*sim.Retired) bool { return false }, 1)
 	if err == nil {

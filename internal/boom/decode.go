@@ -8,17 +8,24 @@ package boom
 // by comparing the full rv64.Inst — the cache is semantically transparent:
 // a PC that re-decodes differently (alias, collision, self-modifying text)
 // simply misses and is re-cracked, never served stale. Only per-instance
-// dynamic fields (next PC, memory address, taken bit, dependencies) are
-// filled per µop.
+// dynamic fields (memory address, taken bit, dependencies) are filled per
+// µop.
 
-import "repro/internal/rv64"
+import (
+	"repro/internal/rv64"
+	"repro/internal/sim"
+)
 
-// Source-operand kinds for the rename stage, precomputed at crack time so
-// renameSources is a straight table walk instead of predicate calls.
+// Rename-table indices, precomputed at crack time so renameSources is a
+// straight table walk: integer register r is last[r], FP register r is
+// last[32+r]. A source slot that reads nothing (unused, or integer x0)
+// maps to renameNone, which is never written; a µop without a destination
+// writes renameSink, which is never read.
 const (
-	srcNone uint8 = iota
-	srcInt        // read c.lastInt[srcReg]
-	srcFp         // read c.lastFp[srcReg]
+	renameFp    = 32
+	renameNone  = 64
+	renameSink  = 65
+	renameSlots = 66
 )
 
 // Issue-queue selector, precomputed at crack time.
@@ -32,73 +39,71 @@ const (
 // decoded instruction. It is computed once per PC by crack and copied into
 // each µop wholesale.
 type uopStatic struct {
-	op    rv64.Op
-	class rv64.Class
-
-	rs1, rs2, rs3, rd uint8
-	imm               int64 // retained for pipeline tracing
-	memSize           uint8
+	class   rv64.Class
+	memSize uint8
 
 	isLoad, isStore bool
 	fpData          bool // store data (or load dest) in FP file
 	dstInt, dstFp   bool
 
 	nIntSrc, nFpSrc uint8    // register-file read counts at issue
-	srcKind         [3]uint8 // rename-slot source kinds (srcNone/srcInt/srcFp)
-	srcReg          [3]uint8
+	srcMap          [3]uint8 // rename-table index per source slot (renameNone when unused)
+	dstMap          uint8    // rename-table index of the destination (renameSink when none)
 
 	fpRename bool  // rename activity charged to the FP map table
 	qSel     uint8 // qInt/qMem/qFp
 	call     bool
 	ret      bool
+
+	sig uint16 // activity signature (sigOf), the index of its fold counters
 }
 
 // crack fills st from a decoded instruction. The rename-slot layout must
 // match the historical renameSources exactly: slot 0 is rs1 when present,
-// the next slot is rs2 when present, then rs3 — a slot stays srcNone when
-// the operand is integer x0.
+// the next slot is rs2 when present, then rs3 — a slot reads renameNone
+// when the operand is integer x0.
 func crack(in rv64.Inst, st *uopStatic) {
 	op := in.Op
 	cl := op.Class()
 	*st = uopStatic{
-		op: op, class: cl,
-		rs1: in.Rs1, rs2: in.Rs2, rs3: in.Rs3, rd: in.Rd,
-		imm:     in.Imm,
+		class:   cl,
 		memSize: uint8(op.MemBytes()),
 		isLoad:  cl == rv64.ClassLoad,
 		isStore: cl == rv64.ClassStore,
 		fpData:  op.IsFPMem(),
+		srcMap:  [3]uint8{renameNone, renameNone, renameNone},
+		dstMap:  renameSink,
 	}
 	if op.HasRd() {
 		if op.FPRd() {
-			st.dstFp = true
-		} else {
-			st.dstInt = in.Rd != 0
+			st.dstFp, st.dstMap = true, renameFp+in.Rd
+		} else if in.Rd != 0 {
+			st.dstInt, st.dstMap = true, in.Rd
 		}
 	}
 	d := 0
 	if op.HasRs1() {
 		if op.FPRs1() {
-			st.srcKind[d], st.srcReg[d] = srcFp, in.Rs1
+			st.srcMap[d] = renameFp + in.Rs1
 			st.nFpSrc++
 		} else if in.Rs1 != 0 {
-			st.srcKind[d], st.srcReg[d] = srcInt, in.Rs1
+			st.srcMap[d] = in.Rs1
 			st.nIntSrc++
 		}
 		d++
 	}
 	if op.HasRs2() {
 		if op.FPRs2() {
-			st.srcKind[d], st.srcReg[d] = srcFp, in.Rs2
+			st.srcMap[d] = renameFp + in.Rs2
 			st.nFpSrc++
 		} else if in.Rs2 != 0 {
-			st.srcKind[d], st.srcReg[d] = srcInt, in.Rs2
+			st.srcMap[d] = in.Rs2
 			st.nIntSrc++
 		}
 		d++
 	}
 	if op.HasRs3() {
-		st.srcKind[d], st.srcReg[d] = srcFp, in.Rs3
+		st.srcMap[d] = renameFp + in.Rs3
 		st.nFpSrc++
 	}
 	switch cl {
@@ -110,6 +115,7 @@ func crack(in rv64.Inst, st *uopStatic) {
 	st.fpRename = st.dstFp || st.fpData || st.qSel == qFp
 	st.call = isCall(in)
 	st.ret = isReturn(in)
+	st.sig = sigOf(st)
 }
 
 // nSrcs counts rename map-table reads (sources in either file).
@@ -123,18 +129,18 @@ const decEntries = 4096
 
 type decEntry struct {
 	pc    uint64
-	valid bool
 	inst  rv64.Inst
 	st    uopStatic
+	valid bool
 }
 
-// lookupDecode returns the cracked form of (pc, inst), cracking and caching
-// on miss or stale hit.
-func (c *Core) lookupDecode(pc uint64, inst rv64.Inst) *uopStatic {
-	e := &c.dec[(pc>>2)&uint64(len(c.dec)-1)]
-	if !e.valid || e.pc != pc || e.inst != inst {
-		crack(inst, &e.st)
-		e.pc, e.inst, e.valid = pc, inst, true
+// decode returns the cracked form of r's instruction, cracking and caching
+// on a miss or a stale hit.
+func (c *Core) decode(r *sim.Retired) *uopStatic {
+	e := &c.dec[(r.PC>>2)&(decEntries-1)]
+	if !e.valid || e.pc != r.PC || e.inst != r.Inst {
+		crack(r.Inst, &e.st)
+		e.pc, e.inst, e.valid = r.PC, r.Inst, true
 	}
 	return &e.st
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // pullOne feeds exactly one retired record through pullTrace and returns
-// the cracked µop, recycling it so the next pull reuses the arena.
+// the cracked µop, dropping the lookahead so the next pull refills its slot.
 func pullOne(t *testing.T, c *Core, r sim.Retired) uop {
 	t.Helper()
 	c.eof = false
@@ -21,8 +21,7 @@ func pullOne(t *testing.T, c *Core, r sim.Retired) uop {
 		t.Fatal("pullTrace returned nil")
 	}
 	got := *u
-	c.peek = nil
-	c.freeUops = append(c.freeUops, u)
+	c.peeked = false
 	return got
 }
 
@@ -125,10 +124,10 @@ func TestCrackMatchesPredicates(t *testing.T) {
 		// register-file read.
 		zero := rv64.Inst{Op: op, Rd: 0, Rs1: 0, Rs2: 0, Rs3: 0}
 		crack(zero, &st)
-		if op.HasRs1() && !op.FPRs1() && st.srcKind[0] != srcNone {
+		if op.HasRs1() && !op.FPRs1() && st.srcMap[0] != renameNone {
 			t.Errorf("%v: x0 rs1 still tracked", op)
 		}
-		if op.HasRd() && !op.FPRd() && st.dstInt {
+		if op.HasRd() && !op.FPRd() && (st.dstInt || st.dstMap != renameSink) {
 			t.Errorf("%v: x0 rd still a writer", op)
 		}
 	}

@@ -160,14 +160,14 @@ func TestResetMatchesNew(t *testing.T) {
 		}},
 		{"the workload's own head, stopped mid-flight", func(t *testing.T, c *Core) {
 			mustRun(t, c, (&replaySource{tr: head}).next, uint64(len(head)/3))
-			if c.rob.len() == 0 || c.fetchBuf.len() == 0 {
+			if c.mid == c.head || c.tail == c.mid {
 				t.Fatal("the pipeline drained; the case needs it full")
 			}
 		}},
 		{"a deadlock", func(t *testing.T, c *Core) {
 			mustRun(t, c, (&replaySource{tr: other}).next, 10_000)
-			stuck := c.intQ[0] // a third-source bit no producer will ever clear
-			if stuck.srcKind[2] != srcNone {
+			stuck := c.at(c.intQ[0]) // a third-source bit no producer will ever clear
+			if stuck.srcMap[2] != renameNone {
 				t.Fatal("the planted pend bit needs an unused source slot")
 			}
 			stuck.pend |= 1 << 2

@@ -15,12 +15,26 @@ func (c *Core) assertInvariants() {
 	fail := func(format string, args ...interface{}) {
 		panic("boom invariant: " + fmt.Sprintf(format, args...))
 	}
-	if c.fetchBuf.len() > c.cfg.FetchBufferEntries {
-		fail("fetch buffer %d > %d", c.fetchBuf.len(), c.cfg.FetchBufferEntries)
+	// The window: [head, mid) is the ROB, [mid, tail) the fetch buffer,
+	// and with the lookahead the live µops fit in it without sharing a
+	// slot.
+	if c.head > c.mid || c.mid > c.tail {
+		fail("window bounds head %d mid %d tail %d out of order", c.head, c.mid, c.tail)
 	}
-	if c.rob.len() > c.cfg.RobEntries {
-		fail("ROB %d > %d", c.rob.len(), c.cfg.RobEntries)
+	if fb := c.tail - c.mid; fb > uint64(c.cfg.FetchBufferEntries) {
+		fail("fetch buffer %d > %d", fb, c.cfg.FetchBufferEntries)
 	}
+	if rob := c.mid - c.head; rob > uint64(c.cfg.RobEntries) {
+		fail("ROB %d > %d", rob, c.cfg.RobEntries)
+	}
+	live := c.tail
+	if c.peeked {
+		live++
+	}
+	if live-c.head > uint64(len(c.win)) {
+		fail("%d live µops in a %d-slot window", live-c.head, len(c.win))
+	}
+	inROB := func(seq uint64) bool { return seq >= c.head && seq < c.mid }
 	if len(c.intQ) > c.cfg.IntIssueSlots {
 		fail("int IQ %d > %d", len(c.intQ), c.cfg.IntIssueSlots)
 	}
@@ -48,44 +62,50 @@ func (c *Core) assertInvariants() {
 	if c.wrongInt < 0 || len(c.intQ)+c.wrongInt > c.cfg.IntIssueSlots {
 		fail("wrong-path int overflow: %d+%d > %d", len(c.intQ), c.wrongInt, c.cfg.IntIssueSlots)
 	}
-	// Program order: ROB and STQ sequence numbers strictly increase.
-	for i := 1; i < c.rob.len(); i++ {
-		if c.rob.at(i).seq <= c.rob.at(i-1).seq {
-			fail("ROB order violated at %d", i)
-		}
-	}
-	for i := 1; i < c.stq.len(); i++ {
-		if c.stq.at(i).seq <= c.stq.at(i-1).seq {
+	// Program order: STQ sequence numbers strictly increase, within the ROB.
+	for i := 0; i < c.stq.len(); i++ {
+		seq := c.stq.at(i)
+		if !inROB(seq) || !c.slot(seq).isStore || (i > 0 && seq <= c.stq.at(i-1)) {
 			fail("STQ order violated at %d", i)
 		}
 	}
-	// Issue queues hold only un-issued uops; completed uops must be gone.
-	for _, q := range [][]*uop{c.intQ, c.memQ, c.fpQ} {
-		for _, u := range q {
-			if u.state != stWaiting {
-				fail("issued uop still queued: seq %d state %d", u.seq, u.state)
+	// Issue queues hold only un-issued µops of the ROB; completed µops
+	// must be gone.
+	for _, q := range [][]ref{c.intQ, c.memQ, c.fpQ} {
+		for _, r := range q {
+			if u := c.at(r); u.state != stWaiting || !inROB(c.seqOf(r)) {
+				fail("queued seq %d (state %d) is not a waiting ROB µop", c.seqOf(r), u.state)
 			}
+		}
+	}
+	// Rename map: a register's entry names an in-flight writer of it that
+	// has not completed; renameNone is never written.
+	if c.last[renameNone] != 0 {
+		fail("the no-source rename entry names seq %d", c.seqOf(c.last[renameNone]))
+	}
+	for m, r := range c.last[:renameNone] {
+		if r == 0 {
+			continue
+		}
+		if u := c.at(r); !inROB(c.seqOf(r)) || u.state == stDone || int(u.dstMap) != m {
+			fail("rename entry %d names seq %d (state %d), not a pending writer", m, c.seqOf(r), u.state)
 		}
 	}
 	// Wakeup: a pend bit is set ⇔ its slot sits on the wake list of an
 	// in-flight producer that has not completed. Every list entry is a
 	// younger in-flight µop with the bit set (⇐); the entries number
 	// exactly the set bits (⇒).
-	oldest := c.seq + 1 // nothing in flight: every used µop is older
-	if c.rob.len() > 0 {
-		oldest = c.rob.front().seq
-	}
 	var linked, pending int
-	for i := 0; i < c.rob.len(); i++ {
-		p := c.rob.at(i)
+	for seq := c.head; seq < c.mid; seq++ {
+		p := c.slot(seq)
 		for d := range p.wake {
 			pending += int(p.pend >> d & 1)
-			if p.state == stDone && p.wake[d] != nil {
-				fail("completed seq %d still has slot-%d waiters", p.seq, d)
+			if p.state == stDone && p.wake[d] != 0 {
+				fail("completed seq %d still has slot-%d waiters", seq, d)
 			}
-			for v := p.wake[d]; v != nil; v = v.wakeNext[d] {
-				if v.pend>>d&1 == 0 || v.seq <= p.seq || v.seq > c.seq {
-					fail("seq %d on seq %d's slot-%d wake list with pend %03b", v.seq, p.seq, d, v.pend)
+			for v := p.wake[d]; v != 0; v = c.at(v).wakeNext[d] {
+				if u, vs := c.at(v), c.seqOf(v); u.pend>>d&1 == 0 || vs <= seq || vs >= c.mid {
+					fail("seq %d on seq %d's slot-%d wake list with pend %03b", vs, seq, d, u.pend)
 				}
 				linked++
 			}
@@ -96,16 +116,16 @@ func (c *Core) assertInvariants() {
 		// Completions: an issued µop is queued once, in its doneAt slot,
 		// within ringSize of now (the horizon skipQuiet scans).
 		if p.doneAt <= c.cycle || p.doneAt-c.cycle >= ringSize {
-			fail("seq %d issued at cycle %d completes at %d, outside the event ring", p.seq, c.cycle, p.doneAt)
+			fail("seq %d issued at cycle %d completes at %d, outside the event ring", seq, c.cycle, p.doneAt)
 		}
 		queued := 0
-		for u := c.evHead[p.doneAt%ringSize]; u != nil; u = u.evNext {
-			if u == p {
+		for r := c.evHead[p.doneAt%ringSize]; r != 0; r = c.at(r).evNext {
+			if c.at(r) == p {
 				queued++
 			}
 		}
 		if queued != 1 {
-			fail("issued seq %d is queued %d times in its completion slot", p.seq, queued)
+			fail("issued seq %d is queued %d times in its completion slot", seq, queued)
 		}
 	}
 	if linked != pending {
@@ -113,17 +133,9 @@ func (c *Core) assertInvariants() {
 	}
 	// ...and the slot about to complete holds nothing else (each slot is
 	// audited the cycle before it fires, so every queued entry is).
-	for u := c.evHead[(c.cycle+1)%ringSize]; u != nil; u = u.evNext {
-		if u.state != stIssued || u.doneAt != c.cycle+1 || u.seq < oldest {
-			fail("seq %d (state %d, done at %d) completes at cycle %d", u.seq, u.state, u.doneAt, c.cycle+1)
-		}
-	}
-	// A recycled µop is committed — stDone and older than the ROB head — or
-	// was never used, so by the membership rules above it is on neither
-	// kind of list.
-	for _, u := range c.freeUops {
-		if u.seq != 0 && (u.state != stDone || u.seq >= oldest) {
-			fail("free list holds live seq %d (state %d)", u.seq, u.state)
+	for r := c.evHead[(c.cycle+1)%ringSize]; r != 0; r = c.at(r).evNext {
+		if u := c.at(r); u.state != stIssued || u.doneAt != c.cycle+1 || !inROB(c.seqOf(r)) {
+			fail("seq %d (state %d, done at %d) completes at cycle %d", c.seqOf(r), u.state, u.doneAt, c.cycle+1)
 		}
 	}
 }

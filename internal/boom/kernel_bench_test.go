@@ -139,12 +139,10 @@ func BenchmarkKernelDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := c.pullTrace()
-		if u == nil {
+		if c.pullTrace() == nil {
 			b.Fatal("trace ran dry")
 		}
-		c.peek = nil
-		c.freeUops = append(c.freeUops, u)
+		c.peeked = false
 	}
 }
 

@@ -1,44 +1,28 @@
 package boom
 
-// uopRing is a fixed-capacity FIFO of µops backed by a power-of-two array.
-// The ROB, fetch buffer, and store queue are all strict FIFOs whose
-// occupancy is bounded by the configuration, so a ring replaces the old
-// slide-forward slices (s = s[1:] + append) that leaked capacity off the
-// front and reallocated the backing array every window's worth of
-// instructions.
-type uopRing struct {
-	buf  []*uop
+// seqRing is a fixed-capacity FIFO of µop sequence numbers backed by a
+// power-of-two array: the store queue, a strict FIFO whose occupancy the
+// configuration bounds.
+type seqRing struct {
+	buf  []uint64
 	mask int
 	head int
 	n    int
 }
 
-func newUopRing(capacity int) uopRing {
-	sz := 1
-	for sz < capacity {
-		sz <<= 1
-	}
-	return uopRing{buf: make([]*uop, sz), mask: sz - 1}
+func newSeqRing(capacity int) seqRing {
+	sz := pow2(capacity)
+	return seqRing{buf: make([]uint64, sz), mask: sz - 1}
 }
 
-func (r *uopRing) len() int      { return r.n }
-func (r *uopRing) front() *uop   { return r.buf[r.head] }
-func (r *uopRing) at(i int) *uop { return r.buf[(r.head+i)&r.mask] }
+func (r *seqRing) len() int          { return r.n }
+func (r *seqRing) front() uint64     { return r.buf[r.head] }
+func (r *seqRing) at(i int) uint64   { return r.buf[(r.head+i)&r.mask] }
+func (r *seqRing) pushBack(s uint64) { r.buf[(r.head+r.n)&r.mask] = s; r.n++ }
 
-func (r *uopRing) pushBack(u *uop) {
-	r.buf[(r.head+r.n)&r.mask] = u
-	r.n++
-}
-
-func (r *uopRing) popFront() *uop {
-	u := r.buf[r.head]
-	r.buf[r.head] = nil
+func (r *seqRing) popFront() {
 	r.head = (r.head + 1) & r.mask
 	r.n--
-	return u
 }
 
-func (r *uopRing) reset() {
-	clear(r.buf)
-	r.head, r.n = 0, 0
-}
+func (r *seqRing) reset() { r.head, r.n = 0, 0 }

@@ -10,8 +10,11 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bbv"
 	"repro/internal/boom"
 	"repro/internal/ckpt"
+	mavpkg "repro/internal/mav"
+	"repro/internal/sampling"
 	"repro/internal/workloads"
 )
 
@@ -201,4 +204,89 @@ func TestRealPayloadsRoundTrip(t *testing.T) {
 	if _, _, err := decodeCkptPayload(ckptPayload, points+1); err == nil {
 		t.Error("checkpoint payload accepted for a selection with a different point count")
 	}
+}
+
+// realBBVPayloads profiles bitcount at tiny scale under the legacy and the
+// bbv+mav spec and returns each canonical profile-stage payload.
+func realBBVPayloads(tb testing.TB) map[sampling.Spec][]byte {
+	tb.Helper()
+	w, err := workloads.Build("bitcount", workloads.ScaleTiny)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[sampling.Spec][]byte{}
+	for _, spec := range []sampling.Spec{{}, sampling.Recommended()} {
+		p, err := New(DefaultFlowConfig(), WithSampling(spec)).Profile(context.Background(), w)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if out[spec], err = encodeBBVPayloadSpec(p.Vectors, p.MAVs, p.TotalInsts, p.NumBlocks, spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// bbvBodyOff is the offset of the .bb section's length prefix: the
+// instruction and block counts come first.
+const bbvBodyOff = 2 * 8
+
+// TestDecodeBBVPayloadBarePrefix: a payload whose .bb section claims 128
+// MiB it does not have fails without allocating for it, and a real payload
+// still decodes.
+func TestDecodeBBVPayloadBarePrefix(t *testing.T) {
+	for spec, payload := range realBBVPayloads(t) {
+		if _, _, _, _, err := decodeBBVPayloadSpec(payload, spec); err != nil {
+			t.Fatalf("%v: a real payload: %v", spec, err)
+		}
+		bare := withU64(payload[:bbvBodyOff+8], bbvBodyOff, 1<<27)
+		var err error
+		got := allocatedBy(func() { _, _, _, _, err = decodeBBVPayloadSpec(bare, spec) })
+		if err == nil {
+			t.Errorf("%v: a bare 128 MiB prefix decoded", spec)
+		}
+		if got > 1<<20 {
+			t.Errorf("%v: a bare 128 MiB prefix allocated %d bytes", spec, got)
+		}
+	}
+}
+
+// FuzzDecodeBBVPayload: decodeBBVPayloadSpec never panics, allocates at
+// most 1 MiB (the scanner's buffers, the readers) plus 64× its input — a
+// text vector decodes into a map, ~50 bytes per "T\n" line or ":1:0"
+// field, while a length prefix sizes nothing — and an accepted payload
+// re-encodes to itself.
+func FuzzDecodeBBVPayload(f *testing.F) {
+	for spec, payload := range realBBVPayloads(f) {
+		mav := spec.UseMAV()
+		f.Add(payload, mav)
+		f.Add(payload[:len(payload)/2], mav)
+		f.Add(append(append([]byte(nil), payload...), 0), mav)
+		f.Add(withU64(payload[:bbvBodyOff+8], bbvBodyOff, 1<<27), mav)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mav bool) {
+		var spec sampling.Spec
+		if mav {
+			spec = sampling.Recommended()
+		}
+		var v []bbv.Vector
+		var m []mavpkg.Vector
+		var insts uint64
+		var blocks int
+		var err error
+		got := allocatedBy(func() { v, m, insts, blocks, err = decodeBBVPayloadSpec(data, spec) })
+		if limit := uint64(1<<20 + 64*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := encodeBBVPayloadSpec(v, m, insts, blocks, spec)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload does not round-trip: %d bytes in, %d out", len(data), len(again))
+		}
+	})
 }

@@ -19,6 +19,9 @@ const resultMagic = 0x53505245_534C5431
 
 const maxResultLen = 1 << 28 // sanity bound on decoded slice lengths
 
+// pointBytes is the encoded size of one Point: interval, cluster, weight.
+const pointBytes = 3 * 8
+
 // EncodeResult writes res in the binary format read by DecodeResult.
 func EncodeResult(w io.Writer, res *Result) error {
 	bw := binio.NewWriter(w)
@@ -59,16 +62,18 @@ func DecodeResult(r io.Reader) (*Result, error) {
 	res.Stats.Runs = br.Int()
 	res.Stats.Iterations = br.Int()
 	res.Stats.Converged = br.Bool()
-	res.Assignments = make([]int, br.Len(maxResultLen))
-	for i := range res.Assignments {
-		res.Assignments[i] = br.Int()
+	// Slices are sized by what the input can hold (binio.Reader.Alloc) and
+	// grow as read, never by a length prefix alone.
+	n := br.Len(maxResultLen)
+	res.Assignments = make([]int, 0, br.Alloc(n, 8))
+	for i := 0; i < n && br.Err() == nil; i++ {
+		res.Assignments = append(res.Assignments, br.Int())
 	}
 	decodePoints := func() []Point {
-		pts := make([]Point, br.Len(maxResultLen))
-		for i := range pts {
-			pts[i].Interval = br.Int()
-			pts[i].Cluster = br.Int()
-			pts[i].Weight = br.F64()
+		n := br.Len(maxResultLen)
+		pts := make([]Point, 0, br.Alloc(n, pointBytes))
+		for i := 0; i < n && br.Err() == nil; i++ {
+			pts = append(pts, Point{Interval: br.Int(), Cluster: br.Int(), Weight: br.F64()})
 		}
 		return pts
 	}
