@@ -72,9 +72,9 @@ bench:
 # must see every kernel — catches perf-harness rot without paying for real
 # measurements. Then the two floors against the committed BENCH_kernel.json.
 # The tick kernels and the warm rerun (8 iterations each, so a stray
-# runtime allocation rounds away) may allocate no more often and no more
-# bytes per op than their rows (1 % slack): counts, so they gate on every
-# host. The four per-instruction
+# runtime allocation rounds away) may allocate no more often per op than
+# their rows, and the tick kernels no more bytes (1 % slack): counts, so
+# they gate on every host. The four per-instruction
 # functional-core kernels (5M ops each, best of 3) must allocate exactly
 # what their rows do and, on the CPU model the ledger was taken on, run
 # within 1.5x of them.

@@ -128,29 +128,25 @@ func (r *Reader) Len(max int) int {
 	return int(n)
 }
 
-// allocChunk bounds what Alloc grants ahead of reading over an input that
-// cannot say how much of it is left.
-const allocChunk = 1 << 16
-
-// Alloc is how many of n elements, each encoded in at least elemBytes
-// bytes, a decoder may allocate before reading them. An input that can say
-// how many bytes it has left (a bytes.Reader, bytes.Buffer or
-// strings.Reader) gets all n when they fit, and fails the reader with
-// io.ErrUnexpectedEOF (granting none) when they cannot; any other input
-// gets at most allocChunk bytes' worth, and the decoder grows its slice as
-// it reads. Either way a length prefix alone never sizes an allocation.
+// Alloc is n when the rest of the input holds n elements of at least
+// elemBytes encoded bytes each; otherwise it fails the reader with
+// io.ErrUnexpectedEOF and is 0. Decoders size a slice by it, so a length
+// prefix alone never sizes an allocation. The rest of the input is what its
+// Len method reports: decoders read in-memory inputs (a bytes.Reader), and
+// an input without one is taken to hold nothing.
 func (r *Reader) Alloc(n, elemBytes int) int {
 	if r.err != nil || n <= 0 {
 		return 0
 	}
+	left := 0
 	if in, ok := r.r.(interface{ Len() int }); ok {
-		if left := in.Len(); n > left/elemBytes {
-			r.err = fmt.Errorf("binio: %d elements of %d bytes with %d bytes left: %w", n, elemBytes, left, io.ErrUnexpectedEOF)
-			return 0
-		}
-		return n
+		left = in.Len()
 	}
-	return min(n, allocChunk/elemBytes)
+	if n > left/elemBytes {
+		r.err = fmt.Errorf("binio: %d elements of %d bytes with %d bytes left: %w", n, elemBytes, left, io.ErrUnexpectedEOF)
+		return 0
+	}
+	return n
 }
 
 // Bytes reads a length-prefixed byte slice of at most max bytes.
@@ -159,20 +155,11 @@ func (r *Reader) Bytes(max int) []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]byte, 0, r.Alloc(n, 1))
-	for r.err == nil && len(out) < n {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)] // grow as read
-		}
-		k := min(cap(out), n)
-		var m int
-		m, r.err = io.ReadFull(r.r, out[len(out):k])
-		out = out[:len(out)+m]
-	}
-	if r.err == io.EOF {
-		r.err = io.ErrUnexpectedEOF // the prefix promised more
-	}
+	out := make([]byte, r.Alloc(n, 1))
 	if r.err != nil {
+		return nil
+	}
+	if _, r.err = io.ReadFull(r.r, out); r.err != nil {
 		return nil
 	}
 	return out

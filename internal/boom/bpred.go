@@ -92,18 +92,7 @@ func (t *tageTable) index(pc, hist uint64) (idx int, tag uint16) {
 		h &= 1<<uint(t.histLen) - 1
 	}
 	v := mix(pc>>2 ^ h*0x45D9F3B3)
-	return int(mod(v, uint64(len(t.tags)))), uint16(v>>20)&0x3FF | 1 // nonzero 10-bit tag
-}
-
-// mod is x mod n (n > 0, as Config.Validate requires of every predictor
-// table): a mask when n is a power of two, as in every preset, and a
-// division only otherwise. A table is indexed on every branch, and a
-// 64-bit division costs more than the rest of the lookup.
-func mod(x, n uint64) uint64 {
-	if n&(n-1) == 0 {
-		return x & (n - 1)
-	}
-	return x % n
+	return int(v % uint64(len(t.tags))), uint16(v>>20)&0x3FF | 1 // nonzero 10-bit tag
 }
 
 // lookupCycle charges the per-fetch-cycle read activity: in a real BOOM the
@@ -126,7 +115,7 @@ func (b *bpred) lookupCycle() {
 func (b *bpred) cond(pc uint64, taken bool) bool {
 	var predicted bool
 	if b.cfg.Predictor == PredictorGShare {
-		idx := mod(mix(pc>>2)^b.hist, uint64(len(b.gshare)))
+		idx := (mix(pc>>2) ^ b.hist) % uint64(len(b.gshare))
 		predicted = b.gshare[idx] >= 0
 		b.gshare[idx] = bump2(b.gshare[idx], taken)
 		b.stats.Comp[CompBranchPredictor].Writes++
@@ -163,7 +152,7 @@ func (b *bpred) condTAGE(pc uint64, taken bool) bool {
 			p.useful[p.idx]++
 		}
 	} else {
-		bi := mod(pc>>2, uint64(len(b.bimodal)))
+		bi := (pc >> 2) % uint64(len(b.bimodal))
 		predicted = b.bimodal[bi] >= 0
 		b.bimodal[bi] = bump2(b.bimodal[bi], taken)
 	}
@@ -194,7 +183,7 @@ func (b *bpred) condTAGE(pc uint64, taken bool) bool {
 
 // btbLookup returns the predicted target for pc, if any.
 func (b *bpred) btbLookup(pc uint64) (uint64, bool) {
-	idx := mod(pc>>2, uint64(len(b.btbTags)))
+	idx := (pc >> 2) % uint64(len(b.btbTags))
 	if b.btbValid[idx] && b.btbTags[idx] == pc {
 		return b.btbTargets[idx], true
 	}
@@ -203,7 +192,7 @@ func (b *bpred) btbLookup(pc uint64) (uint64, bool) {
 
 // btbUpdate installs a taken-control-flow target.
 func (b *bpred) btbUpdate(pc, target uint64) {
-	idx := mod(pc>>2, uint64(len(b.btbTags)))
+	idx := (pc >> 2) % uint64(len(b.btbTags))
 	b.btbTags[idx] = pc
 	b.btbTargets[idx] = target
 	b.btbValid[idx] = true

@@ -239,9 +239,9 @@ func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts ui
 	return buf.Bytes(), bw.Err()
 }
 
-// decodeBBVPayloadSpec inverts encodeBBVPayloadSpec and accepts only what
-// it writes. The two text sections are read into slices grown as read
-// (binio.Reader.Bytes), never sized by their length prefixes alone.
+// decodeBBVPayloadSpec inverts encodeBBVPayloadSpec. The two text sections
+// are sized by the bytes left (binio.Reader.Bytes), never by their length
+// prefixes alone.
 func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, err error) {
 	rd := bytes.NewReader(payload)
 	br := binio.NewReader(rd)
@@ -255,6 +255,9 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 	if err := br.Err(); err != nil {
 		return nil, nil, 0, 0, err
 	}
+	if rd.Len() != 0 {
+		return nil, nil, 0, 0, fmt.Errorf("bbv payload has %d trailing bytes", rd.Len())
+	}
 	vectors, err = bbv.ReadBB(bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -267,11 +270,6 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 		if len(mavs) != len(vectors) {
 			return nil, nil, 0, 0, fmt.Errorf("bbv payload has %d MAV intervals for %d BBV intervals", len(mavs), len(vectors))
 		}
-	}
-	// The .bb and .mav readers take any spacing and comments; the payload
-	// is the one encoding of what they read, and nothing after it.
-	if again, err := encodeBBVPayloadSpec(vectors, mavs, totalInsts, numBlocks, spec); err != nil || !bytes.Equal(again, payload) {
-		return nil, nil, 0, 0, fmt.Errorf("bbv payload is not in canonical form")
 	}
 	return vectors, mavs, totalInsts, numBlocks, nil
 }

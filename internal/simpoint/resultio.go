@@ -49,7 +49,8 @@ func EncodeResult(w io.Writer, res *Result) error {
 	return bw.Err()
 }
 
-// DecodeResult reads a Result in the format produced by EncodeResult.
+// DecodeResult reads a Result in the format produced by EncodeResult from
+// an in-memory input, one that reports its Len as a bytes.Reader does.
 func DecodeResult(r io.Reader) (*Result, error) {
 	br := binio.NewReader(r)
 	if m := br.U64(); br.Err() == nil && m != resultMagic {
@@ -62,18 +63,18 @@ func DecodeResult(r io.Reader) (*Result, error) {
 	res.Stats.Runs = br.Int()
 	res.Stats.Iterations = br.Int()
 	res.Stats.Converged = br.Bool()
-	// Slices are sized by what the input can hold (binio.Reader.Alloc) and
-	// grow as read, never by a length prefix alone.
-	n := br.Len(maxResultLen)
-	res.Assignments = make([]int, 0, br.Alloc(n, 8))
-	for i := 0; i < n && br.Err() == nil; i++ {
-		res.Assignments = append(res.Assignments, br.Int())
+	// Slices are sized by what the input can hold (binio.Reader.Alloc),
+	// never by a length prefix alone.
+	res.Assignments = make([]int, br.Alloc(br.Len(maxResultLen), 8))
+	for i := range res.Assignments {
+		res.Assignments[i] = br.Int()
 	}
 	decodePoints := func() []Point {
-		n := br.Len(maxResultLen)
-		pts := make([]Point, 0, br.Alloc(n, pointBytes))
-		for i := 0; i < n && br.Err() == nil; i++ {
-			pts = append(pts, Point{Interval: br.Int(), Cluster: br.Int(), Weight: br.F64()})
+		pts := make([]Point, br.Alloc(br.Len(maxResultLen), pointBytes))
+		for i := range pts {
+			pts[i].Interval = br.Int()
+			pts[i].Cluster = br.Int()
+			pts[i].Weight = br.F64()
 		}
 		return pts
 	}
