@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzArtifactEntry -fuzztime 5s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzFabricBodies -fuzztime 5s ./internal/fabric
+	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBBVPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core

@@ -143,18 +143,29 @@ func BenchmarkSimPointSpeedup(b *testing.B) {
 }
 
 func BenchmarkSimPointAccuracy(b *testing.B) {
-	var acc *core.Accuracy
+	ctx := context.Background()
+	var ipcErr float64
 	for i := 0; i < b.N; i++ {
 		w, err := workloads.Build("bitcount", workloads.ScaleTiny)
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc, err = core.New(core.DefaultFlowConfig()).Validate(context.Background(), w, boom.LargeBOOM())
+		r := core.New(core.DefaultFlowConfig())
+		p, err := r.Profile(ctx, w)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sp, err := r.Run(ctx, p, boom.LargeBOOM())
+		if err != nil {
+			b.Fatal(err)
+		}
+		full, err := r.RunFull(ctx, w, boom.LargeBOOM())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ipcErr = 100 * math.Abs(sp.IPC()-full.IPC()) / full.IPC()
 	}
-	b.ReportMetric(math.Abs(acc.ErrorPct()), "IPC-error-%")
+	b.ReportMetric(ipcErr, "IPC-error-%")
 }
 
 // BenchmarkAblationTAGEvsGShare measures the Key-Takeaway-#7 ablation.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,6 +19,43 @@ import (
 func cpiErrPct(sp, full *Result) float64 {
 	spCPI, fullCPI := 1/sp.IPC(), 1/full.IPC()
 	return 100 * math.Abs(spCPI-fullCPI) / fullCPI
+}
+
+// runFulls runs the full detailed model of every named workload at tiny
+// scale on cfg, at most GOMAXPROCS at a time, and returns the results by
+// workload.
+func runFulls(t *testing.T, r *Runner, names []string, cfg boom.Config) map[string]*Result {
+	t.Helper()
+	fulls := make(map[string]*Result, len(names))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			w, err := workloads.Build(name, workloads.ScaleTiny)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := r.RunFull(context.Background(), w, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			fulls[name] = res
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if len(fulls) != len(names) {
+		t.FailNow()
+	}
+	return fulls
 }
 
 // TestDifferentialAccuracy is the safety net behind the cache: for every
@@ -52,30 +90,8 @@ func TestDifferentialAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Full-model baselines, spread over the worker pool like a sweep.
-	fulls := make(map[string]*Result, len(names))
-	var mu sync.Mutex
-	cells := make([]Cell, len(names))
-	for i, name := range names {
-		cells[i] = Cell{Kind: StageMeasure, Workload: name, Config: cfg.Name}
-	}
-	err = cold.runTasks(ctx, cells, func(ctx context.Context, c Cell) error {
-		w, err := workloads.Build(c.Workload, workloads.ScaleTiny)
-		if err != nil {
-			return err
-		}
-		res, err := cold.RunFull(ctx, w, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		fulls[c.Workload] = res
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Full-model baselines.
+	fulls := runFulls(t, cold, names, cfg)
 
 	// Per-workload CPI error bounds. The blanket bound is the 20% the
 	// repo already claims (results_paper.txt / TestSimPointAccuracy); dijkstra —

@@ -80,22 +80,6 @@ func (c Cell) Label() string {
 	return c.Kind + "/" + c.Config + "/" + c.Workload
 }
 
-// CellList lists the campaign's cells in the order every scheduler runs
-// them: the profile cells in workload order, then the measure cells, configs
-// outer.
-func (c Campaign) CellList() []Cell {
-	out := make([]Cell, 0, len(c.Workloads)+c.Cells())
-	for _, wl := range c.Workloads {
-		out = append(out, Cell{Kind: StageProfile, Workload: wl})
-	}
-	for i := range c.Configs {
-		for _, wl := range c.Workloads {
-			out = append(out, Cell{Kind: StageMeasure, Workload: wl, Config: c.Configs[i].Name})
-		}
-	}
-	return out
-}
-
 // CampaignID fingerprints a campaign under flow parameters fc: the exact
 // workload list, configuration list, flow parameters, scale and sampling
 // spec (the serving layer fingerprints a submission with this before it

@@ -278,20 +278,3 @@ func (sw *Sweep) SpeedupOf() SpeedupReport {
 	}
 	return rep
 }
-
-// Accuracy compares the SimPoint-estimated IPC against a full detailed run
-// for one workload/config (the methodology's validation).
-type Accuracy struct {
-	Workload    string
-	ConfigName  string
-	SimPointIPC float64
-	FullIPC     float64
-}
-
-// ErrorPct returns the relative IPC error in percent.
-func (a Accuracy) ErrorPct() float64 {
-	if a.FullIPC == 0 {
-		return 0
-	}
-	return 100 * (a.SimPointIPC - a.FullIPC) / a.FullIPC
-}

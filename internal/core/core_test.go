@@ -123,21 +123,32 @@ func TestSimPointAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full detailed simulations")
 	}
+	ctx := context.Background()
+	r := New(DefaultFlowConfig())
 	for _, name := range []string{"bitcount", "sha", "basicmath", "fft"} {
 		w, err := workloads.Build(name, workloads.ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc, err := New(DefaultFlowConfig()).Validate(context.Background(), w, boom.LargeBOOM())
+		p, err := r.Profile(ctx, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := math.Abs(acc.ErrorPct()); e > 20 {
-			t.Errorf("%s: SimPoint IPC %.3f vs full %.3f (%.1f%% error)",
-				name, acc.SimPointIPC, acc.FullIPC, e)
+		sp, err := r.Run(ctx, p, boom.LargeBOOM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := r.RunFull(ctx, w, boom.LargeBOOM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ipcErr, cpiErr := 100*math.Abs(sp.IPC()-full.IPC())/full.IPC(), cpiErrPct(sp, full)
+		if ipcErr > 20 || cpiErr > 20 {
+			t.Errorf("%s: SimPoint IPC %.3f vs full %.3f (%.1f%% IPC error, %.1f%% CPI error)",
+				name, sp.IPC(), full.IPC(), ipcErr, cpiErr)
 		} else {
-			t.Logf("%s: SimPoint IPC %.3f vs full %.3f (%.1f%% error)",
-				name, acc.SimPointIPC, acc.FullIPC, acc.ErrorPct())
+			t.Logf("%s: SimPoint IPC %.3f vs full %.3f (%.1f%% IPC error, %.1f%% CPI error)",
+				name, sp.IPC(), full.IPC(), ipcErr, cpiErr)
 		}
 	}
 }
@@ -313,8 +324,16 @@ func TestParallelSweepDeterminism(t *testing.T) {
 
 func TestFlowErrorPaths(t *testing.T) {
 	sha, _ := workloads.Build("sha", workloads.ScaleTiny)
-	if _, err := New(DefaultFlowConfig()).Validate(context.Background(), sha, boom.Config{Name: "nope"}); err == nil {
+	r := New(DefaultFlowConfig())
+	p, err := r.Profile(context.Background(), sha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), p, boom.Config{Name: "nope"}); err == nil {
 		t.Error("an invalid design point must error")
+	}
+	if _, err := r.RunFull(context.Background(), sha, boom.Config{Name: "nope"}); err == nil {
+		t.Error("an invalid design point must error in a full run")
 	}
 	if _, err := New(DefaultFlowConfig()).
 		Sweep(context.Background(), tcamp([]string{"nope"}, []boom.Config{boom.MediumBOOM()})); err == nil {

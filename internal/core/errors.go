@@ -68,9 +68,9 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// SweepErrors is the multi-error a keep-going sweep returns: every task
-// failure, in completion order, each (normally) a *StageError naming the
-// stage, workload and config that failed. Unwrap exposes the slice to
+// SweepErrors is the multi-error a keep-going sweep returns: one failure
+// per cause, in cell order (see Plan.Err), each (normally) a *StageError
+// naming the stage, workload and config that failed. Unwrap exposes the slice to
 // errors.Is/As, so callers can still test for context.Canceled, a panic, a
 // deadlock sentinel, or a specific stage across the whole collection.
 type SweepErrors struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/boom"
@@ -35,29 +34,7 @@ func TestFidelityGate(t *testing.T) {
 	r := New(fc, WithCache(dir))
 
 	// Full-model CPI baselines, shared by both specs.
-	fulls := make(map[string]*Result, len(names))
-	var mu sync.Mutex
-	cells := make([]Cell, len(names))
-	for i, name := range names {
-		cells[i] = Cell{Kind: StageMeasure, Workload: name, Config: cfg.Name}
-	}
-	err := r.runTasks(ctx, cells, func(ctx context.Context, c Cell) error {
-		w, err := workloads.Build(c.Workload, workloads.ScaleTiny)
-		if err != nil {
-			return err
-		}
-		res, err := r.RunFull(ctx, w, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		fulls[c.Workload] = res
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fulls := runFulls(t, r, names, cfg)
 
 	baseline := sampling.Spec{Features: sampling.FeaturesBBV}
 	candidate := sampling.Recommended()

@@ -789,27 +789,3 @@ func checkExit(w *workloads.Workload, cpu *sim.CPU) error {
 	}
 	return nil
 }
-
-// Validate runs both the SimPoint flow and the full detailed model for
-// one built workload and compares their IPC. Both runs share the Workload,
-// so one reference run serves both exit checks.
-func (r *Runner) Validate(ctx context.Context, w *workloads.Workload, cfg boom.Config) (*Accuracy, error) {
-	p, err := r.Profile(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := r.Run(ctx, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	full, err := r.RunFull(ctx, w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Accuracy{
-		Workload:    w.Name,
-		ConfigName:  cfg.Name,
-		SimPointIPC: sp.IPC(),
-		FullIPC:     full.IPC(),
-	}, nil
-}

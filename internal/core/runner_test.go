@@ -310,7 +310,7 @@ func TestSessionProfilesOnce(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	s := New(DefaultFlowConfig(), WithCache(t.TempDir()), WithMetrics(reg)).Session(camp)
-	cells := camp.CellList()[len(camp.Workloads):]
+	cells := NewPlan(camp, false).Cells()[len(camp.Workloads):]
 	got := make([]*Result, len(cells))
 	var wg sync.WaitGroup
 	for i, c := range cells {

@@ -26,60 +26,111 @@ var checkInvariants bool
 // Sweep profiles every campaign workload once (at the campaign's scale)
 // and evaluates it on every design point with the SimPoint flow: N
 // configs share one profile/select/checkpoint per workload, both within
-// the sweep (phase 1 runs once per workload) and across sweeps (the
+// the sweep (each workload's profile cell runs once) and across sweeps (the
 // profile stages are config-independent, so their cache artifacts feed
-// every design point that ever measures the workload). With a cache, phase
-// 1 looks at a workload's cells before its chain: when every one is already
-// cached it verifies the chain for its costs and reads only the selection
-// (see profileWith). Work is spread across the Runner's parallelism — every
-// (workload, config) measurement is independent and deterministic, so
-// results are bit-identical to a serial run regardless of worker count,
+// every design point that ever measures the workload). With a cache, a
+// profile cell looks at the workload's measure cells before its chain: when
+// every one is already cached it verifies the chain for its costs and reads
+// only the selection (see profileWith). The campaign's Plan schedules the
+// cells on the Runner's parallelism — a measure cell starts once its own
+// profile is done — and every measurement is independent and deterministic,
+// so results are bit-identical to a serial run regardless of worker count,
 // metrics attachment, cache state, retries, or which sibling tasks failed.
 // Every cell runs through one Session, the path a fabric worker's cells take.
 //
 // Failure semantics: by default the first task error aborts the sweep
-// (remaining tasks drain unrun) and Sweep returns (nil, err). Under
+// (runnable tasks drain unrun) and Sweep returns (nil, err). Under
 // WithKeepGoing, every task runs, all failures are collected into a
 // *SweepErrors, and Sweep returns the partial *Sweep TOGETHER WITH the
 // error — callers render what succeeded and report what did not. Missing
 // entries in Results mark the failed pairs.
 func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 	s := r.Session(camp)
-	sw, cells, nprof := s.sw, camp.CellList(), len(camp.Workloads)
+	plan := NewPlan(camp, r.keepGoing)
+	cells, nprof := plan.Cells(), len(camp.Workloads)
+	workers := min(r.par, len(cells))
+	qwait := r.reg.Histogram("core.sweep.queue_wait_ns")
+	tasks := r.reg.Counter("core.sweep.tasks")
+	failed := r.reg.Counter("core.sweep.tasks_failed")
 
-	// Phase 1: profile every workload (parallel across workloads).
-	profErr := r.runTasks(ctx, cells[:nprof], s.run)
-	if profErr != nil && !r.keepGoing {
-		return nil, profErr
+	// Workers take cells from the plan under mu and run them without it;
+	// cond wakes the idle ones when a cell finishes. ready[w] is when
+	// workload w's measure cells became runnable, for the queue wait.
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	running := 0
+	start := time.Now()
+	ready := make([]time.Time, nprof)
+	busyNS := make([]int64, workers)
+	var wg sync.WaitGroup
+	for wk := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for ctx.Err() == nil {
+				i := plan.Next()
+				if i < 0 {
+					if running == 0 {
+						return
+					}
+					cond.Wait()
+					continue
+				}
+				since := start
+				if i >= nprof {
+					since = ready[(i-nprof)%nprof]
+				}
+				running++
+				mu.Unlock()
+				t0 := time.Now()
+				qwait.Observe(t0.Sub(since).Nanoseconds())
+				err := r.runTask(ctx, cells[i], s.run)
+				tasks.Inc()
+				busyNS[wk] += time.Since(t0).Nanoseconds()
+				mu.Lock()
+				running--
+				if err != nil {
+					failed.Inc()
+					plan.Fail(i, err)
+				} else {
+					plan.Done(i)
+					if i < nprof {
+						ready[i] = time.Now()
+					}
+				}
+				cond.Broadcast()
+			}
+		}()
 	}
+	wg.Wait()
 
-	// Phase 2: measure every (config, workload) pair (parallel). Pairs
-	// whose workload failed to profile are already accounted in profErr
-	// and skipped here. Under a canceled context runTasks drains every pair
-	// and reports the cancellation itself.
-	var measures []Cell
-	for _, c := range cells[nprof:] {
-		if sw.Profiles[c.Workload] != nil {
-			measures = append(measures, c)
+	if r.reg != nil {
+		wall := time.Since(start).Nanoseconds()
+		for wk := range workers {
+			r.reg.Counter(fmt.Sprintf("core.sweep.worker.%02d.busy_ns", wk)).Add(busyNS[wk])
+			r.reg.Gauge(fmt.Sprintf("core.sweep.worker.%02d.util", wk)).
+				Set(utilization(busyNS[wk], wall))
 		}
 	}
-	measErr := r.runTasks(ctx, measures, s.run)
-	if !r.keepGoing {
-		if measErr != nil {
-			return nil, measErr
-		}
-		return sw, nil
-	}
-	var errs []error // keep-going runTasks returns nil or a *SweepErrors
-	for _, e := range []error{profErr, measErr} {
-		if se, ok := e.(*SweepErrors); ok {
-			errs = append(errs, se.Errs...)
+	drained := r.reg.Counter("core.sweep.tasks_drained")
+	for i := range cells {
+		if plan.runnable(i) {
+			drained.Inc()
 		}
 	}
-	if len(errs) > 0 {
-		return sw, &SweepErrors{Errs: errs}
+	// A cancellation that no cell reported fails the first pending cell.
+	if cerr := ctx.Err(); cerr != nil && !plan.Finished() && !errors.Is(plan.Err(), cerr) {
+		if i := slices.Index(plan.state, CellPending); i >= 0 {
+			plan.Fail(i, &StageError{Stage: cells[i].Kind, Err: cerr})
+		}
 	}
-	return sw, nil
+	err := plan.Err()
+	if err != nil && !r.keepGoing {
+		return nil, err
+	}
+	return s.sw, err
 }
 
 // Session is one campaign's cells on one Runner: each workload's key chain
@@ -229,92 +280,6 @@ func (s *Session) measure(ctx context.Context, c Cell) error {
 	s.sw.Results[c.Config][c.Workload] = res
 	s.mu.Unlock()
 	return nil
-}
-
-// runTasks runs cells on a fixed worker pool, each under runTask, recording
-// per-worker busy time and utilization plus task queue-wait into the
-// registry. Fail-fast mode (the default) returns the first error and
-// drains the remaining queue unrun; keep-going mode runs everything and
-// returns a *SweepErrors. Drained tasks increment core.sweep.tasks_drained
-// and are excluded from the tasks counter, queue-wait histogram and worker
-// busy time. A canceled context surfaces as a *StageError naming the phase
-// in flight (the first cell's kind) and wrapping ctx.Err().
-func (r *Runner) runTasks(ctx context.Context, cells []Cell, do func(context.Context, Cell) error) error {
-	n := len(cells)
-	if n == 0 {
-		return nil
-	}
-	workers := r.par
-	if workers > n {
-		workers = n
-	}
-	type item struct {
-		idx        int
-		enqueuedNS int64
-	}
-	ch := make(chan item, n)
-	start := time.Now()
-	qwait := r.reg.Histogram("core.sweep.queue_wait_ns")
-	tasks := r.reg.Counter("core.sweep.tasks")
-	drained := r.reg.Counter("core.sweep.tasks_drained")
-
-	var mu sync.Mutex
-	var errs []error
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(errs) > 0
-	}
-	record := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-		r.reg.Counter("core.sweep.tasks_failed").Inc()
-	}
-	busyNS := make([]int64, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for it := range ch {
-				if (!r.keepGoing && failed()) || ctx.Err() != nil {
-					drained.Inc()
-					continue // drain without running (and without accounting)
-				}
-				t0 := time.Now()
-				qwait.Observe(t0.UnixNano() - it.enqueuedNS)
-				if err := r.runTask(ctx, cells[it.idx], do); err != nil {
-					record(err)
-				}
-				tasks.Inc()
-				busyNS[wk] += time.Since(t0).Nanoseconds()
-			}
-		}(wk)
-	}
-	for i := 0; i < n; i++ {
-		ch <- item{i, time.Now().UnixNano()}
-	}
-	close(ch)
-	wg.Wait()
-	if r.reg != nil {
-		wall := time.Since(start).Nanoseconds()
-		for wk := 0; wk < workers; wk++ {
-			r.reg.Counter(fmt.Sprintf("core.sweep.worker.%02d.busy_ns", wk)).Add(busyNS[wk])
-			r.reg.Gauge(fmt.Sprintf("core.sweep.worker.%02d.util", wk)).
-				Set(utilization(busyNS[wk], wall))
-		}
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		errs = append(errs, &StageError{Stage: cells[0].Kind, Err: cerr})
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	if !r.keepGoing {
-		return errs[0]
-	}
-	return &SweepErrors{Errs: errs}
 }
 
 // utilization returns the busy/wall worker-utilization ratio as a finite

@@ -132,7 +132,6 @@ func (c *Coordinator) grantAuditLocked(r *run, cl *cell, worker string, now time
 	}
 	cl.auditRounds++
 	c.seq++
-	cl.state = cellAuditLeased
 	cl.worker = worker
 	cl.deadline = now.Add(c.cfg.Lease)
 	cl.task.Seq = c.seq
@@ -160,7 +159,6 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 	}
 	if best < 2 {
 		// Every vote distinct: no verdict yet. Queue for a tie-break.
-		cl.state = cellAuditWait
 		cl.worker = ""
 		return
 	}
@@ -228,39 +226,34 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 	ws.quarantined = true
 	c.reg.Counter("fabric.workers_quarantined").Inc()
 	c.logf("worker %s QUARANTINED: %s", worker, reason)
-	if r.finished {
+	if r.plan.Finished() {
 		return // failed fast: nothing left to requeue into
 	}
-	for _, label := range r.order {
-		cl := r.cells[label]
+	for _, cl := range r.cells {
 		if cl == except {
 			continue
 		}
-		switch cl.state {
-		case cellLeased:
-			if cl.worker == worker {
-				cl.state = cellPending
-				cl.worker = ""
-				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
+		switch r.plan.State(cl.i) {
+		case core.CellRunning:
+			if cl.worker != worker {
+				continue
 			}
-		case cellAuditLeased:
-			if cl.worker == worker {
-				cl.state = cellAuditWait
-				cl.worker = ""
+			cl.worker = ""
+			if cl.reports == nil {
+				r.plan.Release(cl.i)
+				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
+			} else {
 				c.reg.Counter("fabric.cells_stolen").Inc()
 			}
-		case cellDone:
+		case core.CellDone:
 			if cl.doneBy == worker && !cl.audited && cl.task.Kind == core.StageMeasure {
-				cl.state = cellPending
-				cl.worker = ""
+				r.plan.Release(cl.i)
 				cl.doneBy = ""
 				cl.payload = nil
-				cl.reports = nil
 				cl.auditRounds = 0
-				r.remaining++
 				c.reg.Counter("fabric.cells_requeued_suspect").Inc()
 				c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
-					core.ShortID(r.id), label, worker)
+					core.ShortID(r.id), cl.task.Label(), worker)
 			}
 		}
 	}
@@ -271,13 +264,12 @@ func (c *Coordinator) quarantineLocked(r *run, worker, reason string, except *ce
 // audited marks results that survived fingerprint verification — unaudited
 // ones remain revocable if their producer is later quarantined.
 func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload []byte, audited bool) {
-	cl.state = cellDone
+	r.plan.Done(cl.i)
 	cl.worker = ""
 	cl.doneBy = worker
 	cl.audited = audited
 	cl.payload = payload
 	cl.reports = nil
-	r.remaining--
 	c.reg.Counter("fabric.cells_done").Inc()
 	if c.reg != nil {
 		c.reg.Counter("fabric.cells_done." + worker).Inc()
@@ -285,7 +277,5 @@ func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload 
 	if ws := c.workers[worker]; ws != nil {
 		ws.cellsDone++
 	}
-	if r.remaining == 0 {
-		c.finishLocked(r)
-	}
+	r.closeIfFinished()
 }

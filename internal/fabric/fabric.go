@@ -15,9 +15,10 @@
 //
 // Scheduling is a pull model with leases:
 //
-//   - Workers POST /v1/fabric/poll; the coordinator grants the first
-//     runnable cell (profile cells first; measure cells gate on their
-//     workload's profile cell) under a lease with a deadline.
+//   - Workers POST /v1/fabric/poll; the coordinator grants the campaign's
+//     core.Plan's next runnable cell (profile cells first; a measure cell
+//     once its workload's profile cell is done) under a lease with a
+//     deadline.
 //   - Workers heartbeat while executing; a heartbeat renews the lease. A
 //     worker that dies, hangs, or partitions simply stops heartbeating,
 //     the lease expires, and the next poll steals the cell back
@@ -126,46 +127,34 @@ type workerState struct {
 	quarantined bool // audit divergence: granted nothing, trusted with nothing
 }
 
-type cellState int
-
-const (
-	cellPending cellState = iota
-	cellLeased
-	cellDone
-	cellFailed
-	cellAuditWait   // completed but held: awaiting an audit re-execution grant
-	cellAuditLeased // audit re-execution in flight on another worker
-)
-
-// cell is one schedulable unit's authoritative state, guarded by
-// Coordinator.mu.
+// cell is one cell's lease and audit record, guarded by Coordinator.mu;
+// whether it is pending, running, done or failed is the run's plan's. A
+// running cell is leased (worker set, no reports), held for audit (reports,
+// no worker) or out for audit (both).
 type cell struct {
+	i        int // plan index
 	task     Task
-	state    cellState
-	worker   string    // lease owner while leased
-	deadline time.Time // lease expiry while leased
+	worker   string    // lease owner; set only while the cell runs
+	deadline time.Time // lease expiry while worker is set
 	attempts int       // failure reports consumed (steals don't count)
-	requires string    // gating cell label ("" = none)
 	payload  []byte    // canonical measure bytes once done
-	errMsg   string    // terminal failure message
 
 	doneBy      string        // worker whose bytes were accepted
 	audited     bool          // payload survived fingerprint verification
 	auditRounds int           // audit grants consumed (bounded by maxAuditGrants)
-	reports     []auditReport // fingerprint votes while in audit states
+	reports     []auditReport // fingerprint votes while held or out for audit
 }
 
-// run is the campaign in flight.
+// run is the campaign in flight: its plan decides what runs and when the
+// campaign is over; cells (in plan order) and labels hold the leases.
 type run struct {
-	id        string
-	camp      core.Campaign
-	spec      []byte // campaignWire JSON served to workers
-	cells     map[string]*cell
-	order     []string // deterministic scheduling/assembly order
-	remaining int      // cells not yet terminal (done/failed)
-	failErr   error    // first fatal error (fail-fast mode)
-	finished  bool
-	done      chan struct{}
+	id     string
+	camp   core.Campaign
+	spec   []byte // campaignWire JSON served to workers
+	plan   *core.Plan
+	cells  []*cell
+	labels map[string]*cell
+	done   chan struct{} // closed once the plan is finished
 }
 
 // NewCoordinator builds a coordinator and its HTTP routes. It panics if
@@ -276,7 +265,7 @@ func (c *Coordinator) distribute(ctx context.Context, id string, camp core.Campa
 	}
 	defer c.retire(r)
 	c.logf("campaign %s: %d cell(s) across %d live worker(s)",
-		core.ShortID(id), len(r.order), c.LiveWorkers())
+		core.ShortID(id), len(r.cells), c.LiveWorkers())
 	tick := time.NewTicker(c.cfg.Lease)
 	defer tick.Stop()
 	for {
@@ -293,11 +282,11 @@ func (c *Coordinator) distribute(ctx context.Context, id string, camp core.Campa
 	}
 }
 
-// admit builds the cell graph for one campaign and makes it the run in
-// flight — or refuses, touching nothing, when there already is one. Every
-// cell starts pending, even after a restart: what a previous coordinator
-// accepted is in the store, so re-leasing it costs a fetch, and its bytes
-// pass the audit like any other report's.
+// admit plans one campaign and makes it the run in flight — or refuses,
+// touching nothing, when there already is one. Every cell starts pending,
+// even after a restart: what a previous coordinator accepted is in the
+// store, so re-leasing it costs a fetch, and its bytes pass the audit like
+// any other report's.
 func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err := camp.Validate(); err != nil {
 		return nil, err
@@ -307,21 +296,18 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		return nil, err
 	}
 	r := &run{
-		id:    id,
-		camp:  camp,
-		spec:  spec,
-		cells: map[string]*cell{},
-		done:  make(chan struct{}),
+		id:     id,
+		camp:   camp,
+		spec:   spec,
+		plan:   core.NewPlan(camp, c.cfg.Engine.KeepGoing),
+		labels: map[string]*cell{},
+		done:   make(chan struct{}),
 	}
-	for _, cc := range camp.CellList() {
-		cl := &cell{task: Task{Campaign: id, Cell: cc}}
-		if cc.Kind == core.StageMeasure {
-			cl.requires = core.Cell{Kind: core.StageProfile, Workload: cc.Workload}.Label()
-		}
-		r.cells[cc.Label()] = cl
-		r.order = append(r.order, cc.Label())
+	for i, cc := range r.plan.Cells() {
+		cl := &cell{i: i, task: Task{Campaign: id, Cell: cc}}
+		r.cells = append(r.cells, cl)
+		r.labels[cc.Label()] = cl
 	}
-	r.remaining = len(r.order)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -353,100 +339,74 @@ func (c *Coordinator) nextTask(worker string) *Task {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := c.run
-	if r == nil || r.finished {
+	if r == nil || r.plan.Finished() {
 		return nil
 	}
 	c.expireLeasesLocked(r, now)
 	if ws := c.workers[worker]; ws != nil && ws.quarantined {
 		return nil
 	}
-	for _, label := range r.order {
-		cl := r.cells[label]
-		switch cl.state {
-		case cellAuditWait:
+	for _, cl := range r.cells {
+		if cl.reports != nil && cl.worker == "" {
 			if t := c.grantAuditLocked(r, cl, worker, now); t != nil {
 				return t
 			}
-			continue
-		case cellPending:
-			// fall through to the normal grant below
-		default:
-			continue
 		}
-		if cl.requires != "" && r.cells[cl.requires].state != cellDone {
-			continue // profile still pending or in flight (a failed one failed its dependents)
-		}
-		c.seq++
-		cl.state = cellLeased
-		cl.worker = worker
-		cl.deadline = now.Add(c.cfg.Lease)
-		cl.task.Seq = c.seq
-		t := cl.task
-		c.reg.Counter("fabric.cells_leased").Inc()
-		return &t
 	}
-	return nil
+	i := r.plan.Next()
+	if i < 0 {
+		return nil
+	}
+	cl := r.cells[i]
+	c.seq++
+	cl.worker = worker
+	cl.deadline = now.Add(c.cfg.Lease)
+	cl.task.Seq = c.seq
+	t := cl.task
+	c.reg.Counter("fabric.cells_leased").Inc()
+	return &t
 }
 
 // expireLeasesLocked steals cells back from workers whose lease lapsed.
-// An expired audit lease returns to the audit queue, not the pending
-// queue — the original result is still held for verification.
+// An expired audit lease returns the cell to the audit queue, not to
+// pending — the original result is still held for verification.
 func (c *Coordinator) expireLeasesLocked(r *run, now time.Time) {
-	for _, label := range r.order {
-		cl := r.cells[label]
-		switch cl.state {
-		case cellLeased:
-			if now.After(cl.deadline) {
-				c.logf("campaign %s: stealing %s from silent worker %s",
-					core.ShortID(r.id), label, cl.worker)
-				cl.state = cellPending
-				cl.worker = ""
-				c.reg.Counter("fabric.cells_stolen").Inc()
-			}
-		case cellAuditLeased:
-			if now.After(cl.deadline) {
-				c.logf("campaign %s: stealing audit of %s from silent worker %s",
-					core.ShortID(r.id), label, cl.worker)
-				cl.state = cellAuditWait
-				cl.worker = ""
-				c.reg.Counter("fabric.cells_stolen").Inc()
-			}
+	for _, cl := range r.cells {
+		if cl.worker == "" || !now.After(cl.deadline) {
+			continue
 		}
+		if cl.reports == nil {
+			c.logf("campaign %s: stealing %s from silent worker %s",
+				core.ShortID(r.id), cl.task.Label(), cl.worker)
+			r.plan.Release(cl.i)
+		} else {
+			c.logf("campaign %s: stealing audit of %s from silent worker %s",
+				core.ShortID(r.id), cl.task.Label(), cl.worker)
+		}
+		cl.worker = ""
+		c.reg.Counter("fabric.cells_stolen").Inc()
 	}
 }
 
-// failCellLocked marks a cell terminally failed and cascades to pending
-// dependents (a measure cell can never run without its profile).
+// failCellLocked marks a cell terminally failed; the plan takes its pending
+// dependents down with it (a measure cell can never run without its
+// profile).
 func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
-	cl.state = cellFailed
-	cl.errMsg = msg
 	cl.worker = ""
-	r.remaining--
-	c.reg.Counter("fabric.cells_failed").Inc()
-	for _, label := range r.order {
-		dep := r.cells[label]
-		if dep.state == cellPending && dep.requires == cl.task.Label() {
-			dep.state = cellFailed
-			dep.errMsg = fmt.Sprintf("dependency %s failed", cl.task.Label())
-			r.remaining--
-			c.reg.Counter("fabric.cells_failed").Inc()
-		}
-	}
-	if !c.cfg.Engine.KeepGoing && r.failErr == nil {
-		r.failErr = fmt.Errorf("fabric: cell %s failed after %d attempt(s): %s",
-			cl.task.Label(), cl.attempts, msg)
-		c.finishLocked(r)
-		return
-	}
-	if r.remaining == 0 {
-		c.finishLocked(r)
-	}
+	n := r.plan.Fail(cl.i, fmt.Errorf("fabric: cell %s failed after %d attempt(s): %s",
+		cl.task.Label(), cl.attempts, msg))
+	c.reg.Counter("fabric.cells_failed").Add(int64(n))
+	r.closeIfFinished()
 }
 
-func (c *Coordinator) finishLocked(r *run) {
-	if !r.finished {
-		r.finished = true
-		close(r.done)
+// closeIfFinished closes done once the plan is finished.
+func (r *run) closeIfFinished() {
+	select {
+	case <-r.done:
+	default:
+		if r.plan.Finished() {
+			close(r.done)
+		}
 	}
 }
 
@@ -464,35 +424,27 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 		cfgs[cfg.Name] = cfg
 	}
 	var errs []error
-	for _, label := range r.order {
-		cl := r.cells[label]
-		switch cl.state {
-		case cellDone:
-			if cl.task.Kind != core.StageMeasure {
-				continue
-			}
-			res := &core.Result{
-				Workload:   cl.task.Workload,
-				ConfigName: cl.task.Config,
-				Mode:       "simpoint",
-			}
-			if err := core.DecodeMeasuredResult(cl.payload, res, cfgs[cl.task.Config]); err != nil {
-				errs = append(errs, fmt.Errorf("fabric: decoding %s: %w", label, err))
-				continue
-			}
-			sw.Results[cl.task.Config][cl.task.Workload] = res
-		case cellFailed:
-			// A cell its failed dependency took down is no cause of its own:
-			// one error per cause, as Runner.Sweep reports it (the result's
-			// failed list still names every missing cell).
-			if cl.requires != "" && r.cells[cl.requires].state == cellFailed {
-				continue
-			}
-			errs = append(errs, fmt.Errorf("fabric: cell %s: %s", label, cl.errMsg))
+	for _, cl := range r.cells {
+		if cl.task.Kind != core.StageMeasure || r.plan.State(cl.i) != core.CellDone {
+			continue
 		}
+		res := &core.Result{
+			Workload:   cl.task.Workload,
+			ConfigName: cl.task.Config,
+			Mode:       "simpoint",
+		}
+		if err := core.DecodeMeasuredResult(cl.payload, res, cfgs[cl.task.Config]); err != nil {
+			errs = append(errs, fmt.Errorf("fabric: decoding %s: %w", cl.task.Label(), err))
+			continue
+		}
+		sw.Results[cl.task.Config][cl.task.Workload] = res
 	}
-	if r.failErr != nil && !c.cfg.Engine.KeepGoing {
-		return nil, r.failErr
+	err := r.plan.Err()
+	if err != nil && !c.cfg.Engine.KeepGoing {
+		return nil, err
+	}
+	if se, ok := err.(*core.SweepErrors); ok {
+		errs = append(se.Errs, errs...)
 	}
 	if len(errs) > 0 {
 		return sw, &core.SweepErrors{Errs: errs}

@@ -125,9 +125,8 @@ func (c *Coordinator) handleHeartbeat(body heartbeatRequest) (any, error) {
 		// Not the campaign in flight: retired, or never this coordinator's.
 		return heartbeatResponse{Lost: true}, nil
 	}
-	cl := r.cells[body.Task.Label()]
-	leased := cl != nil && (cl.state == cellLeased || cl.state == cellAuditLeased)
-	if !leased || cl.worker != body.Worker || cl.task.Seq != body.Task.Seq {
+	cl := r.labels[body.Task.Label()]
+	if cl == nil || cl.worker != body.Worker || cl.task.Seq != body.Task.Seq {
 		// Stolen and possibly regranted under a newer Seq — or already
 		// reported. Either way this worker's lease is gone.
 		return heartbeatResponse{Lost: true}, nil
@@ -154,7 +153,7 @@ func (c *Coordinator) handleDone(body doneRequest) (any, error) {
 		return doneResponse{OK: true}, nil
 	}
 	label := body.Task.Label()
-	cl := r.cells[label]
+	cl := r.labels[label]
 	if cl == nil {
 		return nil, &wire.Error{Status: http.StatusBadRequest, Msg: "unknown cell " + label}
 	}
@@ -163,10 +162,10 @@ func (c *Coordinator) handleDone(body doneRequest) (any, error) {
 }
 
 // acceptLocked folds one report for a cell of the campaign in flight into
-// the cell graph.
+// its lease and audit record and the plan.
 func (c *Coordinator) acceptLocked(r *run, cl *cell, body doneRequest) {
 	label := cl.task.Label()
-	if cl.state == cellDone || cl.state == cellFailed {
+	if st := r.plan.State(cl.i); st == core.CellDone || st == core.CellFailed {
 		// Duplicate report — the slow half of a stolen cell arriving after
 		// the fast half. First fingerprint wins, silently; determinism
 		// makes the two byte-identical.
@@ -181,13 +180,12 @@ func (c *Coordinator) acceptLocked(r *run, cl *cell, body doneRequest) {
 		return
 	}
 	if !body.OK {
-		if cl.state == cellAuditWait || cl.state == cellAuditLeased {
+		if cl.reports != nil {
 			// An audit re-execution failed (chaos, OOM, a flaky node). The
 			// original result still stands; return the cell to the audit
 			// queue — grantAuditLocked's round budget bounds how long the
 			// campaign keeps trying before abandoning verification.
-			if cl.state == cellAuditLeased && cl.worker == body.Worker {
-				cl.state = cellAuditWait
+			if cl.worker == body.Worker {
 				cl.worker = ""
 			}
 			c.reg.Counter("fabric.audit_errors").Inc()
@@ -199,16 +197,22 @@ func (c *Coordinator) acceptLocked(r *run, cl *cell, body doneRequest) {
 		c.logf("campaign %s: %s failed on %s (attempt %d/%d): %s",
 			core.ShortID(r.id), label, body.Worker, cl.attempts, maxAttempts, body.Error)
 		if cl.attempts < maxAttempts {
-			cl.state = cellPending
 			cl.worker = ""
+			r.plan.Release(cl.i)
 			c.reg.Counter("fabric.cells_requeued").Inc()
 		} else {
 			c.failCellLocked(r, cl, body.Error)
 		}
 		return
 	}
+	// A pending cell is the slow half of a stolen one: start it again. One
+	// the plan refuses (a measure whose profile is not done) was never
+	// granted, so its report is forged or stale; acknowledge and drop it.
+	if r.plan.State(cl.i) == core.CellPending && !r.plan.Start(cl.i) {
+		return
+	}
 	sum := sha256.Sum256(body.Payload)
-	if cl.state == cellAuditWait || cl.state == cellAuditLeased {
+	if cl.reports != nil {
 		// An audit vote. Fresh derivations only — a non-Fresh report here
 		// is the slow half of a stolen original, which may have read the
 		// first worker's artifact from the shared store and so proves
@@ -224,7 +228,6 @@ func (c *Coordinator) acceptLocked(r *run, cl *cell, body doneRequest) {
 	// First completion of a normal cell: either hold it for audit or
 	// finalize it outright.
 	if c.auditWantedLocked(r, cl, body.Worker, time.Now()) {
-		cl.state = cellAuditWait
 		cl.worker = ""
 		cl.reports = []auditReport{{worker: body.Worker, sum: sum, payload: body.Payload}}
 		c.reg.Counter("fabric.cells_audited").Inc()
@@ -254,18 +257,20 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, req *http.Request) {
 	}
 	if r := c.run; r != nil {
 		cs := CampaignStatus{ID: r.id}
-		for _, label := range r.order {
-			switch r.cells[label].state {
-			case cellPending:
+		for _, cl := range r.cells {
+			switch r.plan.State(cl.i) {
+			case core.CellPending:
 				cs.Pending++
-			case cellLeased:
-				cs.Leased++
-			case cellDone:
+			case core.CellRunning:
+				if cl.reports != nil {
+					cs.Auditing++
+				} else {
+					cs.Leased++
+				}
+			case core.CellDone:
 				cs.Done++
-			case cellFailed:
+			case core.CellFailed:
 				cs.Failed++
-			case cellAuditWait, cellAuditLeased:
-				cs.Auditing++
 			}
 		}
 		reply.Campaigns = append(reply.Campaigns, cs)

@@ -159,12 +159,32 @@ func TestNoWriteUnderCoordinatorLock(t *testing.T) {
 	}
 }
 
+// TestForgedReportLeavesCellPending: a success report for a measure cell
+// whose profile is still pending is for a cell nobody was granted. The
+// coordinator acknowledges it and drops it: the cell stays pending.
+func TestForgedReportLeavesCellPending(t *testing.T) {
+	c, r := admitted(t)
+	defer c.retire(r)
+	rec := httptest.NewRecorder()
+	postTo(c, rec, "done", `{"worker":"w1","task":{"campaign":"`+wireTestCampaign+
+		`","kind":"measure","workload":"sha","config":"MediumBOOM","seq":1},"ok":true,"payload":"AAAA"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("forged report: %d %s, want it acknowledged", rec.Code, rec.Body)
+	}
+	c.mu.Lock()
+	st := r.plan.State(r.labels["measure/MediumBOOM/sha"].i)
+	c.mu.Unlock()
+	if st != core.CellPending {
+		t.Errorf("a forged report moved measure/MediumBOOM/sha to state %d, want pending", st)
+	}
+}
+
 // FuzzFabricBodies sends arbitrary bytes to each of the four worker-facing
 // routes of a coordinator holding one admitted campaign. Nothing a peer can
 // send may panic the coordinator or make it answer 5xx, enter a worker row
 // without an id (one would count as live and keep RunCampaign from falling
-// back when the real workers are gone), or break the run's accounting:
-// remaining is always the number of cells not yet terminal.
+// back when the real workers are gone), or strand a cell: a running cell is
+// leased or held for audit, and only a running cell has a worker.
 func FuzzFabricBodies(f *testing.F) {
 	cell := func(kind, config string) string {
 		return `{"campaign":"` + wireTestCampaign + `","kind":"` + kind + `","workload":"sha","config":"` + config + `","seq":1}`
@@ -199,19 +219,25 @@ func FuzzFabricBodies(f *testing.F) {
 			}
 			c.mu.Lock()
 			_, phantom := c.workers[""]
-			open := 0
+			var stranded, stray []string
 			for _, cl := range r.cells {
-				if cl.state != cellDone && cl.state != cellFailed {
-					open++
+				running := r.plan.State(cl.i) == core.CellRunning
+				if running && cl.worker == "" && cl.reports == nil {
+					stranded = append(stranded, cl.task.Label())
+				}
+				if !running && cl.worker != "" {
+					stray = append(stray, cl.task.Label())
 				}
 			}
-			remaining := r.remaining
 			c.mu.Unlock()
 			if phantom {
 				t.Fatalf("POST %s %q (%d) entered a worker row with an empty id", route, body, rec.Code)
 			}
-			if remaining != open {
-				t.Fatalf("POST %s %q: remaining = %d with %d cell(s) not terminal", route, body, remaining, open)
+			if stranded != nil {
+				t.Fatalf("POST %s %q: running cell(s) %v neither leased nor held for audit", route, body, stranded)
+			}
+			if stray != nil {
+				t.Fatalf("POST %s %q: cell(s) %v not running but leased", route, body, stray)
 			}
 		}
 	})
