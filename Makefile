@@ -60,6 +60,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBBVPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStats -fuzztime 5s ./internal/boom
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 5s ./internal/power
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — decode,

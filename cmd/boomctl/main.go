@@ -11,7 +11,7 @@
 // submit prints the job ID (the campaign fingerprint) on stdout; with
 // -wait it blocks until the sweep is terminal and prints the result JSON
 // instead. status with an ID reports that job; with no ID it reports the
-// fabric (registered workers — including any quarantined by result
+// fabric (the workers polling it — including any quarantined by result
 // auditing — and in-flight campaigns' cell accounting). A draining
 // coordinator answers reads with 503 + Retry-After; boomctl takes that as
 // the wait instruction it is (DESIGN §6 "Wire") and asks again, surfacing

@@ -19,7 +19,7 @@
 //
 // boomd is also both halves of the distributed sweep fabric
 // (internal/fabric). Every daemon embeds a coordinator: the campaign in
-// flight is sharded across any workers registered at /v1/fabric/, and runs
+// flight is sharded across any workers polling /v1/fabric/, and runs
 // locally when none are — or when the last one falls silent mid-campaign
 // (so a solo boomd behaves exactly as before). With -cache the coordinator
 // also serves the cluster's remote artifact store at /v1/artifacts/, so a
@@ -28,7 +28,7 @@
 //
 //	boomd -worker -coordinator http://head:8080
 //
-// which registers with the head daemon, leases (workload × config) cells,
+// which polls the head daemon, leases (workload × config) cells,
 // executes them through the ordinary pipeline (local cache over the
 // cluster store), and reports canonical result bytes back. Determinism
 // makes the distributed result byte-identical to the single-node one.
@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	grace := fs.Duration("grace", 30*time.Second, "drain grace on SIGTERM before canceling in-flight sweeps")
 	quiet := fs.Bool("q", false, "log lifecycle events only, not per-stage progress")
 	workerMode := fs.Bool("worker", false, "run as a fabric worker instead of a daemon (requires -coordinator)")
-	coordinator := fs.String("coordinator", "", "coordinator base URL a -worker registers with")
+	coordinator := fs.String("coordinator", "", "coordinator base URL a -worker polls")
 	workerID := fs.String("worker-id", "", "fabric worker identity (default worker-<pid>)")
 	lease := fs.Duration("lease", 15*time.Second, "fabric cell lease; a worker silent this long has its cells stolen")
 	audit := fs.Float64("audit", 0, "fraction of completed measure cells re-executed on another worker for fingerprint verification (0 = off, 1 = every cell); divergent workers are quarantined")
@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return runWorker(ctx, *coordinator, *workerID, ef.Engine, logf, stdout)
 	}
 
-	// Every daemon embeds a fabric coordinator; with no registered workers
+	// Every daemon embeds a fabric coordinator; with no live workers
 	// RunCampaign falls back to the job's local runner, so a solo boomd is
 	// byte-identical to the pre-fabric service.
 	reg := metrics.NewRegistry()

@@ -30,7 +30,7 @@ func mustRun(t testing.TB, core *Core, next func(*sim.Retired) bool, maxRetire u
 }
 
 // traceFrom returns a trace-feeding closure for a loaded CPU.
-func traceFrom(t *testing.T, cpu *sim.CPU) func(*sim.Retired) bool {
+func traceFrom(t testing.TB, cpu *sim.CPU) func(*sim.Retired) bool {
 	t.Helper()
 	return func(r *sim.Retired) bool {
 		if cpu.Halted {
@@ -44,7 +44,7 @@ func traceFrom(t *testing.T, cpu *sim.CPU) func(*sim.Retired) bool {
 }
 
 // runWorkload drives a tiny-scale workload through the timing model.
-func runWorkload(t *testing.T, name string, cfg Config) *Stats {
+func runWorkload(t testing.TB, name string, cfg Config) *Stats {
 	t.Helper()
 	w, err := workloads.Build(name, workloads.ScaleTiny)
 	if err != nil {

@@ -224,9 +224,6 @@ func pow2(n int) int {
 	return sz
 }
 
-// Config returns the core's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Reset returns the core to the state New built — cold predictors and
 // caches, empty pipeline, cycle 0, fresh counters — without reallocating
 // its tables, so one core can measure simulation point after simulation

@@ -84,7 +84,7 @@ func DecodeStats(r io.Reader) (*Stats, error) {
 	for i := range s.ExecOps {
 		s.ExecOps[i] = br.U64()
 	}
-	s.IntIssueSlotCycles = make([]uint64, br.Len(maxSlotCycles))
+	s.IntIssueSlotCycles = make([]uint64, br.Alloc(br.Len(maxSlotCycles), 8))
 	for i := range s.IntIssueSlotCycles {
 		s.IntIssueSlotCycles[i] = br.U64()
 	}

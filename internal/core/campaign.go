@@ -23,22 +23,26 @@ import (
 // not distinguish: every config is a full boom.Config value, and the
 // fingerprint hashes every field of every config, so any axis change
 // yields a different campaign identity.
+//
+// Its JSON is the spec a fabric coordinator serves its workers: every
+// field is a flat struct of scalars or a slice of them, so the round trip
+// is exact and a worker's campaign fingerprint matches the coordinator's.
 type Campaign struct {
 	// Workloads lists benchmark names (internal/workloads.Names order is
 	// conventional but not required).
-	Workloads []string
+	Workloads []string `json:"workloads"`
 	// Configs lists the design points. Names must be unique: result maps
 	// and fabric cells key cells by (config name, workload name).
-	Configs []boom.Config
+	Configs []boom.Config `json:"configs"`
 	// Scale is the workload scale every cell is built at.
-	Scale workloads.Scale
+	Scale workloads.Scale `json:"scale"`
 	// Sampling parameterizes how every cell is sampled: interval length,
 	// clustering feature set, projection dims, k ceiling, warm-up policy.
 	// The zero value means the implicit defaults (per-workload interval,
 	// BBV-only features, the flow's clustering and warm-up). It is the only
 	// spec a sweep runs under — a Runner's (WithSampling) never applies —
 	// and part of the campaign fingerprint like any other field.
-	Sampling sampling.Spec
+	Sampling sampling.Spec `json:"sampling"`
 }
 
 // NewCampaign builds a campaign over defensive copies of its inputs.

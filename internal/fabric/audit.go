@@ -95,7 +95,7 @@ func (c *Coordinator) auditWantedLocked(r *run, cl *cell, reporter string, now t
 		return false
 	}
 	for id, ws := range c.workers {
-		if id != reporter && !ws.quarantined && now.Sub(ws.lastSeen) <= 3*c.cfg.Lease {
+		if id != reporter && !ws.quarantined && c.live(ws, now) {
 			return true
 		}
 	}
@@ -107,7 +107,7 @@ func (c *Coordinator) auditWantedLocked(r *run, cl *cell, reporter string, now t
 // still make progress.
 func (c *Coordinator) anyEligibleAuditorLocked(cl *cell, now time.Time) bool {
 	for id, ws := range c.workers {
-		if !ws.quarantined && now.Sub(ws.lastSeen) <= 3*c.cfg.Lease && !hasVoted(cl, id) {
+		if !ws.quarantined && c.live(ws, now) && !hasVoted(cl, id) {
 			return true
 		}
 	}

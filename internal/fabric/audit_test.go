@@ -103,8 +103,12 @@ func (h *handWorker) post(path string, body, reply interface{}) {
 	}
 }
 
-func (h *handWorker) register() {
-	h.post("/v1/fabric/workers", map[string]string{"worker": h.id}, nil)
+// join makes the worker known with one poll, which must be granted nothing.
+func (h *handWorker) join() {
+	h.t.Helper()
+	if task := h.poll(); task != nil {
+		h.t.Fatalf("%s: joining was granted %s", h.id, task.Label())
+	}
 }
 
 // poll makes one poll round trip; nil means the coordinator had nothing
@@ -214,7 +218,7 @@ func TestAuditMajorityVoteQuarantine(t *testing.T) {
 	w1 := &handWorker{t, c.ts, "hand-1"}
 	w2 := &handWorker{t, c.ts, "hand-2"}
 	for _, w := range []*handWorker{w0, w1, w2} {
-		w.register()
+		w.join()
 	}
 
 	camp := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
@@ -326,7 +330,7 @@ func TestQuarantineRequeuesSuspectCells(t *testing.T) {
 	w1 := &handWorker{t, c.ts, "hand-1"}
 	w2 := &handWorker{t, c.ts, "hand-2"}
 	for _, w := range []*handWorker{w0, w1, w2} {
-		w.register()
+		w.join()
 	}
 
 	camp := core.NewCampaign([]string{"sha", "qsort"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)

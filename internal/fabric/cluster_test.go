@@ -246,7 +246,7 @@ func TestConformanceThreeWorkers(t *testing.T) {
 // TestConformanceSamplingSpec: a spec-bearing campaign (bbv+mav
 // clustering, proportional warm-up) sharded across two workers must
 // produce bytes identical to a direct single-node sweep of the same
-// campaign — the campaignWire round trip and the workers' WithSampling
+// campaign — the campaign spec's JSON round trip and the workers' WithSampling
 // runners reproduce the sampling parameters exactly, so the distributed
 // plane stays invisible for non-legacy specs too.
 func TestConformanceSamplingSpec(t *testing.T) {

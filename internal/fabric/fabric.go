@@ -1,5 +1,5 @@
 // Package fabric is the distributed sweep plane: a coordinator that
-// shards a campaign's cells (core.Cell) across registered workers, and the
+// shards a campaign's cells (core.Cell) across the workers polling it, and the
 // worker loop that leases cells, runs them through the same supervised
 // core.Session a single node's sweep uses, and reports canonical result
 // bytes back.
@@ -15,10 +15,11 @@
 //
 // Scheduling is a pull model with leases:
 //
-//   - Workers POST /v1/fabric/poll; the coordinator grants the campaign's
-//     core.Plan's next runnable cell (profile cells first; a measure cell
-//     once its workload's profile cell is done) under a lease with a
-//     deadline.
+//   - Workers POST /v1/fabric/poll — a worker joins with its first poll;
+//     the coordinator grants the campaign's core.Plan's next runnable cell
+//     (profile cells first; a measure cell once its workload's profile
+//     cell is done) under a lease with a deadline. Every reply carries the
+//     coordinator's terms (lease, idle backoff, whether it serves a store).
 //   - Workers heartbeat while executing; a heartbeat renews the lease. A
 //     worker that dies, hangs, or partitions simply stops heartbeating,
 //     the lease expires, and the next poll steals the cell back
@@ -150,7 +151,7 @@ type cell struct {
 type run struct {
 	id     string
 	camp   core.Campaign
-	spec   []byte // campaignWire JSON served to workers
+	spec   []byte // the campaign's JSON, served to workers
 	plan   *core.Plan
 	cells  []*cell
 	labels map[string]*cell
@@ -178,7 +179,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		workers: map[string]*workerState{},
 	}
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/fabric/workers", post(c, c.handleRegister))
 	c.mux.HandleFunc("POST /v1/fabric/poll", post(c, c.handlePoll))
 	c.mux.HandleFunc("POST /v1/fabric/heartbeat", post(c, c.handleHeartbeat))
 	c.mux.HandleFunc("POST /v1/fabric/done", post(c, c.handleDone))
@@ -215,11 +215,16 @@ func (c *Coordinator) LiveWorkers() int {
 func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= 3*c.cfg.Lease {
+		if c.live(w, now) {
 			n++
 		}
 	}
 	return n
+}
+
+// live reports whether w was heard from within the liveness window.
+func (c *Coordinator) live(w *workerState, now time.Time) bool {
+	return now.Sub(w.lastSeen) <= 3*c.cfg.Lease
 }
 
 func (c *Coordinator) logf(format string, args ...interface{}) {
@@ -228,7 +233,7 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 	}
 }
 
-// RunCampaign distributes one campaign across the registered workers and
+// RunCampaign distributes one campaign across the polling workers and
 // blocks until every cell is terminal (or ctx is canceled). It has the
 // exact signature of serve.Config.Distribute. One campaign is in flight at
 // a time: a call made while another is running is refused with an error
@@ -291,7 +296,7 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err := camp.Validate(); err != nil {
 		return nil, err
 	}
-	spec, err := json.Marshal(encodeCampaign(camp))
+	spec, err := json.Marshal(camp)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +463,7 @@ func (c *Coordinator) sortedWorkersLocked(now time.Time) []WorkerStatus {
 	for _, w := range c.workers {
 		out = append(out, WorkerStatus{
 			ID:          w.id,
-			Live:        now.Sub(w.lastSeen) <= 3*c.cfg.Lease,
+			Live:        c.live(w, now),
 			CellsDone:   w.cellsDone,
 			LastSeenMS:  now.Sub(w.lastSeen).Milliseconds(),
 			Quarantined: w.quarantined,

@@ -9,8 +9,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The coordinator's HTTP surface. Four worker-facing POST endpoints
-// (register, poll, heartbeat, done), an operator status endpoint that
+// The coordinator's HTTP surface. Three worker-facing POST endpoints
+// (poll, heartbeat, done), an operator status endpoint that
 // answers 503 + Retry-After while the node drains, and the campaign-spec
 // fetch workers use to reconstruct the exact design points they measure.
 // A handler decodes nothing and writes nothing: it takes the decoded body
@@ -56,11 +56,10 @@ func (c *Coordinator) reply(w http.ResponseWriter, v any, err error) {
 	}
 }
 
-// touchWorker upserts the worker's liveness row; register reports whether
-// this was an explicit registration (logged and gauged) rather than a
-// side effect of polling. Every worker-facing handler starts here, so a
+// touchWorker upserts the worker's liveness row: a worker joins with its
+// first request of any kind. Every worker-facing handler starts here, so a
 // body without a worker id goes no further and no row is ever keyed "".
-func (c *Coordinator) touchWorker(id string, register bool) error {
+func (c *Coordinator) touchWorker(id string) error {
 	if id == "" {
 		return &wire.Error{Status: http.StatusBadRequest, Msg: "worker id required"}
 	}
@@ -76,28 +75,13 @@ func (c *Coordinator) touchWorker(id string, register bool) error {
 	c.mu.Unlock()
 	if fresh {
 		c.reg.Gauge("fabric.workers").Add(1)
-		if register {
-			c.logf("worker %s registered", id)
-		} else {
-			c.logf("worker %s appeared (poll without register)", id)
-		}
+		c.logf("worker %s joined", id)
 	}
 	return nil
 }
 
-func (c *Coordinator) handleRegister(body registerRequest) (any, error) {
-	if err := c.touchWorker(body.Worker, true); err != nil {
-		return nil, err
-	}
-	return registerResponse{
-		LeaseMS: c.cfg.Lease.Milliseconds(),
-		PollMS:  c.cfg.Poll.Milliseconds(),
-		Store:   c.cfg.Store != nil,
-	}, nil
-}
-
 func (c *Coordinator) handlePoll(body pollRequest) (any, error) {
-	if err := c.touchWorker(body.Worker, false); err != nil {
+	if err := c.touchWorker(body.Worker); err != nil {
 		return nil, err
 	}
 	// Chaos site: a failed lease grant. The worker treats it like any
@@ -107,14 +91,16 @@ func (c *Coordinator) handlePoll(body pollRequest) (any, error) {
 		c.reg.Counter("fabric.lease_faults").Inc()
 		return nil, &wire.Error{Status: http.StatusServiceUnavailable, Msg: err.Error()}
 	}
-	if t := c.nextTask(body.Worker); t != nil {
-		return pollResponse{Task: t}, nil
-	}
-	return pollResponse{WaitMS: c.cfg.Poll.Milliseconds()}, nil
+	return pollResponse{
+		Task:    c.nextTask(body.Worker),
+		WaitMS:  c.cfg.Poll.Milliseconds(),
+		LeaseMS: c.cfg.Lease.Milliseconds(),
+		Store:   c.cfg.Store != nil,
+	}, nil
 }
 
 func (c *Coordinator) handleHeartbeat(body heartbeatRequest) (any, error) {
-	if err := c.touchWorker(body.Worker, false); err != nil {
+	if err := c.touchWorker(body.Worker); err != nil {
 		return nil, err
 	}
 	now := time.Now()
@@ -137,10 +123,10 @@ func (c *Coordinator) handleHeartbeat(body heartbeatRequest) (any, error) {
 
 // handleDone takes one cell report. Whatever becomes of the bytes — kept,
 // dropped as a duplicate or a quarantined worker's, held for audit — the
-// worker is told OK so it stops retrying; only a cell the campaign in
-// flight does not have is refused.
+// worker gets an empty 200 so it stops retrying; only a cell the campaign
+// in flight does not have is refused.
 func (c *Coordinator) handleDone(body doneRequest) (any, error) {
-	if err := c.touchWorker(body.Worker, false); err != nil {
+	if err := c.touchWorker(body.Worker); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -150,7 +136,7 @@ func (c *Coordinator) handleDone(body doneRequest) (any, error) {
 		// Not the campaign in flight: a straggler finishing after its
 		// campaign retired. Whatever it computed is in the store already,
 		// so acknowledge and drop.
-		return doneResponse{OK: true}, nil
+		return struct{}{}, nil
 	}
 	label := body.Task.Label()
 	cl := r.labels[label]
@@ -158,7 +144,7 @@ func (c *Coordinator) handleDone(body doneRequest) (any, error) {
 		return nil, &wire.Error{Status: http.StatusBadRequest, Msg: "unknown cell " + label}
 	}
 	c.acceptLocked(r, cl, body)
-	return doneResponse{OK: true}, nil
+	return struct{}{}, nil
 }
 
 // acceptLocked folds one report for a cell of the campaign in flight into

@@ -211,7 +211,7 @@ func FuzzFabricBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c, r := admitted(t)
 		defer c.retire(r)
-		for _, route := range []string{"workers", "poll", "heartbeat", "done"} {
+		for _, route := range []string{"poll", "heartbeat", "done"} {
 			rec := httptest.NewRecorder()
 			postTo(c, rec, route, string(body))
 			if rec.Code >= 500 {

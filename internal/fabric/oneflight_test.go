@@ -121,7 +121,7 @@ func campaignsInStatus(t *testing.T, c *cluster) []string {
 func TestSecondCampaignRefused(t *testing.T) {
 	c := startCluster(t, clusterOpts{workers: 0})
 	w := &handWorker{t, c.ts, "hand-0"}
-	w.register()
+	w.join()
 	first := core.NewCampaign([]string{"sha"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
 	second := core.NewCampaign([]string{"qsort"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
 	const firstID, secondID = "first-camp", "second-camp" // short enough to be logged whole
@@ -172,7 +172,7 @@ func TestLastWorkerDiesFallsBackLocal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	w := &handWorker{t, c.ts, "doomed"}
-	w.register()
+	w.join()
 	res := make(chan campaignResult, 1)
 	go func() {
 		sw, err := c.coord.RunCampaign(ctx, id, camp, local)

@@ -1,11 +1,6 @@
 package fabric
 
-import (
-	"repro/internal/boom"
-	"repro/internal/core"
-	"repro/internal/sampling"
-	"repro/internal/workloads"
-)
+import "repro/internal/core"
 
 // Task is one lease of a campaign cell (core.Cell). A campaign shards into
 // one profile cell per workload and one measure cell per (workload, config)
@@ -25,28 +20,24 @@ type Task struct {
 	Fresh bool `json:"fresh,omitempty"`
 }
 
-// Wire bodies for the coordinator's POST endpoints.
-
-type registerRequest struct {
-	Worker string `json:"worker"`
-}
-
-type registerResponse struct {
-	LeaseMS int64 `json:"lease_ms"`
-	PollMS  int64 `json:"poll_ms"`
-	// Store reports whether the coordinator serves a remote artifact
-	// store at /v1/artifacts/ — workers only attach the remote cache tier
-	// when there is something to fetch from.
-	Store bool `json:"store"`
-}
+// Wire bodies for the coordinator's POST endpoints. The spec served by
+// GET /v1/fabric/campaigns/{id} is core.Campaign's own JSON.
 
 type pollRequest struct {
 	Worker string `json:"worker"`
 }
 
+// pollResponse is the only place a worker learns the coordinator's terms:
+// every reply carries them, so a worker takes a restarted coordinator's
+// lease and store from its next poll.
 type pollResponse struct {
-	Task   *Task `json:"task,omitempty"`
-	WaitMS int64 `json:"wait_ms,omitempty"` // idle backoff hint when no task
+	Task    *Task `json:"task,omitempty"`
+	WaitMS  int64 `json:"wait_ms,omitempty"` // idle backoff, and the backoff after a failed poll
+	LeaseMS int64 `json:"lease_ms"`          // heartbeat every third of it while holding Task
+	// Store reports whether the coordinator serves a remote artifact
+	// store at /v1/artifacts/ — workers only attach the remote cache tier
+	// when there is something to fetch from.
+	Store bool `json:"store"`
 }
 
 type heartbeatRequest struct {
@@ -69,35 +60,6 @@ type doneRequest struct {
 	// product travels through the artifact store instead.
 	Payload []byte `json:"payload,omitempty"`
 	Error   string `json:"error,omitempty"`
-}
-
-type doneResponse struct {
-	OK bool `json:"ok"`
-}
-
-// campaignWire is the spec served by GET /v1/fabric/campaigns/{id}.
-// boom.Config is a flat struct of exported scalars (pinned by a
-// reflection guard in internal/boom), so a JSON round trip reproduces
-// every design point exactly and the worker-side campaign fingerprint
-// matches the coordinator's.
-type campaignWire struct {
-	Workloads []string      `json:"workloads"`
-	Configs   []boom.Config `json:"configs"`
-	Scale     int           `json:"scale"`
-	// Sampling carries the campaign's sampling spec; sampling.Spec is a
-	// flat struct of scalars, so the round trip is exact and workers
-	// profile/measure under byte-identical sampling parameters.
-	Sampling sampling.Spec `json:"sampling"`
-}
-
-func encodeCampaign(c core.Campaign) campaignWire {
-	return campaignWire{Workloads: c.Workloads, Configs: c.Configs, Scale: int(c.Scale), Sampling: c.Sampling}
-}
-
-func (w campaignWire) campaign() core.Campaign {
-	c := core.NewCampaign(w.Workloads, w.Configs, workloads.Scale(w.Scale))
-	c.Sampling = w.Sampling
-	return c
 }
 
 // WorkerStatus is one worker's row in StatusReply.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -49,8 +48,8 @@ type WorkerConfig struct {
 	TaskHook func(Task)
 }
 
-// Worker is the execution side of the fabric: it registers with a
-// coordinator, polls for cells, runs them through a core.Session (local
+// Worker is the execution side of the fabric: it polls a coordinator for
+// cells (joining with its first poll), runs them through a core.Session (local
 // cache over the cluster's remote artifact store), and reports canonical
 // result bytes back. Create with NewWorker, drive with Run.
 type Worker struct {
@@ -60,17 +59,14 @@ type Worker struct {
 	hc     *http.Client
 	tmpDir string // the cache dir NewWorker created, if it made one: Run removes it
 
-	leaseMS int64
-	pollMS  int64
-	store   bool
-
 	// The campaign whose cell the worker holds — its decoded spec and its
 	// two sessions with the profiles they took, opened on first use — kept
 	// until a cell of another campaign arrives. Touched only by Run's goroutine.
 	campID string
 	camp   core.Campaign
 	normal *core.Session
-	fresh  *core.Session // audit re-executions: own Runner, cache and profiles, no remote store
+	store  bool          // the store term normal was opened under
+	fresh  *core.Session // audit re-executions: own Runner and profiles, no cache, no remote store
 }
 
 // NewWorker validates the config and fills defaults.
@@ -132,11 +128,13 @@ func (w *Worker) call(ctx context.Context, p backoff.Policy, method, path string
 	})
 }
 
-// Run is the worker's main loop: register (with retry — the coordinator
-// may come up after the worker), then poll/execute/report until ctx is
-// canceled. Run only returns ctx.Err(); transient coordinator errors are
-// absorbed by backoff. A cache dir NewWorker created itself goes with it;
-// a caller-supplied one is left alone.
+// Run is the worker's main loop: poll, execute, report, until ctx is
+// canceled. The worker joins with its first poll, and takes the
+// coordinator's terms from every reply, so it may start before the
+// coordinator and follows one that restarts. Run only returns ctx.Err();
+// transient coordinator errors are absorbed by backoff. A cache dir
+// NewWorker created itself goes with it; a caller-supplied one is left
+// alone.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.tmpDir != "" {
 		defer func() {
@@ -145,78 +143,59 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}()
 	}
-	if err := w.register(ctx); err != nil {
-		return err
-	}
-	w.logf("worker %s: registered with %s (lease %dms, store=%v)",
-		w.cfg.ID, w.base, w.leaseMS, w.store)
-	idle := time.Duration(w.pollMS) * time.Millisecond
-	if idle <= 0 {
-		idle = 250 * time.Millisecond
-	}
+	w.logf("worker %s: polling %s", w.cfg.ID, w.base)
+	wait := 250 * time.Millisecond // until the coordinator names its own
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var pr pollResponse
-		if err := w.call(ctx, pollPolicy, http.MethodPost, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr); err != nil {
+		err := w.call(ctx, pollPolicy, http.MethodPost, "/v1/fabric/poll", pollRequest{Worker: w.cfg.ID}, &pr)
+		if err == nil && pr.LeaseMS <= 0 {
+			err = fmt.Errorf("fabric: poll reply grants a %dms lease", pr.LeaseMS)
+		}
+		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			w.cfg.Registry.Counter("fabric.poll_errors").Inc()
-			if !sleepCtx(ctx, idle) {
-				return ctx.Err()
-			}
-			continue
-		}
-		if pr.Task == nil {
-			wait := idle
-			if pr.WaitMS > 0 {
-				wait = time.Duration(pr.WaitMS) * time.Millisecond
-			}
 			if !sleepCtx(ctx, wait) {
 				return ctx.Err()
 			}
 			continue
 		}
-		w.execute(ctx, *pr.Task)
+		if pr.WaitMS > 0 {
+			wait = time.Duration(pr.WaitMS) * time.Millisecond
+		}
+		if pr.Task == nil {
+			if !sleepCtx(ctx, wait) {
+				return ctx.Err()
+			}
+			continue
+		}
+		w.execute(ctx, pr)
 	}
 }
 
 // The worker's RPC retry disciplines. Poll gets one attempt per loop
 // iteration (the main loop is its retry, with the coordinator's idle
-// hint as the backoff); register, and the two RPCs a leased cell depends
-// on — the campaign-spec fetch and the done report — retry in place
-// because giving up on them loses work.
+// hint as the backoff); the two RPCs a leased cell depends on — the
+// campaign-spec fetch and the done report — retry in place because giving
+// up on them loses work.
 var (
-	pollPolicy     = backoff.Policy{Attempts: 1, AttemptTimeout: 30 * time.Second}
-	registerPolicy = backoff.Policy{
-		Attempts: 20, Base: 250 * time.Millisecond, Max: 2 * time.Second,
-		AttemptTimeout: 10 * time.Second,
-	}
+	pollPolicy = backoff.Policy{Attempts: 1, AttemptTimeout: 30 * time.Second}
 	cellPolicy = backoff.Policy{
 		Attempts: 5, Base: 200 * time.Millisecond, Max: 2 * time.Second,
 		AttemptTimeout: 10 * time.Second,
 	}
 )
 
-func (w *Worker) register(ctx context.Context) error {
-	var rr registerResponse
-	err := w.call(ctx, registerPolicy, http.MethodPost, "/v1/fabric/workers", registerRequest{Worker: w.cfg.ID}, &rr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("fabric: worker %s could not register with %s: %w", w.cfg.ID, w.base, err)
-	}
-	w.leaseMS, w.pollMS, w.store = rr.LeaseMS, rr.PollMS, rr.Store
-	return nil
-}
-
-// execute runs one leased cell end to end: hook, heartbeat loop, the cell,
-// done report. A lost lease (stolen while we ran) abandons the cell
-// without reporting — the thief's bytes are identical anyway.
-func (w *Worker) execute(ctx context.Context, t Task) {
+// execute runs the cell pr granted end to end, under pr's terms: hook,
+// heartbeat loop, the cell, done report. A lost lease (stolen while we
+// ran) abandons the cell without reporting — the thief's bytes are
+// identical anyway.
+func (w *Worker) execute(ctx context.Context, pr pollResponse) {
+	t := *pr.Task
 	if w.cfg.TaskHook != nil {
 		w.cfg.TaskHook(t)
 	}
@@ -226,16 +205,13 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	lease := time.Duration(w.leaseMS) * time.Millisecond
-	if lease <= 0 {
-		lease = 15 * time.Second
-	}
+	beat := time.Duration(pr.LeaseMS) * time.Millisecond / 3
 	var lost bool
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		tick := time.NewTicker(lease / 3)
+		tick := time.NewTicker(beat)
 		defer tick.Stop()
 		for {
 			select {
@@ -243,7 +219,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 				return
 			case <-tick.C:
 				var hr heartbeatResponse
-				hbPolicy := backoff.Policy{Attempts: 2, Base: 100 * time.Millisecond, AttemptTimeout: lease / 3}
+				hbPolicy := backoff.Policy{Attempts: 2, Base: 100 * time.Millisecond, AttemptTimeout: beat}
 				err := w.call(tctx, hbPolicy, http.MethodPost, "/v1/fabric/heartbeat", heartbeatRequest{Worker: w.cfg.ID, Task: t}, &hr)
 				if err == nil && hr.Lost {
 					lost = true
@@ -255,7 +231,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		}
 	}()
 
-	payload, err := w.runCell(tctx, t)
+	payload, err := w.runCell(tctx, t, pr.Store)
 	cancel()
 	hbWG.Wait()
 	if lost {
@@ -282,17 +258,17 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	} else {
 		w.cfg.Registry.Counter("fabric.cells_completed").Inc()
 	}
-	var dr doneResponse
-	if rerr := w.call(ctx, cellPolicy, http.MethodPost, "/v1/fabric/done", done, &dr); rerr != nil {
+	if rerr := w.call(ctx, cellPolicy, http.MethodPost, "/v1/fabric/done", done, nil); rerr != nil {
 		w.logf("worker %s: could not report %s; lease will expire", w.cfg.ID, t.Label())
 	}
 }
 
-// runCell runs one cell through the session of its campaign. A measure
-// cell yields its result's canonical payload; a profile cell's product is
-// its chain, which the cache writes through to the cluster store.
-func (w *Worker) runCell(ctx context.Context, t Task) ([]byte, error) {
-	s, err := w.session(ctx, t.Campaign, t.Fresh)
+// runCell runs one cell through the session of its campaign, store telling
+// whether the coordinator serves a store. A measure cell yields its
+// result's canonical payload; a profile cell's product is its chain, which
+// the cache writes through to the cluster store.
+func (w *Worker) runCell(ctx context.Context, t Task, store bool) ([]byte, error) {
+	s, err := w.session(ctx, t.Campaign, t.Fresh, store)
 	if err != nil {
 		return nil, err
 	}
@@ -306,21 +282,26 @@ func (w *Worker) runCell(ctx context.Context, t Task) ([]byte, error) {
 // session returns (opening on first use) one of the held campaign's two
 // sessions. A cell of another campaign drops that one's spec and sessions
 // and fetches the new spec from the coordinator (specs are immutable per
-// fingerprint); each session's Runner is a single node's, plus the remote
-// store tier when the coordinator serves one.
+// fingerprint). The normal session's Runner is a single node's, plus the
+// remote store tier when the coordinator serves one (store); a store term
+// other than the one it was opened under — a restarted coordinator —
+// reopens it.
 //
 // The fresh session serves audit re-executions, which must derive the
-// result independently: its Runner has its own cache directory and no
-// store tier, and the session its own profiles, so nothing the worker
-// under audit computed can leak in — agreement means agreement of
-// computations, not of caches.
-func (w *Worker) session(ctx context.Context, campaignID string, fresh bool) (*core.Session, error) {
+// result independently: its Runner has no cache and no store tier, and
+// the session its own profiles, so nothing the worker under audit
+// computed can leak in — agreement means agreement of computations, not
+// of caches.
+func (w *Worker) session(ctx context.Context, campaignID string, fresh, store bool) (*core.Session, error) {
 	if w.campID != campaignID {
-		var spec campaignWire
-		if err := w.call(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &spec); err != nil {
+		var camp core.Campaign
+		if err := w.call(ctx, cellPolicy, http.MethodGet, "/v1/fabric/campaigns/"+campaignID, nil, &camp); err != nil {
 			return nil, fmt.Errorf("fabric: fetching campaign %s: %w", core.ShortID(campaignID), err)
 		}
-		w.campID, w.camp, w.normal, w.fresh = campaignID, spec.campaign(), nil, nil
+		w.campID, w.camp, w.normal, w.fresh = campaignID, camp, nil, nil
+	}
+	if w.store != store {
+		w.normal, w.store = nil, store
 	}
 	slot := &w.normal
 	if fresh {
@@ -332,14 +313,14 @@ func (w *Worker) session(ctx context.Context, campaignID string, fresh bool) (*c
 	e := w.cfg.Engine
 	e.Chaos = "" // armed once per worker (w.inj), not once per Runner
 	if fresh {
-		e.CacheDir = filepath.Join(e.CacheDir, "audit-fresh")
+		e.CacheDir, e.CacheVerify = "", false
 	}
 	opts, err := e.Options()
 	if err != nil {
 		return nil, err
 	}
 	opts = append(opts, core.WithMetrics(w.cfg.Registry), core.WithFaultInjector(w.inj))
-	if w.store && !fresh {
+	if store && !fresh {
 		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
 	}
 	*slot = core.New(core.FlowConfigFor(w.camp.Scale), opts...).Session(w.camp)

@@ -16,7 +16,6 @@ import (
 //	fabric.poll           POST /v1/fabric/poll
 //	fabric.heartbeat      POST /v1/fabric/heartbeat
 //	fabric.report         POST /v1/fabric/done
-//	fabric.register       POST /v1/fabric/workers
 //	fabric.campaign       GET  /v1/fabric/campaigns/…
 //	artifact.remote.get   GET  /v1/artifacts/…
 //	artifact.remote.put   PUT  /v1/artifacts/…
@@ -69,8 +68,6 @@ func rpcSite(req *http.Request) string {
 		return "fabric.heartbeat"
 	case strings.HasPrefix(p, "/v1/fabric/done"):
 		return "fabric.report"
-	case strings.HasPrefix(p, "/v1/fabric/workers"):
-		return "fabric.register"
 	case strings.HasPrefix(p, "/v1/fabric/campaigns"):
 		return "fabric.campaign"
 	}

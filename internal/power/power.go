@@ -59,7 +59,6 @@ func (r *Report) AnalyzedMW() float64 {
 // it once per configuration (the "design mapping"/synthesis step of Fig. 1
 // in the paper), then Estimate any number of activity traces.
 type Estimator struct {
-	cfg     boom.Config
 	lib     asap7.Library
 	inv     [boom.NumComponents]inventory
 	metrics *metrics.Registry // optional; nil disables instrumentation
@@ -150,7 +149,7 @@ const (
 
 // NewEstimator performs the design-mapping step for cfg.
 func NewEstimator(cfg boom.Config, lib asap7.Library) *Estimator {
-	e := &Estimator{cfg: cfg, lib: lib}
+	e := &Estimator{lib: lib}
 	c := &cfg
 	set := func(comp boom.Component, inv inventory) { e.inv[comp] = inv }
 
@@ -282,12 +281,6 @@ func NewEstimator(cfg boom.Config, lib asap7.Library) *Estimator {
 
 	return e
 }
-
-// Config returns the mapped configuration.
-func (e *Estimator) Config() boom.Config { return e.cfg }
-
-// Library returns the technology library in use.
-func (e *Estimator) Library() asap7.Library { return e.lib }
 
 // Estimate converts a run's activity into per-component power. stats.Cycles
 // must be non-zero. Allocates the Report; the accumulation hot path

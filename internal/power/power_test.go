@@ -141,7 +141,7 @@ func TestFpRenameBurnsWithoutFp(t *testing.T) {
 
 // runScaled runs a workload at the given scale through the MegaBOOM model,
 // capped at maxInsts committed instructions, and returns stats.
-func runScaled(t *testing.T, name string, scale workloads.Scale, cfg boom.Config, maxInsts uint64) *boom.Stats {
+func runScaled(t testing.TB, name string, scale workloads.Scale, cfg boom.Config, maxInsts uint64) *boom.Stats {
 	t.Helper()
 	w, err := workloads.Build(name, scale)
 	if err != nil {

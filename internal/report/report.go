@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/boom"
 	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 // Table is one renderable table/figure data set.
@@ -107,57 +108,17 @@ func presentCount(sw *core.Sweep, cfg string, names []string) int {
 	return n
 }
 
-// orderedWorkloads returns the sweep's workloads in Table II order. The
-// requested campaign (Sweep.Names) is authoritative when recorded, so
-// workloads that failed to profile still get their FAILED rows; older
-// serialized sweeps fall back to the profiled set.
+// orderedWorkloads returns the sweep's requested workloads (Sweep.Names,
+// so workloads that failed to profile still get their FAILED rows) in
+// the registry's Table II order.
 func orderedWorkloads(sw *core.Sweep) []string {
-	var names []string
-	if len(sw.Names) > 0 {
-		names = append(names, sw.Names...)
-	} else {
-		for n := range sw.Profiles {
-			names = append(names, n)
-		}
+	rank := map[string]int{}
+	for i, n := range workloads.Names() {
+		rank[n] = i
 	}
-	order := map[string]int{}
-	for i, n := range []string{"basicmath", "stringsearch", "fft", "ifft",
-		"bitcount", "qsort", "dijkstra", "patricia", "matmult", "sha", "tarfind"} {
-		order[n] = i
-	}
-	sort.Slice(names, func(i, j int) bool {
-		oi, iok := order[names[i]]
-		oj, jok := order[names[j]]
-		if iok && jok {
-			return oi < oj
-		}
-		if iok != jok {
-			return iok
-		}
-		return names[i] < names[j]
-	})
+	names := append([]string(nil), sw.Names...)
+	sort.SliceStable(names, func(i, j int) bool { return rank[names[i]] < rank[names[j]] })
 	return names
-}
-
-func configNames(sw *core.Sweep) []string {
-	var out []string
-	for _, c := range []string{"MediumBOOM", "LargeBOOM", "MegaBOOM"} {
-		if _, ok := sw.Results[c]; ok {
-			out = append(out, c)
-		}
-	}
-	for c := range sw.Results {
-		found := false
-		for _, k := range out {
-			if k == c {
-				found = true
-			}
-		}
-		if !found {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // TableI renders the three BOOM design points.
@@ -301,7 +262,7 @@ func FigContribution(sw *core.Sweep) *Table {
 		Title:   "Fig. 9 — analyzed components' share of tile power",
 		Headers: []string{"Config", "Analyzed mW", "Tile mW", "Share"},
 	}
-	for _, cfg := range configNames(sw) {
+	for _, cfg := range sw.ConfigNames {
 		var analyzed, total float64
 		names := orderedWorkloads(sw)
 		present := presentCount(sw, cfg, names)
@@ -330,7 +291,7 @@ func FigIPC(sw *core.Sweep) *Table {
 		Title:   "Fig. 10 — IPC per benchmark",
 		Headers: []string{"Benchmark"},
 	}
-	cfgs := configNames(sw)
+	cfgs := sw.ConfigNames
 	t.Headers = append(t.Headers, cfgs...)
 	for _, n := range orderedWorkloads(sw) {
 		row := []string{n}
@@ -352,7 +313,7 @@ func FigPerfPerWatt(sw *core.Sweep) *Table {
 		Title:   "Fig. 11 — performance per watt (IPC/W)",
 		Headers: []string{"Benchmark"},
 	}
-	cfgs := configNames(sw)
+	cfgs := sw.ConfigNames
 	t.Headers = append(t.Headers, cfgs...)
 	t.Headers = append(t.Headers, "Best")
 	for _, n := range orderedWorkloads(sw) {
@@ -385,7 +346,7 @@ func SpeedupTable(sw *core.Sweep) *Table {
 	var full, det uint64
 	for _, n := range orderedWorkloads(sw) {
 		var wf, wd uint64
-		for _, cfg := range configNames(sw) {
+		for _, cfg := range sw.ConfigNames {
 			r := resultOf(sw, cfg, n)
 			if r == nil {
 				continue
@@ -458,7 +419,7 @@ func PowerSources(sw *core.Sweep) *Table {
 		Headers: []string{"Config", "Leakage mW", "Internal mW", "Switching mW", "Total mW"},
 	}
 	names := orderedWorkloads(sw)
-	for _, cfg := range configNames(sw) {
+	for _, cfg := range sw.ConfigNames {
 		present := presentCount(sw, cfg, names)
 		if present == 0 {
 			t.Rows = append(t.Rows, []string{cfg, failedCell, failedCell, failedCell, failedCell})

@@ -14,7 +14,7 @@ import (
 func Takeaways(sw *core.Sweep) string {
 	var sb strings.Builder
 	names := orderedWorkloads(sw)
-	cfgs := configNames(sw)
+	cfgs := sw.ConfigNames
 
 	mean := func(cfg string, comp boom.Component) float64 {
 		present := presentCount(sw, cfg, names)

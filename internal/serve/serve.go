@@ -89,7 +89,7 @@ type Config struct {
 	Registry *metrics.Registry
 	// Distribute, when set, replaces the direct Runner.Sweep call for each
 	// job: the fabric coordinator's RunCampaign hooks in here, sharding the
-	// campaign across registered workers (and falling back to the local
+	// campaign across polling workers (and falling back to the local
 	// runner when none are live). serve deliberately knows nothing about
 	// the fabric beyond this signature — the dependency points the other
 	// way, fabric_test imports serve to prove byte-identity.
