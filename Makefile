@@ -37,10 +37,11 @@ vet:
 # HTTP job service and the boomd wiring around it, sweep fabric) must stay
 # race-clean, and so must the functional core they share
 # state through: concurrent point workers fetch from one predecoded text
-# image (internal/sim) and clone one checkpoint memory (internal/mem). The fabric package runs -short: its
+# image (internal/sim) and fork one copy-on-write checkpoint image, which
+# only reads it (internal/mem, internal/ckpt). The fabric package runs -short: its
 # full 11×3 conformance matrices are covered race-free by `make test`.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/bbv
+	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/ckpt ./internal/bbv
 	$(GO) test -race -short ./internal/fabric
 
 # go accepts one -fuzz target per invocation. The core payload-decoder
@@ -60,13 +61,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBBVPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzMemoryFork -fuzztime 5s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStats -fuzztime 5s ./internal/boom
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 5s ./internal/power
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — decode,
 # stats/power accumulate, functional step/trace, BBV observe, memory
-# access, one measure cell, one warm rerun) per BOOM config into
+# access, one measure cell, one warm rerun, one cold profile) per BOOM config into
 # BENCH_kernel.json. See README "Performance".
 bench:
 	$(GO) run ./cmd/kernelbench -benchtime 2s -count 3
@@ -74,21 +76,22 @@ bench:
 # Every kernel benchmark runs once (-benchtime 1x) and the JSON emitter
 # must see every kernel — catches perf-harness rot without paying for real
 # measurements. Then the two floors against the committed BENCH_kernel.json.
-# The tick kernels and the warm rerun (8 iterations each, so a stray
-# runtime allocation rounds away) may allocate no more often per op than
-# their rows, and the tick kernels no more bytes (1 % slack): counts, so
-# they gate on every host. The four per-instruction
-# functional-core kernels (5M ops each, best of 3) must allocate exactly
-# what their rows do and, on the CPU model the ledger was taken on, run
-# within 1.5x of them.
+# The tick kernels, the warm rerun and the cold profile (8 iterations each,
+# so a stray runtime allocation rounds away) may allocate no more often per
+# op than their rows, and the tick kernels no more bytes (1 % slack):
+# counts, so they gate on every host — a second functional pass in the
+# profile, or a checkpoint copied whole instead of shared, fails here. The
+# four per-instruction functional-core kernels (5M ops each, best of 3)
+# must allocate exactly what their rows do and, on the CPU model the ledger
+# was taken on, run within 1.5x of them.
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep; do \
+	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep profile; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done
-	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep)' -benchtime 8x \
+	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep|Profile)' -benchtime 8x \
 		-out .bench-check/ticks.json -floor BENCH_kernel.json 2> .bench-check/ticks.log \
 		|| { cat .bench-check/ticks.log; exit 1; }
 	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' -benchtime 5000000x -count 3 \

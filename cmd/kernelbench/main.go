@@ -1,6 +1,6 @@
 // Command kernelbench runs the hot-path kernel benchmarks (BOOM tick on a
 // high- and a low-IPC trace, decode, stats accumulate, power accumulate, functional step/trace, BBV
-// observe, memory access, one measure cell, one warm rerun) and emits a machine-readable BENCH_kernel.json
+// observe, memory access, one measure cell, one warm rerun, one cold profile) and emits a machine-readable BENCH_kernel.json
 // with cycles/sec, ns/op, and allocs/op per BOOM configuration:
 //
 //	go run ./cmd/kernelbench                      # writes BENCH_kernel.json
@@ -9,8 +9,8 @@
 //	go run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' \
 //	    -benchtime 5000000x -count 3 -out - -floor BENCH_kernel.json
 //	                                              # functional-core regression floor
-//	go run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep)' -benchtime 8x \
-//	    -out - -floor BENCH_kernel.json           # tick-kernel and warm-rerun allocation ceilings, tick byte ceilings
+//	go run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep|Profile)' -benchtime 8x \
+//	    -out - -floor BENCH_kernel.json           # tick-kernel, warm-rerun and cold-profile allocation ceilings, tick byte ceilings
 //
 // It drives the same `go test -bench BenchmarkKernel` harness a developer
 // runs by hand — the benchmarks stay the single source of truth and this
@@ -51,8 +51,10 @@ var floorKernels = []string{"func_step", "func_run_trace", "bbv_observe", "mem_r
 // the committed rows: a count, so it gates on every host. On the tick
 // kernels it is what keeps a simulation point allocation-free (boom.New's
 // tables, nothing per cycle or per µop); on warm_sweep, what keeps a rerun
-// from reading the payloads it reports nothing from.
-var ceilingKernels = []string{"tick", "tick_lo_ipc", "warm_sweep"}
+// from reading the payloads it reports nothing from; on profile, what keeps
+// a cold profile to one functional pass and its checkpoints shared, not
+// copied.
+var ceilingKernels = []string{"tick", "tick_lo_ipc", "warm_sweep", "profile"}
 
 // byteCeilingKernels are the ceiling kernels whose bytes/op -floor also
 // holds at or below the committed rows: the tick kernels, whose bytes are
@@ -64,10 +66,11 @@ var byteCeilingKernels = []string{"tick", "tick_lo_ipc"}
 
 // ceilingSlack is the fraction of its committed row a ceiling kernel may
 // exceed it by. It rounds to nothing on the tick rows' allocs/op (57/op);
-// on warm_sweep (~1500/op) it is the handful of allocations per op that
-// refill the sync.Pools (fmt's, the artifact verifier's buffer) a GC cycle
-// in the middle of an 8-iteration run empties. A payload parse is
-// thousands. On the tick rows' bytes/op it is ~6 KB of the per-core tables.
+// on warm_sweep and profile (~1500/op) it is the handful of allocations per
+// op that refill the sync.Pools (fmt's, the artifact verifier's buffer) a GC
+// cycle in the middle of an 8-iteration run empties. A payload parse, or a
+// second functional pass, is hundreds to thousands. On the tick rows'
+// bytes/op it is ~6 KB of the per-core tables.
 const ceilingSlack = 0.01
 
 // floorSlack is how much slower than its committed row a floor kernel may
@@ -77,7 +80,7 @@ const floorSlack = 1.5
 // Result is one benchmark line of BENCH_kernel.json.
 type Result struct {
 	Name         string  `json:"name"`   // e.g. KernelTickMediumBOOM
-	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep
+	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep, profile
 	Config       string  `json:"config,omitempty"`
 	Package      string  `json:"package"`
 	Iterations   int64   `json:"iterations"`
@@ -112,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("out", "BENCH_kernel.json", "output path (- = stdout)")
 	count := fs.Int("count", 1, "runs per benchmark (go test -count); the best ns/op run is kept")
 	bench := fs.String("bench", "^BenchmarkKernel", "benchmarks to run (go test -bench)")
-	floor := fs.String("floor", "", "committed ledger to hold the kernels that ran to: functional-core allocs/op equal and ns/op within 1.5x when taken on the same CPU model; tick and warm_sweep allocs/op and tick bytes/op no higher")
+	floor := fs.String("floor", "", "committed ledger to hold the kernels that ran to: functional-core allocs/op equal and ns/op within 1.5x when taken on the same CPU model; tick, warm_sweep and profile allocs/op and tick bytes/op no higher")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

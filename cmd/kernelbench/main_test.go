@@ -83,6 +83,7 @@ func TestSplitKernelName(t *testing.T) {
 		"KernelBBVObserve":        {"bbv_observe", ""},
 		"KernelMemReadWrite":      {"mem_read_write", ""},
 		"KernelWarmSweep":         {"warm_sweep", ""},
+		"KernelProfile":           {"profile", ""},
 	} {
 		if k, c := splitKernelName(name); k != want[0] || c != want[1] {
 			t.Errorf("%s → (%q, %q), want (%q, %q)", name, k, c, want[0], want[1])

@@ -49,9 +49,6 @@ type Profiler struct {
 	inBlock bool           // whether blockID is valid
 
 	vectors []Vector
-	starts  []uint64 // per-interval start PC (checkpoint anchor)
-	pending uint64   // start PC of the next interval
-	havePC  bool
 }
 
 // NewProfiler returns a profiler with the given interval size in
@@ -79,16 +76,12 @@ func (p *Profiler) Observe(r *sim.Retired) {
 	}
 
 	if p.count >= p.interval {
-		p.flush(r.NextPC)
+		p.flush()
 	}
 }
 
 // enterBlock opens the block starting at pc, numbering it on first sight.
 func (p *Profiler) enterBlock(pc uint64) {
-	if !p.havePC {
-		p.pending = pc
-		p.havePC = true
-	}
 	id, ok := p.ids[pc]
 	if !ok {
 		id = len(p.ids)
@@ -115,7 +108,7 @@ func (p *Profiler) closeRun() {
 // flush closes the interval: an interval boundary inside a block splits the
 // block's instructions between the two intervals, and the next instruction
 // opens a block keyed by its own PC.
-func (p *Profiler) flush(nextPC uint64) {
+func (p *Profiler) flush() {
 	p.closeRun()
 	v := make(Vector, len(p.touched))
 	for _, id := range p.touched {
@@ -124,8 +117,6 @@ func (p *Profiler) flush(nextPC uint64) {
 	}
 	p.touched = p.touched[:0]
 	p.vectors = append(p.vectors, v)
-	p.starts = append(p.starts, p.pending)
-	p.pending = nextPC
 	p.count = 0
 }
 
@@ -133,16 +124,12 @@ func (p *Profiler) flush(nextPC uint64) {
 // instruction). Call after the traced run completes.
 func (p *Profiler) Finish() {
 	if p.count > 0 {
-		p.flush(0)
+		p.flush()
 	}
 }
 
 // Vectors returns one BBV per interval, in execution order.
 func (p *Profiler) Vectors() []Vector { return p.vectors }
-
-// IntervalStarts returns the PC at which each interval begins; interval i
-// starts at instruction i×interval of the committed stream.
-func (p *Profiler) IntervalStarts() []uint64 { return p.starts }
 
 // NumBlocks reports how many static basic blocks were discovered.
 func (p *Profiler) NumBlocks() int { return len(p.ids) }

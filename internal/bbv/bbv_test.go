@@ -89,17 +89,6 @@ func TestBlockDiscovery(t *testing.T) {
 	}
 }
 
-func TestIntervalStartsAlignment(t *testing.T) {
-	p := traceProgram(t, twoPhase, 1000)
-	starts := p.IntervalStarts()
-	if len(starts) != len(p.Vectors()) {
-		t.Fatalf("starts/vectors length mismatch: %d vs %d", len(starts), len(p.Vectors()))
-	}
-	if starts[0] != asm.DefaultTextBase {
-		t.Errorf("first interval starts at %#x", starts[0])
-	}
-}
-
 func TestPartialFinalInterval(t *testing.T) {
 	p := traceProgram(t, `
 		.text

@@ -18,9 +18,6 @@ type naiveProfiler struct {
 	blockID  int
 	inBlock  bool
 	vectors  []Vector
-	starts   []uint64
-	pending  uint64
-	havePC   bool
 }
 
 func newNaiveProfiler(interval int64) *naiveProfiler {
@@ -28,9 +25,6 @@ func newNaiveProfiler(interval int64) *naiveProfiler {
 }
 
 func (p *naiveProfiler) observe(r *sim.Retired) {
-	if !p.havePC {
-		p.pending, p.havePC = r.PC, true
-	}
 	if !p.inBlock {
 		id, ok := p.ids[r.PC]
 		if !ok {
@@ -45,14 +39,12 @@ func (p *naiveProfiler) observe(r *sim.Retired) {
 		p.inBlock = false
 	}
 	if p.count >= p.interval {
-		p.flush(r.NextPC)
+		p.flush()
 	}
 }
 
-func (p *naiveProfiler) flush(nextPC uint64) {
+func (p *naiveProfiler) flush() {
 	p.vectors = append(p.vectors, p.current)
-	p.starts = append(p.starts, p.pending)
-	p.pending = nextPC
 	p.current = Vector{}
 	p.count = 0
 	p.inBlock = false
@@ -60,7 +52,7 @@ func (p *naiveProfiler) flush(nextPC uint64) {
 
 func (p *naiveProfiler) finish() {
 	if p.count > 0 {
-		p.flush(0)
+		p.flush()
 	}
 }
 
@@ -68,7 +60,7 @@ func (p *naiveProfiler) finish() {
 // stream to the Profiler and to the per-instruction reference at three
 // interval sizes (one far below a loop body's period, the tiny-scale
 // default, one that divides nothing) and requires identical block
-// numbering, interval anchors and bit-identical weights.
+// numbering and bit-identical weights.
 func TestProfilerMatchesNaiveReference(t *testing.T) {
 	intervals := []int64{997, 20_000, 77_777}
 	for _, name := range workloads.Names() {
@@ -104,9 +96,6 @@ func TestProfilerMatchesNaiveReference(t *testing.T) {
 				t.Fatalf("%s/%d: %d intervals, reference %d", name, iv, len(g.Vectors()), len(n.vectors))
 			}
 			for k, v := range g.Vectors() {
-				if g.IntervalStarts()[k] != n.starts[k] {
-					t.Errorf("%s/%d: interval %d starts at %#x, reference %#x", name, iv, k, g.IntervalStarts()[k], n.starts[k])
-				}
 				ref := n.vectors[k]
 				if len(v) != len(ref) {
 					t.Errorf("%s/%d: interval %d has %d blocks, reference %d", name, iv, k, len(v), len(ref))

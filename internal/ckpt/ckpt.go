@@ -3,6 +3,12 @@
 // instruction count) plus the touched memory pages. It plays the role of the
 // Spike-generated checkpoints that Chipyard's checkpointing infrastructure
 // loads into the RTL simulator in the paper's flow (Fig. 4).
+//
+// A checkpoint's memory is an image: a copy-on-write mem.Memory that owns
+// no page and is never written. Capture and Restore fork it (mem.Memory.Fork)
+// rather than copy it, so taking a checkpoint costs a page-map copy, and a
+// restored run copies only the pages it writes. Any number of goroutines
+// may Restore one checkpoint at once.
 package ckpt
 
 import (
@@ -33,27 +39,29 @@ type Checkpoint struct {
 	Weight   float64 // fraction of program execution it represents
 }
 
-// Capture snapshots the CPU. The memory image is deep-copied so the CPU can
-// keep running.
+// Capture snapshots the CPU. The memory image is a fork of the CPU's
+// memory, so the CPU can keep running: its writes from now on copy the
+// pages they touch and never reach the image.
 func Capture(c *sim.CPU) *Checkpoint {
 	return &Checkpoint{
 		PC:      c.PC,
 		X:       c.X,
 		F:       c.F,
 		InstRet: c.InstRet,
-		Mem:     c.Mem.Clone(),
+		Mem:     c.Mem.Fork(),
 	}
 }
 
-// Restore loads the checkpoint into the CPU. The checkpoint's memory is
-// cloned, so one checkpoint can seed many runs.
+// Restore loads the checkpoint into the CPU. The CPU gets a fork of the
+// checkpoint's image, so one checkpoint can seed many runs, concurrently
+// too: forking an image only reads it.
 func (k *Checkpoint) Restore(c *sim.CPU) {
 	c.PC = k.PC
 	c.X = k.X
 	c.F = k.F
 	c.InstRet = k.InstRet
 	c.Halted = false
-	c.Mem = k.Mem.Clone()
+	c.Mem = k.Mem.Fork()
 }
 
 // Serialize writes the checkpoint to w.

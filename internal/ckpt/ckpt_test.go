@@ -2,9 +2,13 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -99,6 +103,75 @@ func TestRestoreIsolatesMemory(t *testing.T) {
 	if c3.Mem.Read64(0x200) == 7 {
 		t.Fatal("two restores share memory")
 	}
+}
+
+// TestConcurrentRestoresShareOneImage: eight goroutines restore one
+// checkpoint at once and each writes every page of its memory. Each must
+// read back only its own writes, and the image must serialize to the same
+// bytes afterwards; under the race detector (make race) this also holds
+// forking an image to reading it.
+func TestConcurrentRestoresShareOneImage(t *testing.T) {
+	c := prep(t)
+	if _, err := c.Run(2500); err != nil {
+		t.Fatal(err)
+	}
+	for p := uint64(0); p < 16; p++ {
+		c.Mem.Write64(0x4000_0000+p*mem.PageSize, p)
+	}
+	k := Capture(c)
+	var before bytes.Buffer
+	if err := k.Serialize(&before); err != nil {
+		t.Fatal(err)
+	}
+	pages := pageKeys(t, k.Mem)
+
+	const workers = 8
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			cpu := sim.New()
+			k.Restore(cpu)
+			for _, key := range pages {
+				cpu.Mem.Write64(key<<mem.PageBits, g<<32|key)
+			}
+			for _, key := range pages {
+				if got := cpu.Mem.Read64(key << mem.PageBits); got != g<<32|key {
+					errs <- fmt.Errorf("restore %d reads %#x on page %#x, wrote %#x", g, got, key, g<<32|key)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var after bytes.Buffer
+	if err := k.Serialize(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("writes to restored memories reached the checkpoint image")
+	}
+}
+
+// pageKeys lists the page indices of m in Serialize's order.
+func pageKeys(t *testing.T, m *mem.Memory) []uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	keys := make([]uint64, binary.LittleEndian.Uint64(b))
+	for i := range keys {
+		keys[i] = binary.LittleEndian.Uint64(b[8+i*(8+mem.PageSize):])
+	}
+	return keys
 }
 
 // TestRestoreLeavesNoStaleTranslations: restoring into a CPU that has been

@@ -87,3 +87,31 @@ func BenchmarkKernelWarmSweep(b *testing.B) {
 		sweep()
 	}
 }
+
+// BenchmarkKernelProfile is one cold Runner.Profile of qsort at
+// ScaleDefault with no cache: the functional pass with the BBV profiler and
+// a memory mark at every candidate capture point, the SimPoint selection,
+// and the checkpoints rebuilt from their marks. `make bench-smoke` holds
+// allocs/op at or below the ledger's profile row, so a second functional
+// pass, or a checkpoint image copied whole instead of shared, fails as a
+// count on any host.
+func BenchmarkKernelProfile(b *testing.B) {
+	w, err := workloads.Build("qsort", workloads.ScaleDefault)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The program is assembled and the reference checksum computed once
+	// per workload; keep both out of the count.
+	if _, err := w.Program(); err != nil {
+		b.Fatal(err)
+	}
+	w.Checksum()
+	r := New(FlowConfigFor(workloads.ScaleDefault), WithParallelism(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Profile(context.Background(), w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,11 +211,18 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 		defer r.stage(stage)()
 		return r.cache.Cost(k)
 	}
-	// needBBV / needCkpt: the stage's cost is known, its payload unread.
-	var needBBV, needCkpt bool
+	// The chain's state across its stages and load, in one variable so the
+	// stage closures capture one: needBBV / needCkpt say the stage's cost
+	// is known and its payload unread; pass is the profile stage's
+	// functional pass, held for the checkpoint stage and dropped after it.
+	var st struct {
+		needBBV, needCkpt bool
+		pass              *pass
+	}
 
 	// Stage 1: functional execution + BBV (and, under a bbv+mav spec, MAV)
-	// profiling, one interval at a time.
+	// profiling, one interval at a time. The same pass marks the memory at
+	// every candidate capture point (runPass).
 	bbvStage := func(ctx context.Context) (int64, error) {
 		defer r.stage(StageProfile)()
 		cost, err := r.stageCached(keys.bbv,
@@ -233,11 +240,6 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				if ierr := r.inj.Hit("core.profile", w.Name); ierr != nil {
 					return ierr
 				}
-				cpu, cerr := w.NewCPU()
-				if cerr != nil {
-					return cerr
-				}
-				cpu.SetMetrics(r.reg)
 				profiler := bbv.NewProfiler(interval)
 				observe := profiler.Observe
 				var mavProf *mav.Profiler
@@ -251,25 +253,15 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 						mavProf.Observe(rt)
 					}
 				}
-				var n int64
-				for !cpu.Halted {
-					if cerr := sctx.Err(); cerr != nil {
-						return cerr
-					}
-					ran, rerr := cpu.RunTrace(interval, observe)
-					n += ran
-					if rerr != nil {
-						return rerr
-					}
-					if ran == 0 && !cpu.Halted {
-						return fmt.Errorf("no forward progress (did not halt)")
-					}
+				ps, perr := r.runPass(sctx, w, interval, warmup, -1, observe)
+				if perr != nil {
+					return perr
 				}
-				if cerr := checkExit(w, cpu); cerr != nil {
+				if cerr := checkExit(w, ps.cpu); cerr != nil {
 					return cerr
 				}
 				profiler.Finish()
-				p.Vectors, p.TotalInsts, p.NumBlocks = profiler.Vectors(), uint64(n), profiler.NumBlocks()
+				p.Vectors, p.TotalInsts, p.NumBlocks = profiler.Vectors(), uint64(ps.insts), profiler.NumBlocks()
 				if mavProf != nil {
 					mavProf.Finish()
 					p.MAVs = mavProf.Vectors()
@@ -277,6 +269,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 						return fmt.Errorf("profiler drift: %d MAV intervals for %d BBV intervals", len(p.MAVs), len(p.Vectors))
 					}
 				}
+				st.pass = ps // the checkpoint stage's marks
 				return nil
 			},
 			func() ([]byte, error) {
@@ -287,9 +280,9 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	var c1 int64
 	var err error
 	if costOnly {
-		c1, needBBV = stageCost(StageProfile, keys.bbv)
+		c1, st.needBBV = stageCost(StageProfile, keys.bbv)
 	}
-	if !needBBV {
+	if !st.needBBV {
 		if c1, err = bbvStage(ctx); err != nil {
 			return nil, nil, err
 		}
@@ -307,11 +300,11 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 			return nil
 		},
 		func() error {
-			if needBBV { // clustering needs the vectors after all
+			if st.needBBV { // clustering needs the vectors after all
 				if _, berr := bbvStage(ctx); berr != nil {
 					return berr
 				}
-				needBBV = false
+				st.needBBV = false
 			}
 			var s *simpoint.Result
 			var serr error
@@ -346,8 +339,10 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	sel := p.Selection
 
 	// Stage 3: checkpoint creation. Checkpoints are taken WarmupInsts
-	// before each simulation point (clamped at program start), in one
-	// functional pass over the sorted capture points.
+	// before each simulation point (clamped at program start): each is its
+	// capture point's mark in the profile stage's pass, or — when that
+	// stage was served from the cache — in a pass that stops at the last
+	// capture point.
 	ckptStage := func(ctx context.Context) (int64, error) {
 		defer r.stage(StageCheckpoint)()
 		cost, err := r.stageCached(keys.ckpt,
@@ -360,51 +355,22 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				return nil
 			},
 			func() error {
-				sctx, cancel := r.stageCtx(ctx)
-				defer cancel()
-				type capturePoint struct {
-					at       int64 // instruction count where the checkpoint is taken
-					selIdx   int
-					interval int64
-				}
-				caps := make([]capturePoint, len(sel.Selected))
-				for i, pt := range sel.Selected {
-					st := int64(pt.Interval) * interval
-					at := st - warmup
-					if at < 0 {
-						at = 0
+				ps := st.pass
+				if ps == nil { // the profile stage was a cache hit: execute up to the last capture point
+					sctx, cancel := r.stageCtx(ctx)
+					defer cancel()
+					var last int64
+					for _, pt := range sel.Selected {
+						last = max(last, capturePoint(int64(pt.Interval), interval, warmup))
 					}
-					caps[i] = capturePoint{at: at, selIdx: i, interval: int64(pt.Interval)}
+					var perr error
+					if ps, perr = r.runPass(sctx, w, interval, warmup, last, nil); perr != nil {
+						return perr
+					}
 				}
-				sort.Slice(caps, func(i, j int) bool { return caps[i].at < caps[j].at })
-
-				cpu2, cerr := w.NewCPU()
+				cks, warmups, cerr := ps.checkpoints(sel, interval, warmup)
 				if cerr != nil {
 					return cerr
-				}
-				cpu2.SetMetrics(r.reg)
-				cks := make([]*ckpt.Checkpoint, len(caps))
-				warmups := make([]int64, len(caps))
-				var executed int64
-				for _, cp := range caps {
-					for executed < cp.at {
-						if cerr := sctx.Err(); cerr != nil {
-							return cerr
-						}
-						step := cp.at - executed
-						if step > interval {
-							step = interval
-						}
-						if _, rerr := cpu2.Run(step); rerr != nil {
-							return rerr
-						}
-						executed += step
-					}
-					k := ckpt.Capture(cpu2)
-					k.Interval = cp.interval
-					k.Weight = sel.Selected[cp.selIdx].Weight
-					cks[cp.selIdx] = k
-					warmups[cp.selIdx] = cp.interval*interval - cp.at
 				}
 				p.Checkpoints, p.WarmupInsts = cks, warmups
 				return nil
@@ -416,30 +382,32 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	}
 	var c3 int64
 	if costOnly {
-		c3, needCkpt = stageCost(StageCheckpoint, keys.ckpt)
+		c3, st.needCkpt = stageCost(StageCheckpoint, keys.ckpt)
 	}
-	if !needCkpt {
+	if !st.needCkpt {
 		if c3, err = ckptStage(ctx); err != nil {
 			return nil, nil, err
 		}
 	}
+	st.pass = nil // a checkpoint stage that load recomputes runs its own pass
 	p.WallNS = c1 + c2 + c3
 
 	var load func(context.Context) error
-	if needBBV || needCkpt {
+	if st.needBBV || st.needCkpt {
 		load = func(ctx context.Context) error {
-			if needBBV {
+			if st.needBBV {
 				if _, err := bbvStage(ctx); err != nil {
 					return err
 				}
-				needBBV = false
+				st.needBBV = false
 			}
-			if needCkpt {
+			if st.needCkpt {
 				if _, err := ckptStage(ctx); err != nil {
 					return err
 				}
-				needCkpt = false
+				st.needCkpt = false
 			}
+			st.pass = nil
 			return nil
 		}
 	}
@@ -788,4 +756,105 @@ func checkExit(w *workloads.Workload, cpu *sim.CPU) error {
 		return fmt.Errorf("workload %s exited with %#x, reference checksum %#x", w.Name, got, want)
 	}
 	return nil
+}
+
+// pass is one functional execution of a workload from its entry, its
+// memory marked (mem.Memory.Mark) at every candidate capture point it
+// reached: capturePoint(i) for each interval i. A selected interval's
+// checkpoint is its capture point's registers and memory image.
+type pass struct {
+	cpu   *sim.CPU
+	insts int64      // instructions executed
+	at    []int64    // instruction count of each mark, strictly increasing
+	regs  []passRegs // registers at each mark, one slab
+}
+
+// passRegs is the architectural register state at one mark.
+type passRegs struct {
+	pc, instRet uint64
+	x, f        [32]uint64
+}
+
+// capturePoint is the instruction count where interval iv's checkpoint is
+// taken: warmup instructions before the interval starts, clamped at
+// program start.
+func capturePoint(iv, interval, warmup int64) int64 {
+	return max(0, iv*interval-warmup)
+}
+
+// runPass executes w until it halts or, when until ≥ 0, until the capture
+// point until is marked, in chunks of at most one interval with ctx checked
+// between them. observe, when non-nil, sees every retired instruction (the
+// profile stage's profilers); without it the pass only executes.
+func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, warmup, until int64,
+	observe func(*sim.Retired)) (*pass, error) {
+	cpu, err := w.NewCPU()
+	if err != nil {
+		return nil, err
+	}
+	cpu.SetMetrics(r.reg)
+	cpu.Mem.Record()
+	ps := &pass{cpu: cpu}
+	// Intervals 1 … warmup/interval capture at program start like interval
+	// 0, so the loop skips them: capture points strictly increase.
+	for iv := int64(0); ; iv = max(iv+1, warmup/interval+1) {
+		at := capturePoint(iv, interval, warmup)
+		for ps.insts < at && !cpu.Halted {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			step := min(at-ps.insts, interval)
+			var ran int64
+			if observe != nil {
+				ran, err = cpu.RunTrace(step, observe)
+			} else {
+				ran, err = cpu.Run(step)
+			}
+			ps.insts += ran
+			if err != nil {
+				return nil, err
+			}
+			if ran == 0 && !cpu.Halted {
+				return nil, fmt.Errorf("no forward progress (did not halt)")
+			}
+		}
+		if cpu.Halted {
+			return ps, nil
+		}
+		ps.at = append(ps.at, at)
+		ps.regs = append(ps.regs, passRegs{pc: cpu.PC, instRet: cpu.InstRet, x: cpu.X, f: cpu.F})
+		cpu.Mem.Mark()
+		if until >= 0 && at >= until {
+			return ps, nil
+		}
+	}
+}
+
+// checkpoints builds the checkpoint of every selected interval, and its
+// warm-up length, from its capture point's mark. A capture point with no
+// mark is an error, never a checkpoint taken elsewhere: the program halted
+// before it.
+func (ps *pass) checkpoints(sel *simpoint.Result, interval, warmup int64) ([]*ckpt.Checkpoint, []int64, error) {
+	cks := make([]*ckpt.Checkpoint, len(sel.Selected))
+	warmups := make([]int64, len(sel.Selected))
+	for i, pt := range sel.Selected {
+		iv := int64(pt.Interval)
+		at := capturePoint(iv, interval, warmup)
+		j, ok := slices.BinarySearch(ps.at, at)
+		if !ok {
+			return nil, nil, fmt.Errorf("interval %d: no mark at its capture point %d (the pass ran %d instructions)", iv, at, ps.insts)
+		}
+		rg := &ps.regs[j]
+		cks[i] = &ckpt.Checkpoint{
+			PC:       rg.pc,
+			X:        rg.x,
+			F:        rg.f,
+			InstRet:  rg.instRet,
+			Mem:      ps.cpu.Mem.Image(j),
+			Interval: iv,
+			Weight:   pt.Weight,
+		}
+		warmups[i] = iv*interval - at
+	}
+	return cks, warmups, nil
 }

@@ -3,12 +3,21 @@
 // Memory is allocated lazily in fixed-size pages so that multi-gigabyte
 // address spaces with a few megabytes of live data stay cheap, and so that
 // checkpoints serialize only the touched pages.
+//
+// Pages are copy-on-write. A Memory writes in place only the pages it owns
+// (the ones it created or copied itself); Fork shares every page between
+// two memories and leaves both owning none, so a fork costs one map copy
+// and each side then copies only the pages it writes. The same ownership
+// gives a history for free: Mark disowns every page, so the first write to
+// a page after a mark replaces it and the replaced page is kept, and Image
+// rebuilds the memory as it stood at any mark from those kept pages.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -36,41 +45,68 @@ const (
 
 type tlbEntry struct {
 	key  uint64 // page index, or noPage
+	wkey uint64 // key when the Memory owns the page (a write may hit), else noPage
 	page *[PageSize]byte
 }
 
 // noTLB is the TLB of every Memory that has not been accessed yet: all
-// entries empty, shared, never written. Checkpoint images are built, cloned
+// entries empty, shared, never written. Checkpoint images are built, forked
 // and serialized without a single access, so they never pay for a table of
 // their own; the first miss gives a Memory its private one.
 var noTLB = func() *[tlbSize]tlbEntry {
 	t := new([tlbSize]tlbEntry)
 	for i := range t {
-		t[i].key = noPage
+		t[i].key, t[i].wkey = noPage, noPage
 	}
 	return t
 }()
+
+// pageRef is one page of a Memory's map. own says the Memory may write the
+// page in place: it created or copied the page itself and has not shared
+// it since (Fork, Mark). A page no one owns is never written again.
+type pageRef struct {
+	page *[PageSize]byte
+	own  bool
+}
+
+// undo is one entry of a history's log: the page key held before the first
+// write to it after a mark, nil when the write created the page.
+type undo struct {
+	key  uint64
+	page *[PageSize]byte
+}
+
+// history is what Record starts: one log for every mark, and where each
+// mark begins in it.
+type history struct {
+	log   []undo
+	marks []int // marks[i] is len(log) at Mark i
+}
 
 // Memory is a sparse byte-addressable memory. The zero value is not usable;
 // call New.
 //
 // A Memory is not safe for concurrent use, reads included: every access may
-// fill the TLB. Clone, Serialize and PageCount touch only the page map and
-// may run concurrently with one another (a checkpoint image is cloned by
-// several measuring goroutines at once).
+// fill the TLB. A Memory that owns no page — a checkpoint image from Fork,
+// Image or Deserialize that is only ever forked — is only read by Fork,
+// Serialize and PageCount, so those may run concurrently on it (a
+// checkpoint image is forked by several measuring goroutines at once).
 type Memory struct {
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]pageRef
 
-	// Invariant: an entry whose key is not noPage holds pages[key]. Pages
-	// are only ever added to the map, never removed or swapped one by one,
-	// so entries stay true until the whole map is replaced (Deserialize),
-	// which drops the table.
+	// Invariant: an entry whose key is not noPage holds pages[key].page,
+	// and its wkey is key exactly when pages[key].own. A page is replaced
+	// in the map only by its own Memory's copy-on-write, in the same miss
+	// that refills its entry; Fork and Mark clear every wkey when they
+	// disown the pages; a whole new map (Deserialize) drops the table.
 	tlb *[tlbSize]tlbEntry
+
+	hist *history // nil unless Record started one
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte), tlb: noTLB}
+	return &Memory{pages: make(map[uint64]pageRef), tlb: noTLB}
 }
 
 // find returns the page holding addr, or nil for untouched memory. It never
@@ -84,30 +120,44 @@ func (m *Memory) find(addr uint64) *[PageSize]byte {
 	return m.miss(key, false)
 }
 
-// touch returns the page holding addr, creating it if need be.
+// touch returns the page holding addr for writing: created if need be, and
+// copied first if m does not own it.
 func (m *Memory) touch(addr uint64) *[PageSize]byte {
 	key := addr >> PageBits
-	if e := &m.tlb[key&tlbMask]; e.key == key {
+	if e := &m.tlb[key&tlbMask]; e.wkey == key {
 		return e.page
 	}
 	return m.miss(key, true)
 }
 
-func (m *Memory) miss(key uint64, create bool) *[PageSize]byte {
-	p := m.pages[key]
-	if p == nil {
-		if !create {
-			return nil
+func (m *Memory) miss(key uint64, write bool) *[PageSize]byte {
+	r := m.pages[key]
+	if write && !r.own {
+		// Copy-on-write (or creation): the page r held is no longer m's
+		// to change, so m's copy replaces it and the history, if any,
+		// keeps it.
+		if m.hist != nil {
+			m.hist.log = append(m.hist.log, undo{key: key, page: r.page})
 		}
-		p = new([PageSize]byte)
-		m.pages[key] = p
+		p := new([PageSize]byte)
+		if r.page != nil {
+			*p = *r.page
+		}
+		r = pageRef{page: p, own: true}
+		m.pages[key] = r
+	} else if r.page == nil {
+		return nil
 	}
 	if m.tlb == noTLB {
 		m.tlb = new([tlbSize]tlbEntry)
 		*m.tlb = *noTLB
 	}
-	m.tlb[key&tlbMask] = tlbEntry{key: key, page: p}
-	return p
+	e := tlbEntry{key: key, wkey: noPage, page: r.page}
+	if r.own {
+		e.wkey = key
+	}
+	m.tlb[key&tlbMask] = e
+	return r.page
 }
 
 // ByteAt returns the byte at addr (0 for untouched memory).
@@ -272,16 +322,64 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 // PageCount reports how many pages have been touched.
 func (m *Memory) PageCount() int { return len(m.pages) }
 
-// Clone returns a deep copy, used to fork a pristine workload image for
-// multiple simulations.
-func (m *Memory) Clone() *Memory {
-	c := New()
-	for k, p := range m.pages {
-		np := new([PageSize]byte)
-		*np = *p
-		c.pages[k] = np
+// Fork returns a memory with m's contents. The two share every page and
+// own none of them afterwards, so each side copies a page on its first
+// write to it and nothing written on one side shows on the other. Forking
+// a memory that owns no page only reads it.
+func (m *Memory) Fork() *Memory {
+	m.disown()
+	return &Memory{pages: maps.Clone(m.pages), tlb: noTLB}
+}
+
+// disown gives up ownership of every page m owns, so its next write to
+// each copies it first. It writes nothing when m owns no page.
+func (m *Memory) disown() {
+	for k, r := range m.pages {
+		if r.own {
+			m.pages[k] = pageRef{page: r.page}
+		}
 	}
-	return c
+	if m.tlb != noTLB {
+		for i := range m.tlb {
+			if e := &m.tlb[i]; e.wkey != noPage {
+				e.wkey = noPage
+			}
+		}
+	}
+}
+
+// Record starts a history of m, dropping any earlier one: from the first
+// Mark on, every page m replaces is kept, so Image can rebuild m as it
+// stood at each mark. The history holds the pre-image of each page written
+// between two marks; it lives as long as m.
+func (m *Memory) Record() { m.hist = &history{} }
+
+// Mark notes m's current contents in the history Record started and
+// returns the mark's number (0 for the first, then 1, 2, …). It disowns
+// every page, so the first write to a page after the mark logs the page it
+// replaces (or that it created the page).
+func (m *Memory) Mark() int {
+	m.hist.marks = append(m.hist.marks, len(m.hist.log))
+	m.disown()
+	return len(m.hist.marks) - 1
+}
+
+// Image returns m as it stood at mark, as a memory that owns no page: it
+// starts from m's current map and undoes the log back to the mark. The
+// latest mark costs a map copy; an earlier one also costs the pages
+// written since.
+func (m *Memory) Image(mark int) *Memory {
+	m.disown()
+	img := &Memory{pages: maps.Clone(m.pages), tlb: noTLB}
+	log := m.hist.log
+	for i := len(log) - 1; i >= m.hist.marks[mark]; i-- {
+		if u := log[i]; u.page == nil {
+			delete(img.pages, u.key)
+		} else {
+			img.pages[u.key] = pageRef{page: u.page}
+		}
+	}
+	return img
 }
 
 // Serialize writes the touched pages to w in a deterministic order. The
@@ -303,7 +401,7 @@ func (m *Memory) Serialize(w io.Writer) error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(m.pages[k][:]); err != nil {
+		if _, err := w.Write(m.pages[k].page[:]); err != nil {
 			return err
 		}
 	}
@@ -311,8 +409,10 @@ func (m *Memory) Serialize(w io.Writer) error {
 }
 
 // Deserialize replaces the contents of m with pages read from r, in the
-// format produced by Serialize. Page indices must strictly increase, as
-// Serialize writes them, so an accepted image re-serializes byte-exact.
+// format produced by Serialize, and drops any history. Page indices must
+// strictly increase, as Serialize writes them, so an accepted image
+// re-serializes byte-exact. The result owns no page: it is a checkpoint
+// image, and a write to it copies the page first.
 func (m *Memory) Deserialize(r io.Reader) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -324,8 +424,9 @@ func (m *Memory) Deserialize(r io.Reader) error {
 	}
 	// The count is a size hint only up to a bound: it is read before any of
 	// the pages it promises, so a corrupt one must not size the map.
-	m.pages = make(map[uint64]*[PageSize]byte, min(n, 1<<12))
+	m.pages = make(map[uint64]pageRef, min(n, 1<<12))
 	m.tlb = noTLB // every cached pointer was into the old map
+	m.hist = nil
 	var prev uint64
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -340,7 +441,7 @@ func (m *Memory) Deserialize(r io.Reader) error {
 		if _, err := io.ReadFull(r, p[:]); err != nil {
 			return fmt.Errorf("mem: reading page %d data: %w", i, err)
 		}
-		m.pages[key] = p
+		m.pages[key] = pageRef{page: p}
 	}
 	return nil
 }

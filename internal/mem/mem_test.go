@@ -61,16 +61,20 @@ func TestSetBytesAndReadBytes(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+func TestForkIsolatesWrites(t *testing.T) {
 	m := New()
 	m.Write64(0x100, 42)
-	c := m.Clone()
+	c := m.Fork()
 	c.Write64(0x100, 99)
 	if m.Read64(0x100) != 42 {
-		t.Fatal("clone mutated the original")
+		t.Fatal("fork mutated the original")
 	}
 	if c.Read64(0x100) != 99 {
-		t.Fatal("clone lost its own write")
+		t.Fatal("fork lost its own write")
+	}
+	m.Write64(0x108, 7)
+	if c.Read64(0x108) != 0 {
+		t.Fatal("original's later write is visible in the fork")
 	}
 }
 
@@ -296,23 +300,102 @@ func TestNoStaleTLBAfterDeserialize(t *testing.T) {
 	}
 }
 
-// TestCloneSharesNoTLBState: with both TLBs hot on the same page, writes on
-// either side stay on that side.
-func TestCloneSharesNoTLBState(t *testing.T) {
+// TestForkSharesNoTLBState: with both TLBs hot on the same page — m's
+// entry filled by a write, so it would hit in place — writes on either side
+// stay on that side.
+func TestForkSharesNoTLBState(t *testing.T) {
 	m := New()
 	m.Write64(0x3000, 1)
 	m.Read64(0x3000) // hot in m
-	c := m.Clone()
+	c := m.Fork()
 	if c.Read64(0x3000) != 1 {
-		t.Fatal("clone lost the page")
+		t.Fatal("fork lost the page")
 	}
 	c.Write64(0x3000, 2)
 	m.Write64(0x3008, 3)
 	if m.Read64(0x3000) != 1 || c.Read64(0x3000) != 2 {
-		t.Errorf("write crossed the clone: original %d, clone %d", m.Read64(0x3000), c.Read64(0x3000))
+		t.Errorf("write crossed the fork: original %d, fork %d", m.Read64(0x3000), c.Read64(0x3000))
 	}
 	if c.Read64(0x3008) != 0 {
-		t.Error("original's later write is visible in the clone")
+		t.Error("original's later write is visible in the fork")
+	}
+}
+
+// TestForkCopiesOnlyWrittenPages: a fork shares the pages it only reads
+// and copies, once, each page it writes; the parent, having forked, copies
+// on its next write too.
+func TestForkCopiesOnlyWrittenPages(t *testing.T) {
+	m := New()
+	for p := uint64(0); p < 8; p++ {
+		m.Write64(p*PageSize, p)
+	}
+	f := m.Fork()
+	for p := uint64(0); p < 8; p++ {
+		f.Read64(p * PageSize)
+	}
+	f.Write64(3*PageSize, 30)
+	f.Write64(3*PageSize+8, 31) // same page: no second copy
+	shared := 0
+	for k, r := range f.pages {
+		if r.page == m.pages[k].page {
+			shared++
+		}
+	}
+	if shared != 7 {
+		t.Errorf("fork shares %d of 8 pages after writing one, want 7", shared)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.Write64(3*PageSize+16, 1) }); a != 0 {
+		t.Errorf("a write to a page the fork already copied allocates %v times", a)
+	}
+	if m.pages[0].own || f.pages[0].own {
+		t.Error("a shared page is owned after Fork")
+	}
+}
+
+// TestImageRebuildsEachMark: Image(i) is the memory as it stood at Mark i,
+// pages created after the mark included, and it neither changes with later
+// writes nor owns a page.
+func TestImageRebuildsEachMark(t *testing.T) {
+	m := New()
+	m.Write64(0x1000, 1)
+	m.Record()
+	var want [][]byte
+	snap := func() {
+		var b bytes.Buffer
+		if err := m.Serialize(&b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b.Bytes())
+	}
+	snap()
+	m.Mark()
+	m.Write64(0x1000, 2) // copy of an existing page
+	m.Write64(0x5000, 5) // a new page
+	snap()
+	m.Mark()
+	m.Mark() // an empty interval
+	snap()
+	m.Write64(0x1008, 3)
+	m.Write64(0x5000, 6)
+	m.Write64(0x9000, 9)
+	images := []*Memory{m.Image(0), m.Image(1), m.Image(2)}
+	m.Write64(0x1000, 4) // after the images: must not reach them
+	for i, img := range images {
+		var b bytes.Buffer
+		if err := img.Serialize(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), want[i]) {
+			t.Errorf("Image(%d) differs from the memory at that mark", i)
+		}
+		for k, r := range img.pages {
+			if r.own {
+				t.Errorf("Image(%d) owns page %#x", i, k)
+			}
+		}
+	}
+	if got := m.Read64(0x1000); got != 4 {
+		t.Errorf("live memory reads %d after the images, want 4", got)
 	}
 }
 
