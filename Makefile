@@ -67,7 +67,7 @@ fuzz-smoke:
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — decode,
-# stats/power accumulate, functional step/trace, BBV observe, memory
+# stats/power accumulate, functional step/trace/blocks, BBV observe, memory
 # access, one measure cell, one warm rerun, one cold profile) per BOOM config into
 # BENCH_kernel.json. See README "Performance".
 bench:
@@ -81,13 +81,13 @@ bench:
 # op than their rows, and the tick kernels no more bytes (1 % slack):
 # counts, so they gate on every host — a second functional pass in the
 # profile, or a checkpoint copied whole instead of shared, fails here. The
-# four per-instruction functional-core kernels (5M ops each, best of 3)
+# five per-instruction functional-core kernels (5M ops each, best of 3)
 # must allocate exactly what their rows do and, on the CPU model the ledger
 # was taken on, run within 1.5x of them.
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep profile; do \
+	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace func_run_blocks bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep profile; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done

@@ -1,5 +1,5 @@
 // Command kernelbench runs the hot-path kernel benchmarks (BOOM tick on a
-// high- and a low-IPC trace, decode, stats accumulate, power accumulate, functional step/trace, BBV
+// high- and a low-IPC trace, decode, stats accumulate, power accumulate, functional step/trace/blocks, BBV
 // observe, memory access, one measure cell, one warm rerun, one cold profile) and emits a machine-readable BENCH_kernel.json
 // with cycles/sec, ns/op, and allocs/op per BOOM configuration:
 //
@@ -45,7 +45,7 @@ var kernelPackages = []string{
 // floorKernels are the functional-core kernels -floor holds to the
 // committed ledger. Their op is one instruction (or one access pair), so a
 // fixed -benchtime Nx measures them in milliseconds.
-var floorKernels = []string{"func_step", "func_run_trace", "bbv_observe", "mem_read_write"}
+var floorKernels = []string{"func_step", "func_run_trace", "func_run_blocks", "bbv_observe", "mem_read_write"}
 
 // ceilingKernels are the kernels whose allocs/op -floor holds at or below
 // the committed rows: a count, so it gates on every host. On the tick
@@ -80,7 +80,7 @@ const floorSlack = 1.5
 // Result is one benchmark line of BENCH_kernel.json.
 type Result struct {
 	Name         string  `json:"name"`   // e.g. KernelTickMediumBOOM
-	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep, profile
+	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, func_run_blocks, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep, profile
 	Config       string  `json:"config,omitempty"`
 	Package      string  `json:"package"`
 	Iterations   int64   `json:"iterations"`

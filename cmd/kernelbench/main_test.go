@@ -80,6 +80,7 @@ func TestSplitKernelName(t *testing.T) {
 		"KernelMeasureJ1MegaBOOM": {"measure_j1", "MegaBOOM"},
 		"KernelFuncStep":          {"func_step", ""},
 		"KernelFuncRunTrace":      {"func_run_trace", ""},
+		"KernelFuncRunBlocks":     {"func_run_blocks", ""},
 		"KernelBBVObserve":        {"bbv_observe", ""},
 		"KernelMemReadWrite":      {"mem_read_write", ""},
 		"KernelWarmSweep":         {"warm_sweep", ""},

@@ -9,6 +9,10 @@
 // transfer instruction. Each retired instruction adds one unit of weight to
 // its enclosing block, so a block's weight is execution count × block
 // length, exactly the quantity the SimPoint methodology clusters on.
+//
+// Like gem5's --simpoint-profile on its atomic CPU, the profiler needs only
+// block counts: the profile pass feeds it sim.CPU.RunBlocks' runs, one
+// record per basic block executed, never a record per instruction.
 package bbv
 
 import (
@@ -29,18 +33,22 @@ func (v Vector) Total() float64 {
 	return t
 }
 
-// Profiler accumulates BBVs over a run. Feed it every retired instruction
-// via Observe, then call Finish once.
+// Profiler accumulates BBVs over a run. Feed it the block runs of
+// sim.CPU.RunBlocks via ObserveBlocks — or, one instruction at a time, the
+// records of sim.CPU.RunTrace via Observe, never both — then call Finish
+// once.
 //
-// Counting is run-length: Observe counts the instructions of the block in
-// flight in run and adds the run to a dense per-interval count slice
-// (indexed by block ID) when the block ends; the Vector map is only built
-// when an interval closes. Counts are integers far below 2^53, so the
-// float64 weights are exactly what per-instruction increments would give.
+// Counting is run-length: a run credits its whole length to its block at
+// once, and the open block's instructions are added to a dense
+// per-interval count slice (indexed by block ID) when the block ends; the
+// Vector map is only built when an interval closes. Counts are integers far
+// below 2^53, so the float64 weights are exactly what per-instruction
+// increments would give.
 type Profiler struct {
 	interval int64
 
-	ids     map[uint64]int // block start PC → block ID
+	byText  []int32        // text-window index → block ID + 1 (0: not yet seen)
+	ids     map[uint64]int // block start PC → block ID, for PCs outside the window
 	counts  []int64        // this interval's instructions per block ID
 	touched []int          // block IDs with a non-zero count, in first-touch order
 	count   int64          // instructions in this interval, the open run included
@@ -61,35 +69,86 @@ func NewProfiler(intervalSize int64) *Profiler {
 	}
 }
 
-// Observe processes one retired instruction.
-func (p *Profiler) Observe(r *sim.Retired) {
-	if !p.inBlock {
-		p.enterBlock(r.PC)
-	}
-	p.run++
-	p.count++
+// ObserveBlocks counts the runs one sim.CPU.RunBlocks batch delivered. No
+// run may cross an interval boundary — stop each RunBlocks call at the next
+// one — and ObserveBlocks panics on one that does.
+func (p *Profiler) ObserveBlocks(bs []sim.Block) {
+	for i := range bs {
+		b := &bs[i]
+		if !p.inBlock {
+			if t := uint(b.Text); t < uint(len(p.byText)) && p.byText[t] != 0 {
+				p.blockID, p.inBlock = int(p.byText[t])-1, true
+			} else {
+				p.enterBlock(b.PC, b.Text)
+			}
+		}
+		p.run += b.N
+		p.count += b.N
 
-	// A control-flow instruction (taken or not) ends the block: the next
-	// instruction starts a new one keyed by its own PC.
-	if r.Inst.Op.IsBranchOrJump() {
-		p.closeRun()
-	}
-
-	if p.count >= p.interval {
-		p.flush()
+		// A control-flow instruction (taken or not) ends the block: the next
+		// run starts a new one keyed by its own PC.
+		if b.End {
+			p.closeRun()
+		}
+		if p.count >= p.interval {
+			p.endInterval()
+		}
 	}
 }
 
-// enterBlock opens the block starting at pc, numbering it on first sight.
-func (p *Profiler) enterBlock(pc uint64) {
-	id, ok := p.ids[pc]
-	if !ok {
-		id = len(p.ids)
-		p.ids[pc] = id
-		p.counts = append(p.counts, 0)
+// Observe processes one retired instruction: ObserveBlocks' step for a
+// one-instruction run, its block found by PC.
+func (p *Profiler) Observe(r *sim.Retired) {
+	if !p.inBlock {
+		p.enterBlock(r.PC, -1)
+	}
+	p.run++
+	p.count++
+	if r.Inst.Op.IsBranchOrJump() {
+		p.closeRun()
+	}
+	if p.count >= p.interval {
+		p.endInterval()
+	}
+}
+
+// enterBlock opens the block starting at pc, numbering it on first sight:
+// by its text-window index text in a dense table, or by PC in a map when
+// text is -1 (outside the window, or a caller that does not know it).
+func (p *Profiler) enterBlock(pc uint64, text int32) {
+	var id int
+	if t := int(text); t >= 0 {
+		if t >= len(p.byText) {
+			p.byText = append(p.byText, make([]int32, t+1-len(p.byText))...)
+		}
+		if p.byText[t] == 0 {
+			p.byText[t] = int32(p.newBlock() + 1)
+		}
+		id = int(p.byText[t]) - 1
+	} else {
+		var ok bool
+		if id, ok = p.ids[pc]; !ok {
+			id = p.newBlock()
+			p.ids[pc] = id
+		}
 	}
 	p.blockID = id
 	p.inBlock = true
+}
+
+// endInterval closes the interval the last run completed.
+func (p *Profiler) endInterval() {
+	if p.count > p.interval {
+		panic("bbv: a run crosses an interval boundary")
+	}
+	p.flush()
+}
+
+// newBlock numbers a block seen for the first time: IDs follow first-seen
+// order.
+func (p *Profiler) newBlock() int {
+	p.counts = append(p.counts, 0)
+	return len(p.counts) - 1
 }
 
 // closeRun credits the open block with the instructions counted since it
@@ -106,8 +165,8 @@ func (p *Profiler) closeRun() {
 }
 
 // flush closes the interval: an interval boundary inside a block splits the
-// block's instructions between the two intervals, and the next instruction
-// opens a block keyed by its own PC.
+// block's instructions between the two intervals, and the next run opens a
+// block keyed by its own PC.
 func (p *Profiler) flush() {
 	p.closeRun()
 	v := make(Vector, len(p.touched))
@@ -132,7 +191,7 @@ func (p *Profiler) Finish() {
 func (p *Profiler) Vectors() []Vector { return p.vectors }
 
 // NumBlocks reports how many static basic blocks were discovered.
-func (p *Profiler) NumBlocks() int { return len(p.ids) }
+func (p *Profiler) NumBlocks() int { return len(p.counts) }
 
 // IntervalSize returns the configured interval length.
 func (p *Profiler) IntervalSize() int64 { return p.interval }

@@ -1,7 +1,9 @@
 package bbv
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -57,10 +59,13 @@ func (p *naiveProfiler) finish() {
 }
 
 // TestProfilerMatchesNaiveReference feeds every workload's retirement
-// stream to the Profiler and to the per-instruction reference at three
-// interval sizes (one far below a loop body's period, the tiny-scale
-// default, one that divides nothing) and requires identical block
-// numbering and bit-identical weights.
+// stream to the per-instruction reference at three interval sizes (one far
+// below a loop body's period, the tiny-scale default, one that divides
+// nothing) and requires the Profiler to number the same blocks and give
+// bit-identical weights, fed both ways: one record at a time through
+// Observe, and block runs through ObserveBlocks from RunBlocks calls that
+// stop at every interval boundary and, in between, at random points inside
+// basic blocks, where a capture point would stop them.
 func TestProfilerMatchesNaiveReference(t *testing.T) {
 	intervals := []int64{997, 20_000, 77_777}
 	for _, name := range workloads.Names() {
@@ -85,27 +90,55 @@ func TestProfilerMatchesNaiveReference(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		rng := rand.New(rand.NewSource(int64(len(name))))
 		for i, iv := range intervals {
 			got[i].Finish()
 			want[i].finish()
-			g, n := got[i], want[i]
-			if g.NumBlocks() != len(n.ids) {
-				t.Errorf("%s/%d: %d blocks, reference %d", name, iv, g.NumBlocks(), len(n.ids))
+			matchReference(t, fmt.Sprintf("%s/%d/Observe", name, iv), got[i], want[i])
+
+			cpu, err := w.NewCPU()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(g.Vectors()) != len(n.vectors) {
-				t.Fatalf("%s/%d: %d intervals, reference %d", name, iv, len(g.Vectors()), len(n.vectors))
+			blk := NewProfiler(iv)
+			observe := func(bs []sim.Block, _ []sim.MemRef) { blk.ObserveBlocks(bs) }
+			for done := int64(0); !cpu.Halted; {
+				step := iv - done%iv
+				if rng.Intn(2) == 0 {
+					step = min(step, 1+rng.Int63n(iv))
+				}
+				n, err := cpu.RunBlocks(step, false, observe)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				done += n
 			}
-			for k, v := range g.Vectors() {
-				ref := n.vectors[k]
-				if len(v) != len(ref) {
-					t.Errorf("%s/%d: interval %d has %d blocks, reference %d", name, iv, k, len(v), len(ref))
-					continue
-				}
-				for id, wgt := range v {
-					if rw, ok := ref[id]; !ok || math.Float64bits(rw) != math.Float64bits(wgt) {
-						t.Errorf("%s/%d: interval %d block %d weight %v, reference %v (present %v)", name, iv, k, id, wgt, rw, ok)
-					}
-				}
+			blk.Finish()
+			matchReference(t, fmt.Sprintf("%s/%d/ObserveBlocks", name, iv), blk, want[i])
+		}
+	}
+}
+
+// matchReference requires g's block numbering and weights to be the
+// reference's, bit for bit.
+func matchReference(t *testing.T, label string, g *Profiler, n *naiveProfiler) {
+	t.Helper()
+	if g.NumBlocks() != len(n.ids) {
+		t.Errorf("%s: %d blocks, reference %d", label, g.NumBlocks(), len(n.ids))
+	}
+	if len(g.Vectors()) != len(n.vectors) {
+		t.Errorf("%s: %d intervals, reference %d", label, len(g.Vectors()), len(n.vectors))
+		return
+	}
+	for k, v := range g.Vectors() {
+		ref := n.vectors[k]
+		if len(v) != len(ref) {
+			t.Errorf("%s: interval %d has %d blocks, reference %d", label, k, len(v), len(ref))
+			continue
+		}
+		for id, wgt := range v {
+			if rw, ok := ref[id]; !ok || math.Float64bits(rw) != math.Float64bits(wgt) {
+				t.Errorf("%s: interval %d block %d weight %v, reference %v (present %v)", label, k, id, wgt, rw, ok)
 			}
 		}
 	}

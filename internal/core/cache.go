@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/artifact"
@@ -283,25 +284,66 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 // cell does need measuring.
 func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64) ([]byte, error) {
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
+	fw := takeCkptWriter(&buf)
+	defer putCkptWriter(fw)
+	if err := writeCkptPayload(fw, cks, warmups); err != nil {
 		return nil, err
 	}
+	return buf.Bytes(), nil
+}
+
+// writeCkptPayload compresses the payload through fw and closes it.
+func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64) error {
 	bw := binio.NewWriter(fw)
 	bw.Int(len(warmups))
 	for _, v := range warmups {
 		bw.I64(v)
 	}
 	if err := bw.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := ckpt.SerializeAll(fw, cks); err != nil {
-		return nil, err
+		return err
 	}
-	if err := fw.Close(); err != nil {
-		return nil, err
+	return fw.Close()
+}
+
+// ckptWriters are the flate writers encodeCkptPayload has built, kept
+// for reuse through Reset, whose output is byte-identical to a new
+// writer's: a writer is ~1 MB of tables, and every profile chain encodes
+// one payload. They sit in a list under a mutex, not in a sync.Pool, so
+// that no GC empties it and a campaign's allocation does not depend on when
+// one runs.
+var ckptWriters struct {
+	sync.Mutex
+	free []*flate.Writer
+}
+
+// takeCkptWriter returns a BestSpeed flate writer onto dst: a reused one
+// when one is free.
+func takeCkptWriter(dst io.Writer) *flate.Writer {
+	ckptWriters.Lock()
+	defer ckptWriters.Unlock()
+	if n := len(ckptWriters.free); n > 0 {
+		fw := ckptWriters.free[n-1]
+		ckptWriters.free = ckptWriters.free[:n-1]
+		fw.Reset(dst)
+		return fw
 	}
-	return buf.Bytes(), nil
+	fw, err := flate.NewWriter(dst, flate.BestSpeed)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return fw
+}
+
+// putCkptWriter frees fw for the next payload, pointed away from the one
+// it wrote so that it does not keep the payload alive.
+func putCkptWriter(fw *flate.Writer) {
+	fw.Reset(io.Discard)
+	ckptWriters.Lock()
+	ckptWriters.free = append(ckptWriters.free, fw)
+	ckptWriters.Unlock()
 }
 
 // decodeCkptPayload checks the payload's counts against wantPoints — what

@@ -2,14 +2,20 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"repro/internal/bbv"
 	"repro/internal/ckpt"
+	"repro/internal/mav"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -144,5 +150,112 @@ func TestCheckpointStageAloneMatchesOnePass(t *testing.T) {
 				t.Fatal("the checkpoint stage alone wrote a payload that differs from the one-pass payload")
 			}
 		})
+	}
+}
+
+// TestProfilePassMatchesPerInstructionReference: the profile stage's pass
+// feeds its profilers basic-block runs from calls that stop at interval
+// boundaries and at capture points. With a warm-up that is no multiple of
+// the interval, capture points fall inside basic blocks, where a run must
+// stop without ending its block. The bbv payload the pass writes must be
+// byte-identical to the one a per-instruction pass encodes — every retired
+// record through Observe — under the BBV-only and the bbv+mav spec.
+func TestProfilePassMatchesPerInstructionReference(t *testing.T) {
+	fc := DefaultFlowConfig()
+	for _, name := range []string{"qsort", "sha", "dijkstra"} {
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv := w.IntervalSize
+		for _, spec := range []sampling.Spec{
+			{WarmupPolicy: sampling.WarmupFixed, WarmupInsts: iv/3 + 7},
+			{Features: sampling.FeaturesBBVMAV, WarmupPolicy: sampling.WarmupFixed, WarmupInsts: iv + iv/3 + 1},
+		} {
+			label := fmt.Sprintf("%s/%s/warmup=%d", name, spec.Features, spec.WarmupInsts)
+			r := New(fc, WithCache(t.TempDir()), WithSampling(spec))
+			if _, err := r.Profile(context.Background(), w); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, _, ok := r.Cache().Get(r.profileKeys(w, spec).bbv)
+			if !ok {
+				t.Fatalf("%s: Profile wrote no bbv entry", label)
+			}
+
+			cpu, err := w.NewCPU()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, mp := bbv.NewProfiler(iv), mav.NewProfiler(iv)
+			midBlock := false // some capture point falls inside a basic block
+			var i int64
+			n, err := cpu.RunTrace(-1, func(rt *sim.Retired) {
+				bp.Observe(rt)
+				mp.Observe(rt)
+				i++
+				if at := i + spec.WarmupInsts; at%iv == 0 && at > iv && !rt.Inst.Op.IsBranchOrJump() {
+					midBlock = true
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !midBlock {
+				t.Fatalf("%s: no capture point falls inside a basic block", label)
+			}
+			bp.Finish()
+			mp.Finish()
+			var mavs []mav.Vector
+			if spec.UseMAV() {
+				mavs = mp.Vectors()
+			}
+			want, err := encodeBBVPayloadSpec(bp.Vectors(), mavs, uint64(n), bp.NumBlocks(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: the profile pass's bbv payload differs from the per-instruction pass's", label)
+			}
+		}
+	}
+}
+
+// TestCkptPayloadReusesItsCompressor: encodeCkptPayload reuses its flate
+// writer through Reset instead of building a new one (over 1 MB here) for
+// every payload, and the reused writer writes a new writer's bytes,
+// payload after payload.
+func TestCkptPayloadReusesItsCompressor(t *testing.T) {
+	w, err := workloads.Build("qsort", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(DefaultFlowConfig()).Profile(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	fw, err := flate.NewWriter(&fresh, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCkptPayload(fw, p.Checkpoints, p.WarmupInsts); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fresh.Bytes()) {
+			t.Fatalf("encode %d: the reused writer's payload differs from a new writer's", i)
+		}
+		// The first call may build the writer; a later one that allocates
+		// half a new writer's worth built another.
+		if alloc := after.TotalAlloc - before.TotalAlloc; i > 0 && alloc > 1<<19 {
+			t.Errorf("encode %d allocated %d bytes for a %d-byte payload", i, alloc, len(got))
+		}
 	}
 }

@@ -241,19 +241,14 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 					return ierr
 				}
 				profiler := bbv.NewProfiler(interval)
-				observe := profiler.Observe
 				var mavProf *mav.Profiler
 				if spec.UseMAV() {
 					// Both profilers count every retired instruction, so their
 					// interval boundaries coincide and vector i of each stream
 					// describes the same instructions.
 					mavProf = mav.NewProfiler(interval)
-					observe = func(rt *sim.Retired) {
-						profiler.Observe(rt)
-						mavProf.Observe(rt)
-					}
 				}
-				ps, perr := r.runPass(sctx, w, interval, warmup, -1, observe)
+				ps, perr := r.runPass(sctx, w, interval, warmup, -1, profiler, mavProf)
 				if perr != nil {
 					return perr
 				}
@@ -364,7 +359,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 						last = max(last, capturePoint(int64(pt.Interval), interval, warmup))
 					}
 					var perr error
-					if ps, perr = r.runPass(sctx, w, interval, warmup, last, nil); perr != nil {
+					if ps, perr = r.runPass(sctx, w, interval, warmup, last, nil, nil); perr != nil {
 						return perr
 					}
 				}
@@ -783,11 +778,14 @@ func capturePoint(iv, interval, warmup int64) int64 {
 }
 
 // runPass executes w until it halts or, when until ≥ 0, until the capture
-// point until is marked, in chunks of at most one interval with ctx checked
-// between them. observe, when non-nil, sees every retired instruction (the
-// profile stage's profilers); without it the pass only executes.
+// point until is marked, with ctx checked between calls into the CPU. Each
+// call stops at the next interval boundary or capture point, whichever
+// comes first. bp, when non-nil, counts every basic-block run the pass
+// retires (and mp, when non-nil, every instruction and memory reference):
+// the profile stage's profilers. Since no call crosses an interval
+// boundary, neither does a run. Without them the pass only executes.
 func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, warmup, until int64,
-	observe func(*sim.Retired)) (*pass, error) {
+	bp *bbv.Profiler, mp *mav.Profiler) (*pass, error) {
 	cpu, err := w.NewCPU()
 	if err != nil {
 		return nil, err
@@ -795,6 +793,12 @@ func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, w
 	cpu.SetMetrics(r.reg)
 	cpu.Mem.Record()
 	ps := &pass{cpu: cpu}
+	observe := func(bs []sim.Block, refs []sim.MemRef) {
+		bp.ObserveBlocks(bs)
+		if mp != nil {
+			mp.ObserveBlocks(bs, refs)
+		}
+	}
 	// Intervals 1 … warmup/interval capture at program start like interval
 	// 0, so the loop skips them: capture points strictly increase.
 	for iv := int64(0); ; iv = max(iv+1, warmup/interval+1) {
@@ -803,10 +807,10 @@ func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, w
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			step := min(at-ps.insts, interval)
+			step := min(at, (ps.insts/interval+1)*interval) - ps.insts
 			var ran int64
-			if observe != nil {
-				ran, err = cpu.RunTrace(step, observe)
+			if bp != nil {
+				ran, err = cpu.RunBlocks(step, mp != nil, observe)
 			} else {
 				ran, err = cpu.Run(step)
 			}

@@ -12,7 +12,9 @@
 // The profiler counts every retired instruction — not just memory ops —
 // so its interval boundaries land on exactly the same committed-stream
 // offsets as bbv.Profiler's. Vector i here and BBV i describe the same
-// instructions.
+// instructions. The profile pass feeds both from one sim.CPU.RunBlocks
+// call: the block runs give the instruction count, the memory references
+// (RunBlocks with refs set) the loads' and stores' addresses.
 package mav
 
 import (
@@ -29,8 +31,7 @@ const lineShift = 6
 // reuseWindow distinct lines inserted counts as a reuse hit. 64 lines
 // (4 KiB) approximates an L1 set's worth of short-term locality without
 // modeling any concrete cache. The window evicts FIFO rather than LRU —
-// O(1) per access, which matters in a per-instruction callback, and
-// just as deterministic.
+// O(1) per access, and just as deterministic.
 const reuseWindow = 64
 
 // Feature indices of a Vector. The dimensionality is fixed: unlike
@@ -63,9 +64,9 @@ func (v Vector) Total() float64 {
 	return t
 }
 
-// Profiler accumulates MAVs over a run. Feed it every retired
-// instruction via Observe — the same stream, in the same order, as the
-// BBV profiler — then call Finish once.
+// Profiler accumulates MAVs over a run. Feed it what the BBV profiler is
+// fed, in the same order — sim.CPU.RunBlocks batches via ObserveBlocks, or
+// sim.CPU.RunTrace records via Observe — then call Finish once.
 type Profiler struct {
 	interval int64
 	count    int64 // all retired instructions this interval
@@ -75,7 +76,8 @@ type Profiler struct {
 	lastLine uint64
 
 	// Per-interval distinct-line set (FeatUniqueLines). Bounded by the
-	// number of memory ops in one interval.
+	// number of memory ops in one interval; cleared, not remade, when an
+	// interval closes.
 	lines map[uint64]struct{}
 
 	// Deterministic recency set for FeatReuseHits: the last reuseWindow
@@ -92,19 +94,37 @@ type Profiler struct {
 // instructions. Use the same interval as the paired bbv.Profiler so the
 // two vector streams stay index-aligned.
 func NewProfiler(intervalSize int64) *Profiler {
-	p := &Profiler{interval: intervalSize}
-	p.reset()
-	return p
+	return &Profiler{
+		interval: intervalSize,
+		lines:    make(map[uint64]struct{}),
+		recent:   make(map[uint64]struct{}, reuseWindow),
+	}
 }
 
+// reset empties the per-interval state, keeping the sets' storage.
 func (p *Profiler) reset() {
 	p.current = Vector{}
 	p.haveLast = false
 	p.lastLine = 0
-	p.lines = make(map[uint64]struct{})
-	p.recent = make(map[uint64]struct{}, reuseWindow)
+	clear(p.lines)
+	clear(p.recent)
 	p.ringLen = 0
 	p.ringPos = 0
+}
+
+// ObserveBlocks counts one sim.CPU.RunBlocks batch: the instructions of its
+// runs and, in order, its loads and stores. The batch may not cross an
+// interval boundary — stop each RunBlocks call at the next one — and
+// ObserveBlocks panics on one that does.
+func (p *Profiler) ObserveBlocks(bs []sim.Block, refs []sim.MemRef) {
+	for _, r := range refs {
+		p.ref(r.Addr, r.Store)
+	}
+	var n int64
+	for i := range bs {
+		n += bs[i].N
+	}
+	p.advance(n)
 }
 
 // Observe processes one retired instruction. Non-memory instructions
@@ -112,14 +132,30 @@ func (p *Profiler) reset() {
 func (p *Profiler) Observe(r *sim.Retired) {
 	switch r.Inst.Op.Class() {
 	case rv64.ClassLoad:
-		p.current[FeatLoads]++
-		p.access(r.MemAddr >> lineShift)
+		p.ref(r.MemAddr, false)
 	case rv64.ClassStore:
-		p.current[FeatStores]++
-		p.access(r.MemAddr >> lineShift)
+		p.ref(r.MemAddr, true)
 	}
-	p.count++
+	p.advance(1)
+}
+
+// ref counts one load or store of addr.
+func (p *Profiler) ref(addr uint64, store bool) {
+	if store {
+		p.current[FeatStores]++
+	} else {
+		p.current[FeatLoads]++
+	}
+	p.access(addr >> lineShift)
+}
+
+// advance counts n retired instructions, closing the interval they reach.
+func (p *Profiler) advance(n int64) {
+	p.count += n
 	if p.count >= p.interval {
+		if p.count > p.interval {
+			panic("mav: a batch crosses an interval boundary")
+		}
 		p.flush()
 	}
 }

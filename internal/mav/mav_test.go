@@ -1,10 +1,13 @@
 package mav
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/rv64"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 func load(addr uint64) *sim.Retired {
@@ -124,5 +127,72 @@ func TestVectorTotal(t *testing.T) {
 	v := Vector{1, 2, 3}
 	if v.Total() != 6 {
 		t.Fatalf("Total = %v, want 6", v.Total())
+	}
+}
+
+// TestObserveBlocksMatchesObserve: on every workload, at a short interval
+// and the workload's own, a profiler fed RunBlocks batches — calls that
+// stop at every interval boundary and at random points between — yields
+// the MAVs of one fed every retired instruction through Observe.
+func TestObserveBlocksMatchesObserve(t *testing.T) {
+	for _, name := range workloads.Names() {
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for _, iv := range []int64{997, w.IntervalSize} {
+			cpu, err := w.NewCPU()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewProfiler(iv)
+			if _, err := cpu.RunTrace(-1, want.Observe); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want.Finish()
+
+			if cpu, err = w.NewCPU(); err != nil {
+				t.Fatal(err)
+			}
+			got := NewProfiler(iv)
+			for done := int64(0); !cpu.Halted; {
+				step := iv - done%iv
+				if rng.Intn(2) == 0 {
+					step = min(step, 1+rng.Int63n(iv))
+				}
+				n, err := cpu.RunBlocks(step, true, got.ObserveBlocks)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				done += n
+			}
+			got.Finish()
+			if !reflect.DeepEqual(got.Vectors(), want.Vectors()) {
+				t.Errorf("%s/%d: block-fed MAVs differ from Observe-fed ones (%d vs %d intervals)",
+					name, iv, len(got.Vectors()), len(want.Vectors()))
+			}
+		}
+	}
+}
+
+// TestIntervalsReuseTheirSets: closing an interval clears the per-interval
+// line and recency sets instead of making new ones, so a thousand
+// intervals cost only the vector slice's growth, not two maps each.
+func TestIntervalsReuseTheirSets(t *testing.T) {
+	p := NewProfiler(2)
+	var line uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			line += 64
+			p.Observe(load(line))
+			p.Observe(store(line + 64))
+		}
+	})
+	if len(p.Vectors()) < 1000 {
+		t.Fatalf("%d intervals closed, want at least 1000", len(p.Vectors()))
+	}
+	if allocs > 50 {
+		t.Errorf("1000 intervals allocated %v times", allocs)
 	}
 }

@@ -9,22 +9,30 @@ import (
 )
 
 // execute is the one executor every entry point sits on: it retires up to
-// max instructions (at most len(recs) when recs is non-nil, writing one
-// record per instruction) and returns how many retired. It stops early when
-// the program halts or an instruction faults; a faulting instruction does
-// not retire and leaves the PC pointing at itself.
+// max instructions and returns how many retired. With out nil it only
+// executes. With out.recs it writes one record per instruction (at most
+// len(out.recs) of them). With out.bb it writes one Block per run that a
+// control transfer closes instead, and the loads' and stores' addresses
+// when bb asks for them, stopping after the instruction that fills either
+// buffer; the run still open when it stops is left in bb for the next call
+// to continue. It stops early when the program halts or an instruction
+// faults; a faulting instruction does not retire and leaves the PC pointing
+// at itself.
 //
 // The loop keeps the PC in a local, fetches a pointer into the predecoded
 // text window (no Inst is copied except into a record) and dispatches
 // through one switch. System calls, breakpoints and FP arithmetic are routed
 // out of line through execSlow; an illegal word never gets this far (the
 // assembler emits none, and a fetch outside the window fails to decode).
-func (c *CPU) execute(recs []Retired, max int64) (n int64, err error) {
+func (c *CPU) execute(out *sink, max int64) (n int64, err error) {
 	if c.Halted {
 		return 0, nil
 	}
-	if recs != nil && max > int64(len(recs)) {
-		max = int64(len(recs))
+	var bb *blockBuf
+	if out != nil {
+		if bb = out.bb; bb == nil && max > int64(len(out.recs)) {
+			max = int64(len(out.recs))
+		}
 	}
 	var (
 		x    = &c.X
@@ -34,6 +42,13 @@ func (c *CPU) execute(recs []Retired, max int64) (n int64, err error) {
 		base = c.textBase
 		span = 4 * uint64(len(text)) // window size in bytes; 0 without a window
 	)
+	if bb != nil {
+		bb.nb, bb.nr = 0, 0
+		if bb.open == 0 {
+			bb.start = pc
+		}
+		bb.startN = -bb.open
+	}
 loop:
 	for n < max {
 		var in *rv64.Inst
@@ -50,6 +65,7 @@ loop:
 			next  = pc + 4
 			taken bool
 			addr  uint64 // effective address of a load or store
+			ev    uint8  // what a block trace records of it: evEnd, evLoad, evStore
 		)
 
 		switch in.Op {
@@ -58,91 +74,99 @@ loop:
 		case rv64.AUIPC:
 			x[rd] = pc + imm<<12
 		case rv64.JAL:
+			ev = evEnd
 			x[rd] = pc + 4
 			next = pc + imm
 			taken = true
 		case rv64.JALR:
+			ev = evEnd
 			x[rd] = pc + 4
 			next = (rs1 + imm) &^ 1
 			taken = true
 		case rv64.BEQ:
+			ev = evEnd
 			if rs1 == rs2 {
 				taken, next = true, pc+imm
 			}
 		case rv64.BNE:
+			ev = evEnd
 			if rs1 != rs2 {
 				taken, next = true, pc+imm
 			}
 		case rv64.BLT:
+			ev = evEnd
 			if int64(rs1) < int64(rs2) {
 				taken, next = true, pc+imm
 			}
 		case rv64.BGE:
+			ev = evEnd
 			if int64(rs1) >= int64(rs2) {
 				taken, next = true, pc+imm
 			}
 		case rv64.BLTU:
+			ev = evEnd
 			if rs1 < rs2 {
 				taken, next = true, pc+imm
 			}
 		case rv64.BGEU:
+			ev = evEnd
 			if rs1 >= rs2 {
 				taken, next = true, pc+imm
 			}
 		case rv64.LB:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(int64(int8(m.Read8(addr))))
 		case rv64.LH:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(int64(int16(m.Read16(addr))))
 		case rv64.LW:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(int64(int32(m.Read32(addr))))
 		case rv64.LD:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = m.Read64(addr)
 		case rv64.LBU:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(m.Read8(addr))
 		case rv64.LHU:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(m.Read16(addr))
 		case rv64.LWU:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			x[rd] = uint64(m.Read32(addr))
 		case rv64.FLD:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evLoad
 			c.F[rd] = m.Read64(addr)
 		case rv64.SB:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evStore
 			if hitsText(addr, 1, base, span) {
 				err = textWrite(pc, addr)
 				break loop
 			}
 			m.Write8(addr, uint8(rs2))
 		case rv64.SH:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evStore
 			if hitsText(addr, 2, base, span) {
 				err = textWrite(pc, addr)
 				break loop
 			}
 			m.Write16(addr, uint16(rs2))
 		case rv64.SW:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evStore
 			if hitsText(addr, 4, base, span) {
 				err = textWrite(pc, addr)
 				break loop
 			}
 			m.Write32(addr, uint32(rs2))
 		case rv64.SD:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evStore
 			if hitsText(addr, 8, base, span) {
 				err = textWrite(pc, addr)
 				break loop
 			}
 			m.Write64(addr, rs2)
 		case rv64.FSD:
-			addr = rs1 + imm
+			addr, ev = rs1+imm, evStore
 			if hitsText(addr, 8, base, span) {
 				err = textWrite(pc, addr)
 				break loop
@@ -245,20 +269,63 @@ loop:
 		}
 		x[0] = 0 // cheaper than guarding every write on rd != 0
 
-		if recs != nil {
-			r := &recs[n]
-			r.PC = pc
-			r.NextPC = next
-			r.Inst = *in
-			r.Taken = taken
-			r.MemAddr = addr
+		if out != nil {
+			if bb == nil {
+				r := &out.recs[n]
+				r.PC = pc
+				r.NextPC = next
+				r.Inst = *in
+				r.Taken = taken
+				r.MemAddr = addr
+			} else if ev != 0 {
+				switch {
+				case ev == evEnd:
+					if bb.closeRun(n+1, next, base, span) {
+						max = n + 1
+					}
+				case bb.wantRefs:
+					bb.refs[bb.nr] = MemRef{Addr: addr, Store: ev == evStore}
+					if bb.nr++; bb.nr == len(bb.refs) {
+						max = n + 1
+					}
+				}
+			}
 		}
 		n++
 		pc = next
 	}
+	if bb != nil {
+		bb.open = n - bb.startN
+	}
 	c.PC = pc
 	c.InstRet += uint64(n)
 	return n, err
+}
+
+// Block-trace events, set by the cases of execute's switch.
+const (
+	evEnd   = 1 + iota // a branch or jump: the basic block ends
+	evLoad             // a load: addr is its effective address
+	evStore            // a store: addr is its effective address
+)
+
+// closeRun ends the open run after the control transfer that retired as
+// the call's instruction n-1 and opens the next at next. It reports
+// whether the block buffer is now full.
+func (bb *blockBuf) closeRun(n int64, next, base, span uint64) bool {
+	bb.blocks[bb.nb] = Block{PC: bb.start, N: n - bb.startN, Text: textIndex(bb.start, base, span), End: true}
+	bb.nb++
+	bb.start, bb.startN = next, n
+	return bb.nb == len(bb.blocks)
+}
+
+// textIndex is pc's index in the text window [base, base+span), -1 outside
+// it.
+func textIndex(pc, base, span uint64) int32 {
+	if off := pc - base; off < span && off&3 == 0 {
+		return int32(off >> 2)
+	}
+	return -1
 }
 
 // fetchOutside decodes the instruction at a PC the text window does not

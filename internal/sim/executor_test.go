@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/mem"
+	"repro/internal/rv64"
 )
 
 // archState is everything a run leaves behind, in comparable form.
@@ -89,10 +90,108 @@ var endings = []struct {
 	}},
 }
 
-// TestEntryPointsAgree is the one-executor property: Step×n, Run, RunTrace
-// and Fill, driven in random chunk sizes, retire the same records, stop at
-// the same retired count with the same error, and leave the same state —
-// wherever in a chunk the halt or the fault lands.
+// runBlocks drives c through RunBlocks in calls of chunk() instructions
+// until it halts or faults, and returns the runs and memory references
+// delivered, the retired count and error, and the retired count after each
+// call — where each call stopped.
+func runBlocks(t *testing.T, c *CPU, refs bool, chunk func() int64) (runs []Block, addrs []MemRef, n int64, err error, stops []int64) {
+	t.Helper()
+	for !c.Halted && err == nil {
+		m := chunk()
+		var k int64
+		k, err = c.RunBlocks(m, refs, func(bs []Block, rs []MemRef) {
+			if len(bs) > blockBatch || len(rs) > refBatch {
+				t.Errorf("a batch of %d runs and %d addresses overflows the %d/%d buffer", len(bs), len(rs), blockBatch, refBatch)
+			}
+			runs = append(runs, bs...)
+			addrs = append(addrs, rs...)
+		})
+		if m >= 0 && k > m {
+			t.Errorf("RunBlocks(%d) retired %d", m, k)
+		}
+		n += k
+		stops = append(stops, n)
+	}
+	return runs, addrs, n, err, stops
+}
+
+// checkRuns holds what a RunBlocks-driven execution delivered to the
+// record stream want of the same execution: the runs tile the stream in
+// order, each starting at its first record's PC (with that PC's index in
+// prog's text window); a run ends exactly at a control transfer (End set)
+// or at a call's stop, and crosses neither; and the addresses are the
+// stream's loads and stores in order, or none when not asked for.
+func checkRuns(t *testing.T, label string, prog *asm.Program, want []Retired, runs []Block, addrs []MemRef, refs bool, stops []int64) {
+	t.Helper()
+	stop := make(map[int64]bool, len(stops))
+	for _, s := range stops {
+		stop[s] = true
+	}
+	var pos int64
+	for i, b := range runs {
+		if b.N < 1 || pos+b.N > int64(len(want)) {
+			t.Errorf("%s: run %d of %d instructions at record %d overruns the %d records", label, i, b.N, pos, len(want))
+			return
+		}
+		text := int32(-1)
+		if off := b.PC - prog.TextAddr; off < 4*uint64(len(prog.Insts)) && off&3 == 0 {
+			text = int32(off / 4)
+		}
+		if b.PC != want[pos].PC || b.Text != text {
+			t.Errorf("%s: run %d starts at pc=%#x text=%d, record %d is pc=%#x (text %d)", label, i, b.PC, b.Text, pos, want[pos].PC, text)
+			return
+		}
+		for j := pos; j < pos+b.N-1; j++ {
+			if want[j].Inst.Op.IsBranchOrJump() {
+				t.Errorf("%s: run %d continues past the control transfer at record %d", label, i, j)
+				return
+			}
+			if stop[j+1] {
+				t.Errorf("%s: run %d crosses the call stop at record %d", label, i, j+1)
+				return
+			}
+		}
+		end := pos + b.N
+		if ctl := want[end-1].Inst.Op.IsBranchOrJump(); ctl != b.End {
+			t.Errorf("%s: run %d ends at record %d with End=%v, control transfer %v", label, i, end, b.End, ctl)
+			return
+		}
+		if !b.End && !stop[end] {
+			t.Errorf("%s: run %d ends at record %d, neither a control transfer nor a call's stop", label, i, end)
+			return
+		}
+		pos = end
+	}
+	if pos != int64(len(want)) {
+		t.Errorf("%s: runs sum to %d instructions, %d retired", label, pos, len(want))
+	}
+	var wantAddrs []MemRef
+	for _, r := range want {
+		switch c := r.Inst.Op.Class(); {
+		case !refs:
+		case c == rv64.ClassLoad:
+			wantAddrs = append(wantAddrs, MemRef{Addr: r.MemAddr})
+		case c == rv64.ClassStore:
+			wantAddrs = append(wantAddrs, MemRef{Addr: r.MemAddr, Store: true})
+		}
+	}
+	if len(addrs) != len(wantAddrs) {
+		t.Errorf("%s: %d memory references, the records show %d", label, len(addrs), len(wantAddrs))
+		return
+	}
+	for i := range addrs {
+		if addrs[i] != wantAddrs[i] {
+			t.Errorf("%s: memory reference %d = %+v, the records show %+v", label, i, addrs[i], wantAddrs[i])
+			return
+		}
+	}
+}
+
+// TestEntryPointsAgree is the one-executor property: Step×n, Run, RunTrace,
+// Fill and RunBlocks, driven in random chunk sizes, retire the same
+// instructions (the same records; for RunBlocks, runs that tile them),
+// stop at the same retired count with the same error, and leave the same
+// state — wherever in a chunk the halt or the fault lands.
 func TestEntryPointsAgree(t *testing.T) {
 	for _, end := range endings {
 		t.Run(end.name, func(t *testing.T) {
@@ -194,6 +293,14 @@ func TestEntryPointsAgree(t *testing.T) {
 					n += int64(k)
 				}
 				check("Fill", c, got, n, err)
+
+				for _, refs := range []bool{false, true} {
+					c = fresh()
+					label := fmt.Sprintf("RunBlocks(refs=%v)", refs)
+					runs, addrs, n, err, stops := runBlocks(t, c, refs, chunk)
+					check(label, c, nil, n, err)
+					checkRuns(t, label, prog, want, runs, addrs, refs, stops)
+				}
 			}
 
 			// Unbounded forms.
@@ -204,7 +311,68 @@ func TestEntryPointsAgree(t *testing.T) {
 			var got []Retired
 			n, err = c.RunTrace(-1, func(r *Retired) { got = append(got, *r) })
 			check("RunTrace(-1)", c, got, n, err)
+			c = fresh()
+			runs, addrs, n, err, stops := runBlocks(t, c, true, func() int64 { return -1 })
+			check("RunBlocks(-1)", c, nil, n, err)
+			checkRuns(t, "RunBlocks(-1)", prog, want, runs, addrs, true, stops)
 		})
+	}
+}
+
+// TestRunBlocksBatches: one RunBlocks call fills its run and address
+// buffers many times over — a loop of short blocks, then a block with more
+// loads than an address batch holds — and still delivers runs that end only
+// at control transfers and the call's stops, and every address in order.
+func TestRunBlocksBatches(t *testing.T) {
+	src := fmt.Sprintf(`
+	.data
+buf:	.space 8192
+	.text
+	la   s0, buf
+	li   s1, 3000
+short:
+	andi t0, s1, 511
+	slli t0, t0, 3
+	add  t0, t0, s0
+	ld   t1, 0(t0)
+	sd   t1, 8(t0)
+	addi s1, s1, -1
+	bnez s1, short
+	li   s1, 4
+long:
+%s	addi s1, s1, -1
+	bnez s1, long
+`, strings.Repeat("\tld t2, 64(s0)\n", 3*refBatch/2)) + "\tli a7, 93\n\tecall\n"
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := New()
+	ref.Load(prog)
+	want := make([]Retired, 1<<16)
+	k, err := ref.Fill(want)
+	if err != nil || !ref.Halted {
+		t.Fatalf("reference: %d records, halted %v, %v", k, ref.Halted, err)
+	}
+	want = want[:k]
+	if k < 4*blockBatch {
+		t.Fatalf("program retires only %d instructions", k)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name  string
+		chunk func() int64
+	}{
+		{"unbounded", func() int64 { return -1 }},
+		{"random", func() int64 { return 1 + rng.Int63n(4*refBatch) }},
+	} {
+		c := New()
+		c.Load(prog)
+		runs, addrs, n, err, stops := runBlocks(t, c, true, tc.chunk)
+		if err != nil || n != int64(k) || c.InstRet != uint64(k) || c.PC != ref.PC {
+			t.Fatalf("%s: retired %d (InstRet %d, pc=%#x), reference %d (pc=%#x): %v", tc.name, n, c.InstRet, c.PC, k, ref.PC, err)
+		}
+		checkRuns(t, tc.name, prog, want, runs, addrs, true, stops)
 	}
 }
 

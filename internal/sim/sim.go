@@ -3,6 +3,12 @@
 // execution for basic-block profiling, creates the state that SimPoint
 // checkpoints capture, and feeds the committed instruction stream to the
 // BOOM timing model.
+//
+// One executor serves every entry point. Step, Run, Fill and RunTrace
+// retire instructions one record each (or none, for Run); RunBlocks, the
+// profiling entry point, reports one Block per basic-block run and, when
+// asked, each load's and store's MemRef — what a basic-block or memory
+// access vector counts, at close to Run's speed.
 package sim
 
 import (
@@ -21,14 +27,33 @@ import (
 // default text/data bases used by the assembler.
 const DefaultStackTop = 0x0800_0000
 
-// Retired describes one committed instruction, in the form the BBV profiler
-// and the timing model consume.
+// Retired describes one committed instruction, in the form the timing
+// model consumes.
 type Retired struct {
 	PC      uint64
 	NextPC  uint64
 	Inst    rv64.Inst
 	Taken   bool   // branches: condition outcome
 	MemAddr uint64 // loads/stores: effective address
+}
+
+// Block is one run of instructions retired back to back inside one basic
+// block, as RunBlocks reports them. A run ends at a control transfer — a
+// branch, taken or not, or a jump — with End set, and the next run starts
+// a new basic block. A run also ends where its RunBlocks call stops (its
+// max, a halt or a fault) with End clear: the next call's first run
+// continues the same basic block.
+type Block struct {
+	PC   uint64 // the run's first instruction
+	N    int64  // instructions retired, at least one
+	Text int32  // PC's index in the text window, or -1 outside it
+	End  bool   // the run's last instruction transfers control
+}
+
+// MemRef is one retired load's or store's effective address.
+type MemRef struct {
+	Addr  uint64
+	Store bool
 }
 
 // ErrBreakpoint is returned by Run when an EBREAK retires.
@@ -47,6 +72,33 @@ var ErrMisalignedFetch = errors.New("sim: misaligned instruction fetch")
 // traceBatch is how many instructions RunTrace executes between deliveries
 // to its callback.
 const traceBatch = 64
+
+// blockBatch and refBatch bound how many runs and memory references
+// RunBlocks delivers to its callback at a time.
+const (
+	blockBatch = 256
+	refBatch   = 512
+)
+
+// sink is where execute writes what retires: one record per instruction
+// into recs or, with bb set, runs and memory references into bb.
+type sink struct {
+	recs []Retired
+	bb   *blockBuf
+}
+
+// blockBuf is RunBlocks' delivery buffer, allocated on a CPU's first
+// RunBlocks call (refs on its first call asking for addresses): a CPU that
+// never profiles does not carry it.
+type blockBuf struct {
+	blocks   [blockBatch]Block
+	refs     []MemRef // refBatch long once allocated
+	nb, nr   int      // entries the last execute call wrote
+	start    uint64   // the open run's first PC
+	startN   int64    // execute's instruction count where the open run began (≤ 0: an earlier call)
+	open     int64    // instructions of the open run the calls so far retired
+	wantRefs bool     // record loads' and stores' addresses
+}
 
 // CPU is the architectural state plus execution machinery.
 type CPU struct {
@@ -68,16 +120,18 @@ type CPU struct {
 	outside  rv64.Inst // decode slot for a fetch outside the window
 
 	batch [traceBatch]Retired // RunTrace's delivery buffer
+	blk   *blockBuf           // RunBlocks' delivery buffer; nil until first used
 
 	metrics *metrics.Registry // optional; nil disables instrumentation
 }
 
-// SetMetrics attaches an optional metrics registry: every Run/RunTrace
-// records retired instructions, wall time, and functional-simulation
-// throughput (KIPS). A nil registry (the default) disables instrumentation.
+// SetMetrics attaches an optional metrics registry: every Run, RunTrace
+// and RunBlocks call records retired instructions, wall time, and
+// functional-simulation throughput (KIPS). A nil registry (the default)
+// disables instrumentation.
 func (c *CPU) SetMetrics(reg *metrics.Registry) { c.metrics = reg }
 
-// recordRun publishes one Run/RunTrace call's throughput.
+// recordRun publishes one Run/RunTrace/RunBlocks call's throughput.
 func (c *CPU) recordRun(t0 time.Time, n int64) {
 	wall := time.Since(t0)
 	c.metrics.Counter("sim.insts").Add(n)
@@ -122,7 +176,7 @@ func (c *CPU) Step(r *Retired) error {
 		return err
 	}
 	var one [1]Retired
-	n, err := c.execute(one[:], 1)
+	n, err := c.execute(&sink{recs: one[:]}, 1)
 	if n == 1 {
 		*r = one[0]
 	}
@@ -134,7 +188,7 @@ func (c *CPU) Step(r *Retired) error {
 // at a faulting instruction, whose error it returns with the records
 // before it.
 func (c *CPU) Fill(recs []Retired) (int, error) {
-	n, err := c.execute(recs, int64(len(recs)))
+	n, err := c.execute(&sink{recs: recs}, int64(len(recs)))
 	return int(n), err
 }
 
@@ -166,11 +220,55 @@ func (c *CPU) RunTrace(max int64, fn func(*Retired)) (n int64, err error) {
 	}
 	for !c.Halted && n < max && err == nil {
 		var k int64
-		k, err = c.execute(c.batch[:], max-n)
+		k, err = c.execute(&sink{recs: c.batch[:]}, max-n)
 		for i := range c.batch[:k] {
 			fn(&c.batch[i])
 		}
 		n += k
+	}
+	return n, err
+}
+
+// RunBlocks is Run reporting basic-block runs instead of instructions, the
+// record a BBV needs: fn receives, a bounded batch at a time, the runs the
+// instructions retired in and — only when refs is set — every load's and
+// store's address, in retirement order. A run ends at a control transfer or
+// where the call stops (its max, a halt or a fault), never elsewhere: a
+// batch boundary inside a basic block holds the open run back to a later
+// batch, so its instructions' addresses can arrive a batch ahead of it. No
+// run crosses the call's max, so a caller that stops each call at an
+// interval boundary sees every run on one side of it. fn must not retain
+// the slices.
+func (c *CPU) RunBlocks(max int64, refs bool, fn func([]Block, []MemRef)) (n int64, err error) {
+	if c.metrics != nil {
+		t0 := time.Now()
+		defer func() { c.recordRun(t0, n) }()
+	}
+	if max < 0 {
+		max = math.MaxInt64
+	}
+	if c.blk == nil {
+		c.blk = new(blockBuf)
+	}
+	b := c.blk
+	if refs && b.refs == nil {
+		b.refs = make([]MemRef, refBatch)
+	}
+	b.wantRefs, b.open = refs, 0
+	for !c.Halted && n < max && err == nil {
+		var k int64
+		k, err = c.execute(&sink{bb: b}, max-n)
+		n += k
+		if b.open > 0 && (c.Halted || n == max || err != nil) {
+			// The call stops here, and so does its open run. The buffer
+			// has room: a full one stopped execute right after a close.
+			b.blocks[b.nb] = Block{PC: b.start, N: b.open, Text: textIndex(b.start, c.textBase, 4*uint64(len(c.text)))}
+			b.nb++
+			b.open = 0
+		}
+		if b.nb > 0 || b.nr > 0 {
+			fn(b.blocks[:b.nb], b.refs[:b.nr])
+		}
 	}
 	return n, err
 }
