@@ -48,8 +48,6 @@ race:
 # targets seed from real KB-sized payloads; minimizing one new input at the
 # default 60 s budget would eat their whole 5 s, so theirs is capped.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParseBBV -fuzztime 5s ./internal/bbv
-	$(GO) test -run '^$$' -fuzz FuzzParseMAV -fuzztime 5s ./internal/mav
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzArtifactKey -fuzztime 5s ./internal/artifact

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -13,8 +14,9 @@ import (
 
 	"repro/internal/bbv"
 	"repro/internal/boom"
-	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/simpoint"
+	"repro/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -104,43 +106,50 @@ func TestFullAndSimpointAgree(t *testing.T) {
 	}
 }
 
-// TestProfileRoundTrip: what -mode profile -out writes is what the
-// format readers read back, and there is one checkpoint per printed
-// simulation point.
+// TestProfileRoundTrip: -mode profile -out exports, byte for byte, what
+// bbv.WriteBB, simpoint.WriteSimPoints / WriteWeights and
+// ckpt.Checkpoint.Serialize write for an in-process Runner.Profile of the
+// same workload and spec, and names every file it wrote.
 func TestProfileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	out := mustRun(t, "-bench", "fft", "-mode", "profile", "-out", dir)
-	intervals, _ := strconv.Atoi(field(t, out, "intervals"))
-	points, _ := strconv.Atoi(strings.Fields(field(t, out, "simpoints"))[0])
-	if intervals == 0 || points == 0 {
-		t.Fatalf("no intervals/simpoints in:\n%s", out)
+	w, err := workloads.Build("fft", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	open := func(name string) *os.File {
-		f, err := os.Open(filepath.Join(dir, name))
+	p, err := core.New(core.FlowConfigFor(workloads.ScaleTiny)).Profile(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Vectors) == 0 || p.NumSimPoints() == 0 {
+		t.Fatal("fft profiles to no intervals or no simpoints")
+	}
+	want := map[string]func(io.Writer) error{
+		"fft.bb":        func(wr io.Writer) error { return bbv.WriteBB(wr, p.Vectors) },
+		"fft.simpoints": func(wr io.Writer) error { return simpoint.WriteSimPoints(wr, p.Selection) },
+		"fft.weights":   func(wr io.Writer) error { return simpoint.WriteWeights(wr, p.Selection) },
+	}
+	for i, k := range p.Checkpoints {
+		want[fmt.Sprintf("fft-sp%02d.ckpt", i+1)] = k.Serialize
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("%d files exported, %v; want %d", len(files), err, len(want))
+	}
+	for name, write := range want {
+		path := filepath.Join(dir, name)
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { f.Close() })
-		return f
-	}
-	vectors, err := bbv.ReadBB(open("fft.bb"))
-	if err != nil || len(vectors) != intervals {
-		t.Errorf("fft.bb: %d vectors, %v; want %d", len(vectors), err, intervals)
-	}
-	selected, err := simpoint.ReadSimPoints(open("fft.simpoints"), open("fft.weights"))
-	if err != nil || len(selected) != points {
-		t.Errorf(".simpoints/.weights: %d points, %v; want %d", len(selected), err, points)
-	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "fft-sp*.ckpt"))
-	if err != nil || len(ckpts) != points {
-		t.Fatalf("%d checkpoint files, %v; want %d", len(ckpts), err, points)
-	}
-	for _, path := range ckpts {
-		if _, err := ckpt.Deserialize(open(filepath.Base(path))); err != nil {
-			t.Errorf("%s: %v", path, err)
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(out, "wrote "+path+" (") {
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Errorf("%s: %d bytes exported, the in-process profile writes %d different ones", name, len(got), buf.Len())
+		}
+		if !strings.Contains(out, fmt.Sprintf("wrote %s (%d bytes)", path, len(got))) {
 			t.Errorf("stdout does not name %s", path)
 		}
 	}

@@ -13,6 +13,11 @@
 // Like gem5's --simpoint-profile on its atomic CPU, the profiler needs only
 // block counts: the profile pass feeds it sim.CPU.RunBlocks' runs, one
 // record per basic block executed, never a record per instruction.
+//
+// The package writes vectors in SimPoint 3.0's .bb text (WriteBB), for the
+// reference tool, and reads no file: the artifact cache stores them in its
+// own binary payload (internal/core), each interval as its non-zero
+// (block, count) entries.
 package bbv
 
 import (

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/boom"
 	"repro/internal/ckpt"
 	"repro/internal/mav"
+	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
@@ -42,12 +44,12 @@ import (
 // (internal/artifact); payload meaning is versioned here.
 
 // Per-stage schema versions, covering both a stage's key shape and its
-// payload format. The latest bump (bbv 4, full 2) dropped the reference
-// checksum from the workload identity.
+// payload format. The latest bump (bbv 5, checkpoint 5) made the payloads
+// hold only what the key cannot rebuild.
 const (
-	bbvSchema     = 4 // sampling spec in key; MAV section in payload under a bbv+mav spec
+	bbvSchema     = 5 // binary sparse vectors; MAV section under a bbv+mav spec
 	selectSchema  = 3 // sampling spec in key
-	ckptSchema    = 4 // resolved warm-up in key; flate-compressed body
+	ckptSchema    = 5 // pages that differ from the load image only; flate-compressed body
 	measureSchema = 1
 	fullSchema    = 2
 	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
@@ -211,47 +213,119 @@ func wrapStage(stage, workload, config string, err error) error {
 	return &StageError{Stage: stage, Workload: workload, Config: config, Err: err}
 }
 
-// --- Stage payload codecs. All are canonical: one value, one byte
-// stream. The BBV payload reuses the SimPoint 3.0 .bb text format (it is
-// already deterministic and interoperable); the rest are binary.
+// --- Stage payload codecs. All are binary and canonical: one value, one
+// byte stream, so an accepted payload re-encodes byte-exact.
+
+// maxExactCount is the largest vector count a bbv payload holds: vectors
+// store counts as float64, exact only up to 2^53.
+const maxExactCount = 1 << 53
+
+// pairLen is the encoded size of one sparse-vector entry: an index and a
+// count, 8 bytes each.
+const pairLen = 16
+
+// pair is one non-zero entry of a sparse vector.
+type pair struct {
+	i int
+	c uint64
+}
+
+// putSparse writes one interval's vector, given as its non-zero entries:
+// their count, then the entries, sorted here by index.
+func putSparse(bw *binio.Writer, ps []pair) {
+	slices.SortFunc(ps, func(a, b pair) int { return a.i - b.i })
+	bw.Int(len(ps))
+	for _, p := range ps {
+		bw.Int(p.i)
+		bw.U64(p.c)
+	}
+}
+
+// getSparse inverts putSparse into buf's storage, and returns no entry
+// once br has failed. Indices must strictly increase and stay below limit,
+// and counts must be exact non-zero integers, so that what it accepts
+// putSparse writes back byte-exact; the entry count sizes nothing until the
+// bytes left can hold it.
+func getSparse(br *binio.Reader, limit int, buf []pair) []pair {
+	n := br.Alloc(br.Len(maxCachedLen), pairLen)
+	buf = buf[:0]
+	for j := 0; j < n; j++ {
+		p := pair{i: br.Int(), c: br.U64()}
+		if p.i < 0 || p.i >= limit || (j > 0 && p.i <= buf[j-1].i) || p.c == 0 || p.c > maxExactCount {
+			br.Fail("bbv payload: entry (%d, %d) breaks the index order, the index bound %d or the count range", p.i, p.c, limit)
+		}
+		if br.Err() != nil {
+			return buf[:0]
+		}
+		buf = append(buf, p)
+	}
+	return buf
+}
 
 // encodeBBVPayloadSpec encodes the profile stage's payload under a
-// sampling spec: instruction and block counts and the .bb-format vectors,
-// followed — only under a bbv+mav spec — by a .mav-format section holding
-// the per-interval memory-access vectors. The spec is in the key, so the
-// section's presence is fully determined by the key.
+// sampling spec: the instruction and block counts and the interval count,
+// then every interval's BBV and — only under a bbv+mav spec, which the key
+// fixes — every interval's MAV, each as its non-zero entries (putSparse).
+// Counts are the profilers' integers.
 func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, spec sampling.Spec) ([]byte, error) {
-	var body bytes.Buffer
-	if err := bbv.WriteBB(&body, vectors); err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
 	bw.U64(totalInsts)
 	bw.Int(numBlocks)
-	bw.Bytes(body.Bytes())
-	if spec.UseMAV() {
-		body.Reset()
-		if err := mav.WriteMAV(&body, mavs); err != nil {
-			return nil, err
+	bw.Int(len(vectors))
+	var ps []pair
+	for _, v := range vectors {
+		ps = ps[:0]
+		for b, c := range v {
+			if c != 0 {
+				ps = append(ps, pair{b, uint64(c)})
+			}
 		}
-		bw.Bytes(body.Bytes())
+		putSparse(bw, ps)
+	}
+	if spec.UseMAV() {
+		if len(mavs) != len(vectors) {
+			return nil, fmt.Errorf("%d MAV intervals for %d BBV intervals", len(mavs), len(vectors))
+		}
+		for _, m := range mavs {
+			ps = ps[:0]
+			for f, c := range m {
+				if c != 0 {
+					ps = append(ps, pair{f, uint64(c)})
+				}
+			}
+			putSparse(bw, ps)
+		}
 	}
 	return buf.Bytes(), bw.Err()
 }
 
-// decodeBBVPayloadSpec inverts encodeBBVPayloadSpec. The two text sections
-// are sized by the bytes left (binio.Reader.Bytes), never by their length
-// prefixes alone.
+// decodeBBVPayloadSpec inverts encodeBBVPayloadSpec. Block indices stay
+// below the payload's block count, feature indices below
+// mav.NumFeatures.
 func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, err error) {
 	rd := bytes.NewReader(payload)
 	br := binio.NewReader(rd)
 	totalInsts = br.U64()
-	numBlocks = br.Int()
-	body := br.Bytes(maxCachedLen)
-	var mavBody []byte
+	numBlocks = br.Len(maxCachedLen)
+	n := br.Len(maxCachedLen)
+	vectors = make([]bbv.Vector, br.Alloc(n, 8))
+	var ps []pair
+	for i := range vectors {
+		ps = getSparse(br, numBlocks, ps)
+		vectors[i] = make(bbv.Vector, len(ps))
+		for _, p := range ps {
+			vectors[i][p.i] = float64(p.c)
+		}
+	}
 	if spec.UseMAV() {
-		mavBody = br.Bytes(maxCachedLen)
+		mavs = make([]mav.Vector, br.Alloc(n, 8))
+		for i := range mavs {
+			ps = getSparse(br, mav.NumFeatures, ps)
+			for _, p := range ps {
+				mavs[i][p.i] = float64(p.c)
+			}
+		}
 	}
 	if err := br.Err(); err != nil {
 		return nil, nil, 0, 0, err
@@ -259,41 +333,36 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 	if rd.Len() != 0 {
 		return nil, nil, 0, 0, fmt.Errorf("bbv payload has %d trailing bytes", rd.Len())
 	}
-	vectors, err = bbv.ReadBB(bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if spec.UseMAV() {
-		mavs, err = mav.ReadMAV(bytes.NewReader(mavBody))
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		if len(mavs) != len(vectors) {
-			return nil, nil, 0, 0, fmt.Errorf("bbv payload has %d MAV intervals for %d BBV intervals", len(mavs), len(vectors))
-		}
-	}
 	return vectors, mavs, totalInsts, numBlocks, nil
 }
 
-// Checkpoint payloads embed full memory page images, which are large but
-// extremely repetitive (zeroed pages, data segments duplicated into every
-// checkpoint), so the body is flate-compressed. BestSpeed already shrinks
-// the worst case (tarfind's ~19 MB filesystem image × every simpoint,
-// ~370 MB raw) by two orders of magnitude, which keeps the entry cheap to
-// checksum (all a fully warm sweep does with it) and to read back when a
-// cell does need measuring.
-func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64) ([]byte, error) {
+// A checkpoint payload stores each point's registers and only the pages
+// that differ from the workload's load image (mem.Memory.Delta): the key
+// hashes the image's source and segments, so the decoder rebuilds it
+// (Workload.NewCPU) and lays the stored pages over a fork of it. The body
+// is flate-compressed at BestSpeed: the stored pages are mostly data a
+// program has begun to rewrite, and zero-filled stack and heap.
+func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) ([]byte, error) {
 	var buf bytes.Buffer
 	fw := takeCkptWriter(&buf)
 	defer putCkptWriter(fw)
-	if err := writeCkptPayload(fw, cks, warmups); err != nil {
+	if err := writeCkptPayload(fw, cks, warmups, base); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // writeCkptPayload compresses the payload through fw and closes it.
-func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64) error {
+func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) error {
+	deltas := make([]*ckpt.Checkpoint, len(cks))
+	for i, k := range cks {
+		d := *k
+		var err error
+		if d.Mem, err = k.Mem.Delta(base); err != nil {
+			return err
+		}
+		deltas[i] = &d
+	}
 	bw := binio.NewWriter(fw)
 	bw.Int(len(warmups))
 	for _, v := range warmups {
@@ -302,7 +371,7 @@ func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64)
 	if err := bw.Err(); err != nil {
 		return err
 	}
-	if err := ckpt.SerializeAll(fw, cks); err != nil {
+	if err := ckpt.SerializeAll(fw, deltas); err != nil {
 		return err
 	}
 	return fw.Close()
@@ -347,8 +416,10 @@ func putCkptWriter(fw *flate.Writer) {
 }
 
 // decodeCkptPayload checks the payload's counts against wantPoints — what
-// the selection it was keyed from says — before allocating for them.
-func decodeCkptPayload(payload []byte, wantPoints int) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
+// the selection it was keyed from says — before allocating for them, and
+// lays each point's stored pages over a fork of base, the workload's load
+// image (mem.Memory.Overlay).
+func decodeCkptPayload(payload []byte, wantPoints int, base *mem.Memory) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
 	fr := flate.NewReader(bytes.NewReader(payload))
 	defer fr.Close()
 	rd := bufio.NewReaderSize(io.LimitReader(fr, maxCkptRawLen), 1<<16)
@@ -372,6 +443,11 @@ func decodeCkptPayload(payload []byte, wantPoints int) (cks []*ckpt.Checkpoint, 
 	}
 	if _, err := rd.ReadByte(); err != io.EOF {
 		return nil, nil, fmt.Errorf("checkpoint payload has trailing bytes")
+	}
+	for i, k := range cks {
+		if k.Mem, err = base.Overlay(k.Mem); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint %d: %w", i, err)
+		}
 	}
 	return cks, warmups, nil
 }

@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/bbv"
+	"repro/internal/binio"
 	"repro/internal/boom"
 	"repro/internal/ckpt"
 	mavpkg "repro/internal/mav"
+	"repro/internal/mem"
 	"repro/internal/sampling"
 	"repro/internal/workloads"
 )
@@ -38,8 +40,9 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // realPayloads profiles and measures bitcount at tiny scale on MediumBOOM
-// and returns the canonical checkpoint and measure payloads.
-func realPayloads(tb testing.TB) (ckptPayload []byte, points int, resPayload []byte, slots int) {
+// and returns the canonical checkpoint payload, stored against the load
+// image it also returns, and the measure payload.
+func realPayloads(tb testing.TB) (ckptPayload []byte, points int, base *mem.Memory, resPayload []byte, slots int) {
 	tb.Helper()
 	ctx := context.Background()
 	w, err := workloads.Build("bitcount", workloads.ScaleTiny)
@@ -56,13 +59,17 @@ func realPayloads(tb testing.TB) (ckptPayload []byte, points int, resPayload []b
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if ckptPayload, err = encodeCkptPayload(p.Checkpoints, p.WarmupInsts); err != nil {
+	cpu, err := w.NewCPU()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ckptPayload, err = encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem); err != nil {
 		tb.Fatal(err)
 	}
 	if resPayload, err = encodeResultPayload(res); err != nil {
 		tb.Fatal(err)
 	}
-	return ckptPayload, p.NumSimPoints(), resPayload, cfg.IntIssueSlots
+	return ckptPayload, p.NumSimPoints(), cpu.Mem, resPayload, cfg.IntIssueSlots
 }
 
 // withU64 returns payload with the little-endian 8 bytes at off replaced.
@@ -76,7 +83,7 @@ func withU64(payload []byte, off int, v uint64) []byte {
 // (boom.DecodeStats' own bounded slot array, the Stats and Report values)
 // plus 4× its input, and an accepted payload re-encodes to itself.
 func FuzzDecodeResultPayload(f *testing.F) {
-	_, _, payload, slots := realPayloads(f)
+	_, _, _, payload, slots := realPayloads(f)
 	const slotsOff, fixed = 6 * 8, 7 * 8 // the Slots prefix; the bytes before the first slot
 	pointsOff := fixed + 8*slots
 	f.Add(payload, slots)
@@ -114,31 +121,61 @@ func inflatedLen(data []byte, limit int64) int64 {
 	return n
 }
 
-// FuzzDecodeCkptPayload: decodeCkptPayload allocates at most 1 MiB (the
-// inflater and its 64 KiB read buffer, ~104 KiB; one page map sized by a
-// bounded count hint, ~145 KiB — ckpt.DeserializeAll sizes nothing by its
-// count) plus 4× what its input inflates to — flate itself is bounded at
-// ~1032× — and the checkpoints it accepts re-encode to a payload that
-// decodes to the same checkpoints and is a fixpoint. (Byte-exactness is
-// on the second trip: arbitrary flate streams are not canonical.)
+// deflate compresses raw as the checkpoint payload is compressed.
+func deflate(raw []byte) []byte {
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	fw.Write(raw)
+	fw.Close()
+	return buf.Bytes()
+}
+
+// storedPayload is a checkpoint payload that stores cks' memories as they
+// are, not as deltas from a load image.
+func storedPayload(tb testing.TB, cks []*ckpt.Checkpoint, warmups []int64) []byte {
+	var raw bytes.Buffer
+	bw := binio.NewWriter(&raw)
+	bw.Int(len(warmups))
+	for _, v := range warmups {
+		bw.I64(v)
+	}
+	if err := ckpt.SerializeAll(&raw, cks); err != nil || bw.Err() != nil {
+		tb.Fatal(err, bw.Err())
+	}
+	return deflate(raw.Bytes())
+}
+
+// storingOnePage is a one-point checkpoint payload whose point stores one
+// page at page index key: a copy of base's page there when base has one.
+func storingOnePage(tb testing.TB, base *mem.Memory, key uint64) []byte {
+	m := mem.New()
+	m.SetBytes(key<<mem.PageBits, base.ReadBytes(key<<mem.PageBits, mem.PageSize))
+	return storedPayload(tb, []*ckpt.Checkpoint{{Mem: m}}, []int64{0})
+}
+
+// FuzzDecodeCkptPayload: decodeCkptPayload, over a fixed load image,
+// allocates at most 1 MiB (the inflater and its 64 KiB read buffer, ~104
+// KiB; one page map sized by a bounded count hint, ~145 KiB —
+// ckpt.DeserializeAll sizes nothing by its count) plus 4× what its input
+// inflates to — flate itself is bounded at ~1032× — plus, per accepted
+// point, one fork of the load image (a page-map copy), and the checkpoints
+// it accepts re-encode to a payload that decodes to the same checkpoints
+// and is a fixpoint. (Byte-exactness is on the second trip: arbitrary flate
+// streams are not canonical.)
 func FuzzDecodeCkptPayload(f *testing.F) {
-	payload, points, _, _ := realPayloads(f)
+	payload, points, base, _, _ := realPayloads(f)
 	f.Add(payload, points)
 	f.Add(payload, points+1)
 	f.Add(payload[:len(payload)/2], points)
-	deflate := func(raw []byte) []byte {
-		var buf bytes.Buffer
-		fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-		fw.Write(raw)
-		fw.Close()
-		return buf.Bytes()
-	}
 	f.Add(deflate(withU64(make([]byte, 8), 0, 1<<28)), points) // 2 GiB of warm-ups from eight bytes
 	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(deflate(append(raw, 0)), points) // trailing byte
+	f.Add(deflate(append(raw, 0)), points)     // trailing byte
+	f.Add(storingOnePage(f, base, 0x10), 1)    // a page equal to the load image's: refused
+	f.Add(storingOnePage(f, base, 0x7ffff), 1) // a page the load image lacks: accepted
+	fork := allocatedBy(func() { base.Fork() })
 	f.Fuzz(func(t *testing.T, data []byte, wantPoints int) {
 		if wantPoints < 0 || wantPoints > 1<<10 {
 			t.Skip("not a selection's point count")
@@ -151,25 +188,25 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 		var cks []*ckpt.Checkpoint
 		var warmups []int64
 		var err error
-		got := allocatedBy(func() { cks, warmups, err = decodeCkptPayload(data, wantPoints) })
-		if limit := uint64(1<<20 + 4*raw + 8*int64(wantPoints)); got > limit {
+		got := allocatedBy(func() { cks, warmups, err = decodeCkptPayload(data, wantPoints, base) })
+		if limit := uint64(1<<20 + 4*raw + int64(wantPoints)*int64(8+fork)); got > limit {
 			t.Fatalf("decoding %d bytes (%d inflated) allocated %d, over the %d bound", len(data), raw, got, limit)
 		}
 		if err != nil {
 			return
 		}
-		first, err := encodeCkptPayload(cks, warmups)
+		first, err := encodeCkptPayload(cks, warmups, base)
 		if err != nil {
 			t.Fatalf("re-encoding accepted checkpoints: %v", err)
 		}
-		cks2, warmups2, err := decodeCkptPayload(first, wantPoints)
+		cks2, warmups2, err := decodeCkptPayload(first, wantPoints, base)
 		if err != nil {
 			t.Fatalf("decoding the re-encoded payload: %v", err)
 		}
 		if !reflect.DeepEqual(warmups, warmups2) || !reflect.DeepEqual(cks, cks2) {
 			t.Fatal("re-encoded payload decodes to different checkpoints")
 		}
-		second, err := encodeCkptPayload(cks2, warmups2)
+		second, err := encodeCkptPayload(cks2, warmups2, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,15 +216,37 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 	})
 }
 
+// TestCkptPayloadStoresOnlyWhatDiffers: a stored page equal to the load
+// image's is refused — the encoder never writes one, so accepting it would
+// break byte-exact re-encoding — and a stored page the load image lacks is
+// laid over it.
+func TestCkptPayloadStoresOnlyWhatDiffers(t *testing.T) {
+	_, _, base, _, _ := realPayloads(t)
+	const loaded, absent = 0x10, 0x7ffff // the first text page; a page far above the data
+	if base.ReadBytes(loaded<<mem.PageBits, mem.PageSize)[0] == 0 || base.Read64(absent<<mem.PageBits) != 0 {
+		t.Fatal("the fixture's page choice no longer fits the load image")
+	}
+	if _, _, err := decodeCkptPayload(storingOnePage(t, base, loaded), 1, base); err == nil {
+		t.Error("a stored page equal to the load image's was accepted")
+	}
+	cks, _, err := decodeCkptPayload(storingOnePage(t, base, absent), 1, base)
+	if err != nil {
+		t.Fatalf("a stored page the load image lacks: %v", err)
+	}
+	if got := cks[0].Mem.PageCount(); got != base.PageCount()+1 {
+		t.Errorf("decoded memory holds %d pages, want the load image's %d and one more", got, base.PageCount())
+	}
+}
+
 // TestRealPayloadsRoundTrip: for payloads the flow itself wrote, decode →
 // encode is the identity on the first trip, compressed bytes included.
 func TestRealPayloadsRoundTrip(t *testing.T) {
-	ckptPayload, points, resPayload, slots := realPayloads(t)
-	cks, warmups, err := decodeCkptPayload(ckptPayload, points)
+	ckptPayload, points, base, resPayload, slots := realPayloads(t)
+	cks, warmups, err := decodeCkptPayload(ckptPayload, points, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := encodeCkptPayload(cks, warmups); err != nil || !bytes.Equal(again, ckptPayload) {
+	if again, err := encodeCkptPayload(cks, warmups, base); err != nil || !bytes.Equal(again, ckptPayload) {
 		t.Errorf("checkpoint payload does not round-trip (err %v)", err)
 	}
 	var res Result
@@ -201,7 +260,7 @@ func TestRealPayloadsRoundTrip(t *testing.T) {
 	if err := decodeResultPayload(resPayload, &res, slots+1); err == nil {
 		t.Error("result payload accepted for a config with a different slot count")
 	}
-	if _, _, err := decodeCkptPayload(ckptPayload, points+1); err == nil {
+	if _, _, err := decodeCkptPayload(ckptPayload, points+1, base); err == nil {
 		t.Error("checkpoint payload accepted for a selection with a different point count")
 	}
 }
@@ -227,45 +286,61 @@ func realBBVPayloads(tb testing.TB) map[sampling.Spec][]byte {
 	return out
 }
 
-// bbvBodyOff is the offset of the .bb section's length prefix: the
-// instruction and block counts come first.
-const bbvBodyOff = 2 * 8
+// bbvCountOff is the offset of the interval count: the instruction and
+// block counts come first.
+const bbvCountOff = 2 * 8
 
-// TestDecodeBBVPayloadBarePrefix: a payload whose .bb section claims 128
-// MiB it does not have fails without allocating for it, and a real payload
-// still decodes.
+// TestDecodeBBVPayloadBarePrefix: a payload whose interval count claims
+// 2^27 intervals it does not have fails without allocating for them, and a
+// real payload still decodes.
 func TestDecodeBBVPayloadBarePrefix(t *testing.T) {
 	for spec, payload := range realBBVPayloads(t) {
 		if _, _, _, _, err := decodeBBVPayloadSpec(payload, spec); err != nil {
 			t.Fatalf("%v: a real payload: %v", spec, err)
 		}
-		bare := withU64(payload[:bbvBodyOff+8], bbvBodyOff, 1<<27)
+		bare := withU64(payload[:bbvCountOff+8], bbvCountOff, 1<<27)
 		var err error
 		got := allocatedBy(func() { _, _, _, _, err = decodeBBVPayloadSpec(bare, spec) })
 		if err == nil {
-			t.Errorf("%v: a bare 128 MiB prefix decoded", spec)
+			t.Errorf("%v: a bare 2^27-interval prefix decoded", spec)
 		}
 		if got > 1<<20 {
-			t.Errorf("%v: a bare 128 MiB prefix allocated %d bytes", spec, got)
+			t.Errorf("%v: a bare 2^27-interval prefix allocated %d bytes", spec, got)
 		}
 	}
 }
 
+// oneEntryIntervals is a bbv payload of n intervals of one entry each:
+// the shape that allocates the most per input byte.
+func oneEntryIntervals(n int) []byte {
+	var buf bytes.Buffer
+	bw := binio.NewWriter(&buf)
+	bw.U64(uint64(n))
+	bw.Int(1)
+	bw.Int(n)
+	for i := 0; i < n; i++ {
+		bw.Int(1)
+		bw.Int(0)
+		bw.U64(1)
+	}
+	return buf.Bytes()
+}
+
 // FuzzDecodeBBVPayload: decodeBBVPayloadSpec never panics, allocates at
-// most 1 MiB (the scanner's buffers, the readers) plus 64× its input — a
-// text vector decodes into a map, ~50 bytes per "T\n" line or ":1:0"
-// field, while a length prefix sizes nothing — and an accepted payload
-// re-encodes to a payload that decodes to the same profile and is a
-// fixpoint. (Byte-exactness is on the second trip: the .bb and .mav
-// sections are text, and their readers take any spacing and comments.)
+// most 1 MiB plus 9× its input, and an accepted payload re-encodes to
+// itself byte-exact. A count sizes nothing until the bytes left can hold
+// it; the worst case is an interval of one entry, whose 24 bytes decode to
+// a vector slot, a map header and one 8-slot map group, 200 bytes (8.3×);
+// an empty interval's 8 bytes take 56 bytes as a BBV, 64 as a MAV.
 func FuzzDecodeBBVPayload(f *testing.F) {
 	for spec, payload := range realBBVPayloads(f) {
 		mav := spec.UseMAV()
 		f.Add(payload, mav)
 		f.Add(payload[:len(payload)/2], mav)
 		f.Add(append(append([]byte(nil), payload...), 0), mav)
-		f.Add(withU64(payload[:bbvBodyOff+8], bbvBodyOff, 1<<27), mav)
+		f.Add(withU64(payload[:bbvCountOff+8], bbvCountOff, 1<<27), mav)
 	}
+	f.Add(oneEntryIntervals(4096), false)
 	f.Fuzz(func(t *testing.T, data []byte, mav bool) {
 		var spec sampling.Spec
 		if mav {
@@ -277,7 +352,7 @@ func FuzzDecodeBBVPayload(f *testing.F) {
 		var blocks int
 		var err error
 		got := allocatedBy(func() { v, m, insts, blocks, err = decodeBBVPayloadSpec(data, spec) })
-		if limit := uint64(1<<20 + 64*len(data)); got > limit {
+		if limit := uint64(1<<20 + 9*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
 		}
 		if err != nil {
@@ -287,16 +362,8 @@ func FuzzDecodeBBVPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding an accepted payload: %v", err)
 		}
-		v2, m2, insts2, blocks2, err := decodeBBVPayloadSpec(again, spec)
-		if err != nil {
-			t.Fatalf("decoding a re-encoded payload: %v", err)
-		}
-		if !reflect.DeepEqual(v2, v) || !reflect.DeepEqual(m2, m) || insts2 != insts || blocks2 != blocks {
-			t.Fatal("a re-encoded payload decodes to a different profile")
-		}
-		third, err := encodeBBVPayloadSpec(v2, m2, insts2, blocks2, spec)
-		if err != nil || !bytes.Equal(third, again) {
-			t.Fatalf("re-encoding is not a fixpoint: %d bytes, then %d (err %v)", len(again), len(third), err)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("an accepted payload does not re-encode to itself: %d bytes in, %d out", len(data), len(again))
 		}
 	})
 }

@@ -40,7 +40,11 @@ func referenceCkptPayload(t *testing.T, w *workloads.Workload, p *Profile, warmu
 		cks[i].Interval, cks[i].Weight = iv, pt.Weight
 		warmups[i] = iv*p.Interval - at
 	}
-	payload, err := encodeCkptPayload(cks, warmups)
+	cpu, err := w.NewCPU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeCkptPayload(cks, warmups, cpu.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +71,11 @@ func TestProfileRunsOneFunctionalPass(t *testing.T) {
 		if got := reg.Counter("sim.insts").Value(); got != int64(p.TotalInsts) {
 			t.Errorf("%s: cold Profile executed %d instructions for a %d-instruction program", name, got, p.TotalInsts)
 		}
-		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts)
+		cpu, err := w.NewCPU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,18 +241,22 @@ func TestCkptPayloadReusesItsCompressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpu, err := w.NewCPU()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fresh bytes.Buffer
 	fw, err := flate.NewWriter(&fresh, flate.BestSpeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCkptPayload(fw, p.Checkpoints, p.WarmupInsts); err != nil {
+	if err := writeCkptPayload(fw, p.Checkpoints, p.WarmupInsts, cpu.Mem); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts)
+		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

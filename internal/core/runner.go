@@ -340,9 +340,14 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	// capture point.
 	ckptStage := func(ctx context.Context) (int64, error) {
 		defer r.stage(StageCheckpoint)()
+		var ps *pass // the marks the checkpoints come from
 		cost, err := r.stageCached(keys.ckpt,
 			func(payload []byte) error {
-				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected))
+				cpu, derr := w.NewCPU()
+				if derr != nil {
+					return derr
+				}
+				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected), cpu.Mem)
 				if derr != nil {
 					return derr
 				}
@@ -350,7 +355,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				return nil
 			},
 			func() error {
-				ps := st.pass
+				ps = st.pass
 				if ps == nil { // the profile stage was a cache hit: execute up to the last capture point
 					sctx, cancel := r.stageCtx(ctx)
 					defer cancel()
@@ -371,7 +376,9 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				return nil
 			},
 			func() ([]byte, error) {
-				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts)
+				// The pass's first mark, capture point 0, is the load image
+				// the payload stores each checkpoint against.
+				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts, ps.cpu.Mem.Image(0))
 			})
 		return cost, wrapStage(StageCheckpoint, w.Name, "", err)
 	}

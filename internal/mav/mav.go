@@ -15,6 +15,12 @@
 // instructions. The profile pass feeds both from one sim.CPU.RunBlocks
 // call: the block runs give the instruction count, the memory references
 // (RunBlocks with refs set) the loads' and stores' addresses.
+//
+// A MAV is a clustering feature, not a file: the package has no format of
+// its own. Under a bbv+mav spec the artifact cache stores the vectors in
+// the profile stage's binary payload (internal/core), each interval as its
+// non-zero (feature, count) entries, the same encoding as the BBVs beside
+// them.
 package mav
 
 import (

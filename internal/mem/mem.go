@@ -382,6 +382,42 @@ func (m *Memory) Image(mark int) *Memory {
 	return img
 }
 
+// Delta returns the pages of m that base lacks or whose bytes differ from
+// base's, as a memory that shares them with m and owns none: what Overlay
+// puts back on base. m must hold every page base holds — a memory never
+// drops a page, so one that started as base does — or Delta fails.
+func (m *Memory) Delta(base *Memory) (*Memory, error) {
+	for k := range base.pages {
+		if _, ok := m.pages[k]; !ok {
+			return nil, fmt.Errorf("mem: page %#x of the base is missing", k)
+		}
+	}
+	m.disown()
+	d := New()
+	for k, r := range m.pages {
+		if b, ok := base.pages[k]; !ok || (b.page != r.page && *b.page != *r.page) {
+			d.pages[k] = r
+		}
+	}
+	return d, nil
+}
+
+// Overlay returns a fork of m with delta's pages in place of m's, a memory
+// that owns no page. It refuses a delta page whose bytes equal m's page at
+// the same index, which Delta never returns, so a delta it accepts is the
+// Delta of what it returns.
+func (m *Memory) Overlay(delta *Memory) (*Memory, error) {
+	delta.disown()
+	img := m.Fork()
+	for k, r := range delta.pages {
+		if b, ok := m.pages[k]; ok && *b.page == *r.page {
+			return nil, fmt.Errorf("mem: page %#x equals the base's", k)
+		}
+		img.pages[k] = r
+	}
+	return img, nil
+}
+
 // Serialize writes the touched pages to w in a deterministic order. The
 // format is: uint64 page count, then per page a uint64 page index followed
 // by PageSize raw bytes.

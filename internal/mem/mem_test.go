@@ -414,3 +414,51 @@ func TestReadBytesStraddlesPagesAndHoles(t *testing.T) {
 		t.Fatalf("ReadBytes over the hole created a page: %d pages", m.PageCount())
 	}
 }
+
+// TestDeltaOverlayInverse: a memory that started as base and was written
+// since keeps, in its Delta, the pages it wrote into new bytes and the ones
+// it created — not a page rewritten to its old bytes — and Overlay puts it
+// back whole. Overlay refuses a delta page equal to base's, and Delta a
+// memory that lacks one of base's pages.
+func TestDeltaOverlayInverse(t *testing.T) {
+	base := New()
+	base.SetBytes(0x1000, bytes.Repeat([]byte{7}, 3*PageSize))
+	m := base.Fork()
+	m.Write8(0x1000, 8)   // page 1: new bytes
+	m.Write8(0x2000, 7)   // page 2: its old bytes
+	m.Write64(0x90000, 1) // a page base lacks
+	delta, err := m.Delta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.PageCount() != 2 || delta.Read8(0x1000) != 8 || delta.Read64(0x90000) != 1 {
+		t.Fatalf("delta holds %d pages; want pages 0x1 and 0x90", delta.PageCount())
+	}
+	img, err := base.Overlay(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := m.Serialize(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := img.Serialize(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("Overlay(Delta(m)) differs from m")
+	}
+	img.Write8(0x1000, 9) // the image is copy-on-write: neither side sees it
+	if base.Read8(0x1000) != 7 || delta.Read8(0x1000) != 8 {
+		t.Error("a write to the overlaid image reached the base or the delta")
+	}
+
+	same := New()
+	same.SetBytes(0x3000, bytes.Repeat([]byte{7}, PageSize))
+	if _, err := base.Overlay(same); err == nil {
+		t.Error("Overlay accepted a page equal to the base's")
+	}
+	if _, err := New().Delta(base); err == nil {
+		t.Error("Delta accepted a memory without the base's pages")
+	}
+}

@@ -74,3 +74,29 @@ func TestEndToEndFileInterop(t *testing.T) {
 		t.Fatalf("interop lost points: %d vs %d", len(pts), len(res.Selected))
 	}
 }
+
+// TestSimPointsFileShape pins the two SimPoint 3.0 result files: one
+// "<interval> <cluster>" line per point, and the matching "<weight>
+// <cluster>" line at six decimals.
+func TestSimPointsFileShape(t *testing.T) {
+	res := &Result{
+		Selected: []Point{
+			{Interval: 12, Cluster: 0, Weight: 0.5},
+			{Interval: 90, Cluster: 3, Weight: 0.3125},
+			{Interval: 7, Cluster: 1, Weight: 0.1875},
+		},
+	}
+	var sp, wt bytes.Buffer
+	if err := WriteSimPoints(&sp, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteWeights(&wt, res); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sp.String(), "12 0\n90 3\n7 1\n"; got != want {
+		t.Errorf(".simpoints = %q, want %q", got, want)
+	}
+	if got, want := wt.String(), "0.500000 0\n0.312500 3\n0.187500 1\n"; got != want {
+		t.Errorf(".weights = %q, want %q", got, want)
+	}
+}

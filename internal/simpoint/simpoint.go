@@ -339,23 +339,23 @@ func kmeans(pts [][]float64, k, maxIters int, rng *rng) ([]int, [][]float64, flo
 	return assign, centers, rss, iters, converged
 }
 
-// initPP is k-means++ initialization.
+// initPP is k-means++ initialization. d2 holds each point's squared
+// distance to its nearest center so far, and a new center is folded into it
+// once: O(n·k) distances per run, not O(n·k²). The minimum, the summation
+// order and the rng draws are those of recomputing every distance each
+// round, so the centers are too.
 func initPP(pts [][]float64, k int, rng *rng) [][]float64 {
 	n := len(pts)
 	centers := make([][]float64, 0, k)
 	first := append([]float64(nil), pts[rng.intn(n)]...)
 	centers = append(centers, first)
 	d2 := make([]float64, n)
+	for i, p := range pts {
+		d2[i] = sqDist(p, first)
+	}
 	for len(centers) < k {
 		var sum float64
-		for i, p := range pts {
-			d := sqDist(p, centers[0])
-			for _, c := range centers[1:] {
-				if dd := sqDist(p, c); dd < d {
-					d = dd
-				}
-			}
-			d2[i] = d
+		for _, d := range d2 {
 			sum += d
 		}
 		var idx int
@@ -371,7 +371,16 @@ func initPP(pts [][]float64, k int, rng *rng) [][]float64 {
 				}
 			}
 		}
-		centers = append(centers, append([]float64(nil), pts[idx]...))
+		c := append([]float64(nil), pts[idx]...)
+		centers = append(centers, c)
+		if len(centers) == k {
+			break
+		}
+		for i, p := range pts {
+			if d := sqDist(p, c); d < d2[i] {
+				d2[i] = d
+			}
+		}
 	}
 	return centers
 }
