@@ -64,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 5s ./internal/power
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
-# low-IPC tarfind — decode,
+# low-IPC tarfind — functional warming, decode,
 # stats/power accumulate, functional step/trace/blocks, BBV observe, memory
 # access, one measure cell, one warm rerun, one cold profile) per BOOM config into
 # BENCH_kernel.json. See README "Performance".
@@ -85,7 +85,7 @@ bench:
 bench-smoke:
 	rm -rf .bench-check && mkdir -p .bench-check
 	$(GO) run ./cmd/kernelbench -benchtime 1x -out .bench-check/BENCH_kernel.json 2> /dev/null
-	for k in tick tick_lo_ipc decode stats_accumulate power_accumulate func_step func_run_trace func_run_blocks bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep profile; do \
+	for k in tick tick_lo_ipc warm decode stats_accumulate power_accumulate func_step func_run_trace func_run_blocks bbv_observe mem_read_write measure_j1 measure_j4 warm_sweep profile; do \
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done

@@ -1,5 +1,5 @@
 // Command kernelbench runs the hot-path kernel benchmarks (BOOM tick on a
-// high- and a low-IPC trace, decode, stats accumulate, power accumulate, functional step/trace/blocks, BBV
+// high- and a low-IPC trace, functional warming, decode, stats accumulate, power accumulate, functional step/trace/blocks, BBV
 // observe, memory access, one measure cell, one warm rerun, one cold profile) and emits a machine-readable BENCH_kernel.json
 // with cycles/sec, ns/op, and allocs/op per BOOM configuration:
 //
@@ -80,7 +80,7 @@ const floorSlack = 1.5
 // Result is one benchmark line of BENCH_kernel.json.
 type Result struct {
 	Name         string  `json:"name"`   // e.g. KernelTickMediumBOOM
-	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, func_run_blocks, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep, profile
+	Kernel       string  `json:"kernel"` // tick, tick_lo_ipc, warm, decode, stats_accumulate, power_accumulate, func_step, func_run_trace, func_run_blocks, bbv_observe, mem_read_write, measure_j1, measure_j4, warm_sweep, profile
 	Config       string  `json:"config,omitempty"`
 	Package      string  `json:"package"`
 	Iterations   int64   `json:"iterations"`

@@ -84,6 +84,7 @@ func TestSplitKernelName(t *testing.T) {
 		"KernelBBVObserve":        {"bbv_observe", ""},
 		"KernelMemReadWrite":      {"mem_read_write", ""},
 		"KernelWarmSweep":         {"warm_sweep", ""},
+		"KernelWarmMegaBOOM":      {"warm", "MegaBOOM"},
 		"KernelProfile":           {"profile", ""},
 	} {
 		if k, c := splitKernelName(name); k != want[0] || c != want[1] {

@@ -17,7 +17,7 @@ import (
 type Writer struct {
 	w   io.Writer
 	err error
-	b   [8]byte
+	b   [binary.MaxVarintLen64]byte
 }
 
 // NewWriter returns a Writer over w.
@@ -32,7 +32,16 @@ func (w *Writer) U64(v uint64) {
 		return
 	}
 	binary.LittleEndian.PutUint64(w.b[:], v)
-	_, w.err = w.w.Write(w.b[:])
+	_, w.err = w.w.Write(w.b[:8])
+}
+
+// Uvarint writes v as an unsigned LEB128 varint: 7 bits a byte, low bits
+// first, one to ten bytes.
+func (w *Writer) Uvarint(v uint64) {
+	if w.err != nil {
+		return
+	}
+	_, w.err = w.w.Write(w.b[:binary.PutUvarint(w.b[:], v)])
 }
 
 // I64 writes an int64.
@@ -92,6 +101,36 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(r.b[:])
+}
+
+// Uvarint reads a varint as Writer.Uvarint writes it. Only that one
+// encoding of a value is accepted: a varint longer than ten bytes or past
+// 64 bits, or one that ends in a zero byte after its first, is a decode
+// error, and so is one the input ends inside.
+func (r *Reader) Uvarint() uint64 {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64 && r.err == nil; i++ {
+		if _, r.err = io.ReadFull(r.r, r.b[:1]); r.err != nil {
+			if i > 0 {
+				r.err = io.ErrUnexpectedEOF
+			}
+			return 0
+		}
+		b := r.b[0]
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if b == 0 && i > 0 {
+				r.Fail("binio: varint is longer than its value needs")
+				return 0
+			}
+			return v
+		}
+	}
+	r.Fail("binio: varint overflows 64 bits")
+	return 0
 }
 
 // I64 reads an int64.

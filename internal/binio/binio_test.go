@@ -57,3 +57,56 @@ func TestBytesRoundTrip(t *testing.T) {
 		t.Errorf("a field took %.0f allocations, want 3 (the bytes.Reader, the Reader and the field)", n)
 	}
 }
+
+// TestUvarintRoundTrip: every value reads back as written, in the bytes
+// encoding/binary gives it, and leaves the reader at what follows.
+func TestUvarintRoundTrip(t *testing.T) {
+	vals := []uint64{0, 1, 127, 128, 300, 1<<32 - 1, 1 << 56, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var want []byte
+	for _, v := range vals {
+		w.Uvarint(v)
+		want = binary.AppendUvarint(want, v)
+	}
+	w.U64(42)
+	if w.Err() != nil || !bytes.Equal(buf.Bytes()[:len(want)], want) {
+		t.Fatalf("encoded % x, want % x (err %v)", buf.Bytes()[:len(want)], want, w.Err())
+	}
+	br := NewReader(bytes.NewReader(buf.Bytes()))
+	for _, v := range vals {
+		if got := br.Uvarint(); got != v {
+			t.Errorf("read %d, want %d", got, v)
+		}
+	}
+	if tail := br.U64(); br.Err() != nil || tail != 42 {
+		t.Errorf("tail %d, err %v", tail, br.Err())
+	}
+}
+
+// TestUvarintRefusesWhatItDoesNotWrite: an over-long encoding of a value,
+// a varint past 64 bits or ten bytes, and one the input ends inside are
+// decode errors, so a decoder that accepts a varint re-encodes it
+// byte-exact.
+func TestUvarintRefusesWhatItDoesNotWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"zero padded to two bytes", []byte{0x80, 0x00}},
+		{"one padded to three bytes", []byte{0x81, 0x80, 0x00}},
+		{"ten bytes past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+		{"truncated", []byte{0xff, 0xff}},
+		{"empty", nil},
+	} {
+		br := NewReader(bytes.NewReader(tc.in))
+		if v := br.Uvarint(); br.Err() == nil || v != 0 {
+			t.Errorf("%s (% x): read %d, err %v; want 0 and an error", tc.name, tc.in, v, br.Err())
+		}
+	}
+	br := NewReader(bytes.NewReader([]byte{0xff}))
+	if br.Uvarint(); !errors.Is(br.Err(), io.ErrUnexpectedEOF) {
+		t.Errorf("a varint cut short: err %v, want io.ErrUnexpectedEOF", br.Err())
+	}
+}

@@ -181,6 +181,95 @@ func (b *bpred) condTAGE(pc uint64, taken bool) bool {
 	return predicted
 }
 
+// bpOutcome is what training one control-flow instruction tells the front
+// end: fetch carries on, a redirect is due when the instruction resolves,
+// or decode supplies the target after a BTB bubble.
+type bpOutcome uint8
+
+const (
+	bpHit bpOutcome = iota
+	bpMispredict
+	bpBTBMiss
+)
+
+// train is the front end's one training entry: it predicts the
+// control-flow instruction st at pc, trains the direction predictor, BTB
+// and RAS with its architectural outcome (taken, and nextPC, the PC that
+// follows it) and counts Branches, Mispredicts and BTBMisses. Fetch calls
+// it for each fetched µop and Core.Warm for each warming record, both in
+// program order, so the two leave the same predictor state.
+func (b *bpred) train(st *uopStatic, pc uint64, taken bool, nextPC uint64) bpOutcome {
+	s := b.stats
+	switch st.class {
+	case rv64.ClassBranch:
+		s.Branches++
+		if b.cond(pc, taken) != taken {
+			s.Mispredicts++
+			if taken {
+				b.btbUpdate(pc, nextPC)
+			}
+			return bpMispredict
+		}
+		if !taken {
+			return bpHit
+		}
+		// Correctly predicted taken: the target must come from the BTB.
+		return b.btbTarget(pc, nextPC)
+
+	case rv64.ClassJAL:
+		if st.call {
+			b.rasPush(pc + 4)
+		}
+		return b.btbTarget(pc, nextPC)
+
+	case rv64.ClassJALR:
+		s.Branches++
+		var predicted uint64
+		var havePred bool
+		if st.ret {
+			predicted, havePred = b.rasPop()
+		} else {
+			predicted, havePred = b.btbLookup(pc)
+		}
+		if st.call {
+			b.rasPush(pc + 4)
+		}
+		if !havePred || predicted != nextPC {
+			s.Mispredicts++
+			if !st.ret {
+				b.btbUpdate(pc, nextPC)
+			}
+			return bpMispredict
+		}
+	}
+	return bpHit
+}
+
+// btbTarget is the BTB half of a taken branch or jump whose direction is
+// known at fetch: a missing or stale entry costs a bubble and is
+// installed.
+func (b *bpred) btbTarget(pc, nextPC uint64) bpOutcome {
+	if tgt, hit := b.btbLookup(pc); hit && tgt == nextPC {
+		return bpHit
+	}
+	b.stats.BTBMisses++
+	b.btbUpdate(pc, nextPC)
+	return bpBTBMiss
+}
+
+// isControl reports whether class cl is control flow, which train
+// predicts.
+func isControl(cl rv64.Class) bool {
+	return cl == rv64.ClassBranch || cl == rv64.ClassJAL || cl == rv64.ClassJALR
+}
+
+// endsFetchGroup reports whether a control-flow µop of class cl that
+// trained to o ends its fetch group: every jump and taken branch does, and
+// so does a mispredict, whose redirect is pending.
+func endsFetchGroup(cl rv64.Class, taken bool, o bpOutcome) bool {
+	return o == bpMispredict || taken || cl != rv64.ClassBranch
+}
+
 // btbLookup returns the predicted target for pc, if any.
 func (b *bpred) btbLookup(pc uint64) (uint64, bool) {
 	idx := (pc >> 2) % uint64(len(b.btbTags))

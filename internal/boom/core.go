@@ -30,6 +30,8 @@ const (
 	btbBubble       = 2 // decode-resolved target (taken branch without BTB entry)
 
 	ringSize = 512 // event ring; must exceed the longest latency
+
+	fetchLineShift = 6 // a fetch group never crosses a 64-byte line; the I-cache is read once per group
 )
 
 type uopState uint8
@@ -998,13 +1000,13 @@ func (c *Core) fetch() {
 		return // retry when the line arrives
 	}
 
-	line := first.pc >> 6
+	line := first.pc >> fetchLineShift
 	for n := 0; n < c.cfg.FetchWidth && c.tail-c.mid < uint64(c.cfg.FetchBufferEntries); n++ {
 		u := c.pullTrace()
 		if u == nil {
 			return
 		}
-		if u.pc>>6 != line {
+		if u.pc>>fetchLineShift != line {
 			return // next fetch group starts at the new line
 		}
 		r := c.ref(c.tail)
@@ -1062,65 +1064,21 @@ func (c *Core) wrongPath() {
 // predict runs the front-end prediction machinery for one fetched uop,
 // which r names and whose architectural successor is nextPC, and reports
 // whether the fetch group must end (taken control flow or pending
-// redirect).
+// redirect). Training is bpred.train's; predict keeps the redirect and the
+// BTB bubble.
 func (c *Core) predict(u *uop, r ref, nextPC uint64) bool {
-	switch u.class {
-	case rv64.ClassBranch:
-		c.stats.Branches++
-		if c.bp.cond(u.pc, u.taken) != u.taken {
-			u.mispred = true
-			c.redirect, c.redirectDisp = r, false
-			c.stats.Mispredicts++
-			if u.taken {
-				c.bp.btbUpdate(u.pc, nextPC)
-			}
-			return true
-		}
-		if !u.taken {
-			return false
-		}
-		// Correctly predicted taken: the target must come from the BTB.
-		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != nextPC {
-			c.stats.BTBMisses++
-			c.bp.btbUpdate(u.pc, nextPC)
-			c.fetchReadyAt = c.cycle + btbBubble
-		}
-		return true
-
-	case rv64.ClassJAL:
-		if u.call {
-			c.bp.rasPush(u.pc + 4)
-		}
-		if tgt, hit := c.bp.btbLookup(u.pc); !hit || tgt != nextPC {
-			c.stats.BTBMisses++
-			c.bp.btbUpdate(u.pc, nextPC)
-			c.fetchReadyAt = c.cycle + btbBubble
-		}
-		return true
-
-	case rv64.ClassJALR:
-		c.stats.Branches++
-		var predicted uint64
-		var havePred bool
-		if u.ret {
-			predicted, havePred = c.bp.rasPop()
-		} else {
-			predicted, havePred = c.bp.btbLookup(u.pc)
-		}
-		if u.call {
-			c.bp.rasPush(u.pc + 4)
-		}
-		if !havePred || predicted != nextPC {
-			u.mispred = true
-			c.redirect, c.redirectDisp = r, false
-			c.stats.Mispredicts++
-			if !u.ret {
-				c.bp.btbUpdate(u.pc, nextPC)
-			}
-		}
-		return true
+	if !isControl(u.class) {
+		return false
 	}
-	return false
+	o := c.bp.train(&u.uopStatic, u.pc, u.taken, nextPC)
+	switch o {
+	case bpMispredict:
+		u.mispred = true
+		c.redirect, c.redirectDisp = r, false
+	case bpBTBMiss:
+		c.fetchReadyAt = c.cycle + btbBubble
+	}
+	return endsFetchGroup(u.class, u.taken, o)
 }
 
 // accountOccupancy records n cycles at the current occupancy of every

@@ -119,6 +119,34 @@ func BenchmarkKernelTickLoIPCMediumBOOM(b *testing.B) { benchTick(b, "tarfind", 
 func BenchmarkKernelTickLoIPCLargeBOOM(b *testing.B)  { benchTick(b, "tarfind", LargeBOOM()) }
 func BenchmarkKernelTickLoIPCMegaBOOM(b *testing.B)   { benchTick(b, "tarfind", MegaBOOM()) }
 
+// benchWarm replays a workload's full recorded trace through Core.Warm on
+// a fresh core per iteration: its ns/inst is functional warming's cost per
+// instruction, what a proportional warm-up pays instead of the tick rows'.
+func benchWarm(b *testing.B, workload string, cfg Config) {
+	tr := kernelTrace(b, workload)
+	b.ReportAllocs()
+	var insts uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := &replaySource{tr: tr}
+		n, err := c.Warm(src.next, math.MaxUint64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += n
+	}
+	if insts > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+	}
+}
+
+func BenchmarkKernelWarmMediumBOOM(b *testing.B) { benchWarm(b, "sha", MediumBOOM()) }
+func BenchmarkKernelWarmMegaBOOM(b *testing.B)   { benchWarm(b, "sha", MegaBOOM()) }
+
 // BenchmarkKernelDecode measures the per-instruction fetch-crack path
 // (trace pull → µop fields) in isolation: ns/op is the cost of cracking
 // one committed instruction into a µop.

@@ -44,13 +44,14 @@ import (
 // (internal/artifact); payload meaning is versioned here.
 
 // Per-stage schema versions, covering both a stage's key shape and its
-// payload format. The latest bump (bbv 5, checkpoint 5) made the payloads
-// hold only what the key cannot rebuild.
+// payload format. Bumps to bbv 5 and checkpoint 5 made the payloads hold
+// only what the key cannot rebuild; bbv 6 writes sparse entries as
+// varints, and measure 2 warms a proportional warm-up functionally.
 const (
-	bbvSchema     = 5 // binary sparse vectors; MAV section under a bbv+mav spec
+	bbvSchema     = 6 // varint sparse vectors; MAV section under a bbv+mav spec
 	selectSchema  = 3 // sampling spec in key
 	ckptSchema    = 5 // pages that differ from the load image only; flate-compressed body
-	measureSchema = 1
+	measureSchema = 2 // a proportional warm-up warms functionally (boom.Core.Warm) up to a detailed tail
 	fullSchema    = 2
 	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
 )
@@ -220,9 +221,9 @@ func wrapStage(stage, workload, config string, err error) error {
 // store counts as float64, exact only up to 2^53.
 const maxExactCount = 1 << 53
 
-// pairLen is the encoded size of one sparse-vector entry: an index and a
-// count, 8 bytes each.
-const pairLen = 16
+// pairLen is the smallest encoded size of one sparse-vector entry: an
+// index and a count, a varint each.
+const pairLen = 2
 
 // pair is one non-zero entry of a sparse vector.
 type pair struct {
@@ -231,33 +232,38 @@ type pair struct {
 }
 
 // putSparse writes one interval's vector, given as its non-zero entries:
-// their count, then the entries, sorted here by index.
+// their count, then the entries, sorted here by index, all as varints.
 func putSparse(bw *binio.Writer, ps []pair) {
 	slices.SortFunc(ps, func(a, b pair) int { return a.i - b.i })
-	bw.Int(len(ps))
+	bw.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
-		bw.Int(p.i)
-		bw.U64(p.c)
+		bw.Uvarint(uint64(p.i))
+		bw.Uvarint(p.c)
 	}
 }
 
 // getSparse inverts putSparse into buf's storage, and returns no entry
-// once br has failed. Indices must strictly increase and stay below limit,
-// and counts must be exact non-zero integers, so that what it accepts
-// putSparse writes back byte-exact; the entry count sizes nothing until the
-// bytes left can hold it.
+// once br has failed. There are at most limit entries, indices must
+// strictly increase and stay below limit, and counts must be exact
+// non-zero integers, so that what it accepts putSparse writes back
+// byte-exact; the entry count sizes nothing until the bytes left can hold
+// it.
 func getSparse(br *binio.Reader, limit int, buf []pair) []pair {
-	n := br.Alloc(br.Len(maxCachedLen), pairLen)
+	m := br.Uvarint()
+	if m > uint64(limit) {
+		br.Fail("bbv payload: %d entries for %d indices", m, limit)
+	}
+	n := br.Alloc(int(m), pairLen)
 	buf = buf[:0]
 	for j := 0; j < n; j++ {
-		p := pair{i: br.Int(), c: br.U64()}
-		if p.i < 0 || p.i >= limit || (j > 0 && p.i <= buf[j-1].i) || p.c == 0 || p.c > maxExactCount {
-			br.Fail("bbv payload: entry (%d, %d) breaks the index order, the index bound %d or the count range", p.i, p.c, limit)
+		i, c := br.Uvarint(), br.Uvarint()
+		if i >= uint64(limit) || (j > 0 && int(i) <= buf[j-1].i) || c == 0 || c > maxExactCount {
+			br.Fail("bbv payload: entry (%d, %d) breaks the index order, the index bound %d or the count range", i, c, limit)
 		}
 		if br.Err() != nil {
 			return buf[:0]
 		}
-		buf = append(buf, p)
+		buf = append(buf, pair{int(i), c})
 	}
 	return buf
 }
@@ -309,7 +315,7 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 	totalInsts = br.U64()
 	numBlocks = br.Len(maxCachedLen)
 	n := br.Len(maxCachedLen)
-	vectors = make([]bbv.Vector, br.Alloc(n, 8))
+	vectors = make([]bbv.Vector, br.Alloc(n, 1)) // an interval takes a byte at least: its entry count
 	var ps []pair
 	for i := range vectors {
 		ps = getSparse(br, numBlocks, ps)
@@ -319,7 +325,7 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 		}
 	}
 	if spec.UseMAV() {
-		mavs = make([]mav.Vector, br.Alloc(n, 8))
+		mavs = make([]mav.Vector, br.Alloc(n, 1))
 		for i := range mavs {
 			ps = getSparse(br, mav.NumFeatures, ps)
 			for _, p := range ps {

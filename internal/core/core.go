@@ -136,7 +136,7 @@ type Result struct {
 	Slots  []float64     // per-int-issue-slot power (Fig. 8)
 	Points []PointResult // per-simulation-point phase measurements
 
-	DetailedInsts uint64 // instructions run on the detailed model
+	DetailedInsts uint64 // instructions run on the detailed model: tick-kernel instructions only, not functionally warmed ones
 	MeasureWallNS int64  // measured wall-clock of steps 4–5
 }
 

@@ -310,6 +310,42 @@ func TestDecodeBBVPayloadBarePrefix(t *testing.T) {
 	}
 }
 
+// TestDecodeBBVPayloadRefusesBadEntries: a BBV entry's index must stay
+// below the payload's block count, an interval holds at most that many
+// entries, and each varint must be whole and in its one encoding.
+func TestDecodeBBVPayloadRefusesBadEntries(t *testing.T) {
+	const blocks = 4
+	payload := func(entries ...byte) []byte {
+		var buf bytes.Buffer
+		bw := binio.NewWriter(&buf)
+		bw.U64(100)
+		bw.Int(blocks)
+		bw.Int(1)
+		buf.Write(entries)
+		return buf.Bytes()
+	}
+	if v, _, _, _, err := decodeBBVPayloadSpec(payload(1, blocks-1, 100), sampling.Spec{}); err != nil || v[0][blocks-1] != 100 {
+		t.Fatalf("the last block's entry: %v, %v", v, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []byte
+	}{
+		{"index = block count", []byte{1, blocks, 100}},
+		{"index far past the block count", []byte{1, 0xff, 0xff, 0x03, 100}},
+		{"more entries than blocks", []byte{blocks + 1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1}},
+		{"over-long index", []byte{1, 0x81, 0x00, 100}},
+		{"over-long count", []byte{1, 0, 0xe4, 0x80, 0x00}},
+		{"varint past 64 bits", []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"truncated count", []byte{1, 0, 0xe4}},
+		{"truncated entry", []byte{1, 0}},
+	} {
+		if _, _, _, _, err := decodeBBVPayloadSpec(payload(tc.entries...), sampling.Spec{}); err == nil {
+			t.Errorf("%s (% x): decoded", tc.name, tc.entries)
+		}
+	}
+}
+
 // oneEntryIntervals is a bbv payload of n intervals of one entry each:
 // the shape that allocates the most per input byte.
 func oneEntryIntervals(n int) []byte {
@@ -319,19 +355,21 @@ func oneEntryIntervals(n int) []byte {
 	bw.Int(1)
 	bw.Int(n)
 	for i := 0; i < n; i++ {
-		bw.Int(1)
-		bw.Int(0)
-		bw.U64(1)
+		bw.Uvarint(1)
+		bw.Uvarint(0)
+		bw.Uvarint(1)
 	}
 	return buf.Bytes()
 }
 
 // FuzzDecodeBBVPayload: decodeBBVPayloadSpec never panics, allocates at
-// most 1 MiB plus 9× its input, and an accepted payload re-encodes to
+// most 1 MiB plus 67× its input, and an accepted payload re-encodes to
 // itself byte-exact. A count sizes nothing until the bytes left can hold
-// it; the worst case is an interval of one entry, whose 24 bytes decode to
-// a vector slot, a map header and one 8-slot map group, 200 bytes (8.3×);
-// an empty interval's 8 bytes take 56 bytes as a BBV, 64 as a MAV.
+// it; the worst case is an interval of one entry, whose 3 varint bytes
+// decode to a vector slot, a map header and one 8-slot map group, 200
+// bytes (66.7×); an empty interval's one byte takes 56 bytes as a BBV, 64
+// as a MAV. The bound is that ratio, not a margin: it was 9× when every
+// varint was an 8-byte integer.
 func FuzzDecodeBBVPayload(f *testing.F) {
 	for spec, payload := range realBBVPayloads(f) {
 		mav := spec.UseMAV()
@@ -352,7 +390,7 @@ func FuzzDecodeBBVPayload(f *testing.F) {
 		var blocks int
 		var err error
 		got := allocatedBy(func() { v, m, insts, blocks, err = decodeBBVPayloadSpec(data, spec) })
-		if limit := uint64(1<<20 + 9*len(data)); got > limit {
+		if limit := uint64(1<<20 + 67*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
 		}
 		if err != nil {

@@ -566,12 +566,24 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		}
 		ts := &traceSource{cpu: cpu}
 		if warm := uint64(p.WarmupInsts[i]); warm > 0 {
-			if _, rerr := core.Run(ts.next, warm); rerr != nil {
+			// A proportional warm-up warms functionally up to its last
+			// warmTail instructions; those run detailed, so the pipeline
+			// is full when the measured interval starts.
+			detailed := warm
+			if p.Sampling.WarmupPolicy == sampling.WarmupProportional {
+				detailed = min(warm, warmTail(cfg))
+				if _, werr := core.Warm(ts.next, warm-detailed); werr != nil {
+					endStage()
+					out.err = serr(StageWarmup, werr)
+					return
+				}
+			}
+			if _, rerr := core.Run(ts.next, detailed); rerr != nil {
 				endStage()
 				out.err = serr(StageWarmup, rerr)
 				return
 			}
-			out.detailed += warm
+			out.detailed += detailed
 		}
 		core.ResetStats()
 		endStage()
@@ -650,6 +662,17 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 	res.Points = points
 	res.DetailedInsts = detailed
 	return nil
+}
+
+// warmTail is the detailed end of a functionally warmed warm-up: 32 times
+// the µop window (ROB plus fetch buffer), so the pipeline, the MSHRs and
+// the recently touched lines' order reach the tick kernel's steady state
+// before the measured interval. The tail sweep behind the factor is in
+// EXPERIMENTS.md ("Functional warming"): 16 windows left one short
+// interval 2.7 % off its detailed warm-up, 32 left every point within
+// 0.4 %.
+func warmTail(cfg boom.Config) uint64 {
+	return 32 * uint64(cfg.RobEntries+cfg.FetchBufferEntries)
 }
 
 // RunFull executes the entire workload on the detailed model (the

@@ -44,7 +44,7 @@ type ResultRow struct {
 	K             int     `json:"k"`
 	NumPoints     int     `json:"num_points"`
 	TotalInsts    uint64  `json:"total_insts"`
-	DetailedInsts uint64  `json:"detailed_insts"`
+	DetailedInsts uint64  `json:"detailed_insts"` // tick-kernel instructions only (core.Result.DetailedInsts)
 }
 
 // EncodeSweep renders a sweep as canonical JSON bytes: rows in request
