@@ -103,34 +103,35 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(r.b[:])
 }
 
-// Uvarint reads a varint as Writer.Uvarint writes it. Only that one
-// encoding of a value is accepted: a varint longer than ten bytes or past
-// 64 bits, or one that ends in a zero byte after its first, is a decode
-// error, and so is one the input ends inside.
+// Uvarint reads a varint as Writer.Uvarint writes it, from an in-memory
+// input (a bytes.Reader, as for Alloc). Only that one encoding of a value
+// is accepted: encoding/binary refuses a varint past 64 bits or ten bytes
+// and one the input ends inside, and a varint longer than its value needs
+// is refused here.
 func (r *Reader) Uvarint() uint64 {
-	var v uint64
-	for i := 0; i < binary.MaxVarintLen64 && r.err == nil; i++ {
-		if _, r.err = io.ReadFull(r.r, r.b[:1]); r.err != nil {
-			if i > 0 {
-				r.err = io.ErrUnexpectedEOF
-			}
-			return 0
-		}
-		b := r.b[0]
-		if i == binary.MaxVarintLen64-1 && b > 1 {
-			break
-		}
-		v |= uint64(b&0x7f) << (7 * i)
-		if b < 0x80 {
-			if b == 0 && i > 0 {
-				r.Fail("binio: varint is longer than its value needs")
-				return 0
-			}
-			return v
-		}
+	if r.err != nil {
+		return 0
 	}
-	r.Fail("binio: varint overflows 64 bits")
-	return 0
+	in, ok := r.r.(interface {
+		io.ByteReader
+		Len() int
+	})
+	if !ok {
+		r.Fail("binio: varints are read from an in-memory input")
+		return 0
+	}
+	left := in.Len()
+	v, err := binary.ReadUvarint(in)
+	if err != nil {
+		r.err = err
+		return 0
+	}
+	var enc [binary.MaxVarintLen64]byte
+	if left-in.Len() > binary.PutUvarint(enc[:], v) {
+		r.Fail("binio: varint is longer than its value needs")
+		return 0
+	}
+	return v
 }
 
 // I64 reads an int64.

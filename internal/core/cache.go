@@ -137,6 +137,15 @@ func measureKey(profileKey string, cfg boom.Config, lib asap7.Library) artifact.
 	}{profileKey, cfg, lib})
 }
 
+// tickKey names the entry beside a proportional measurement's measure entry
+// that records its tick-kernel wall-clock (Result.TickWallNS). An entry
+// records one cost, and a measure entry's is the whole measurement's,
+// functional warming included. The figure is the entry's 8-byte payload,
+// not its cost, since a hit on the measure entry already counts it saved.
+func tickKey(measure artifact.Key) artifact.Key {
+	return artifact.NewKey("tick", measureSchema, measure.Hex())
+}
+
 func fullKey(w *workloads.Workload, cfg boom.Config, lib asap7.Library) artifact.Key {
 	return artifact.NewKey("full", fullSchema, struct {
 		Workload workloadIdent

@@ -138,6 +138,11 @@ type Result struct {
 
 	DetailedInsts uint64 // instructions run on the detailed model: tick-kernel instructions only, not functionally warmed ones
 	MeasureWallNS int64  // measured wall-clock of steps 4–5
+	// TickWallNS is MeasureWallNS less its functional warming share: the
+	// wall-clock DetailedInsts cost. It is all of MeasureWallNS unless the
+	// warm-up is proportional; a cache hit then reads it from the tick
+	// entry beside the measure entry, and is 0 (not measured) without one.
+	TickWallNS int64
 }
 
 // IPC returns the (weighted) instructions per cycle.
@@ -226,6 +231,11 @@ type SpeedupReport struct {
 	DetailedInsts uint64
 	ProfileWallNS int64 // measured wall-clock of functional profiling (steps 1–3)
 	MeasureWallNS int64 // measured wall-clock of detailed measurement (steps 4–5)
+	// TickWallNS and TickInsts price one detailed-model instruction: the
+	// summed Result.TickWallNS and the DetailedInsts of the results that
+	// measured it.
+	TickWallNS int64
+	TickInsts  uint64
 }
 
 // Speedup returns the instruction-count reduction factor.
@@ -240,12 +250,13 @@ func (s SpeedupReport) Speedup() float64 {
 func (s SpeedupReport) FlowWallNS() int64 { return s.ProfileWallNS + s.MeasureWallNS }
 
 // EstFullWallNS estimates the wall-clock of simulating everything on the
-// detailed model, from the measured per-instruction detailed-model cost.
+// detailed model, from the measured per-instruction detailed-model cost
+// (functional warming excluded: it ticks no instruction).
 func (s SpeedupReport) EstFullWallNS() int64 {
-	if s.DetailedInsts == 0 {
+	if s.TickInsts == 0 {
 		return 0
 	}
-	perInst := float64(s.MeasureWallNS) / float64(s.DetailedInsts)
+	perInst := float64(s.TickWallNS) / float64(s.TickInsts)
 	return int64(perInst * float64(s.FullInsts))
 }
 
@@ -254,7 +265,7 @@ func (s SpeedupReport) EstFullWallNS() int64 {
 // simulation. Zero when no wall-clock data was recorded.
 func (s SpeedupReport) WallSpeedup() float64 {
 	flow := s.FlowWallNS()
-	if flow == 0 || s.MeasureWallNS == 0 || s.DetailedInsts == 0 {
+	if flow == 0 || s.MeasureWallNS == 0 || s.TickWallNS == 0 || s.TickInsts == 0 {
 		return 0
 	}
 	return float64(s.EstFullWallNS()) / float64(flow)
@@ -274,6 +285,10 @@ func (sw *Sweep) SpeedupOf() SpeedupReport {
 			rep.FullInsts += r.TotalInsts
 			rep.DetailedInsts += r.DetailedInsts
 			rep.MeasureWallNS += r.MeasureWallNS
+			if r.TickWallNS > 0 {
+				rep.TickWallNS += r.TickWallNS
+				rep.TickInsts += r.DetailedInsts
+			}
 		}
 	}
 	return rep

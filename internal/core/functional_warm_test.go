@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -100,5 +101,125 @@ func TestFunctionalWarmingHoldsEveryPoint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFunctionalWarmingKeepsTheFullRunEstimate: the speedup report prices
+// the full detailed run at the tick kernel's measured cost per instruction,
+// so functional warming must not move it. Recommended()'s estimate stays
+// within noise of a fixed warm-up of the same length, whose warm-up runs
+// through the tick kernel. Charging Core.Warm's wall-clock to the ticked
+// instructions read about 1.8× high. Each spec's estimate is the least of
+// several interleaved repetitions, which keeps host noise out of the ratio.
+func TestFunctionalWarmingKeepsTheFullRunEstimate(t *testing.T) {
+	const reps, tol = 5, 1.3
+	ctx := context.Background()
+	cfg := boom.MediumBOOM()
+	type arm struct {
+		name     string
+		r        *Runner
+		profiles []*Profile
+		best     int64
+	}
+	rec := &arm{name: "functional", r: New(DefaultFlowConfig(), WithSampling(sampling.Recommended()), WithParallelism(1))}
+	ref := &arm{name: "tick-kernel", r: New(DefaultFlowConfig(), WithParallelism(1))}
+	for _, name := range []string{"sha", "qsort", "fft", "dijkstra"} {
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := rec.r.Profile(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.profiles = append(rec.profiles, p)
+		// The tick-kernel reference: the same features and warm-up length,
+		// under the fixed policy.
+		fixed := sampling.Recommended()
+		fixed.WarmupPolicy, fixed.WarmupFactor = sampling.WarmupFixed, 0
+		fixed.WarmupInsts = p.Interval * sampling.DefaultWarmupFactor
+		rp, _, err := ref.r.profileWith(ctx, w, fixed, ref.r.profileKeys(w, fixed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.profiles = append(ref.profiles, rp)
+	}
+	for range reps {
+		for _, a := range []*arm{rec, ref} {
+			sw := &Sweep{Results: map[string]map[string]*Result{cfg.Name: {}}}
+			for _, p := range a.profiles {
+				res, err := a.r.Run(ctx, p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw.Results[cfg.Name][p.Workload.Name] = res
+			}
+			if est := sw.SpeedupOf().EstFullWallNS(); est <= 0 {
+				t.Fatalf("%s: no full-run estimate", a.name)
+			} else if a.best == 0 || est < a.best {
+				a.best = est
+			}
+		}
+	}
+	ratio := float64(rec.best) / float64(ref.best)
+	t.Logf("full-run estimate: %.1f ms functional, %.1f ms tick-kernel warm-up (%.3f×)", float64(rec.best)/1e6, float64(ref.best)/1e6, ratio)
+	if ratio > tol || ratio < 1/tol {
+		t.Errorf("full-run estimate %.1f ms under functional warming, %.1f ms under a tick-kernel warm-up (%.2f×, want within %.1f×)",
+			float64(rec.best)/1e6, float64(ref.best)/1e6, ratio, tol)
+	}
+}
+
+// TestTickEntryCarriesTheEstimate: a measure entry records one cost, so a
+// proportional result's tick-kernel wall-clock travels to cache hits in
+// the tick entry beside it. A warm run reports the cold run's figure; a
+// tick entry that is not 8 bytes within the measure cost leaves the figure
+// unmeasured, and the estimate then has nothing to price.
+func TestTickEntryCarriesTheEstimate(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := boom.MediumBOOM()
+	w, err := workloads.Build("sha", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		t.Helper()
+		r := New(DefaultFlowConfig(), WithSampling(sampling.Recommended()), WithCache(dir))
+		p, err := r.Profile(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(ctx, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := run()
+	if cold.TickWallNS <= 0 || cold.TickWallNS >= cold.MeasureWallNS {
+		t.Fatalf("cold run: TickWallNS %d of MeasureWallNS %d; want a share of it", cold.TickWallNS, cold.MeasureWallNS)
+	}
+	if warm := run(); warm.TickWallNS != cold.TickWallNS || warm.MeasureWallNS != cold.MeasureWallNS {
+		t.Errorf("warm run: %d of %d ns, cold run %d of %d", warm.TickWallNS, warm.MeasureWallNS, cold.TickWallNS, cold.MeasureWallNS)
+	}
+
+	r := New(DefaultFlowConfig(), WithSampling(sampling.Recommended()), WithCache(dir))
+	p, err := r.Profile(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := tickKey(measureKey(p.CacheKey, cfg, r.fc.Lib))
+	for _, bad := range [][]byte{{1, 2, 3}, binary.LittleEndian.AppendUint64(nil, uint64(cold.MeasureWallNS+1))} {
+		if err := r.cache.Put(tk, bad, 0); err != nil {
+			t.Fatal(err)
+		}
+		res := run()
+		if res.TickWallNS != 0 || res.MeasureWallNS != cold.MeasureWallNS {
+			t.Errorf("tick entry % x: TickWallNS %d, MeasureWallNS %d; want 0 and %d", bad, res.TickWallNS, res.MeasureWallNS, cold.MeasureWallNS)
+		}
+		sw := &Sweep{Results: map[string]map[string]*Result{cfg.Name: {"sha": res}}}
+		if rep := sw.SpeedupOf(); rep.EstFullWallNS() != 0 || rep.WallSpeedup() != 0 {
+			t.Errorf("tick entry % x: an unmeasured result priced the full run at %d ns", bad, rep.EstFullWallNS())
+		}
 	}
 }

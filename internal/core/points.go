@@ -46,6 +46,8 @@ type pointOutput struct {
 	slots    []float64   // unweighted per-int-issue-slot power
 	point    PointResult
 	detailed uint64 // warm-up + measured instructions on the detailed model
+	warmNS   int64  // wall-clock of the point's functional warming (Core.Warm)
+	wallNS   int64  // wall-clock of the whole point
 	err      error  // fatal for the cell, already *StageError-wrapped
 	panicked any    // recovered panic value, re-thrown on the folding goroutine
 	aborted  bool   // skipped because a sibling point already failed

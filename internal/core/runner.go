@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -450,35 +451,73 @@ func (r *Runner) run(ctx context.Context, p *Profile, cfg boom.Config, key artif
 		ConfigName: cfg.Name,
 		Mode:       "simpoint",
 	}
+	var warmShare float64 // of the measurement's wall-clock, spent in Core.Warm
+	computed := false
 	cost, err := r.stageCached(key,
 		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
-		func() error {
+		func() (err error) {
 			if wl != nil && wl.load != nil {
 				if err := wl.loadUnread(ctx); err != nil {
 					return err
 				}
 			}
-			return r.measure(ctx, p, cfg, res)
+			warmShare, err = r.measure(ctx, p, cfg, res)
+			computed = true
+			return err
 		},
 		func() ([]byte, error) { return encodeResultPayload(res) })
 	if err != nil {
 		return nil, wrapStage(StageMeasure, p.Workload.Name, cfg.Name, err)
 	}
-	res.MeasureWallNS = cost
+	res.MeasureWallNS, res.TickWallNS = cost, cost
+	if p.Sampling.WarmupPolicy == sampling.WarmupProportional {
+		res.TickWallNS = r.tickWallNS(key, cost, warmShare, computed)
+	}
 	return res, nil
 }
 
+// tickWallNS is a proportional measurement's tick-kernel wall-clock: its
+// cost less the share spent in Core.Warm when it was computed here, else
+// what the entry at tickKey recorded when it was (0 when none did). A cache
+// verification pass reports the recorded figure, as it does the cost. The
+// figure is advisory like a cost, so a failed write only leaves a later
+// hit without it.
+func (r *Runner) tickWallNS(key artifact.Key, cost int64, warmShare float64, computed bool) int64 {
+	cached := r.cache != nil && key.Stage != ""
+	var tk artifact.Key
+	if cached {
+		tk = tickKey(key)
+		if !computed || r.verify {
+			if payload, _, ok := r.cache.Get(tk); ok && len(payload) == 8 {
+				if tick := int64(binary.LittleEndian.Uint64(payload)); tick >= 0 && tick <= cost {
+					return tick
+				}
+			}
+		}
+	}
+	if !computed {
+		return 0
+	}
+	tick := cost - int64(warmShare*float64(cost))
+	if cached {
+		_ = r.cache.Put(tk, binary.LittleEndian.AppendUint64(nil, uint64(tick)), 0)
+	}
+	return tick
+}
+
 // measure is the compute body of Run: warm up, measure and estimate every
-// simulation point, filling res (everything but MeasureWallNS). res is
-// only written after the full measurement succeeds, so a failed attempt
-// never leaks partial state into a retry.
+// simulation point, filling res (everything but MeasureWallNS and
+// TickWallNS). res is only written after the full measurement succeeds, so
+// a failed attempt never leaks partial state into a retry. It returns the
+// share of the points' wall-clock spent in Core.Warm, which the tick
+// kernel's wall-clock excludes.
 //
 // Points are measured concurrently (see points.go): each restores its own
 // checkpoint into a fresh CPU and a cold timing core, deposits its raw
 // measurement into an index-addressed slot, and the floating-point
 // reduction replays serially in checkpoint order — bit-identical to a
 // serial loop at every parallelism level.
-func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *Result) error {
+func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *Result) (warmShare float64, err error) {
 	serr := func(stage string, err error) error {
 		return &StageError{Stage: stage, Workload: p.Workload.Name, Config: cfg.Name, Err: err}
 	}
@@ -490,7 +529,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 	pctx, abort := context.WithCancelCause(mctx)
 	defer abort(nil)
 	if err := r.inj.Hit("core.measure", p.Workload.Name, cfg.Name); err != nil {
-		return serr(StageMeasure, err)
+		return 0, serr(StageMeasure, err)
 	}
 
 	est := power.NewEstimator(cfg, r.fc.Lib)
@@ -498,7 +537,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 
 	prog, err := p.Workload.Program()
 	if err != nil {
-		return serr(StageWarmup, err)
+		return 0, serr(StageWarmup, err)
 	}
 
 	n := len(p.Checkpoints)
@@ -536,7 +575,8 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		defer func() {
 			inflight.Add(-1)
 			pointsDone.Inc()
-			pointNS.Observe(time.Since(t0).Nanoseconds())
+			out.wallNS = time.Since(t0).Nanoseconds()
+			pointNS.Observe(out.wallNS)
 		}()
 
 		// Warm-up: restore the architectural checkpoint into a fresh
@@ -572,7 +612,10 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 			detailed := warm
 			if p.Sampling.WarmupPolicy == sampling.WarmupProportional {
 				detailed = min(warm, warmTail(cfg))
-				if _, werr := core.Warm(ts.next, warm-detailed); werr != nil {
+				tw := time.Now()
+				_, werr := core.Warm(ts.next, warm-detailed)
+				out.warmNS = time.Since(tw).Nanoseconds()
+				if werr != nil {
 					endStage()
 					out.err = serr(StageWarmup, werr)
 					return
@@ -630,17 +673,27 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 		endStage()
 	})
 	if ferr := firstPointFailure(outs); ferr != nil {
-		return ferr
+		return 0, ferr
 	}
 
 	// Ordered reduce: replay the accumulation serially in checkpoint order.
 	agg, aggSlots, points, detailed := foldPoints(&cfg, p.Selection, outs)
+	// Points may run concurrently, so the warm share is taken of the
+	// points' summed wall-clock, not of the measurement's.
+	var warmNS, pointsNS int64
+	for i := range outs {
+		warmNS += outs[i].warmNS
+		pointsNS += outs[i].wallNS
+	}
+	if pointsNS > 0 {
+		warmShare = float64(warmNS) / float64(pointsNS)
+	}
 
 	endStage := r.stage(StageEstimate)
 	rep, err := est.Estimate(agg)
 	endStage()
 	if err != nil {
-		return serr(StageEstimate, err)
+		return 0, serr(StageEstimate, err)
 	}
 	// Normalize the weighted slot powers by coverage so partial coverage
 	// does not deflate them. A degenerate selection can carry a zero (or
@@ -661,7 +714,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 	res.Slots = aggSlots
 	res.Points = points
 	res.DetailedInsts = detailed
-	return nil
+	return warmShare, nil
 }
 
 // warmTail is the detailed end of a functionally warmed warm-up: 32 times
@@ -698,7 +751,7 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 	if err != nil {
 		return nil, wrapStage(StageMeasure, w.Name, cfg.Name, err)
 	}
-	res.MeasureWallNS = cost
+	res.MeasureWallNS, res.TickWallNS = cost, cost
 	return res, nil
 }
 
