@@ -380,3 +380,30 @@ func TestRunFullMatchesDirectModel(t *testing.T) {
 			full.Stats.Insts, full.Stats.Cycles, core.Stats().Insts, core.Stats().Cycles)
 	}
 }
+
+// TestRunFullAllocCeiling holds a full run's allocations (tiny sha,
+// MediumBOOM, -j 1, no cache) within 3 % of their measured count: the
+// bound the benchmark puts on full-detailed's allocs_k, so a regression
+// fails here as well as there.
+func TestRunFullAllocCeiling(t *testing.T) {
+	const measured = 77 // allocs per RunFull, with and without -race
+	w, err := workloads.Build("sha", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(DefaultFlowConfig(), WithParallelism(1))
+	cfg := boom.MediumBOOM()
+	var runErr error
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := r.RunFull(context.Background(), w, cfg); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("%.0f allocs per RunFull", allocs)
+	if ceiling := measured * 1.03; allocs > ceiling {
+		t.Errorf("RunFull allocates %.0f times, over its ceiling of %.0f (measured %d)", allocs, ceiling, measured)
+	}
+}

@@ -14,9 +14,10 @@ import (
 )
 
 // The exit check (checkExit) is the flow's end-to-end oracle: wherever a
-// program runs to its halt — the profile pass, a full detailed run — the
-// exit value must equal the workload's Go reference. These tests feed it a
-// program one instruction away from its reference.
+// program runs to its halt — the profile pass, a full detailed run, a
+// sampled point whose interval ends the program — the exit value must
+// equal the workload's Go reference. These tests feed it a program one
+// instruction away from its reference.
 
 // offByOne builds tiny bitcount and edits its source before the first
 // Program() call, so the program exits with its reference plus one.
@@ -60,6 +61,33 @@ func TestExitCheckProfile(t *testing.T) {
 	w := offByOne(t)
 	_, err := New(DefaultFlowConfig()).Profile(context.Background(), w)
 	wantExitMismatch(t, err, StageProfile, w)
+}
+
+// TestExitCheckSampledPoint: a point that reaches the halt checks the exit
+// too. Tiny bitcount's selection includes its last interval, which halts;
+// run against the off-by-one program, that point's exit disagrees.
+func TestExitCheckSampledPoint(t *testing.T) {
+	w, err := workloads.Build("bitcount", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(DefaultFlowConfig())
+	p, err := r.Profile(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := int64(len(p.Vectors)) - 1
+	found := false
+	for _, c := range p.Checkpoints {
+		found = found || c.Interval == last
+	}
+	if !found {
+		t.Fatalf("bitcount's selection no longer includes its last interval %d", last)
+	}
+	bad := offByOne(t)
+	p.Workload = bad
+	_, err = r.Run(context.Background(), p, boom.MediumBOOM())
+	wantExitMismatch(t, err, StageMeasure, bad)
 }
 
 func TestExitCheckRunFull(t *testing.T) {

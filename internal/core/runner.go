@@ -535,11 +535,6 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 	est := power.NewEstimator(cfg, r.fc.Lib)
 	est.SetMetrics(r.reg)
 
-	prog, err := p.Workload.Program()
-	if err != nil {
-		return 0, serr(StageWarmup, err)
-	}
-
 	n := len(p.Checkpoints)
 	outs := make([]pointOutput, n)
 	// One backing array serves every point's slot vector: point workers
@@ -579,73 +574,17 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 			pointNS.Observe(out.wallNS)
 		}()
 
-		// Warm-up: restore the architectural checkpoint into a fresh
-		// functional CPU and a cold timing core (the worker's own, Reset
-		// after its first point) and prime caches and predictors.
-		endStage := r.stage(StageWarmup)
-		// The checkpoint supplies memory and registers; only the text
-		// window (the workload's shared predecoded image) comes from the
-		// program.
-		cpu := sim.New()
-		cpu.AttachText(prog)
-		p.Checkpoints[i].Restore(cpu)
-		core := scratch.core
-		if core == nil {
-			var nerr error
-			if core, nerr = boom.New(cfg); nerr != nil {
-				endStage()
-				out.err = serr(StageWarmup, nerr)
-				return
-			}
-			core.SetMetrics(r.reg)
-			core.SetFaultInjector(r.inj, p.Workload.Name, cfg.Name)
-			core.CheckInvariants(checkInvariants) // kept across Reset
-			scratch.core = core
-		} else {
-			core.Reset()
-		}
-		ts := &traceSource{cpu: cpu}
-		if warm := uint64(p.WarmupInsts[i]); warm > 0 {
-			// A proportional warm-up warms functionally up to its last
-			// warmTail instructions; those run detailed, so the pipeline
-			// is full when the measured interval starts.
-			detailed := warm
-			if p.Sampling.WarmupPolicy == sampling.WarmupProportional {
-				detailed = min(warm, warmTail(cfg))
-				tw := time.Now()
-				_, werr := core.Warm(ts.next, warm-detailed)
-				out.warmNS = time.Since(tw).Nanoseconds()
-				if werr != nil {
-					endStage()
-					out.err = serr(StageWarmup, werr)
-					return
-				}
-			}
-			if _, rerr := core.Run(ts.next, detailed); rerr != nil {
-				endStage()
-				out.err = serr(StageWarmup, rerr)
-				return
-			}
-			out.detailed += detailed
-		}
-		core.ResetStats()
-		endStage()
-
-		endStage = r.stage(StageMeasure)
-		ran, rerr := core.Run(ts.next, uint64(p.Interval))
-		endStage()
-		if rerr != nil {
-			out.err = serr(StageMeasure, rerr)
+		ran, warmNS, err := r.runDetailed(pctx, &scratch.core, p.Workload, cfg, p.Sampling.WarmupPolicy,
+			p.Checkpoints[i], uint64(p.WarmupInsts[i]), uint64(p.Interval))
+		out.warmNS = warmNS
+		if err != nil {
+			out.err = err
 			return
 		}
-		if ts.err != nil {
-			out.err = serr(StageMeasure, ts.err)
-			return
-		}
-		out.detailed += ran
-		st := core.Stats()
+		out.detailed = ran
+		st := scratch.core.Stats()
 
-		endStage = r.stage(StageEstimate)
+		endStage := r.stage(StageEstimate)
 		// Per-point estimates are consumed immediately, so each worker's
 		// scratch Report serves every point it measures — the zero-alloc
 		// accumulation path, now per-worker instead of shared. A failed
@@ -729,8 +668,9 @@ func warmTail(cfg boom.Config) uint64 {
 }
 
 // RunFull executes the entire workload on the detailed model (the
-// baseline the SimPoint methodology replaces). Cancellation is checked at
-// interval boundaries of the detailed run.
+// baseline the SimPoint methodology replaces): the point path's detailed
+// run from the program's entry, with no warm-up, to its end. Cancellation
+// is checked at interval boundaries of the detailed run.
 func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Config) (*Result, error) {
 	defer r.flowLap()()
 
@@ -746,7 +686,31 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 	}
 	cost, err := r.stageCached(key,
 		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
-		func() error { return r.measureFull(ctx, w, cfg, res) },
+		func() error {
+			mctx, cancel := r.stageCtx(ctx)
+			defer cancel()
+			var core *boom.Core
+			ran, _, err := r.runDetailed(mctx, &core, w, cfg, "", nil, 0, 0)
+			if err != nil {
+				return err
+			}
+			st := core.Stats()
+			est := power.NewEstimator(cfg, r.fc.Lib)
+			est.SetMetrics(r.reg)
+			endStage := r.stage(StageEstimate)
+			rep, err := est.Estimate(st)
+			endStage()
+			if err != nil {
+				return &StageError{Stage: StageEstimate, Workload: w.Name, Config: cfg.Name, Err: err}
+			}
+			res.TotalInsts = st.Insts
+			res.IntervalSize = w.IntervalSize
+			res.Stats = st
+			res.Power = rep
+			res.Slots = est.SlotPower(st)
+			res.DetailedInsts = ran
+			return nil
+		},
 		func() ([]byte, error) { return encodeResultPayload(res) })
 	if err != nil {
 		return nil, wrapStage(StageMeasure, w.Name, cfg.Name, err)
@@ -755,74 +719,106 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 	return res, nil
 }
 
-// measureFull is the compute body of RunFull.
-func (r *Runner) measureFull(ctx context.Context, w *workloads.Workload, cfg boom.Config, res *Result) error {
+// runDetailed is the flow's one detailed run, a simulation point's and a
+// full run's alike. It starts a functional CPU at the checkpoint (nil: the
+// program's entry), builds and arms the timing core into *core (or Resets
+// the one a previous run left there, which keeps its arming), and warms it
+// over warm instructions: functionally up to the last warmTail under a
+// proportional warm-up, detailed otherwise. It then runs n instructions,
+// or, when n is 0, the program to its end one interval at a time with ctx
+// checked before each; a CPU that halted must pass the exit check. It
+// returns the instructions the detailed model ran, warm-up included, and
+// the wall-clock of functional warming. Every error is a *StageError.
+func (r *Runner) runDetailed(ctx context.Context, core **boom.Core, w *workloads.Workload, cfg boom.Config,
+	policy string, start *ckpt.Checkpoint, warm, n uint64) (detailed uint64, warmNS int64, err error) {
 	serr := func(stage string, err error) error {
 		return &StageError{Stage: stage, Workload: w.Name, Config: cfg.Name, Err: err}
 	}
-	mctx, cancel := r.stageCtx(ctx)
-	defer cancel()
-	cpu, err := w.NewCPU()
-	if err != nil {
-		return serr(StageMeasure, err)
+	endStage := r.stage(StageWarmup)
+	cpu, err := startCPU(w, start)
+	c := *core
+	switch {
+	case err != nil:
+	case c == nil:
+		if c, err = boom.New(cfg); err == nil {
+			c.SetMetrics(r.reg)
+			c.SetFaultInjector(r.inj, w.Name, cfg.Name)
+			c.CheckInvariants(checkInvariants) // kept across Reset
+			*core = c
+		}
+	default:
+		c.Reset()
 	}
-	core, err := boom.New(cfg)
-	if err != nil {
-		return serr(StageMeasure, err)
-	}
-	core.SetMetrics(r.reg)
-	core.SetFaultInjector(r.inj, w.Name, cfg.Name)
-	core.CheckInvariants(checkInvariants)
 	ts := &traceSource{cpu: cpu}
-
-	endStage := r.stage(StageMeasure)
-	chunk := uint64(w.IntervalSize)
-	if chunk == 0 {
-		chunk = 1 << 20
+	if err == nil && warm > 0 {
+		detailed = warm
+		if policy == sampling.WarmupProportional {
+			detailed = min(warm, warmTail(cfg))
+			t0 := time.Now()
+			_, err = c.Warm(ts.next, warm-detailed)
+			warmNS = time.Since(t0).Nanoseconds()
+		}
+		if err == nil {
+			_, err = c.Run(ts.next, detailed)
+		}
+		if err == nil {
+			c.ResetStats() // a built or Reset core's counters are fresh already
+		}
 	}
-	var ran uint64
+	endStage()
+	if err != nil {
+		return 0, warmNS, serr(StageWarmup, err)
+	}
+
+	endStage = r.stage(StageMeasure)
+	chunk, whole := n, n == 0
+	if whole {
+		if chunk = uint64(w.IntervalSize); chunk == 0 {
+			chunk = 1 << 20
+		}
+	}
 	for {
-		n, rerr := core.Run(ts.next, chunk)
-		ran += n
-		if rerr != nil {
-			endStage()
-			return serr(StageMeasure, rerr)
+		if whole {
+			if err = ctx.Err(); err != nil {
+				break
+			}
 		}
-		if ts.err != nil {
-			endStage()
-			return serr(StageMeasure, ts.err)
+		var ran uint64
+		ran, err = c.Run(ts.next, chunk)
+		detailed += ran
+		if err == nil {
+			err = ts.err
 		}
-		if n < chunk {
+		if err != nil || !whole || ran < chunk {
 			break
 		}
-		if cerr := mctx.Err(); cerr != nil {
-			endStage()
-			return serr(StageMeasure, cerr)
-		}
 	}
 	endStage()
-	if cpu.Halted {
-		if err := checkExit(w, cpu); err != nil {
-			return serr(StageMeasure, err)
-		}
+	if err == nil && cpu.Halted {
+		err = checkExit(w, cpu)
 	}
-
-	st := core.Stats()
-	est := power.NewEstimator(cfg, r.fc.Lib)
-	est.SetMetrics(r.reg)
-	endStage = r.stage(StageEstimate)
-	rep, err := est.Estimate(st)
-	endStage()
 	if err != nil {
-		return serr(StageEstimate, err)
+		return 0, warmNS, serr(StageMeasure, err)
 	}
-	res.TotalInsts = st.Insts
-	res.IntervalSize = w.IntervalSize
-	res.Stats = st
-	res.Power = rep
-	res.Slots = est.SlotPower(st)
-	res.DetailedInsts = ran
-	return nil
+	return detailed, warmNS, nil
+}
+
+// startCPU is a functional CPU at the checkpoint, or, when it is nil, at
+// the program's entry. A restored CPU takes memory and registers from the
+// checkpoint and only the text window (the workload's shared predecoded
+// image) from the program.
+func startCPU(w *workloads.Workload, start *ckpt.Checkpoint) (*sim.CPU, error) {
+	if start == nil {
+		return w.NewCPU()
+	}
+	prog, err := w.Program()
+	if err != nil {
+		return nil, err
+	}
+	cpu := sim.New()
+	cpu.AttachText(prog)
+	start.Restore(cpu)
+	return cpu, nil
 }
 
 // checkExit is the flow's end-to-end oracle: a program that ran to its

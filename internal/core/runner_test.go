@@ -145,8 +145,21 @@ func TestRunnerCancellation(t *testing.T) {
 		t.Errorf("Run error %v does not wrap context.Canceled", err)
 	}
 
-	if _, err := r.RunFull(ctx, w, boom.MediumBOOM()); err == nil {
-		t.Fatal("RunFull must fail on a canceled context")
+	// RunFull: canceled before its first chunk, so the core retires nothing.
+	reg := metrics.NewRegistry()
+	_, err = New(DefaultFlowConfig(), WithMetrics(reg)).RunFull(ctx, w, boom.MediumBOOM())
+	var se *StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("RunFull error %T (%v) is not a *StageError", err, err)
+	}
+	if se.Stage != StageMeasure || se.Workload != "sha" {
+		t.Errorf("RunFull identity: stage=%q workload=%q, want %q/sha", se.Stage, se.Workload, StageMeasure)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunFull error %v does not wrap context.Canceled", err)
+	}
+	if n := reg.Counter("boom.retired").Value(); n != 0 {
+		t.Errorf("a canceled RunFull retired %d instructions, want 0", n)
 	}
 	if _, err := r.Sweep(ctx, tcamp([]string{"sha"}, []boom.Config{boom.MediumBOOM()})); err == nil {
 		t.Fatal("Sweep must fail on a canceled context")

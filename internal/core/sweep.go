@@ -20,7 +20,7 @@ import (
 var buildWorkload = workloads.Build
 
 // checkInvariants turns on boom's per-cycle invariant checker in every core
-// measure and measureFull build; the whole-flow invariant test sets it.
+// runDetailed builds; the whole-flow invariant test sets it.
 var checkInvariants bool
 
 // Sweep profiles every campaign workload once (at the campaign's scale)
