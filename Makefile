@@ -40,8 +40,11 @@ vet:
 # image (internal/sim) and fork one copy-on-write checkpoint image, which
 # only reads it (internal/mem, internal/ckpt). The fabric package runs -short: its
 # full 11×3 conformance matrices are covered race-free by `make test`.
+# internal/core runs alone under its own timeout: by itself it took 478 s
+# under -race on a 2-vCPU host, too close to go test's default 10 minutes.
 race:
-	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/ckpt ./internal/bbv
+	$(GO) test -race ./internal/metrics ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/ckpt ./internal/bbv
+	$(GO) test -race -timeout 20m ./internal/core
 	$(GO) test -race -short ./internal/fabric
 
 # go accepts one -fuzz target per invocation. The core payload-decoder
@@ -74,11 +77,13 @@ bench:
 # Every kernel benchmark runs once (-benchtime 1x) and the JSON emitter
 # must see every kernel — catches perf-harness rot without paying for real
 # measurements. Then the two floors against the committed BENCH_kernel.json.
-# The tick kernels, the warm rerun and the cold profile (8 iterations each,
-# so a stray runtime allocation rounds away) may allocate no more often per
-# op than their rows, and the tick kernels no more bytes (1 % slack):
-# counts, so they gate on every host — a second functional pass in the
-# profile, or a checkpoint copied whole instead of shared, fails here. The
+# The tick kernels, the -j 1 measure cell, the warm rerun and the cold
+# profile (8 iterations each, so a stray runtime allocation rounds away)
+# may allocate no more often per op than their rows, and the tick kernels
+# and the measure cell no more bytes (1 % slack): counts, so they gate on
+# every host — a second functional pass in the profile, a checkpoint
+# copied whole instead of shared, or a timing core built per cell instead
+# of Reset, fails here. The
 # five per-instruction functional-core kernels (5M ops each, best of 3)
 # must allocate exactly what their rows do and, on the CPU model the ledger
 # was taken on, run within 1.5x of them.
@@ -89,7 +94,7 @@ bench-smoke:
 		grep -q "\"kernel\": \"$$k\"" .bench-check/BENCH_kernel.json \
 			|| { echo "bench-smoke: kernel $$k missing"; exit 1; }; \
 	done
-	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|WarmSweep|Profile)' -benchtime 8x \
+	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Tick|MeasureJ1|WarmSweep|Profile)' -benchtime 8x \
 		-out .bench-check/ticks.json -floor BENCH_kernel.json 2> .bench-check/ticks.log \
 		|| { cat .bench-check/ticks.log; exit 1; }
 	$(GO) run ./cmd/kernelbench -bench '^BenchmarkKernel(Func|BBV|Mem)' -benchtime 5000000x -count 3 \

@@ -50,19 +50,21 @@ var floorKernels = []string{"func_step", "func_run_trace", "func_run_blocks", "b
 // ceilingKernels are the kernels whose allocs/op -floor holds at or below
 // the committed rows: a count, so it gates on every host. On the tick
 // kernels it is what keeps a simulation point allocation-free (boom.New's
-// tables, nothing per cycle or per µop); on warm_sweep, what keeps a rerun
-// from reading the payloads it reports nothing from; on profile, what keeps
-// a cold profile to one functional pass and its checkpoints shared, not
-// copied.
-var ceilingKernels = []string{"tick", "tick_lo_ipc", "warm_sweep", "profile"}
+// tables, nothing per cycle or per µop); on measure_j1, what keeps a
+// Runner's cells on the timing core it already has (Reset, not boom.New);
+// on warm_sweep, what keeps a rerun from reading the payloads it reports
+// nothing from; on profile, what keeps a cold profile to one functional
+// pass and its checkpoints shared, not copied.
+var ceilingKernels = []string{"tick", "tick_lo_ipc", "measure_j1", "warm_sweep", "profile"}
 
 // byteCeilingKernels are the ceiling kernels whose bytes/op -floor also
 // holds at or below the committed rows: the tick kernels, whose bytes are
 // boom.New's per-core tables and nothing else, so a grown table shows
-// there before it shows in a campaign's alloc_mb. warm_sweep's bytes are
-// not held: one 64 KiB pooled buffer refilled after a GC in an 8-iteration
-// run is 8 KiB/op, several times its slack.
-var byteCeilingKernels = []string{"tick", "tick_lo_ipc"}
+// there before it shows in a campaign's alloc_mb, and measure_j1, where a
+// core built again per cell would be several times the row. warm_sweep's
+// bytes are not held: one 64 KiB pooled buffer refilled after a GC in an
+// 8-iteration run is 8 KiB/op, several times its slack.
+var byteCeilingKernels = []string{"tick", "tick_lo_ipc", "measure_j1"}
 
 // ceilingSlack is the fraction of its committed row a ceiling kernel may
 // exceed it by. It rounds to nothing on the tick rows' allocs/op (57/op);

@@ -128,11 +128,12 @@ func TestCheckFloor(t *testing.T) {
 	}
 }
 
-// TestCheckFloorTickCeiling: the tick kernels (and the warm rerun) are held
-// per config to an allocation ceiling — lower passes, higher fails on any
-// CPU model, the slack rounding to nothing on a 57/op row — the tick
-// kernels also to a byte ceiling within 1 %, and a ceiling-only run does
-// not need the functional-core kernels.
+// TestCheckFloorTickCeiling: the tick kernels (and the measure cell and
+// the warm rerun) are held per config to an allocation ceiling — lower
+// passes, higher fails on any CPU model, the slack rounding to nothing on a
+// 57/op row — the tick kernels and the measure cell also to a byte ceiling
+// within 1 %, and a ceiling-only run does not need the functional-core
+// kernels.
 func TestCheckFloorTickCeiling(t *testing.T) {
 	tickBytes := func(cpu string, large, largeBytes int64) *Report {
 		return &Report{CPU: cpu, Results: []Result{
@@ -140,9 +141,13 @@ func TestCheckFloorTickCeiling(t *testing.T) {
 			{Kernel: "tick", Config: "LargeBOOM", AllocsPerOp: large, BytesPerOp: largeBytes},
 			{Kernel: "tick_lo_ipc", Config: "LargeBOOM", AllocsPerOp: 57, BytesPerOp: 600_000},
 			{Kernel: "warm_sweep", AllocsPerOp: 2400, BytesPerOp: 180_000},
+			{Kernel: "measure_j1", Config: "MegaBOOM", AllocsPerOp: 100, BytesPerOp: 110_000},
 		}}
 	}
 	ticks := func(cpu string, large int64) *Report { return tickBytes(cpu, large, 600_000) }
+	measure := func(allocs, bytes int64) *Report {
+		return &Report{Results: []Result{{Kernel: "measure_j1", Config: "MegaBOOM", AllocsPerOp: allocs, BytesPerOp: bytes}}}
+	}
 	warm := func(allocs int64) *Report {
 		return &Report{Results: []Result{{Kernel: "warm_sweep", AllocsPerOp: allocs, BytesPerOp: 180_000}}}
 	}
@@ -165,6 +170,9 @@ func TestCheckFloorTickCeiling(t *testing.T) {
 		{"tick bytes within the slack", tickBytes("cpu A", 57, 606_000), ""},
 		{"a grown per-core table", tickBytes("cpu B", 57, 606_001), "tick LargeBOOM allocates 606001 B/op, committed 600000 B/op"},
 		{"warm rerun bytes are not held", warmBytes(200_000), ""},
+		{"a measure cell within its ceilings", measure(101, 111_100), ""},
+		{"a measure cell allocating more often", measure(102, 110_000), "measure_j1 MegaBOOM allocates 102/op, committed 100/op"},
+		{"a measure cell that builds its core again", measure(100, 760_000), "measure_j1 MegaBOOM allocates 760000 B/op, committed 110000 B/op"},
 		{"uncommitted config", &Report{Results: []Result{{Kernel: "tick_lo_ipc", Config: "MegaBOOM"}}}, "no committed row"},
 		{"ticks beside half a functional floor", &Report{Results: append(ticks("cpu A", 57).Results, Result{Kernel: "mem_read_write"})}, "func_step did not run"},
 	} {

@@ -346,7 +346,8 @@ func TestGShareAblation(t *testing.T) {
 }
 
 func TestCacheModelLRU(t *testing.T) {
-	c := newCacheModel(1, 2, 64) // 1 KiB, 2-way, 64 B lines → 8 sets
+	var c cacheModel
+	c.reset(1, 2, 64) // 1 KiB, 2-way, 64 B lines → 8 sets
 	a := uint64(0x0000)
 	b := uint64(0x2000) // same set, different tag
 	d := uint64(0x4000) // same set again

@@ -40,44 +40,36 @@ type tageTable struct {
 	tag uint16 // and its tag
 }
 
-func newBPred(cfg *Config, stats *Stats) *bpred {
-	b := &bpred{cfg: cfg, stats: stats}
-	b.bimodal = make([]int8, 2048)
-	histLens := []int{4, 8, 16, 24, 32, 48, 64, 96}
-	for t := 0; t < cfg.TageTables; t++ {
-		hl := histLens[t%len(histLens)]
-		b.tables = append(b.tables, tageTable{
-			histLen: hl,
-			tags:    make([]uint16, cfg.TageEntries),
-			ctr:     make([]int8, cfg.TageEntries),
-			useful:  make([]uint8, cfg.TageEntries),
-		})
-	}
-	b.gshare = make([]int8, cfg.GShareEntries)
-	b.btbTags = make([]uint64, cfg.BTBEntries)
-	b.btbTargets = make([]uint64, cfg.BTBEntries)
-	b.btbValid = make([]bool, cfg.BTBEntries)
-	b.ras = make([]uint64, cfg.RASEntries)
-	return b
-}
+// tageHistLens are the tagged tables' history lengths, shortest first; a
+// configuration with more tables reuses them cyclically.
+var tageHistLens = [...]int{4, 8, 16, 24, 32, 48, 64, 96}
 
-// reset returns every table to its power-on state — the cold predictor a
-// new core starts a simulation point with — and retargets the activity
-// counters at stats.
-func (b *bpred) reset(stats *Stats) {
-	b.stats = stats
+// reset sizes every table for cfg and returns it to its power-on state —
+// the cold predictor a new core starts a simulation point with — and
+// retargets the activity counters at stats. A table whose backing array
+// holds the new size is reused.
+func (b *bpred) reset(cfg *Config, stats *Stats) {
+	b.cfg, b.stats = cfg, stats
 	b.hist, b.rasTop, b.rasCnt = 0, 0, 0
-	clear(b.bimodal)
-	for i := range b.tables {
-		clear(b.tables[i].tags)
-		clear(b.tables[i].ctr)
-		clear(b.tables[i].useful)
+	b.bimodal = sized(b.bimodal, 2048)
+	if cap(b.tables) < cfg.TageTables {
+		b.tables = make([]tageTable, cfg.TageTables)
 	}
-	clear(b.gshare)
-	clear(b.btbTags)
-	clear(b.btbTargets)
-	clear(b.btbValid)
-	clear(b.ras)
+	b.tables = b.tables[:cfg.TageTables]
+	for t := range b.tables {
+		tt := &b.tables[t]
+		*tt = tageTable{
+			histLen: tageHistLens[t%len(tageHistLens)],
+			tags:    sized(tt.tags, cfg.TageEntries),
+			ctr:     sized(tt.ctr, cfg.TageEntries),
+			useful:  sized(tt.useful, cfg.TageEntries),
+		}
+	}
+	b.gshare = sized(b.gshare, cfg.GShareEntries)
+	b.btbTags = sized(b.btbTags, cfg.BTBEntries)
+	b.btbTargets = sized(b.btbTargets, cfg.BTBEntries)
+	b.btbValid = sized(b.btbValid, cfg.BTBEntries)
+	b.ras = sized(b.ras, cfg.RASEntries)
 }
 
 func mix(pc uint64) uint64 {

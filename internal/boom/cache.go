@@ -13,29 +13,21 @@ type cacheModel struct {
 	stamp    uint64
 }
 
-func newCacheModel(kib, ways, lineBytes int) *cacheModel {
+// reset sizes the cache for kib KiB of lineBytes-byte lines in ways-way
+// sets and empties it. Ages and the stamp go too: victim selection
+// compares the age of an invalid way 0.
+func (c *cacheModel) reset(kib, ways, lineBytes int) {
 	lines := kib * 1024 / lineBytes
-	sets := lines / ways
 	lb := uint(0)
 	for 1<<lb < lineBytes {
 		lb++
 	}
-	return &cacheModel{
-		setMask:  uint64(sets - 1),
-		ways:     ways,
-		lineBits: lb,
-		tags:     make([]uint64, sets*ways),
-		valid:    make([]bool, sets*ways),
-		age:      make([]uint64, sets*ways),
-	}
-}
-
-// reset empties the cache. Ages and the stamp go too: victim selection
-// compares the age of an invalid way 0.
-func (c *cacheModel) reset() {
-	clear(c.tags)
-	clear(c.valid)
-	clear(c.age)
+	c.setMask = uint64(lines/ways - 1)
+	c.ways = ways
+	c.lineBits = lb
+	c.tags = sized(c.tags, lines)
+	c.valid = sized(c.valid, lines)
+	c.age = sized(c.age, lines)
 	c.stamp = 0
 }
 

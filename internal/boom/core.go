@@ -80,7 +80,8 @@ const (
 	pendData = 1 << 1
 )
 
-// Core is one timing-model instance. Create with New, drive with Run.
+// Core is one timing-model instance. Create with New, drive with Run,
+// retarget with Reset.
 type Core struct {
 	cfg     Config
 	stats   *Stats
@@ -88,10 +89,10 @@ type Core struct {
 	inj     *faultinject.Injector // optional; nil disables the boom.tick site
 	injSite []string              // "boom.tick" + scope segments
 
-	bp     *bpred
-	icache *cacheModel
-	dcache *cacheModel
-	l2     *cacheModel
+	bp     bpred
+	icache cacheModel
+	dcache cacheModel
+	l2     cacheModel
 
 	dec []decEntry // per-PC decode/crack cache
 
@@ -191,30 +192,54 @@ func freshPipe() pipeState {
 	return pipeState{head: 1, mid: 1, tail: 1}
 }
 
-// New builds a core for cfg. Invalid configurations are returned as errors
-// — the detailed model never aborts the process over its inputs.
+// New builds a core for cfg: Reset on a zero core. Invalid configurations
+// are returned as errors — the detailed model never aborts the process
+// over its inputs.
 func New(cfg Config) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("boom: invalid config %q: %w", cfg.Name, err)
+	c := new(Core)
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
 	}
-	c := &Core{cfg: cfg}
-	c.stats = NewStats(&cfg)
-	c.bp = newBPred(&c.cfg, c.stats)
-	c.icache = newCacheModel(cfg.ICacheKiB, cfg.ICacheWays, cfg.LineBytes)
-	c.dcache = newCacheModel(cfg.DCacheKiB, cfg.DCacheWays, cfg.LineBytes)
-	c.l2 = newCacheModel(cfg.L2KiB, cfg.L2Ways, cfg.LineBytes)
-
-	c.dec = make([]decEntry, decEntries)
-	n := pow2(cfg.RobEntries + cfg.FetchBufferEntries + 1)
-	c.win, c.mask = make([]uop, n), uint64(n-1)
-	c.stq = newSeqRing(cfg.StqEntries)
-	c.intQ = make([]ref, 0, cfg.IntIssueSlots)
-	c.memQ = make([]ref, 0, cfg.MemIssueSlots)
-	c.fpQ = make([]ref, 0, cfg.FpIssueSlots)
-	c.stdWait = make([]ref, 0, cfg.StqEntries)
-	c.accHist = make([]uint64, cfg.IntIssueSlots+1)
-	c.pipeState = freshPipe()
 	return c, nil
+}
+
+// Reset retargets the core at cfg and returns it to the state New builds
+// — cold predictors and caches, empty pipeline, cycle 0, fresh counters —
+// so one core can measure simulation point after simulation point, and
+// cell after cell. Every table is resized in place: a backing array that
+// holds the new size is reused and zeroed, a smaller one is replaced, so a
+// core keeps the tables of the largest configuration it has run. What a
+// caller attached (metrics, fault injector, pipe trace, invariant
+// checking) stays attached. The decode cache is kept: it revalidates every
+// hit against the full instruction, so its contents never reach a
+// simulated byte. An invalid cfg is returned as an error and leaves the
+// core as it was.
+func (c *Core) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("boom: invalid config %q: %w", cfg.Name, err)
+	}
+	c.cfg = cfg
+	c.stats = NewStats(&c.cfg)
+	c.bp.reset(&c.cfg, c.stats)
+	c.icache.reset(cfg.ICacheKiB, cfg.ICacheWays, cfg.LineBytes)
+	c.dcache.reset(cfg.DCacheKiB, cfg.DCacheWays, cfg.LineBytes)
+	c.l2.reset(cfg.L2KiB, cfg.L2Ways, cfg.LineBytes)
+	if c.dec == nil {
+		c.dec = make([]decEntry, decEntries)
+	}
+	n := pow2(cfg.RobEntries + cfg.FetchBufferEntries + 1)
+	c.win, c.mask = sized(c.win, n), uint64(n-1)
+	if c.traceW != nil {
+		c.stamps = sized(c.stamps, n)
+	}
+	c.stq.reset(cfg.StqEntries)
+	c.intQ = sized(c.intQ, cfg.IntIssueSlots)[:0]
+	c.memQ = sized(c.memQ, cfg.MemIssueSlots)[:0]
+	c.fpQ = sized(c.fpQ, cfg.FpIssueSlots)[:0]
+	c.stdWait = sized(c.stdWait, cfg.StqEntries)[:0]
+	c.accHist = sized(c.accHist, cfg.IntIssueSlots+1)
+	c.pipeState = freshPipe()
+	return nil
 }
 
 // pow2 is the smallest power of two >= n.
@@ -226,25 +251,15 @@ func pow2(n int) int {
 	return sz
 }
 
-// Reset returns the core to the state New built — cold predictors and
-// caches, empty pipeline, cycle 0, fresh counters — without reallocating
-// its tables, so one core can measure simulation point after simulation
-// point. What a caller attached (metrics, fault injector, pipe trace,
-// invariant checking) stays attached. The decode cache is kept: it
-// revalidates every hit against the full instruction, so its contents
-// never reach a simulated byte.
-func (c *Core) Reset() {
-	c.pipeState = freshPipe()
-	c.stats = NewStats(&c.cfg)
-	c.bp.reset(c.stats)
-	c.icache.reset()
-	c.dcache.reset()
-	c.l2.reset()
-	c.stq.reset()
-	c.intQ, c.memQ, c.fpQ, c.stdWait = c.intQ[:0], c.memQ[:0], c.fpQ[:0], c.stdWait[:0]
-	clear(c.accHist)
-	clear(c.win)
-	clear(c.stamps)
+// sized is s resliced to n zeroed elements: s's backing array when it
+// holds n, a new one otherwise.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Stats returns the accumulated statistics (flushing any batched per-cycle
@@ -311,10 +326,11 @@ const deadlockCycles = 100_000
 // SetFaultInjector attaches an optional fault injector; scope segments
 // (typically workload and config name) are appended to the "boom.tick"
 // site so chaos specs can target one measurement deterministically. A nil
-// injector (the default) disables the site.
+// injector (the default) disables the site. A later call replaces both, so
+// a core Reset for another cell is re-scoped to it.
 func (c *Core) SetFaultInjector(inj *faultinject.Injector, scope ...string) {
 	c.inj = inj
-	c.injSite = append([]string{"boom.tick"}, scope...)
+	c.injSite = append(append(c.injSite[:0], "boom.tick"), scope...)
 }
 
 // Run feeds committed instructions from next through the pipeline until

@@ -8,8 +8,12 @@ package boom
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -142,15 +146,67 @@ func measurePoint(t *testing.T, c *Core, tr []sim.Retired) (stats, pipe []byte, 
 	return statsBytes(t, c), trace.Bytes(), c.cycle
 }
 
-// TestResetMatchesNew: a core that already ran — another workload to the
-// end, the same workload's earlier instructions (what a point worker's
-// core has seen: the same PCs, lines and branches) stopped with the
-// pipeline full, or into a deadlock — and was then Reset must measure a
-// point exactly as a core fresh from New does.
+// resetDiff names the first part of c, Reset to cfg, that differs from a
+// core fresh from New(cfg), or is "" when none does. What Reset keeps — the
+// decode cache and what the caller attached — is left out, but an attached
+// pipe trace's stamps must be zero and as long as the window; everything
+// else must be New's, table lengths and contents alike, so a field added
+// to Core is held too.
+func resetDiff(t *testing.T, c *Core, cfg Config) string {
+	t.Helper()
+	got, want := *c, *mustNew(t, cfg)
+	for _, k := range []*Core{&got, &want} {
+		k.dec, k.metrics, k.inj, k.injSite, k.checkInv = nil, nil, nil, nil, false
+		k.traceW, k.traceLeft, k.stamps = nil, 0, nil
+	}
+	if c.traceW != nil && (len(c.stamps) != len(c.win) ||
+		slices.ContainsFunc(c.stamps, func(s pipeStamp) bool { return s != pipeStamp{} })) {
+		return "pipe-trace stamps"
+	}
+	if reflect.DeepEqual(got, want) {
+		return ""
+	}
+	for _, p := range []struct {
+		name string
+		a, b any
+	}{
+		{"config", got.cfg, want.cfg}, {"stats", got.stats, want.stats},
+		{"predictor", got.bp, want.bp},
+		{"L1I", got.icache, want.icache}, {"L1D", got.dcache, want.dcache}, {"L2", got.l2, want.l2},
+		{"window", got.win, want.win}, {"window mask", got.mask, want.mask},
+		{"int IQ", got.intQ, want.intQ}, {"mem IQ", got.memQ, want.memQ}, {"fp IQ", got.fpQ, want.fpQ},
+		{"STQ", got.stq, want.stq}, {"STD wait", got.stdWait, want.stdWait},
+		{"accHist", got.accHist, want.accHist}, {"pipeline state", got.pipeState, want.pipeState},
+	} {
+		if !reflect.DeepEqual(p.a, p.b) {
+			return p.name
+		}
+	}
+	return "a field resetDiff does not name"
+}
+
+// TestResetMatchesNew: a core that already ran — on its own or another
+// configuration: another workload to the end, the same workload's earlier
+// instructions (what a point worker's core has seen: the same PCs, lines
+// and branches) stopped with the pipeline full, or into a deadlock — and
+// was then Reset to cfg must be a new core for cfg: every table and
+// counter New's, and a point measured exactly as a core fresh from New
+// measures it. Every preset is Reset into every preset, and each
+// table-sizing axis of a design-space sweep from a small value to a large
+// one and back, so a table both regrown and reused in place is held.
 func TestResetMatchesNew(t *testing.T) {
 	other := workloadTrace(t, "patricia")
 	head := workloadTrace(t, "qsort")
 	point := head[len(head)/3:] // restored mid-workload
+	// The mid-flight case runs with a pipe trace attached, which Reset
+	// keeps: its stamps must follow the window.
+	midFlight := func(t *testing.T, c *Core) {
+		c.SetPipeTrace(io.Discard, 1)
+		mustRun(t, c, (&replaySource{tr: head}).next, uint64(len(head)/3))
+		if c.mid == c.head || c.tail == c.mid {
+			t.Fatal("the pipeline drained; the case needs it full")
+		}
+	}
 	dirty := []struct {
 		what string
 		run  func(t *testing.T, c *Core)
@@ -158,12 +214,7 @@ func TestResetMatchesNew(t *testing.T) {
 		{"another workload's full run", func(t *testing.T, c *Core) {
 			mustRun(t, c, (&replaySource{tr: other}).next, math.MaxUint64)
 		}},
-		{"the workload's own head, stopped mid-flight", func(t *testing.T, c *Core) {
-			mustRun(t, c, (&replaySource{tr: head}).next, uint64(len(head)/3))
-			if c.mid == c.head || c.tail == c.mid {
-				t.Fatal("the pipeline drained; the case needs it full")
-			}
-		}},
+		{"the workload's own head, stopped mid-flight", midFlight},
 		{"a deadlock", func(t *testing.T, c *Core) {
 			mustRun(t, c, (&replaySource{tr: other}).next, 10_000)
 			stuck := c.at(c.intQ[0]) // a third-source bit no producer will ever clear
@@ -176,25 +227,77 @@ func TestResetMatchesNew(t *testing.T) {
 			}
 		}},
 	}
-	for _, cfg := range Configs() {
-		wantStats, wantPipe, wantCycle := measurePoint(t, mustNew(t, cfg), point)
-		for i, d := range dirty {
-			c := mustNew(t, cfg)
-			d.run(t, c)
-			c.Reset()
-			// One case steps with the invariants asserted: what Reset
-			// leaves behind must also be structurally a new core.
-			c.CheckInvariants(i == 1)
-			gotStats, gotPipe, gotCycle := measurePoint(t, c, point)
-			if gotCycle != wantCycle {
-				t.Errorf("%s after %s: Reset core ended at cycle %d, new core at %d", cfg.Name, d.what, gotCycle, wantCycle)
-			}
-			if !bytes.Equal(gotStats, wantStats) {
-				t.Errorf("%s after %s: Reset core's stats differ from a new core's", cfg.Name, d.what)
-			}
-			if !bytes.Equal(gotPipe, wantPipe) {
-				t.Errorf("%s after %s: pipeline traces differ\nreset:\n%s\nnew:\n%s", cfg.Name, d.what, gotPipe, wantPipe)
+	// check Resets a core that ran on from into to and holds it to New(to).
+	// One case steps with the invariants asserted: what Reset leaves behind
+	// must also be structurally a new core.
+	check := func(what string, from, to Config, run func(t *testing.T, c *Core), checked bool) {
+		t.Helper()
+		wantStats, wantPipe, wantCycle := measurePoint(t, mustNew(t, to), point)
+		c := mustNew(t, from)
+		run(t, c)
+		if err := c.Reset(to); err != nil {
+			t.Fatal(err)
+		}
+		if d := resetDiff(t, c, to); d != "" {
+			t.Errorf("%s: the Reset core's %s differs from a new core's", what, d)
+		}
+		c.CheckInvariants(checked)
+		gotStats, gotPipe, gotCycle := measurePoint(t, c, point)
+		if gotCycle != wantCycle {
+			t.Errorf("%s: Reset core ended at cycle %d, new core at %d", what, gotCycle, wantCycle)
+		}
+		if !bytes.Equal(gotStats, wantStats) {
+			t.Errorf("%s: Reset core's stats differ from a new core's", what)
+		}
+		if !bytes.Equal(gotPipe, wantPipe) {
+			t.Errorf("%s: pipeline traces differ\nreset:\n%s\nnew:\n%s", what, gotPipe, wantPipe)
+		}
+	}
+	for _, from := range Configs() {
+		for _, to := range Configs() {
+			for i, d := range dirty {
+				check(fmt.Sprintf("%s to %s after %s", from.Name, to.Name, d.what), from, to, d.run, i == 1)
 			}
 		}
+	}
+
+	axes := []struct {
+		name     string
+		set      func(c *Config, n int)
+		min, max int
+	}{
+		{"rob", func(c *Config, n int) { c.RobEntries = n }, 32, 256},
+		{"int-iq", func(c *Config, n int) { c.IntIssueSlots = n }, 4, 64},
+		{"stq", func(c *Config, n int) { c.StqEntries = n }, 4, 64},
+		{"tage", func(c *Config, n int) { c.TageEntries = n }, 64, 4096},
+		{"tage-tables", func(c *Config, n int) { c.TageTables = n }, 2, 8},
+		{"btb", func(c *Config, n int) { c.BTBEntries = n }, 32, 4096},
+		{"ras", func(c *Config, n int) { c.RASEntries = n }, 2, 64},
+		{"gshare", func(c *Config, n int) { c.Predictor, c.GShareEntries = PredictorGShare, n }, 256, 1 << 16},
+		{"dcache-kib", func(c *Config, n int) { c.DCacheKiB = n }, 4, 128},
+		{"l2-kib", func(c *Config, n int) { c.L2KiB = n }, 128, 4096},
+		{"dcache-mshrs", func(c *Config, n int) { c.DCacheMSHRs = n }, 1, 16},
+	}
+	for _, ax := range axes {
+		lo, hi := LargeBOOM(), LargeBOOM()
+		ax.set(&lo, ax.min)
+		ax.set(&hi, ax.max)
+		lo.Name, hi.Name = fmt.Sprintf("%s=%d", ax.name, ax.min), fmt.Sprintf("%s=%d", ax.name, ax.max)
+		check(lo.Name+" to "+hi.Name, lo, hi, midFlight, false)
+		check(hi.Name+" to "+lo.Name, hi, lo, midFlight, false)
+	}
+}
+
+// TestResetRefusesAnInvalidConfig: Reset validates as New does, and a
+// refused config leaves the core as it was.
+func TestResetRefusesAnInvalidConfig(t *testing.T) {
+	c := mustNew(t, MediumBOOM())
+	bad := LargeBOOM()
+	bad.RobEntries = 0
+	if err := c.Reset(bad); err == nil {
+		t.Fatal("Reset accepted a zero-entry ROB")
+	}
+	if d := resetDiff(t, c, MediumBOOM()); d != "" {
+		t.Errorf("a refused Reset moved the core's %s", d)
 	}
 }

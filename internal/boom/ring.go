@@ -10,11 +10,6 @@ type seqRing struct {
 	n    int
 }
 
-func newSeqRing(capacity int) seqRing {
-	sz := pow2(capacity)
-	return seqRing{buf: make([]uint64, sz), mask: sz - 1}
-}
-
 func (r *seqRing) len() int          { return r.n }
 func (r *seqRing) front() uint64     { return r.buf[r.head] }
 func (r *seqRing) at(i int) uint64   { return r.buf[(r.head+i)&r.mask] }
@@ -25,4 +20,9 @@ func (r *seqRing) popFront() {
 	r.n--
 }
 
-func (r *seqRing) reset() { r.head, r.n = 0, 0 }
+// reset sizes the ring for capacity sequence numbers and empties it.
+func (r *seqRing) reset(capacity int) {
+	sz := pow2(capacity)
+	r.buf, r.mask = sized(r.buf, sz), sz-1
+	r.head, r.n = 0, 0
+}

@@ -65,7 +65,7 @@ func TestWarmSeamIsExact(t *testing.T) {
 					}
 					mustRun(t, c, src.next, math.MaxUint64)
 
-					if d := frontEndDiff(ref.bp, c.bp); d != "" {
+					if d := frontEndDiff(&ref.bp, &c.bp); d != "" {
 						t.Errorf("%s/%s: %s differs after Warm(%d) + Run", cfg.Name, pk, d, half)
 					}
 					rs, ws := ref.Stats(), c.Stats()

@@ -13,9 +13,11 @@ import (
 
 // Intra-cell point parallelism (DESIGN §4). Every simulation point of one
 // (workload, config) cell restores its own architectural checkpoint into a
-// fresh functional CPU and a cold timing core (its worker's, Reset between
-// points), so points are independent and can be measured concurrently. Two
-// invariants make this safe:
+// fresh functional CPU and a cold timing core, so points are independent
+// and can be measured concurrently. The core is the worker slot's: a
+// Runner keeps at most -j of them on a free list for its lifetime, each
+// Reset to the next point's config and so sized for the largest config it
+// has run. Two invariants make this safe:
 //
 //   - One shared budget. The Runner owns a slot semaphore of capacity -j
 //     shared between cell-level sweep workers and intra-cell point helpers,
@@ -53,20 +55,53 @@ type pointOutput struct {
 	aborted  bool   // skipped because a sibling point already failed
 }
 
-// pointScratch is what one point worker keeps from point to point of a
-// cell: the power report EstimateInto fills (consumed before the next
-// point) and the timing core, built at the worker's first point and Reset
-// for each later one instead of reallocating its tables.
+// pointScratch is what a worker slot keeps from detailed run to detailed
+// run, across points and cells: the power report EstimateInto fills
+// (consumed before the next point) and the timing core, built the first
+// time the slot runs and Reset to each later run's config instead of
+// reallocating its tables. A Runner holds at most -j of them, on its free
+// list (takeScratch, giveScratch), so at most -j cores, each sized for the
+// largest config it has run. The list is intrusive, so keeping it
+// allocates nothing.
 type pointScratch struct {
 	report power.Report
 	core   *boom.Core
+	next   *pointScratch // the free list's link
+}
+
+// takeScratch is a pointScratch off the Runner's free list, or a new one
+// (with no core yet) when the list is empty.
+func (r *Runner) takeScratch() *pointScratch {
+	r.freeMu.Lock()
+	defer r.freeMu.Unlock()
+	s := r.free
+	if s == nil {
+		return new(pointScratch)
+	}
+	r.free, s.next = s.next, nil
+	r.nfree--
+	return s
+}
+
+// giveScratch puts s back on the free list, or drops it when the list
+// holds -j already: direct Run and RunFull calls from several goroutines
+// are not counted against the slot budget, so more than -j detailed runs
+// can be in flight.
+func (r *Runner) giveScratch(s *pointScratch) {
+	r.freeMu.Lock()
+	defer r.freeMu.Unlock()
+	if r.nfree < r.par {
+		s.next, r.free = r.free, s
+		r.nfree++
+	}
 }
 
 // runPoints executes body(i, scratch) for every point index in [0, n).
 // The calling goroutine is always worker zero; helpers are admitted by
 // try-acquiring slots from the Runner's shared budget, so cell-level sweep
 // workers and point helpers can never oversubscribe -j between them. Each
-// worker owns a private pointScratch.
+// worker takes a pointScratch from the free list for the cell and gives it
+// back when it runs out of points.
 // Point indices are claimed atomically; body must be panic-free or capture
 // its own panics — a panic escaping body on a helper goroutine would kill
 // the process.
@@ -76,13 +111,14 @@ func (r *Runner) runPoints(n int, body func(i int, scratch *pointScratch)) {
 	}
 	var next atomic.Int64
 	work := func() {
-		var scratch pointScratch
+		scratch := r.takeScratch()
+		defer r.giveScratch(scratch)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			body(i, &scratch)
+			body(i, scratch)
 		}
 	}
 	extra := r.par - 1

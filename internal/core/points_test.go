@@ -13,12 +13,15 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/boom"
+	"repro/internal/faultinject"
 	"repro/internal/simpoint"
+	"repro/internal/workloads"
 )
 
 // TestEstimateErrorSurfaced is the regression for the swallowed per-point
@@ -117,6 +120,89 @@ func TestRunPointsClaimsEachIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunnerHoldsAtMostJScratches: a Runner's free list never holds more
+// than -j point scratches (so never more than -j timing cores), however
+// many workers took one, and hands out only scratches it kept.
+func TestRunnerHoldsAtMostJScratches(t *testing.T) {
+	for _, par := range []int{1, 3} {
+		r := New(DefaultFlowConfig(), WithParallelism(par))
+		r.runPoints(33, func(int, *pointScratch) {})
+		if n := r.nfree; n < 1 || n > par {
+			t.Errorf("-j %d: %d scratches on the free list after runPoints, want 1..%d", par, n, par)
+		}
+		// More concurrent detailed runs than -j (direct calls, not
+		// counted against the slot budget) give back more than -j.
+		held := make([]*pointScratch, 2*par)
+		for i := range held {
+			held[i] = r.takeScratch()
+		}
+		for _, s := range held {
+			r.giveScratch(s)
+		}
+		if n := r.nfree; n != par {
+			t.Errorf("-j %d: %d scratches on the free list after %d were given back, want %d", par, n, len(held), par)
+		}
+		if s := r.takeScratch(); !slices.Contains(held[:par], s) {
+			t.Errorf("-j %d: the free list handed out a scratch it did not keep", par)
+		}
+	}
+}
+
+// TestRecycledCoreFollowsItsCell: at -j 1 one timing core runs every cell
+// of a Runner, Reset from cell to cell. It must be armed for the cell it
+// runs, not the one it was built for — a chaos rule scoped to the second
+// cell's boom.tick site fires on that cell and never on the first — and a
+// Stats it handed out must not move when it runs the next cell.
+func TestRecycledCoreFollowsItsCell(t *testing.T) {
+	ctx := context.Background()
+	cfgs := []boom.Config{boom.MediumBOOM(), boom.LargeBOOM()}
+	site := "boom.tick/sha/" + cfgs[1].Name
+	sw, err := New(DefaultFlowConfig(), WithParallelism(1), WithKeepGoing(true),
+		WithFaultInjector(mustInj(t, "1:"+site+"=error-perm"))).Sweep(ctx, tcamp([]string{"sha"}, cfgs))
+	var f *faultinject.Fault
+	if !errors.As(err, &f) || f.Site != site {
+		t.Fatalf("sweep error %v, want the fault injected at %s", err, site)
+	}
+	if sw.Results[cfgs[0].Name]["sha"] == nil {
+		t.Errorf("the first cell (%s) failed: the rule for the second fired on it", cfgs[0].Name)
+	}
+	if sw.Results[cfgs[1].Name]["sha"] != nil {
+		t.Errorf("the second cell (%s) has a result: its rule never fired", cfgs[1].Name)
+	}
+
+	enc := func(st *boom.Stats) []byte {
+		var buf bytes.Buffer
+		if err := boom.EncodeStats(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	w, err := workloads.Build("sha", workloads.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(DefaultFlowConfig(), WithParallelism(1))
+	first, err := r.RunFull(ctx, w, cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := enc(first.Stats)
+	second, err := r.RunFull(ctx, w, cfgs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc(first.Stats), want) {
+		t.Error("a finished RunFull's Stats moved when its Runner ran another cell")
+	}
+	fresh, err := New(DefaultFlowConfig(), WithParallelism(1)).RunFull(ctx, w, cfgs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc(second.Stats), enc(fresh.Stats)) {
+		t.Error("the recycled core measured the second cell differently from a new core")
 	}
 }
 

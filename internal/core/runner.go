@@ -60,6 +60,9 @@ type Runner struct {
 	reg          *metrics.Registry
 	par          int
 	sem          chan struct{} // shared -j slot budget (see points.go)
+	freeMu       sync.Mutex
+	free         *pointScratch // idle point scratches, each with its timing core, linked by next (points.go)
+	nfree        int           // the list's length, at most -j
 	progress     func(string)
 	noteMu       sync.Mutex // one progress line at a time
 	cache        *artifact.Cache
@@ -689,12 +692,13 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 		func() error {
 			mctx, cancel := r.stageCtx(ctx)
 			defer cancel()
-			var core *boom.Core
-			ran, _, err := r.runDetailed(mctx, &core, w, cfg, "", nil, 0, 0)
+			scratch := r.takeScratch()
+			defer r.giveScratch(scratch)
+			ran, _, err := r.runDetailed(mctx, &scratch.core, w, cfg, "", nil, 0, 0)
 			if err != nil {
 				return err
 			}
-			st := core.Stats()
+			st := scratch.core.Stats()
 			est := power.NewEstimator(cfg, r.fc.Lib)
 			est.SetMetrics(r.reg)
 			endStage := r.stage(StageEstimate)
@@ -721,8 +725,8 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 
 // runDetailed is the flow's one detailed run, a simulation point's and a
 // full run's alike. It starts a functional CPU at the checkpoint (nil: the
-// program's entry), builds and arms the timing core into *core (or Resets
-// the one a previous run left there, which keeps its arming), and warms it
+// program's entry), builds the timing core into *core (or Resets the one a
+// previous run left there to cfg), arms it for this cell, and warms it
 // over warm instructions: functionally up to the last warmTail under a
 // proportional warm-up, detailed otherwise. It then runs n instructions,
 // or, when n is 0, the program to its end one interval at a time with ctx
@@ -741,13 +745,15 @@ func (r *Runner) runDetailed(ctx context.Context, core **boom.Core, w *workloads
 	case err != nil:
 	case c == nil:
 		if c, err = boom.New(cfg); err == nil {
-			c.SetMetrics(r.reg)
-			c.SetFaultInjector(r.inj, w.Name, cfg.Name)
-			c.CheckInvariants(checkInvariants) // kept across Reset
 			*core = c
 		}
 	default:
-		c.Reset()
+		err = c.Reset(cfg)
+	}
+	if err == nil {
+		c.SetMetrics(r.reg)
+		c.SetFaultInjector(r.inj, w.Name, cfg.Name)
+		c.CheckInvariants(checkInvariants)
 	}
 	ts := &traceSource{cpu: cpu}
 	if err == nil && warm > 0 {
