@@ -122,6 +122,7 @@ type assembler struct {
 	textAddr uint64
 	dataAddr uint64
 	line     int
+	operands []string // splitOperands' buffer
 }
 
 // Assemble assembles src with the default section bases.
@@ -272,7 +273,7 @@ func (a *assembler) directive(s string) error {
 		}
 		size := map[string]int{".byte": 1, ".half": 2, ".word": 4, ".dword": 8}[name]
 		it := &item{}
-		for _, f := range splitOperands(rest) {
+		for _, f := range a.splitOperands(rest) {
 			if v, err := a.intExpr(f); err == nil {
 				b := make([]byte, size)
 				putLE(b, uint64(v))
@@ -349,13 +350,14 @@ func isIdent(s string) bool {
 	return true
 }
 
-// splitOperands splits on commas at paren depth zero.
-func splitOperands(s string) []string {
+// splitOperands splits on commas at paren depth zero, into a slice the
+// assembler reuses: the result is valid until the next call.
+func (a *assembler) splitOperands(s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil
 	}
-	var out []string
+	out := a.operands[:0]
 	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -371,6 +373,7 @@ func splitOperands(s string) []string {
 		}
 	}
 	out = append(out, strings.TrimSpace(s[start:]))
+	a.operands = out
 	return out
 }
 

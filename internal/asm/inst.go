@@ -19,7 +19,7 @@ func (a *assembler) instruction(s string) error {
 		mn = mn[:i]
 	}
 	mn = strings.ToLower(strings.TrimSpace(mn))
-	args := splitOperands(rest)
+	args := a.splitOperands(rest)
 
 	if insts, handled, err := a.pseudo(mn, args); err != nil {
 		return err

@@ -7,8 +7,9 @@
 // A checkpoint's memory is an image: a copy-on-write mem.Memory that owns
 // no page and is never written. Capture and Restore fork it (mem.Memory.Fork)
 // rather than copy it, so taking a checkpoint costs a page-map copy, and a
-// restored run copies only the pages it writes. Any number of goroutines
-// may Restore one checkpoint at once.
+// restored run copies only the pages it writes, into the frames of the
+// pages the CPU's previous run wrote. Any number of goroutines may Restore
+// one checkpoint at once.
 package ckpt
 
 import (
@@ -52,16 +53,23 @@ func Capture(c *sim.CPU) *Checkpoint {
 	}
 }
 
-// Restore loads the checkpoint into the CPU. The CPU gets a fork of the
-// checkpoint's image, so one checkpoint can seed many runs, concurrently
-// too: forking an image only reads it.
+// Restore loads the checkpoint into the CPU, which it leaves not halted,
+// with no exit code and no output. The CPU's memory becomes a fork of the
+// checkpoint's image: its own memory Reset to the image, which recycles
+// the page frames an earlier run wrote (mem.Memory.Reset), or a new Fork
+// when it has none. One checkpoint can seed many runs, concurrently too:
+// either way the image is only read.
 func (k *Checkpoint) Restore(c *sim.CPU) {
 	c.PC = k.PC
 	c.X = k.X
 	c.F = k.F
 	c.InstRet = k.InstRet
-	c.Halted = false
-	c.Mem = k.Mem.Fork()
+	c.Halted, c.Exit, c.Stdout = false, 0, c.Stdout[:0]
+	if c.Mem == nil {
+		c.Mem = k.Mem.Fork()
+	} else {
+		c.Mem.Reset(k.Mem)
+	}
 }
 
 // Serialize writes the checkpoint to w.

@@ -157,35 +157,33 @@ func (r *Result) PerfPerWatt() float64 {
 }
 
 // traceSource adapts a functional CPU into a timing-model trace source. It
-// executes a batch of instructions at a time into buf and hands the
-// records out one by one, so the functional CPU runs up to traceBatch-1
-// instructions ahead of the timing model's fetch. That look-ahead is
-// invisible: nothing reads the functional CPU's state once a detailed run
-// has started. A functional-step divergence ends the trace when the timing
-// model reaches the faulting instruction — not when the batch holding it
-// was filled — and is captured in err for the caller to surface as a stage
-// failure (never a panic).
+// executes a batch of instructions at a time into the CPU's own delivery
+// buffer (sim.CPU.Batch) and hands the records out one by one, so the
+// functional CPU runs up to a batch less one instruction ahead of the
+// timing model's fetch. That look-ahead is invisible: nothing reads the
+// functional CPU's state once a detailed run has started. A
+// functional-step divergence ends the trace when the timing model reaches
+// the faulting instruction — not when the batch holding it was filled —
+// and is captured in err for the caller to surface as a stage failure
+// (never a panic).
 type traceSource struct {
 	cpu     *sim.CPU
 	err     error
-	fillErr error // fault met while filling buf; surfaces once buf[:n] drains
-	n, pos  int   // buf[pos:n] are the records not yet handed out
-	buf     [traceBatch]sim.Retired
+	fillErr error         // fault met while filling recs; surfaces once recs drains
+	recs    []sim.Retired // the batch, in the CPU's buffer
+	pos     int           // recs[pos:] are the records not yet handed out
 }
 
-// traceBatch is how many instructions the trace source executes at a time.
-const traceBatch = 64
-
 func (t *traceSource) next(r *sim.Retired) bool {
-	if t.pos == t.n && !t.refill() {
+	if t.pos == len(t.recs) && !t.refill() {
 		return false
 	}
-	*r = t.buf[t.pos]
+	*r = t.recs[t.pos]
 	t.pos++
 	return true
 }
 
-// refill executes the next batch once buf has drained and reports whether
+// refill executes the next batch once recs has drained and reports whether
 // it produced a record. A halted CPU produces none, forever; a fault met
 // by an earlier fill surfaces now, its batch having drained.
 func (t *traceSource) refill() bool {
@@ -193,9 +191,9 @@ func (t *traceSource) refill() bool {
 		return false
 	}
 	if t.fillErr == nil {
-		t.n, t.fillErr = t.cpu.Fill(t.buf[:])
+		t.recs, t.fillErr = t.cpu.Batch()
 		t.pos = 0
-		if t.n > 0 {
+		if len(t.recs) > 0 {
 			return true
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/boom"
 	"repro/internal/ckpt"
+	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -385,12 +387,13 @@ func TestRunFullMatchesDirectModel(t *testing.T) {
 // MediumBOOM, -j 1, no cache) within 3 % of their measured counts: the
 // bound the benchmark puts on full-detailed's allocs_k, so a regression
 // fails here as well as there. A new Runner's first RunFull builds the
-// timing core; every later one Resets the core its free list kept, so
-// none of the core's tables is allocated again.
+// timing core and the functional CPU; every later one Resets the core and
+// the CPU its free list kept, so none of the core's tables and none of the
+// memory's page frames is allocated again.
 func TestRunFullAllocCeiling(t *testing.T) {
 	const (
-		first  = 71 // allocs of a new Runner's first RunFull, with and without -race
-		repeat = 25 // allocs of each later RunFull on the same Runner
+		first  = 70 // allocs of a new Runner's first RunFull, with and without -race
+		repeat = 15 // allocs of each later RunFull on the same Runner
 	)
 	w, err := workloads.Build("sha", workloads.ScaleTiny)
 	if err != nil {
@@ -432,4 +435,52 @@ func TestRunFullAllocCeiling(t *testing.T) {
 			t.Errorf("%s allocates %.0f times, over its ceiling of %.0f (measured %d)", c.what, c.allocs, ceiling, c.measured)
 		}
 	}
+}
+
+// TestRunAllocCeiling holds a repeated checkpointed Run (tiny qsort,
+// MediumBOOM, -j 1, no cache) within 3 % of its measured allocation count,
+// with no page frame among them. A worker slot keeps its functional CPU
+// as it keeps its timing core: each point restores its checkpoint into the
+// memory the slot's previous point left (mem.Memory.Reset), whose owned
+// pages become the frames of the new point's copy-on-write copies and
+// created pages, so once the slot has run the largest point nothing
+// page-sized is allocated again.
+func TestRunAllocCeiling(t *testing.T) {
+	const repeat = 72 // allocs of each later Run on the same Runner, with and without -race
+	p := profileOf(t, "qsort")
+	cfg := boom.MediumBOOM()
+	r := New(DefaultFlowConfig(), WithParallelism(1))
+	var runErr error
+	run := func() {
+		if _, err := r.Run(context.Background(), p, cfg); err != nil {
+			runErr = err
+		}
+	}
+	run() // builds the slot's core and the frames of its CPU's memory
+	frames := pageFrameAllocs()
+	allocs := testing.AllocsPerRun(3, run)
+	frames = pageFrameAllocs() - frames
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("%.0f allocs per repeated Run of %d points, %d page-sized in 4", allocs, p.NumSimPoints(), frames)
+	if ceiling := float64(repeat) * 1.03; allocs > ceiling {
+		t.Errorf("a repeated Run allocates %.0f times, over its ceiling of %.0f (measured %d)", allocs, ceiling, repeat)
+	}
+	if frames != 0 {
+		t.Errorf("4 repeated Runs allocated %d page-sized objects; a restored point's pages must reuse the slot's frames", frames)
+	}
+}
+
+// pageFrameAllocs is how many objects of mem.PageSize's size class the
+// process has allocated so far.
+func pageFrameAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for _, c := range ms.BySize {
+		if c.Size == mem.PageSize {
+			return c.Mallocs
+		}
+	}
+	return 0
 }

@@ -8,16 +8,17 @@ import (
 
 	"repro/internal/boom"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/simpoint"
 )
 
 // Intra-cell point parallelism (DESIGN §4). Every simulation point of one
 // (workload, config) cell restores its own architectural checkpoint into a
-// fresh functional CPU and a cold timing core, so points are independent
-// and can be measured concurrently. The core is the worker slot's: a
-// Runner keeps at most -j of them on a free list for its lifetime, each
-// Reset to the next point's config and so sized for the largest config it
-// has run. Two invariants make this safe:
+// functional CPU and a cold timing core, so points are independent and can
+// be measured concurrently. Both are the worker slot's: a Runner keeps at
+// most -j of them on a free list for its lifetime, the CPU re-armed by each
+// restore and the core Reset to the next point's config and so sized for
+// the largest config it has run. Two invariants make this safe:
 //
 //   - One shared budget. The Runner owns a slot semaphore of capacity -j
 //     shared between cell-level sweep workers and intra-cell point helpers,
@@ -57,14 +58,18 @@ type pointOutput struct {
 
 // pointScratch is what a worker slot keeps from detailed run to detailed
 // run, across points and cells: the power report EstimateInto fills
-// (consumed before the next point) and the timing core, built the first
-// time the slot runs and Reset to each later run's config instead of
-// reallocating its tables. A Runner holds at most -j of them, on its free
-// list (takeScratch, giveScratch), so at most -j cores, each sized for the
-// largest config it has run. The list is intrusive, so keeping it
-// allocates nothing.
+// (consumed before the next point); the functional CPU, re-armed at each
+// run's start (startCPU) with its memory's map, TLB and page frames kept,
+// and the trace source reading it out of the CPU's own batch buffer; and
+// the timing core, built the first time the slot runs and Reset to each
+// later run's config instead of reallocating its tables. A Runner holds at
+// most -j of them, on its free list (takeScratch, giveScratch), so at most
+// -j cores, each sized for the largest config it has run. The list is
+// intrusive, so keeping it allocates nothing.
 type pointScratch struct {
 	report power.Report
+	cpu    sim.CPU
+	trace  traceSource
 	core   *boom.Core
 	next   *pointScratch // the free list's link
 }
@@ -86,8 +91,12 @@ func (r *Runner) takeScratch() *pointScratch {
 // giveScratch puts s back on the free list, or drops it when the list
 // holds -j already: direct Run and RunFull calls from several goroutines
 // are not counted against the slot budget, so more than -j detailed runs
-// can be in flight.
+// can be in flight. A kept scratch's CPU is re-armed empty first, so an
+// idle slot pins no checkpoint image or program.
 func (r *Runner) giveScratch(s *pointScratch) {
+	if s.cpu.Mem != nil {
+		s.cpu.Reset()
+	}
 	r.freeMu.Lock()
 	defer r.freeMu.Unlock()
 	if r.nfree < r.par {

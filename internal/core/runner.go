@@ -577,7 +577,7 @@ func (r *Runner) measure(ctx context.Context, p *Profile, cfg boom.Config, res *
 			pointNS.Observe(out.wallNS)
 		}()
 
-		ran, warmNS, err := r.runDetailed(pctx, &scratch.core, p.Workload, cfg, p.Sampling.WarmupPolicy,
+		ran, warmNS, err := r.runDetailed(pctx, scratch, p.Workload, cfg, p.Sampling.WarmupPolicy,
 			p.Checkpoints[i], uint64(p.WarmupInsts[i]), uint64(p.Interval))
 		out.warmNS = warmNS
 		if err != nil {
@@ -694,7 +694,7 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 			defer cancel()
 			scratch := r.takeScratch()
 			defer r.giveScratch(scratch)
-			ran, _, err := r.runDetailed(mctx, &scratch.core, w, cfg, "", nil, 0, 0)
+			ran, _, err := r.runDetailed(mctx, scratch, w, cfg, "", nil, 0, 0)
 			if err != nil {
 				return err
 			}
@@ -724,28 +724,30 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 }
 
 // runDetailed is the flow's one detailed run, a simulation point's and a
-// full run's alike. It starts a functional CPU at the checkpoint (nil: the
-// program's entry), builds the timing core into *core (or Resets the one a
-// previous run left there to cfg), arms it for this cell, and warms it
-// over warm instructions: functionally up to the last warmTail under a
-// proportional warm-up, detailed otherwise. It then runs n instructions,
-// or, when n is 0, the program to its end one interval at a time with ctx
-// checked before each; a CPU that halted must pass the exit check. It
-// returns the instructions the detailed model ran, warm-up included, and
-// the wall-clock of functional warming. Every error is a *StageError.
-func (r *Runner) runDetailed(ctx context.Context, core **boom.Core, w *workloads.Workload, cfg boom.Config,
+// full run's alike, on the worker slot's scratch s. It re-arms the slot's
+// functional CPU at the checkpoint (nil: the program's entry), builds the
+// timing core into s (or Resets the one a previous run left there to cfg),
+// arms it for this cell, and warms it over warm instructions: functionally
+// up to the last warmTail under a proportional warm-up, detailed
+// otherwise. It then runs n instructions, or, when n is 0, the program to
+// its end one interval at a time with ctx checked before each; a CPU that
+// halted must pass the exit check. It returns the instructions the
+// detailed model ran, warm-up included, and the wall-clock of functional
+// warming. Every error is a *StageError.
+func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.Workload, cfg boom.Config,
 	policy string, start *ckpt.Checkpoint, warm, n uint64) (detailed uint64, warmNS int64, err error) {
 	serr := func(stage string, err error) error {
 		return &StageError{Stage: stage, Workload: w.Name, Config: cfg.Name, Err: err}
 	}
 	endStage := r.stage(StageWarmup)
-	cpu, err := startCPU(w, start)
-	c := *core
+	cpu := &s.cpu
+	err = startCPU(cpu, w, start)
+	c := s.core
 	switch {
 	case err != nil:
 	case c == nil:
 		if c, err = boom.New(cfg); err == nil {
-			*core = c
+			s.core = c
 		}
 	default:
 		err = c.Reset(cfg)
@@ -755,7 +757,8 @@ func (r *Runner) runDetailed(ctx context.Context, core **boom.Core, w *workloads
 		c.SetFaultInjector(r.inj, w.Name, cfg.Name)
 		c.CheckInvariants(checkInvariants)
 	}
-	ts := &traceSource{cpu: cpu}
+	s.trace = traceSource{cpu: cpu}
+	ts := &s.trace
 	if err == nil && warm > 0 {
 		detailed = warm
 		if policy == sampling.WarmupProportional {
@@ -809,22 +812,23 @@ func (r *Runner) runDetailed(ctx context.Context, core **boom.Core, w *workloads
 	return detailed, warmNS, nil
 }
 
-// startCPU is a functional CPU at the checkpoint, or, when it is nil, at
-// the program's entry. A restored CPU takes memory and registers from the
-// checkpoint and only the text window (the workload's shared predecoded
-// image) from the program.
-func startCPU(w *workloads.Workload, start *ckpt.Checkpoint) (*sim.CPU, error) {
+// startCPU re-arms c at the checkpoint, or, when it is nil, at the
+// program's entry; either way c's memory keeps its map, TLB and page
+// frames (sim.CPU.Reset, ckpt.Checkpoint.Restore). A restored CPU takes
+// memory and registers from the checkpoint and only the text window (the
+// workload's shared predecoded image) from the program.
+func startCPU(c *sim.CPU, w *workloads.Workload, start *ckpt.Checkpoint) error {
 	if start == nil {
-		return w.NewCPU()
+		c.Reset()
+		return w.Load(c)
 	}
 	prog, err := w.Program()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cpu := sim.New()
-	cpu.AttachText(prog)
-	start.Restore(cpu)
-	return cpu, nil
+	c.AttachText(prog)
+	start.Restore(c)
+	return nil
 }
 
 // checkExit is the flow's end-to-end oracle: a program that ran to its

@@ -35,7 +35,7 @@ func faultAfter(t *testing.T, n int) *asm.Program {
 // asks for the faulting record, wherever in a batch that record falls, and
 // deliver exactly the records one Step per pull would have.
 func TestTraceSourceSurfacesFaultAtItsRecord(t *testing.T) {
-	for _, n := range []int{0, 1, traceBatch - 1, traceBatch, traceBatch + 1, 3*traceBatch + 17} {
+	for _, n := range []int{0, 1, sim.TraceBatch - 1, sim.TraceBatch, sim.TraceBatch + 1, 3*sim.TraceBatch + 17} {
 		prog := faultAfter(t, n)
 		ref := sim.New()
 		ref.Load(prog)

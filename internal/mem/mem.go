@@ -10,7 +10,10 @@
 // and each side then copies only the pages it writes. The same ownership
 // gives a history for free: Mark disowns every page, so the first write to
 // a page after a mark replaces it and the replaced page is kept, and Image
-// rebuilds the memory as it stood at any mark from those kept pages.
+// rebuilds the memory as it stood at any mark from those kept pages. And it
+// makes page frames reusable: Reset turns a memory back into a fork, and
+// the pages it owned, which nothing else references, become the frames its
+// next copies and creations are made in.
 package mem
 
 import (
@@ -18,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -102,6 +106,10 @@ type Memory struct {
 	tlb *[tlbSize]tlbEntry
 
 	hist *history // nil unless Record started one
+
+	// spare holds the frames of pages m owned when Reset dropped them;
+	// miss takes one before allocating. No one references a spare frame.
+	spare []*[PageSize]byte
 }
 
 // New returns an empty memory.
@@ -139,7 +147,15 @@ func (m *Memory) miss(key uint64, write bool) *[PageSize]byte {
 		if m.hist != nil {
 			m.hist.log = append(m.hist.log, undo{key: key, page: r.page})
 		}
-		p := new([PageSize]byte)
+		var p *[PageSize]byte
+		if n := len(m.spare); n > 0 {
+			p, m.spare = m.spare[n-1], m.spare[:n-1]
+			if r.page == nil {
+				*p = [PageSize]byte{} // a created page reads as zeros
+			}
+		} else {
+			p = new([PageSize]byte)
+		}
 		if r.page != nil {
 			*p = *r.page
 		}
@@ -329,6 +345,31 @@ func (m *Memory) PageCount() int { return len(m.pages) }
 func (m *Memory) Fork() *Memory {
 	m.disown()
 	return &Memory{pages: maps.Clone(m.pages), tlb: noTLB}
+}
+
+// Reset makes m a fork of base again, as Fork would return it, reusing
+// m's map and TLB, and drops any history; a nil base leaves m empty, as
+// New returns it. The pages m owned go on its spare list and later copies
+// and creations are made in them: an owned page is referenced by m alone,
+// so only m's next writes can reach its frame. Like Fork, Reset only reads
+// a base that owns no page, so several memories may be Reset from one
+// checkpoint image at once. base must not be m.
+func (m *Memory) Reset(base *Memory) {
+	m.spare = slices.Grow(m.spare, len(m.pages)) // one allocation at most
+	for _, r := range m.pages {
+		if r.own {
+			m.spare = append(m.spare, r.page)
+		}
+	}
+	clear(m.pages)
+	if base != nil {
+		base.disown()
+		maps.Copy(m.pages, base.pages)
+	}
+	if m.tlb != noTLB {
+		*m.tlb = *noTLB
+	}
+	m.hist = nil
 }
 
 // disown gives up ownership of every page m owns, so its next write to

@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -460,5 +462,97 @@ func TestDeltaOverlayInverse(t *testing.T) {
 	}
 	if _, err := New().Delta(base); err == nil {
 		t.Error("Delta accepted a memory without the base's pages")
+	}
+}
+
+// TestResetFromOneImageConcurrently: several goroutines, each with a memory
+// of its own, Reset it from one checkpoint image again and again and write
+// every page, half of them new. Under -race (make race) this is the check
+// that a Reset only reads the image; each round must read back exactly its
+// own writes over the image's bytes, never a recycled frame's old contents
+// or another goroutine's, and the image must serialize as it did before.
+func TestResetFromOneImageConcurrently(t *testing.T) {
+	const pages, workers, rounds = 8, 4, 20
+	src := New()
+	for p := uint64(0); p < pages; p++ {
+		src.Write64(p*PageSize, p+1)
+		src.Write64(p*PageSize+PageSize/2, p+1)
+	}
+	img := src.Fork()
+	before := serialized(t, img)
+
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := uint64(1); g <= workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := New()
+			for r := uint64(0); r < rounds; r++ {
+				m.Reset(img)
+				mark := g<<48 | r<<32
+				for p := uint64(0); p < 2*pages; p++ {
+					m.Write64(p*PageSize+8, mark|p)
+				}
+				for p := uint64(0); p < 2*pages; p++ {
+					var want uint64 // an image page keeps its bytes, a new one is zeros
+					if p < pages {
+						want = p + 1
+					}
+					if got := m.Read64(p * PageSize); got != want {
+						errs <- fmt.Errorf("worker %d round %d: page %d reads %#x at 0, want %#x", g, r, p, got, want)
+						return
+					}
+					if got := m.Read64(p*PageSize + 8); got != mark|p {
+						errs <- fmt.Errorf("worker %d round %d: page %d reads %#x, wrote %#x", g, r, p, got, mark|p)
+						return
+					}
+					if got := m.Read64(p*PageSize + PageSize/2); got != want {
+						errs <- fmt.Errorf("worker %d round %d: page %d reads %#x mid-page, want %#x", g, r, p, got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !bytes.Equal(serialized(t, img), before) {
+		t.Error("the image changed under concurrent Resets")
+	}
+}
+
+// TestResetRecyclesOwnedFrames: after the first round, a memory Reset from
+// one image and written on the same pages again allocates nothing — its
+// map, TLB and page frames are the last round's — and a Reset never hands
+// out a frame the image, or an earlier fork of it, still holds.
+func TestResetRecyclesOwnedFrames(t *testing.T) {
+	src := New()
+	for p := uint64(0); p < 4; p++ {
+		src.Write64(p*PageSize, p+1)
+	}
+	img := src.Fork()
+	other := img.Fork()
+	m := New()
+	round := func() {
+		m.Reset(img)
+		for p := uint64(0); p < 8; p++ { // four copies, four creations
+			m.Write64(p*PageSize+8, p)
+		}
+	}
+	round()
+	if a := testing.AllocsPerRun(20, round); a != 0 {
+		t.Errorf("a later round allocates %v times", a)
+	}
+	for k, r := range m.pages {
+		if r.page == img.pages[k].page || r.page == other.pages[k].page {
+			t.Errorf("page %#x is written in a frame the image shares", k)
+		}
+	}
+	if m.Read64(5*PageSize) != 0 || other.Read64(8) != 0 || img.Read64(8) != 0 {
+		t.Error("a recycled frame kept an earlier round's bytes")
 	}
 }

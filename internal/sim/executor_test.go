@@ -218,7 +218,7 @@ func TestEntryPointsAgree(t *testing.T) {
 			if !end.is(wantErr) {
 				t.Fatalf("reference ended with %v", wantErr)
 			}
-			if len(want) < 3*traceBatch {
+			if len(want) < 3*TraceBatch {
 				t.Fatalf("program retires only %d instructions; the ending must land beyond a few batches", len(want))
 			}
 			if ref.InstRet != uint64(len(want)) {
@@ -254,7 +254,7 @@ func TestEntryPointsAgree(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(13))
 			for trial := 0; trial < 40; trial++ {
-				chunk := func() int64 { return 1 + rng.Int63n(3*traceBatch) }
+				chunk := func() int64 { return 1 + rng.Int63n(3*TraceBatch) }
 
 				c := fresh()
 				var n int64

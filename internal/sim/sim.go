@@ -69,9 +69,9 @@ var ErrTextWrite = errors.New("sim: store into the text window")
 // a multiple of four; the model has no compressed instructions.
 var ErrMisalignedFetch = errors.New("sim: misaligned instruction fetch")
 
-// traceBatch is how many instructions RunTrace executes between deliveries
-// to its callback.
-const traceBatch = 64
+// TraceBatch is how many instructions RunTrace executes between deliveries
+// to its callback, and Batch at most at a time.
+const TraceBatch = 64
 
 // blockBatch and refBatch bound how many runs and memory references
 // RunBlocks delivers to its callback at a time.
@@ -119,7 +119,7 @@ type CPU struct {
 	text     []rv64.Inst
 	outside  rv64.Inst // decode slot for a fetch outside the window
 
-	batch [traceBatch]Retired // RunTrace's delivery buffer
+	batch [TraceBatch]Retired // RunTrace's and Batch's delivery buffer
 	blk   *blockBuf           // RunBlocks' delivery buffer; nil until first used
 
 	metrics *metrics.Registry // optional; nil disables instrumentation
@@ -143,9 +143,27 @@ func (c *CPU) recordRun(t0 time.Time, n int64) {
 
 // New returns a CPU with fresh memory and the stack pointer initialized.
 func New() *CPU {
-	c := &CPU{Mem: mem.New()}
-	c.X[rv64.RegSP] = DefaultStackTop
+	c := new(CPU)
+	c.Reset()
 	return c
+}
+
+// Reset re-arms c as New returns a CPU: registers, PC and counters zero,
+// the stack pointer at DefaultStackTop, not halted, no exit code, no
+// output, no text window and an empty memory. It keeps what c allocated:
+// its memory's map, TLB and page frames (mem.Memory.Reset), its output
+// buffer and its delivery buffers, so a CPU re-armed per run allocates
+// none of them again. A metrics registry stays attached.
+func (c *CPU) Reset() {
+	c.PC, c.X, c.F, c.InstRet = 0, [32]uint64{}, [32]uint64{}, 0
+	c.X[rv64.RegSP] = DefaultStackTop
+	c.Halted, c.Exit, c.Stdout = false, 0, c.Stdout[:0]
+	c.textBase, c.text = 0, nil
+	if c.Mem == nil {
+		c.Mem = mem.New()
+	} else {
+		c.Mem.Reset(nil)
+	}
 }
 
 // Load installs an assembled program: text and data are copied into memory,
@@ -192,6 +210,14 @@ func (c *CPU) Fill(recs []Retired) (int, error) {
 	return int(n), err
 }
 
+// Batch executes up to TraceBatch instructions into the CPU's own delivery
+// buffer and returns their records, which stay valid until the next Batch
+// or RunTrace call. It stops early like Fill.
+func (c *CPU) Batch() ([]Retired, error) {
+	n, err := c.Fill(c.batch[:])
+	return c.batch[:n], err
+}
+
 // Run executes up to max instructions (or until halt when max < 0) and
 // returns the number retired.
 func (c *CPU) Run(max int64) (n int64, err error) {
@@ -208,7 +234,7 @@ func (c *CPU) Run(max int64) (n int64, err error) {
 // RunTrace is Run with a callback per retired instruction. The callback
 // receives a reused Retired record; it must not retain the pointer.
 // Instructions execute a batch at a time, so when the callback sees a
-// record the CPU itself may already be up to traceBatch-1 instructions
+// record the CPU itself may already be up to TraceBatch-1 instructions
 // further on.
 func (c *CPU) RunTrace(max int64, fn func(*Retired)) (n int64, err error) {
 	if c.metrics != nil {

@@ -120,16 +120,25 @@ func (w *Workload) Program() (*asm.Program, error) {
 
 // NewCPU assembles, loads program and segments, and returns a ready CPU.
 func (w *Workload) NewCPU() (*sim.CPU, error) {
-	p, err := w.Program()
-	if err != nil {
+	c := sim.New()
+	if err := w.Load(c); err != nil {
 		return nil, err
 	}
-	c := sim.New()
+	return c, nil
+}
+
+// Load installs w's program and data segments in c, a CPU as sim.New or
+// sim.CPU.Reset leaves it, and points it at the entry.
+func (w *Workload) Load(c *sim.CPU) error {
+	p, err := w.Program()
+	if err != nil {
+		return err
+	}
 	c.Load(p)
 	for _, seg := range w.Segments {
 		c.Mem.SetBytes(seg.Addr, seg.Bytes)
 	}
-	return c, nil
+	return nil
 }
 
 // builder constructs a workload for a given scale.
