@@ -157,13 +157,14 @@ func (e Engine) Options() ([]Option, error) {
 type Option func(*Runner)
 
 // Deprecated: WithScale sets nothing. A Campaign carries its scale, and
-// Profile, RunFull and Validate take a built workload.
+// Profile and RunFull take a built workload.
 func WithScale(workloads.Scale) Option { return func(*Runner) {} }
 
-// WithSampling sets the spec of direct Profile / Run / Validate calls. The
-// zero value (the default) means the implicit defaults: per-workload
-// interval, BBV-only features, the flow's clustering and warm-up. A Sweep
-// and its CampaignID never read it: a sweep runs under its campaign's spec.
+// WithSampling sets the spec of direct Profile calls; Run measures a
+// profile under the spec it was taken with. The zero value (the default)
+// means the implicit defaults: per-workload interval, BBV-only features,
+// the flow's clustering and warm-up. A Sweep and its CampaignID never read
+// it: a sweep runs under its campaign's spec.
 func WithSampling(spec sampling.Spec) Option {
 	return func(r *Runner) { r.sampling = spec }
 }

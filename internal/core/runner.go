@@ -56,7 +56,7 @@ func Stages() []string {
 // sweep is resumed by rerunning it: every finished stage is a cache hit.
 type Runner struct {
 	fc           FlowConfig
-	sampling     sampling.Spec // direct Profile / Run / Validate calls only (WithSampling)
+	sampling     sampling.Spec // direct Profile calls only; a Run takes its profile's (WithSampling)
 	reg          *metrics.Registry
 	par          int
 	sem          chan struct{} // shared -j slot budget (see points.go)

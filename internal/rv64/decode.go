@@ -3,246 +3,101 @@ package rv64
 import "fmt"
 
 // Decode unpacks one 32-bit machine word. It returns an error for encodings
-// outside the supported RV64IMD subset.
+// outside the supported RV64IMD subset. It is Encode read backwards: it scans
+// the Ops that share the word's opcode for the one whose fixed bits match,
+// then extracts the operands the Op's format places in the word.
 func Decode(raw uint32) (Inst, error) {
-	in := Inst{Raw: raw}
-	opcode := raw & 0x7F
-	rd := uint8(raw >> 7 & 31)
-	f3 := raw >> 12 & 7
-	rs1 := uint8(raw >> 15 & 31)
-	rs2 := uint8(raw >> 20 & 31)
-	f7 := raw >> 25 & 0x7F
-
-	immI := int64(int32(raw)) >> 20
-	immS := int64(int32(raw&0xFE000000))>>20 | int64(raw>>7&0x1F)
-	immB := int64(int32(raw&0x80000000))>>19 |
-		int64(raw>>7&1)<<11 | int64(raw>>25&0x3F)<<5 | int64(raw>>8&0xF)<<1
-	immU := int64(int32(raw)) >> 12
-	immJ := int64(int32(raw&0x80000000))>>11 |
-		int64(raw>>12&0xFF)<<12 | int64(raw>>20&1)<<11 | int64(raw>>21&0x3FF)<<1
-
-	set := func(op Op, imm int64) (Inst, error) {
-		in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm = op, rd, rs1, rs2, imm
-		normalize(&in)
-		return in, nil
+	for _, p := range patterns[raw&0x7F] {
+		if raw&p.mask == p.bits {
+			return operands(p.op, raw), nil
+		}
 	}
-	bad := func() (Inst, error) {
-		return in, fmt.Errorf("rv64: illegal instruction %#08x", raw)
-	}
+	return Inst{Raw: raw}, illegalInst(raw)
+}
 
-	switch opcode {
-	case 0x37:
-		return set(LUI, immU)
-	case 0x17:
-		return set(AUIPC, immU)
-	case 0x6F:
-		return set(JAL, immJ)
-	case 0x67:
-		if f3 != 0 {
-			return bad()
-		}
-		return set(JALR, immI)
-	case 0x63:
-		var op Op
-		switch f3 {
-		case 0:
-			op = BEQ
-		case 1:
-			op = BNE
-		case 4:
-			op = BLT
-		case 5:
-			op = BGE
-		case 6:
-			op = BLTU
-		case 7:
-			op = BGEU
-		default:
-			return bad()
-		}
-		return set(op, immB)
-	case 0x03:
-		var op Op
-		switch f3 {
-		case 0:
-			op = LB
-		case 1:
-			op = LH
-		case 2:
-			op = LW
-		case 3:
-			op = LD
-		case 4:
-			op = LBU
-		case 5:
-			op = LHU
-		case 6:
-			op = LWU
-		default:
-			return bad()
-		}
-		return set(op, immI)
-	case 0x07:
-		if f3 != 3 {
-			return bad()
-		}
-		return set(FLD, immI)
-	case 0x23:
-		var op Op
-		switch f3 {
-		case 0:
-			op = SB
-		case 1:
-			op = SH
-		case 2:
-			op = SW
-		case 3:
-			op = SD
-		default:
-			return bad()
-		}
-		return set(op, immS)
-	case 0x27:
-		if f3 != 3 {
-			return bad()
-		}
-		return set(FSD, immS)
-	case 0x13:
-		switch f3 {
-		case 0:
-			return set(ADDI, immI)
-		case 2:
-			return set(SLTI, immI)
-		case 3:
-			return set(SLTIU, immI)
-		case 4:
-			return set(XORI, immI)
-		case 6:
-			return set(ORI, immI)
-		case 7:
-			return set(ANDI, immI)
-		case 1:
-			if f7>>1 != 0 {
-				return bad()
-			}
-			return set(SLLI, int64(raw>>20&63))
-		case 5:
-			switch f7 >> 1 {
-			case 0x00:
-				return set(SRLI, int64(raw>>20&63))
-			case 0x10:
-				return set(SRAI, int64(raw>>20&63))
-			}
-			return bad()
-		}
-		return bad()
-	case 0x1B:
-		switch f3 {
-		case 0:
-			return set(ADDIW, immI)
-		case 1:
-			if f7 != 0 {
-				return bad()
-			}
-			return set(SLLIW, int64(rs2))
-		case 5:
-			switch f7 {
-			case 0x00:
-				return set(SRLIW, int64(rs2))
-			case 0x20:
-				return set(SRAIW, int64(rs2))
-			}
-			return bad()
-		}
-		return bad()
-	case 0x33:
-		if f7 == 0x01 {
-			ms := [8]Op{MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
-			return set(ms[f3], 0)
-		}
-		switch f3<<8 | f7 {
-		case 0x000:
-			return set(ADD, 0)
-		case 0x020:
-			return set(SUB, 0)
-		case 0x100:
-			return set(SLL, 0)
-		case 0x200:
-			return set(SLT, 0)
-		case 0x300:
-			return set(SLTU, 0)
-		case 0x400:
-			return set(XOR, 0)
-		case 0x500:
-			return set(SRL, 0)
-		case 0x520:
-			return set(SRA, 0)
-		case 0x600:
-			return set(OR, 0)
-		case 0x700:
-			return set(AND, 0)
-		}
-		return bad()
-	case 0x3B:
-		if f7 == 0x01 {
-			switch f3 {
-			case 0:
-				return set(MULW, 0)
-			case 4:
-				return set(DIVW, 0)
-			case 5:
-				return set(DIVUW, 0)
-			case 6:
-				return set(REMW, 0)
-			case 7:
-				return set(REMUW, 0)
-			}
-			return bad()
-		}
-		switch f3<<8 | f7 {
-		case 0x000:
-			return set(ADDW, 0)
-		case 0x020:
-			return set(SUBW, 0)
-		case 0x100:
-			return set(SLLW, 0)
-		case 0x500:
-			return set(SRLW, 0)
-		case 0x520:
-			return set(SRAW, 0)
-		}
-		return bad()
-	case 0x0F:
-		return set(FENCE, 0)
-	case 0x73:
-		switch raw {
-		case 0x00000073:
-			return set(ECALL, 0)
-		case 0x00100073:
-			return set(EBREAK, 0)
-		}
-		return bad()
-	case 0x53:
-		return decodeFP(in, raw, rd, f3, rs1, rs2, f7)
-	case 0x43, 0x47, 0x4B, 0x4F:
-		if f7&3 != 0x01 { // fmt field must select double precision
-			return bad()
-		}
-		var op Op
-		switch opcode {
-		case 0x43:
-			op = FMADDD
-		case 0x47:
-			op = FMSUBD
-		case 0x4B:
-			op = FNMSUBD
-		case 0x4F:
-			op = FNMADDD
-		}
-		in.Op, in.Rd, in.Rs1, in.Rs2, in.Rs3 = op, rd, rs1, rs2, uint8(raw>>27&31)
-		return in, nil
+// illegalInst is the error of a word Decode rejects. It is formatted only
+// when read, so rejecting a word costs no formatting.
+type illegalInst uint32
+
+func (w illegalInst) Error() string {
+	return fmt.Sprintf("rv64: illegal instruction %#08x", uint32(w))
+}
+
+// pattern is one Op's fixed bits: a word decodes to op when raw&mask == bits.
+type pattern struct {
+	mask, bits uint32
+	op         Op
+}
+
+// patterns indexes every Op's pattern by opcode. The bits are Encode's own
+// output for the Op with zero operands, so the two directions cannot drift.
+var patterns = func() (t [128][]pattern) {
+	for op := Op(1); op < numOps; op++ {
+		raw, _ := Encode(Inst{Op: op}) // zero operands are in every format's range
+		m := fixedBits(&ops[op])
+		t[raw&0x7F] = append(t[raw&0x7F], pattern{m, raw & m, op})
 	}
-	return bad()
+	return t
+}()
+
+// fixedBits returns the mask of the bits that select info's Op: those its
+// format gives to no operand, less the ones decoding ignores (a rounding
+// mode, fence's fields).
+func fixedBits(info *opInfo) uint32 {
+	const opcode, funct3, rs2, funct7 = 0x7F, 0x7 << 12, 0x1F << 20, 0x7F << 25
+	switch info.fmt {
+	case fmtR:
+		m := uint32(opcode | funct7)
+		if !info.anyF3 {
+			m |= funct3
+		}
+		if info.selRs2 {
+			m |= rs2
+		}
+		return m
+	case fmtR4:
+		return opcode | 3<<25 // the fmt field selects double precision
+	case fmtI, fmtS, fmtB:
+		return opcode | funct3
+	case fmtShift:
+		return opcode | funct3 | 0x3F<<26 // bit 25 is shamt[5]
+	case fmtShiftW:
+		return opcode | funct3 | funct7
+	case fmtNone:
+		if info.opcode == 0x73 { // ecall and ebreak are whole words, fence its opcode
+			return ^uint32(0)
+		}
+	}
+	return opcode
+}
+
+// operands fills the register and immediate fields op's format places in
+// raw, with the immediates sign-extended as the RISC-V spec assembles them.
+func operands(op Op, raw uint32) Inst {
+	in := Inst{Op: op, Raw: raw, Rd: uint8(raw >> 7 & 31),
+		Rs1: uint8(raw >> 15 & 31), Rs2: uint8(raw >> 20 & 31)}
+	switch ops[op].fmt {
+	case fmtR4:
+		in.Rs3 = uint8(raw >> 27)
+	case fmtI:
+		in.Imm = int64(int32(raw)) >> 20
+	case fmtS:
+		in.Imm = int64(int32(raw&0xFE000000))>>20 | int64(raw>>7&0x1F)
+	case fmtB:
+		in.Imm = int64(int32(raw&0x80000000))>>19 |
+			int64(raw>>7&1)<<11 | int64(raw>>25&0x3F)<<5 | int64(raw>>8&0xF)<<1
+	case fmtU:
+		in.Imm = int64(int32(raw)) >> 12
+	case fmtJ:
+		in.Imm = int64(int32(raw&0x80000000))>>11 |
+			int64(raw>>12&0xFF)<<12 | int64(raw>>20&1)<<11 | int64(raw>>21&0x3FF)<<1
+	case fmtShift:
+		in.Imm = int64(raw >> 20 & 63)
+	case fmtShiftW:
+		in.Imm = int64(raw >> 20 & 31)
+	}
+	normalize(&in)
+	return in
 }
 
 // normalize clears register fields the instruction does not use, so that
@@ -261,90 +116,4 @@ func normalize(in *Inst) {
 	if !in.Op.HasRs3() {
 		in.Rs3 = 0
 	}
-}
-
-func decodeFP(in Inst, raw uint32, rd uint8, f3 uint32, rs1, rs2 uint8, f7 uint32) (Inst, error) {
-	set := func(op Op) (Inst, error) {
-		in.Op, in.Rd, in.Rs1, in.Rs2 = op, rd, rs1, rs2
-		normalize(&in)
-		return in, nil
-	}
-	bad := func() (Inst, error) {
-		return in, fmt.Errorf("rv64: illegal FP instruction %#08x", raw)
-	}
-	switch f7 {
-	case 0x01:
-		return set(FADDD)
-	case 0x05:
-		return set(FSUBD)
-	case 0x09:
-		return set(FMULD)
-	case 0x0D:
-		return set(FDIVD)
-	case 0x2D:
-		return set(FSQRTD)
-	case 0x11:
-		switch f3 {
-		case 0:
-			return set(FSGNJD)
-		case 1:
-			return set(FSGNJND)
-		case 2:
-			return set(FSGNJXD)
-		}
-		return bad()
-	case 0x15:
-		switch f3 {
-		case 0:
-			return set(FMIND)
-		case 1:
-			return set(FMAXD)
-		}
-		return bad()
-	case 0x51:
-		switch f3 {
-		case 0:
-			return set(FLED)
-		case 1:
-			return set(FLTD)
-		case 2:
-			return set(FEQD)
-		}
-		return bad()
-	case 0x61:
-		switch rs2 {
-		case 0:
-			return set(FCVTWD)
-		case 1:
-			return set(FCVTWUD)
-		case 2:
-			return set(FCVTLD)
-		case 3:
-			return set(FCVTLUD)
-		}
-		return bad()
-	case 0x69:
-		switch rs2 {
-		case 0:
-			return set(FCVTDW)
-		case 1:
-			return set(FCVTDWU)
-		case 2:
-			return set(FCVTDL)
-		case 3:
-			return set(FCVTDLU)
-		}
-		return bad()
-	case 0x71:
-		switch f3 {
-		case 0:
-			return set(FMVXD)
-		case 1:
-			return set(FCLASSD)
-		}
-		return bad()
-	case 0x79:
-		return set(FMVDX)
-	}
-	return bad()
 }

@@ -49,3 +49,64 @@ func TestDecodeAcceptanceDigest(t *testing.T) {
 		t.Fatalf("decode acceptance digest %s, want %s", got, decodeAcceptanceDigest)
 	}
 }
+
+// TestDecodePatternsDisjoint: no word matches the fixed bits of two Ops, so
+// the order Decode scans an opcode's Ops in cannot matter, and every Op has
+// exactly one pattern.
+func TestDecodePatternsDisjoint(t *testing.T) {
+	var all []pattern
+	for _, bucket := range patterns {
+		all = append(all, bucket...)
+	}
+	if len(all) != int(numOps)-1 {
+		t.Fatalf("%d patterns for %d Ops", len(all), numOps-1)
+	}
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if (a.bits^b.bits)&a.mask&b.mask == 0 {
+				t.Errorf("%v and %v share a word: %#08x/%#08x vs %#08x/%#08x",
+					a.op, b.op, a.bits, a.mask, b.bits, b.mask)
+			}
+		}
+	}
+}
+
+// FuzzDecode: a word Decode accepts matches the fixed bits of exactly one
+// Op, the one it decodes to, and re-encoding what it decoded decodes to the
+// same instruction; a word it rejects matches no Op.
+func FuzzDecode(f *testing.F) {
+	for _, c := range knownEncodings {
+		f.Add(c.raw)
+	}
+	f.Fuzz(func(t *testing.T, raw uint32) {
+		in, err := Decode(raw)
+		var matched []Op
+		for _, bucket := range patterns {
+			for _, p := range bucket {
+				if raw&p.mask == p.bits {
+					matched = append(matched, p.op)
+				}
+			}
+		}
+		if err != nil {
+			if len(matched) != 0 {
+				t.Fatalf("%#08x rejected (%v) but matches %v", raw, err, matched)
+			}
+			return
+		}
+		if len(matched) != 1 || matched[0] != in.Op {
+			t.Fatalf("%#08x decodes to %v but matches %v", raw, in.Op, matched)
+		}
+		re, err := Encode(in)
+		if err != nil {
+			t.Fatalf("%#08x decodes to %+v, which does not encode: %v", raw, in, err)
+		}
+		again, err := Decode(re)
+		if err != nil {
+			t.Fatalf("%#08x re-encodes to %#08x, which does not decode: %v", raw, re, err)
+		}
+		if again.Raw = in.Raw; again != in {
+			t.Fatalf("%#08x decodes to %+v, its re-encoding %#08x to %+v", raw, in, re, again)
+		}
+	})
+}

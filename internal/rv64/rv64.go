@@ -2,6 +2,11 @@
 // repository: opcode enumeration, binary decode/encode, register naming and
 // the coarse instruction classes consumed by the BOOM timing model.
 //
+// One table, ops, describes every instruction. Encode packs words from it,
+// and Decode is its inverse read from the same table: each Op's fixed bits
+// and their values are derived from its format and from Encode itself, so an
+// encoding is written down once.
+//
 // The subset implemented is the one exercised by the MiBench/Embench
 // workload kernels in internal/workloads: the full RV64I base, the M
 // extension, the D extension (double-precision floating point, including
@@ -192,7 +197,10 @@ const (
 )
 
 // opInfo is the single source of truth for encoding, decoding, naming and
-// classification of each Op.
+// classification of each Op. Encode packs a word from it; Decode reads it
+// backwards: an Op's fixed bits are the ones its format leaves to no operand
+// (fixedBits), and their values are what Encode writes for the Op with zero
+// operands. anyF3 and selRs2 say where the R format departs from that.
 type opInfo struct {
 	name   string
 	fmt    format
@@ -204,6 +212,8 @@ type opInfo struct {
 	fpRd, fpRs1, fpRs2, fpRs3 bool
 	unaryFP                   bool // f7 ops whose rs2 field is fixed (fsqrt, fcvt, fmv, fclass)
 	rs2Field                  uint32
+	anyF3                     bool  // Decode ignores funct3 (the rounding mode of arithmetic and fcvt ops)
+	selRs2                    bool  // Decode selects among Ops by rs2Field (the fcvt family)
 	memBytes                  uint8 // access size for loads/stores
 	fpMem                     bool  // FP load/store
 }
@@ -278,26 +288,26 @@ var ops = [numOps]opInfo{
 
 	FLD:     {name: "fld", fmt: fmtI, opcode: 0x07, f3: 3, class: ClassLoad, fpRd: true, memBytes: 8, fpMem: true},
 	FSD:     {name: "fsd", fmt: fmtS, opcode: 0x27, f3: 3, class: ClassStore, fpRs2: true, memBytes: 8, fpMem: true},
-	FADDD:   {name: "fadd.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x01, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
-	FSUBD:   {name: "fsub.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x05, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
-	FMULD:   {name: "fmul.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x09, class: ClassFPMul, fpRd: true, fpRs1: true, fpRs2: true},
-	FDIVD:   {name: "fdiv.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x0D, class: ClassFPDiv, fpRd: true, fpRs1: true, fpRs2: true},
-	FSQRTD:  {name: "fsqrt.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x2D, class: ClassFPDiv, fpRd: true, fpRs1: true, unaryFP: true},
+	FADDD:   {name: "fadd.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x01, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true, anyF3: true},
+	FSUBD:   {name: "fsub.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x05, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true, anyF3: true},
+	FMULD:   {name: "fmul.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x09, class: ClassFPMul, fpRd: true, fpRs1: true, fpRs2: true, anyF3: true},
+	FDIVD:   {name: "fdiv.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x0D, class: ClassFPDiv, fpRd: true, fpRs1: true, fpRs2: true, anyF3: true},
+	FSQRTD:  {name: "fsqrt.d", fmt: fmtR, opcode: 0x53, f3: 7, f7: 0x2D, class: ClassFPDiv, fpRd: true, fpRs1: true, unaryFP: true, anyF3: true},
 	FSGNJD:  {name: "fsgnj.d", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x11, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
 	FSGNJND: {name: "fsgnjn.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x11, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
 	FSGNJXD: {name: "fsgnjx.d", fmt: fmtR, opcode: 0x53, f3: 2, f7: 0x11, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
 	FMIND:   {name: "fmin.d", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x15, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
 	FMAXD:   {name: "fmax.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x15, class: ClassFPALU, fpRd: true, fpRs1: true, fpRs2: true},
-	FCVTWD:  {name: "fcvt.w.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, rs2Field: 0},
-	FCVTWUD: {name: "fcvt.wu.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, rs2Field: 1},
-	FCVTDW:  {name: "fcvt.d.w", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, rs2Field: 0},
-	FCVTDWU: {name: "fcvt.d.wu", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, rs2Field: 1},
-	FCVTLD:  {name: "fcvt.l.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, rs2Field: 2},
-	FCVTLUD: {name: "fcvt.lu.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, rs2Field: 3},
-	FCVTDL:  {name: "fcvt.d.l", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, rs2Field: 2},
-	FCVTDLU: {name: "fcvt.d.lu", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, rs2Field: 3},
+	FCVTWD:  {name: "fcvt.w.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 0},
+	FCVTWUD: {name: "fcvt.wu.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 1},
+	FCVTDW:  {name: "fcvt.d.w", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 0},
+	FCVTDWU: {name: "fcvt.d.wu", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 1},
+	FCVTLD:  {name: "fcvt.l.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 2},
+	FCVTLUD: {name: "fcvt.lu.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x61, class: ClassFPALU, fpRs1: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 3},
+	FCVTDL:  {name: "fcvt.d.l", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 2},
+	FCVTDLU: {name: "fcvt.d.lu", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x69, class: ClassFPALU, fpRd: true, unaryFP: true, anyF3: true, selRs2: true, rs2Field: 3},
 	FMVXD:   {name: "fmv.x.d", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x71, class: ClassFPALU, fpRs1: true, unaryFP: true},
-	FMVDX:   {name: "fmv.d.x", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x79, class: ClassFPALU, fpRd: true, unaryFP: true},
+	FMVDX:   {name: "fmv.d.x", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x79, class: ClassFPALU, fpRd: true, unaryFP: true, anyF3: true},
 	FEQD:    {name: "feq.d", fmt: fmtR, opcode: 0x53, f3: 2, f7: 0x51, class: ClassFPALU, fpRs1: true, fpRs2: true},
 	FLTD:    {name: "flt.d", fmt: fmtR, opcode: 0x53, f3: 1, f7: 0x51, class: ClassFPALU, fpRs1: true, fpRs2: true},
 	FLED:    {name: "fle.d", fmt: fmtR, opcode: 0x53, f3: 0, f7: 0x51, class: ClassFPALU, fpRs1: true, fpRs2: true},
