@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -162,4 +163,37 @@ func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 		t.Errorf("decoding tarfind's %d checkpoints allocated %d bytes, over %d", p.NumSimPoints(), got, limit)
 	}
 	t.Logf("decoding %d checkpoints (%d payload bytes) allocated %.1f MB", p.NumSimPoints(), len(payload), float64(got)/1e6)
+}
+
+// TestCheckpointPayloadDigest pins one SHA-256 over the checkpoint entries
+// a cold, cache-backed profile writes for every workload at ScaleTiny,
+// under the zero spec and under sampling.Recommended(). It moves with the
+// capture points, the captured registers and pages, the base the pages are
+// stored against and the codec's bytes, and with nothing else.
+func TestCheckpointPayloadDigest(t *testing.T) {
+	const want = "b6addfd7a628b1c8fc9002d91d5fd1ddc6f811abf3b6c32e58488c7c00221500"
+	ctx := context.Background()
+	h := sha256.New()
+	for _, name := range workloads.Names() {
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []sampling.Spec{{}, sampling.Recommended()} {
+			r := New(DefaultFlowConfig(), WithCache(t.TempDir()))
+			keys := r.profileKeys(w, spec)
+			if _, _, err := r.profileWith(ctx, w, spec, keys, nil); err != nil {
+				t.Fatalf("%s/%s: %v", name, spec.Features, err)
+			}
+			payload, _, ok := r.Cache().Get(keys.ckpt)
+			if !ok {
+				t.Fatalf("%s/%s: no checkpoint entry", name, spec.Features)
+			}
+			fmt.Fprintf(h, "%s/%s %d\n", name, spec.Features, len(payload))
+			h.Write(payload)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("checkpoint payload digest %s, want %s", got, want)
+	}
 }
