@@ -38,14 +38,17 @@ vet:
 # race-clean, and so must the functional core they share
 # state through: concurrent point workers fetch from one predecoded text
 # image (internal/sim) and fork one copy-on-write checkpoint image, which
-# only reads it (internal/mem, internal/ckpt). The fabric package runs -short: its
+# only reads it (internal/mem, internal/ckpt). Every CPU of a workload
+# starts by restoring that workload's one entry checkpoint, built by the
+# first caller (internal/workloads; -short, as its default- and paper-scale
+# checksum runs are single-goroutine). The fabric package runs -short: its
 # full 11×3 conformance matrices are covered race-free by `make test`.
 # internal/core runs alone under its own timeout: by itself it took 478 s
 # under -race on a 2-vCPU host, too close to go test's default 10 minutes.
 race:
 	$(GO) test -race ./internal/metrics ./internal/artifact ./internal/faultinject ./internal/wire ./internal/serve ./cmd/boomd ./internal/sim ./internal/mem ./internal/ckpt ./internal/bbv
 	$(GO) test -race -timeout 20m ./internal/core
-	$(GO) test -race -short ./internal/fabric
+	$(GO) test -race -short ./internal/fabric ./internal/workloads
 
 # go accepts one -fuzz target per invocation. The core payload-decoder
 # targets seed from real KB-sized payloads; minimizing one new input at the

@@ -129,7 +129,11 @@ func (p Policy) Wait(n int) time.Duration {
 	p = p.withDefaults()
 	w := p.Base
 	for i := 0; i < n && w < p.Max; i++ {
-		w *= 2
+		if w > p.Max/2 {
+			w = p.Max // the doubled wait would pass Max, or overflow
+		} else {
+			w *= 2
+		}
 	}
 	if w > p.Max {
 		w = p.Max

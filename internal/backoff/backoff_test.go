@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -112,6 +113,23 @@ func TestWaitGrowsAndCaps(t *testing.T) {
 		if w != want[i]*time.Millisecond {
 			t.Errorf("Wait(%d) = %v, want %v", i, w, want[i]*time.Millisecond)
 		}
+	}
+}
+
+// TestWaitSaturatesAtMax: a Max near the largest Duration is reached, not
+// overflowed: the doubling stops at Max instead of wrapping negative.
+func TestWaitSaturatesAtMax(t *testing.T) {
+	p := Policy{Base: 10 * time.Millisecond, Max: math.MaxInt64, Jitter: -1}
+	var prev time.Duration
+	for i := 0; i < 70; i++ {
+		w := p.Wait(i)
+		if w < prev || w > p.Max {
+			t.Fatalf("Wait(%d) = %v after %v", i, w, prev)
+		}
+		prev = w
+	}
+	if prev != p.Max {
+		t.Errorf("Wait(69) = %v, want Max %v", prev, p.Max)
 	}
 }
 

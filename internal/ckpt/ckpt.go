@@ -2,14 +2,18 @@
 // of the CPU's architectural state (PC, integer/FP registers, retired
 // instruction count) plus the touched memory pages. It plays the role of the
 // Spike-generated checkpoints that Chipyard's checkpointing infrastructure
-// loads into the RTL simulator in the paper's flow (Fig. 4).
+// loads into the RTL simulator in the paper's flow (Fig. 4). Every run
+// starts from one: a program's first checkpoint is its entry
+// (workloads.Workload.Entry), so a full run and a simulation point are
+// restored the same way.
 //
 // A checkpoint's memory is an image: a copy-on-write mem.Memory that owns
 // no page and is never written. Capture and Restore fork it (mem.Memory.Fork)
 // rather than copy it, so taking a checkpoint costs a page-map copy, and a
 // restored run copies only the pages it writes, into the frames of the
 // pages the CPU's previous run wrote. Any number of goroutines may Restore
-// one checkpoint at once.
+// one checkpoint at once. An image is only forked, compared and serialized,
+// never read through mem.Memory's accessors, which fill its TLB.
 package ckpt
 
 import (

@@ -352,9 +352,11 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 }
 
 // A checkpoint payload stores each point's registers and only the pages
-// that differ from the workload's load image (mem.Memory.Delta): the key
-// hashes the image's source and segments, so the decoder rebuilds it
-// (Workload.NewCPU) and lays the stored pages over a fork of it. The body
+// that differ from the workload's load image, its entry checkpoint's
+// memory (Workload.Entry; mem.Memory.Delta): the key hashes the image's
+// source and segments, so encoder and decoder take the one image the
+// workload builds, and the decoder lays the stored pages over a fork of it
+// (mem.Memory.Overlay). The body
 // is flate-compressed at BestSpeed: the stored pages are mostly data a
 // program has begun to rewrite, and zero-filled stack and heap.
 func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) ([]byte, error) {
@@ -432,7 +434,7 @@ func putCkptWriter(fw *flate.Writer) {
 
 // decodeCkptPayload checks the payload's counts against wantPoints — what
 // the selection it was keyed from says — before allocating for them, and
-// lays each point's stored pages over a fork of base, the workload's load
+// lays each point's stored pages over a fork of base, the workload's entry
 // image (mem.Memory.Overlay).
 func decodeCkptPayload(payload []byte, wantPoints int, base *mem.Memory) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
 	fr := flate.NewReader(bytes.NewReader(payload))

@@ -386,14 +386,16 @@ func TestRunFullMatchesDirectModel(t *testing.T) {
 // TestRunFullAllocCeiling holds a full run's allocations (tiny sha,
 // MediumBOOM, -j 1, no cache) within 3 % of their measured counts: the
 // bound the benchmark puts on full-detailed's allocs_k, so a regression
-// fails here as well as there. A new Runner's first RunFull builds the
-// timing core and the functional CPU; every later one Resets the core and
+// fails here as well as there. A full run restores the workload's entry
+// checkpoint, so its memory shares the entry image's pages instead of
+// copying the program in. A new Runner's first RunFull sizes the slot's
+// timing core and its CPU's memory; every later one Resets the core and
 // the CPU its free list kept, so none of the core's tables and none of the
 // memory's page frames is allocated again.
 func TestRunFullAllocCeiling(t *testing.T) {
 	const (
-		first  = 70 // allocs of a new Runner's first RunFull, with and without -race
-		repeat = 15 // allocs of each later RunFull on the same Runner
+		first  = 65 // allocs of a new Runner's first RunFull, with and without -race
+		repeat = 14 // allocs of each later RunFull on the same Runner
 	)
 	w, err := workloads.Build("sha", workloads.ScaleTiny)
 	if err != nil {

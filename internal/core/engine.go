@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -251,8 +252,13 @@ func WithStageTimeout(d time.Duration) Option {
 // error.
 func WithRetry(n int) Option {
 	n = max(n, 0)
-	// Max is the last wait, so the doubling is never capped.
-	p := backoff.Policy{Attempts: n + 1, Base: RetryBackoff, Max: RetryBackoff << max(n-1, 0), Jitter: -1}
+	// Max is the last wait, so the doubling is capped only where the next
+	// one would not fit in a Duration: from n = 41 the last wait saturates.
+	shift, last := max(n-1, 0), time.Duration(math.MaxInt64)
+	if RetryBackoff <= last>>shift {
+		last = RetryBackoff << shift
+	}
+	p := backoff.Policy{Attempts: n + 1, Base: RetryBackoff, Max: last, Jitter: -1}
 	return func(r *Runner) { r.retry = p }
 }
 

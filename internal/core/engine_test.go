@@ -133,3 +133,30 @@ func TestEngineHTTPClient(t *testing.T) {
 		t.Errorf("transport wiring: peer %q injector match %v", tr.Peer, tr.Injector == inj)
 	}
 }
+
+// TestWithRetryWaitsNeverShrink: for any retry budget n, WithRetry(n)'s
+// waits are RetryBackoff doubled once per retry, never decreasing, and
+// the last one is the policy's Max. Where the doubling no longer fits in a
+// Duration (from n = 41) it saturates: RetryBackoff << (n-1) wrapped to a
+// negative Max at n = 41 and shifted to zero from n = 64, and a Max that is
+// not positive falls back to backoff's 2 s default.
+func TestWithRetryWaitsNeverShrink(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 10, 40, 41, 63, 64, 65, 200} {
+		p := New(DefaultFlowConfig(), WithRetry(n)).retry
+		if p.Attempts != n+1 || p.Max <= 0 {
+			t.Errorf("WithRetry(%d): %d attempts, Max %v", n, p.Attempts, p.Max)
+			continue
+		}
+		var prev time.Duration
+		for i := 0; i < n; i++ {
+			w := p.Wait(i)
+			if w < prev || w > p.Max || (i < 40 && w != RetryBackoff<<i) {
+				t.Fatalf("WithRetry(%d): wait %d is %v after %v (Max %v)", n, i, w, prev, p.Max)
+			}
+			prev = w
+		}
+		if n > 0 && prev != p.Max {
+			t.Errorf("WithRetry(%d): last wait %v, Max %v", n, prev, p.Max)
+		}
+	}
+}

@@ -40,11 +40,11 @@ func referenceCkptPayload(t *testing.T, w *workloads.Workload, p *Profile, warmu
 		cks[i].Interval, cks[i].Weight = iv, pt.Weight
 		warmups[i] = iv*p.Interval - at
 	}
-	cpu, err := w.NewCPU()
+	entry, err := w.Entry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeCkptPayload(cks, warmups, cpu.Mem)
+	payload, err := encodeCkptPayload(cks, warmups, entry.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func serialized(t *testing.T, m *mem.Memory) []byte {
 }
 
 // storedCheckpoints reads a checkpoint payload's stored checkpoints as
-// written, without laying them over the load image.
+// written, without laying them over the entry image.
 func storedCheckpoints(t *testing.T, payload []byte, points int) []*ckpt.Checkpoint {
 	t.Helper()
 	rd := bufio.NewReader(flate.NewReader(bytes.NewReader(payload)))
@@ -50,9 +50,9 @@ func storedCheckpoints(t *testing.T, payload []byte, points int) []*ckpt.Checkpo
 // TestPayloadsHoldWhatTheKeyCannotRebuild: on every workload under the
 // BBV-only and the bbv+mav spec, the bbv entry a cold Profile writes
 // decodes to its vectors, and its checkpoint entry stores for each point
-// exactly the pages that differ from the load image — the pass's first
-// mark, which is Workload.NewCPU's memory — and decodes over that image to
-// checkpoints page for page equal to the ones the pass captured.
+// exactly the pages that differ from the entry checkpoint's image
+// (Workload.Entry) and decodes over that image to checkpoints page for
+// page equal to the ones the pass captured.
 func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 	fc := DefaultFlowConfig()
 	ctx := context.Background()
@@ -82,25 +82,15 @@ func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 				t.Errorf("%s: the bbv entry decodes to a different profile", label)
 			}
 
-			loadImage, err := w.NewCPU()
+			entry, err := w.Entry()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := serialized(t, loadImage.Mem)
-			interval := spec.ResolveInterval(w.IntervalSize)
-			ps, err := r.runPass(ctx, w, interval, spec.ResolveWarmup(interval, fc.WarmupInsts), 0, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serialized(t, ps.cpu.Mem.Image(0)), want) {
-				t.Fatalf("%s: the pass's first mark is not the load image", label)
-			}
-
 			ckptPayload, _, ok := r.Cache().Get(keys.ckpt)
 			if !ok {
 				t.Fatalf("%s: no checkpoint entry", label)
 			}
-			cks, warmups, err := decodeCkptPayload(ckptPayload, p.NumSimPoints(), loadImage.Mem)
+			cks, warmups, err := decodeCkptPayload(ckptPayload, p.NumSimPoints(), entry.Mem)
 			if err != nil {
 				t.Fatalf("%s: decoding the checkpoint entry: %v", label, err)
 			}
@@ -109,12 +99,12 @@ func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 			}
 			for i, k := range storedCheckpoints(t, ckptPayload, p.NumSimPoints()) {
 				captured := p.Checkpoints[i]
-				delta, err := captured.Mem.Delta(loadImage.Mem)
+				delta, err := captured.Mem.Delta(entry.Mem)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(serialized(t, k.Mem), serialized(t, delta)) {
-					t.Errorf("%s: point %d stores %d pages; %d differ from the load image", label, i, k.Mem.PageCount(), delta.PageCount())
+					t.Errorf("%s: point %d stores %d pages; %d differ from the entry image", label, i, k.Mem.PageCount(), delta.PageCount())
 				}
 				if !bytes.Equal(serialized(t, cks[i].Mem), serialized(t, captured.Mem)) {
 					t.Errorf("%s: point %d decodes to a memory that differs from the captured one", label, i)
@@ -129,10 +119,10 @@ func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 }
 
 // TestTarfindCheckpointDecodeAllocation: tarfind's checkpoints at
-// ScaleDefault differ from its ~19 MB load image in almost no page. Stored
+// ScaleDefault differ from its ~19 MB entry image in almost no page. Stored
 // whole, its seven images decoded to 156.9 MB of fresh pages; stored as
-// deltas, decoding — the load image built here included — must allocate at
-// least 100 MB less.
+// deltas over the workload's one entry image, decoding copies no page of
+// it, so it must allocate less than half that image (it measured 1.6 MB).
 func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 	w, err := workloads.Build("tarfind", workloads.ScaleDefault)
 	if err != nil {
@@ -148,17 +138,17 @@ func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 		t.Fatal("no checkpoint entry")
 	}
 	got := allocatedBy(func() {
-		cpu, cerr := w.NewCPU()
-		if cerr == nil {
-			_, _, err = decodeCkptPayload(payload, p.NumSimPoints(), cpu.Mem)
+		entry, eerr := w.Entry()
+		if eerr == nil {
+			_, _, err = decodeCkptPayload(payload, p.NumSimPoints(), entry.Mem)
 		} else {
-			err = cerr
+			err = eerr
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 156_900_000 - 100_000_000
+	const limit = 8_000_000
 	if got > limit {
 		t.Errorf("decoding tarfind's %d checkpoints allocated %d bytes, over %d", p.NumSimPoints(), got, limit)
 	}

@@ -58,24 +58,24 @@ type pointOutput struct {
 
 // pointScratch is what a worker slot keeps from detailed run to detailed
 // run, across points and cells: the power report EstimateInto fills
-// (consumed before the next point); the functional CPU, re-armed at each
-// run's start (startCPU) with its memory's map, TLB and page frames kept,
+// (consumed before the next point); the functional CPU, restored at each
+// run's start checkpoint with its memory's map, TLB and page frames kept,
 // and the trace source reading it out of the CPU's own batch buffer; and
-// the timing core, built the first time the slot runs and Reset to each
-// later run's config instead of reallocating its tables. A Runner holds at
-// most -j of them, on its free list (takeScratch, giveScratch), so at most
-// -j cores, each sized for the largest config it has run. The list is
-// intrusive, so keeping it allocates nothing.
+// the timing core, Reset to each run's config, which reallocates a table
+// only when the config needs a larger one. A Runner holds at most -j of
+// them, on its free list (takeScratch, giveScratch), so at most -j cores,
+// each sized for the largest config it has run. The list is intrusive, so
+// keeping it allocates nothing.
 type pointScratch struct {
 	report power.Report
 	cpu    sim.CPU
 	trace  traceSource
-	core   *boom.Core
+	core   boom.Core
 	next   *pointScratch // the free list's link
 }
 
 // takeScratch is a pointScratch off the Runner's free list, or a new one
-// (with no core yet) when the list is empty.
+// (its core not yet Reset to any config) when the list is empty.
 func (r *Runner) takeScratch() *pointScratch {
 	r.freeMu.Lock()
 	defer r.freeMu.Unlock()

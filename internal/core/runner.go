@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -44,9 +45,11 @@ func Stages() []string {
 }
 
 // Runner executes the SimPoint→power flow. Construct with New; the zero
-// value is not usable. A Runner is safe for concurrent use: it holds only
-// immutable configuration plus an optional metrics registry and artifact
-// cache (both internally synchronized).
+// value is not usable. A Runner is safe for concurrent use: besides its
+// immutable configuration it holds an optional metrics registry and
+// artifact cache (both internally synchronized), the shared -j slot budget,
+// and the free list of worker-slot scratches under its own mutex (see
+// points.go).
 //
 // Sweep runs under supervision: worker panics are recovered into
 // *StageError (never crash the process), per-stage watchdogs bound runaway
@@ -344,14 +347,14 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	// capture point.
 	ckptStage := func(ctx context.Context) (int64, error) {
 		defer r.stage(StageCheckpoint)()
-		var ps *pass // the marks the checkpoints come from
+		// The payload stores each checkpoint's pages against the entry's.
+		entry, err := w.Entry()
+		if err != nil {
+			return 0, wrapStage(StageCheckpoint, w.Name, "", err)
+		}
 		cost, err := r.stageCached(keys.ckpt,
 			func(payload []byte) error {
-				cpu, derr := w.NewCPU()
-				if derr != nil {
-					return derr
-				}
-				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected), cpu.Mem)
+				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected), entry.Mem)
 				if derr != nil {
 					return derr
 				}
@@ -359,8 +362,9 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				return nil
 			},
 			func() error {
-				ps = st.pass
-				if ps == nil { // the profile stage was a cache hit: execute up to the last capture point
+				ps := st.pass // the marks the checkpoints come from
+				if ps == nil {
+					// The profile stage was a cache hit: execute up to the last capture point.
 					sctx, cancel := r.stageCtx(ctx)
 					defer cancel()
 					var last int64
@@ -380,9 +384,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 				return nil
 			},
 			func() ([]byte, error) {
-				// The pass's first mark, capture point 0, is the load image
-				// the payload stores each checkpoint against.
-				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts, ps.cpu.Mem.Image(0))
+				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts, entry.Mem)
 			})
 		return cost, wrapStage(StageCheckpoint, w.Name, "", err)
 	}
@@ -516,7 +518,8 @@ func (r *Runner) tickWallNS(key artifact.Key, cost int64, warmShare float64, com
 // kernel's wall-clock excludes.
 //
 // Points are measured concurrently (see points.go): each restores its own
-// checkpoint into a fresh CPU and a cold timing core, deposits its raw
+// checkpoint into its worker slot's CPU and Resets the slot's timing core,
+// cold, to cfg (runDetailed), deposits its raw
 // measurement into an index-addressed slot, and the floating-point
 // reduction replays serially in checkpoint order — bit-identical to a
 // serial loop at every parallelism level.
@@ -690,11 +693,15 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 	cost, err := r.stageCached(key,
 		func(payload []byte) error { return decodeResultPayload(payload, res, cfg.IntIssueSlots) },
 		func() error {
+			entry, err := w.Entry()
+			if err != nil {
+				return err
+			}
 			mctx, cancel := r.stageCtx(ctx)
 			defer cancel()
 			scratch := r.takeScratch()
 			defer r.giveScratch(scratch)
-			ran, _, err := r.runDetailed(mctx, scratch, w, cfg, "", nil, 0, 0)
+			ran, _, err := r.runDetailed(mctx, scratch, w, cfg, "", entry, 0, 0)
 			if err != nil {
 				return err
 			}
@@ -724,9 +731,10 @@ func (r *Runner) RunFull(ctx context.Context, w *workloads.Workload, cfg boom.Co
 }
 
 // runDetailed is the flow's one detailed run, a simulation point's and a
-// full run's alike, on the worker slot's scratch s. It re-arms the slot's
-// functional CPU at the checkpoint (nil: the program's entry), builds the
-// timing core into s (or Resets the one a previous run left there to cfg),
+// full run's alike, on the worker slot's scratch s. It restores the start
+// checkpoint — a selected interval's, or the program's entry
+// (Workload.Entry) — into the slot's functional CPU, attaching the
+// workload's shared text window, Resets the slot's timing core to cfg,
 // arms it for this cell, and warms it over warm instructions: functionally
 // up to the last warmTail under a proportional warm-up, detailed
 // otherwise. It then runs n instructions, or, when n is 0, the program to
@@ -740,16 +748,11 @@ func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.
 		return &StageError{Stage: stage, Workload: w.Name, Config: cfg.Name, Err: err}
 	}
 	endStage := r.stage(StageWarmup)
-	cpu := &s.cpu
-	err = startCPU(cpu, w, start)
-	c := s.core
-	switch {
-	case err != nil:
-	case c == nil:
-		if c, err = boom.New(cfg); err == nil {
-			s.core = c
-		}
-	default:
+	cpu, c := &s.cpu, &s.core
+	prog, err := w.Program()
+	if err == nil {
+		cpu.AttachText(prog)
+		start.Restore(cpu)
 		err = c.Reset(cfg)
 	}
 	if err == nil {
@@ -771,7 +774,7 @@ func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.
 			_, err = c.Run(ts.next, detailed)
 		}
 		if err == nil {
-			c.ResetStats() // a built or Reset core's counters are fresh already
+			c.ResetStats() // a Reset core's counters are fresh already
 		}
 	}
 	endStage()
@@ -812,25 +815,6 @@ func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.
 	return detailed, warmNS, nil
 }
 
-// startCPU re-arms c at the checkpoint, or, when it is nil, at the
-// program's entry; either way c's memory keeps its map, TLB and page
-// frames (sim.CPU.Reset, ckpt.Checkpoint.Restore). A restored CPU takes
-// memory and registers from the checkpoint and only the text window (the
-// workload's shared predecoded image) from the program.
-func startCPU(c *sim.CPU, w *workloads.Workload, start *ckpt.Checkpoint) error {
-	if start == nil {
-		c.Reset()
-		return w.Load(c)
-	}
-	prog, err := w.Program()
-	if err != nil {
-		return err
-	}
-	c.AttachText(prog)
-	start.Restore(c)
-	return nil
-}
-
 // checkExit is the flow's end-to-end oracle: a program that ran to its
 // halt must leave the workload's Go reference value in a0. A mismatch is
 // deterministic (the assembler, the functional simulator or the kernel
@@ -848,15 +832,10 @@ func checkExit(w *workloads.Workload, cpu *sim.CPU) error {
 // checkpoint is its capture point's registers and memory image.
 type pass struct {
 	cpu   *sim.CPU
-	insts int64      // instructions executed
-	at    []int64    // instruction count of each mark, strictly increasing
-	regs  []passRegs // registers at each mark, one slab
-}
-
-// passRegs is the architectural register state at one mark.
-type passRegs struct {
-	pc, instRet uint64
-	x, f        [32]uint64
+	insts int64 // instructions executed
+	// marks holds the registers at each mark, one slab, Mem unset; their
+	// InstRet, the mark's capture point, strictly increases.
+	marks []ckpt.Checkpoint
 }
 
 // capturePoint is the instruction count where interval iv's checkpoint is
@@ -914,8 +893,7 @@ func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, w
 		if cpu.Halted {
 			return ps, nil
 		}
-		ps.at = append(ps.at, at)
-		ps.regs = append(ps.regs, passRegs{pc: cpu.PC, instRet: cpu.InstRet, x: cpu.X, f: cpu.F})
+		ps.marks = append(ps.marks, ckpt.Checkpoint{PC: cpu.PC, X: cpu.X, F: cpu.F, InstRet: cpu.InstRet})
 		cpu.Mem.Mark()
 		if until >= 0 && at >= until {
 			return ps, nil
@@ -933,20 +911,15 @@ func (ps *pass) checkpoints(sel *simpoint.Result, interval, warmup int64) ([]*ck
 	for i, pt := range sel.Selected {
 		iv := int64(pt.Interval)
 		at := capturePoint(iv, interval, warmup)
-		j, ok := slices.BinarySearch(ps.at, at)
+		j, ok := slices.BinarySearchFunc(ps.marks, uint64(at), func(k ckpt.Checkpoint, at uint64) int {
+			return cmp.Compare(k.InstRet, at)
+		})
 		if !ok {
 			return nil, nil, fmt.Errorf("interval %d: no mark at its capture point %d (the pass ran %d instructions)", iv, at, ps.insts)
 		}
-		rg := &ps.regs[j]
-		cks[i] = &ckpt.Checkpoint{
-			PC:       rg.pc,
-			X:        rg.x,
-			F:        rg.f,
-			InstRet:  rg.instRet,
-			Mem:      ps.cpu.Mem.Image(j),
-			Interval: iv,
-			Weight:   pt.Weight,
-		}
+		k := ps.marks[j]
+		k.Mem, k.Interval, k.Weight = ps.cpu.Mem.Image(j), iv, pt.Weight
+		cks[i] = &k
 		warmups[i] = iv*interval - at
 	}
 	return cks, warmups, nil

@@ -3,7 +3,8 @@
 // with bit-exact Go reference implementations. Each workload computes a
 // checksum that the simulator must reproduce, which validates the assembler,
 // the functional simulator and the kernel itself in one shot. Build only
-// generates; the reference runs on the first Workload.Checksum call.
+// generates: the reference runs on the first Workload.Checksum call, and a
+// CPU gets the program only by restoring its entry checkpoint (Entry).
 //
 // Workloads take a Scale, which sets input sizes and iteration counts:
 // ScaleTiny is for unit tests, ScaleDefault for the standard experiment
@@ -17,6 +18,7 @@ import (
 	"sync"
 
 	"repro/internal/asm"
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 )
 
@@ -92,6 +94,8 @@ type Workload struct {
 	assemble sync.Once // guards prog, progErr
 	prog     *asm.Program
 	progErr  error
+	enter    sync.Once // guards entry
+	entry    *ckpt.Checkpoint
 }
 
 // Checksum returns the value the program must leave in a0 at exit: the Go
@@ -118,27 +122,36 @@ func (w *Workload) Program() (*asm.Program, error) {
 	return w.prog, w.progErr
 }
 
-// NewCPU assembles, loads program and segments, and returns a ready CPU.
-func (w *Workload) NewCPU() (*sim.CPU, error) {
-	c := sim.New()
-	if err := w.Load(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Load installs w's program and data segments in c, a CPU as sim.New or
-// sim.CPU.Reset leaves it, and points it at the entry.
-func (w *Workload) Load(c *sim.CPU) error {
+// Entry returns the program's entry checkpoint, built on the first call and
+// shared by every caller, so read-only: the PC at the entry point, the stack
+// pointer at sim.DefaultStackTop, and text, data and segments in an image
+// that owns no page. Any number of CPUs may restore it at once.
+func (w *Workload) Entry() (*ckpt.Checkpoint, error) {
 	p, err := w.Program()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.Load(p)
-	for _, seg := range w.Segments {
-		c.Mem.SetBytes(seg.Addr, seg.Bytes)
+	w.enter.Do(func() {
+		c := sim.New()
+		c.Load(p)
+		for _, seg := range w.Segments {
+			c.Mem.SetBytes(seg.Addr, seg.Bytes)
+		}
+		w.entry = ckpt.Capture(c)
+	})
+	return w.entry, nil
+}
+
+// NewCPU returns a CPU restored at the program's entry.
+func (w *Workload) NewCPU() (*sim.CPU, error) {
+	k, err := w.Entry()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	c := new(sim.CPU)
+	c.AttachText(w.prog)
+	k.Restore(c)
+	return c, nil
 }
 
 // builder constructs a workload for a given scale.

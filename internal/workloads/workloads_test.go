@@ -1,9 +1,13 @@
 package workloads
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // runWorkload executes w to completion and returns the checksum (a0) and
@@ -142,5 +146,98 @@ func TestChecksumPaperScaleSpot(t *testing.T) {
 	}
 	if insts < 100_000_000 {
 		t.Fatalf("paper scale only ran %d instructions", insts)
+	}
+}
+
+// TestEntryIsTheLoadedProgram: every workload's entry checkpoint holds what
+// loading the program and its segments into a new CPU leaves there — the
+// same registers and the same pages, byte for byte — and a CPU restored
+// from it starts there, with the text window attached.
+func TestEntryIsTheLoadedProgram(t *testing.T) {
+	for _, name := range Names() {
+		w, err := Build(name, ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded := sim.New()
+		loaded.Load(p)
+		for _, seg := range w.Segments {
+			loaded.Mem.SetBytes(seg.Addr, seg.Bytes)
+		}
+		k, err := w.Entry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.PC != loaded.PC || k.X != loaded.X || k.F != loaded.F || k.InstRet != 0 {
+			t.Errorf("%s: entry registers differ from a loaded CPU's", name)
+		}
+		var got, want bytes.Buffer
+		if err := k.Mem.Serialize(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Mem.Serialize(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: entry image (%d pages) differs from a loaded CPU's memory (%d pages)", name, k.Mem.PageCount(), loaded.Mem.PageCount())
+		}
+		if again, _ := w.Entry(); again != k {
+			t.Errorf("%s: Entry built a second checkpoint", name)
+		}
+		c, err := w.NewCPU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r sim.Retired
+		if err := c.Step(&r); err != nil || r.PC != p.Entry || r.Inst != p.Insts[(p.Entry-p.TextAddr)/4] {
+			t.Errorf("%s: a new CPU's first instruction is %#x %v (%v), want the entry's", name, r.PC, r.Inst, err)
+		}
+	}
+}
+
+// TestEntrySharedAcrossCPUs: eight goroutines each restore one Workload's
+// entry into a CPU of their own (NewCPU) and run it to its halt, while the
+// entry checkpoint is built by whichever of them asks first. Each run must
+// leave the reference checksum, and under the race detector no goroutine
+// may write the shared image: each CPU copies a page before its first
+// write to it.
+func TestEntrySharedAcrossCPUs(t *testing.T) {
+	w, err := Build("qsort", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exits := make([]uint64, 8)
+	errs := make([]error, len(exits))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range exits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			c, err := w.NewCPU()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if _, errs[i] = c.Run(-1); errs[i] == nil && !c.Halted {
+				errs[i] = fmt.Errorf("did not halt")
+			}
+			exits[i] = uint64(c.Exit)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, v := range exits {
+		if errs[i] != nil {
+			t.Fatalf("CPU %d: %v", i, errs[i])
+		}
+		if v != w.Checksum() {
+			t.Errorf("CPU %d exited with %#x, reference %#x", i, v, w.Checksum())
+		}
 	}
 }
