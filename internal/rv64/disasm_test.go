@@ -1,6 +1,8 @@
 package rv64
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -63,5 +65,30 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 		}
 		// Disassembly of any decodable word must not panic.
 		_ = Disassemble(in)
+	}
+}
+
+// disassembleDigest pins the text Disassemble gives for every known
+// encoding and for 2^20 seeded random words, the rejected ones included (a
+// rejected word decodes to the ILLEGAL Op). A change to any disassembled
+// string moves it.
+const disassembleDigest = "2ba6a93b75239f88a9b426dfe162daacf7e7f297287bd1ae4bc7c9d324f57ae1"
+
+func TestDisassembleDigest(t *testing.T) {
+	h := sha256.New()
+	add := func(raw uint32) {
+		in, _ := Decode(raw)
+		h.Write([]byte(Disassemble(in)))
+		h.Write([]byte{0})
+	}
+	for _, c := range knownEncodings {
+		add(c.raw)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 1<<20; i++ {
+		add(rng.Uint32())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != disassembleDigest {
+		t.Fatalf("disassemble digest %s, want %s", got, disassembleDigest)
 	}
 }
