@@ -18,10 +18,11 @@
 //	beq rs1, rs2, label         # branch targets are labels
 //	lui rd, %hi(sym) / %lo(sym) # absolute relocation helpers
 //
-// plus the standard pseudo-instructions (li, la, mv, not, neg, j, jr, call,
-// ret, beqz/bnez/bltz/bgez/blez/bgtz, bgt/ble/bgtu/bleu, seqz/snez, nop,
-// fmv.d, fneg.d, fabs.d). Numeric literals may be decimal, 0x-hex, 0b-binary
-// or character ('a').
+// plus li, la and the one-instruction pseudo-instructions of the pseudos
+// table (inst.go). A real instruction's operands are the slots of its
+// rv64.Op.Operands, the layout rv64.Disassemble prints, and a pseudo's are
+// its table row's. Numeric literals may be decimal, 0x-hex, 0b-binary or
+// character ('a').
 package asm
 
 import (

@@ -7,6 +7,58 @@ import (
 	"repro/internal/rv64"
 )
 
+// form is an instruction as a line spells it: a real Op with the fields
+// its mnemonic fixes, and the slots its operands fill, in the order written.
+// A real mnemonic's form is its Op with the Op's own slots.
+type form struct {
+	in    rv64.Inst
+	slots []rv64.Slot
+	dup   bool // rs2 repeats rs1
+}
+
+var (
+	rdRs1  = []rv64.Slot{rv64.SlotRd, rv64.SlotRs1}
+	rdRs2  = []rv64.Slot{rv64.SlotRd, rv64.SlotRs2}
+	rs1    = []rv64.Slot{rv64.SlotRs1}
+	target = []rv64.Slot{rv64.SlotTarget}
+	rs1To  = []rv64.Slot{rv64.SlotRs1, rv64.SlotTarget}
+	rs2To  = []rv64.Slot{rv64.SlotRs2, rv64.SlotTarget}
+	swapTo = []rv64.Slot{rv64.SlotRs2, rv64.SlotRs1, rv64.SlotTarget}
+)
+
+// pseudos are the pseudo-instructions that expand to one instruction. li
+// and la, which expand to more, are instruction's code.
+var pseudos = map[string]form{
+	"nop":    {in: rv64.Inst{Op: rv64.ADDI}},
+	"mv":     {in: rv64.Inst{Op: rv64.ADDI}, slots: rdRs1},
+	"not":    {in: rv64.Inst{Op: rv64.XORI, Imm: -1}, slots: rdRs1},
+	"neg":    {in: rv64.Inst{Op: rv64.SUB}, slots: rdRs2},
+	"negw":   {in: rv64.Inst{Op: rv64.SUBW}, slots: rdRs2},
+	"sext.w": {in: rv64.Inst{Op: rv64.ADDIW}, slots: rdRs1},
+	"seqz":   {in: rv64.Inst{Op: rv64.SLTIU, Imm: 1}, slots: rdRs1},
+	"snez":   {in: rv64.Inst{Op: rv64.SLTU}, slots: rdRs2},
+	"sltz":   {in: rv64.Inst{Op: rv64.SLT}, slots: rdRs1},
+	"sgtz":   {in: rv64.Inst{Op: rv64.SLT}, slots: rdRs2},
+	"beqz":   {in: rv64.Inst{Op: rv64.BEQ}, slots: rs1To},
+	"bnez":   {in: rv64.Inst{Op: rv64.BNE}, slots: rs1To},
+	"bltz":   {in: rv64.Inst{Op: rv64.BLT}, slots: rs1To},
+	"bgez":   {in: rv64.Inst{Op: rv64.BGE}, slots: rs1To},
+	"blez":   {in: rv64.Inst{Op: rv64.BGE}, slots: rs2To}, // 0 >= rs
+	"bgtz":   {in: rv64.Inst{Op: rv64.BLT}, slots: rs2To}, // 0 < rs
+	"bgt":    {in: rv64.Inst{Op: rv64.BLT}, slots: swapTo},
+	"ble":    {in: rv64.Inst{Op: rv64.BGE}, slots: swapTo},
+	"bgtu":   {in: rv64.Inst{Op: rv64.BLTU}, slots: swapTo},
+	"bleu":   {in: rv64.Inst{Op: rv64.BGEU}, slots: swapTo},
+	"j":      {in: rv64.Inst{Op: rv64.JAL}, slots: target},
+	"tail":   {in: rv64.Inst{Op: rv64.JAL}, slots: target},
+	"call":   {in: rv64.Inst{Op: rv64.JAL, Rd: rv64.RegRA}, slots: target},
+	"jr":     {in: rv64.Inst{Op: rv64.JALR}, slots: rs1},
+	"ret":    {in: rv64.Inst{Op: rv64.JALR, Rs1: rv64.RegRA}},
+	"fmv.d":  {in: rv64.Inst{Op: rv64.FSGNJD}, slots: rdRs1, dup: true},
+	"fneg.d": {in: rv64.Inst{Op: rv64.FSGNJND}, slots: rdRs1, dup: true},
+	"fabs.d": {in: rv64.Inst{Op: rv64.FSGNJXD}, slots: rdRs1, dup: true},
+}
+
 // instruction parses one instruction (or pseudo-instruction) line and emits
 // the resulting machine instructions as a single item.
 func (a *assembler) instruction(s string) error {
@@ -21,18 +73,53 @@ func (a *assembler) instruction(s string) error {
 	mn = strings.ToLower(strings.TrimSpace(mn))
 	args := a.splitOperands(rest)
 
-	if insts, handled, err := a.pseudo(mn, args); err != nil {
-		return err
-	} else if handled {
-		a.emit(&item{insts: insts})
+	if mn == "li" || mn == "la" {
+		if len(args) != 2 {
+			return a.errf("%s expects 2 operands, got %d", mn, len(args))
+		}
+		rd, err := a.reg(args[0], false)
+		if err != nil {
+			return err
+		}
+		if mn == "la" {
+			a.emit(&item{insts: []inst{
+				{in: rv64.Inst{Op: rv64.LUI, Rd: rd}, reloc: relHi, sym: args[1]},
+				{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd}, reloc: relLo, sym: args[1]},
+			}})
+			return nil
+		}
+		v, err := a.intExpr(args[1])
+		if err != nil {
+			return err
+		}
+		a.emit(&item{insts: materializeLI(rd, v)})
 		return nil
 	}
-
-	op, ok := rv64.OpByName(mn)
+	p, ok := pseudos[mn]
 	if !ok {
-		return a.errf("unknown mnemonic %q", mn)
+		op, ok := rv64.OpByName(mn)
+		if !ok {
+			return a.errf("unknown mnemonic %q", mn)
+		}
+		p = form{in: rv64.Inst{Op: op}, slots: op.Operands()}
+		// "jal target" links ra and "jalr rs1" links zero, as call and jr
+		// do; "jalr rd, rs1" has no offset.
+		switch {
+		case (op == rv64.JAL || op == rv64.JALR) && (len(args) < 1 || len(args) > 2):
+			return a.errf("%s expects 1 or 2 operands", mn)
+		case op == rv64.JAL && len(args) == 1:
+			p = pseudos["call"]
+		case op == rv64.JALR && len(args) == 1:
+			p = pseudos["jr"]
+		case op == rv64.JALR:
+			if _, ok := rv64.IntReg(args[1]); ok {
+				p.slots = rdRs1
+			}
+		}
+	} else if mn == "nop" {
+		args = nil // nop ignores any operands it is given
 	}
-	in, err := a.parseOp(op, args)
+	in, err := a.fill(mn, p, args)
 	if err != nil {
 		return err
 	}
@@ -40,232 +127,83 @@ func (a *assembler) instruction(s string) error {
 	return nil
 }
 
-func (a *assembler) parseOp(op rv64.Op, args []string) (inst, error) {
-	none := inst{}
-	need := func(n int) error {
-		if len(args) != n {
-			return a.errf("%s expects %d operands, got %d", op.Name(), n, len(args))
-		}
-		return nil
+// fill parses args into p's slots, each register from the file p's Op
+// reads it from.
+func (a *assembler) fill(mn string, p form, args []string) (inst, error) {
+	if len(args) != len(p.slots) {
+		return inst{}, a.errf("%s expects %d operands, got %d", mn, len(p.slots), len(args))
 	}
-	reg := func(s string, fp bool) (uint8, error) {
-		if fp {
-			if r, ok := rv64.FPReg(s); ok {
-				return r, nil
-			}
-			return 0, a.errf("bad FP register %q", s)
+	out, op := inst{in: p.in}, p.in.Op
+	var err error
+	for i, s := range p.slots {
+		switch s {
+		case rv64.SlotRd:
+			out.in.Rd, err = a.reg(args[i], op.FPRd())
+		case rv64.SlotRs1:
+			out.in.Rs1, err = a.reg(args[i], op.FPRs1())
+		case rv64.SlotRs2:
+			out.in.Rs2, err = a.reg(args[i], op.FPRs2())
+		case rv64.SlotRs3:
+			out.in.Rs3, err = a.reg(args[i], op.FPRs3())
+		case rv64.SlotHi:
+			err = a.imm(&out, args[i], "%hi", relHi)
+		case rv64.SlotLo:
+			err = a.imm(&out, args[i], "%lo", relLo)
+		case rv64.SlotMem:
+			err = a.mem(&out, args[i])
+		case rv64.SlotTarget:
+			out.reloc, out.sym = relBranch, args[i]
 		}
-		if r, ok := rv64.IntReg(s); ok {
-			return r, nil
+		if err != nil {
+			return inst{}, err
 		}
-		return 0, a.errf("bad register %q", s)
 	}
-
-	switch op.Class() {
-	case rv64.ClassLoad:
-		if err := need(2); err != nil {
-			return none, err
-		}
-		rd, err := reg(args[0], op.FPRd())
-		if err != nil {
-			return none, err
-		}
-		off, base, rel, sym, err := a.memOperand(args[1])
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: base, Imm: off}, reloc: rel, sym: sym}, nil
-	case rv64.ClassStore:
-		if err := need(2); err != nil {
-			return none, err
-		}
-		rs2, err := reg(args[0], op.FPRs2())
-		if err != nil {
-			return none, err
-		}
-		off, base, rel, sym, err := a.memOperand(args[1])
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rs2: rs2, Rs1: base, Imm: off}, reloc: rel, sym: sym}, nil
-	case rv64.ClassBranch:
-		if err := need(3); err != nil {
-			return none, err
-		}
-		rs1, err := reg(args[0], false)
-		if err != nil {
-			return none, err
-		}
-		rs2, err := reg(args[1], false)
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rs1: rs1, Rs2: rs2}, reloc: relBranch, sym: args[2]}, nil
-	case rv64.ClassJAL:
-		switch len(args) {
-		case 1:
-			return inst{in: rv64.Inst{Op: op, Rd: rv64.RegRA}, reloc: relBranch, sym: args[0]}, nil
-		case 2:
-			rd, err := reg(args[0], false)
-			if err != nil {
-				return none, err
-			}
-			return inst{in: rv64.Inst{Op: op, Rd: rd}, reloc: relBranch, sym: args[1]}, nil
-		}
-		return none, a.errf("jal expects 1 or 2 operands")
-	case rv64.ClassJALR:
-		switch len(args) {
-		case 1:
-			rs1, err := reg(args[0], false)
-			if err != nil {
-				return none, err
-			}
-			return inst{in: rv64.Inst{Op: op, Rd: 0, Rs1: rs1}}, nil
-		case 2:
-			rd, err := reg(args[0], false)
-			if err != nil {
-				return none, err
-			}
-			off, base, rel, sym, err := a.memOperand(args[1])
-			if err != nil {
-				// allow "jalr rd, rs1"
-				rs1, err2 := reg(args[1], false)
-				if err2 != nil {
-					return none, err
-				}
-				return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1}}, nil
-			}
-			return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: base, Imm: off}, reloc: rel, sym: sym}, nil
-		}
-		return none, a.errf("jalr expects 1 or 2 operands")
-	case rv64.ClassSystem:
-		if err := need(0); err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op}}, nil
+	if p.dup {
+		out.in.Rs2 = out.in.Rs1
 	}
-
-	switch op {
-	case rv64.LUI, rv64.AUIPC:
-		if err := need(2); err != nil {
-			return none, err
-		}
-		rd, err := reg(args[0], false)
-		if err != nil {
-			return none, err
-		}
-		if sym, ok := cutCall(args[1], "%hi"); ok {
-			return inst{in: rv64.Inst{Op: op, Rd: rd}, reloc: relHi, sym: sym}, nil
-		}
-		v, err := a.intExpr(args[1])
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rd: rd, Imm: v}}, nil
-	}
-
-	// I-format ALU ops and shifts.
-	if !op.HasRs2() && op.HasRs1() && op.HasRd() {
-		if op.FPRs1() || op.FPRd() {
-			// unary FP ops: op rd, rs1
-			if err := need(2); err != nil {
-				return none, err
-			}
-			rd, err := reg(args[0], op.FPRd())
-			if err != nil {
-				return none, err
-			}
-			rs1, err := reg(args[1], op.FPRs1())
-			if err != nil {
-				return none, err
-			}
-			return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1}}, nil
-		}
-		if err := need(3); err != nil {
-			return none, err
-		}
-		rd, err := reg(args[0], false)
-		if err != nil {
-			return none, err
-		}
-		rs1, err := reg(args[1], false)
-		if err != nil {
-			return none, err
-		}
-		if sym, ok := cutCall(args[2], "%lo"); ok {
-			return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1}, reloc: relLo, sym: sym}, nil
-		}
-		v, err := a.intExpr(args[2])
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: v}}, nil
-	}
-
-	// R-format (2 or 3 sources).
-	if op.HasRs3() {
-		if err := need(4); err != nil {
-			return none, err
-		}
-		rd, err := reg(args[0], op.FPRd())
-		if err != nil {
-			return none, err
-		}
-		rs1, err := reg(args[1], op.FPRs1())
-		if err != nil {
-			return none, err
-		}
-		rs2, err := reg(args[2], op.FPRs2())
-		if err != nil {
-			return none, err
-		}
-		rs3, err := reg(args[3], op.FPRs3())
-		if err != nil {
-			return none, err
-		}
-		return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: rs3}}, nil
-	}
-	if err := need(3); err != nil {
-		return none, err
-	}
-	rd, err := reg(args[0], op.FPRd())
-	if err != nil {
-		return none, err
-	}
-	rs1, err := reg(args[1], op.FPRs1())
-	if err != nil {
-		return none, err
-	}
-	rs2, err := reg(args[2], op.FPRs2())
-	if err != nil {
-		return none, err
-	}
-	return inst{in: rv64.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
+	return out, nil
 }
 
-// memOperand parses "off(reg)", "(reg)", "%lo(sym)(reg)".
-func (a *assembler) memOperand(s string) (off int64, base uint8, rel reloc, sym string, err error) {
+func (a *assembler) reg(s string, fp bool) (uint8, error) {
+	if fp {
+		if r, ok := rv64.FPReg(s); ok {
+			return r, nil
+		}
+		return 0, a.errf("bad FP register %q", s)
+	}
+	if r, ok := rv64.IntReg(s); ok {
+		return r, nil
+	}
+	return 0, a.errf("bad register %q", s)
+}
+
+// imm reads an immediate into out, or a symbol under the relocation
+// operator rel ("%hi(sym)", "%lo(sym)").
+func (a *assembler) imm(out *inst, s, rel string, r reloc) (err error) {
+	if sym, ok := cutCall(s, rel); ok {
+		out.reloc, out.sym = r, sym
+		return nil
+	}
+	out.in.Imm, err = a.intExpr(s)
+	return err
+}
+
+// mem parses "off(reg)", "(reg)" or "%lo(sym)(reg)" into out.
+func (a *assembler) mem(out *inst, s string) error {
 	open := strings.LastIndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, relNone, "", a.errf("bad memory operand %q", s)
+		return a.errf("bad memory operand %q", s)
 	}
-	regName := s[open+1 : len(s)-1]
-	r, ok := rv64.IntReg(regName)
+	base := s[open+1 : len(s)-1]
+	r, ok := rv64.IntReg(base)
 	if !ok {
-		return 0, 0, relNone, "", a.errf("bad base register %q", regName)
+		return a.errf("bad base register %q", base)
 	}
-	offS := strings.TrimSpace(s[:open])
-	if offS == "" {
-		return 0, r, relNone, "", nil
+	out.in.Rs1 = r
+	if off := strings.TrimSpace(s[:open]); off != "" {
+		return a.imm(out, off, "%lo", relLo)
 	}
-	if symName, ok := cutCall(offS, "%lo"); ok {
-		return 0, r, relLo, symName, nil
-	}
-	v, err := a.intExpr(offS)
-	if err != nil {
-		return 0, 0, relNone, "", err
-	}
-	return v, r, relNone, "", nil
+	return nil
 }
 
 // cutCall matches "prefix(inner)" and returns inner.
@@ -274,215 +212,6 @@ func cutCall(s, prefix string) (string, bool) {
 		return strings.TrimSpace(s[len(prefix)+1 : len(s)-1]), true
 	}
 	return "", false
-}
-
-// pseudo expands pseudo-instructions. It reports handled=false for real
-// mnemonics.
-func (a *assembler) pseudo(mn string, args []string) ([]inst, bool, error) {
-	intReg := func(s string) (uint8, error) {
-		r, ok := rv64.IntReg(s)
-		if !ok {
-			return 0, a.errf("bad register %q", s)
-		}
-		return r, nil
-	}
-	fpReg := func(s string) (uint8, error) {
-		r, ok := rv64.FPReg(s)
-		if !ok {
-			return 0, a.errf("bad FP register %q", s)
-		}
-		return r, nil
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return a.errf("%s expects %d operands, got %d", mn, n, len(args))
-		}
-		return nil
-	}
-	one := func(in rv64.Inst) ([]inst, bool, error) { return []inst{{in: in}}, true, nil }
-
-	switch mn {
-	case "nop":
-		return one(rv64.Inst{Op: rv64.ADDI})
-	case "li":
-		if err := need(2); err != nil {
-			return nil, true, err
-		}
-		rd, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		v, err := a.intExpr(args[1])
-		if err != nil {
-			return nil, true, err
-		}
-		return materializeLI(rd, v), true, nil
-	case "la":
-		if err := need(2); err != nil {
-			return nil, true, err
-		}
-		rd, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		return []inst{
-			{in: rv64.Inst{Op: rv64.LUI, Rd: rd}, reloc: relHi, sym: args[1]},
-			{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd}, reloc: relLo, sym: args[1]},
-		}, true, nil
-	case "mv":
-		if err := need(2); err != nil {
-			return nil, true, err
-		}
-		rd, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		rs, err := intReg(args[1])
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rs})
-	case "not":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.XORI, Rd: rd, Rs1: rs, Imm: -1})
-	case "neg":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SUB, Rd: rd, Rs2: rs})
-	case "negw":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SUBW, Rd: rd, Rs2: rs})
-	case "sext.w":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.ADDIW, Rd: rd, Rs1: rs})
-	case "seqz":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SLTIU, Rd: rd, Rs1: rs, Imm: 1})
-	case "snez":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SLTU, Rd: rd, Rs2: rs})
-	case "sltz":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SLT, Rd: rd, Rs1: rs})
-	case "sgtz":
-		rd, rs, err := a.twoInt(args)
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.SLT, Rd: rd, Rs2: rs})
-	case "beqz", "bnez", "bltz", "bgez", "blez", "bgtz":
-		if err := need(2); err != nil {
-			return nil, true, err
-		}
-		rs, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		var in rv64.Inst
-		switch mn {
-		case "beqz":
-			in = rv64.Inst{Op: rv64.BEQ, Rs1: rs}
-		case "bnez":
-			in = rv64.Inst{Op: rv64.BNE, Rs1: rs}
-		case "bltz":
-			in = rv64.Inst{Op: rv64.BLT, Rs1: rs}
-		case "bgez":
-			in = rv64.Inst{Op: rv64.BGE, Rs1: rs}
-		case "blez":
-			in = rv64.Inst{Op: rv64.BGE, Rs2: rs} // 0 >= rs
-		case "bgtz":
-			in = rv64.Inst{Op: rv64.BLT, Rs2: rs} // 0 < rs
-		}
-		return []inst{{in: in, reloc: relBranch, sym: args[1]}}, true, nil
-	case "bgt", "ble", "bgtu", "bleu":
-		if err := need(3); err != nil {
-			return nil, true, err
-		}
-		rs1, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		rs2, err := intReg(args[1])
-		if err != nil {
-			return nil, true, err
-		}
-		op := map[string]rv64.Op{"bgt": rv64.BLT, "ble": rv64.BGE, "bgtu": rv64.BLTU, "bleu": rv64.BGEU}[mn]
-		return []inst{{in: rv64.Inst{Op: op, Rs1: rs2, Rs2: rs1}, reloc: relBranch, sym: args[2]}}, true, nil
-	case "j", "tail":
-		if err := need(1); err != nil {
-			return nil, true, err
-		}
-		return []inst{{in: rv64.Inst{Op: rv64.JAL, Rd: 0}, reloc: relBranch, sym: args[0]}}, true, nil
-	case "call":
-		if err := need(1); err != nil {
-			return nil, true, err
-		}
-		return []inst{{in: rv64.Inst{Op: rv64.JAL, Rd: rv64.RegRA}, reloc: relBranch, sym: args[0]}}, true, nil
-	case "jr":
-		if err := need(1); err != nil {
-			return nil, true, err
-		}
-		rs, err := intReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.JALR, Rd: 0, Rs1: rs})
-	case "ret":
-		if err := need(0); err != nil {
-			return nil, true, err
-		}
-		return one(rv64.Inst{Op: rv64.JALR, Rd: 0, Rs1: rv64.RegRA})
-	case "fmv.d", "fneg.d", "fabs.d":
-		if err := need(2); err != nil {
-			return nil, true, err
-		}
-		rd, err := fpReg(args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		rs, err := fpReg(args[1])
-		if err != nil {
-			return nil, true, err
-		}
-		op := map[string]rv64.Op{"fmv.d": rv64.FSGNJD, "fneg.d": rv64.FSGNJND, "fabs.d": rv64.FSGNJXD}[mn]
-		return one(rv64.Inst{Op: op, Rd: rd, Rs1: rs, Rs2: rs})
-	}
-	return nil, false, nil
-}
-
-func (a *assembler) twoInt(args []string) (uint8, uint8, error) {
-	if len(args) != 2 {
-		return 0, 0, a.errf("expected 2 operands, got %d", len(args))
-	}
-	rd, ok := rv64.IntReg(args[0])
-	if !ok {
-		return 0, 0, a.errf("bad register %q", args[0])
-	}
-	rs, ok := rv64.IntReg(args[1])
-	if !ok {
-		return 0, 0, a.errf("bad register %q", args[1])
-	}
-	return rd, rs, nil
 }
 
 // materializeLI emits the shortest lui/addiw/slli/addi sequence that loads

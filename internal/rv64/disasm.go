@@ -1,60 +1,40 @@
 package rv64
 
-import "fmt"
+import "strconv"
 
-// Disassemble renders in as assembler syntax accepted by internal/asm, with
-// branch/jump targets shown as numeric offsets. It is the inverse of the
-// assembler for single instructions and is used for debugging, traces and
-// the encode/decode round-trip property tests.
+// Disassemble renders in as assembler syntax accepted by internal/asm by
+// walking its Op's operand slots, with branch/jump targets shown as numeric
+// offsets. It is the inverse of the assembler for single instructions and
+// is used for debugging, traces and the encode/decode round-trip property
+// tests.
 func Disassemble(in Inst) string {
-	name := in.Op.Name()
-	x := func(r uint8) string { return IntRegNames[r&31] }
-	f := func(r uint8) string { return FPRegNames[r&31] }
-	switch in.Op {
-	case LUI, AUIPC:
-		return fmt.Sprintf("%s %s, %d", name, x(in.Rd), in.Imm)
-	case JAL:
-		return fmt.Sprintf("%s %s, %d", name, x(in.Rd), in.Imm)
-	case JALR:
-		return fmt.Sprintf("%s %s, %d(%s)", name, x(in.Rd), in.Imm, x(in.Rs1))
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return fmt.Sprintf("%s %s, %s, %d", name, x(in.Rs1), x(in.Rs2), in.Imm)
-	case FENCE, ECALL, EBREAK:
-		return name
-	case FLD:
-		return fmt.Sprintf("%s %s, %d(%s)", name, f(in.Rd), in.Imm, x(in.Rs1))
-	case FSD:
-		return fmt.Sprintf("%s %s, %d(%s)", name, f(in.Rs2), in.Imm, x(in.Rs1))
-	}
-	if in.Op.Class() == ClassLoad {
-		return fmt.Sprintf("%s %s, %d(%s)", name, x(in.Rd), in.Imm, x(in.Rs1))
-	}
-	if in.Op.Class() == ClassStore {
-		return fmt.Sprintf("%s %s, %d(%s)", name, x(in.Rs2), in.Imm, x(in.Rs1))
-	}
-	reg := func(r uint8, fp bool) string {
-		if fp {
-			return f(r)
+	b := append(make([]byte, 0, 32), in.Op.Name()...)
+	sep := " "
+	for _, s := range in.Op.Operands() {
+		b = append(b, sep...)
+		sep = ", "
+		switch s {
+		case SlotRd:
+			b = append(b, regName(in.Rd, in.Op.FPRd())...)
+		case SlotRs1:
+			b = append(b, regName(in.Rs1, in.Op.FPRs1())...)
+		case SlotRs2:
+			b = append(b, regName(in.Rs2, in.Op.FPRs2())...)
+		case SlotRs3:
+			b = append(b, regName(in.Rs3, in.Op.FPRs3())...)
+		case SlotMem:
+			b = strconv.AppendInt(b, in.Imm, 10)
+			b = append(append(append(b, '('), IntRegNames[in.Rs1&31]...), ')')
+		default: // SlotHi, SlotLo, SlotTarget
+			b = strconv.AppendInt(b, in.Imm, 10)
 		}
-		return x(r)
 	}
-	if in.Op.HasRs3() { // fused multiply-add family
-		return fmt.Sprintf("%s %s, %s, %s, %s", name,
-			reg(in.Rd, in.Op.FPRd()), reg(in.Rs1, in.Op.FPRs1()),
-			reg(in.Rs2, in.Op.FPRs2()), reg(in.Rs3, in.Op.FPRs3()))
+	return string(b)
+}
+
+func regName(r uint8, fp bool) string {
+	if fp {
+		return FPRegNames[r&31]
 	}
-	if in.Op.HasRs2() { // R-format
-		return fmt.Sprintf("%s %s, %s, %s", name,
-			reg(in.Rd, in.Op.FPRd()), reg(in.Rs1, in.Op.FPRs1()), reg(in.Rs2, in.Op.FPRs2()))
-	}
-	if in.Op.HasRs1() && in.Op.HasRd() {
-		// I-format ALU / shifts / unary FP.
-		switch ops[in.Op].fmt {
-		case fmtI, fmtShift, fmtShiftW:
-			return fmt.Sprintf("%s %s, %s, %d", name, x(in.Rd), x(in.Rs1), in.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s", name,
-			reg(in.Rd, in.Op.FPRd()), reg(in.Rs1, in.Op.FPRs1()))
-	}
-	return in.String()
+	return IntRegNames[r&31]
 }

@@ -5,7 +5,9 @@
 // One table, ops, describes every instruction. Encode packs words from it,
 // and Decode is its inverse read from the same table: each Op's fixed bits
 // and their values are derived from its format and from Encode itself, so an
-// encoding is written down once.
+// encoding is written down once. Each Op's operand layout (Op.Operands) is
+// derived from the same table, and both Disassemble and internal/asm read
+// it, so an instruction's assembler syntax is written down once too.
 //
 // The subset implemented is the one exercised by the MiBench/Embench
 // workload kernels in internal/workloads: the full RV64I base, the M
@@ -350,35 +352,78 @@ func (op Op) MemBytes() int { return int(ops[op].memBytes) }
 // IsFPMem reports whether op is an FP load/store.
 func (op Op) IsFPMem() bool { return ops[op].fpMem }
 
-// HasRd reports whether op writes a destination register.
-func (op Op) HasRd() bool {
-	switch ops[op].fmt {
-	case fmtS, fmtB, fmtNone:
-		return false
-	}
-	return true
-}
+// Slot is one operand position in an instruction's assembler syntax.
+type Slot uint8
 
-// HasRs1 reports whether op reads rs1.
-func (op Op) HasRs1() bool {
-	switch ops[op].fmt {
-	case fmtU, fmtJ, fmtNone:
-		return false
-	}
-	return true
-}
+// Operand slots. A register is read from the file its slot's FPRd, FPRs1,
+// FPRs2 or FPRs3 flag names; a memory base is always an integer register.
+const (
+	SlotRd     Slot = iota // destination register
+	SlotRs1                // first source register
+	SlotRs2                // second source register (a store's data)
+	SlotRs3                // third source register (fused multiply-add)
+	SlotHi                 // immediate, or %hi(sym) (U format)
+	SlotLo                 // immediate, or %lo(sym) (I format and shifts)
+	SlotMem                // off(rs1): immediate or %lo(sym) offset from a base
+	SlotTarget             // branch or jump target, a PC-relative offset
+)
+
+// Operands returns op's operand slots in assembler order. The slice is
+// shared and must not be written.
+func (op Op) Operands() []Slot { return layouts[op] }
+
+// HasRd reports whether op writes a destination register.
+func (op Op) HasRd() bool { return uses[op]&(1<<SlotRd) != 0 }
+
+// HasRs1 reports whether op reads rs1, as a register or a memory base.
+func (op Op) HasRs1() bool { return uses[op]&(1<<SlotRs1) != 0 }
 
 // HasRs2 reports whether op reads rs2.
-func (op Op) HasRs2() bool {
-	switch ops[op].fmt {
-	case fmtR, fmtR4, fmtS, fmtB:
-		return !ops[op].unaryFP
-	}
-	return false
-}
+func (op Op) HasRs2() bool { return uses[op]&(1<<SlotRs2) != 0 }
 
 // HasRs3 reports whether op reads a third source register.
-func (op Op) HasRs3() bool { return ops[op].fmt == fmtR4 }
+func (op Op) HasRs3() bool { return uses[op]&(1<<SlotRs3) != 0 }
+
+// layouts holds every Op's operand slots, derived once from its format and
+// class, and uses the registers they name, one bit per Slot.
+var layouts, uses = func() (l [numOps][]Slot, u [numOps]uint8) {
+	for op := range l {
+		l[op] = slotsOf(&ops[op])
+		for _, s := range l[op] {
+			if s == SlotMem {
+				s = SlotRs1
+			}
+			u[op] |= 1 << s
+		}
+	}
+	return l, u
+}()
+
+func slotsOf(info *opInfo) []Slot {
+	switch info.fmt {
+	case fmtR:
+		if info.unaryFP {
+			return []Slot{SlotRd, SlotRs1}
+		}
+		return []Slot{SlotRd, SlotRs1, SlotRs2}
+	case fmtR4:
+		return []Slot{SlotRd, SlotRs1, SlotRs2, SlotRs3}
+	case fmtI, fmtShift, fmtShiftW:
+		if info.class == ClassLoad || info.class == ClassJALR {
+			return []Slot{SlotRd, SlotMem}
+		}
+		return []Slot{SlotRd, SlotRs1, SlotLo}
+	case fmtS:
+		return []Slot{SlotRs2, SlotMem}
+	case fmtB:
+		return []Slot{SlotRs1, SlotRs2, SlotTarget}
+	case fmtU:
+		return []Slot{SlotRd, SlotHi}
+	case fmtJ:
+		return []Slot{SlotRd, SlotTarget}
+	}
+	return nil // fmtNone
+}
 
 // redirects caches IsBranchOrJump per Op in a table small enough to stay
 // in cache: the BBV profiler asks once per retired instruction.
