@@ -7,9 +7,9 @@
 //
 //	label:                      # labels, also on the same line as code
 //	.text / .data               # section switches
-//	.align N                    # align to 2^N bytes
+//	.align N                    # align to 2^N bytes, 0 <= N <= 12
 //	.byte/.half/.word/.dword    # integer data (comma separated, labels ok in .dword/.word)
-//	.space N                    # N zero bytes
+//	.space N                    # N zero bytes, 0 <= N <= 1 MiB
 //	.ascii "s" / .asciz "s"     # string data
 //	.equ NAME, value            # assembler constant
 //	.global NAME                # accepted and ignored
@@ -31,6 +31,14 @@ import (
 	"strings"
 
 	"repro/internal/rv64"
+)
+
+// The largest .align exponent (a 4 KiB page) and .space size (1 MiB) a
+// source may ask for, so that no directive can demand an unbounded
+// allocation.
+const (
+	maxAlign = 12
+	maxSpace = 1 << 20
 )
 
 // Default section base addresses. They are deliberately below 2 GiB so that
@@ -254,6 +262,9 @@ func (a *assembler) directive(s string) error {
 		if err != nil {
 			return err
 		}
+		if n < 0 || n > maxAlign {
+			return a.errf(".align %d outside 0..%d", n, maxAlign)
+		}
 		size := uint64(1) << uint(n)
 		pad := (size - a.curAddr()%size) % size
 		if pad > 0 {
@@ -296,6 +307,9 @@ func (a *assembler) directive(s string) error {
 		n, err := a.intExpr(rest)
 		if err != nil {
 			return err
+		}
+		if n < 0 || n > maxSpace {
+			return a.errf("%s %d outside 0..%d", name, n, maxSpace)
 		}
 		a.emit(&item{data: make([]byte, n)})
 	case ".ascii", ".asciz":
@@ -447,6 +461,9 @@ func (a *assembler) intExpr(s string) (int64, error) {
 		return 0, a.errf("bad integer %q", s)
 	}
 	if neg {
+		if v > 1<<63 {
+			return 0, a.errf("integer -%s out of range", s)
+		}
 		return -int64(v), nil
 	}
 	return int64(v), nil

@@ -37,31 +37,60 @@ func TestDirectiveErrors(t *testing.T) {
 		"bad byte operand":    ".data\n.byte 1, what, 3\n",
 		"undefined dword sym": ".data\n.dword missing_symbol\n.text\nnop\n",
 		"empty label":         ".text\n : nop\n",
+		"space over 1 MiB":    ".data\n.space 1048577",
+		"align over 12":       ".data\n.align 13",
+	}
+	for _, src := range PanicLines {
+		if _, err := Assemble(src); err == nil {
+			t.Errorf("once panicked: expected error for %q", src)
+		}
 	}
 	for name, src := range cases {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("%s: expected error for %q", name, src)
 		}
 	}
+	// The bounds themselves are accepted, as is -2^63.
+	for _, src := range []string{".data\n.byte 1\n.space 1048576\n.align 12",
+		".text\n.align 12\nli a0, -9223372036854775808"} {
+		if _, err := Assemble(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}
+
+// PanicLines are sources that once panicked the assembler (makeslice, a
+// divide by zero); it must refuse each with an *Error. FuzzAssemble seeds
+// from them.
+var PanicLines = []string{
+	".data\n.space -1",
+	".text\n.align -1",
+	".text\n.align 64",
+	".text\n.align 70",
+	".data\n.byte 1\n.align 63",
+}
+
+// OperandErrorLines are instruction lines the assembler must refuse.
+// FuzzAssemble seeds from them.
+var OperandErrorLines = []string{
+	"\tld a0, a1, a2",                // loads take memory operands
+	"\tsd 8(a0)",                     // missing data register
+	"\tbeq a0, 7, target",            // branch needs registers
+	"\tjal a0, a1, a2",               // too many operands
+	"\tjalr",                         // too few
+	"\tlui a0",                       // missing immediate
+	"\taddi a0, a1, 99999",           // I-immediate overflow
+	"\tslli a0, a1, 64",              // shamt overflow
+	"\tli",                           // li needs 2 operands
+	"\tfmadd.d fa0, fa1, fa2",        // fused needs 4
+	"\tfmv.d a0, fa1",                // int reg in FP slot
+	"\tmv a0",                        // pseudo arity
+	"\tbgt a0, a1",                   // pseudo arity
+	"\tli a0, -18446744073709551615", // below -2^63
 }
 
 func TestOperandErrors(t *testing.T) {
-	cases := []string{
-		"\tld a0, a1, a2",         // loads take memory operands
-		"\tsd 8(a0)",              // missing data register
-		"\tbeq a0, 7, target",     // branch needs registers
-		"\tjal a0, a1, a2",        // too many operands
-		"\tjalr",                  // too few
-		"\tlui a0",                // missing immediate
-		"\taddi a0, a1, 99999",    // I-immediate overflow
-		"\tslli a0, a1, 64",       // shamt overflow
-		"\tli",                    // li needs 2 operands
-		"\tfmadd.d fa0, fa1, fa2", // fused needs 4
-		"\tfmv.d a0, fa1",         // int reg in FP slot
-		"\tmv a0",                 // pseudo arity
-		"\tbgt a0, a1",            // pseudo arity
-	}
-	for _, line := range cases {
+	for _, line := range OperandErrorLines {
 		if _, err := Assemble(".text\n" + line + "\n"); err == nil {
 			t.Errorf("expected error for %q", line)
 		}

@@ -77,6 +77,20 @@ func roundTripImm(rng *rand.Rand, op rv64.Op) int64 {
 // TestAssembleNeverPanics feeds adversarial garbage: errors are fine,
 // panics are not.
 func TestAssembleNeverPanics(t *testing.T) {
+	try := func(src string) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panic on %q: %v", src, r)
+			}
+		}()
+		_, err = Assemble(src)
+		return err
+	}
+	for _, src := range PanicLines {
+		if _, ok := try(src).(*Error); !ok {
+			t.Errorf("%q: want an *Error", src)
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	chars := []byte("abcxyz0189,()%.:#\"\\ \t-+*")
 	for i := 0; i < 3000; i++ {
@@ -85,15 +99,7 @@ func TestAssembleNeverPanics(t *testing.T) {
 		for j := range b {
 			b[j] = chars[rng.Intn(len(chars))]
 		}
-		src := ".text\n" + string(b) + "\n.data\n" + string(b)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on %q: %v", src, r)
-				}
-			}()
-			_, _ = Assemble(src)
-		}()
+		try(".text\n" + string(b) + "\n.data\n" + string(b))
 	}
 }
 
