@@ -2,7 +2,7 @@
 # `make test`; `make check` is the CI tier on top of it, seven gates:
 #   vet            go vet, and gofmt -l prints nothing
 #   race           the concurrent packages under the race detector
-#   fuzz-smoke     5 s per fuzz target (16) on top of the committed corpora
+#   fuzz-smoke     5 s per fuzz target (17) on top of the committed corpora
 #   bench-smoke    every kernel benchmark once + the functional-core floor
 #   bench-measure  one measure cell: -j 1 vs -j 4, byte-identical
 #   fidelity       sampled-vs-full CPI error per sampling spec
@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStats -fuzztime 5s ./internal/boom
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 5s ./internal/power
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/rv64
+	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 5s ./internal/asm
 
 # Kernel benchmarks: measure the hot-path kernels (BOOM tick — sha and the
 # low-IPC tarfind — functional warming, decode,
