@@ -26,8 +26,8 @@ var (
 	swapTo = []rv64.Slot{rv64.SlotRs2, rv64.SlotRs1, rv64.SlotTarget}
 )
 
-// pseudos are the pseudo-instructions that expand to one instruction. li
-// and la, which expand to more, are instruction's code.
+// pseudos are the pseudo-instructions that expand to one instruction; li
+// and la expand to more and are handled in instruction.
 var pseudos = map[string]form{
 	"nop":    {in: rv64.Inst{Op: rv64.ADDI}},
 	"mv":     {in: rv64.Inst{Op: rv64.ADDI}, slots: rdRs1},
