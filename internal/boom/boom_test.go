@@ -20,28 +20,32 @@ func mustNew(t testing.TB, cfg Config) *Core {
 }
 
 // mustRun drives the core, failing the test on a model error (deadlock).
-func mustRun(t testing.TB, core *Core, next func(*sim.Retired) bool, maxRetire uint64) uint64 {
+func mustRun(t testing.TB, core *Core, src Source, maxRetire uint64) uint64 {
 	t.Helper()
-	n, err := core.Run(next, maxRetire)
+	n, err := core.RunSource(src, maxRetire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
 }
 
-// traceFrom returns a trace-feeding closure for a loaded CPU.
-func traceFrom(t testing.TB, cpu *sim.CPU) func(*sim.Retired) bool {
-	t.Helper()
-	return func(r *sim.Retired) bool {
-		if cpu.Halted {
-			return false
-		}
-		if err := cpu.Step(r); err != nil {
-			t.Fatalf("functional step: %v", err)
-		}
-		return true
-	}
+// cpuTrace is a loaded CPU's trace, read a sim.CPU.Batch at a time; a
+// functional fault fails the test.
+type cpuTrace struct {
+	t   testing.TB
+	cpu *sim.CPU
 }
+
+func (s cpuTrace) Batch() []sim.Retired {
+	recs, err := s.cpu.Batch()
+	if err != nil {
+		s.t.Fatalf("functional step: %v", err)
+	}
+	return recs
+}
+
+// traceFrom is the trace of a loaded CPU.
+func traceFrom(t testing.TB, cpu *sim.CPU) Source { return cpuTrace{t, cpu} }
 
 // runWorkload drives a tiny-scale workload through the timing model.
 func runWorkload(t testing.TB, name string, cfg Config) *Stats {

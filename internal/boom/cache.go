@@ -31,41 +31,55 @@ func (c *cacheModel) reset(kib, ways, lineBytes int) {
 	c.stamp = 0
 }
 
+// set is addr's line and the first way of its set.
+func (c *cacheModel) set(addr uint64) (line uint64, base int) {
+	line = addr >> c.lineBits
+	return line, int(line&c.setMask) * c.ways
+}
+
 // access looks up addr; on a miss it fills the line (LRU victim). Returns
 // whether the access hit.
 func (c *cacheModel) access(addr uint64) bool {
-	line := addr >> c.lineBits
-	base := int(line&c.setMask) * c.ways
+	line, base := c.set(addr)
 	c.stamp++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+	tags := c.tags[base : base+c.ways]
+	valid := c.valid[base : base+len(tags)]
+	for w, t := range tags {
+		if t == line && valid[w] {
 			c.age[base+w] = c.stamp
 			return true
 		}
 	}
+	c.fill(line, base)
+	return false
+}
+
+// fill is access's miss path: line replaces the first invalid way after
+// way 0 of the set at base or, with none, its least recently used way.
+func (c *cacheModel) fill(line uint64, base int) {
 	victim := base
-	for w := 1; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = base + w
+	for w := base + 1; w < base+c.ways; w++ {
+		if !c.valid[w] {
+			victim = w
 			break
 		}
-		if c.age[base+w] < c.age[victim] {
-			victim = base + w
+		if c.age[w] < c.age[victim] {
+			victim = w
 		}
 	}
 	c.tags[victim] = line
 	c.valid[victim] = true
 	c.age[victim] = c.stamp
-	return false
 }
 
 // probe is access without allocation (used for store write-probes where the
 // timing model does not want fills to perturb the load path).
 func (c *cacheModel) probe(addr uint64) bool {
-	line := addr >> c.lineBits
-	base := int(line&c.setMask) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+	line, base := c.set(addr)
+	tags := c.tags[base : base+c.ways]
+	valid := c.valid[base : base+len(tags)]
+	for w, t := range tags {
+		if t == line && valid[w] {
 			return true
 		}
 	}

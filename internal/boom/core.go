@@ -80,8 +80,8 @@ const (
 	pendData = 1 << 1
 )
 
-// Core is one timing-model instance. Create with New, drive with Run,
-// retarget with Reset.
+// Core is one timing-model instance. Create with New, drive with
+// RunSource (or Run), retarget with Reset.
 type Core struct {
 	cfg     Config
 	stats   *Stats
@@ -118,6 +118,8 @@ type Core struct {
 	traceLeft uint64
 	stamps    []pipeStamp // per window slot; allocated by SetPipeTrace
 
+	adapter funcSource // Run's one-record source
+
 	pipeState
 }
 
@@ -130,8 +132,13 @@ type pipeState struct {
 	head, mid, tail uint64 // window bounds, as sequence numbers
 	peeked          bool   // the fetch lookahead at tail is filled
 
-	next func(*sim.Retired) bool
-	trc  sim.Retired // reusable trace record (keeps pullTrace allocation-free)
+	// The trace: the source of this Run or Warm call and the last batch it
+	// returned, read in place. recs[:pos] have been pulled (the lookahead,
+	// while peeked, is recs[pos-1]); recs[pos:] are the core's until a
+	// later call reads them or Reset drops them.
+	src  Source
+	recs []sim.Retired
+	pos  int
 	eof  bool
 
 	// Wrong-path pressure: while a mispredicted branch is unresolved the
@@ -333,25 +340,61 @@ func (c *Core) SetFaultInjector(inj *faultinject.Injector, scope ...string) {
 	c.injSite = append(append(c.injSite[:0], "boom.tick"), scope...)
 }
 
-// Run feeds committed instructions from next through the pipeline until
-// maxRetire further instructions have committed (or the trace ends). It
-// returns the number retired by this call; math.MaxUint64 runs to the end
-// of the trace however many instructions the core has already retired.
+// Source is a trace: the committed instructions of one program, in
+// program order, a batch at a time. Batch returns the next records, or an
+// empty slice at the end of the trace (a later call may find more). The
+// core reads a batch in place and never writes it.
+//
+// Records a core has pulled stay the core's until Reset drops them: a Run
+// or Warm call that stops inside a batch leaves the rest to the next call,
+// whatever source that call names. So the memory a batch lives in must not
+// change while a core holds it — for sim.CPU.Batch's buffer, nothing may
+// call Batch, Fill, Step or RunTrace on that CPU until the core has read
+// the batch to its end or been Reset.
+type Source interface {
+	Batch() []sim.Retired
+}
+
+// funcSource is Run's adapter: a Source whose every batch is the one
+// record its callback wrote.
+type funcSource struct {
+	next func(*sim.Retired) bool
+	rec  [1]sim.Retired
+}
+
+func (s *funcSource) Batch() []sim.Retired {
+	if !s.next(&s.rec[0]) {
+		return nil
+	}
+	return s.rec[:]
+}
+
+// Run is RunSource for a trace read one record at a time: next fills the
+// record it is given and reports false at the end of the trace.
+func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, error) {
+	c.adapter.next = next
+	return c.RunSource(&c.adapter, maxRetire)
+}
+
+// RunSource feeds committed instructions from src through the pipeline
+// until maxRetire further instructions have committed (or the trace ends).
+// It returns the number retired by this call; math.MaxUint64 runs to the
+// end of the trace however many instructions the core has already retired.
 //
 // A stuck pipeline — no commit for >100k cycles — is a model bug, not a
 // workload property. It is returned as a *DeadlockError (errors.Is
 // ErrDeadlock) with the pipeline state at detection time, so a supervised
 // sweep can isolate the faulty (workload, config) task instead of losing
 // the whole campaign.
-func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, error) {
+func (c *Core) RunSource(src Source, maxRetire uint64) (uint64, error) {
 	if c.metrics != nil {
-		t0, cyc0, ret0 := time.Now(), c.cycle, c.retired
+		t0, cyc0, ret0, skip0 := time.Now(), c.cycle, c.retired, c.skipped
 		defer func() {
-			c.recordRun(time.Since(t0), c.cycle-cyc0, c.retired-ret0)
+			c.recordRun(time.Since(t0), c.cycle-cyc0, c.retired-ret0, c.skipped-skip0)
 		}()
 	}
 	defer c.flushAcc()
-	c.next = next
+	c.src = src
 	c.eof = false
 	c.active = true // the first step of a call is never skipped over
 	start := c.retired
@@ -387,10 +430,12 @@ func (c *Core) Run(next func(*sim.Retired) bool, maxRetire uint64) (uint64, erro
 	return c.retired - start, nil
 }
 
-// recordRun publishes one Run call's throughput into the registry.
-func (c *Core) recordRun(wall time.Duration, cycles, retired uint64) {
+// recordRun publishes one Run call's throughput into the registry:
+// skipped is the part of cycles that skipQuiet advanced rather than step.
+func (c *Core) recordRun(wall time.Duration, cycles, retired, skipped uint64) {
 	c.metrics.Counter("boom.retired").Add(int64(retired))
 	c.metrics.Counter("boom.cycles").Add(int64(cycles))
+	c.metrics.Counter("boom.skipped_cycles").Add(int64(skipped))
 	c.metrics.Counter("boom.wall_ns").Add(wall.Nanoseconds())
 	if s := wall.Seconds(); s > 0 && retired > 0 {
 		c.metrics.Histogram("boom.kips").Observe(int64(float64(retired) / s / 1000))
@@ -406,23 +451,40 @@ func (c *Core) ref(seq uint64) ref   { return ref(seq&c.mask) + 1 }
 func (c *Core) at(r ref) *uop      { return &c.win[r-1] }
 func (c *Core) seqOf(r ref) uint64 { return c.head + (uint64(r-1)-c.head)&c.mask }
 
-// pullTrace fills the fetch lookahead at tail from the trace. The static
-// part of the µop comes from the per-PC decode cache; the dynamic fields
-// are written one by one (a composite literal would zero and copy the
-// whole µop). Dependencies are resolved against the rename state at
-// dispatch.
-func (c *Core) pullTrace() *uop {
+// record is the next record of the trace, read in place from the held
+// batch or, once that is read, from the source's next one; nil at the end.
+func (c *Core) record() *sim.Retired {
+	if c.pos == len(c.recs) && !c.refill() {
+		return nil
+	}
+	c.pos++
+	return &c.recs[c.pos-1]
+}
+
+// refill replaces the held batch, read to its end, with the source's next
+// one and reports whether that has a record.
+func (c *Core) refill() bool {
+	if c.eof {
+		return false
+	}
+	c.recs, c.pos = c.src.Batch(), 0
+	c.eof = len(c.recs) == 0
+	return !c.eof
+}
+
+// pullTrace fills the fetch lookahead at tail from the trace and returns
+// it with the record it was pulled from. The static part of the µop comes
+// from the per-PC decode cache; the dynamic fields are written one by one
+// (a composite literal would zero and copy the whole µop). Dependencies
+// are resolved against the rename state at dispatch.
+func (c *Core) pullTrace() (*uop, *sim.Retired) {
 	u := c.slot(c.tail)
 	if c.peeked {
-		return u
+		return u, &c.recs[c.pos-1]
 	}
-	if c.eof {
-		return nil
-	}
-	r := &c.trc
-	if !c.next(r) {
-		c.eof = true
-		return nil
+	r := c.record()
+	if r == nil {
+		return nil, nil
 	}
 	u.pc = r.PC
 	u.memAddr = r.MemAddr
@@ -437,7 +499,7 @@ func (c *Core) pullTrace() *uop {
 	if c.traceW != nil {
 		c.tracePull(r)
 	}
-	return u
+	return u, r
 }
 
 func (c *Core) step() {
@@ -603,8 +665,8 @@ func (c *Core) commit() {
 
 func (c *Core) schedule(r ref, doneAt uint64) {
 	u := c.at(r)
-	if u.state == stWaiting && c.traceW != nil {
-		c.stamp(r).issued = c.cycle
+	if c.traceW != nil {
+		c.traceIssue(u, r)
 	}
 	u.state = stIssued
 	u.doneAt = doneAt
@@ -619,15 +681,22 @@ func (c *Core) schedule(r ref, doneAt uint64) {
 	c.active = true
 }
 
-// issueAll runs the three distributed scheduler queues. The integer and
-// memory queues share the integer register file read ports; the FP queue
-// (plus FP store data) uses the FP ports.
+// issueAll runs the three distributed scheduler queues, skipping a stage
+// with nothing to issue. The integer and memory queues share the integer
+// register file read ports; the FP queue (plus FP store data) uses the FP
+// ports.
 func (c *Core) issueAll() {
 	intReads := c.cfg.IntRFReadPorts
 	fpReads := c.cfg.FpRFReadPorts
-	c.issueInt(&intReads)
-	c.issueMem(&intReads, &fpReads)
-	c.issueFp(&fpReads)
+	if len(c.intQ) > 0 {
+		c.issueInt(&intReads)
+	}
+	if len(c.memQ) > 0 || len(c.stdWait) > 0 {
+		c.issueMem(&intReads, &fpReads)
+	}
+	if len(c.fpQ) > 0 {
+		c.issueFp(&fpReads)
+	}
 }
 
 func (c *Core) issueInt(intReads *int) {
@@ -991,8 +1060,8 @@ func (c *Core) fetch() {
 	if c.tail-c.mid >= uint64(c.cfg.FetchBufferEntries) {
 		return
 	}
-	first := c.pullTrace()
-	if first == nil {
+	u, rec := c.pullTrace()
+	if u == nil {
 		return
 	}
 	c.active = true
@@ -1000,13 +1069,13 @@ func (c *Core) fetch() {
 	// One I-cache read and one predictor lookup per fetch cycle.
 	c.stats.Comp[CompICache].Reads++
 	c.bp.lookupCycle()
-	if c.icache.access(first.pc) {
+	if c.icache.access(u.pc) {
 		c.stats.ICacheHits++
 	} else {
 		c.stats.ICacheMisses++
 		c.stats.Comp[CompICache].Writes++ // fill
 		extra := uint64(c.cfg.L2Latency)
-		if c.l2.access(first.pc) {
+		if c.l2.access(u.pc) {
 			c.stats.L2Hits++
 		} else {
 			c.stats.L2Misses++
@@ -1016,15 +1085,8 @@ func (c *Core) fetch() {
 		return // retry when the line arrives
 	}
 
-	line := first.pc >> fetchLineShift
-	for n := 0; n < c.cfg.FetchWidth && c.tail-c.mid < uint64(c.cfg.FetchBufferEntries); n++ {
-		u := c.pullTrace()
-		if u == nil {
-			return
-		}
-		if u.pc>>fetchLineShift != line {
-			return // next fetch group starts at the new line
-		}
+	line := u.pc >> fetchLineShift
+	for n := 1; ; n++ {
 		r := c.ref(c.tail)
 		c.peeked = false
 		c.tail++
@@ -1032,10 +1094,14 @@ func (c *Core) fetch() {
 			c.stamp(r).fetched = c.cycle
 		}
 		c.stats.Comp[CompFetchBuffer].Writes++
-
-		// The lookahead is always the last record pulled, so c.trc is u's.
-		if c.predict(u, r, c.trc.NextPC) {
+		if isControl(u.class) && c.predict(u, r, rec.NextPC) {
 			return
+		}
+		if n == c.cfg.FetchWidth || c.tail-c.mid >= uint64(c.cfg.FetchBufferEntries) {
+			return
+		}
+		if u, rec = c.pullTrace(); u == nil || u.pc>>fetchLineShift != line {
+			return // next fetch group starts at the new line
 		}
 	}
 }
@@ -1077,15 +1143,12 @@ func (c *Core) wrongPath() {
 	}
 }
 
-// predict runs the front-end prediction machinery for one fetched uop,
-// which r names and whose architectural successor is nextPC, and reports
-// whether the fetch group must end (taken control flow or pending
+// predict runs the front-end prediction machinery for one fetched control
+// µop, which r names and whose architectural successor is nextPC, and
+// reports whether the fetch group must end (taken control flow or pending
 // redirect). Training is bpred.train's; predict keeps the redirect and the
 // BTB bubble.
 func (c *Core) predict(u *uop, r ref, nextPC uint64) bool {
-	if !isControl(u.class) {
-		return false
-	}
 	o := c.bp.train(&u.uopStatic, u.pc, u.taken, nextPC)
 	switch o {
 	case bpMispredict:

@@ -11,12 +11,8 @@ import (
 // the cracked µop, dropping the lookahead so the next pull refills its slot.
 func pullOne(t *testing.T, c *Core, r sim.Retired) uop {
 	t.Helper()
-	c.eof = false
-	c.next = func(out *sim.Retired) bool {
-		*out = r
-		return true
-	}
-	u := c.pullTrace()
+	c.src, c.eof = &replaySource{tr: []sim.Retired{r}}, false
+	u, _ := c.pullTrace()
 	if u == nil {
 		t.Fatal("pullTrace returned nil")
 	}

@@ -43,9 +43,9 @@ func assertSkipMatchesStepping(t *testing.T, what string, cfg Config, tr []sim.R
 				t.Fatalf("%s: %v", what, r)
 			}
 		}()
-		mustRun(t, ref, (&replaySource{tr: tr}).next, math.MaxUint64)
+		mustRun(t, ref, &replaySource{tr: tr}, math.MaxUint64)
 	}()
-	mustRun(t, fast, (&replaySource{tr: tr}).next, math.MaxUint64)
+	mustRun(t, fast, &replaySource{tr: tr}, math.MaxUint64)
 	if ref.retired == 0 {
 		t.Fatalf("%s retired nothing", what)
 	}
@@ -106,7 +106,7 @@ func TestInjectorHitsSameCycleWhenSkipping(t *testing.T) {
 		c := mustNew(t, LargeBOOM())
 		c.CheckInvariants(step)
 		c.SetFaultInjector(inj, "tarfind", "LargeBOOM")
-		_, err = c.Run((&replaySource{tr: tr}).next, math.MaxUint64)
+		_, err = c.RunSource(&replaySource{tr: tr}, math.MaxUint64)
 		var f *faultinject.Fault
 		if !errors.As(err, &f) {
 			t.Fatalf("Run returned %v, want the injected fault", err)
@@ -137,11 +137,11 @@ func measurePoint(t *testing.T, c *Core, tr []sim.Retired) (stats, pipe []byte, 
 	t.Helper()
 	const warm, interval = 20_000, 60_000
 	src := &replaySource{tr: tr}
-	mustRun(t, c, src.next, warm)
+	mustRun(t, c, src, warm)
 	c.ResetStats()
 	var trace bytes.Buffer
 	c.SetPipeTrace(&trace, 64)
-	mustRun(t, c, src.next, interval)
+	mustRun(t, c, src, interval)
 	c.SetPipeTrace(nil, 0)
 	return statsBytes(t, c), trace.Bytes(), c.cycle
 }
@@ -202,7 +202,7 @@ func TestResetMatchesNew(t *testing.T) {
 	// keeps: its stamps must follow the window.
 	midFlight := func(t *testing.T, c *Core) {
 		c.SetPipeTrace(io.Discard, 1)
-		mustRun(t, c, (&replaySource{tr: head}).next, uint64(len(head)/3))
+		mustRun(t, c, &replaySource{tr: head}, uint64(len(head)/3))
 		if c.mid == c.head || c.tail == c.mid {
 			t.Fatal("the pipeline drained; the case needs it full")
 		}
@@ -212,17 +212,18 @@ func TestResetMatchesNew(t *testing.T) {
 		run  func(t *testing.T, c *Core)
 	}{
 		{"another workload's full run", func(t *testing.T, c *Core) {
-			mustRun(t, c, (&replaySource{tr: other}).next, math.MaxUint64)
+			mustRun(t, c, &replaySource{tr: other}, math.MaxUint64)
 		}},
 		{"the workload's own head, stopped mid-flight", midFlight},
 		{"a deadlock", func(t *testing.T, c *Core) {
-			mustRun(t, c, (&replaySource{tr: other}).next, 10_000)
+			src := &replaySource{tr: other}
+			mustRun(t, c, src, 10_000)
 			stuck := c.at(c.intQ[0]) // a third-source bit no producer will ever clear
 			if stuck.srcMap[2] != renameNone {
 				t.Fatal("the planted pend bit needs an unused source slot")
 			}
 			stuck.pend |= 1 << 2
-			if _, err := c.Run((&replaySource{tr: other[10_000:]}).next, 1<<40); !errors.Is(err, ErrDeadlock) {
+			if _, err := c.RunSource(src, 1<<40); !errors.Is(err, ErrDeadlock) {
 				t.Fatalf("planted deadlock returned %v", err)
 			}
 		}},

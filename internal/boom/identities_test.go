@@ -58,7 +58,7 @@ func TestActivityIdentities(t *testing.T) {
 		want := countTrace(tr)
 		for _, cfg := range Configs() {
 			c := mustNew(t, cfg)
-			mustRun(t, c, (&replaySource{tr: tr}).next, math.MaxUint64)
+			mustRun(t, c, &replaySource{tr: tr}, math.MaxUint64)
 			s := c.Stats()
 			comp := func(k Component) Activity { return s.Comp[k] }
 			// Every right-hand side comes from the trace (or, for the
@@ -95,7 +95,7 @@ func TestActivityIdentities(t *testing.T) {
 	tr := workloadTrace(t, "qsort")
 	for _, cfg := range Configs() {
 		c := mustNew(t, cfg)
-		mustRun(t, c, (&replaySource{tr: tr}).next, uint64(len(tr)/3))
+		mustRun(t, c, &replaySource{tr: tr}, uint64(len(tr)/3))
 		rob := c.mid - c.head
 		if rob == 0 {
 			t.Fatalf("%s: the ROB drained; the case needs it occupied", cfg.Name)
@@ -106,15 +106,15 @@ func TestActivityIdentities(t *testing.T) {
 	}
 }
 
-// TestRunToTheEndAfterAPartialRun: Run(next, math.MaxUint64) drains the
+// TestRunToTheEndAfterAPartialRun: RunSource(src, math.MaxUint64) drains the
 // trace however many instructions the core has already retired.
 func TestRunToTheEndAfterAPartialRun(t *testing.T) {
 	tr := workloadTrace(t, "sha")
 	c := mustNew(t, MediumBOOM())
 	src := &replaySource{tr: tr}
-	first := mustRun(t, c, src.next, 1000)
-	rest := mustRun(t, c, src.next, math.MaxUint64)
-	if first == 0 || first+rest != uint64(len(tr)) || src.pos != len(tr) {
-		t.Errorf("Run(1000) retired %d, then Run(MaxUint64) %d, of %d; %d records unread", first, rest, len(tr), len(tr)-src.pos)
+	first := mustRun(t, c, src, 1000)
+	rest := mustRun(t, c, src, math.MaxUint64)
+	if first == 0 || first+rest != uint64(len(tr)) || len(src.tr) != 0 {
+		t.Errorf("Run(1000) retired %d, then Run(MaxUint64) %d, of %d; %d records unread", first, rest, len(tr), len(src.tr))
 	}
 }

@@ -65,20 +65,38 @@ func recordTrace(tb testing.TB, cpu *sim.CPU) []sim.Retired {
 	return tr
 }
 
-// replaySource feeds a recorded trace to Core.Run.
+// replaySource feeds a recorded trace to a core: the whole trace as one
+// batch or, with sizes, in batches of sizes[0], sizes[1], … in turn.
 type replaySource struct {
-	tr  []sim.Retired
-	pos int
+	tr    []sim.Retired // the records not yet handed out
+	sizes []int
+	k     int // batches handed out
 }
 
+func (s *replaySource) Batch() []sim.Retired {
+	n := len(s.tr)
+	if len(s.sizes) > 0 {
+		n = min(n, s.sizes[s.k%len(s.sizes)])
+		s.k++
+	}
+	b := s.tr[:n:n]
+	s.tr = s.tr[n:]
+	return b
+}
+
+// next hands the trace out one record at a time, for Core.Run.
 func (s *replaySource) next(r *sim.Retired) bool {
-	if s.pos >= len(s.tr) {
+	if len(s.tr) == 0 {
 		return false
 	}
-	*r = s.tr[s.pos]
-	s.pos++
+	*r, s.tr = s.tr[0], s.tr[1:]
 	return true
 }
+
+// loopSource hands out the same recorded trace as every batch, forever.
+type loopSource struct{ tr []sim.Retired }
+
+func (s *loopSource) Batch() []sim.Retired { return s.tr }
 
 // benchTick replays a workload's full recorded trace through a fresh core
 // per iteration: ns/op is the cost of one whole-trace replay; the cycles/s
@@ -87,14 +105,15 @@ func benchTick(b *testing.B, workload string, cfg Config) {
 	tr := kernelTrace(b, workload)
 	b.ReportAllocs()
 	var cycles, insts uint64
+	src := new(replaySource) // built once: the core keeps it, so it escapes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := &replaySource{tr: tr}
-		n, err := c.Run(src.next, math.MaxUint64)
+		*src = replaySource{tr: tr}
+		n, err := c.RunSource(src, math.MaxUint64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,14 +145,15 @@ func benchWarm(b *testing.B, workload string, cfg Config) {
 	tr := kernelTrace(b, workload)
 	b.ReportAllocs()
 	var insts uint64
+	src := new(replaySource)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := &replaySource{tr: tr}
-		n, err := c.Warm(src.next, math.MaxUint64)
+		*src = replaySource{tr: tr}
+		n, err := c.Warm(src, math.MaxUint64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,18 +176,11 @@ func BenchmarkKernelDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := &replaySource{tr: tr}
-	c.next = func(r *sim.Retired) bool {
-		if !src.next(r) {
-			src.pos = 0
-			return src.next(r)
-		}
-		return true
-	}
+	c.src = &loopSource{tr: tr}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.pullTrace() == nil {
+		if u, _ := c.pullTrace(); u == nil {
 			b.Fatal("trace ran dry")
 		}
 		c.peeked = false

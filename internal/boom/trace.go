@@ -41,6 +41,14 @@ func (c *Core) tracePull(r *sim.Retired) {
 	*c.stamp(c.ref(c.tail)) = pipeStamp{seq: c.tail, inst: r.Inst}
 }
 
+// traceIssue stamps the issue cycle of u, which r names, the first time it
+// is scheduled (a store's STA, not its STD).
+func (c *Core) traceIssue(u *uop, r ref) {
+	if u.state == stWaiting {
+		c.stamp(r).issued = c.cycle
+	}
+}
+
 // traceRetire prints the line of u, sequence number seq, as it commits.
 func (c *Core) traceRetire(u *uop, seq uint64) {
 	st := c.stamp(c.ref(seq))

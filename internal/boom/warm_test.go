@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -52,18 +53,18 @@ func TestWarmSeamIsExact(t *testing.T) {
 					cfg := base
 					cfg.Predictor = pk
 					ref := mustNew(t, cfg)
-					mustRun(t, ref, (&replaySource{tr: tr}).next, math.MaxUint64)
+					mustRun(t, ref, &replaySource{tr: tr}, math.MaxUint64)
 
 					c := mustNew(t, cfg)
 					src := &replaySource{tr: tr}
-					if n, err := c.Warm(src.next, half); err != nil || n != half {
+					if n, err := c.Warm(src, half); err != nil || n != half {
 						t.Fatalf("%s/%s: Warm = %d, %v; want %d, nil", cfg.Name, pk, n, err, half)
 					}
 					if c.cycle != 0 || c.retired != 0 || c.head != c.tail || c.peeked {
 						t.Fatalf("%s/%s: Warm moved the pipeline: cycle %d retired %d window [%d,%d)",
 							cfg.Name, pk, c.cycle, c.retired, c.head, c.tail)
 					}
-					mustRun(t, c, src.next, math.MaxUint64)
+					mustRun(t, c, src, math.MaxUint64)
 
 					if d := frontEndDiff(&ref.bp, &c.bp); d != "" {
 						t.Errorf("%s/%s: %s differs after Warm(%d) + Run", cfg.Name, pk, d, half)
@@ -85,14 +86,14 @@ func TestWarmSeamIsExact(t *testing.T) {
 func TestWarmRefusesABusyPipeline(t *testing.T) {
 	tr := kernelTrace(t, "sha")
 	c := mustNew(t, MediumBOOM())
-	src := &replaySource{tr: tr}
-	mustRun(t, c, src.next, 1000)
-	pos := src.pos
-	if _, err := c.Warm(src.next, 100); !errors.Is(err, ErrPipelineBusy) {
+	src := &replaySource{tr: tr, sizes: []int{sim.TraceBatch}}
+	mustRun(t, c, src, 1000)
+	unread, held := len(src.tr), c.pos
+	if _, err := c.Warm(src, 100); !errors.Is(err, ErrPipelineBusy) {
 		t.Fatalf("Warm on a busy pipeline: err %v, want ErrPipelineBusy", err)
 	}
-	if src.pos != pos {
-		t.Fatalf("refused Warm consumed %d records", src.pos-pos)
+	if len(src.tr) != unread || c.pos != held {
+		t.Fatalf("refused Warm consumed %d records of the source and %d of the held batch", unread-len(src.tr), c.pos-held)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestWarmRefusesABusyPipeline(t *testing.T) {
 func TestWarmStopsAtTraceEnd(t *testing.T) {
 	tr := kernelTrace(t, "sha")
 	c := mustNew(t, MediumBOOM())
-	n, err := c.Warm((&replaySource{tr: tr}).next, math.MaxUint64)
+	n, err := c.Warm(&replaySource{tr: tr}, math.MaxUint64)
 	if err != nil || n != uint64(len(tr)) {
 		t.Fatalf("Warm = %d, %v; want %d, nil", n, err, len(tr))
 	}

@@ -156,51 +156,40 @@ func (r *Result) PerfPerWatt() float64 {
 	return r.IPC() / (r.TotalPowerMW() / 1000.0)
 }
 
-// traceSource adapts a functional CPU into a timing-model trace source. It
-// executes a batch of instructions at a time into the CPU's own delivery
-// buffer (sim.CPU.Batch) and hands the records out one by one, so the
-// functional CPU runs up to a batch less one instruction ahead of the
-// timing model's fetch. That look-ahead is invisible: nothing reads the
-// functional CPU's state once a detailed run has started. A
-// functional-step divergence ends the trace when the timing model reaches
-// the faulting instruction — not when the batch holding it was filled —
-// and is captured in err for the caller to surface as a stage failure
-// (never a panic).
+// traceSource is a functional CPU as a timing-model trace (boom.Source).
+// Each batch is the CPU's own delivery buffer (sim.CPU.Batch), which the
+// core reads in place, so the functional CPU runs up to a batch less one
+// instruction ahead of the timing model's fetch. That look-ahead is
+// invisible: nothing reads the functional CPU's state once a detailed run
+// has started. The core owns a batch's records until it has read them or
+// is Reset, so while it holds them nothing else may call Batch, Fill, Step
+// or RunTrace on the CPU. A functional-step divergence ends the trace when
+// the timing model reaches the faulting instruction — not when the batch
+// holding it was filled — and is captured in err for the caller to surface
+// as a stage failure (never a panic).
 type traceSource struct {
 	cpu     *sim.CPU
 	err     error
-	fillErr error         // fault met while filling recs; surfaces once recs drains
-	recs    []sim.Retired // the batch, in the CPU's buffer
-	pos     int           // recs[pos:] are the records not yet handed out
+	fillErr error // fault met by the last fill; surfaces at the next batch
 }
 
-func (t *traceSource) next(r *sim.Retired) bool {
-	if t.pos == len(t.recs) && !t.refill() {
-		return false
-	}
-	*r = t.recs[t.pos]
-	t.pos++
-	return true
-}
-
-// refill executes the next batch once recs has drained and reports whether
-// it produced a record. A halted CPU produces none, forever; a fault met
-// by an earlier fill surfaces now, its batch having drained.
-func (t *traceSource) refill() bool {
+// Batch executes the next batch. A halted CPU produces none, forever; a
+// fault met by an earlier fill surfaces now, its records having been
+// handed out.
+func (t *traceSource) Batch() []sim.Retired {
 	if t.err != nil {
-		return false
+		return nil
 	}
 	if t.fillErr == nil {
-		t.recs, t.fillErr = t.cpu.Batch()
-		t.pos = 0
-		if len(t.recs) > 0 {
-			return true
+		var recs []sim.Retired
+		if recs, t.fillErr = t.cpu.Batch(); len(recs) > 0 {
+			return recs
 		}
 	}
 	if t.fillErr != nil {
 		t.err = fmt.Errorf("core: functional step diverged: %w", t.fillErr)
 	}
-	return false
+	return nil
 }
 
 // Sweep holds a full experiment: every workload × configuration. Under

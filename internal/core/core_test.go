@@ -371,7 +371,7 @@ func TestRunFullMatchesDirectModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := &traceSource{cpu: cpu}
-	if _, err := core.Run(ts.next, ^uint64(0)); err != nil {
+	if _, err := core.RunSource(ts, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if ts.err != nil {

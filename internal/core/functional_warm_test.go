@@ -34,11 +34,11 @@ func detailedWarmPoint(t *testing.T, p *Profile, i int, cfg boom.Config) (float6
 		t.Fatal(err)
 	}
 	ts := &traceSource{cpu: cpu}
-	if _, err := c.Run(ts.next, uint64(p.WarmupInsts[i])); err != nil {
+	if _, err := c.RunSource(ts, uint64(p.WarmupInsts[i])); err != nil {
 		t.Fatal(err)
 	}
 	c.ResetStats()
-	ran, err := c.Run(ts.next, uint64(p.Interval))
+	ran, err := c.RunSource(ts, uint64(p.Interval))
 	if err != nil || ts.err != nil {
 		t.Fatalf("point %d: %v %v", i, err, ts.err)
 	}

@@ -767,11 +767,11 @@ func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.
 		if policy == sampling.WarmupProportional {
 			detailed = min(warm, warmTail(cfg))
 			t0 := time.Now()
-			_, err = c.Warm(ts.next, warm-detailed)
+			_, err = c.Warm(ts, warm-detailed)
 			warmNS = time.Since(t0).Nanoseconds()
 		}
 		if err == nil {
-			_, err = c.Run(ts.next, detailed)
+			_, err = c.RunSource(ts, detailed)
 		}
 		if err == nil {
 			c.ResetStats() // a Reset core's counters are fresh already
@@ -796,7 +796,7 @@ func (r *Runner) runDetailed(ctx context.Context, s *pointScratch, w *workloads.
 			}
 		}
 		var ran uint64
-		ran, err = c.Run(ts.next, chunk)
+		ran, err = c.RunSource(ts, chunk)
 		detailed += ran
 		if err == nil {
 			err = ts.err

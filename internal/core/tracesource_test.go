@@ -32,8 +32,9 @@ func faultAfter(t *testing.T, n int) *asm.Program {
 // TestTraceSourceSurfacesFaultAtItsRecord: the trace source executes a
 // batch ahead of the timing model, so the functional CPU meets a fault up
 // to a batch early — but the source must report it only when the consumer
-// asks for the faulting record, wherever in a batch that record falls, and
-// deliver exactly the records one Step per pull would have.
+// asks for the batch after the faulting record's, wherever in a batch that
+// record falls, and deliver exactly the records one Step per pull would
+// have.
 func TestTraceSourceSurfacesFaultAtItsRecord(t *testing.T) {
 	for _, n := range []int{0, 1, sim.TraceBatch - 1, sim.TraceBatch, sim.TraceBatch + 1, 3*sim.TraceBatch + 17} {
 		prog := faultAfter(t, n)
@@ -42,24 +43,30 @@ func TestTraceSourceSurfacesFaultAtItsRecord(t *testing.T) {
 		cpu := sim.New()
 		cpu.Load(prog)
 		ts := &traceSource{cpu: cpu}
-		for i := 0; i < n; i++ {
-			var want, got sim.Retired
-			if err := ref.Step(&want); err != nil {
-				t.Fatal(err)
-			}
-			if !ts.next(&got) {
+		for i := 0; i < n; {
+			recs := ts.Batch()
+			if len(recs) == 0 {
 				t.Fatalf("n=%d: trace ended at record %d: %v", n, i, ts.err)
 			}
-			if got != want {
-				t.Fatalf("n=%d: record %d = %+v, want %+v", n, i, got, want)
+			for _, got := range recs {
+				if i == n {
+					t.Fatalf("n=%d: trace ran past the faulting instruction", n)
+				}
+				var want sim.Retired
+				if err := ref.Step(&want); err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("n=%d: record %d = %+v, want %+v", n, i, got, want)
+				}
+				i++
 			}
 			if ts.err != nil {
 				t.Fatalf("n=%d: fault surfaced at record %d, before the timing model reached it", n, i)
 			}
 		}
-		var r sim.Retired
 		for pull := 0; pull < 2; pull++ { // the end is sticky
-			if ts.next(&r) {
+			if recs := ts.Batch(); len(recs) != 0 {
 				t.Fatalf("n=%d: trace ran past the faulting instruction", n)
 			}
 			if !errors.Is(ts.err, sim.ErrBreakpoint) {
@@ -79,12 +86,11 @@ func TestTraceSourceEndsAtHalt(t *testing.T) {
 	cpu := sim.New()
 	cpu.Load(prog)
 	ts := &traceSource{cpu: cpu}
-	var r sim.Retired
 	n := 0
-	for ts.next(&r) {
-		n++
+	for recs := ts.Batch(); len(recs) > 0; recs = ts.Batch() {
+		n += len(recs)
 	}
-	if n != 4 || ts.err != nil || ts.next(&r) {
+	if n != 4 || ts.err != nil || len(ts.Batch()) != 0 {
 		t.Fatalf("pulled %d records, err %v", n, ts.err)
 	}
 }

@@ -212,7 +212,10 @@ func (c *CPU) Fill(recs []Retired) (int, error) {
 
 // Batch executes up to TraceBatch instructions into the CPU's own delivery
 // buffer and returns their records, which stay valid until the next Batch
-// or RunTrace call. It stops early like Fill.
+// or RunTrace call. It stops early like Fill. A timing core that is handed
+// the batch (boom.Source) holds the records it has not yet read until it
+// reads them or is Reset; until then nothing may call Batch, Fill, Step or
+// RunTrace on this CPU.
 func (c *CPU) Batch() ([]Retired, error) {
 	n, err := c.Fill(c.batch[:])
 	return c.batch[:n], err
