@@ -24,6 +24,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -110,10 +112,28 @@ func (c *Cache) SetRemote(r *Remote) {
 
 // path returns the entry file for a key: <dir>/<stage>/<hh>/<hex>.v<N>.
 // The schema version is part of the file name, so entries written under an
-// older schema are never even opened after a version bump.
+// older schema are never even opened after a version bump. It is what
+// filepath.Join of those four elements returns — the non-empty ones joined,
+// then cleaned — built in one allocation: Clean returns an already-clean
+// path as it is.
 func (c *Cache) path(k Key) string {
-	hex := k.Hex()
-	return filepath.Join(c.dir, k.Stage, hex[:2], fmt.Sprintf("%s.v%d", hex[2:], k.Version))
+	h := k.hexSum()
+	var ver [20]byte
+	v := strconv.AppendInt(ver[:0], int64(k.Version), 10)
+	var b strings.Builder
+	b.Grow(len(c.dir) + len(k.Stage) + len(h) + len(v) + 5)
+	for _, e := range [...]string{c.dir, k.Stage} {
+		if e != "" {
+			b.WriteString(e)
+			b.WriteByte(filepath.Separator)
+		}
+	}
+	b.Write(h[:2])
+	b.WriteByte(filepath.Separator)
+	b.Write(h[2:])
+	b.WriteString(".v")
+	b.Write(v)
+	return filepath.Clean(b.String())
 }
 
 // Get looks up an artifact. On a hit it returns the payload and the
@@ -130,7 +150,7 @@ func (c *Cache) path(k Key) string {
 func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 	miss := func() ([]byte, int64, bool) {
 		c.reg.Counter("artifact.miss").Inc()
-		c.reg.Counter("artifact." + k.Stage + ".miss").Inc()
+		c.stageCounter(k.Stage, ".miss").Inc()
 		return nil, 0, false
 	}
 	data, err := os.ReadFile(c.path(k))
@@ -164,8 +184,17 @@ func (c *Cache) Get(k Key) (payload []byte, costNS int64, ok bool) {
 // countHit is the accounting of one served entry, shared by Get and Cost.
 func (c *Cache) countHit(k Key, costNS int64) {
 	c.reg.Counter("artifact.hit").Inc()
-	c.reg.Counter("artifact." + k.Stage + ".hit").Inc()
+	c.stageCounter(k.Stage, ".hit").Inc()
 	c.reg.Counter("artifact.saved_ns").Add(costNS)
+}
+
+// stageCounter is the per-stage counter "artifact.<stage><event>". Its name
+// is built, in one allocation, only when a registry is attached.
+func (c *Cache) stageCounter(stage, event string) *metrics.Counter {
+	if c.reg == nil {
+		return nil
+	}
+	return c.reg.Counter("artifact." + stage + event)
 }
 
 func (c *Cache) evict(k Key) {

@@ -1,11 +1,12 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -34,27 +35,68 @@ const (
 	tagNil    = 9
 )
 
-// hashWriter accumulates the canonical stream into a hash.
+// hashWriter accumulates the canonical stream into a hash through buf, so
+// that a key costs the writer and its digest and nothing per field: a
+// SHA-256 digest has no WriteString, and io.WriteString would copy every
+// field name, and a workload's whole Source, into a fresh []byte. The
+// digest sees the same bytes in the same order whatever the buffering, so
+// every key is byte-identical to the unbuffered stream's.
 type hashWriter struct {
-	h hash.Hash
-	b [8]byte
+	h   hash.Hash
+	n   int // bytes of buf not yet written to h
+	buf [256]byte
 }
 
-// byte goes through the scratch buffer: a fresh one-byte slice per tag
-// would escape into the hash.Hash interface and allocate.
+func newHashWriter() *hashWriter { return &hashWriter{h: sha256.New()} }
+
+func (w *hashWriter) flush() {
+	if w.n > 0 {
+		w.h.Write(w.buf[:w.n])
+		w.n = 0
+	}
+}
+
 func (w *hashWriter) byte(b byte) {
-	w.b[0] = b
-	w.h.Write(w.b[:1])
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	w.buf[w.n] = b
+	w.n++
 }
 
 func (w *hashWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.b[:], v)
-	w.h.Write(w.b[:])
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
 }
 
 func (w *hashWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	io.WriteString(w.h, s)
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// raw hashes b in place: it is already a slice, so there is nothing to
+// copy.
+func (w *hashWriter) raw(b []byte) {
+	w.flush()
+	w.h.Write(b)
+}
+
+// sum returns the digest of everything written, reading it out through
+// buf rather than a fresh slice.
+func (w *hashWriter) sum() (s [sha256.Size]byte) {
+	w.flush()
+	copy(s[:], w.h.Sum(w.buf[:0]))
+	return s
 }
 
 // writeCanon encodes v canonically into w. Unsupported kinds (funcs,
@@ -92,7 +134,7 @@ func (w *hashWriter) writeCanon(v reflect.Value) {
 		// Byte slices are the common bulk case (workload segments); hash
 		// them directly instead of element-by-element.
 		if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8 {
-			w.h.Write(v.Bytes())
+			w.raw(v.Bytes())
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -107,16 +149,16 @@ func (w *hashWriter) writeCanon(v reflect.Value) {
 		w.u64(uint64(v.Len()))
 		// Sort entries by the canonical encoding of their keys.
 		type entry struct {
-			enc string
+			enc [sha256.Size]byte
 			key reflect.Value
 		}
 		entries := make([]entry, 0, v.Len())
 		for it := v.MapRange(); it.Next(); {
-			sub := &hashWriter{h: sha256.New()}
+			sub := newHashWriter()
 			sub.writeCanon(it.Key())
-			entries = append(entries, entry{string(sub.h.Sum(nil)), it.Key()})
+			entries = append(entries, entry{sub.sum(), it.Key()})
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].enc < entries[j].enc })
+		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].enc[:], entries[j].enc[:]) < 0 })
 		for _, e := range entries {
 			w.writeCanon(e.key)
 			w.writeCanon(v.MapIndex(e.key))
@@ -156,17 +198,24 @@ type Key struct {
 // schema version are mixed into the hash, so bumping a stage's version
 // invalidates every prior entry of that stage.
 func NewKey(stage string, version int, inputs interface{}) Key {
-	w := &hashWriter{h: sha256.New()}
+	w := newHashWriter()
 	w.str(stage)
 	w.u64(uint64(version))
 	w.writeCanon(reflect.ValueOf(inputs))
-	k := Key{Stage: stage, Version: version}
-	copy(k.Sum[:], w.h.Sum(nil))
-	return k
+	return Key{Stage: stage, Version: version, Sum: w.sum()}
 }
 
-// Hex returns the full lowercase hex fingerprint.
-func (k Key) Hex() string { return fmt.Sprintf("%x", k.Sum) }
+// Hex returns the full lowercase hex fingerprint, in one allocation.
+func (k Key) Hex() string {
+	h := k.hexSum()
+	return string(h[:])
+}
+
+// hexSum is Sum in lowercase hex, in the caller's frame.
+func (k Key) hexSum() (h [2 * sha256.Size]byte) {
+	hex.Encode(h[:], k.Sum[:])
+	return h
+}
 
 // String renders the key for logs: stage/version/short-hash.
 func (k Key) String() string {

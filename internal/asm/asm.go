@@ -22,7 +22,8 @@
 // table (inst.go). A real instruction's operands are the slots of its
 // rv64.Op.Operands, the layout rv64.Disassemble prints, and a pseudo's are
 // its table row's. Numeric literals may be decimal, 0x-hex, 0b-binary or
-// character ('a').
+// character ('a'). A .byte, .half or .word value must fit the width read
+// as signed or as unsigned: where GNU as warns and truncates, this refuses.
 package asm
 
 import (
@@ -90,30 +91,24 @@ const (
 	secData
 )
 
-// item is one assembled unit placed during pass 1.
-type item struct {
-	line    int
-	sec     section
-	addr    uint64
-	insts   []inst // for text items
-	data    []byte // for data items
-	dataRef []dataReloc
-}
-
+// dataReloc is a .word or .dword symbol, patched into the data section in
+// pass 2.
 type dataReloc struct {
-	offset int // into data
+	offset int // into the data section
 	size   int
+	line   int
 	symbol string
 }
 
 // inst is a single machine instruction, possibly awaiting label resolution.
 type inst struct {
 	in    rv64.Inst
-	reloc reloc
 	sym   string
+	line  int32
+	reloc reloc
 }
 
-type reloc int
+type reloc uint8
 
 const (
 	relNone   reloc = iota
@@ -122,14 +117,20 @@ const (
 	relLo           // %lo(sym): low 12 bits into I/S imm
 )
 
+// The sections are built in place, in address order: .text as one inst
+// per word and .data as its bytes. Pass 1 appends to them and pass 2
+// resolves and encodes from them, so a program costs a few allocations
+// however many lines it has.
 type assembler struct {
 	src      string
 	equ      map[string]int64
 	labels   map[string]uint64
-	items    []*item
+	text     []inst
+	data     []byte
+	dataRefs []dataReloc
 	sec      section
-	textAddr uint64
-	dataAddr uint64
+	textBase uint64
+	dataBase uint64
 	line     int
 	operands []string // splitOperands' buffer
 }
@@ -143,16 +144,22 @@ func Assemble(src string) (*Program, error) {
 // The entry point is the start of .text.
 func AssembleAt(src string, textBase, dataBase uint64) (*Program, error) {
 	a := &assembler{
-		src:      src,
-		equ:      make(map[string]int64),
-		labels:   make(map[string]uint64),
-		textAddr: textBase,
-		dataAddr: dataBase,
+		src:    src,
+		equ:    make(map[string]int64),
+		labels: make(map[string]uint64),
+		// A line emits at most one word unless it is li, la or a .align
+		// in .text, so the text section is sized from the source's line
+		// count and grows only past a run of those.
+		text:     make([]inst, 0, strings.Count(src, "\n")+1),
+		data:     []byte{},
+		operands: make([]string, 0, 4), // the most any instruction takes
+		textBase: textBase,
+		dataBase: dataBase,
 	}
 	if err := a.pass1(); err != nil {
 		return nil, err
 	}
-	return a.pass2(textBase, dataBase)
+	return a.pass2()
 }
 
 func (a *assembler) errf(format string, args ...interface{}) error {
@@ -180,67 +187,70 @@ func stripComment(s string) string {
 }
 
 func (a *assembler) pass1() error {
-	lines := strings.Split(a.src, "\n")
-	for n, raw := range lines {
-		a.line = n + 1
-		s := strings.TrimSpace(stripComment(raw))
-		for {
-			// Peel leading labels ("loop:" possibly followed by code).
-			i := strings.IndexByte(s, ':')
-			if i < 0 || strings.ContainsAny(s[:i], " \t\",(") {
-				break
-			}
-			name := strings.TrimSpace(s[:i])
-			if name == "" {
-				return a.errf("empty label")
-			}
-			if _, dup := a.labels[name]; dup {
-				return a.errf("duplicate label %q", name)
-			}
-			a.labels[name] = a.curAddr()
-			s = strings.TrimSpace(s[i+1:])
-		}
-		if s == "" {
-			continue
-		}
-		if strings.HasPrefix(s, ".") {
-			if err := a.directive(s); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := a.instruction(s); err != nil {
+	rest, more := a.src, true
+	for a.line = 1; more; a.line++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		if err := a.statement(raw); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// statement assembles one source line.
+func (a *assembler) statement(raw string) error {
+	s := strings.TrimSpace(stripComment(raw))
+	for {
+		// Peel leading labels ("loop:" possibly followed by code).
+		i := strings.IndexByte(s, ':')
+		if i < 0 || strings.ContainsAny(s[:i], " \t\",(") {
+			break
+		}
+		name := strings.TrimSpace(s[:i])
+		if name == "" {
+			return a.errf("empty label")
+		}
+		if _, dup := a.labels[name]; dup {
+			return a.errf("duplicate label %q", name)
+		}
+		a.labels[name] = a.curAddr()
+		s = strings.TrimSpace(s[i+1:])
+	}
+	switch {
+	case s == "":
+		return nil
+	case strings.HasPrefix(s, "."):
+		return a.directive(s)
+	default:
+		return a.instruction(s)
+	}
+}
+
 func (a *assembler) curAddr() uint64 {
 	if a.sec == secText {
-		return a.textAddr
+		return a.textBase + 4*uint64(len(a.text))
 	}
-	return a.dataAddr
+	return a.dataBase + uint64(len(a.data))
 }
 
-func (a *assembler) advance(n uint64) {
-	if a.sec == secText {
-		a.textAddr += n
-	} else {
-		a.dataAddr += n
+// zeros appends n zero bytes to the data section, growing it in one
+// allocation (the append-of-make idiom takes two under -race).
+func (a *assembler) zeros(n int) {
+	l := len(a.data)
+	if l+n > cap(a.data) {
+		grown := make([]byte, l, 2*l+n)
+		copy(grown, a.data)
+		a.data = grown
 	}
+	a.data = a.data[:l+n]
+	clear(a.data[l:])
 }
 
-func (a *assembler) emit(it *item) {
-	it.sec = a.sec
-	it.addr = a.curAddr()
-	it.line = a.line
-	a.items = append(a.items, it)
-	if len(it.insts) > 0 {
-		a.advance(uint64(4 * len(it.insts)))
-	} else {
-		a.advance(uint64(len(it.data)))
-	}
+// emit appends one instruction to the text section.
+func (a *assembler) emit(in inst) {
+	in.line = int32(a.line)
+	a.text = append(a.text, in)
 }
 
 func (a *assembler) directive(s string) error {
@@ -267,39 +277,35 @@ func (a *assembler) directive(s string) error {
 		}
 		size := uint64(1) << uint(n)
 		pad := (size - a.curAddr()%size) % size
-		if pad > 0 {
-			if a.sec == secText {
-				// pad with nops
-				it := &item{}
-				for i := uint64(0); i < pad/4; i++ {
-					it.insts = append(it.insts, inst{in: rv64.Inst{Op: rv64.ADDI}})
-				}
-				a.emit(it)
-			} else {
-				a.emit(&item{data: make([]byte, pad)})
+		if a.sec == secText {
+			for i := uint64(0); i < pad/4; i++ {
+				a.emit(inst{in: rv64.Inst{Op: rv64.ADDI}}) // nop
 			}
+		} else {
+			a.zeros(int(pad))
 		}
 	case ".byte", ".half", ".word", ".dword":
 		if a.sec != secData {
 			return a.errf("%s outside .data (instruction-stream literals are unsupported)", name)
 		}
 		size := map[string]int{".byte": 1, ".half": 2, ".word": 4, ".dword": 8}[name]
-		it := &item{}
 		for _, f := range a.splitOperands(rest) {
-			if v, err := a.intExpr(f); err == nil {
-				b := make([]byte, size)
-				putLE(b, uint64(v))
-				it.data = append(it.data, b...)
+			if _, isEqu := a.equ[f]; size >= 4 && isIdent(f) && !isEqu {
+				a.dataRefs = append(a.dataRefs, dataReloc{offset: len(a.data), size: size, line: a.line, symbol: f})
+				a.zeros(size)
 				continue
 			}
-			if size >= 4 && isIdent(f) {
-				it.dataRef = append(it.dataRef, dataReloc{offset: len(it.data), size: size, symbol: f})
-				it.data = append(it.data, make([]byte, size)...)
-				continue
+			v, err := a.intExpr(f)
+			if err != nil {
+				return a.errf("bad %s operand %q", name, f)
 			}
-			return a.errf("bad %s operand %q", name, f)
+			if !fitsWidth(v, size) {
+				return a.errf("%s value %d does not fit in %d bytes", name, v, size)
+			}
+			for i := 0; i < size; i++ {
+				a.data = append(a.data, byte(v>>(8*i)))
+			}
 		}
-		a.emit(it)
 	case ".space", ".zero":
 		if a.sec != secData {
 			return a.errf("%s outside .data", name)
@@ -311,7 +317,7 @@ func (a *assembler) directive(s string) error {
 		if n < 0 || n > maxSpace {
 			return a.errf("%s %d outside 0..%d", name, n, maxSpace)
 		}
-		a.emit(&item{data: make([]byte, n)})
+		a.zeros(int(n))
 	case ".ascii", ".asciz":
 		if a.sec != secData {
 			return a.errf("%s outside .data", name)
@@ -320,11 +326,10 @@ func (a *assembler) directive(s string) error {
 		if err != nil {
 			return a.errf("bad string %s", rest)
 		}
-		b := []byte(str)
+		a.data = append(a.data, str...)
 		if name == ".asciz" {
-			b = append(b, 0)
+			a.data = append(a.data, 0)
 		}
-		a.emit(&item{data: b})
 	case ".equ", ".set":
 		nameV, valS, ok := strings.Cut(rest, ",")
 		if !ok {
@@ -339,6 +344,17 @@ func (a *assembler) directive(s string) error {
 		return a.errf("unknown directive %s", name)
 	}
 	return nil
+}
+
+// fitsWidth reports whether v is a size-byte value read as signed or as
+// unsigned, as GNU as requires of .byte, .half and .word: -1 and 255 fit a
+// byte, 256 and -129 do not.
+func fitsWidth(v int64, size int) bool {
+	if size >= 8 {
+		return true
+	}
+	bits := 8 * uint(size)
+	return v >= -1<<(bits-1) && v < 1<<bits
 }
 
 func putLE(b []byte, v uint64) {

@@ -96,7 +96,9 @@ func TestLiMaterialization(t *testing.T) {
 	cases := []int64{0, 1, -1, 2047, -2048, 2048, 4096, 0x12345, -0x12345,
 		0x7FFFFFFF, -0x80000000, 0x100000000, 0x123456789ABCDEF0, -0x123456789ABCDEF0}
 	for _, v := range cases {
-		insts := materializeLI(10, v)
+		a := &assembler{}
+		a.li(10, v)
+		insts := a.text
 		// Emulate the sequence to verify the materialized value.
 		var reg int64
 		for _, ins := range insts {

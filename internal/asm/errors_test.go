@@ -89,11 +89,37 @@ var OperandErrorLines = []string{
 	"\tli a0, -18446744073709551615", // below -2^63
 }
 
+// DataErrorLines are .data lines the assembler must refuse: a value that
+// fits the directive's width neither as signed nor as unsigned, which GNU
+// as warns of and truncates. FuzzAssemble seeds from them.
+var DataErrorLines = []string{
+	"\t.byte 300",
+	"\t.byte -129",
+	"\t.byte 1, 256",
+	"\t.half 70000",
+	"\t.half -32769",
+	"\t.word 4294967296",
+	"\t.word -2147483649",
+}
+
 func TestOperandErrors(t *testing.T) {
 	for _, line := range OperandErrorLines {
 		if _, err := Assemble(".text\n" + line + "\n"); err == nil {
 			t.Errorf("expected error for %q", line)
 		}
+	}
+	for _, line := range DataErrorLines {
+		_, err := Assemble(".data\n" + line + "\n")
+		if _, ok := err.(*Error); !ok || err.(*Error).Line != 2 {
+			t.Errorf("%q: got %v, want an *Error on line 2", line, err)
+		}
+	}
+	// Either reading of the width is accepted, so the bounds and -1 are.
+	p := mustAssemble(t, ".data\n.byte -1, 255, -128\n.half -1, 65535, -32768\n.word -1, 0xffffffff, -2147483648\n")
+	want := []byte{0xff, 0xff, 0x80, 0xff, 0xff, 0xff, 0xff, 0x00, 0x80,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80}
+	if string(p.Data) != string(want) {
+		t.Errorf("data % x, want % x", p.Data, want)
 	}
 }
 
@@ -152,5 +178,21 @@ func TestProgramGeometry(t *testing.T) {
 	}
 	if got := len(p.TextBytes()); got != 8 {
 		t.Errorf("text bytes %d", got)
+	}
+}
+
+// TestUndefinedSymbolReportsEarliestLine: pass 2 resolves text and data
+// separately, but reports the undefined symbol on the earliest line, as
+// resolving the lines in source order does.
+func TestUndefinedSymbolReportsEarliestLine(t *testing.T) {
+	for src, line := range map[string]int{
+		".data\n.dword nowhere\n.text\nj missing\n":    2,
+		".text\nj missing\n.data\n.dword nowhere\n":    2,
+		".text\nnop\nla a0, gone\n.data\n.word lost\n": 3,
+	} {
+		_, err := Assemble(src)
+		if e, ok := err.(*Error); !ok || e.Line != line {
+			t.Errorf("%q: got %v, want an *Error on line %d", src, err, line)
+		}
 	}
 }

@@ -60,7 +60,7 @@ var pseudos = map[string]form{
 }
 
 // instruction parses one instruction (or pseudo-instruction) line and emits
-// the resulting machine instructions as a single item.
+// the resulting machine instructions.
 func (a *assembler) instruction(s string) error {
 	if a.sec != secText {
 		return a.errf("instruction outside .text")
@@ -82,17 +82,15 @@ func (a *assembler) instruction(s string) error {
 			return err
 		}
 		if mn == "la" {
-			a.emit(&item{insts: []inst{
-				{in: rv64.Inst{Op: rv64.LUI, Rd: rd}, reloc: relHi, sym: args[1]},
-				{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd}, reloc: relLo, sym: args[1]},
-			}})
+			a.emit(inst{in: rv64.Inst{Op: rv64.LUI, Rd: rd}, reloc: relHi, sym: args[1]})
+			a.emit(inst{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd}, reloc: relLo, sym: args[1]})
 			return nil
 		}
 		v, err := a.intExpr(args[1])
 		if err != nil {
 			return err
 		}
-		a.emit(&item{insts: materializeLI(rd, v)})
+		a.li(rd, v)
 		return nil
 	}
 	p, ok := pseudos[mn]
@@ -123,7 +121,7 @@ func (a *assembler) instruction(s string) error {
 	if err != nil {
 		return err
 	}
-	a.emit(&item{insts: []inst{in}})
+	a.emit(in)
 	return nil
 }
 
@@ -214,107 +212,65 @@ func cutCall(s, prefix string) (string, bool) {
 	return "", false
 }
 
-// materializeLI emits the shortest lui/addiw/slli/addi sequence that loads
-// the 64-bit constant v into rd, mirroring the standard toolchain expansion.
-func materializeLI(rd uint8, v int64) []inst {
+// li emits the shortest lui/addiw/slli/addi sequence that loads the 64-bit
+// constant v into rd, mirroring the standard toolchain expansion.
+func (a *assembler) li(rd uint8, v int64) {
 	if v >= -2048 && v <= 2047 {
-		return []inst{{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Imm: v}}}
+		a.emit(inst{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Imm: v}})
+		return
 	}
 	if v >= -(1<<31) && v < 1<<31 {
 		hi := (v + 0x800) >> 12
 		lo := v - hi<<12
 		hi = int64(int32(hi<<12)) >> 12 // canonical signed 20-bit
-		out := []inst{{in: rv64.Inst{Op: rv64.LUI, Rd: rd, Imm: hi}}}
+		a.emit(inst{in: rv64.Inst{Op: rv64.LUI, Rd: rd, Imm: hi}})
 		if lo != 0 {
-			out = append(out, inst{in: rv64.Inst{Op: rv64.ADDIW, Rd: rd, Rs1: rd, Imm: lo}})
+			a.emit(inst{in: rv64.Inst{Op: rv64.ADDIW, Rd: rd, Rs1: rd, Imm: lo}})
 		}
-		return out
+		return
 	}
 	lo := v << 52 >> 52 // sign-extended low 12 bits
-	rest := (v - lo) >> 12
-	out := materializeLI(rd, rest)
-	out = append(out, inst{in: rv64.Inst{Op: rv64.SLLI, Rd: rd, Rs1: rd, Imm: 12}})
+	a.li(rd, (v-lo)>>12)
+	a.emit(inst{in: rv64.Inst{Op: rv64.SLLI, Rd: rd, Rs1: rd, Imm: 12}})
 	if lo != 0 {
-		out = append(out, inst{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd, Imm: lo}})
+		a.emit(inst{in: rv64.Inst{Op: rv64.ADDI, Rd: rd, Rs1: rd, Imm: lo}})
 	}
-	return out
 }
 
-// pass2 resolves symbols and encodes everything.
-func (a *assembler) pass2(textBase, dataBase uint64) (*Program, error) {
+// pass2 resolves symbols and encodes the text section, and patches the
+// data section's symbol references. Of the errors it finds it reports the
+// one on the earliest line, as resolving the lines in source order would.
+func (a *assembler) pass2() (*Program, error) {
 	p := &Program{
-		TextAddr: textBase,
-		DataAddr: dataBase,
-		Entry:    textBase,
+		TextAddr: a.textBase,
+		DataAddr: a.dataBase,
+		Entry:    a.textBase,
 		Symbols:  a.labels,
-		Text:     make([]uint32, (a.textAddr-textBase)/4),
-		Data:     make([]byte, a.dataAddr-dataBase),
+		Text:     make([]uint32, len(a.text)),
+		Data:     a.data,
 	}
-	resolve := func(it *item, sym string) (uint64, error) {
-		if v, ok := a.labels[sym]; ok {
-			return v, nil
-		}
-		if v, ok := a.equ[sym]; ok {
-			return uint64(v), nil
-		}
-		return 0, &Error{Line: it.line, Msg: fmt.Sprintf("undefined symbol %q", sym)}
-	}
-	// Branch/jump targets may also be numeric PC-relative offsets (the
-	// disassembler emits this form): "beq a0, a1, -12".
-	resolveBranch := func(it *item, sym string, pc uint64) (int64, error) {
-		if v, err := a.intExpr(sym); err == nil && !isIdent(sym) {
-			return v, nil
-		}
-		target, err := resolve(it, sym)
+	var first *Error
+	for i := range a.text {
+		raw, err := a.encode(&a.text[i], a.textBase+4*uint64(i))
 		if err != nil {
-			return 0, err
+			first = err
+			break
 		}
-		return int64(target) - int64(pc), nil
+		p.Text[i] = raw
 	}
-	for _, it := range a.items {
-		if it.sec == secData || len(it.insts) == 0 {
-			copy(p.Data[it.addr-dataBase:], it.data)
-			for _, ref := range it.dataRef {
-				v, err := resolve(it, ref.symbol)
-				if err != nil {
-					return nil, err
-				}
-				putLE(p.Data[int(it.addr-dataBase)+ref.offset:][:ref.size], v)
-			}
-			continue
+	for _, ref := range a.dataRefs {
+		if first != nil && first.Line < ref.line {
+			break
 		}
-		pc := it.addr
-		for _, ins := range it.insts {
-			in := ins.in
-			switch ins.reloc {
-			case relBranch:
-				off, err := resolveBranch(it, ins.sym, pc)
-				if err != nil {
-					return nil, err
-				}
-				in.Imm = off
-			case relHi:
-				target, err := resolve(it, ins.sym)
-				if err != nil {
-					return nil, err
-				}
-				hi := (int64(target) + 0x800) >> 12
-				in.Imm = int64(int32(hi<<12)) >> 12
-			case relLo:
-				target, err := resolve(it, ins.sym)
-				if err != nil {
-					return nil, err
-				}
-				hi := (int64(target) + 0x800) >> 12
-				in.Imm = int64(target) - hi<<12
-			}
-			raw, err := rv64.Encode(in)
-			if err != nil {
-				return nil, &Error{Line: it.line, Msg: err.Error()}
-			}
-			p.Text[(pc-textBase)/4] = raw
-			pc += 4
+		v, err := a.resolve(ref.line, ref.symbol)
+		if err != nil {
+			first = err
+			break
 		}
+		putLE(p.Data[ref.offset:][:ref.size], v)
+	}
+	if first != nil {
+		return nil, first
 	}
 	// Decode from the encoded words, not from the assembler's own Inst
 	// values, so the image is exactly what fetching the bytes would give.
@@ -324,4 +280,56 @@ func (a *assembler) pass2(textBase, dataBase uint64) (*Program, error) {
 		p.Insts[i], _ = rv64.Decode(raw)
 	}
 	return p, nil
+}
+
+// resolve returns the value of a label or .equ constant named on line.
+func (a *assembler) resolve(line int, sym string) (uint64, *Error) {
+	if v, ok := a.labels[sym]; ok {
+		return v, nil
+	}
+	if v, ok := a.equ[sym]; ok {
+		return uint64(v), nil
+	}
+	return 0, &Error{Line: line, Msg: fmt.Sprintf("undefined symbol %q", sym)}
+}
+
+// encode resolves ins's relocation at pc and encodes it.
+func (a *assembler) encode(ins *inst, pc uint64) (uint32, *Error) {
+	line := int(ins.line)
+	in := ins.in
+	switch ins.reloc {
+	case relBranch:
+		// Branch/jump targets may also be numeric PC-relative offsets
+		// (the disassembler emits this form): "beq a0, a1, -12".
+		if !isIdent(ins.sym) {
+			if v, err := a.intExpr(ins.sym); err == nil {
+				in.Imm = v
+				break
+			}
+		}
+		target, err := a.resolve(line, ins.sym)
+		if err != nil {
+			return 0, err
+		}
+		in.Imm = int64(target) - int64(pc)
+	case relHi:
+		target, err := a.resolve(line, ins.sym)
+		if err != nil {
+			return 0, err
+		}
+		hi := (int64(target) + 0x800) >> 12
+		in.Imm = int64(int32(hi<<12)) >> 12
+	case relLo:
+		target, err := a.resolve(line, ins.sym)
+		if err != nil {
+			return 0, err
+		}
+		hi := (int64(target) + 0x800) >> 12
+		in.Imm = int64(target) - hi<<12
+	}
+	raw, err := rv64.Encode(in)
+	if err != nil {
+		return 0, &Error{Line: line, Msg: err.Error()}
+	}
+	return raw, nil
 }

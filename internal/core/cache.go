@@ -116,16 +116,17 @@ func (r *Runner) profileKeys(w *workloads.Workload, spec sampling.Spec) profileK
 		Workload workloadIdent
 		Sampling sampling.Spec
 	}{ident, spec})
+	bbvHex := k.bbv.Hex()
 	k.sel = artifact.NewKey("select", selectSchema, struct {
 		BBV      string
 		Config   simpoint.Config
 		Sampling sampling.Spec
-	}{k.bbv.Hex(), r.simpointConfig(spec), spec})
+	}{bbvHex, r.simpointConfig(spec), spec})
 	k.ckpt = artifact.NewKey("checkpoint", ckptSchema, struct {
 		BBV         string
 		Select      string
 		WarmupInsts int64
-	}{k.bbv.Hex(), k.sel.Hex(), spec.ResolveWarmup(ident.IntervalSize, r.fc.WarmupInsts)})
+	}{bbvHex, k.sel.Hex(), spec.ResolveWarmup(ident.IntervalSize, r.fc.WarmupInsts)})
 	return k
 }
 

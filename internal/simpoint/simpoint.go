@@ -285,6 +285,7 @@ func kmeans(pts [][]float64, k, maxIters int, rng *rng) ([]int, [][]float64, flo
 	n, dims := len(pts), len(pts[0])
 	centers := initPP(pts, k, rng)
 	assign := make([]int, n)
+	counts := make([]int, k)
 	iters := 0
 	converged := false
 	for iter := 0; iter < maxIters; iter++ {
@@ -307,7 +308,7 @@ func kmeans(pts [][]float64, k, maxIters int, rng *rng) ([]int, [][]float64, flo
 			break
 		}
 		// Recompute centroids.
-		counts := make([]int, k)
+		clear(counts)
 		for c := range centers {
 			for d := range centers[c] {
 				centers[c][d] = 0
@@ -343,12 +344,20 @@ func kmeans(pts [][]float64, k, maxIters int, rng *rng) ([]int, [][]float64, flo
 // distance to its nearest center so far, and a new center is folded into it
 // once: O(n·k) distances per run, not O(n·k²). The minimum, the summation
 // order and the rng draws are those of recomputing every distance each
-// round, so the centers are too.
+// round, so the centers are too. The centers are cut from one slab, each
+// capped at its own length.
 func initPP(pts [][]float64, k int, rng *rng) [][]float64 {
-	n := len(pts)
+	n, dims := len(pts), len(pts[0])
+	slab := make([]float64, k*dims)
 	centers := make([][]float64, 0, k)
-	first := append([]float64(nil), pts[rng.intn(n)]...)
-	centers = append(centers, first)
+	take := func(p []float64) []float64 {
+		i := len(centers) * dims
+		c := slab[i : i+dims : i+dims]
+		copy(c, p)
+		centers = append(centers, c)
+		return c
+	}
+	first := take(pts[rng.intn(n)])
 	d2 := make([]float64, n)
 	for i, p := range pts {
 		d2[i] = sqDist(p, first)
@@ -371,8 +380,7 @@ func initPP(pts [][]float64, k int, rng *rng) [][]float64 {
 				}
 			}
 		}
-		c := append([]float64(nil), pts[idx]...)
-		centers = append(centers, c)
+		c := take(pts[idx])
 		if len(centers) == k {
 			break
 		}
