@@ -2,7 +2,7 @@
 # `make test`; `make check` is the CI tier on top of it, seven gates:
 #   vet            go vet, and gofmt -l prints nothing
 #   race           the concurrent packages under the race detector
-#   fuzz-smoke     5 s per fuzz target (17) on top of the committed corpora
+#   fuzz-smoke     5 s per fuzz target (18) on top of the committed corpora
 #   bench-smoke    every kernel benchmark once + the functional-core floor
 #   bench-measure  one measure cell: -j 1 vs -j 4, byte-identical
 #   fidelity       sampled-vs-full CPI error per sampling spec
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzMemoryFork -fuzztime 5s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzMemoryReset -fuzztime 5s ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzMemoryDelta -fuzztime 5s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStats -fuzztime 5s ./internal/boom
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 5s ./internal/power
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/rv64

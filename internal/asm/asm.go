@@ -28,6 +28,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -295,12 +296,12 @@ func (a *assembler) directive(s string) error {
 				a.zeros(size)
 				continue
 			}
-			v, err := a.intExpr(f)
+			v, wide, err := a.expr(f)
 			if err != nil {
 				return a.errf("bad %s operand %q", name, f)
 			}
-			if !fitsWidth(v, size) {
-				return a.errf("%s value %d does not fit in %d bytes", name, v, size)
+			if !fitsWidth(v, size) || wide && size < 8 {
+				return a.errf("%s value %s does not fit in %d bytes", name, f, size)
 			}
 			for i := 0; i < size; i++ {
 				a.data = append(a.data, byte(v>>(8*i)))
@@ -411,9 +412,18 @@ func (a *assembler) splitOperands(s string) []string {
 // intExpr evaluates an integer literal, .equ constant, or simple a+b / a-b /
 // a*b expression thereof.
 func (a *assembler) intExpr(s string) (int64, error) {
+	v, _, err := a.expr(s)
+	return v, err
+}
+
+// expr is intExpr that also reports whether s holds a literal above
+// math.MaxInt64, which it folds into int64 (0xFFFFFFFFFFFFFFFF reads -1):
+// a data directive narrower than 8 bytes refuses such a literal, which
+// fits its width neither as signed nor as unsigned as written.
+func (a *assembler) expr(s string) (v int64, wide bool, err error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return 0, a.errf("empty expression")
+		return 0, false, a.errf("empty expression")
 	}
 	// binary + - * at top level (left-assoc, * binds tighter not supported:
 	// evaluate strictly left to right which is enough for the sources here)
@@ -424,63 +434,62 @@ func (a *assembler) intExpr(s string) (int64, error) {
 			if prev == '+' || prev == '-' || prev == '*' || prev == 'x' || prev == 'X' || prev == 'b' || prev == 'e' || prev == 'E' {
 				continue // sign or literal prefix
 			}
-			l, err := a.intExpr(s[:i])
+			l, lw, err := a.expr(s[:i])
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
-			r, err := a.intExpr(s[i+1:])
+			r, rw, err := a.expr(s[i+1:])
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
 			if c == '+' {
-				return l + r, nil
+				return l + r, lw || rw, nil
 			}
-			return l - r, nil
+			return l - r, lw || rw, nil
 		}
 	}
 	if i := strings.LastIndexByte(s, '*'); i > 0 {
-		l, err := a.intExpr(s[:i])
+		l, lw, err := a.expr(s[:i])
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		r, err := a.intExpr(s[i+1:])
+		r, rw, err := a.expr(s[i+1:])
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		return l * r, nil
+		return l * r, lw || rw, nil
 	}
 	if len(s) >= 3 && s[0] == '\'' && s[len(s)-1] == '\'' {
 		body, err := strconv.Unquote(s)
 		if err != nil || len(body) != 1 {
-			return 0, a.errf("bad char literal %s", s)
+			return 0, false, a.errf("bad char literal %s", s)
 		}
-		return int64(body[0]), nil
+		return int64(body[0]), false, nil
 	}
 	if v, ok := a.equ[s]; ok {
-		return v, nil
+		return v, false, nil
 	}
 	neg := false
 	if strings.HasPrefix(s, "-") {
 		neg, s = true, s[1:]
 	}
-	var v uint64
-	var err error
+	var u uint64
 	switch {
 	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
-		v, err = strconv.ParseUint(s[2:], 16, 64)
+		u, err = strconv.ParseUint(s[2:], 16, 64)
 	case strings.HasPrefix(s, "0b"):
-		v, err = strconv.ParseUint(s[2:], 2, 64)
+		u, err = strconv.ParseUint(s[2:], 2, 64)
 	default:
-		v, err = strconv.ParseUint(s, 10, 64)
+		u, err = strconv.ParseUint(s, 10, 64)
 	}
 	if err != nil {
-		return 0, a.errf("bad integer %q", s)
+		return 0, false, a.errf("bad integer %q", s)
 	}
 	if neg {
-		if v > 1<<63 {
-			return 0, a.errf("integer -%s out of range", s)
+		if u > 1<<63 {
+			return 0, false, a.errf("integer -%s out of range", s)
 		}
-		return -int64(v), nil
+		return -int64(u), false, nil
 	}
-	return int64(v), nil
+	return int64(u), u > math.MaxInt64, nil
 }

@@ -91,7 +91,8 @@ var OperandErrorLines = []string{
 
 // DataErrorLines are .data lines the assembler must refuse: a value that
 // fits the directive's width neither as signed nor as unsigned, which GNU
-// as warns of and truncates. FuzzAssemble seeds from them.
+// as warns of and truncates — a 64-bit literal too, though int64 folds it
+// to -1. FuzzAssemble seeds from them.
 var DataErrorLines = []string{
 	"\t.byte 300",
 	"\t.byte -129",
@@ -100,6 +101,10 @@ var DataErrorLines = []string{
 	"\t.half -32769",
 	"\t.word 4294967296",
 	"\t.word -2147483649",
+	"\t.byte 0xFFFFFFFFFFFFFFFF",
+	"\t.half 18446744073709551615",
+	"\t.word 0xFFFFFFFFFFFFFFFF",
+	"\t.byte 0xFFFFFFFFFFFFFFFF + 0",
 }
 
 func TestOperandErrors(t *testing.T) {
@@ -114,10 +119,12 @@ func TestOperandErrors(t *testing.T) {
 			t.Errorf("%q: got %v, want an *Error on line 2", line, err)
 		}
 	}
-	// Either reading of the width is accepted, so the bounds and -1 are.
-	p := mustAssemble(t, ".data\n.byte -1, 255, -128\n.half -1, 65535, -32768\n.word -1, 0xffffffff, -2147483648\n")
+	// Either reading of the width is accepted, so the bounds and -1 are,
+	// and an 8-byte directive takes a 64-bit literal.
+	p := mustAssemble(t, ".data\n.byte -1, 255, -128\n.half -1, 65535, -32768\n.word -1, 0xffffffff, -2147483648\n.dword 0xFFFFFFFFFFFFFFFF\n")
 	want := []byte{0xff, 0xff, 0x80, 0xff, 0xff, 0xff, 0xff, 0x00, 0x80,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80}
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	if string(p.Data) != string(want) {
 		t.Errorf("data % x, want % x", p.Data, want)
 	}

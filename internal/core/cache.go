@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -46,11 +47,12 @@ import (
 // Per-stage schema versions, covering both a stage's key shape and its
 // payload format. Bumps to bbv 5 and checkpoint 5 made the payloads hold
 // only what the key cannot rebuild; bbv 6 writes sparse entries as
-// varints, and measure 2 warms a proportional warm-up functionally.
+// varints, measure 2 warms a proportional warm-up functionally, and
+// checkpoint 6 chains each point's pages to the previous point's.
 const (
 	bbvSchema     = 6 // varint sparse vectors; MAV section under a bbv+mav spec
 	selectSchema  = 3 // sampling spec in key
-	ckptSchema    = 5 // pages that differ from the load image only; flate-compressed body
+	ckptSchema    = 6 // points in program order, each page an XOR delta against the previous point's; flate-compressed body
 	measureSchema = 2 // a proportional warm-up warms functionally (boom.Core.Warm) up to a detailed tail
 	fullSchema    = 2
 	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
@@ -352,14 +354,17 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 	return vectors, mavs, totalInsts, numBlocks, nil
 }
 
-// A checkpoint payload stores each point's registers and only the pages
-// that differ from the workload's load image, its entry checkpoint's
-// memory (Workload.Entry; mem.Memory.Delta): the key hashes the image's
-// source and segments, so encoder and decoder take the one image the
-// workload builds, and the decoder lays the stored pages over a fork of it
-// (mem.Memory.Overlay). The body
-// is flate-compressed at BestSpeed: the stored pages are mostly data a
-// program has begun to rewrite, and zero-filled stack and heap.
+// A checkpoint payload walks the points in program order (InstRet, ties
+// by selection index) and stores, for each, its selection index, its
+// registers and the pages of its image that differ from the previous
+// point's — the first point's from the workload's load image, its entry
+// checkpoint's memory (Workload.Entry) — each XORed with the page it
+// replaces (mem.DeltaWriter). Consecutive points share most of their
+// bytes, so a stored page is mostly zero runs. The key hashes the load
+// image's source and segments, so encoder and decoder start from the one
+// image the workload builds, and the decoder rebuilds each point's image
+// from the previous one (mem.ReadDelta). The body is flate-compressed at
+// BestSpeed.
 func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) ([]byte, error) {
 	var buf bytes.Buffer
 	fw := takeCkptWriter(&buf)
@@ -372,24 +377,45 @@ func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory
 
 // writeCkptPayload compresses the payload through fw and closes it.
 func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) error {
-	deltas := make([]*ckpt.Checkpoint, len(cks))
-	for i, k := range cks {
-		d := *k
-		var err error
-		if d.Mem, err = k.Mem.Delta(base); err != nil {
-			return err
-		}
-		deltas[i] = &d
+	order := make([]int, len(cks))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(cks[i].InstRet, cks[j].InstRet); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
 	bw := binio.NewWriter(fw)
 	bw.Int(len(warmups))
 	for _, v := range warmups {
 		bw.I64(v)
 	}
-	if err := bw.Err(); err != nil {
-		return err
+	var d mem.DeltaWriter
+	ref := base
+	for _, i := range order {
+		k := cks[i]
+		bw.Int(i)
+		bw.U64(k.PC)
+		for _, v := range k.X {
+			bw.U64(v)
+		}
+		for _, v := range k.F {
+			bw.U64(v)
+		}
+		bw.U64(k.InstRet)
+		bw.I64(k.Interval)
+		bw.F64(k.Weight)
+		if err := bw.Err(); err != nil {
+			return err
+		}
+		if err := d.WriteDelta(fw, k.Mem, ref); err != nil {
+			return fmt.Errorf("checkpoint %d: %w", i, err)
+		}
+		ref = k.Mem
 	}
-	if err := ckpt.SerializeAll(fw, deltas); err != nil {
+	if err := bw.Err(); err != nil {
 		return err
 	}
 	return fw.Close()
@@ -435,8 +461,10 @@ func putCkptWriter(fw *flate.Writer) {
 
 // decodeCkptPayload checks the payload's counts against wantPoints — what
 // the selection it was keyed from says — before allocating for them, and
-// lays each point's stored pages over a fork of base, the workload's entry
-// image (mem.Memory.Overlay).
+// rebuilds each point's image over the previous point's, the first over
+// base, the workload's entry image (mem.ReadDelta). It refuses a selection
+// index out of range or repeated and points out of program order, which
+// the encoder never writes, so a payload it accepts re-encodes byte-exact.
 func decodeCkptPayload(payload []byte, wantPoints int, base *mem.Memory) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
 	fr := flate.NewReader(bytes.NewReader(payload))
 	defer fr.Close()
@@ -445,27 +473,48 @@ func decodeCkptPayload(payload []byte, wantPoints int, base *mem.Memory) (cks []
 	if n := br.Len(maxCachedLen); n != wantPoints {
 		br.Fail("checkpoint payload has %d warm-ups for %d simpoints", n, wantPoints)
 	}
+	if err := br.Err(); err != nil {
+		return nil, nil, err
+	}
 	warmups = make([]int64, wantPoints)
 	for i := range warmups {
 		warmups[i] = br.I64()
 	}
-	if err := br.Err(); err != nil {
-		return nil, nil, err
-	}
-	cks, err = ckpt.DeserializeAll(rd)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cks) != wantPoints {
-		return nil, nil, fmt.Errorf("checkpoint payload has %d checkpoints for %d simpoints", len(cks), wantPoints)
+	cks = make([]*ckpt.Checkpoint, wantPoints)
+	prev := -1 // the point stored before, whose image the next one's pages are XORed with
+	for range wantPoints {
+		i := br.Int()
+		if br.Err() == nil && (i < 0 || i >= wantPoints || cks[i] != nil) {
+			br.Fail("checkpoint payload stores point %d twice or out of range [0,%d)", i, wantPoints)
+		}
+		k := &ckpt.Checkpoint{PC: br.U64()}
+		for r := range k.X {
+			k.X[r] = br.U64()
+		}
+		for r := range k.F {
+			k.F[r] = br.U64()
+		}
+		k.InstRet = br.U64()
+		k.Interval = br.I64()
+		k.Weight = br.F64()
+		if err := br.Err(); err != nil {
+			return nil, nil, err
+		}
+		ref := base
+		if prev >= 0 {
+			p := cks[prev]
+			if k.InstRet < p.InstRet || (k.InstRet == p.InstRet && i < prev) {
+				return nil, nil, fmt.Errorf("checkpoint %d (InstRet %d) is stored after checkpoint %d (InstRet %d)", i, k.InstRet, prev, p.InstRet)
+			}
+			ref = p.Mem
+		}
+		if k.Mem, err = mem.ReadDelta(rd, ref); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint %d: %w", i, err)
+		}
+		cks[i], prev = k, i
 	}
 	if _, err := rd.ReadByte(); err != io.EOF {
 		return nil, nil, fmt.Errorf("checkpoint payload has trailing bytes")
-	}
-	for i, k := range cks {
-		if k.Mem, err = base.Overlay(k.Mem); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint %d: %w", i, err)
-		}
 	}
 	return cks, warmups, nil
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bbv"
@@ -130,37 +132,77 @@ func deflate(raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// storedPayload is a checkpoint payload that stores cks' memories as they
-// are, not as deltas from a load image.
-func storedPayload(tb testing.TB, cks []*ckpt.Checkpoint, warmups []int64) []byte {
+// storedPayload is the checkpoint payload that stores pts as they are, in
+// the order given: what storedCheckpoints reads back.
+func storedPayload(tb testing.TB, warmups []int64, pts []storedPoint) []byte {
 	var raw bytes.Buffer
 	bw := binio.NewWriter(&raw)
 	bw.Int(len(warmups))
 	for _, v := range warmups {
 		bw.I64(v)
 	}
-	if err := ckpt.SerializeAll(&raw, cks); err != nil || bw.Err() != nil {
-		tb.Fatal(err, bw.Err())
+	for _, p := range pts {
+		bw.Int(p.index)
+		bw.U64(p.k.PC)
+		for _, v := range p.k.X {
+			bw.U64(v)
+		}
+		for _, v := range p.k.F {
+			bw.U64(v)
+		}
+		bw.U64(p.k.InstRet)
+		bw.I64(p.k.Interval)
+		bw.F64(p.k.Weight)
+		bw.Int(len(p.keys))
+		for n, key := range p.keys {
+			bw.U64(key)
+			raw.Write(p.pages[n])
+		}
+	}
+	if bw.Err() != nil {
+		tb.Fatal(bw.Err())
 	}
 	return deflate(raw.Bytes())
 }
 
-// storingOnePage is a one-point checkpoint payload whose point stores one
-// page at page index key: a copy of base's page there when base has one.
-func storingOnePage(tb testing.TB, base *mem.Memory, key uint64) []byte {
-	m := mem.New()
-	m.SetBytes(key<<mem.PageBits, base.ReadBytes(key<<mem.PageBits, mem.PageSize))
-	return storedPayload(tb, []*ckpt.Checkpoint{{Mem: m}}, []int64{0})
+// storingOnePage is a one-point checkpoint payload whose point stores an
+// all-zero page at page index key: over a load image that holds the page,
+// an XOR page that says it did not change.
+func storingOnePage(tb testing.TB, key uint64) []byte {
+	return storedPayload(tb, []int64{0}, []storedPoint{{keys: []uint64{key}, pages: [][]byte{make([]byte, mem.PageSize)}}})
+}
+
+// ckptRefusal is a checkpoint payload the decoder must refuse, and what
+// its error says.
+type ckptRefusal struct {
+	why     string
+	payload []byte
+}
+
+// ckptRefusals are the real payload of realPayloads changed, each in one
+// way the encoder never writes.
+func ckptRefusals(tb testing.TB, payload []byte, points int) []ckptRefusal {
+	warmups, pts := storedCheckpoints(tb, payload, points)
+	changed := func(change func(pts []storedPoint)) []byte {
+		c := slices.Clone(pts)
+		change(c)
+		return storedPayload(tb, warmups, c)
+	}
+	return []ckptRefusal{
+		{"out of range", changed(func(c []storedPoint) { c[0].index = points })},
+		{"twice", changed(func(c []storedPoint) { c[1].index = c[0].index })},
+		{"stored after", changed(func(c []storedPoint) { c[0], c[1] = c[1], c[0] })},
+	}
 }
 
 // FuzzDecodeCkptPayload: decodeCkptPayload, over a fixed load image,
 // allocates at most 1 MiB (the inflater and its 64 KiB read buffer, ~104
-// KiB; one page map sized by a bounded count hint, ~145 KiB —
-// ckpt.DeserializeAll sizes nothing by its count) plus 4× what its input
-// inflates to — flate itself is bounded at ~1032× — plus, per accepted
-// point, one fork of the load image (a page-map copy), and the checkpoints
-// it accepts re-encode to a payload that decodes to the same checkpoints
-// and is a fixpoint. (Byte-exactness is on the second trip: arbitrary flate
+// KiB) plus 4× what its input inflates to — flate itself is bounded at
+// ~1032× — plus, per accepted point, one fork of the previous point's
+// image: a page-map copy of the load image's pages and of at most every
+// page the input stores, at most 128 bytes of map each. The checkpoints it
+// accepts re-encode to a payload that decodes to the same checkpoints and
+// is a fixpoint. (Byte-exactness is on the second trip: arbitrary flate
 // streams are not canonical.)
 func FuzzDecodeCkptPayload(f *testing.F) {
 	payload, points, base, _, _ := realPayloads(f)
@@ -172,9 +214,12 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(deflate(append(raw, 0)), points)     // trailing byte
-	f.Add(storingOnePage(f, base, 0x10), 1)    // a page equal to the load image's: refused
-	f.Add(storingOnePage(f, base, 0x7ffff), 1) // a page the load image lacks: accepted
+	f.Add(deflate(append(raw, 0)), points) // trailing byte
+	f.Add(storingOnePage(f, 0x10), 1)      // an all-zero XOR page over one the load image holds: refused
+	f.Add(storingOnePage(f, 0x7ffff), 1)   // a zero page the load image lacks: accepted
+	for _, r := range ckptRefusals(f, payload, points) {
+		f.Add(r.payload, points)
+	}
 	fork := allocatedBy(func() { base.Fork() })
 	f.Fuzz(func(t *testing.T, data []byte, wantPoints int) {
 		if wantPoints < 0 || wantPoints > 1<<10 {
@@ -189,7 +234,8 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 		var warmups []int64
 		var err error
 		got := allocatedBy(func() { cks, warmups, err = decodeCkptPayload(data, wantPoints, base) })
-		if limit := uint64(1<<20 + 4*raw + int64(wantPoints)*int64(8+fork)); got > limit {
+		perPoint := 8 + fork + 128*uint64(raw/mem.PageSize)
+		if limit := uint64(1<<20+4*raw) + uint64(wantPoints)*perPoint; got > limit {
 			t.Fatalf("decoding %d bytes (%d inflated) allocated %d, over the %d bound", len(data), raw, got, limit)
 		}
 		if err != nil {
@@ -216,25 +262,32 @@ func FuzzDecodeCkptPayload(f *testing.F) {
 	})
 }
 
-// TestCkptPayloadStoresOnlyWhatDiffers: a stored page equal to the load
-// image's is refused — the encoder never writes one, so accepting it would
-// break byte-exact re-encoding — and a stored page the load image lacks is
-// laid over it.
+// TestCkptPayloadStoresOnlyWhatDiffers: an all-zero XOR page over a page
+// the load image holds is refused — the encoder never writes one, so
+// accepting it would break byte-exact re-encoding — and a stored page the
+// load image lacks is added to it. A selection index out of range or
+// repeated and points out of program order are refused too, each with its
+// own error.
 func TestCkptPayloadStoresOnlyWhatDiffers(t *testing.T) {
-	_, _, base, _, _ := realPayloads(t)
+	payload, points, base, _, _ := realPayloads(t)
 	const loaded, absent = 0x10, 0x7ffff // the first text page; a page far above the data
 	if base.ReadBytes(loaded<<mem.PageBits, mem.PageSize)[0] == 0 || base.Read64(absent<<mem.PageBits) != 0 {
 		t.Fatal("the fixture's page choice no longer fits the load image")
 	}
-	if _, _, err := decodeCkptPayload(storingOnePage(t, base, loaded), 1, base); err == nil {
-		t.Error("a stored page equal to the load image's was accepted")
+	if _, _, err := decodeCkptPayload(storingOnePage(t, loaded), 1, base); err == nil || !strings.Contains(err.Error(), "equals the reference") {
+		t.Errorf("an all-zero XOR page over the load image's: got %v", err)
 	}
-	cks, _, err := decodeCkptPayload(storingOnePage(t, base, absent), 1, base)
+	cks, _, err := decodeCkptPayload(storingOnePage(t, absent), 1, base)
 	if err != nil {
 		t.Fatalf("a stored page the load image lacks: %v", err)
 	}
 	if got := cks[0].Mem.PageCount(); got != base.PageCount()+1 {
 		t.Errorf("decoded memory holds %d pages, want the load image's %d and one more", got, base.PageCount())
+	}
+	for _, r := range ckptRefusals(t, payload, points) {
+		if _, _, err := decodeCkptPayload(r.payload, points, base); err == nil || !strings.Contains(err.Error(), r.why) {
+			t.Errorf("a payload refused for %q: got %v", r.why, err)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"context"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/binio"
@@ -19,7 +22,7 @@ import (
 
 // serialized is m in mem.Memory.Serialize's format: two memories hold the
 // same pages with the same bytes exactly when these are equal.
-func serialized(t *testing.T, m *mem.Memory) []byte {
+func serialized(t testing.TB, m *mem.Memory) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Serialize(&buf); err != nil {
@@ -28,31 +31,78 @@ func serialized(t *testing.T, m *mem.Memory) []byte {
 	return buf.Bytes()
 }
 
-// storedCheckpoints reads a checkpoint payload's stored checkpoints as
-// written, without laying them over the entry image.
-func storedCheckpoints(t *testing.T, payload []byte, points int) []*ckpt.Checkpoint {
+// storedPoint is one point of a checkpoint payload as it is stored: its
+// selection index, its registers (Mem nil) and its pages in stored order,
+// each page's bytes as written — XORed with the reference page at its
+// index when the reference has one.
+type storedPoint struct {
+	index int
+	k     ckpt.Checkpoint
+	keys  []uint64
+	pages [][]byte
+}
+
+// storedCheckpoints reads a checkpoint payload's warm-ups and its points as
+// stored, without rebuilding any image.
+func storedCheckpoints(t testing.TB, payload []byte, points int) ([]int64, []storedPoint) {
 	t.Helper()
-	rd := bufio.NewReader(flate.NewReader(bytes.NewReader(payload)))
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(raw)
 	br := binio.NewReader(rd)
-	for n := br.Int(); n > 0; n-- {
-		br.I64()
+	warmups := make([]int64, br.Len(points))
+	for i := range warmups {
+		warmups[i] = br.I64()
 	}
-	if br.Err() != nil {
-		t.Fatal(br.Err())
+	pts := make([]storedPoint, len(warmups))
+	for i := range pts {
+		p := &pts[i]
+		p.index = br.Int()
+		p.k.PC = br.U64()
+		for r := range p.k.X {
+			p.k.X[r] = br.U64()
+		}
+		for r := range p.k.F {
+			p.k.F[r] = br.U64()
+		}
+		p.k.InstRet = br.U64()
+		p.k.Interval = br.I64()
+		p.k.Weight = br.F64()
+		for n := br.Len(rd.Len() / mem.PageSize); n > 0; n-- {
+			p.keys = append(p.keys, br.U64())
+			page := make([]byte, mem.PageSize)
+			if _, err := io.ReadFull(rd, page); err != nil {
+				t.Fatal(err)
+			}
+			p.pages = append(p.pages, page)
+		}
 	}
-	cks, err := ckpt.DeserializeAll(rd)
-	if err != nil || len(cks) != points {
-		t.Fatalf("%d stored checkpoints for %d points: %v", len(cks), points, err)
+	if br.Err() != nil || len(pts) != points || rd.Len() != 0 {
+		t.Fatalf("%d stored points for %d, %d bytes left: %v", len(pts), points, rd.Len(), br.Err())
 	}
-	return cks
+	return warmups, pts
+}
+
+// pagesOf is m's pages by index, each as its bytes.
+func pagesOf(t testing.TB, m *mem.Memory) map[uint64][]byte {
+	b := serialized(t, m)
+	pages := map[uint64][]byte{}
+	for rec := b[8:]; len(rec) > 0; rec = rec[8+mem.PageSize:] {
+		pages[binary.LittleEndian.Uint64(rec)] = rec[8 : 8+mem.PageSize]
+	}
+	return pages
 }
 
 // TestPayloadsHoldWhatTheKeyCannotRebuild: on every workload under the
 // BBV-only and the bbv+mav spec, the bbv entry a cold Profile writes
-// decodes to its vectors, and its checkpoint entry stores for each point
-// exactly the pages that differ from the entry checkpoint's image
-// (Workload.Entry) and decodes over that image to checkpoints page for
-// page equal to the ones the pass captured.
+// decodes to its vectors, and its checkpoint entry stores the points in
+// program order (InstRet, ties by selection index), each with exactly the
+// pages that differ from the previous point's image — the first point's
+// from the entry checkpoint's (Workload.Entry) — XORed with the page they
+// replace, and decodes to checkpoints page for page equal to the ones the
+// pass captured.
 func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 	fc := DefaultFlowConfig()
 	ctx := context.Background()
@@ -97,15 +147,37 @@ func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 			if !reflect.DeepEqual(warmups, p.WarmupInsts) {
 				t.Errorf("%s: warm-ups %v, want %v", label, warmups, p.WarmupInsts)
 			}
-			for i, k := range storedCheckpoints(t, ckptPayload, p.NumSimPoints()) {
+			ref := pagesOf(t, entry.Mem)
+			_, stored := storedCheckpoints(t, ckptPayload, p.NumSimPoints())
+			for j, sp := range stored {
+				i := sp.index
+				if j > 0 {
+					if prev := stored[j-1]; sp.k.InstRet < prev.k.InstRet || (sp.k.InstRet == prev.k.InstRet && i < prev.index) {
+						t.Errorf("%s: point %d is stored after point %d", label, i, prev.index)
+					}
+				}
 				captured := p.Checkpoints[i]
-				delta, err := captured.Mem.Delta(entry.Mem)
-				if err != nil {
-					t.Fatal(err)
+				img := pagesOf(t, captured.Mem)
+				var want []uint64
+				for key, page := range img {
+					if old, ok := ref[key]; !ok || !bytes.Equal(old, page) {
+						want = append(want, key)
+					}
 				}
-				if !bytes.Equal(serialized(t, k.Mem), serialized(t, delta)) {
-					t.Errorf("%s: point %d stores %d pages; %d differ from the entry image", label, i, k.Mem.PageCount(), delta.PageCount())
+				slices.Sort(want)
+				if !slices.Equal(sp.keys, want) {
+					t.Errorf("%s: point %d stores %d pages; %d differ from the previous point's image", label, i, len(sp.keys), len(want))
 				}
+				for n, key := range sp.keys {
+					page := slices.Clone(img[key])
+					if old, ok := ref[key]; ok {
+						subtle.XORBytes(page, page, old)
+					}
+					if !bytes.Equal(sp.pages[n], page) {
+						t.Errorf("%s: point %d stores page %#x as other bytes than its XOR with the previous image's", label, i, key)
+					}
+				}
+				ref = img
 				if !bytes.Equal(serialized(t, cks[i].Mem), serialized(t, captured.Mem)) {
 					t.Errorf("%s: point %d decodes to a memory that differs from the captured one", label, i)
 				}
@@ -161,7 +233,7 @@ func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 // capture points, the captured registers and pages, the base the pages are
 // stored against and the codec's bytes, and with nothing else.
 func TestCheckpointPayloadDigest(t *testing.T) {
-	const want = "b6addfd7a628b1c8fc9002d91d5fd1ddc6f811abf3b6c32e58488c7c00221500"
+	const want = "91fd096f5c0032f578f12fd9d6386f2c2a15e106358e2325ee0c66a216a1b373"
 	ctx := context.Background()
 	h := sha256.New()
 	for _, name := range workloads.Names() {
@@ -185,5 +257,33 @@ func TestCheckpointPayloadDigest(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Errorf("checkpoint payload digest %s, want %s", got, want)
+	}
+}
+
+// TestCheckpointPayloadSizeCeiling holds the checkpoint entries of the two
+// workloads whose points rewrite the most data, at ScaleDefault under the
+// zero spec, to 1.03 × what chaining each point's pages to the previous
+// point's measured. Stored as deltas against the load image they were
+// 961,991 and 372,962 bytes; a payload that goes back to that fails here.
+func TestCheckpointPayloadSizeCeiling(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		measured int
+	}{{"qsort", 477_164}, {"patricia", 137_177}} {
+		w, err := workloads.Build(c.name, workloads.ScaleDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(FlowConfigFor(workloads.ScaleDefault), WithCache(t.TempDir()))
+		if _, err := r.Profile(context.Background(), w); err != nil {
+			t.Fatal(err)
+		}
+		payload, _, ok := r.Cache().Get(r.profileKeys(w, sampling.Spec{}).ckpt)
+		if !ok {
+			t.Fatalf("%s: no checkpoint entry", c.name)
+		}
+		if limit := c.measured * 103 / 100; len(payload) > limit {
+			t.Errorf("%s: checkpoint payload is %d bytes, over its %d-byte ceiling", c.name, len(payload), limit)
+		}
 	}
 }

@@ -347,7 +347,7 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 	// capture point.
 	ckptStage := func(ctx context.Context) (int64, error) {
 		defer r.stage(StageCheckpoint)()
-		// The payload stores each checkpoint's pages against the entry's.
+		// The payload's first point stores its pages against the entry's.
 		entry, err := w.Entry()
 		if err != nil {
 			return 0, wrapStage(StageCheckpoint, w.Name, "", err)

@@ -350,3 +350,85 @@ func FuzzMemoryReset(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMemoryDelta writes pages at random between the marks of a recorded
+// memory — new bytes, bytes a page already held, zeros on a page no one
+// wrote yet — and stores each mark's image as a delta against the previous
+// one, the first against an empty memory, as a checkpoint payload chains
+// its points. Each delta read over the previous decoded image gives the
+// mark's image, page for page; written again against that decoded image it
+// is the same bytes; and with any page it XORs against a reference page
+// zeroed out it is refused.
+func FuzzMemoryDelta(f *testing.F) {
+	// Every page written between each of four marks, half of them back to
+	// the bytes they held; then a mark with no write at all.
+	var script []byte
+	for round := byte(0); round < 4; round++ {
+		for pg := byte(0); pg < 8; pg++ {
+			op := byte(0)
+			if (pg+round)%2 == 1 {
+				op = 2
+			}
+			script = append(script, op, pg, 100+pg, 8, round+1)
+		}
+		script = append(script, 3)
+	}
+	script = append(script, 3)
+	f.Add(script)
+	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 1, 200, 3, 0, 3, 2, 0, 200, 3, 3})
+	f.Add(bytes.Repeat([]byte{0x00, 0x05, 0x13, 0x40, 0x07, 0x01, 0x02, 0x81, 0x03}, 30))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := fuzzScript(data)
+		next, addr := sc.next, sc.addr
+		m := New()
+		m.Record()
+		marks := 0
+		for ops := 0; len(sc) > 0 && ops < 200; ops++ {
+			switch next() % 4 {
+			case 0, 1: // new bytes, zeros included
+				a, k := addr(), int(next())%64+1
+				m.SetBytes(a, bytes.Repeat([]byte{next()}, k))
+			case 2: // a page's own bytes written back
+				a, k := addr(), int(next())%64+1
+				m.SetBytes(a, m.ReadBytes(a, k))
+			case 3:
+				m.Mark()
+				marks++
+			}
+		}
+		m.Mark()
+		marks++
+		var d DeltaWriter
+		ref, decodedRef := New(), New()
+		for i := 0; i < marks; i++ {
+			img := m.Image(i)
+			var b bytes.Buffer
+			if err := d.WriteDelta(&b, img, ref); err != nil {
+				t.Fatalf("mark %d: %v", i, err)
+			}
+			delta := b.Bytes()
+			got, err := ReadDelta(bytes.NewReader(delta), decodedRef)
+			if err != nil {
+				t.Fatalf("mark %d: reading its delta: %v", i, err)
+			}
+			if !bytes.Equal(serialized(t, got), serialized(t, img)) {
+				t.Fatalf("mark %d: the delta reads back to a different image", i)
+			}
+			b.Reset()
+			if err := d.WriteDelta(&b, got, decodedRef); err != nil || !bytes.Equal(b.Bytes(), delta) {
+				t.Fatalf("mark %d: the decoded image writes a different delta (err %v)", i, err)
+			}
+			for n, off := binary.LittleEndian.Uint64(delta), 8; n > 0; n, off = n-1, off+8+PageSize {
+				if _, ok := decodedRef.pages[binary.LittleEndian.Uint64(delta[off:])]; !ok {
+					continue // a page the reference lacks is stored as it is
+				}
+				zeroed := append([]byte(nil), delta...)
+				clear(zeroed[off+8:][:PageSize])
+				if _, err := ReadDelta(bytes.NewReader(zeroed), decodedRef); err == nil {
+					t.Fatalf("mark %d: an all-zero XOR page was accepted", i)
+				}
+			}
+			ref, decodedRef = img, got
+		}
+	})
+}

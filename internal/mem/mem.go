@@ -17,6 +17,7 @@
 package mem
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -423,38 +424,98 @@ func (m *Memory) Image(mark int) *Memory {
 	return img
 }
 
-// Delta returns the pages of m that base lacks or whose bytes differ from
-// base's, as a memory that shares them with m and owns none: what Overlay
-// puts back on base. m must hold every page base holds — a memory never
-// drops a page, so one that started as base does — or Delta fails.
-func (m *Memory) Delta(base *Memory) (*Memory, error) {
-	for k := range base.pages {
-		if _, ok := m.pages[k]; !ok {
-			return nil, fmt.Errorf("mem: page %#x of the base is missing", k)
-		}
-	}
-	m.disown()
-	d := New()
-	for k, r := range m.pages {
-		if b, ok := base.pages[k]; !ok || (b.page != r.page && *b.page != *r.page) {
-			d.pages[k] = r
-		}
-	}
-	return d, nil
+// A DeltaWriter writes memories as XOR deltas against a reference memory
+// (WriteDelta), the format ReadDelta reads back. It XORs every stored page
+// through one page buffer it keeps, so a delta allocates nothing per page.
+type DeltaWriter struct {
+	page [PageSize]byte // one stored page, XORed with its reference
+	keys []uint64       // the indices of one delta's stored pages
+	hdr  [8]byte
 }
 
-// Overlay returns a fork of m with delta's pages in place of m's, a memory
-// that owns no page. It refuses a delta page whose bytes equal m's page at
-// the same index, which Delta never returns, so a delta it accepts is the
-// Delta of what it returns.
-func (m *Memory) Overlay(delta *Memory) (*Memory, error) {
-	delta.disown()
-	img := m.Fork()
-	for k, r := range delta.pages {
-		if b, ok := m.pages[k]; ok && *b.page == *r.page {
-			return nil, fmt.Errorf("mem: page %#x equals the base's", k)
+// WriteDelta writes to w the pages of m that ref lacks or whose bytes
+// differ from ref's: a uint64 page count, then per page, in increasing
+// index order, a uint64 page index and PageSize bytes — the page XORed with
+// ref's page at that index, or the page as it is where ref has none. The
+// words a write left alone XOR to zero runs, which a compressor shrinks.
+// m must hold every page ref holds — a memory never drops a page, so one
+// that started as ref does — or WriteDelta fails. It only reads m and ref.
+func (d *DeltaWriter) WriteDelta(w io.Writer, m, ref *Memory) error {
+	for k := range ref.pages {
+		if _, ok := m.pages[k]; !ok {
+			return fmt.Errorf("mem: page %#x of the reference is missing", k)
 		}
-		img.pages[k] = r
+	}
+	d.keys = d.keys[:0]
+	for k, r := range m.pages {
+		if b, ok := ref.pages[k]; !ok || (b.page != r.page && *b.page != *r.page) {
+			d.keys = append(d.keys, k)
+		}
+	}
+	slices.Sort(d.keys)
+	if err := d.u64(w, uint64(len(d.keys))); err != nil {
+		return err
+	}
+	for _, k := range d.keys {
+		if err := d.u64(w, k); err != nil {
+			return err
+		}
+		p := m.pages[k].page
+		if b, ok := ref.pages[k]; ok {
+			subtle.XORBytes(d.page[:], p[:], b.page[:])
+			p = &d.page
+		}
+		if _, err := w.Write(p[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *DeltaWriter) u64(w io.Writer, v uint64) error {
+	binary.LittleEndian.PutUint64(d.hdr[:], v)
+	_, err := w.Write(d.hdr[:])
+	return err
+}
+
+// ReadDelta reads a delta in WriteDelta's format from r and returns a fork
+// of ref with each stored page XORed back over ref's page at its index, or
+// added as stored where ref has none: a memory that owns no page. It
+// refuses page indices that do not strictly increase and an all-zero XOR
+// page at an index ref holds, neither of which WriteDelta writes, so a
+// delta it accepts is the WriteDelta of what it returns against ref,
+// byte for byte.
+func ReadDelta(r io.Reader, ref *Memory) (*Memory, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("mem: reading page count: %w", err)
+	}
+	n := binary.LittleEndian.Uint64(hdr[:])
+	if n > 1<<24 {
+		return nil, fmt.Errorf("mem: unreasonable page count %d", n)
+	}
+	img := ref.Fork()
+	var prev uint64
+	for i := uint64(0); i < n; i++ {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, fmt.Errorf("mem: reading page %d index: %w", i, err)
+		}
+		key := binary.LittleEndian.Uint64(hdr[:])
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("mem: page %d index %#x does not follow %#x", i, key, prev)
+		}
+		prev = key
+		p := new([PageSize]byte)
+		if _, err := io.ReadFull(r, p[:]); err != nil {
+			return nil, fmt.Errorf("mem: reading page %d data: %w", i, err)
+		}
+		if b, ok := ref.pages[key]; ok {
+			if *p == ([PageSize]byte{}) {
+				return nil, fmt.Errorf("mem: page %#x equals the reference's", key)
+			}
+			subtle.XORBytes(p[:], p[:], b.page[:])
+		}
+		img.pages[key] = pageRef{page: p}
 	}
 	return img, nil
 }

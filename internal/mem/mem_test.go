@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -417,51 +418,64 @@ func TestReadBytesStraddlesPagesAndHoles(t *testing.T) {
 	}
 }
 
-// TestDeltaOverlayInverse: a memory that started as base and was written
-// since keeps, in its Delta, the pages it wrote into new bytes and the ones
-// it created — not a page rewritten to its old bytes — and Overlay puts it
-// back whole. Overlay refuses a delta page equal to base's, and Delta a
-// memory that lacks one of base's pages.
-func TestDeltaOverlayInverse(t *testing.T) {
-	base := New()
-	base.SetBytes(0x1000, bytes.Repeat([]byte{7}, 3*PageSize))
-	m := base.Fork()
+// TestDeltaRoundTrip: a memory that started as ref and was written since
+// stores, in its delta, the pages it wrote into new bytes — XORed with
+// ref's, so the bytes it left alone read zero — and the pages it created,
+// as they are; not a page rewritten to its old bytes. ReadDelta puts it
+// back whole, as a copy-on-write image. ReadDelta refuses an all-zero XOR
+// page and indices out of order, and WriteDelta a memory that lacks one of
+// ref's pages.
+func TestDeltaRoundTrip(t *testing.T) {
+	ref := New()
+	ref.SetBytes(0x1000, bytes.Repeat([]byte{7}, 3*PageSize))
+	m := ref.Fork()
 	m.Write8(0x1000, 8)   // page 1: new bytes
 	m.Write8(0x2000, 7)   // page 2: its old bytes
-	m.Write64(0x90000, 1) // a page base lacks
-	delta, err := m.Delta(base)
+	m.Write64(0x90000, 1) // a page ref lacks
+	var d DeltaWriter
+	var delta bytes.Buffer
+	if err := d.WriteDelta(&delta, m, ref); err != nil {
+		t.Fatal(err)
+	}
+	b := delta.Bytes()
+	want := make([]byte, 8+2*(8+PageSize))
+	want[0] = 2
+	want[8] = 0x1
+	want[16] = 8 ^ 7
+	want[16+PageSize] = 0x90
+	want[24+PageSize] = 1
+	if !bytes.Equal(b, want) {
+		t.Fatalf("delta is %d bytes; want page 0x1 XORed with ref's and page 0x90 as it is", len(b))
+	}
+	img, err := ReadDelta(bytes.NewReader(b), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.PageCount() != 2 || delta.Read8(0x1000) != 8 || delta.Read64(0x90000) != 1 {
-		t.Fatalf("delta holds %d pages; want pages 0x1 and 0x90", delta.PageCount())
+	if !bytes.Equal(serialized(t, img), serialized(t, m)) {
+		t.Error("ReadDelta(WriteDelta(m)) differs from m")
 	}
-	img, err := base.Overlay(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, got bytes.Buffer
-	if err := m.Serialize(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := img.Serialize(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("Overlay(Delta(m)) differs from m")
-	}
-	img.Write8(0x1000, 9) // the image is copy-on-write: neither side sees it
-	if base.Read8(0x1000) != 7 || delta.Read8(0x1000) != 8 {
-		t.Error("a write to the overlaid image reached the base or the delta")
+	img.Write8(0x1000, 9) // the image is copy-on-write: ref does not see it
+	if ref.Read8(0x1000) != 7 || m.Read8(0x1000) != 8 {
+		t.Error("a write to the decoded image reached ref or m")
 	}
 
-	same := New()
-	same.SetBytes(0x3000, bytes.Repeat([]byte{7}, PageSize))
-	if _, err := base.Overlay(same); err == nil {
-		t.Error("Overlay accepted a page equal to the base's")
+	zeroXOR := append([]byte(nil), b...)
+	clear(zeroXOR[16:][:PageSize])
+	if _, err := ReadDelta(bytes.NewReader(zeroXOR), ref); err == nil {
+		t.Error("ReadDelta accepted an all-zero XOR page")
 	}
-	if _, err := New().Delta(base); err == nil {
-		t.Error("Delta accepted a memory without the base's pages")
+	zeroRaw := append([]byte(nil), b...)
+	clear(zeroRaw[24+PageSize:][:PageSize]) // a created page may hold zeros
+	if _, err := ReadDelta(bytes.NewReader(zeroRaw), ref); err != nil {
+		t.Errorf("ReadDelta refused a zero page ref lacks: %v", err)
+	}
+	swapped := append([]byte(nil), b...)
+	swapped[8], swapped[16+PageSize] = 0x90, 0x1
+	if _, err := ReadDelta(bytes.NewReader(swapped), ref); err == nil {
+		t.Error("ReadDelta accepted page indices out of order")
+	}
+	if err := d.WriteDelta(io.Discard, New(), ref); err == nil {
+		t.Error("WriteDelta accepted a memory without ref's pages")
 	}
 }
 
