@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/binio"
 	"repro/internal/ckpt"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/workloads"
 )
@@ -285,5 +287,62 @@ func TestCheckpointPayloadSizeCeiling(t *testing.T) {
 		if limit := c.measured * 103 / 100; len(payload) > limit {
 			t.Errorf("%s: checkpoint payload is %d bytes, over its %d-byte ceiling", c.name, len(payload), limit)
 		}
+	}
+}
+
+// TestDecodedCheckpointsDigest pins one SHA-256 over what the checkpoint
+// stage hands Run when it reads its entry back: for every workload at
+// ScaleTiny under the zero spec and sampling.Recommended(), a cold
+// cache-backed Profile writes the checkpoint entry and a second Runner on
+// the same cache decodes it. Per point it hashes the registers, InstRet,
+// Interval, Weight, the warm-up and the image in mem.Memory.Serialize's
+// format. It holds across any change to how a checkpoint entry is stored.
+func TestDecodedCheckpointsDigest(t *testing.T) {
+	const want = "3dad72fdd9f6593cc679b1cb6a766073474ec7a3ade9024810daa1183d27418c"
+	ctx := context.Background()
+	h := sha256.New()
+	var b8 [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b8[:], v)
+		h.Write(b8[:])
+	}
+	for _, name := range workloads.Names() {
+		w, err := workloads.Build(name, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []sampling.Spec{{}, sampling.Recommended()} {
+			label := fmt.Sprintf("%s/%s", name, spec.Features)
+			dir := t.TempDir()
+			if _, err := New(DefaultFlowConfig(), WithCache(dir), WithSampling(spec)).Profile(ctx, w); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			reg := metrics.NewRegistry()
+			p, err := New(DefaultFlowConfig(), WithCache(dir), WithSampling(spec), WithMetrics(reg)).Profile(ctx, w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if hits := reg.Counter("artifact.checkpoint.hit").Value(); hits != 1 {
+				t.Fatalf("%s: the second Profile read %d checkpoint entries, want 1", label, hits)
+			}
+			fmt.Fprintf(h, "%s %d\n", label, len(p.Checkpoints))
+			for i, k := range p.Checkpoints {
+				put(k.PC)
+				for _, v := range k.X {
+					put(v)
+				}
+				for _, v := range k.F {
+					put(v)
+				}
+				put(k.InstRet)
+				put(uint64(k.Interval))
+				put(math.Float64bits(k.Weight))
+				put(uint64(p.WarmupInsts[i]))
+				h.Write(serialized(t, k.Mem))
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("decoded checkpoints digest %s, want %s", got, want)
 	}
 }
