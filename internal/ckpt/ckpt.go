@@ -1,11 +1,10 @@
-// Package ckpt implements architectural checkpoints: a serializable snapshot
-// of the CPU's architectural state (PC, integer/FP registers, retired
-// instruction count) plus the touched memory pages. It plays the role of the
-// Spike-generated checkpoints that Chipyard's checkpointing infrastructure
-// loads into the RTL simulator in the paper's flow (Fig. 4). Every run
-// starts from one: a program's first checkpoint is its entry
-// (workloads.Workload.Entry), so a full run and a simulation point are
-// restored the same way.
+// Package ckpt implements architectural checkpoints: a snapshot of the
+// CPU's architectural state (PC, integer/FP registers, retired instruction
+// count) plus its memory pages. It plays the role of the Spike-generated
+// checkpoints that Chipyard's checkpointing infrastructure loads into the
+// RTL simulator in the paper's flow (Fig. 4). Every run starts from one: a
+// program's first checkpoint is its entry (workloads.Workload.Entry), so a
+// full run and a simulation point are restored the same way.
 //
 // A checkpoint's memory is an image: a copy-on-write mem.Memory that owns
 // no page and is never written. Capture and Restore fork it (mem.Memory.Fork)
@@ -14,15 +13,25 @@
 // pages the CPU's previous run wrote. Any number of goroutines may Restore
 // one checkpoint at once. An image is only forked, compared and serialized,
 // never read through mem.Memory's accessors, which fill its TLB.
+//
+// A set of checkpoints is stored one way: Encode writes, in program order,
+// each point's registers and its image as a delta against the previous
+// point's, the first against a base image the caller names, and Decode
+// reads that back into shells — checkpoints whose InstRet, Interval and
+// Weight the caller already knows. The flow's cache entry is Encode against
+// the workload's entry image, its shells rebuilt from the SimPoint
+// selection; SerializeAll and DeserializeAll are Encode and Decode against
+// an empty memory behind a count and the shells. Serialize writes one
+// checkpoint whole, for export; nothing reads it back.
 package ckpt
 
 import (
-	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
+	"repro/internal/binio"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -76,117 +85,136 @@ func (k *Checkpoint) Restore(c *sim.CPU) {
 	}
 }
 
-// Serialize writes the checkpoint to w.
+// Serialize writes the checkpoint to w whole: magic, registers, InstRet,
+// Interval and Weight, then its image (mem.Memory.Serialize). It is the
+// one-file-per-point export of boomflow -mode profile -out; nothing reads
+// it back.
 func (k *Checkpoint) Serialize(w io.Writer) error {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	var b8 [8]byte
-	put := func(v uint64) {
-		le.PutUint64(b8[:], v)
-		buf.Write(b8[:])
-	}
-	put(magic)
-	put(k.PC)
-	for _, v := range k.X {
-		put(v)
-	}
-	for _, v := range k.F {
-		put(v)
-	}
-	put(k.InstRet)
-	put(uint64(k.Interval))
-	put(math.Float64bits(k.Weight))
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	bw := binio.NewWriter(w)
+	bw.U64(magic)
+	putRegs(bw, k)
+	bw.U64(k.InstRet)
+	bw.I64(k.Interval)
+	bw.F64(k.Weight)
+	if err := bw.Err(); err != nil {
 		return err
 	}
 	return k.Mem.Serialize(w)
 }
 
-// SerializeAll writes a slice of checkpoints (a count, then each
-// checkpoint in Serialize's format) — the on-disk shape of a profile's
-// checkpoint set in the artifact cache.
-func SerializeAll(w io.Writer, ks []*Checkpoint) error {
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(ks)))
-	if _, err := w.Write(b8[:]); err != nil {
-		return err
-	}
-	for _, k := range ks {
-		if err := k.Serialize(w); err != nil {
+// Encode writes ks to w as the flow stores them: it walks the points in
+// program order (InstRet, ties by position in ks) and writes, for each,
+// its PC, X and F and then its image as a delta against the previous
+// point's (mem.DeltaWriter), the first point's against base. Consecutive
+// points share most of their pages, so a stored page is mostly zero runs.
+// InstRet, Interval and Weight are not written: whoever decodes knows them
+// already (Decode). Each image must hold every page the one before it
+// holds, as the images of one run do.
+func Encode(w io.Writer, ks []*Checkpoint, base *mem.Memory) error {
+	bw := binio.NewWriter(w)
+	var d mem.DeltaWriter
+	ref := base
+	for _, i := range programOrder(ks) {
+		k := ks[i]
+		putRegs(bw, k)
+		if err := bw.Err(); err != nil {
 			return err
 		}
+		if err := d.WriteDelta(w, k.Mem, ref); err != nil {
+			return fmt.Errorf("ckpt: checkpoint %d: %w", i, err)
+		}
+		ref = k.Mem
 	}
 	return nil
 }
 
-// DeserializeAll reads a checkpoint slice in SerializeAll's format. The
-// count is read before any checkpoint it promises, so it sizes nothing:
-// the slice grows as each checkpoint decodes.
-func DeserializeAll(r io.Reader) ([]*Checkpoint, error) {
-	var b8 [8]byte
-	if _, err := io.ReadFull(r, b8[:]); err != nil {
-		return nil, fmt.Errorf("ckpt: reading checkpoint count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(b8[:])
-	if n > 1<<20 {
-		return nil, fmt.Errorf("ckpt: unreasonable checkpoint count %d", n)
-	}
-	ks := []*Checkpoint{}
-	for i := uint64(0); i < n; i++ {
-		k, err := Deserialize(r)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: checkpoint %d: %w", i, err)
+// Decode reads what Encode wrote into shells: checkpoints whose InstRet,
+// Interval and Weight the caller has set, and which give the order the
+// points were written in. It fills each one's PC, X, F and Mem, the image
+// rebuilt over the previous point's, the first over base (mem.ReadDelta).
+// What it accepts re-encodes, against the same base, byte for byte.
+func Decode(r io.Reader, shells []*Checkpoint, base *mem.Memory) error {
+	br := binio.NewReader(r)
+	ref := base
+	for _, i := range programOrder(shells) {
+		k := shells[i]
+		k.PC = br.U64()
+		for j := range k.X {
+			k.X[j] = br.U64()
 		}
-		ks = append(ks, k)
+		for j := range k.F {
+			k.F[j] = br.U64()
+		}
+		if err := br.Err(); err != nil {
+			return fmt.Errorf("ckpt: checkpoint %d: %w", i, err)
+		}
+		var err error
+		if k.Mem, err = mem.ReadDelta(r, ref); err != nil {
+			return fmt.Errorf("ckpt: checkpoint %d: %w", i, err)
+		}
+		ref = k.Mem
 	}
-	return ks, nil
+	return nil
 }
 
-// Deserialize reads a checkpoint in the format produced by Serialize.
-func Deserialize(r io.Reader) (*Checkpoint, error) {
-	var b8 [8]byte
-	get := func() (uint64, error) {
-		if _, err := io.ReadFull(r, b8[:]); err != nil {
-			return 0, err
+// programOrder is the indices of ks by InstRet, ties by index.
+func programOrder(ks []*Checkpoint) []int {
+	order := make([]int, len(ks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(ks[i].InstRet, ks[j].InstRet); c != 0 {
+			return c
 		}
-		return binary.LittleEndian.Uint64(b8[:]), nil
+		return cmp.Compare(i, j)
+	})
+	return order
+}
+
+// putRegs writes k's PC, X and F.
+func putRegs(bw *binio.Writer, k *Checkpoint) {
+	bw.U64(k.PC)
+	for _, v := range k.X {
+		bw.U64(v)
 	}
-	m, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
+	for _, v := range k.F {
+		bw.U64(v)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("ckpt: bad magic %#x", m)
+}
+
+// SerializeAll writes a checkpoint slice whose shells no one can rebuild:
+// a count, each checkpoint's InstRet, Interval and Weight, then the
+// checkpoints in Encode's format against an empty memory.
+func SerializeAll(w io.Writer, ks []*Checkpoint) error {
+	bw := binio.NewWriter(w)
+	bw.Int(len(ks))
+	for _, k := range ks {
+		bw.U64(k.InstRet)
+		bw.I64(k.Interval)
+		bw.F64(k.Weight)
 	}
-	k := &Checkpoint{Mem: mem.New()}
-	if k.PC, err = get(); err != nil {
+	if err := bw.Err(); err != nil {
+		return err
+	}
+	return Encode(w, ks, mem.New())
+}
+
+// DeserializeAll reads a checkpoint slice in SerializeAll's format. The
+// count is read before any shell it promises, so it sizes nothing: the
+// slice grows as each shell is read.
+func DeserializeAll(r io.Reader) ([]*Checkpoint, error) {
+	br := binio.NewReader(r)
+	n := br.Len(1 << 20)
+	ks := []*Checkpoint{}
+	for i := 0; i < n && br.Err() == nil; i++ {
+		ks = append(ks, &Checkpoint{InstRet: br.U64(), Interval: br.I64(), Weight: br.F64()})
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: reading %d shells: %w", n, err)
+	}
+	if err := Decode(r, ks, mem.New()); err != nil {
 		return nil, err
 	}
-	for i := range k.X {
-		if k.X[i], err = get(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range k.F {
-		if k.F[i], err = get(); err != nil {
-			return nil, err
-		}
-	}
-	if k.InstRet, err = get(); err != nil {
-		return nil, err
-	}
-	iv, err := get()
-	if err != nil {
-		return nil, err
-	}
-	k.Interval = int64(iv)
-	wBits, err := get()
-	if err != nil {
-		return nil, err
-	}
-	k.Weight = math.Float64frombits(wBits)
-	if err := k.Mem.Deserialize(r); err != nil {
-		return nil, err
-	}
-	return k, nil
+	return ks, nil
 }

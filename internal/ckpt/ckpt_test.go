@@ -209,6 +209,9 @@ func TestRestoreLeavesNoStaleTranslations(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTrip: a checkpoint passes through SerializeAll and
+// DeserializeAll with its registers, position and metadata, and the
+// decoded one continues to the same result.
 func TestSerializeRoundTrip(t *testing.T) {
 	c := prep(t)
 	if _, err := c.Run(1234); err != nil {
@@ -219,13 +222,14 @@ func TestSerializeRoundTrip(t *testing.T) {
 	k.Weight = 0.375
 
 	var buf bytes.Buffer
-	if err := k.Serialize(&buf); err != nil {
+	if err := SerializeAll(&buf, []*Checkpoint{k}); err != nil {
 		t.Fatal(err)
 	}
-	k2, err := Deserialize(&buf)
+	ks, err := DeserializeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	k2 := ks[0]
 	if k2.PC != k.PC || k2.InstRet != k.InstRet || k2.X != k.X || k2.F != k.F {
 		t.Fatal("architectural state mismatch after round trip")
 	}
@@ -245,29 +249,25 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeserializeRejectsBadMagic(t *testing.T) {
-	if _, err := Deserialize(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("expected bad-magic error")
-	}
-}
-
+// TestDeserializeTruncatedStreams: every strict prefix of two checkpoints
+// in SerializeAll's format — cut in the count, a shell, the registers or
+// an image — fails cleanly, never panics.
 func TestDeserializeTruncatedStreams(t *testing.T) {
 	c := prep(t)
 	if _, err := c.Run(500); err != nil {
 		t.Fatal(err)
 	}
-	k := Capture(c)
+	k1 := Capture(c)
+	if _, err := c.Run(500); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := k.Serialize(&buf); err != nil {
+	if err := SerializeAll(&buf, []*Checkpoint{k1, Capture(c)}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Every strict prefix must fail cleanly, never panic.
-	for _, n := range []int{0, 4, 8, 64, 300, 600, len(full) - 1} {
-		if n >= len(full) {
-			continue
-		}
-		if _, err := Deserialize(bytes.NewReader(full[:n])); err == nil {
+	for _, n := range []int{0, 4, 8, 20, 56, 64, 300, 600, 700, len(full) / 2, len(full) - 1} {
+		if _, err := DeserializeAll(bytes.NewReader(full[:n])); err == nil {
 			t.Errorf("prefix of %d bytes deserialized without error", n)
 		}
 	}

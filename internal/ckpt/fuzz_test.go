@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/binio"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -42,46 +44,167 @@ func TestDeserializeAllChecksBeforeAllocating(t *testing.T) {
 	}
 }
 
-// FuzzDeserializeAll: DeserializeAll never panics, allocates at most
-// 256 KiB (one page map sized by a bounded count hint, ~145 KiB) plus 4×
-// its input, and the checkpoints it accepts re-encode through SerializeAll
-// to exactly the bytes it consumed. The seed is the checkpoint set the flow
-// captures for bitcount at tiny scale, plus mutations of it.
-func FuzzDeserializeAll(f *testing.F) {
-	w, err := workloads.Build("bitcount", workloads.ScaleTiny)
+// profiled is the checkpoints the flow captures for a workload at tiny
+// scale under the zero spec, and the workload's entry image, the base the
+// flow stores them against.
+func profiled(tb testing.TB, name string) ([]*ckpt.Checkpoint, *mem.Memory) {
+	tb.Helper()
+	w, err := workloads.Build(name, workloads.ScaleTiny)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := core.New(core.DefaultFlowConfig()).Profile(context.Background(), w)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
+	entry, err := w.Entry()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.Checkpoints, entry.Mem
+}
+
+// shellsOf is ks with only what a caller of Decode knows: InstRet,
+// Interval and Weight.
+func shellsOf(ks []*ckpt.Checkpoint) []*ckpt.Checkpoint {
+	out := make([]*ckpt.Checkpoint, len(ks))
+	for i, k := range ks {
+		out[i] = &ckpt.Checkpoint{InstRet: k.InstRet, Interval: k.Interval, Weight: k.Weight}
+	}
+	return out
+}
+
+// encoded is ks in Encode's format against base.
+func encoded(tb testing.TB, ks []*ckpt.Checkpoint, base *mem.Memory) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := ckpt.Encode(&buf, ks, base); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// onePage is one point in Encode's format, zero registers, whose image
+// stores an all-zero page at page index key: over a base that holds the
+// page, an XOR page that says it did not change.
+func onePage(key uint64) []byte {
+	var raw bytes.Buffer
+	bw := binio.NewWriter(&raw)
+	for range 1 + 2*32 { // PC, X, F
+		bw.U64(0)
+	}
+	bw.U64(1)
+	bw.U64(key)
+	raw.Write(make([]byte, mem.PageSize))
+	return raw.Bytes()
+}
+
+// FuzzDecode drives the one checkpoint decoder both ways it is called. A
+// points of n ≥ 0 decodes data into the first n shells of bitcount's
+// profile over its entry image, as the flow reads its cache entry (less
+// the flate wrapper); a negative points decodes it through DeserializeAll,
+// over an empty memory. Neither panics, and each allocates at most 256 KiB
+// plus 4× its input plus, per point, one fork of the previous point's
+// image: a page-map copy of the base's pages and of at most every page the
+// input stores, at most 128 bytes of map each. What either accepts
+// re-encodes (Encode, SerializeAll) to exactly the bytes it consumed. The
+// seeds are the flow's payload and the shim's bytes for bitcount, and
+// mutations of each.
+func FuzzDecode(f *testing.F) {
+	ks, base := profiled(f, "bitcount")
+	n := len(ks)
+	flow := encoded(f, ks, base)
+	f.Add(flow, n)
+	f.Add(flow, n-1) // one point short: its bytes are left unread
+	f.Add(flow[:len(flow)/2], n)
+	f.Add(append(append([]byte(nil), flow...), 0), n) // a trailing byte, left unread
+	f.Add(onePage(0x10), 1)                           // an all-zero XOR page over one the entry image holds: refused
+	f.Add(onePage(0x7ffff), 1)                        // a zero page the entry image lacks: accepted
 	var set bytes.Buffer
-	if err := ckpt.SerializeAll(&set, p.Checkpoints); err != nil {
+	if err := ckpt.SerializeAll(&set, ks); err != nil {
 		f.Fatal(err)
 	}
-	seed := set.Bytes()
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<20)) // 8 MiB of pointers from eight bytes
-	f.Add(append(binary.LittleEndian.AppendUint64(nil, uint64(len(p.Checkpoints)+1)), seed[8:]...))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	shim := set.Bytes()
+	f.Add(shim, -1)
+	f.Add(shim[:len(shim)/2], -1)
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<20), -1) // 8 MiB of pointers from eight bytes
+	f.Add(append(binary.LittleEndian.AppendUint64(nil, uint64(n+1)), shim[8:]...), -1)
+	fork := allocatedBy(func() { base.Fork() })
+	f.Fuzz(func(t *testing.T, data []byte, points int) {
+		if points > n {
+			t.Skip("more points than the profile has")
+		}
 		rd := bytes.NewReader(data)
-		var ks []*ckpt.Checkpoint
+		var shells []*ckpt.Checkpoint
 		var err error
-		got := allocatedBy(func() { ks, err = ckpt.DeserializeAll(rd) })
-		if limit := uint64(256<<10 + 4*len(data)); got > limit {
+		var got uint64
+		most := points // points decoded, at most
+		if points >= 0 {
+			shells = shellsOf(ks[:points])
+			got = allocatedBy(func() { err = ckpt.Decode(rd, shells, base) })
+		} else {
+			most = len(data) / (3*8 + (1+2*32)*8 + 8) // a shell, registers and a page count each
+			got = allocatedBy(func() { shells, err = ckpt.DeserializeAll(rd) })
+		}
+		perPoint := fork + 128*uint64(len(data)/mem.PageSize+1)
+		if limit := uint64(256<<10+4*len(data)) + uint64(most)*perPoint; got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
 		}
 		if err != nil {
 			return
 		}
 		var again bytes.Buffer
-		if err := ckpt.SerializeAll(&again, ks); err != nil {
+		if points >= 0 {
+			err = ckpt.Encode(&again, shells, base)
+		} else {
+			err = ckpt.SerializeAll(&again, shells)
+		}
+		if err != nil {
 			t.Fatalf("re-encoding accepted checkpoints: %v", err)
 		}
 		if consumed := data[:len(data)-rd.Len()]; !bytes.Equal(again.Bytes(), consumed) {
 			t.Fatalf("accepted %d bytes re-encode to %d different ones", len(consumed), again.Len())
 		}
 	})
+}
+
+// TestSerializeAllIsTheFlowsCodec: for every workload's profile at tiny
+// scale, SerializeAll writes the count and the shells, then exactly what
+// Encode writes against an empty memory; DeserializeAll reads back every
+// checkpoint's registers, shell and image.
+func TestSerializeAllIsTheFlowsCodec(t *testing.T) {
+	for _, name := range workloads.Names() {
+		ks, _ := profiled(t, name)
+		var set bytes.Buffer
+		if err := ckpt.SerializeAll(&set, ks); err != nil {
+			t.Fatal(err)
+		}
+		header := 8 + 3*8*len(ks)
+		if body := set.Bytes()[header:]; !bytes.Equal(body, encoded(t, ks, mem.New())) {
+			t.Errorf("%s: SerializeAll's body is not Encode against an empty memory", name)
+		}
+		got, err := ckpt.DeserializeAll(&set)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(ks) {
+			t.Fatalf("%s: %d checkpoints read back, %d written", name, len(got), len(ks))
+		}
+		for i, k := range ks {
+			g := got[i]
+			if g.PC != k.PC || g.X != k.X || g.F != k.F || g.InstRet != k.InstRet || g.Interval != k.Interval || g.Weight != k.Weight {
+				t.Errorf("%s: checkpoint %d reads back other registers or another shell", name, i)
+			}
+			var a, b bytes.Buffer
+			if err := g.Mem.Serialize(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Mem.Serialize(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("%s: checkpoint %d reads back another image", name, i)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -47,12 +46,13 @@ import (
 // Per-stage schema versions, covering both a stage's key shape and its
 // payload format. Bumps to bbv 5 and checkpoint 5 made the payloads hold
 // only what the key cannot rebuild; bbv 6 writes sparse entries as
-// varints, measure 2 warms a proportional warm-up functionally, and
-// checkpoint 6 chains each point's pages to the previous point's.
+// varints, measure 2 warms a proportional warm-up functionally,
+// checkpoint 6 chains each point's pages to the previous point's, and
+// checkpoint 7 drops what the selection rebuilds (ckpt.Encode).
 const (
 	bbvSchema     = 6 // varint sparse vectors; MAV section under a bbv+mav spec
 	selectSchema  = 3 // sampling spec in key
-	ckptSchema    = 6 // points in program order, each page an XOR delta against the previous point's; flate-compressed body
+	ckptSchema    = 7 // ckpt.Encode of the points against the entry image: registers and image deltas only; flate-compressed body
 	measureSchema = 2 // a proportional warm-up warms functionally (boom.Core.Warm) up to a detailed tail
 	fullSchema    = 2
 	sweepSchema   = 3 // the campaign fingerprint (CampaignID): sampling spec always hashed
@@ -354,71 +354,24 @@ func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vec
 	return vectors, mavs, totalInsts, numBlocks, nil
 }
 
-// A checkpoint payload walks the points in program order (InstRet, ties
-// by selection index) and stores, for each, its selection index, its
-// registers and the pages of its image that differ from the previous
-// point's — the first point's from the workload's load image, its entry
-// checkpoint's memory (Workload.Entry) — each XORed with the page it
-// replaces (mem.DeltaWriter). Consecutive points share most of their
-// bytes, so a stored page is mostly zero runs. The key hashes the load
-// image's source and segments, so encoder and decoder start from the one
-// image the workload builds, and the decoder rebuilds each point's image
-// from the previous one (mem.ReadDelta). The body is flate-compressed at
-// BestSpeed.
-func encodeCkptPayload(cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) ([]byte, error) {
+// A checkpoint payload is the points in ckpt.Encode's format, flate-
+// compressed at BestSpeed: registers and images only, each image a delta
+// against the previous point's, the first against the workload's load
+// image, its entry checkpoint's memory (Workload.Entry). The key hashes the
+// load image's source and segments, the selection and the warm-up, so the
+// decoder starts from the image the encoder did, and rebuilds each point's
+// InstRet, Interval and Weight from the selection (shells).
+func encodeCkptPayload(cks []*ckpt.Checkpoint, base *mem.Memory) ([]byte, error) {
 	var buf bytes.Buffer
 	fw := takeCkptWriter(&buf)
 	defer putCkptWriter(fw)
-	if err := writeCkptPayload(fw, cks, warmups, base); err != nil {
+	if err := ckpt.Encode(fw, cks, base); err != nil {
+		return nil, err
+	}
+	if err := fw.Close(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// writeCkptPayload compresses the payload through fw and closes it.
-func writeCkptPayload(fw *flate.Writer, cks []*ckpt.Checkpoint, warmups []int64, base *mem.Memory) error {
-	order := make([]int, len(cks))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(i, j int) int {
-		if c := cmp.Compare(cks[i].InstRet, cks[j].InstRet); c != 0 {
-			return c
-		}
-		return cmp.Compare(i, j)
-	})
-	bw := binio.NewWriter(fw)
-	bw.Int(len(warmups))
-	for _, v := range warmups {
-		bw.I64(v)
-	}
-	var d mem.DeltaWriter
-	ref := base
-	for _, i := range order {
-		k := cks[i]
-		bw.Int(i)
-		bw.U64(k.PC)
-		for _, v := range k.X {
-			bw.U64(v)
-		}
-		for _, v := range k.F {
-			bw.U64(v)
-		}
-		bw.U64(k.InstRet)
-		bw.I64(k.Interval)
-		bw.F64(k.Weight)
-		if err := bw.Err(); err != nil {
-			return err
-		}
-		if err := d.WriteDelta(fw, k.Mem, ref); err != nil {
-			return fmt.Errorf("checkpoint %d: %w", i, err)
-		}
-		ref = k.Mem
-	}
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return fw.Close()
 }
 
 // ckptWriters are the flate writers encodeCkptPayload has built, kept
@@ -459,64 +412,21 @@ func putCkptWriter(fw *flate.Writer) {
 	ckptWriters.Unlock()
 }
 
-// decodeCkptPayload checks the payload's counts against wantPoints — what
-// the selection it was keyed from says — before allocating for them, and
-// rebuilds each point's image over the previous point's, the first over
-// base, the workload's entry image (mem.ReadDelta). It refuses a selection
-// index out of range or repeated and points out of program order, which
-// the encoder never writes, so a payload it accepts re-encodes byte-exact.
-func decodeCkptPayload(payload []byte, wantPoints int, base *mem.Memory) (cks []*ckpt.Checkpoint, warmups []int64, err error) {
+// decodeCkptPayload fills the selection's shells (see shells) from the
+// payload, each image rebuilt over the previous point's, the first over
+// base, the workload's entry image. Inflating stops at maxCkptRawLen, and
+// a payload with bytes past its last point is refused.
+func decodeCkptPayload(payload []byte, shells []*ckpt.Checkpoint, base *mem.Memory) error {
 	fr := flate.NewReader(bytes.NewReader(payload))
 	defer fr.Close()
 	rd := bufio.NewReaderSize(io.LimitReader(fr, maxCkptRawLen), 1<<16)
-	br := binio.NewReader(rd)
-	if n := br.Len(maxCachedLen); n != wantPoints {
-		br.Fail("checkpoint payload has %d warm-ups for %d simpoints", n, wantPoints)
-	}
-	if err := br.Err(); err != nil {
-		return nil, nil, err
-	}
-	warmups = make([]int64, wantPoints)
-	for i := range warmups {
-		warmups[i] = br.I64()
-	}
-	cks = make([]*ckpt.Checkpoint, wantPoints)
-	prev := -1 // the point stored before, whose image the next one's pages are XORed with
-	for range wantPoints {
-		i := br.Int()
-		if br.Err() == nil && (i < 0 || i >= wantPoints || cks[i] != nil) {
-			br.Fail("checkpoint payload stores point %d twice or out of range [0,%d)", i, wantPoints)
-		}
-		k := &ckpt.Checkpoint{PC: br.U64()}
-		for r := range k.X {
-			k.X[r] = br.U64()
-		}
-		for r := range k.F {
-			k.F[r] = br.U64()
-		}
-		k.InstRet = br.U64()
-		k.Interval = br.I64()
-		k.Weight = br.F64()
-		if err := br.Err(); err != nil {
-			return nil, nil, err
-		}
-		ref := base
-		if prev >= 0 {
-			p := cks[prev]
-			if k.InstRet < p.InstRet || (k.InstRet == p.InstRet && i < prev) {
-				return nil, nil, fmt.Errorf("checkpoint %d (InstRet %d) is stored after checkpoint %d (InstRet %d)", i, k.InstRet, prev, p.InstRet)
-			}
-			ref = p.Mem
-		}
-		if k.Mem, err = mem.ReadDelta(rd, ref); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint %d: %w", i, err)
-		}
-		cks[i], prev = k, i
+	if err := ckpt.Decode(rd, shells, base); err != nil {
+		return err
 	}
 	if _, err := rd.ReadByte(); err != io.EOF {
-		return nil, nil, fmt.Errorf("checkpoint payload has trailing bytes")
+		return fmt.Errorf("checkpoint payload has trailing bytes")
 	}
-	return cks, warmups, nil
+	return nil
 }
 
 // encodeResultPayload serializes the measured portion of a Result: the

@@ -244,9 +244,9 @@ func TestPowerAccuracySimPointVsFull(t *testing.T) {
 	}
 }
 
-// TestCheckpointFilesDriveTheFlow: checkpoints survive serialization and
-// still produce identical measurements (the on-disk artifact path of
-// boomflow -mode profile -out).
+// TestCheckpointFilesDriveTheFlow: checkpoints survive ckpt.SerializeAll
+// and DeserializeAll — the one codec, over an empty memory — and still
+// produce identical measurements.
 func TestCheckpointFilesDriveTheFlow(t *testing.T) {
 	fc := DefaultFlowConfig()
 	p := profileOf(t, "stringsearch")
@@ -255,17 +255,12 @@ func TestCheckpointFilesDriveTheFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serialize + deserialize every checkpoint, then re-run.
-	for i, k := range p.Checkpoints {
-		var buf bytes.Buffer
-		if err := k.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
-		k2, err := ckpt.Deserialize(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Checkpoints[i] = k2
+	var buf bytes.Buffer
+	if err := ckpt.SerializeAll(&buf, p.Checkpoints); err != nil {
+		t.Fatal(err)
+	}
+	if p.Checkpoints, err = ckpt.DeserializeAll(&buf); err != nil {
+		t.Fatal(err)
 	}
 	reloaded, err := New(fc).Run(context.Background(), p, cfg)
 	if err != nil {

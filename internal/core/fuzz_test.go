@@ -5,10 +5,7 @@ import (
 	"compress/flate"
 	"context"
 	"encoding/binary"
-	"io"
-	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +19,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// Fuzz targets for the two payload decoders a warm sweep (and a fabric
-// coordinator) runs on bytes it did not just write. Each states the same
+// Fuzz targets for the result and bbv payload decoders a warm sweep (and a
+// fabric coordinator) runs on bytes it did not just write; the checkpoint
+// payload's codec is ckpt's, fuzzed there (ckpt.FuzzDecode). Each states the same
 // contract: the decoder never panics, never allocates more than a stated
 // function of its input — a length prefix is checked against what the
 // caller knows, or against the bytes that remain, before anything is
@@ -43,8 +41,9 @@ func allocatedBy(fn func()) uint64 {
 
 // realPayloads profiles and measures bitcount at tiny scale on MediumBOOM
 // and returns the canonical checkpoint payload, stored against the load
-// image it also returns, and the measure payload.
-func realPayloads(tb testing.TB) (ckptPayload []byte, points int, base *mem.Memory, resPayload []byte, slots int) {
+// image it also returns, the checkpoints it stores and the measure
+// payload.
+func realPayloads(tb testing.TB) (ckptPayload []byte, cks []*ckpt.Checkpoint, base *mem.Memory, resPayload []byte, slots int) {
 	tb.Helper()
 	ctx := context.Background()
 	w, err := workloads.Build("bitcount", workloads.ScaleTiny)
@@ -65,13 +64,13 @@ func realPayloads(tb testing.TB) (ckptPayload []byte, points int, base *mem.Memo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if ckptPayload, err = encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem); err != nil {
+	if ckptPayload, err = encodeCkptPayload(p.Checkpoints, cpu.Mem); err != nil {
 		tb.Fatal(err)
 	}
 	if resPayload, err = encodeResultPayload(res); err != nil {
 		tb.Fatal(err)
 	}
-	return ckptPayload, p.NumSimPoints(), cpu.Mem, resPayload, cfg.IntIssueSlots
+	return ckptPayload, p.Checkpoints, cpu.Mem, resPayload, cfg.IntIssueSlots
 }
 
 // withU64 returns payload with the little-endian 8 bytes at off replaced.
@@ -117,189 +116,56 @@ func FuzzDecodeResultPayload(f *testing.F) {
 	})
 }
 
-// inflatedLen is the size data inflates to, read no further than limit+1.
-func inflatedLen(data []byte, limit int64) int64 {
-	n, _ := io.Copy(io.Discard, io.LimitReader(flate.NewReader(bytes.NewReader(data)), limit+1))
-	return n
-}
-
-// deflate compresses raw as the checkpoint payload is compressed.
-func deflate(raw []byte) []byte {
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	fw.Write(raw)
-	fw.Close()
-	return buf.Bytes()
-}
-
-// storedPayload is the checkpoint payload that stores pts as they are, in
-// the order given: what storedCheckpoints reads back.
-func storedPayload(tb testing.TB, warmups []int64, pts []storedPoint) []byte {
+// storingOnePage is a checkpoint payload for one shell whose image stores
+// an all-zero page at page index key: over a load image that holds the
+// page, an XOR page that says it did not change.
+func storingOnePage(key uint64) []byte {
 	var raw bytes.Buffer
 	bw := binio.NewWriter(&raw)
-	bw.Int(len(warmups))
-	for _, v := range warmups {
-		bw.I64(v)
+	for range 1 + 2*32 { // PC, X, F
+		bw.U64(0)
 	}
-	for _, p := range pts {
-		bw.Int(p.index)
-		bw.U64(p.k.PC)
-		for _, v := range p.k.X {
-			bw.U64(v)
-		}
-		for _, v := range p.k.F {
-			bw.U64(v)
-		}
-		bw.U64(p.k.InstRet)
-		bw.I64(p.k.Interval)
-		bw.F64(p.k.Weight)
-		bw.Int(len(p.keys))
-		for n, key := range p.keys {
-			bw.U64(key)
-			raw.Write(p.pages[n])
-		}
-	}
-	if bw.Err() != nil {
-		tb.Fatal(bw.Err())
-	}
-	return deflate(raw.Bytes())
-}
-
-// storingOnePage is a one-point checkpoint payload whose point stores an
-// all-zero page at page index key: over a load image that holds the page,
-// an XOR page that says it did not change.
-func storingOnePage(tb testing.TB, key uint64) []byte {
-	return storedPayload(tb, []int64{0}, []storedPoint{{keys: []uint64{key}, pages: [][]byte{make([]byte, mem.PageSize)}}})
-}
-
-// ckptRefusal is a checkpoint payload the decoder must refuse, and what
-// its error says.
-type ckptRefusal struct {
-	why     string
-	payload []byte
-}
-
-// ckptRefusals are the real payload of realPayloads changed, each in one
-// way the encoder never writes.
-func ckptRefusals(tb testing.TB, payload []byte, points int) []ckptRefusal {
-	warmups, pts := storedCheckpoints(tb, payload, points)
-	changed := func(change func(pts []storedPoint)) []byte {
-		c := slices.Clone(pts)
-		change(c)
-		return storedPayload(tb, warmups, c)
-	}
-	return []ckptRefusal{
-		{"out of range", changed(func(c []storedPoint) { c[0].index = points })},
-		{"twice", changed(func(c []storedPoint) { c[1].index = c[0].index })},
-		{"stored after", changed(func(c []storedPoint) { c[0], c[1] = c[1], c[0] })},
-	}
-}
-
-// FuzzDecodeCkptPayload: decodeCkptPayload, over a fixed load image,
-// allocates at most 1 MiB (the inflater and its 64 KiB read buffer, ~104
-// KiB) plus 4× what its input inflates to — flate itself is bounded at
-// ~1032× — plus, per accepted point, one fork of the previous point's
-// image: a page-map copy of the load image's pages and of at most every
-// page the input stores, at most 128 bytes of map each. The checkpoints it
-// accepts re-encode to a payload that decodes to the same checkpoints and
-// is a fixpoint. (Byte-exactness is on the second trip: arbitrary flate
-// streams are not canonical.)
-func FuzzDecodeCkptPayload(f *testing.F) {
-	payload, points, base, _, _ := realPayloads(f)
-	f.Add(payload, points)
-	f.Add(payload, points+1)
-	f.Add(payload[:len(payload)/2], points)
-	f.Add(deflate(withU64(make([]byte, 8), 0, 1<<28)), points) // 2 GiB of warm-ups from eight bytes
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(deflate(append(raw, 0)), points) // trailing byte
-	f.Add(storingOnePage(f, 0x10), 1)      // an all-zero XOR page over one the load image holds: refused
-	f.Add(storingOnePage(f, 0x7ffff), 1)   // a zero page the load image lacks: accepted
-	for _, r := range ckptRefusals(f, payload, points) {
-		f.Add(r.payload, points)
-	}
-	fork := allocatedBy(func() { base.Fork() })
-	f.Fuzz(func(t *testing.T, data []byte, wantPoints int) {
-		if wantPoints < 0 || wantPoints > 1<<10 {
-			t.Skip("not a selection's point count")
-		}
-		const maxRaw = 32 << 20 // keep one fuzz worker's heap small
-		raw := inflatedLen(data, maxRaw)
-		if raw > maxRaw {
-			t.Skip("inflates past what this target is willing to hold")
-		}
-		var cks []*ckpt.Checkpoint
-		var warmups []int64
-		var err error
-		got := allocatedBy(func() { cks, warmups, err = decodeCkptPayload(data, wantPoints, base) })
-		perPoint := 8 + fork + 128*uint64(raw/mem.PageSize)
-		if limit := uint64(1<<20+4*raw) + uint64(wantPoints)*perPoint; got > limit {
-			t.Fatalf("decoding %d bytes (%d inflated) allocated %d, over the %d bound", len(data), raw, got, limit)
-		}
-		if err != nil {
-			return
-		}
-		first, err := encodeCkptPayload(cks, warmups, base)
-		if err != nil {
-			t.Fatalf("re-encoding accepted checkpoints: %v", err)
-		}
-		cks2, warmups2, err := decodeCkptPayload(first, wantPoints, base)
-		if err != nil {
-			t.Fatalf("decoding the re-encoded payload: %v", err)
-		}
-		if !reflect.DeepEqual(warmups, warmups2) || !reflect.DeepEqual(cks, cks2) {
-			t.Fatal("re-encoded payload decodes to different checkpoints")
-		}
-		second, err := encodeCkptPayload(cks2, warmups2, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, second) {
-			t.Fatal("checkpoint payload encoding is not a fixpoint")
-		}
-	})
+	bw.U64(1)
+	bw.U64(key)
+	raw.Write(make([]byte, mem.PageSize))
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	fw.Write(raw.Bytes())
+	fw.Close()
+	return buf.Bytes()
 }
 
 // TestCkptPayloadStoresOnlyWhatDiffers: an all-zero XOR page over a page
 // the load image holds is refused — the encoder never writes one, so
 // accepting it would break byte-exact re-encoding — and a stored page the
-// load image lacks is added to it. A selection index out of range or
-// repeated and points out of program order are refused too, each with its
-// own error.
+// load image lacks is added to it.
 func TestCkptPayloadStoresOnlyWhatDiffers(t *testing.T) {
-	payload, points, base, _, _ := realPayloads(t)
+	_, _, base, _, _ := realPayloads(t)
 	const loaded, absent = 0x10, 0x7ffff // the first text page; a page far above the data
 	if base.ReadBytes(loaded<<mem.PageBits, mem.PageSize)[0] == 0 || base.Read64(absent<<mem.PageBits) != 0 {
 		t.Fatal("the fixture's page choice no longer fits the load image")
 	}
-	if _, _, err := decodeCkptPayload(storingOnePage(t, loaded), 1, base); err == nil || !strings.Contains(err.Error(), "equals the reference") {
+	if err := decodeCkptPayload(storingOnePage(loaded), []*ckpt.Checkpoint{{}}, base); err == nil || !strings.Contains(err.Error(), "equals the reference") {
 		t.Errorf("an all-zero XOR page over the load image's: got %v", err)
 	}
-	cks, _, err := decodeCkptPayload(storingOnePage(t, absent), 1, base)
-	if err != nil {
+	cks := []*ckpt.Checkpoint{{}}
+	if err := decodeCkptPayload(storingOnePage(absent), cks, base); err != nil {
 		t.Fatalf("a stored page the load image lacks: %v", err)
 	}
 	if got := cks[0].Mem.PageCount(); got != base.PageCount()+1 {
 		t.Errorf("decoded memory holds %d pages, want the load image's %d and one more", got, base.PageCount())
-	}
-	for _, r := range ckptRefusals(t, payload, points) {
-		if _, _, err := decodeCkptPayload(r.payload, points, base); err == nil || !strings.Contains(err.Error(), r.why) {
-			t.Errorf("a payload refused for %q: got %v", r.why, err)
-		}
 	}
 }
 
 // TestRealPayloadsRoundTrip: for payloads the flow itself wrote, decode →
 // encode is the identity on the first trip, compressed bytes included.
 func TestRealPayloadsRoundTrip(t *testing.T) {
-	ckptPayload, points, base, resPayload, slots := realPayloads(t)
-	cks, warmups, err := decodeCkptPayload(ckptPayload, points, base)
-	if err != nil {
+	ckptPayload, captured, base, resPayload, slots := realPayloads(t)
+	cks := shellsOf(captured)
+	if err := decodeCkptPayload(ckptPayload, cks, base); err != nil {
 		t.Fatal(err)
 	}
-	if again, err := encodeCkptPayload(cks, warmups, base); err != nil || !bytes.Equal(again, ckptPayload) {
+	if again, err := encodeCkptPayload(cks, base); err != nil || !bytes.Equal(again, ckptPayload) {
 		t.Errorf("checkpoint payload does not round-trip (err %v)", err)
 	}
 	var res Result
@@ -309,12 +175,18 @@ func TestRealPayloadsRoundTrip(t *testing.T) {
 	if again, err := encodeResultPayload(&res); err != nil || !bytes.Equal(again, resPayload) {
 		t.Errorf("result payload does not round-trip (err %v)", err)
 	}
-	// What the two decoders refuse before allocating for it.
+	// What the two decoders refuse.
 	if err := decodeResultPayload(resPayload, &res, slots+1); err == nil {
 		t.Error("result payload accepted for a config with a different slot count")
 	}
-	if _, _, err := decodeCkptPayload(ckptPayload, points+1, base); err == nil {
-		t.Error("checkpoint payload accepted for a selection with a different point count")
+	for _, n := range []int{len(captured) - 1, len(captured) + 1} {
+		cks := shellsOf(captured)
+		for len(cks) < n {
+			cks = append(cks, &ckpt.Checkpoint{InstRet: 1 << 62})
+		}
+		if err := decodeCkptPayload(ckptPayload, cks[:n], base); err == nil {
+			t.Errorf("checkpoint payload of %d points accepted for a selection of %d", len(captured), n)
+		}
 	}
 }
 

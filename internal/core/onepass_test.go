@@ -25,7 +25,6 @@ import (
 func referenceCkptPayload(t *testing.T, w *workloads.Workload, p *Profile, warmup int64) []byte {
 	t.Helper()
 	cks := make([]*ckpt.Checkpoint, len(p.Selection.Selected))
-	warmups := make([]int64, len(cks))
 	for i, pt := range p.Selection.Selected {
 		iv := int64(pt.Interval)
 		at := max(0, iv*p.Interval-warmup)
@@ -38,13 +37,12 @@ func referenceCkptPayload(t *testing.T, w *workloads.Workload, p *Profile, warmu
 		}
 		cks[i] = ckpt.Capture(cpu)
 		cks[i].Interval, cks[i].Weight = iv, pt.Weight
-		warmups[i] = iv*p.Interval - at
 	}
 	entry, err := w.Entry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeCkptPayload(cks, warmups, entry.Mem)
+	payload, err := encodeCkptPayload(cks, entry.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,7 @@ func TestProfileRunsOneFunctionalPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem)
+		got, err := encodeCkptPayload(p.Checkpoints, cpu.Mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,13 +248,16 @@ func TestCkptPayloadReusesItsCompressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCkptPayload(fw, p.Checkpoints, p.WarmupInsts, cpu.Mem); err != nil {
+	if err := ckpt.Encode(fw, p.Checkpoints, cpu.Mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := encodeCkptPayload(p.Checkpoints, p.WarmupInsts, cpu.Mem)
+		got, err := encodeCkptPayload(p.Checkpoints, cpu.Mem)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"context"
 	"crypto/sha256"
@@ -33,10 +34,10 @@ func serialized(t testing.TB, m *mem.Memory) []byte {
 	return buf.Bytes()
 }
 
-// storedPoint is one point of a checkpoint payload as it is stored: its
-// selection index, its registers (Mem nil) and its pages in stored order,
-// each page's bytes as written — XORed with the reference page at its
-// index when the reference has one.
+// storedPoint is one point of a checkpoint payload as it is stored: the
+// index of the shell it fills, its registers (Mem nil) and its pages in
+// stored order, each page's bytes as written — XORed with the reference
+// page at its index when the reference has one.
 type storedPoint struct {
 	index int
 	k     ckpt.Checkpoint
@@ -44,9 +45,10 @@ type storedPoint struct {
 	pages [][]byte
 }
 
-// storedCheckpoints reads a checkpoint payload's warm-ups and its points as
-// stored, without rebuilding any image.
-func storedCheckpoints(t testing.TB, payload []byte, points int) ([]int64, []storedPoint) {
+// storedCheckpoints reads a checkpoint payload's points as stored, without
+// rebuilding any image. The payload names no point: they are the shells in
+// program order, by InstRet, ties by index.
+func storedCheckpoints(t testing.TB, payload []byte, shells []*ckpt.Checkpoint) []storedPoint {
 	t.Helper()
 	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
 	if err != nil {
@@ -54,14 +56,15 @@ func storedCheckpoints(t testing.TB, payload []byte, points int) ([]int64, []sto
 	}
 	rd := bytes.NewReader(raw)
 	br := binio.NewReader(rd)
-	warmups := make([]int64, br.Len(points))
-	for i := range warmups {
-		warmups[i] = br.I64()
+	pts := make([]storedPoint, len(shells))
+	for i := range pts {
+		pts[i].index = i
 	}
-	pts := make([]storedPoint, len(warmups))
+	slices.SortStableFunc(pts, func(a, b storedPoint) int {
+		return cmp.Compare(shells[a.index].InstRet, shells[b.index].InstRet)
+	})
 	for i := range pts {
 		p := &pts[i]
-		p.index = br.Int()
 		p.k.PC = br.U64()
 		for r := range p.k.X {
 			p.k.X[r] = br.U64()
@@ -69,9 +72,6 @@ func storedCheckpoints(t testing.TB, payload []byte, points int) ([]int64, []sto
 		for r := range p.k.F {
 			p.k.F[r] = br.U64()
 		}
-		p.k.InstRet = br.U64()
-		p.k.Interval = br.I64()
-		p.k.Weight = br.F64()
 		for n := br.Len(rd.Len() / mem.PageSize); n > 0; n-- {
 			p.keys = append(p.keys, br.U64())
 			page := make([]byte, mem.PageSize)
@@ -81,10 +81,10 @@ func storedCheckpoints(t testing.TB, payload []byte, points int) ([]int64, []sto
 			p.pages = append(p.pages, page)
 		}
 	}
-	if br.Err() != nil || len(pts) != points || rd.Len() != 0 {
-		t.Fatalf("%d stored points for %d, %d bytes left: %v", len(pts), points, rd.Len(), br.Err())
+	if br.Err() != nil || rd.Len() != 0 {
+		t.Fatalf("%d stored points, %d bytes left: %v", len(pts), rd.Len(), br.Err())
 	}
-	return warmups, pts
+	return pts
 }
 
 // pagesOf is m's pages by index, each as its bytes.
@@ -100,11 +100,12 @@ func pagesOf(t testing.TB, m *mem.Memory) map[uint64][]byte {
 // TestPayloadsHoldWhatTheKeyCannotRebuild: on every workload under the
 // BBV-only and the bbv+mav spec, the bbv entry a cold Profile writes
 // decodes to its vectors, and its checkpoint entry stores the points in
-// program order (InstRet, ties by selection index), each with exactly the
-// pages that differ from the previous point's image — the first point's
-// from the entry checkpoint's (Workload.Entry) — XORed with the page they
-// replace, and decodes to checkpoints page for page equal to the ones the
-// pass captured.
+// program order (InstRet, ties by selection index), each as its registers
+// and exactly the pages that differ from the previous point's image — the
+// first point's from the entry checkpoint's (Workload.Entry) — XORed with
+// the page they replace, and nothing else. Into the shells the selection
+// rebuilds it decodes to checkpoints page for page equal to the ones the
+// pass captured, each leaving the warm-up the profile reports.
 func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 	fc := DefaultFlowConfig()
 	ctx := context.Background()
@@ -142,22 +143,16 @@ func TestPayloadsHoldWhatTheKeyCannotRebuild(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: no checkpoint entry", label)
 			}
-			cks, warmups, err := decodeCkptPayload(ckptPayload, p.NumSimPoints(), entry.Mem)
-			if err != nil {
+			cks, warmups := shells(p.Selection, p.Interval, spec.ResolveWarmup(p.Interval, fc.WarmupInsts))
+			if err := decodeCkptPayload(ckptPayload, cks, entry.Mem); err != nil {
 				t.Fatalf("%s: decoding the checkpoint entry: %v", label, err)
 			}
 			if !reflect.DeepEqual(warmups, p.WarmupInsts) {
 				t.Errorf("%s: warm-ups %v, want %v", label, warmups, p.WarmupInsts)
 			}
 			ref := pagesOf(t, entry.Mem)
-			_, stored := storedCheckpoints(t, ckptPayload, p.NumSimPoints())
-			for j, sp := range stored {
+			for _, sp := range storedCheckpoints(t, ckptPayload, cks) {
 				i := sp.index
-				if j > 0 {
-					if prev := stored[j-1]; sp.k.InstRet < prev.k.InstRet || (sp.k.InstRet == prev.k.InstRet && i < prev.index) {
-						t.Errorf("%s: point %d is stored after point %d", label, i, prev.index)
-					}
-				}
 				captured := p.Checkpoints[i]
 				img := pagesOf(t, captured.Mem)
 				var want []uint64
@@ -214,7 +209,7 @@ func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 	got := allocatedBy(func() {
 		entry, eerr := w.Entry()
 		if eerr == nil {
-			_, _, err = decodeCkptPayload(payload, p.NumSimPoints(), entry.Mem)
+			err = decodeCkptPayload(payload, shellsOf(p.Checkpoints), entry.Mem)
 		} else {
 			err = eerr
 		}
@@ -235,7 +230,7 @@ func TestTarfindCheckpointDecodeAllocation(t *testing.T) {
 // capture points, the captured registers and pages, the base the pages are
 // stored against and the codec's bytes, and with nothing else.
 func TestCheckpointPayloadDigest(t *testing.T) {
-	const want = "91fd096f5c0032f578f12fd9d6386f2c2a15e106358e2325ee0c66a216a1b373"
+	const want = "482fee8b7dd7f4b80f9b70274a282660a238026855194de9c3cc38264c2e4348"
 	ctx := context.Background()
 	h := sha256.New()
 	for _, name := range workloads.Names() {

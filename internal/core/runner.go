@@ -352,13 +352,13 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 		if err != nil {
 			return 0, wrapStage(StageCheckpoint, w.Name, "", err)
 		}
+		cks, warmups := shells(sel, interval, warmup)
 		cost, err := r.stageCached(keys.ckpt,
 			func(payload []byte) error {
-				k, wu, derr := decodeCkptPayload(payload, len(sel.Selected), entry.Mem)
-				if derr != nil {
+				if derr := decodeCkptPayload(payload, cks, entry.Mem); derr != nil {
 					return derr
 				}
-				p.Checkpoints, p.WarmupInsts = k, wu
+				p.Checkpoints, p.WarmupInsts = cks, warmups
 				return nil
 			},
 			func() error {
@@ -368,23 +368,22 @@ func (r *Runner) profileWith(ctx context.Context, w *workloads.Workload, spec sa
 					sctx, cancel := r.stageCtx(ctx)
 					defer cancel()
 					var last int64
-					for _, pt := range sel.Selected {
-						last = max(last, capturePoint(int64(pt.Interval), interval, warmup))
+					for _, k := range cks {
+						last = max(last, int64(k.InstRet))
 					}
 					var perr error
 					if ps, perr = r.runPass(sctx, w, interval, warmup, last, nil, nil); perr != nil {
 						return perr
 					}
 				}
-				cks, warmups, cerr := ps.checkpoints(sel, interval, warmup)
-				if cerr != nil {
-					return cerr
+				if ferr := ps.fill(cks); ferr != nil {
+					return ferr
 				}
 				p.Checkpoints, p.WarmupInsts = cks, warmups
 				return nil
 			},
 			func() ([]byte, error) {
-				return encodeCkptPayload(p.Checkpoints, p.WarmupInsts, entry.Mem)
+				return encodeCkptPayload(p.Checkpoints, entry.Mem)
 			})
 		return cost, wrapStage(StageCheckpoint, w.Name, "", err)
 	}
@@ -901,26 +900,37 @@ func (r *Runner) runPass(ctx context.Context, w *workloads.Workload, interval, w
 	}
 }
 
-// checkpoints builds the checkpoint of every selected interval, and its
-// warm-up length, from its capture point's mark. A capture point with no
-// mark is an error, never a checkpoint taken elsewhere: the program halted
-// before it.
-func (ps *pass) checkpoints(sel *simpoint.Result, interval, warmup int64) ([]*ckpt.Checkpoint, []int64, error) {
-	cks := make([]*ckpt.Checkpoint, len(sel.Selected))
-	warmups := make([]int64, len(sel.Selected))
+// shells are the checkpoints of sel's points as far as the selection, the
+// interval length and the warm-up place them: InstRet at the point's
+// capture point, Interval and Weight the selected point's. The profile
+// pass (pass.fill) or the checkpoint payload (decodeCkptPayload) fills in
+// the rest. warmups are what each leaves before its interval,
+// Interval·interval − InstRet.
+func shells(sel *simpoint.Result, interval, warmup int64) (cks []*ckpt.Checkpoint, warmups []int64) {
+	cks = make([]*ckpt.Checkpoint, len(sel.Selected))
+	warmups = make([]int64, len(sel.Selected))
 	for i, pt := range sel.Selected {
 		iv := int64(pt.Interval)
 		at := capturePoint(iv, interval, warmup)
-		j, ok := slices.BinarySearchFunc(ps.marks, uint64(at), func(k ckpt.Checkpoint, at uint64) int {
-			return cmp.Compare(k.InstRet, at)
-		})
-		if !ok {
-			return nil, nil, fmt.Errorf("interval %d: no mark at its capture point %d (the pass ran %d instructions)", iv, at, ps.insts)
-		}
-		k := ps.marks[j]
-		k.Mem, k.Interval, k.Weight = ps.cpu.Mem.Image(j), iv, pt.Weight
-		cks[i] = &k
+		cks[i] = &ckpt.Checkpoint{InstRet: uint64(at), Interval: iv, Weight: pt.Weight}
 		warmups[i] = iv*interval - at
 	}
-	return cks, warmups, nil
+	return cks, warmups
+}
+
+// fill sets each shell's registers and image from its capture point's
+// mark. A capture point with no mark is an error, never a checkpoint taken
+// elsewhere: the program halted before it.
+func (ps *pass) fill(cks []*ckpt.Checkpoint) error {
+	for _, k := range cks {
+		j, ok := slices.BinarySearchFunc(ps.marks, k.InstRet, func(m ckpt.Checkpoint, at uint64) int {
+			return cmp.Compare(m.InstRet, at)
+		})
+		if !ok {
+			return fmt.Errorf("interval %d: no mark at its capture point %d (the pass ran %d instructions)", k.Interval, k.InstRet, ps.insts)
+		}
+		m := &ps.marks[j]
+		k.PC, k.X, k.F, k.Mem = m.PC, m.X, m.F, ps.cpu.Mem.Image(j)
+	}
+	return nil
 }

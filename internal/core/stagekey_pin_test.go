@@ -18,65 +18,65 @@ var pinnedStageKeys = map[string][6]string{
 	"sha/MediumBOOM/zero": {
 		"d89d898911ff66c9104c49f5c72ab74b9b0859f64a224c7526578d9e205be1bd",
 		"c0b135d5ab1047b877d5e2adf98c2b4680a620d8b98f89b47956e3d243ded4b0",
-		"51c0d1ac37ba00a7c40c82edb16aff9eca723220ee0a970ec0e4371fcd7016d0",
-		"04cc364bbced2d0783a5ad5a642a54ca8f91eaa5ffb814d31d04efb2fcb2fe27",
-		"e52a8a09317232ec4e0cb221964e5e6a80fdf977916585b95aa834b21e9b0b3d",
+		"c3036baabaaac4ff1baf98c4cdc95e86c5cdb30e9cf851ffc5d67282cb1af51c",
+		"0e20d6873a918c60260f2dfc566085580724bb9ebc461cf20eaacbd01f4b1ef0",
+		"9e54f967a14599e2bcfda1681d9ff5003ba8de839c5c10e7b2ba878f29cfd274",
 		"ccdbb9f8e6fa82cd8b8753e5b99de9ad4f08b8c4984cd0674d2367e43715fad5",
 	},
 	"sha/MediumBOOM/recommended": {
 		"050ccde9eb302ef3103ffd69bb845689fbfe290309d5ab8217447f728f86ef7c",
 		"20bed1e532ae441912148becbbae9e40eec629bdf9b777371c0db5da07275ec5",
-		"7e065e13aa0e5d552851edb9087ccdb2073fd7a066eb8a5cb5e6c2e2eae8be11",
-		"43cd5ed94258620bf1514e42ff85b9fff83bfc041eedf2bb1ede252dc6c70c23",
-		"3d2f0d6e99ef012dddea93d4c4c03c2b5b73da116da3af164ed11f2414d6cbe1",
+		"ec5e715b80e08f0c37d49530bf4aa08b8cb581082fd1cd3da85bebae91521808",
+		"1acd69a028ccb4203cafa3447c64a164a0a1e9394a05e13a254aac5bb9982450",
+		"bf55164e9c96f15fea8a574a2f1bb2829bf895f3ddaef987ad0c9f097a45e87c",
 		"ccdbb9f8e6fa82cd8b8753e5b99de9ad4f08b8c4984cd0674d2367e43715fad5",
 	},
 	"sha/MegaBOOM/zero": {
 		"d89d898911ff66c9104c49f5c72ab74b9b0859f64a224c7526578d9e205be1bd",
 		"c0b135d5ab1047b877d5e2adf98c2b4680a620d8b98f89b47956e3d243ded4b0",
-		"51c0d1ac37ba00a7c40c82edb16aff9eca723220ee0a970ec0e4371fcd7016d0",
-		"136752f3090191fa6ae10a6ddac5663311a3e4779c9f11683d5865d9c734c5b6",
-		"63d4f80b6a7756ff524ca1a0d3cf901bf0f5f72e283ade6cbc11e72bbdf1a7f8",
+		"c3036baabaaac4ff1baf98c4cdc95e86c5cdb30e9cf851ffc5d67282cb1af51c",
+		"bd1338c00855028122983c9b7699f142622d8c4f686be76af5ca879df2ad0ee4",
+		"f6e92819380f231a41e88b7cc1f8cc89725f0108d0034ddc4cae7e3a53855431",
 		"3a56e2aef06c3a8b284feebf0d13c292d416a303496f9b338bad4fc874d15ceb",
 	},
 	"sha/MegaBOOM/recommended": {
 		"050ccde9eb302ef3103ffd69bb845689fbfe290309d5ab8217447f728f86ef7c",
 		"20bed1e532ae441912148becbbae9e40eec629bdf9b777371c0db5da07275ec5",
-		"7e065e13aa0e5d552851edb9087ccdb2073fd7a066eb8a5cb5e6c2e2eae8be11",
-		"2b9328321b055213a69a52444e0a0df436bb587cf72ca8886d44c4b034662c51",
-		"5fe2c002fd34134002c9459e6510e67aca284c1180d3f6e21d9eed6baaa6b76c",
+		"ec5e715b80e08f0c37d49530bf4aa08b8cb581082fd1cd3da85bebae91521808",
+		"9c2a673a36264af81f7f76c1a05ba5a2c113b83f1d656679b19eee8722ca5e0f",
+		"4e2132e1dd60f4abe703c5459a7d5e30beb7eb4b9073babbd4152929cb40cbf5",
 		"3a56e2aef06c3a8b284feebf0d13c292d416a303496f9b338bad4fc874d15ceb",
 	},
 	"qsort/MediumBOOM/zero": {
 		"80854e768fbeaecb3bdd973d579c6dbc7a68c2c9a33fdd3e26050e178f094b76",
 		"6ba34f34d2db2b4fe9fb38486ab32ab8459bfe61f8236e0d500cd63f3301d474",
-		"49c4c9f15b784724ebc87b33ad6a60fa2329dc05a0beb627d5e916854f3baf54",
-		"54a8117e1216733d67078a577706de4c267ea2d302265522f5e49f949233242e",
-		"8d5ec7a3f0bece17b06ba0ee9593f281df5168fff2ca3db1e2b392395c33b05c",
+		"36aeddef041837d00d0dd87266003e940e7e934c917ed0e900263c05751f39d4",
+		"a664d3468449bc62ad141a3137af97393bbe6f6228a0f7ba35715c7c078bc93d",
+		"6586fc85d8fe4114a01bf66b1337748a3389b1c8c483f22e16329fa1c83ab0ff",
 		"ac35ce11ac8a0af25e3adba7fd1c3b3172a8abc125ae049f80a8e2a4c38c26b3",
 	},
 	"qsort/MediumBOOM/recommended": {
 		"5508312df9b2bc036371ea9208dfc3e2587484c31b8351d912ff4cb011d58f4f",
 		"e6681d03e9a9f88a53341ea4fbad3d979d2895859dfb8fd3a0002cbf5296d2ac",
-		"1e199e8a966bef0d6f03d23595153d0e835b97d17d1710b713f4bb580987af42",
-		"853679e10521cedbb6c155fe138bee5dd5fc095ea5c66e496030d07422e64ffa",
-		"8ee48cd41ad41d38e220adf6380d21df6f47531b8e4539e9226eeedd5957dfba",
+		"1e4c49c38ecfb17ca43f3731798b8aba4acbee91be1173090bed1716dcd2ed6b",
+		"fe08a68ca274d530de82c6bdab2033560e2d610b77c3862d7a64e8603bdccdc8",
+		"61e1916c535f546d33c8c30744640465ab3a01c5736d39f48cf1f529b4bf972b",
 		"ac35ce11ac8a0af25e3adba7fd1c3b3172a8abc125ae049f80a8e2a4c38c26b3",
 	},
 	"qsort/MegaBOOM/zero": {
 		"80854e768fbeaecb3bdd973d579c6dbc7a68c2c9a33fdd3e26050e178f094b76",
 		"6ba34f34d2db2b4fe9fb38486ab32ab8459bfe61f8236e0d500cd63f3301d474",
-		"49c4c9f15b784724ebc87b33ad6a60fa2329dc05a0beb627d5e916854f3baf54",
-		"2f3bb1a9c8bab5ec985cb6f6d95f39a04e27573b3e4873a18260035919d46396",
-		"0b5fddec1f24191959c4dd8de30edb6f052dcfc543d93a26efb487c657cf6c08",
+		"36aeddef041837d00d0dd87266003e940e7e934c917ed0e900263c05751f39d4",
+		"0c80f6627ba80ef7465bfa9e3a99cc8f9df9abb12e63f275cedb549b8cbc4709",
+		"261d775a9b022247f2886125798b2bac6fde74063a4d025e72e6edb6cce6208b",
 		"70b9583d3617374f3a4502409425659a8c1dbd95aabce38811417f0f62c731be",
 	},
 	"qsort/MegaBOOM/recommended": {
 		"5508312df9b2bc036371ea9208dfc3e2587484c31b8351d912ff4cb011d58f4f",
 		"e6681d03e9a9f88a53341ea4fbad3d979d2895859dfb8fd3a0002cbf5296d2ac",
-		"1e199e8a966bef0d6f03d23595153d0e835b97d17d1710b713f4bb580987af42",
-		"f110b0ac140ddc3b11de80c34bc4083726d128069a066823043a27e52d5f0ed8",
-		"774f248a1e59f296cdc25ff1a3d01d5a830cdeeb31a62242d811e95405f4eb42",
+		"1e4c49c38ecfb17ca43f3731798b8aba4acbee91be1173090bed1716dcd2ed6b",
+		"dd55eb69a1f78ef4d0dc5b386208e9b063b01a2a1be223d0d5056032a72ba324",
+		"3d8cc7e5234f3cae0db4b5923c01d2c6ecef166d1ac1df560af4eae005b434ff",
 		"70b9583d3617374f3a4502409425659a8c1dbd95aabce38811417f0f62c731be",
 	},
 }

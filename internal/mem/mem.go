@@ -23,7 +23,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // PageBits is the log2 of the page size. 4 KiB pages match what the
@@ -93,8 +92,8 @@ type history struct {
 //
 // A Memory is not safe for concurrent use, reads included: every access may
 // fill the TLB. A Memory that owns no page — a checkpoint image from Fork,
-// Image or Deserialize that is only ever forked — is only read by Fork,
-// Serialize and PageCount, so those may run concurrently on it (a
+// Image or ReadDelta that is only ever forked — is only read by Fork,
+// Serialize, WriteDelta and PageCount, so those may run concurrently on it (a
 // checkpoint image is forked by several measuring goroutines at once).
 type Memory struct {
 	pages map[uint64]pageRef
@@ -103,7 +102,7 @@ type Memory struct {
 	// and its wkey is key exactly when pages[key].own. A page is replaced
 	// in the map only by its own Memory's copy-on-write, in the same miss
 	// that refills its entry; Fork and Mark clear every wkey when they
-	// disown the pages; a whole new map (Deserialize) drops the table.
+	// disown the pages; Reset drops the table with the map it clears.
 	tlb *[tlbSize]tlbEntry
 
 	hist *history // nil unless Record started one
@@ -520,66 +519,11 @@ func ReadDelta(r io.Reader, ref *Memory) (*Memory, error) {
 	return img, nil
 }
 
-// Serialize writes the touched pages to w in a deterministic order. The
-// format is: uint64 page count, then per page a uint64 page index followed
-// by PageSize raw bytes.
+// Serialize writes the touched pages to w: a delta against an empty
+// memory (WriteDelta), that is a uint64 page count, then per page, in
+// increasing index order, a uint64 page index followed by PageSize raw
+// bytes.
 func (m *Memory) Serialize(w io.Writer) error {
-	keys := make([]uint64, 0, len(m.pages))
-	for k := range m.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(keys)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(hdr[:], k)
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(m.pages[k].page[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Deserialize replaces the contents of m with pages read from r, in the
-// format produced by Serialize, and drops any history. Page indices must
-// strictly increase, as Serialize writes them, so an accepted image
-// re-serializes byte-exact. The result owns no page: it is a checkpoint
-// image, and a write to it copies the page first.
-func (m *Memory) Deserialize(r io.Reader) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("mem: reading page count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > 1<<24 {
-		return fmt.Errorf("mem: unreasonable page count %d", n)
-	}
-	// The count is a size hint only up to a bound: it is read before any of
-	// the pages it promises, so a corrupt one must not size the map.
-	m.pages = make(map[uint64]pageRef, min(n, 1<<12))
-	m.tlb = noTLB // every cached pointer was into the old map
-	m.hist = nil
-	var prev uint64
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("mem: reading page %d index: %w", i, err)
-		}
-		key := binary.LittleEndian.Uint64(hdr[:])
-		if i > 0 && key <= prev {
-			return fmt.Errorf("mem: page %d index %#x does not follow %#x", i, key, prev)
-		}
-		prev = key
-		p := new([PageSize]byte)
-		if _, err := io.ReadFull(r, p[:]); err != nil {
-			return fmt.Errorf("mem: reading page %d data: %w", i, err)
-		}
-		m.pages[key] = pageRef{page: p}
-	}
-	return nil
+	var d DeltaWriter
+	return d.WriteDelta(w, m, New())
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -81,6 +82,9 @@ func TestForkIsolatesWrites(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTrip: Serialize writes a page count, then each page
+// in increasing index order as its index and its bytes, and ReadDelta over
+// an empty memory reads it back whole.
 func TestSerializeRoundTrip(t *testing.T) {
 	m := New()
 	rng := rand.New(rand.NewSource(3))
@@ -89,34 +93,29 @@ func TestSerializeRoundTrip(t *testing.T) {
 		addrs[i] = uint64(rng.Int63n(1 << 40))
 		m.Write64(addrs[i], rng.Uint64())
 	}
-	var buf bytes.Buffer
-	if err := m.Serialize(&buf); err != nil {
-		t.Fatal(err)
+	b := serialized(t, m)
+	if n := binary.LittleEndian.Uint64(b); n != uint64(m.PageCount()) || len(b) != 8+int(n)*(8+PageSize) {
+		t.Fatalf("%d bytes declaring %d pages for a %d-page memory", len(b), n, m.PageCount())
 	}
-	m2 := New()
-	if err := m2.Deserialize(&buf); err != nil {
+	var prev uint64
+	for i, rec := 0, b[8:]; len(rec) > 0; i, rec = i+1, rec[8+PageSize:] {
+		key := binary.LittleEndian.Uint64(rec)
+		if i > 0 && key <= prev {
+			t.Fatalf("page %#x follows %#x", key, prev)
+		}
+		prev = key
+		if !bytes.Equal(rec[8:8+PageSize], m.ReadBytes(key<<PageBits, PageSize)) {
+			t.Fatalf("page %#x is stored as other bytes", key)
+		}
+	}
+	m2, err := ReadDelta(bytes.NewReader(b), New())
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range addrs {
 		if m.Read64(a) != m2.Read64(a) {
 			t.Fatalf("mismatch at %#x", a)
 		}
-	}
-	if m.PageCount() != m2.PageCount() {
-		t.Fatalf("page counts differ: %d vs %d", m.PageCount(), m2.PageCount())
-	}
-}
-
-func TestDeserializeRejectsTruncated(t *testing.T) {
-	m := New()
-	m.Write64(0, 1)
-	var buf bytes.Buffer
-	if err := m.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-10]
-	if err := New().Deserialize(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error on truncated stream")
 	}
 }
 
@@ -258,48 +257,6 @@ func TestReadsNeverCreatePages(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("reads changed the serialized image")
-	}
-}
-
-// TestNoStaleTLBAfterDeserialize: Deserialize replaces the page map, so a
-// page pointer cached from the old map must not serve a later access.
-func TestNoStaleTLBAfterDeserialize(t *testing.T) {
-	img := New()
-	img.Write64(0x2000, 222)
-	var buf bytes.Buffer
-	if err := img.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	m := New()
-	m.Write64(0x2000, 111) // page 2: differs in the image
-	m.Write64(0x7000, 777) // page 7: absent from the image
-	if m.Read64(0x2000) != 111 || m.Read64(0x7000) != 777 {
-		t.Fatal("setup reads failed")
-	}
-	if err := m.Deserialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Read64(0x2000); got != 222 {
-		t.Errorf("after Deserialize read %d, want the image's 222", got)
-	}
-	if got := m.Read64(0x7000); got != 0 {
-		t.Errorf("after Deserialize a dropped page still reads %d", got)
-	}
-	m.Write64(0x7000, 1) // must land in a page of the new map
-	if m.PageCount() != 2 {
-		t.Errorf("write after Deserialize went to a page outside the map: %d pages", m.PageCount())
-	}
-	var out bytes.Buffer
-	if err := m.Serialize(&out); err != nil {
-		t.Fatal(err)
-	}
-	back := New()
-	if err := back.Deserialize(&out); err != nil {
-		t.Fatal(err)
-	}
-	if back.Read64(0x7000) != 1 || back.Read64(0x2000) != 222 {
-		t.Error("writes after Deserialize did not reach the serialized image")
 	}
 }
 
@@ -476,6 +433,18 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	if err := d.WriteDelta(io.Discard, New(), ref); err == nil {
 		t.Error("WriteDelta accepted a memory without ref's pages")
+	}
+
+	// Over an empty memory, a delta is Serialize's image; cut inside any
+	// field — the count, a page index, a page's bytes — it is refused.
+	whole := serialized(t, m)
+	for _, n := range []int{0, 7, 8, 15, 16, 16 + PageSize - 1, len(whole) - 1} {
+		if _, err := ReadDelta(bytes.NewReader(whole[:n]), New()); err == nil {
+			t.Errorf("ReadDelta over an empty memory accepted %d of %d bytes", n, len(whole))
+		}
+	}
+	if img, err := ReadDelta(bytes.NewReader(whole), New()); err != nil || !bytes.Equal(serialized(t, img), whole) {
+		t.Errorf("ReadDelta over an empty memory does not read Serialize back (err %v)", err)
 	}
 }
 
