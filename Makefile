@@ -2,7 +2,7 @@
 # `make test`; `make check` is the CI tier on top of it, seven gates:
 #   vet            go vet, and gofmt -l prints nothing
 #   race           the concurrent packages under the race detector
-#   fuzz-smoke     5 s per fuzz target (17) on top of the committed corpora
+#   fuzz-smoke     5 s per fuzz target (19) on top of the committed corpora
 #   bench-smoke    every kernel benchmark once + the functional-core floor
 #   bench-measure  one measure cell: -j 1 vs -j 4, byte-identical
 #   fidelity       sampled-vs-full CPI error per sampling spec
@@ -51,8 +51,9 @@ race:
 	$(GO) test -race -short ./internal/fabric ./internal/workloads
 
 # go accepts one -fuzz target per invocation. The payload-decoder targets
-# (core's and the checkpoint codec's) seed from real KB-sized payloads; minimizing one new input at the
-# default 60 s budget would eat their whole 5 s, so theirs is capped.
+# (core's and the checkpoint codec's) seed from real KB-sized payloads;
+# minimizing one new input at the default 60 s budget would eat their
+# whole 5 s, so theirs is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSimPoints -fuzztime 5s ./internal/simpoint
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 5s ./internal/simpoint
@@ -62,8 +63,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFabricBodies -fuzztime 5s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResultPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCkptPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBBVPayload -fuzztime 5s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzDeserializeAll -fuzztime 5s -fuzzminimizetime 1s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzMemoryFork -fuzztime 5s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzMemoryReset -fuzztime 5s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzMemoryDelta -fuzztime 5s ./internal/mem

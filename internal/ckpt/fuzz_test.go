@@ -99,17 +99,14 @@ func onePage(key uint64) []byte {
 	return raw.Bytes()
 }
 
-// FuzzDecode drives the one checkpoint decoder both ways it is called. A
-// points of n ≥ 0 decodes data into the first n shells of bitcount's
-// profile over its entry image, as the flow reads its cache entry (less
-// the flate wrapper); a negative points decodes it through DeserializeAll,
-// over an empty memory. Neither panics, and each allocates at most 256 KiB
-// plus 4× its input plus, per point, one fork of the previous point's
-// image: a page-map copy of the base's pages and of at most every page the
-// input stores, at most 128 bytes of map each. What either accepts
-// re-encodes (Encode, SerializeAll) to exactly the bytes it consumed. The
-// seeds are the flow's payload and the shim's bytes for bitcount, and
-// mutations of each.
+// FuzzDecode: Decode, into the first points shells of bitcount's profile
+// over its entry image, as the flow reads its cache entry (less the flate
+// wrapper), never panics and allocates at most 256 KiB plus 4× its input
+// plus, per point, one fork of the previous point's image: a page-map copy
+// of the base's pages and of at most every page the input stores, at most
+// 128 bytes of map each. What it accepts re-encodes through Encode to
+// exactly the bytes it consumed. The seeds are the flow's payload for
+// bitcount and mutations of it.
 func FuzzDecode(f *testing.F) {
 	ks, base := profiled(f, "bitcount")
 	n := len(ks)
@@ -120,52 +117,66 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), flow...), 0), n) // a trailing byte, left unread
 	f.Add(onePage(0x10), 1)                           // an all-zero XOR page over one the entry image holds: refused
 	f.Add(onePage(0x7ffff), 1)                        // a zero page the entry image lacks: accepted
+	fork := allocatedBy(func() { base.Fork() })
+	f.Fuzz(func(t *testing.T, data []byte, points int) {
+		if points < 0 || points > n {
+			t.Skip("not a count of the profile's points")
+		}
+		rd := bytes.NewReader(data)
+		shells := shellsOf(ks[:points])
+		var err error
+		got := allocatedBy(func() { err = ckpt.Decode(rd, shells, base) })
+		checkDecoded(t, data, rd, points, fork, got, err, func(w *bytes.Buffer) error { return ckpt.Encode(w, shells, base) })
+	})
+}
+
+// FuzzDeserializeAll: DeserializeAll, the same decoder behind a count and
+// a shell header over an empty memory, keeps FuzzDecode's contract, and
+// what it accepts re-encodes through SerializeAll. The seeds are the
+// checkpoint set the flow captures for bitcount at tiny scale and
+// mutations of it.
+func FuzzDeserializeAll(f *testing.F) {
+	ks, _ := profiled(f, "bitcount")
 	var set bytes.Buffer
 	if err := ckpt.SerializeAll(&set, ks); err != nil {
 		f.Fatal(err)
 	}
-	shim := set.Bytes()
-	f.Add(shim, -1)
-	f.Add(shim[:len(shim)/2], -1)
-	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<20), -1) // 8 MiB of pointers from eight bytes
-	f.Add(append(binary.LittleEndian.AppendUint64(nil, uint64(n+1)), shim[8:]...), -1)
-	fork := allocatedBy(func() { base.Fork() })
-	f.Fuzz(func(t *testing.T, data []byte, points int) {
-		if points > n {
-			t.Skip("more points than the profile has")
-		}
+	seed := set.Bytes()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<20)) // 8 MiB of pointers from eight bytes
+	f.Add(append(binary.LittleEndian.AppendUint64(nil, uint64(len(ks)+1)), seed[8:]...))
+	fork := allocatedBy(func() { mem.New().Fork() })
+	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bytes.NewReader(data)
-		var shells []*ckpt.Checkpoint
+		var got []*ckpt.Checkpoint
 		var err error
-		var got uint64
-		most := points // points decoded, at most
-		if points >= 0 {
-			shells = shellsOf(ks[:points])
-			got = allocatedBy(func() { err = ckpt.Decode(rd, shells, base) })
-		} else {
-			most = len(data) / (3*8 + (1+2*32)*8 + 8) // a shell, registers and a page count each
-			got = allocatedBy(func() { shells, err = ckpt.DeserializeAll(rd) })
-		}
-		perPoint := fork + 128*uint64(len(data)/mem.PageSize+1)
-		if limit := uint64(256<<10+4*len(data)) + uint64(most)*perPoint; got > limit {
-			t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
-		}
-		if err != nil {
-			return
-		}
-		var again bytes.Buffer
-		if points >= 0 {
-			err = ckpt.Encode(&again, shells, base)
-		} else {
-			err = ckpt.SerializeAll(&again, shells)
-		}
-		if err != nil {
-			t.Fatalf("re-encoding accepted checkpoints: %v", err)
-		}
-		if consumed := data[:len(data)-rd.Len()]; !bytes.Equal(again.Bytes(), consumed) {
-			t.Fatalf("accepted %d bytes re-encode to %d different ones", len(consumed), again.Len())
-		}
+		alloc := allocatedBy(func() { got, err = ckpt.DeserializeAll(rd) })
+		most := len(data) / (3*8 + (1+2*32)*8 + 8) // points decoded, at most: a shell, registers and a page count each
+		checkDecoded(t, data, rd, most, fork, alloc, err, func(w *bytes.Buffer) error { return ckpt.SerializeAll(w, got) })
 	})
+}
+
+// checkDecoded is the contract both fuzz targets hold a decode of data to:
+// it allocated (got) at most the bound for points points, each forking an
+// image that costs fork, and, when it was accepted (err nil), encode
+// writes exactly the bytes the decoder consumed from rd.
+func checkDecoded(t *testing.T, data []byte, rd *bytes.Reader, points int, fork, got uint64, err error, encode func(*bytes.Buffer) error) {
+	t.Helper()
+	perPoint := fork + 128*uint64(len(data)/mem.PageSize+1)
+	if limit := uint64(256<<10+4*len(data)) + uint64(points)*perPoint; got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, over the %d bound", len(data), got, limit)
+	}
+	if err != nil {
+		return
+	}
+	var again bytes.Buffer
+	if err := encode(&again); err != nil {
+		t.Fatalf("re-encoding accepted checkpoints: %v", err)
+	}
+	if consumed := data[:len(data)-rd.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+		t.Fatalf("accepted %d bytes re-encode to %d different ones", len(consumed), again.Len())
+	}
 }
 
 // TestSerializeAllIsTheFlowsCodec: for every workload's profile at tiny

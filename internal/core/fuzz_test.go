@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"context"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,11 +20,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// Fuzz targets for the result and bbv payload decoders a warm sweep (and a
-// fabric coordinator) runs on bytes it did not just write; the checkpoint
-// payload's codec is ckpt's, fuzzed there (ckpt.FuzzDecode). Each states the same
-// contract: the decoder never panics, never allocates more than a stated
-// function of its input — a length prefix is checked against what the
+// Fuzz targets for the payload decoders a warm sweep (and a fabric
+// coordinator) runs on bytes it did not just write; the checkpoint
+// payload's codec, under its flate wrapper here, is ckpt's and is fuzzed
+// there too (ckpt.FuzzDecode). Each states the same contract: the decoder
+// never panics, never allocates more than a stated function of its input — a length prefix is checked against what the
 // caller knows, or against the bytes that remain, before anything is
 // sized by it — and what it accepts re-encodes byte-exact. The seed
 // corpus is one real tiny-scale payload per decoder plus mutations of it
@@ -116,6 +117,87 @@ func FuzzDecodeResultPayload(f *testing.F) {
 	})
 }
 
+// inflatedLen is how many bytes data inflates to, counted up to limit+1.
+func inflatedLen(data []byte, limit int64) int64 {
+	n, _ := io.Copy(io.Discard, io.LimitReader(flate.NewReader(bytes.NewReader(data)), limit+1))
+	return n
+}
+
+// deflate compresses raw as the checkpoint payload is compressed.
+func deflate(raw []byte) []byte {
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+	fw.Write(raw)
+	fw.Close()
+	return buf.Bytes()
+}
+
+// FuzzDecodeCkptPayload: decodeCkptPayload, into the first points shells
+// of bitcount's profile over its load image, allocates at most 1 MiB (the
+// inflater and its 64 KiB read buffer, ~104 KiB) plus 4× what its input
+// inflates to — flate itself is bounded at ~1032× — plus, per point, one
+// fork of the previous point's image: a page-map copy of the load image's
+// pages and of at most every page the input stores, at most 128 bytes of
+// map each. A payload it accepts inflates to exactly what ckpt.Encode
+// writes for the decoded points, and re-encodes to a payload that decodes.
+// (Compressed bytes are not compared: arbitrary flate streams are not
+// canonical.)
+func FuzzDecodeCkptPayload(f *testing.F) {
+	payload, cks, base, _, _ := realPayloads(f)
+	n := len(cks)
+	f.Add(payload, n)
+	f.Add(payload, n-1) // one point short: its bytes are trailing
+	f.Add(payload[:len(payload)/2], n)
+	const regs = (1 + 2*32) * 8                                   // PC, X, F
+	f.Add(deflate(withU64(make([]byte, regs+8), regs, 1<<28)), 1) // 2^28 pages claimed in eight bytes
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deflate(append(raw, 0)), n) // trailing byte
+	f.Add(storingOnePage(0x10), 1)    // an all-zero XOR page over one the load image holds: refused
+	f.Add(storingOnePage(0x7ffff), 1) // a zero page the load image lacks: accepted
+	fork := allocatedBy(func() { base.Fork() })
+	f.Fuzz(func(t *testing.T, data []byte, points int) {
+		if points < 0 || points > n {
+			t.Skip("not a count of the profile's points")
+		}
+		const maxRaw = 32 << 20 // keep one fuzz worker's heap small
+		raw := inflatedLen(data, maxRaw)
+		if raw > maxRaw {
+			t.Skip("inflates past what this target is willing to hold")
+		}
+		shells := shellsOf(cks[:points])
+		var err error
+		got := allocatedBy(func() { err = decodeCkptPayload(data, shells, base) })
+		perPoint := uint64(fork) + 128*uint64(raw/mem.PageSize+1)
+		if limit := uint64(1<<20+4*raw) + uint64(points)*perPoint; got > limit {
+			t.Fatalf("decoding %d bytes (%d inflated) allocated %d, over the %d bound", len(data), raw, got, limit)
+		}
+		if err != nil {
+			return
+		}
+		inflated, err := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("an accepted payload does not inflate: %v", err)
+		}
+		var enc bytes.Buffer
+		if err := ckpt.Encode(&enc, shells, base); err != nil {
+			t.Fatalf("re-encoding accepted checkpoints: %v", err)
+		}
+		if !bytes.Equal(enc.Bytes(), inflated) {
+			t.Fatalf("accepted payload inflates to %d bytes; its points encode to %d different ones", len(inflated), enc.Len())
+		}
+		again, err := encodeCkptPayload(shells, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeCkptPayload(again, shellsOf(cks[:points]), base); err != nil {
+			t.Fatalf("decoding the re-encoded payload: %v", err)
+		}
+	})
+}
+
 // storingOnePage is a checkpoint payload for one shell whose image stores
 // an all-zero page at page index key: over a load image that holds the
 // page, an XOR page that says it did not change.
@@ -128,11 +210,7 @@ func storingOnePage(key uint64) []byte {
 	bw.U64(1)
 	bw.U64(key)
 	raw.Write(make([]byte, mem.PageSize))
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	fw.Write(raw.Bytes())
-	fw.Close()
-	return buf.Bytes()
+	return deflate(raw.Bytes())
 }
 
 // TestCkptPayloadStoresOnlyWhatDiffers: an all-zero XOR page over a page

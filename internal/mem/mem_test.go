@@ -434,11 +434,17 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if err := d.WriteDelta(io.Discard, New(), ref); err == nil {
 		t.Error("WriteDelta accepted a memory without ref's pages")
 	}
+}
 
-	// Over an empty memory, a delta is Serialize's image; cut inside any
-	// field — the count, a page index, a page's bytes — it is refused.
+// TestDeserializeRejectsTruncated: over an empty memory, a delta is
+// Serialize's image, and ReadDelta is what reads it back; cut inside any
+// field — the count, a page index, a page's bytes — it is refused.
+func TestDeserializeRejectsTruncated(t *testing.T) {
+	m := New()
+	m.Write64(0, 1)
+	m.Write64(0x90000, 2)
 	whole := serialized(t, m)
-	for _, n := range []int{0, 7, 8, 15, 16, 16 + PageSize - 1, len(whole) - 1} {
+	for _, n := range []int{0, 7, 8, 15, 16, 16 + PageSize - 1, len(whole) - 10, len(whole) - 1} {
 		if _, err := ReadDelta(bytes.NewReader(whole[:n]), New()); err == nil {
 			t.Errorf("ReadDelta over an empty memory accepted %d of %d bytes", n, len(whole))
 		}
